@@ -113,11 +113,14 @@ def _validate_marginal(cfg, field, diags):
     elif family == "normal":
         _num(cfg, diags, field, "mean")
         _num(cfg, diags, field, "sd", lo=0, lo_strict=True)
+    elif family == "max-of-iid":
+        _validate_marginal(cfg.get("base"), f"{field}.base", diags)
+        _num(cfg, diags, field, "count", lo=1, integer=True)
     else:
         diags.append(
             Diagnostic(
                 f"{field}.family",
-                f"must be one of uniform/exponential/normal, got {family!r}",
+                f"must be one of uniform/exponential/normal/max-of-iid, got {family!r}",
             )
         )
 

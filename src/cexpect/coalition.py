@@ -16,10 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .condexp import RegressionFunction, chebyshev_nodes, kernel_regress
+from .condexp import (
+    RegressionFunction,
+    chebyshev_nodes,
+    kernel_regress,
+    kernel_regress_grid,
+)
 from .errors import ConstructionError, DomainError, ExtrapolationError
 from .marginals import Marginal, MaxOfIid, marginal_from_config
-from .quadrature import integrate
+from .quadrature import tabulate
 from .reports import ExperimentResult, inequality_report
 from .rng import simulate_chunked
 
@@ -144,11 +149,17 @@ def individual_predictor(cfg: MarketConfig, i, x):
     if not (lo <= x <= hi):
         raise ExtrapolationError(f"x={x} outside the price range [{lo:.6g}, {hi:.6g}]")
     if cfg.iid_brokers:
-        if x >= hi:
-            return float(x)
-        return float(x + integrate(lambda w: 1.0 - competitor_max_cdf(cfg, w), x, hi))
+        return float(_iid_predictor(cfg, np.array([float(x)]))[0])
     x_s, _, z_s = simulate_market(cfg)
     return kernel_regress(x_s[:, i], z_s, x)
+
+
+def _iid_predictor(cfg: MarketConfig, xs):
+    """x + int_x^hi (1 - F_M(w)) dw at every x of `xs`, one quadrature row
+    each."""
+    _, hi = _price_range(cfg)
+    tail = tabulate(lambda rows, w: 1.0 - competitor_max_cdf(cfg, w), xs, np.full_like(xs, hi))
+    return xs + tail
 
 
 def _price_range(cfg: MarketConfig):
@@ -169,15 +180,13 @@ def predictor_table(cfg: MarketConfig, i=0, sample=None):
     b_lo, b_hi = cfg.broker_marginal.truncated_support()
     if cfg.iid_brokers:
         grid = chebyshev_nodes(b_lo, b_hi, PREDICTOR_NODES)
-        values = np.array([individual_predictor(cfg, i, g) for g in grid])
-        return RegressionFunction(grid, values)
+        return RegressionFunction(grid, _iid_predictor(cfg, grid))
     if sample is None:
         raise DomainError("dependent-broker predictor table needs the simulated sample")
-    x_s, _, z_s = sample[0], sample[1], sample[2]
-    lo, hi = np.percentile(x_s[:, i], [5.0, 95.0])
+    x_s, z_s = sample[0][:, i], sample[2]
+    lo, hi = np.percentile(x_s, [5.0, 95.0])
     grid = np.linspace(lo, hi, PREDICTOR_NODES)
-    values = np.array([kernel_regress(x_s[:, i], z_s, g) for g in grid])
-    return RegressionFunction(grid, values)
+    return RegressionFunction(grid, kernel_regress_grid(x_s, z_s, grid))
 
 
 def coalition_average_predictor(cfg: MarketConfig, prices, tables=None):

@@ -61,6 +61,16 @@ class Copula:
         u, w = self._clip_pair(u, w)
         return self._cond_quantile(u, w)
 
+    def cond_quantile_pair(self, u, w):
+        """(v, 1 - v) for v = cond_quantile(u, w), with 1 - v computed
+        without cancellation where the family has a closed form for it."""
+        u, w = self._clip_pair(u, w)
+        return self._cond_quantile_pair(u, w)
+
+    def _cond_quantile_pair(self, u, w):
+        v = self._cond_quantile(u, w)
+        return v, 1.0 - v
+
     def sample(self, rng, n):
         """n dependent uniform pairs (u, v); deterministic given rng."""
         if n < 1:
@@ -136,9 +146,17 @@ class Gaussian(Copula):
         return np.where(v >= 1.0, 1.0, np.where(v <= 0.0, 0.0, out))
 
     def _cond_quantile(self, u, w):
+        return ndtr(self._cond_score(u, w))
+
+    def _cond_quantile_pair(self, u, w):
+        s = self._cond_score(u, w)
+        return ndtr(s), ndtr(-s)
+
+    def _cond_score(self, u, w):
+        """Normal score of cond_quantile(u, w)."""
         x = ndtri(np.clip(u, 1e-300, 1 - 1e-16))
         z = ndtri(np.clip(w, 1e-300, 1 - 1e-16))
-        return ndtr(self.rho * x + math.sqrt(1.0 - self.rho**2) * z)
+        return self.rho * x + math.sqrt(1.0 - self.rho**2) * z
 
     def sample(self, rng, n):
         """Correlated normal pair mapped through the normal cdf (exact)."""
@@ -173,14 +191,21 @@ class FGM(Copula):
         return v * (1.0 + self.theta * (1.0 - 2.0 * u) * (1.0 - v))
 
     def _cond_quantile(self, u, w):
-        # Solve a*v^2 - (1+a)*v + w = 0 with a = theta*(1-2u), smaller root.
+        # Smaller root of a*v^2 - (1+a)*v + w = 0 with a = theta*(1-2u), as
+        # 2w / (b + disc): (b - disc) / (2a) loses its digits as a -> 0.
         a = self.theta * (1.0 - 2.0 * u)
         b = 1.0 + a
         disc = np.sqrt(np.maximum(b * b - 4.0 * a * w, 0.0))
-        small = np.abs(a) < 1e-12
-        safe_a = np.where(small, 1.0, a)
-        v = np.where(small, w, (b - disc) / (2.0 * safe_a))
-        return np.clip(v, 0.0, 1.0)
+        return np.clip(2.0 * w / np.maximum(b + disc, np.finfo(float).tiny), 0.0, 1.0)
+
+    def _cond_quantile_pair(self, u, w):
+        # 1 - v is the root of a*s^2 + (1-a)*s - (1-w) = 0 in [0, 1], taken in
+        # the same form.
+        a = self.theta * (1.0 - 2.0 * u)
+        c = 1.0 - a
+        disc = np.sqrt(np.maximum(c * c + 4.0 * a * (1.0 - w), 0.0))
+        v_sf = 2.0 * (1.0 - w) / np.maximum(c + disc, np.finfo(float).tiny)
+        return self._cond_quantile(u, w), np.clip(v_sf, 0.0, 1.0)
 
     def to_config(self):
         return {"family": "fgm", "theta": self.theta}
@@ -214,8 +239,8 @@ class Clayton(Copula):
 
     def _density(self, u, v):
         # Log-space evaluation keeps the density smooth down to the axes
-        # (it vanishes like u^alpha); a hard floor would plant a step the
-        # adaptive quadrature could never integrate across.
+        # (it vanishes like u^alpha); a hard floor would plant a step that
+        # quadrature converges across only slowly.
         a = self.alpha
         uu = np.maximum(u, 1e-300)
         vv = np.maximum(v, 1e-300)

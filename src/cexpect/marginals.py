@@ -43,6 +43,11 @@ class Marginal:
     def _quantile(self, p):
         raise NotImplementedError
 
+    def _isf(self, s):
+        """Inverse survival function, the quantile at 1 - s, exact in the far
+        right tail where 1 - s rounds."""
+        raise NotImplementedError
+
     def mean(self):
         raise NotImplementedError
 
@@ -100,6 +105,9 @@ class Uniform(Marginal):
     def _quantile(self, p):
         return self.lower + p * (self.upper - self.lower)
 
+    def _isf(self, s):
+        return self.upper - (self.upper - self.lower) * s
+
     def mean(self):
         return 0.5 * (self.lower + self.upper)
 
@@ -135,6 +143,9 @@ class Exponential(Marginal):
 
     def _quantile(self, p):
         return -np.log1p(-p) / self.rate
+
+    def _isf(self, s):
+        return -np.log(s) / self.rate
 
     def mean(self):
         return 1.0 / self.rate
@@ -173,6 +184,9 @@ class Normal(Marginal):
 
     def _quantile(self, p):
         return self.mean_ + self.sd * ndtri(p)
+
+    def _isf(self, s):
+        return self.mean_ - self.sd * ndtri(s)
 
     def mean(self):
         return self.mean_
@@ -216,6 +230,10 @@ class MaxOfIid(Marginal):
 
     def _quantile(self, p):
         return self.base._quantile(p ** (1.0 / self.count))
+
+    def _isf(self, s):
+        # F = F0^count, so sf0 = 1 - (1 - s)^(1/count).
+        return self.base._isf(-np.expm1(np.log1p(-s) / self.count))
 
     def mean(self):
         lo, hi = self.truncated_support()

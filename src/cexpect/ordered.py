@@ -25,7 +25,7 @@ from . import _kernels
 from .condexp import RegressionFunction, chebyshev_nodes
 from .errors import DomainError, SampleSizeError
 from .marginals import Exponential, Marginal, Uniform
-from .quadrature import integrate
+from .quadrature import integrate, tabulate
 from .reports import ExperimentResult, inequality_report, threshold_report
 from .rng import run_chunked, simulate_chunked
 
@@ -35,22 +35,6 @@ TAG_RECORDS = 4
 RECORD_CAP_DEFAULT = 10**6
 REGRESSION_BINS = 40
 REGRESSION_INTERIOR = (0.05, 0.95)
-
-
-def _isf(m: Marginal, s):
-    """Inverse survival function, exact in the far right tail."""
-    s = np.asarray(s, dtype=float)
-    if isinstance(m, Uniform):
-        return m.upper - (m.upper - m.lower) * s
-    if isinstance(m, Exponential):
-        return -np.log(s) / m.rate
-    from .marginals import Normal
-
-    if isinstance(m, Normal):
-        from scipy.special import ndtri
-
-        return m.mean_ - m.sd * ndtri(s)
-    return m._quantile(np.clip(1.0 - s, 1e-16, 1.0 - 1e-16))
 
 
 def cond_pdf_max_given_next(m: Marginal, z, x):
@@ -136,20 +120,18 @@ def max_regression(m: Marginal, n, j):
     mm = n - j
     lo, hi = m.truncated_support()
     grid = chebyshev_nodes(lo, hi)
-    w_hi = 1.0 - 1e-13
+    sf = np.asarray(m.sf(grid), dtype=float)
+    open_rows = np.flatnonzero(sf > 0.0)
+
+    def mean_of_max(rows, w):
+        shrink = -np.expm1(np.log(w) / mm)
+        return m._isf(sf[open_rows[rows], None] * shrink)
+
     values = np.empty_like(grid)
-    for i, x in enumerate(grid):
-        sf_x = float(m.sf(x))
-        if sf_x <= 0.0:
-            values[i] = values[i - 1]
-            continue
-
-        def mean_of_max(w):
-            w = np.maximum(w, 1e-300)
-            shrink = -np.expm1(np.log(w) / mm)
-            return _isf(m, sf_x * shrink)
-
-        values[i] = integrate(mean_of_max, 0.0, w_hi)
+    values[open_rows] = tabulate(mean_of_max, np.zeros(open_rows.size), 1.0 - 1e-13)
+    # A node with sf(x) = 0 copies the previous node's value.
+    for i in np.flatnonzero(sf <= 0.0):
+        values[i] = values[i - 1]
     return RegressionFunction(grid, values)
 
 

@@ -25,7 +25,7 @@ from .condexp import (
 from .copulas import EmpiricalCopula, sup_distance, sup_distance_swapped
 from .errors import ConstructionError, DomainError, UnsupportedModelError
 from .marginals import Marginal, Normal
-from .quadrature import integrate
+from .quadrature import tabulate
 from .reports import (
     ExperimentResult,
     equality_check,
@@ -152,20 +152,21 @@ class ConditionalIidCopies:
         x_lo, x_hi = min(x_ends), max(x_ends)
         inset = 1e-6 * (x_hi - x_lo)
         grid = chebyshev_nodes(x_lo + inset, x_hi - inset)
+        lo = np.maximum(y_lo, np.minimum((grid - e_lo) / b, (grid - e_hi) / b))
+        hi = np.minimum(y_hi, np.maximum((grid - e_lo) / b, (grid - e_hi) / b))
+        open_rows = np.flatnonzero(hi > lo)
+
+        def weight(rows, y):
+            x = grid[open_rows[rows], None]
+            return self.y_marginal.pdf(y) * self.noise.pdf(x - b * y)
+
+        num = tabulate(lambda rows, y: y * weight(rows, y), lo[open_rows], hi[open_rows])
+        den = tabulate(weight, lo[open_rows], hi[open_rows])
         values = np.empty_like(grid)
-        for i, x in enumerate(grid):
-            lo = max(y_lo, min((x - e_lo) / b, (x - e_hi) / b))
-            hi = min(y_hi, max((x - e_lo) / b, (x - e_hi) / b))
-            if hi <= lo:
-                values[i] = values[i - 1] if i else self.y_marginal.mean()
-                continue
-
-            def weight(y):
-                return self.y_marginal.pdf(y) * self.noise.pdf(x - b * y)
-
-            num = integrate(lambda y: y * weight(y), lo, hi)
-            den = integrate(weight, lo, hi)
-            values[i] = num / den
+        values[open_rows] = num / den
+        # A node with an empty y-interval copies the previous node's value.
+        for i in np.flatnonzero(hi <= lo):
+            values[i] = values[i - 1] if i else self.y_marginal.mean()
         return RegressionFunction(grid, values)
 
 

@@ -1,15 +1,18 @@
 """Conditional-expectation engines: closed forms, inverses, estimators."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
+from scipy.special import ndtri
 
 from cexpect.condexp import (
     DECREASING,
     INCREASING,
     NON_MONOTONE,
+    GRID_NODES,
     BivariateModel,
     GaussianVector,
     RegressionFunction,
@@ -18,6 +21,7 @@ from cexpect.condexp import (
     gaussian_conditional,
     generalized_inverse,
     kernel_regress,
+    kernel_regress_grid,
     knn_regress,
     predictor_quantile,
 )
@@ -82,6 +86,58 @@ class TestRegressionFunctions:
             RegressionFunction([0.0, 1.0], [1.0, np.nan])
         with pytest.raises(DomainError):
             RegressionFunction([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+
+
+# Every copula family against every pair of target and conditioning marginals.
+GRID_COPULAS = [Independence(), Gaussian(rho=0.5), FGM(theta=0.5), Clayton(alpha=2.0)]
+GRID_MARGINALS = [Uniform(), Exponential(), Normal()]
+# k = E[X (2 F_X(X) - 1)], the FGM regression slope in 2 F(t) - 1.
+FGM_SLOPE = {Uniform: 1.0 / 6.0, Exponential: 0.5, Normal: 1.0 / math.sqrt(math.pi)}
+GRID_BUDGET_S = 1.0
+
+
+def _w_space_reference(copula, target, conditioner, t):
+    """scipy quad of the w-space integrand _regression tabulates at node t."""
+    v = float(np.clip(conditioner.cdf(t), 1e-14, 1.0 - 1e-14))
+
+    def integrand(w):
+        u, u_sf = copula.cond_quantile_pair(np.array([v]), np.array([w]))
+        if u[0] <= 0.5:
+            return float(target._quantile(u)[0])
+        return float(target._isf(u_sf)[0])
+
+    value, _ = sci_integrate.quad(
+        integrand, 1e-13, 1.0 - 1e-13, epsabs=1e-12, epsrel=1e-12, limit=200
+    )
+    return value
+
+
+class TestCopulaMarginalGrid:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("conditioner", GRID_MARGINALS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("target", GRID_MARGINALS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("copula", GRID_COPULAS, ids=lambda c: type(c).__name__)
+    def test_phi_table(self, copula, target, conditioner):
+        model = BivariateModel(copula, target, conditioner)
+        start = time.perf_counter()
+        phi = model.phi()
+        assert time.perf_counter() - start < GRID_BUDGET_S
+
+        f_t = conditioner.cdf(phi.grid)
+        inside = (f_t >= 1e-9) & (f_t <= 1.0 - 1e-9)
+        if isinstance(copula, Independence):
+            expected = np.full_like(phi.grid, target.mean())
+        elif isinstance(copula, Gaussian) and isinstance(target, Normal):
+            expected = target.mean_ + target.sd * copula.rho * ndtri(f_t)
+        elif isinstance(copula, FGM):
+            expected = target.mean() + copula.theta * (2.0 * f_t - 1.0) * FGM_SLOPE[type(target)]
+        else:
+            nodes = np.linspace(0, GRID_NODES - 1, 11).astype(int)[1:-1]
+            for i in nodes:
+                ref = _w_space_reference(copula, target, conditioner, phi.grid[i])
+                assert phi.values[i] == pytest.approx(ref, abs=1e-8)
+            return
+        assert np.max(np.abs(phi.values - expected)[inside]) <= 1e-8
 
 
 class TestGeneralizedInverse:
@@ -183,6 +239,32 @@ class TestKernelRegress:
     def test_min_sample_size(self):
         with pytest.raises(DomainError):
             kernel_regress(np.arange(10.0), np.arange(10.0), 5.0)
+
+    def test_grid_matches_pointwise_formula(self):
+        # The per-node Nadaraya-Watson mean with the band and bandwidth
+        # recomputed at every node, as the dependent-broker table did.
+        rng = philox_stream(45, 0)
+        x = rng.standard_normal(5000)
+        y = x**2 + rng.standard_normal(5000)
+        lo, hi = np.percentile(x, [5.0, 95.0])
+        grid = np.linspace(lo, hi, 17)
+        h = 1.06 * float(np.std(x, ddof=1)) * x.size ** (-0.2)
+        expected = []
+        for x0 in grid:
+            w = np.exp(-0.5 * ((x - x0) / h) ** 2)
+            expected.append(float(np.sum(w * y) / np.sum(w)))
+        assert kernel_regress_grid(x, y, grid).tolist() == expected
+        assert [kernel_regress(x, y, x0) for x0 in grid] == expected
+
+    def test_grid_extrapolation_rejected(self):
+        rng = philox_stream(46, 0)
+        x = rng.standard_normal(1000)
+        with pytest.raises(ExtrapolationError):
+            kernel_regress_grid(x, x, np.array([0.0, float(np.max(x)) + 1.0]))
+        with pytest.raises(ExtrapolationError):
+            kernel_regress_grid(x, x, np.array([0.0, np.nan]))
+        with pytest.raises(ExtrapolationError):
+            kernel_regress(x, x, np.nan)
 
 
 class TestKnnRegress:

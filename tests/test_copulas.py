@@ -163,6 +163,33 @@ class TestSampling:
         w_back = np.asarray(c.cond_cdf(u, v))
         np.testing.assert_allclose(w_back, w, atol=1e-8)
 
+    @pytest.mark.parametrize("c", ALL_FAMILIES, ids=str)
+    def test_cond_quantile_pair_complements(self, c):
+        rng = philox_stream(26, 1)
+        u = rng.random(200)
+        w = 1e-6 + rng.random(200) * (1.0 - 2e-6)
+        v, v_sf = c.cond_quantile_pair(u, w)
+        np.testing.assert_allclose(v, c.cond_quantile(u, w), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v + v_sf, 1.0, rtol=0, atol=1e-15)
+
+    def test_cond_quantile_pair_keeps_upper_tail_digits(self):
+        # Gaussian: 1 - v is the normal tail of the conditional score.
+        score = 0.5 * ndtri(1.0 - 1e-14) + math.sqrt(0.75) * ndtri(1.0 - 1e-13)
+        _, v_sf = Gaussian(rho=0.5).cond_quantile_pair(1.0 - 1e-14, 1.0 - 1e-13)
+        assert float(v_sf) == pytest.approx(stats.norm.sf(score), rel=1e-12)
+        # FGM near u = 1/2, where a = theta*(1 - 2u) -> 0 and the textbook
+        # root (b - disc) / (2a) cancels: v solves a*v^2 - (1 + a)*v + w = 0
+        # and 1 - v solves a*s^2 + (1 - a)*s - (1 - w) = 0.
+        c, u = FGM(theta=1.0), 0.5 + 1e-9
+        a = c.theta * (1.0 - 2.0 * u)
+        w = 0.3
+        v = float(c.cond_quantile(u, w))
+        assert abs(a * v**2 - (1.0 + a) * v + w) <= 1e-15
+        w = 1.0 - 1e-13
+        _, v_sf = c.cond_quantile_pair(u, w)
+        v_sf = float(v_sf)
+        assert abs(a * v_sf**2 + (1.0 - a) * v_sf - (1.0 - w)) <= 1e-12 * (1.0 - w)
+
     def test_sample_pair_deterministic(self):
         c = Clayton(alpha=2.0)
         assert c.sample_pair(philox_stream(27, 0)) == c.sample_pair(philox_stream(27, 0))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from cexpect.errors import DomainError
 from cexpect.marginals import (
@@ -100,6 +101,18 @@ class TestInversion:
         lo, hi = m.truncated_support()
         x = np.linspace(lo, hi, 101)
         np.testing.assert_allclose(np.asarray(m.cdf(x)) + np.asarray(m.sf(x)), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", FAMILIES + [MaxOfIid(base=Exponential(1.0), count=5)], ids=str)
+    def test_isf_is_upper_quantile(self, m):
+        s = np.logspace(-6, math.log10(0.5), 41)
+        np.testing.assert_allclose(m._isf(s), m.quantile(1.0 - s), rtol=1e-9, atol=1e-12)
+
+    def test_isf_exact_in_far_tail(self):
+        # Where 1 - s rounds to 1, the quantile runs out of digits; _isf does not.
+        assert float(Exponential(2.5)._isf(1e-200)) == pytest.approx(200 * math.log(10) / 2.5)
+        assert float(Normal(1.5, 0.7)._isf(1e-200)) == pytest.approx(
+            1.5 + 0.7 * stats.norm.isf(1e-200), rel=1e-12
+        )
 
 
 class TestSampling:

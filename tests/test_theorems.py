@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from cexpect.condexp import BivariateModel, GaussianVector, ar_vector, equicorrelated_vector
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence
@@ -54,6 +55,24 @@ class TestCopiesModels:
             ks = float(np.max(np.abs(np.arange(1, base.size + 1) / base.size
                                      - np.searchsorted(base, other, side="right") / base.size)))
             assert ks <= 0.02
+
+    @pytest.mark.parametrize("beta", [0.8, -0.8])
+    def test_predictor_truncated_normal_closed_form(self, beta):
+        # Y | X = x is N(0, 1) truncated to the y with |x - beta y| <= 1,
+        # intersected with the tabulated support of Y; its mean is
+        # (pdf(a) - pdf(b)) / (cdf(b) - cdf(a)).  Intervals in the upper tail
+        # are mirrored into the lower one, where cdf differences keep their
+        # digits.
+        y_marginal = Normal()
+        predictor = ConditionalIidCopies(3, beta, y_marginal, Uniform(-1, 1)).predictor()
+        y_lo, y_hi = y_marginal.truncated_support()
+        ends = np.sort([(predictor.grid - 1.0) / beta, (predictor.grid + 1.0) / beta], axis=0)
+        a = np.maximum(ends[0], y_lo)
+        b = np.minimum(ends[1], y_hi)
+        sign = np.where(a + b > 0.0, -1.0, 1.0)
+        a, b = np.minimum(sign * a, sign * b), np.maximum(sign * a, sign * b)
+        expected = sign * (norm.pdf(a) - norm.pdf(b)) / (norm.cdf(b) - norm.cdf(a))
+        assert np.max(np.abs(predictor.values - expected)) <= 1e-8
 
 
 class TestTheorem1:
