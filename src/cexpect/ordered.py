@@ -3,7 +3,8 @@
 Conditional laws of the sample maximum given a lower order statistic, their
 closed-form means for the uniform and exponential families, Markov-property
 checks on binned simulations, record extraction, capped record-sequence
-simulation (through the kernel backend), and the MSE-ordering reports.
+simulation (by the exact Markov chain of the records), and the MSE-ordering
+reports.
 
 Given X_{j:n} = x the top n-j values are iid draws from F truncated above x,
 so X_{n:n} | X_{j:n}=x is the max of m = n-j such draws with density
@@ -16,12 +17,12 @@ far into the right tail where cdf arithmetic saturates.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from . import _kernels
 from .condexp import RegressionFunction, chebyshev_nodes
 from .errors import DomainError, SampleSizeError
 from .marginals import Exponential, Marginal, Uniform
@@ -308,61 +309,33 @@ class RecordBatch:
 def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAULT, pool=None):
     """Simulate iid sequences until record depth `depth` (or the draw cap).
 
-    Record extraction runs in uniform space through the kernel backend
-    (records are invariant under the monotone quantile transform), then the
-    kept triples map through the marginal quantile.  Everything is chunked
-    and deterministic per (seed, chunk), independent of worker count.
+    Upper records form a Markov chain, so no sequence is drawn element by
+    element.  The cumulative hazards R_k = -log sf(X_U(k)) are partial sums
+    of Exp(1) draws, and the number of draws from record k-1 to record k is
+    Geometric(exp(-R_{k-1})), taken by inversion of a second Exp(1) draw.
+    A sequence is kept when its depth-`depth` record time 1 + sum(waits) is
+    at most `cap`; its last three records are isf(exp(-R)), exact far into
+    the right tail.  A wait whose success probability underflows to 0 is
+    infinite, so its sequence is discarded.  Everything is chunked and
+    deterministic per (seed, chunk), independent of worker count.
     """
     if depth < 3:
         raise DomainError(f"record depth must be >= 3, got {depth}")
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
+    # Record times are float64, so a cap beyond its range means no cap.
+    limit = float(min(cap, sys.float_info.max))
 
     def worker(rng, count):
-        last3 = np.full((count, 3), np.nan)
-        done = np.zeros(count, dtype=np.uint8)
-        max_val = np.full(count, -np.inf)
-        depths = np.zeros(count, dtype=np.int64)
-        used = np.zeros(count, dtype=np.int64)
-        idx = np.arange(count)
-        state_last3 = last3.copy()
-        state_done = done.copy()
-        state_max = max_val.copy()
-        state_depth = depths.copy()
-        state_used = used.copy()
-        consumed = 0
-        block = 64
-        while idx.size > 0 and consumed < cap:
-            width = min(block, cap - consumed)
-            draws = rng.random((idx.size, width))
-            _kernels.scan_records(
-                draws, state_max, state_depth, state_last3, state_used, state_done, depth
-            )
-            consumed += width
-            block = min(block * 2, 65536)
-            finished = state_done != 0
-            if np.any(finished):
-                rows = idx[finished]
-                last3[rows] = state_last3[finished]
-                done[rows] = 1
-                used[rows] = state_used[finished]
-                keep = ~finished
-                idx = idx[keep]
-                state_last3 = np.ascontiguousarray(state_last3[keep])
-                state_done = np.ascontiguousarray(state_done[keep])
-                state_max = np.ascontiguousarray(state_max[keep])
-                state_depth = np.ascontiguousarray(state_depth[keep])
-                state_used = np.ascontiguousarray(state_used[keep])
-        if idx.size > 0:
-            used[idx] = state_used
-        return last3, done, used
+        hazards = np.cumsum(rng.standard_exponential((count, depth)), axis=1)
+        rates = -np.log1p(-np.exp(-hazards[:, :-1]))
+        with np.errstate(all="ignore"):
+            waits = np.ceil(rng.standard_exponential((count, depth - 1)) / rates)
+        kept = 1.0 + np.maximum(waits, 1.0).sum(axis=1) <= limit
+        return hazards[kept, :-4:-1]  # depths n, n-1, n-2
 
     parts = run_chunked(worker, n_sequences, seed, TAG_RECORDS, chunk_size=8192, pool=pool)
-    last3 = np.concatenate([p[0] for p in parts], axis=0)
-    done = np.concatenate([p[1] for p in parts], axis=0)
-    kept_u = last3[done != 0]
-    kept_u = np.clip(kept_u, 1e-15, 1.0 - 1e-16)
-    values = m._quantile(kept_u)
+    values = m._isf(np.exp(-np.concatenate(parts, axis=0)))
     return RecordBatch(
         values=values,
         depth=int(depth),

@@ -16,6 +16,11 @@ enumerates fixed-size replication chunks.  A replication batch is therefore
 fully determined by (seed, tag, chunk) and is independent of how many worker
 threads execute the chunks.  Chunk outputs are always merged in ascending
 chunk order, which makes every reduction bit-identical for any worker count.
+
+The record stream (tag 4, ``ordered.simulate_records``) uses chunks of 8192
+sequences.  Each chunk draws a (count, depth) block of standard exponentials,
+the hazard increments of the records, and then a (count, depth - 1) block of
+standard exponentials, inverted into the geometric waits between records.
 """
 
 import numpy as np

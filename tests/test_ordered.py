@@ -265,6 +265,60 @@ class TestRecordSimulation:
         np.testing.assert_array_equal(serial.values, parallel.values)
         assert serial.n_discarded == parallel.n_discarded
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_discard_count_follows_exact_law(self, seed):
+        # Fewer than 3 records in the first c draws means the first draw is
+        # the maximum (1/c) or exactly one later draw j is a record
+        # (H_{c-1}/c in total): P(T_3 > c) = (1 + H_{c-1}) / c.
+        n, cap = 200_000, 50
+        p = (1.0 + sum(1.0 / i for i in range(1, cap))) / cap
+        batch = simulate_records(Exponential(1.0), 3, n, seed, cap=cap)
+        z = (batch.n_discarded - n * p) / math.sqrt(n * p * (1.0 - p))
+        assert abs(z) <= 4.0
+
+    def test_record_time_counts_the_first_draw(self):
+        # T_3 >= 3, and T_3 = 3 only when the first three draws increase.
+        n = 60_000
+        assert simulate_records(Exponential(1.0), 3, n, 4, cap=2).n_discarded == n
+        kept = n - simulate_records(Exponential(1.0), 3, n, 4, cap=3).n_discarded
+        p = 1.0 / 6.0
+        assert abs(kept - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
+
+    def test_far_tail_reached_without_drawing_sequences(self):
+        # Depth 30 needs about e^29 draws per sequence; the chain draws 59.
+        # Records above 36.7 = -log(1e-16) show that no uniform draw near 1
+        # is rounded or clipped on the way.
+        n = 2000
+        batch = simulate_records(Exponential(1.0), 30, n, 5, cap=10**300)
+        assert batch.n_discarded == 0
+        top = batch.values[:, 0]
+        # X_U(30) of Exp(1) is Gamma(30, 1): mean 30, sd sqrt(30).
+        assert abs(float(top.mean()) - 30.0) <= 4.0 * math.sqrt(30.0 / n)
+        assert float(top.max()) > 36.7
+
+    def test_cap_beyond_float_range_is_no_cap(self):
+        batch = simulate_records(Exponential(1.0), 3, 1000, 6, cap=10**400)
+        assert batch.n_discarded == 0 and batch.cap == 10**400
+
+    def test_matches_records_of_raw_sequences(self):
+        # Independent oracle: scan L raw iid draws per sequence for its
+        # first three records; the chain with cap = L must give the same
+        # kept laws and the same discard rate.
+        n, length = 20_000, 100
+        raw = philox_stream(96, 0).standard_exponential((n, length))
+        scanned = []
+        for row in raw:
+            values = extract_records(row).values
+            if values.size >= 3:
+                scanned.append(values[2::-1])
+        scanned = np.array(scanned)
+        batch = simulate_records(Exponential(1.0), 3, n, 97, cap=length)
+        for col in range(3):
+            assert stats.ks_2samp(scanned[:, col], batch.values[:, col]).pvalue >= 1e-3
+        discards = np.array([n - scanned.shape[0], batch.n_discarded], dtype=float)
+        p = discards.mean() / n
+        assert abs(discards[0] - discards[1]) <= 4.0 * math.sqrt(2.0 * n * p * (1.0 - p))
+
 
 class TestRecordPredictorMse:
     def test_lag1_regression_matches_memorylessness(self):
