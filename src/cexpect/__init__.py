@@ -37,6 +37,7 @@ from .theorems import (
     covariance_counterexample,
     default_copies_battery,
     martingale_check,
+    martingale_checks,
     predicted_sequence_stats,
     predictor_pair_covariance,
     verify_copula_theorem,

@@ -37,7 +37,7 @@ from .reports import (
 from .theorems import (
     copies_model_from_config,
     default_copies_battery,
-    martingale_check,
+    martingale_checks,
     predicted_sequence_stats,
     verify_copula_theorem,
     verify_corollary_chain,
@@ -443,13 +443,14 @@ def _run_sequence_stats(cfg, seed, pool):
 
 
 def _run_martingale(cfg, seed, pool):
+    subsets = cfg["subsets"]
+    results = martingale_checks(
+        cfg["walk_length"], cfg["n_samples"], seed, subsets, pool=pool,
+        names=[f"martingale/subset={sorted(s)}" for s in subsets],
+    )
     reports = []
     details = {}
-    for s in cfg["subsets"]:
-        result = martingale_check(
-            cfg["walk_length"], cfg["n_samples"], seed, subset=s, pool=pool,
-            name=f"martingale/subset={sorted(s)}",
-        )
+    for s, result in zip(subsets, results):
         reports.extend(result.reports)
         details[f"subset={sorted(s)}"] = result.details
     return ExperimentResult(experiment="martingale", reports=reports, details=details)
@@ -660,11 +661,16 @@ def write_outputs(results, out_dir, fmt="both", manifest_extra=None):
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError([Diagnostic(str(path), "config file not found")])
     except json.JSONDecodeError as exc:
         raise ConfigError([Diagnostic(str(path), f"invalid JSON: {exc}")])
+    if not isinstance(cfg, dict):
+        raise ConfigError(
+            [Diagnostic(str(path), f"config must be a JSON object, got {type(cfg).__name__}")]
+        )
+    return cfg
 
 
 def list_suite():
@@ -700,8 +706,10 @@ def main(argv=None):
         return 0
 
     if args.command == "validate":
-        cfg = _load_config(args.config)
-        diags = validate_config(cfg)
+        try:
+            diags = validate_config(_load_config(args.config))
+        except ConfigError as exc:
+            diags = exc.diagnostics
         if diags:
             for d in diags:
                 print(d.render(), file=sys.stderr)

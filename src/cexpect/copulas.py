@@ -271,11 +271,30 @@ class Clayton(Copula):
         return {"family": "clayton", "alpha": self.alpha}
 
 
+def _stable_argsort(values):
+    """argsort(values, kind="stable") of finite values, from the faster default sort.
+
+    The default sort orders equal values arbitrarily; each run of equal
+    values is then put in index order by sorting run_id * n + index.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    tie = ordered[1:] == ordered[:-1]
+    if tie.any():
+        run_id = np.concatenate(([0], np.cumsum(~tie)))
+        offset = run_id * values.size
+        key = offset + order
+        key.sort()
+        order = key - offset
+    return order
+
+
 class EmpiricalCopula:
     """Rank-based empirical copula of a paired sample.
 
     Normalized ranks are rank/(N+1) with ties broken deterministically by
-    original index (stable argsort), so evaluation is reproducible.
+    original index (the ranks of a stable argsort), so evaluation is
+    reproducible.
     """
 
     def __init__(self, x, y):
@@ -285,13 +304,21 @@ class EmpiricalCopula:
             raise DomainError("empirical copula needs a nonempty sample")
         if x.shape != y.shape or x.ndim != 1:
             raise DomainError("empirical copula needs two 1-D arrays of equal length")
+        bad_x = x.size - np.count_nonzero(np.isfinite(x))
+        bad_y = y.size - np.count_nonzero(np.isfinite(y))
+        if bad_x or bad_y:
+            raise DomainError(
+                f"empirical copula needs finite samples; got {bad_x} non-finite "
+                f"x value(s) and {bad_y} non-finite y value(s) of {x.size}"
+            )
         self.n = x.size
         self.ranks_u = self._normalized_ranks(x)
         self.ranks_v = self._normalized_ranks(y)
+        self._lattices = {}
 
     @staticmethod
     def _normalized_ranks(values):
-        order = np.argsort(values, kind="stable")
+        order = _stable_argsort(values)
         ranks = np.empty(values.size, dtype=float)
         ranks[order] = np.arange(1, values.size + 1, dtype=float)
         return ranks / (values.size + 1)
@@ -304,17 +331,22 @@ class EmpiricalCopula:
         """Empirical copula on the grid x grid lattice over [0, 1]^2.
 
         O(N + grid^2): bin each point at the smallest lattice level covering
-        its rank, then take the 2-D cumulative sum.
+        its rank, then take the 2-D cumulative sum.  Built once per grid;
+        the returned arrays are shared and read-only.
         """
         if grid < 2:
             raise DomainError(f"grid must be >= 2, got {grid}")
-        levels = np.linspace(0.0, 1.0, grid)
-        iu = np.searchsorted(levels, self.ranks_u, side="left")
-        iv = np.searchsorted(levels, self.ranks_v, side="left")
-        counts = np.zeros((grid + 1, grid + 1))
-        np.add.at(counts, (iu, iv), 1.0)
-        table = counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / self.n
-        return levels, table
+        if grid not in self._lattices:
+            levels = np.linspace(0.0, 1.0, grid)
+            iu = np.searchsorted(levels, self.ranks_u, side="left")
+            iv = np.searchsorted(levels, self.ranks_v, side="left")
+            counts = np.bincount(iu * (grid + 1) + iv, minlength=(grid + 1) ** 2)
+            counts = counts.reshape(grid + 1, grid + 1)
+            table = counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / self.n
+            levels.flags.writeable = False
+            table.flags.writeable = False
+            self._lattices[grid] = (levels, table)
+        return self._lattices[grid]
 
 
 def sup_distance(empirical, copula, grid=50):

@@ -21,7 +21,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .condexp import RegressionFunction, chebyshev_nodes
 from .errors import DomainError, SampleSizeError
@@ -373,6 +372,9 @@ def binned_regression(cond, target, n_bins=REGRESSION_BINS, interior=REGRESSION_
 
 def record_gap_pvalue(batch: RecordBatch, rate=1.0):
     """KS p-value of the lag-1 record gaps against Exponential(rate)."""
+    # Imported here: scipy.stats costs about a third of `import cexpect`.
+    from scipy import stats
+
     gaps = batch.values[:, 0] - batch.values[:, 1]
     return float(stats.kstest(gaps, lambda x: 1.0 - np.exp(-rate * x)).pvalue)
 

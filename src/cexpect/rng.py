@@ -16,6 +16,10 @@ enumerates fixed-size replication chunks.  A replication batch is therefore
 fully determined by (seed, tag, chunk) and is independent of how many worker
 threads execute the chunks.  Chunk outputs are always merged in ascending
 chunk order, which makes every reduction bit-identical for any worker count.
+``simulate_chunked`` merges array chunks in place: it allocates each output
+array once, from the first chunk's shape and dtype, copies every chunk into
+its rows as the chunk arrives in that order, and drops the chunk, instead
+of keeping every chunk alive until one final concatenation.
 
 The record stream (tag 4, ``ordered.simulate_records``) uses chunks of 8192
 sequences.  Each chunk draws a (count, depth) block of standard exponentials,
@@ -61,13 +65,8 @@ def chunk_sizes(n_total, chunk_size=CHUNK_SIZE):
     return sizes
 
 
-def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
-    """Run `worker(rng, count)` over deterministic chunks, in chunk order.
-
-    Returns the list of per-chunk results ordered by chunk index.  `pool`
-    may be a concurrent.futures executor owned by the caller; workers must
-    not mutate shared state.  Results are identical for any pool size.
-    """
+def _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
+    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order."""
     sizes = chunk_sizes(n_total, chunk_size)
 
     def call(c):
@@ -75,21 +74,40 @@ def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
 
     indices = range(len(sizes))
     if pool is None:
-        return [call(c) for c in indices]
-    return list(pool.map(call, indices))
+        return map(call, indices)
+    return pool.map(call, indices)
+
+
+def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
+    """Run `worker(rng, count)` over deterministic chunks, in chunk order.
+
+    Returns the list of per-chunk results ordered by chunk index.  `pool`
+    may be a concurrent.futures executor owned by the caller; workers must
+    not mutate shared state.  Results are identical for any pool size.
+    """
+    return list(_chunk_results(worker, n_total, seed, tag, chunk_size, pool))
 
 
 def simulate_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
-    """Like run_chunked but concatenates tuple-of-array chunk results.
+    """Like run_chunked but assembles tuple-of-array chunk results.
 
     `worker(rng, count)` must return a tuple of 1-D/2-D arrays whose leading
-    dimension is `count`.  The concatenation order is chunk order, so the
-    assembled arrays are bit-identical regardless of parallelism.
+    dimension is `count`.  The chunks are copied in chunk order into arrays
+    allocated once (see the module docstring), so the assembled arrays equal
+    the concatenation of the chunks bit for bit regardless of parallelism.
     """
-    parts = run_chunked(worker, n_total, seed, tag, chunk_size, pool)
-    first = parts[0]
-    if not isinstance(first, tuple):
-        raise TypeError("worker must return a tuple of arrays")
-    return tuple(
-        np.concatenate([p[i] for p in parts], axis=0) for i in range(len(first))
-    )
+    out = None
+    row = 0
+    for part in _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
+        if not isinstance(part, tuple):
+            raise TypeError("worker must return a tuple of arrays")
+        if out is None:
+            out = tuple(np.empty((n_total,) + a.shape[1:], dtype=a.dtype) for a in part)
+        count = part[0].shape[0]
+        for dst, a in zip(out, part):
+            dst[row : row + count] = a
+        row += count
+        del part
+    if row != n_total:
+        raise ValueError(f"workers returned {row} rows in all, expected {n_total}")
+    return out

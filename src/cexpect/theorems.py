@@ -498,20 +498,23 @@ def martingale_exact_mse(n, k):
     return float(n + 1 - k)
 
 
-def martingale_check(walk_length, n_samples, seed, subset=(), pool=None, name=None):
-    """Martingale forecast check on the symmetric +/-1 random walk.
+def martingale_checks(walk_length, n_samples, seed, subsets, pool=None, names=None):
+    """Martingale forecast checks on the symmetric +/-1 random walk.
 
     lhs = E[S_{n+1} - S_n]^2 (the optimal full-information forecast error,
     exactly 1); rhs = E[S_{n+1} - S_max(subset)]^2, since the conditional
     expectation given any subset of the past is the value at its latest
-    index.  Empty subset predicts by the mean 0.
+    index.  Empty subset predicts by the mean 0.  Every subset is scored on
+    the same walk, drawn once; returns one ExperimentResult per subset, in
+    order, named by `names` when given.
     """
     n = int(walk_length)
     if n < 1:
         raise DomainError(f"walk length must be >= 1, got {n}")
-    subset = tuple(sorted(set(int(k) for k in subset)))
-    if subset and (subset[0] < 1 or subset[-1] > n):
-        raise DomainError(f"subset {subset} must lie within 1..{n}")
+    subsets = [tuple(sorted(set(int(k) for k in subset))) for subset in subsets]
+    for subset in subsets:
+        if subset and (subset[0] < 1 or subset[-1] > n):
+            raise DomainError(f"subset {subset} must lie within 1..{n}")
 
     def worker(rng, count):
         steps = rng.integers(0, 2, size=(count, n + 1)).astype(np.float64) * 2.0 - 1.0
@@ -520,15 +523,24 @@ def martingale_check(walk_length, n_samples, seed, subset=(), pool=None, name=No
     walk = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)[0]
     s_next = walk[:, n]
     lhs_sq = (s_next - walk[:, n - 1]) ** 2
-    if subset:
-        pred = walk[:, subset[-1] - 1]
-    else:
-        pred = np.zeros(walk.shape[0])
-    rhs_sq = (s_next - pred) ** 2
-    base = name or f"martingale/subset={list(subset)}"
-    report = inequality_report(base, lhs_sq, rhs_sq, seed)
-    closed = {
-        "exact_lhs": 1.0,
-        "exact_rhs": martingale_exact_mse(n, subset[-1] if subset else 0),
-    }
-    return ExperimentResult(experiment=base, reports=[report], details=closed)
+    results = []
+    for pos, subset in enumerate(subsets):
+        if subset:
+            pred = walk[:, subset[-1] - 1]
+        else:
+            pred = np.zeros(walk.shape[0])
+        rhs_sq = (s_next - pred) ** 2
+        base = names[pos] if names else f"martingale/subset={list(subset)}"
+        report = inequality_report(base, lhs_sq, rhs_sq, seed)
+        closed = {
+            "exact_lhs": 1.0,
+            "exact_rhs": martingale_exact_mse(n, subset[-1] if subset else 0),
+        }
+        results.append(ExperimentResult(experiment=base, reports=[report], details=closed))
+    return results
+
+
+def martingale_check(walk_length, n_samples, seed, subset=(), pool=None, name=None):
+    """One-subset form of `martingale_checks`."""
+    names = [name] if name else None
+    return martingale_checks(walk_length, n_samples, seed, [subset], pool, names)[0]

@@ -88,3 +88,58 @@ def test_verify_all_smoke(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["experiments"]) == sorted(cli.default_suite())
     assert all(entry["all_satisfied"] for entry in manifest["experiments"].values())
+
+
+def _validate(*args):
+    return cli.main(["validate", *args])
+
+
+def test_validate_exit_codes(tmp_path, capsys):
+    records = cli.default_suite()["records"]
+    assert _validate("--config", _write_config(tmp_path, records)) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+    bad = _write_config(tmp_path, {**records, "depth": 2}, "bad.json")
+    assert _validate("--config", bad) == 2
+    assert "depth" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.json")
+    assert _validate("--config", missing) == 2
+    assert "config file not found" in capsys.readouterr().err
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    assert _validate("--config", str(broken)) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_non_object_config_rejected(tmp_path, capsys):
+    config = _write_config(tmp_path, [1, 2])
+    assert _validate("--config", config) == 2
+    assert "must be a JSON object, got list" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert _verify("records", "--config", config, "--out", str(out)) == 2
+    assert "must be a JSON object, got list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_list_prints_every_experiment(capsys):
+    assert cli.main(["list"]) == 0
+    assert capsys.readouterr().out.split() == cli.EXPERIMENT_NAMES
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is a large share of import time and only one KS helper
+    # needs it, so importing the package and its CLI must not load it.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cexpect
+
+    src = str(Path(cexpect.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cexpect, cexpect.cli; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.strip() == "False"

@@ -228,6 +228,63 @@ class TestEmpiricalCopula:
                 assert table[i, j] == pytest.approx(e.cdf(u, v), abs=1e-12)
 
 
+    @staticmethod
+    def _stable_ranks(values):
+        ranks = np.empty(values.size)
+        ranks[np.argsort(values, kind="stable")] = np.arange(1, values.size + 1)
+        return ranks / (values.size + 1)
+
+    def test_ranks_match_stable_argsort_under_ties(self):
+        rng = philox_stream(36, 0)
+        heavy = np.round(rng.standard_normal(50_000), 2)
+        flat = np.full(50_000, 0.25)
+        signed_zeros = np.where(rng.random(50_000) < 0.5, 0.0, -0.0)
+        for x, y in ((heavy, flat), (flat, signed_zeros), (heavy, rng.random(50_000))):
+            e = EmpiricalCopula(x, y)
+            np.testing.assert_array_equal(e.ranks_u, self._stable_ranks(x))
+            np.testing.assert_array_equal(e.ranks_v, self._stable_ranks(y))
+
+    @staticmethod
+    def _add_at_lattice(e, grid):
+        levels = np.linspace(0.0, 1.0, grid)
+        iu = np.searchsorted(levels, e.ranks_u, side="left")
+        iv = np.searchsorted(levels, e.ranks_v, side="left")
+        counts = np.zeros((grid + 1, grid + 1))
+        np.add.at(counts, (iu, iv), 1.0)
+        return levels, counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / e.n
+
+    @pytest.mark.parametrize("grid", [2, 9, 50, 257])
+    def test_lattice_matches_add_at_reference(self, grid):
+        rng = philox_stream(37, 0)
+        x = np.round(rng.standard_normal(30_001), 1)
+        e = EmpiricalCopula(x, x + rng.standard_normal(30_001))
+        levels, table = e.lattice(grid)
+        ref_levels, ref_table = self._add_at_lattice(e, grid)
+        np.testing.assert_array_equal(levels, ref_levels)
+        np.testing.assert_array_equal(table, ref_table)
+
+    def test_lattice_built_once_per_grid_and_read_only(self):
+        rng = philox_stream(38, 0)
+        e = EmpiricalCopula(rng.random(1000), rng.random(1000))
+        levels, table = e.lattice(11)
+        assert e.lattice(11)[1] is table
+        assert e.lattice(12)[1].shape == (12, 12)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            levels[0] = 1.0
+
+    def test_non_finite_sample_rejected_with_count(self):
+        x = np.linspace(0.0, 1.0, 10)
+        y = x.copy()
+        y[[2, 5]] = np.nan
+        y[7] = np.inf
+        with pytest.raises(DomainError, match="0 non-finite x value.* 3 non-finite y value"):
+            EmpiricalCopula(x, y)
+        with pytest.raises(DomainError, match="1 non-finite x value"):
+            EmpiricalCopula(np.where(x > 0.95, -np.inf, x), x)
+
+
 class TestSupDistance:
     def test_same_copula_small_distance(self):
         c = Gaussian(rho=0.5)

@@ -80,6 +80,53 @@ def test_simulate_chunked_concatenates_in_chunk_order():
     assert a1.shape == (200_000,)
 
 
+def _mixed_worker(rng, count):
+    u = rng.random(count)
+    return u, rng.integers(0, 7, size=(count, 3)), (u < 0.5)
+
+
+@pytest.mark.parametrize("n_total", [CHUNK_SIZE, 2 * CHUNK_SIZE + 17, 500])
+@pytest.mark.parametrize("workers", [None, 2])
+def test_simulate_chunked_equals_concatenated_parts(n_total, workers):
+    from concurrent.futures import ThreadPoolExecutor
+
+    parts = run_chunked(_mixed_worker, n_total, seed=4, tag=3)
+    if workers is None:
+        got = simulate_chunked(_mixed_worker, n_total, seed=4, tag=3)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            got = simulate_chunked(_mixed_worker, n_total, seed=4, tag=3, pool=pool)
+    assert len(got) == 3
+    for i, arr in enumerate(got):
+        expect = np.concatenate([p[i] for p in parts], axis=0)
+        assert arr.dtype == expect.dtype and arr.shape == expect.shape
+        np.testing.assert_array_equal(arr, expect)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_simulate_chunked_requires_tuple_results(workers):
+    from concurrent.futures import ThreadPoolExecutor
+
+    def worker(rng, count):
+        return rng.random(count)
+
+    if workers is None:
+        with pytest.raises(TypeError):
+            simulate_chunked(worker, 3 * CHUNK_SIZE, seed=1)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            with pytest.raises(TypeError):
+                simulate_chunked(worker, 3 * CHUNK_SIZE, seed=1, pool=pool)
+
+
+def test_simulate_chunked_rejects_short_chunks():
+    def worker(rng, count):
+        return (rng.random(count - 1),)
+
+    with pytest.raises(ValueError):
+        simulate_chunked(worker, 2 * CHUNK_SIZE, seed=1)
+
+
 def test_same_seed_same_vectors():
     g1 = philox_stream(123, 0)
     g2 = philox_stream(123, 0)

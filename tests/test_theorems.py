@@ -16,6 +16,7 @@ from cexpect.theorems import (
     covariance_counterexample,
     default_copies_battery,
     martingale_check,
+    martingale_checks,
     martingale_exact_mse,
     predicted_sequence_stats,
     predictor_pair_covariance,
@@ -300,11 +301,28 @@ class TestMartingale:
         assert r.rhs_estimate == pytest.approx(6.0, abs=0.15)
         assert r.satisfied
 
+    def test_shared_walk_matches_single_subset_calls(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        subsets = [(1, 2, 3, 4, 5), (1,), (3,), (5,), (), (4, 2, 4)]
+        shared = martingale_checks(5, N, 72, subsets)
+        assert shared == [martingale_check(5, N, 72, subset=s) for s in subsets]
+        assert [r.experiment for r in shared][-1] == "martingale/subset=[2, 4]"
+        named = martingale_checks(5, N, 72, subsets[:2], names=["a", "b"])
+        assert named == [
+            martingale_check(5, N, 72, subset=s, name=name)
+            for s, name in zip(subsets[:2], ["a", "b"])
+        ]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert martingale_checks(5, N, 72, subsets, pool=pool) == shared
+
     def test_subset_validated(self):
         with pytest.raises(DomainError):
             martingale_check(5, N, 69, subset=(0,))
         with pytest.raises(DomainError):
             martingale_check(5, N, 70, subset=(6,))
+        with pytest.raises(DomainError):
+            martingale_checks(5, N, 70, [(1,), (6,)])
 
 
 class TestDeterminism:
