@@ -30,7 +30,7 @@ from .condexp import (
     knn_regress,
     predictor_quantile,
 )
-from .reports import EqualityCheck, ExperimentResult, InequalityReport, ThresholdReport
+from .reports import ExperimentResult, PairedReport, ThresholdReport
 from .theorems import (
     ConditionalIidCopies,
     GaussianCopies,

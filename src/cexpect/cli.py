@@ -1,12 +1,17 @@
 """Batch experiment runner.
 
-Loads scenario configs, dispatches to the verification operations, manages
+Loads scenario configs, reads each into built models (one reader per
+experiment, on the model builders and constructors, which own every
+parameter domain), dispatches to the verification operations, manages
 deterministic parallelism (the runner owns the worker pool; modules never
 spawn their own), and writes reports:
 
     <out>/<experiment>.json   typed report envelope (schema_version 1)
     <out>/reports.csv         one row per report (fixed header, LF, UTF-8)
     <out>/manifest.json       tool version, config hashes, timings, discards
+
+`cexpect validate` builds the models of a config and never simulates; it
+names every field at fault, as `verify` does before it runs anything.
 
 Exit status is 0 iff every verdict in the run is satisfied, 1 on any
 unsatisfied verdict, 2 on config or usage errors.  Reports are byte-identical
@@ -19,499 +24,249 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
+from . import __version__, ordered, theorems
 from .coalition import compare_strategies, market_from_config
 from .condexp import GaussianVector, ar_vector, bivariate_from_config, equicorrelated_vector
+from .config import Diagnostic, Fields
 from .errors import CexpectError, ConfigError
 from .marginals import marginal_from_config
-from .ordered import markov_property_check, mse_order_inequality, record_predictor_mse
 from .reports import (
     ExperimentResult,
     canonical_config_hash,
+    check_sample_size,
     render_csv,
     render_json,
 )
-from .theorems import (
-    copies_model_from_config,
-    default_copies_battery,
-    martingale_checks,
-    predicted_sequence_stats,
-    verify_copula_theorem,
-    verify_corollary_chain,
-    verify_covariance_identity,
-    verify_theorem1,
-    verify_theorem2,
-    verify_theorem3,
-)
-
-EXPERIMENT_NAMES = [
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "corollary-chain",
-    "covariance",
-    "copula-swap",
-    "sequence-stats",
-    "martingale",
-    "order-stats",
-    "records",
-    "coalition",
-]
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    field: str
-    message: str
-
-    def render(self):
-        return f"{self.field}: {self.message}"
 
 
 # ---------------------------------------------------------------------------
-# Config validation (never simulates).
+# Experiments: each reads its config into built models and returns the run.
 
 
-def _num(cfg, diags, field, key, lo=None, hi=None, lo_strict=False, hi_strict=False, integer=False):
-    path = f"{field}.{key}" if field else key
-    if key not in cfg:
-        diags.append(Diagnostic(path, "missing required key"))
-        return None
-    val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        diags.append(Diagnostic(path, f"must be a number, got {val!r}"))
-        return None
-    if integer and not isinstance(val, int):
-        diags.append(Diagnostic(path, f"must be an integer, got {val!r}"))
-        return None
-    if lo is not None and (val <= lo if lo_strict else val < lo):
-        op = ">" if lo_strict else ">="
-        diags.append(Diagnostic(path, f"must be {op} {lo}, got {val}"))
-        return None
-    if hi is not None and (val >= hi if hi_strict else val > hi):
-        op = "<" if hi_strict else "<="
-        diags.append(Diagnostic(path, f"must be {op} {hi}, got {val}"))
-        return None
-    return val
+def _read_copies(which, verify):
+    def read(f, n_samples, seed):
+        models = f.model("model", _copies_models)
+
+        def run(pool):
+            reports = [
+                verify(m, n_samples, seed, pool=pool, name=f"{which}/{m.label()}") for m in models
+            ]
+            details = {"battery_size": len(models)}
+            return ExperimentResult(experiment=which, reports=reports, details=details)
+
+        return run
+
+    return read
 
 
-def _validate_marginal(cfg, field, diags):
-    if not isinstance(cfg, dict):
-        diags.append(Diagnostic(field, f"must be a marginal config object, got {cfg!r}"))
-        return
-    family = cfg.get("family")
-    if family == "uniform":
-        lo = _num(cfg, diags, field, "lower")
-        hi = _num(cfg, diags, field, "upper")
-        if lo is not None and hi is not None and not lo < hi:
-            diags.append(Diagnostic(f"{field}.upper", f"must be > lower={lo}, got {hi}"))
-    elif family == "exponential":
-        _num(cfg, diags, field, "rate", lo=0, lo_strict=True)
-    elif family == "normal":
-        _num(cfg, diags, field, "mean")
-        _num(cfg, diags, field, "sd", lo=0, lo_strict=True)
-    elif family == "max-of-iid":
-        _validate_marginal(cfg.get("base"), f"{field}.base", diags)
-        _num(cfg, diags, field, "count", lo=1, integer=True)
+def _copies_models(cfg):
+    """The default battery, or the one copies model the config describes."""
+    f = Fields(cfg, "a copies model object")
+    kinds = ("battery", "gaussian-copies", "conditional-iid")
+    if f.close(f.choice("kind", kinds, default="gaussian-copies")) == "battery":
+        return theorems.default_copies_battery()
+    return [theorems.copies_model_from_config(cfg)]
+
+
+def _read_theorem3(f, n_samples, seed):
+    vector, duplicate = f.model("model", _theorem3_vector) or (None, False)
+    name = "theorem3/duplicate" if duplicate else "theorem3"
+
+    def run(pool):
+        result = theorems.verify_theorem3(
+            vector, n_samples, seed, pool=pool, name=name, duplicate_last=duplicate
+        )
+        details = {"closed_form": result.closed_form}
+        return ExperimentResult(experiment="theorem3", reports=[result.report], details=details)
+
+    return run
+
+
+def _theorem3_vector(cfg):
+    """(vector, duplicate_last): (X, Y, Z), or (X, Y) with Z a duplicate of Y."""
+    f = Fields(cfg, "a theorem3 model object")
+    kind = f.choice("kind", ("equicorrelated", "explicit", "duplicate"), default="equicorrelated")
+    vector = None
+    if kind == "explicit":
+        vector = f.build(GaussianVector, mean=f.array("mean"), cov=f.array("cov"))
+        if vector is not None:
+            f.build(theorems.check_theorem3_dim, keys={"dim": "mean"}, dim=vector.dim)
+    elif kind is not None:
+        dim = 2 if kind == "duplicate" else 3
+        vector = f.build(equicorrelated_vector, keys={"cov": "rho"}, dim=dim, rho=f.number("rho"))
+    return f.close((vector, kind == "duplicate"))
+
+
+def _read_corollary(f, n_samples, seed):
+    vector = f.model("model", _ar_vector)
+    sets = f.index_lists("index_sets")
+    if vector is not None and isinstance(sets, list):
+        # Config indices are 1-based and the target is the last coordinate.
+        zero_based = [[i - 1 for i in s] for s in sets]
+        target = vector.dim - 1
+        sets = f.build(
+            theorems.chain_index_sets, dim=vector.dim, index_sets=zero_based, target=target
+        )
+    return lambda pool: theorems.verify_corollary_chain(
+        vector, sets, n_samples, seed, target=vector.dim - 1, pool=pool, name="corollary-chain"
+    )
+
+
+def _ar_vector(cfg):
+    f = Fields(cfg, "an AR model object")
+    f.choice("kind", ("ar",), default="ar")
+    vector = f.build(ar_vector, keys={"cov": "r"}, dim=f.integer("dim"), r=f.number("r"))
+    return f.close(vector)
+
+
+def _read_bivariate(verify, name):
+    def read(f, n_samples, seed):
+        model = f.model("model", bivariate_from_config)
+        return lambda pool: verify(model, n_samples, seed, pool=pool, name=name)
+
+    return read
+
+
+def _read_copula_swap(f, n_samples, seed):
+    if "models" not in f.cfg and "model" in f.cfg:
+        models = [f.model("model", bivariate_from_config)]
     else:
-        diags.append(
-            Diagnostic(
-                f"{field}.family",
-                f"must be one of uniform/exponential/normal/max-of-iid, got {family!r}",
+        models = f.models("models", bivariate_from_config)
+    grid = f.integer("grid", theorems.COPULA_SWAP_DEFAULT_GRID)
+    threshold = f.number("threshold", theorems.COPULA_SWAP_DEFAULT_THRESHOLD)
+    f.build(theorems.check_copula_swap, grid=grid, threshold=threshold)
+
+    def run(pool):
+        reports = []
+        details = {}
+        for pos, model in enumerate(models):
+            label = f"copula-swap/{model.copula.to_config()['family']}#{pos}"
+            result = theorems.verify_copula_theorem(
+                model, n_samples, seed, grid=grid, threshold=threshold, pool=pool, name=label
             )
+            reports.extend(result.reports)
+            details[label] = result.details
+        return ExperimentResult(experiment="copula-swap", reports=reports, details=details)
+
+    return run
+
+
+def _read_martingale(f, n_samples, seed):
+    walk_length = f.integer("walk_length")
+    subsets = f.index_lists("subsets")
+    f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
+
+    def run(pool):
+        results = theorems.martingale_checks(
+            walk_length, n_samples, seed, subsets, pool=pool,
+            names=[f"martingale/subset={sorted(s)}" for s in subsets],
         )
+        reports = []
+        details = {}
+        for s, result in zip(subsets, results):
+            reports.extend(result.reports)
+            details[f"subset={sorted(s)}"] = result.details
+        return ExperimentResult(experiment="martingale", reports=reports, details=details)
+
+    return run
 
 
-def _validate_copula(cfg, field, diags):
-    if not isinstance(cfg, dict):
-        diags.append(Diagnostic(field, f"must be a copula config object, got {cfg!r}"))
-        return
-    family = cfg.get("family")
-    if family == "independence":
-        return
-    if family == "gaussian":
-        _num(cfg, diags, field, "rho", lo=-1, hi=1, lo_strict=True, hi_strict=True)
-    elif family == "fgm":
-        _num(cfg, diags, field, "theta", lo=-1, hi=1)
-    elif family == "clayton":
-        _num(cfg, diags, field, "alpha", lo=0, lo_strict=True)
-    else:
-        diags.append(
-            Diagnostic(
-                f"{field}.family",
-                f"must be one of independence/gaussian/fgm/clayton, got {family!r}",
+def _order_case(cfg):
+    """(marginal, n, k, l, markov_check) of one order-stats case."""
+    f = Fields(cfg, "an order-stats case object")
+    marginal = f.model("marginal", marginal_from_config)
+    n, k, l = f.integer("n"), f.integer("k"), f.integer("l")
+    markov = f.choice("markov_check", (False, True), default=False)
+    f.build(ordered.check_order_indices, n=n, k=k, l=l)
+    if markov is True:
+        f.build(ordered.check_markov_order, keys={"n": "markov_check"}, n=n)
+    return f.close((marginal, n, k, l, markov))
+
+
+def _read_order_stats(f, n_samples, seed):
+    cases = f.models("cases", _order_case)
+
+    def run(pool):
+        reports = []
+        details = {}
+        for pos, (m, n, k, l, markov) in enumerate(cases):
+            fam = m.to_config()["family"]
+            label = f"order-stats/{fam}(n={n},k={k},l={l})"
+            reports.append(
+                ordered.mse_order_inequality(m, n, k, l, n_samples, seed, pool=pool, name=label)
             )
-        )
-
-
-def _validate_bivariate(cfg, field, diags):
-    if not isinstance(cfg, dict):
-        diags.append(Diagnostic(field, f"must be a bivariate model object, got {cfg!r}"))
-        return
-    _validate_copula(cfg.get("copula", {}), f"{field}.copula", diags)
-    _validate_marginal(cfg.get("marginal_x", {}), f"{field}.marginal_x", diags)
-    _validate_marginal(cfg.get("marginal_y", {}), f"{field}.marginal_y", diags)
-
-
-def _validate_common(cfg, diags):
-    _num(cfg, diags, "", "n_samples", lo=1000, integer=True)
-    if "seed" not in cfg:
-        diags.append(
-            Diagnostic("seed", "missing required key; seeds are mandatory, never defaulted")
-        )
-    elif not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        diags.append(Diagnostic("seed", f"must be an integer, got {cfg['seed']!r}"))
-
-
-def _validate_copies_model(model, diags):
-    if not isinstance(model, dict):
-        diags.append(Diagnostic("model", f"must be an object, got {model!r}"))
-        return
-    kind = model.get("kind", "gaussian-copies")
-    if kind == "battery":
-        return
-    if kind == "gaussian-copies":
-        n = _num(model, diags, "model", "n_copies", lo=1, integer=True)
-        rho_xx = _num(model, diags, "model", "rho_xx", lo=-1, hi=1)
-        rho_xy = _num(model, diags, "model", "rho_xy", lo=-1, hi=1, lo_strict=True, hi_strict=True)
-        if None not in (n, rho_xx, rho_xy) and rho_xx != 1.0 and n > 1:
-            if rho_xx <= -1.0 / (n - 1):
-                diags.append(
-                    Diagnostic("model.rho_xx", f"must be > -1/(n-1) = {-1.0 / (n - 1):.6g}")
+            if markov:
+                result = ordered.markov_property_check(
+                    m, n, n_samples, seed, pool=pool, name=f"order-stats/markov/{fam}(n={n})"
                 )
-            elif n * rho_xy**2 >= 1.0 + (n - 1) * rho_xx:
-                diags.append(
-                    Diagnostic(
-                        "model",
-                        f"not positive definite: need n*rho_xy^2 < 1+(n-1)*rho_xx, "
-                        f"got {n * rho_xy**2:.6g} >= {1.0 + (n - 1) * rho_xx:.6g}",
-                    )
-                )
-    elif kind == "conditional-iid":
-        _num(model, diags, "model", "n_copies", lo=1, integer=True)
-        beta = _num(model, diags, "model", "beta")
-        if beta == 0:
-            diags.append(Diagnostic("model.beta", "must be nonzero"))
-        _validate_marginal(model.get("y", {}), "model.y", diags)
-        _validate_marginal(model.get("noise", {}), "model.noise", diags)
-    else:
-        diags.append(
-            Diagnostic("model.kind", f"must be battery/gaussian-copies/conditional-iid, got {kind!r}")
+                reports.extend(result.reports)
+                details[f"markov/{fam}#{pos}"] = result.details
+        return ExperimentResult(experiment="order-stats", reports=reports, details=details)
+
+    return run
+
+
+def _read_records(f, n_samples, seed):
+    marginal = f.model("marginal", marginal_from_config)
+    depth, lag = f.integer("depth"), f.integer("lag")
+    cap = f.integer("cap", ordered.RECORD_CAP_DEFAULT)
+    f.build(ordered.check_record_mse, keys={"n": "depth"}, n=depth, lag=lag, cap=cap)
+
+    def run(pool):
+        result = ordered.record_predictor_mse(
+            marginal, depth, lag, n_samples, seed, cap=cap, pool=pool, name="records"
         )
+        return ExperimentResult("records", reports=[result.report], details=result.details)
+
+    return run
 
 
-def _validate_theorem12(cfg, diags):
-    _validate_copies_model(cfg.get("model", {}), diags)
+def _read_coalition(f, n_samples, seed):
+    market = f.merge(market_from_config)
+    return lambda pool: compare_strategies(market, pool=pool, name="coalition")[1]
 
 
-def _validate_theorem3(cfg, diags):
-    model = cfg.get("model")
-    if not isinstance(model, dict):
-        diags.append(Diagnostic("model", f"must be an object, got {model!r}"))
-        return
-    kind = model.get("kind", "equicorrelated")
-    if kind == "equicorrelated":
-        _num(model, diags, "model", "rho", lo=-0.5, hi=1, lo_strict=True, hi_strict=True)
-    elif kind == "explicit":
-        if "mean" not in model or "cov" not in model:
-            diags.append(Diagnostic("model", "explicit kind needs 'mean' and 'cov'"))
-        else:
-            try:
-                GaussianVector(model["mean"], model["cov"])
-            except CexpectError as exc:
-                diags.append(Diagnostic("model.cov", str(exc)))
-    elif kind == "duplicate":
-        _num(model, diags, "model", "rho", lo=-1, hi=1, lo_strict=True, hi_strict=True)
-    else:
-        diags.append(Diagnostic("model.kind", f"must be equicorrelated/explicit/duplicate, got {kind!r}"))
-
-
-def _validate_corollary(cfg, diags):
-    model = cfg.get("model")
-    if not isinstance(model, dict):
-        diags.append(Diagnostic("model", f"must be an object, got {model!r}"))
-        return
-    dim = _num(model, diags, "model", "dim", lo=2, integer=True)
-    _num(model, diags, "model", "r", lo=-1, hi=1, lo_strict=True, hi_strict=True)
-    sets = cfg.get("index_sets")
-    if not isinstance(sets, list) or len(sets) < 2:
-        diags.append(Diagnostic("index_sets", "must be a list of at least two index lists"))
-        return
-    prev = set()
-    for pos, s in enumerate(sets):
-        if not isinstance(s, list) or not all(isinstance(i, int) for i in s):
-            diags.append(Diagnostic(f"index_sets[{pos}]", "must be a list of integers"))
-            return
-        if dim is not None and any(not 1 <= i <= dim - 1 for i in s):
-            diags.append(
-                Diagnostic(f"index_sets[{pos}]", f"indices must be in 1..{dim - 1} (1-based, target is {dim})")
-            )
-        if not prev.issubset(set(s)):
-            diags.append(Diagnostic(f"index_sets[{pos}]", "index sets must be nested"))
-        prev = set(s)
-
-
-def _validate_copula_swap(cfg, diags):
-    models = cfg.get("models")
-    if models is None and "model" in cfg:
-        models = [cfg["model"]]
-    if not isinstance(models, list) or not models:
-        diags.append(Diagnostic("models", "must be a nonempty list of bivariate models"))
-        return
-    for pos, m in enumerate(models):
-        _validate_bivariate(m, f"models[{pos}]", diags)
-    if "grid" in cfg:
-        _num(cfg, diags, "", "grid", lo=2, integer=True)
-    if "threshold" in cfg:
-        _num(cfg, diags, "", "threshold", lo=0, lo_strict=True)
-
-
-def _validate_bivariate_experiment(cfg, diags):
-    _validate_bivariate(cfg.get("model", {}), "model", diags)
-
-
-def _validate_martingale(cfg, diags):
-    n = _num(cfg, diags, "", "walk_length", lo=1, integer=True)
-    subsets = cfg.get("subsets")
-    if not isinstance(subsets, list) or not subsets:
-        diags.append(Diagnostic("subsets", "must be a nonempty list of index lists"))
-        return
-    for pos, s in enumerate(subsets):
-        if not isinstance(s, list) or not all(isinstance(i, int) for i in s):
-            diags.append(Diagnostic(f"subsets[{pos}]", "must be a list of integers"))
-        elif n is not None and any(not 1 <= i <= n for i in s):
-            diags.append(Diagnostic(f"subsets[{pos}]", f"indices must be in 1..{n}"))
-
-
-def _validate_order_stats(cfg, diags):
-    cases = cfg.get("cases")
-    if not isinstance(cases, list) or not cases:
-        diags.append(Diagnostic("cases", "must be a nonempty list"))
-        return
-    for pos, case in enumerate(cases):
-        field = f"cases[{pos}]"
-        if not isinstance(case, dict):
-            diags.append(Diagnostic(field, "must be an object"))
-            continue
-        _validate_marginal(case.get("marginal", {}), f"{field}.marginal", diags)
-        n = _num(case, diags, field, "n", lo=2, integer=True)
-        k = _num(case, diags, field, "k", lo=1, integer=True)
-        l = _num(case, diags, field, "l", lo=1, integer=True)
-        if None not in (n, k, l) and not k <= l <= n - 1:
-            diags.append(Diagnostic(field, f"need 1 <= k <= l <= n-1, got k={k}, l={l}, n={n}"))
-        if case.get("markov_check") and n is not None and n < 3:
-            diags.append(Diagnostic(f"{field}.markov_check", "needs n >= 3"))
-
-
-def _validate_records(cfg, diags):
-    _validate_marginal(cfg.get("marginal", {}), "marginal", diags)
-    _num(cfg, diags, "", "depth", lo=3, integer=True)
-    lag = _num(cfg, diags, "", "lag", lo=1, hi=2, integer=True)
-    if "cap" in cfg:
-        _num(cfg, diags, "", "cap", lo=1, integer=True)
-
-
-def _validate_coalition(cfg, diags):
-    brokers = cfg.get("brokers")
-    if not isinstance(brokers, dict):
-        diags.append(Diagnostic("brokers", f"must be an object, got {brokers!r}"))
-        return
-    count = _num(brokers, diags, "brokers", "count", lo=1, integer=True)
-    _validate_marginal(brokers.get("marginal", {}), "brokers.marginal", diags)
-    rho = brokers.get("rho_xx")
-    if rho is not None:
-        bound = -1.0 / (count - 1) if count and count > 1 else -1.0
-        val = _num(brokers, diags, "brokers", "rho_xx", hi=1, hi_strict=True)
-        if val is not None and count and count > 1 and val <= bound:
-            diags.append(Diagnostic("brokers.rho_xx", f"must be > -1/(count-1) = {bound:.6g}"))
-    outsider = cfg.get("outsider")
-    if outsider is not None:
-        if not isinstance(outsider, dict):
-            diags.append(Diagnostic("outsider", f"must be an object or null, got {outsider!r}"))
-            return
-        _validate_marginal(outsider.get("marginal", {}), "outsider.marginal", diags)
-        if "count" in outsider:
-            _num(outsider, diags, "outsider", "count", lo=1, integer=True)
-
-
-VALIDATORS = {
-    "theorem1": _validate_theorem12,
-    "theorem2": _validate_theorem12,
-    "theorem3": _validate_theorem3,
-    "corollary-chain": _validate_corollary,
-    "covariance": _validate_bivariate_experiment,
-    "copula-swap": _validate_copula_swap,
-    "sequence-stats": _validate_bivariate_experiment,
-    "martingale": _validate_martingale,
-    "order-stats": _validate_order_stats,
-    "records": _validate_records,
-    "coalition": _validate_coalition,
+# experiment name -> reader(fields, n_samples, seed) -> run(pool) -> ExperimentResult
+EXPERIMENTS = {
+    "theorem1": _read_copies("theorem1", theorems.verify_theorem1),
+    "theorem2": _read_copies("theorem2", theorems.verify_theorem2),
+    "theorem3": _read_theorem3,
+    "corollary-chain": _read_corollary,
+    "covariance": _read_bivariate(theorems.verify_covariance_identity, "covariance"),
+    "copula-swap": _read_copula_swap,
+    "sequence-stats": _read_bivariate(theorems.predicted_sequence_stats, "sequence-stats"),
+    "martingale": _read_martingale,
+    "order-stats": _read_order_stats,
+    "records": _read_records,
+    "coalition": _read_coalition,
 }
+
+EXPERIMENT_NAMES = list(EXPERIMENTS)
+
+
+def _read(cfg, experiment=None):
+    """(run, diagnostics) for a config dict: run(pool) runs the experiment on
+    the models built here, and is None when a diagnostic names a field."""
+    name = experiment or cfg.get("experiment")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        message = f"unknown experiment {name!r}; see `cexpect list`"
+        return None, [Diagnostic("experiment", message)]
+    f = Fields(cfg)
+    seed = f.integer("seed")
+    n_samples = f.integer("n_samples")
+    f.build(check_sample_size, n_samples=n_samples)
+    run = EXPERIMENTS[name](f, n_samples, seed)
+    return (None if f.diags else run), f.diags
 
 
 def validate_config(cfg, experiment=None):
-    """Validate a config dict; returns a list of Diagnostic (empty = valid).
+    """Diagnostics for a config dict, empty when it is valid.
 
-    Never executes simulations.
+    Builds every model the config describes and never simulates.
     """
-    diags = []
-    name = experiment or cfg.get("experiment")
-    if name not in EXPERIMENT_NAMES:
-        diags.append(
-            Diagnostic("experiment", f"unknown experiment {name!r}; see `cexpect list`")
-        )
-        return diags
-    _validate_common(cfg, diags)
-    VALIDATORS[name](cfg, diags)
-    return diags
-
-
-# ---------------------------------------------------------------------------
-# Experiment runners: validated config -> ExperimentResult.
-
-
-def _run_theorem12(cfg, seed, pool, verify):
-    model_cfg = cfg.get("model", {"kind": "battery"})
-    n = cfg["n_samples"]
-    which = cfg["experiment"]
-    if model_cfg.get("kind", "gaussian-copies") == "battery":
-        models = default_copies_battery()
-    else:
-        models = [copies_model_from_config(model_cfg)]
-    reports = [
-        verify(m, n, seed, pool=pool, name=f"{which}/{m.label()}") for m in models
-    ]
-    return ExperimentResult(experiment=which, reports=reports, details={"battery_size": len(models)})
-
-
-def _run_theorem3(cfg, seed, pool):
-    model = cfg["model"]
-    kind = model.get("kind", "equicorrelated")
-    if kind == "equicorrelated":
-        v = equicorrelated_vector(3, float(model["rho"]))
-        result = verify_theorem3(v, cfg["n_samples"], seed, pool=pool, name="theorem3")
-    elif kind == "explicit":
-        v = GaussianVector(model["mean"], model["cov"])
-        result = verify_theorem3(v, cfg["n_samples"], seed, pool=pool, name="theorem3")
-    else:  # duplicate
-        v = equicorrelated_vector(2, float(model["rho"]))
-        result = verify_theorem3(
-            v, cfg["n_samples"], seed, pool=pool, name="theorem3/duplicate", duplicate_last=True
-        )
-    return ExperimentResult(
-        experiment="theorem3", reports=[result.report], details={"closed_form": result.closed_form}
-    )
-
-
-def _run_corollary(cfg, seed, pool):
-    model = cfg["model"]
-    v = ar_vector(int(model["dim"]), float(model["r"]))
-    sets = [tuple(i - 1 for i in s) for s in cfg["index_sets"]]
-    return verify_corollary_chain(
-        v, sets, cfg["n_samples"], seed, target=v.dim - 1, pool=pool, name="corollary-chain"
-    )
-
-
-def _run_covariance(cfg, seed, pool):
-    model = bivariate_from_config(cfg["model"])
-    return verify_covariance_identity(model, cfg["n_samples"], seed, pool=pool, name="covariance")
-
-
-def _run_copula_swap(cfg, seed, pool):
-    models = cfg.get("models") or [cfg["model"]]
-    grid = int(cfg.get("grid", 50))
-    threshold = float(cfg.get("threshold", 0.02))
-    reports = []
-    details = {}
-    for pos, mc in enumerate(models):
-        model = bivariate_from_config(mc)
-        label = f"copula-swap/{mc['copula']['family']}#{pos}"
-        result = verify_copula_theorem(
-            model, cfg["n_samples"], seed, grid=grid, threshold=threshold, pool=pool, name=label
-        )
-        reports.extend(result.reports)
-        details[label] = result.details
-    return ExperimentResult(experiment="copula-swap", reports=reports, details=details)
-
-
-def _run_sequence_stats(cfg, seed, pool):
-    model = bivariate_from_config(cfg["model"])
-    return predicted_sequence_stats(model, cfg["n_samples"], seed, pool=pool, name="sequence-stats")
-
-
-def _run_martingale(cfg, seed, pool):
-    subsets = cfg["subsets"]
-    results = martingale_checks(
-        cfg["walk_length"], cfg["n_samples"], seed, subsets, pool=pool,
-        names=[f"martingale/subset={sorted(s)}" for s in subsets],
-    )
-    reports = []
-    details = {}
-    for s, result in zip(subsets, results):
-        reports.extend(result.reports)
-        details[f"subset={sorted(s)}"] = result.details
-    return ExperimentResult(experiment="martingale", reports=reports, details=details)
-
-
-def _run_order_stats(cfg, seed, pool):
-    reports = []
-    details = {}
-    for pos, case in enumerate(cfg["cases"]):
-        m = marginal_from_config(case["marginal"])
-        fam = case["marginal"]["family"]
-        label = f"order-stats/{fam}(n={case['n']},k={case['k']},l={case['l']})"
-        reports.append(
-            mse_order_inequality(
-                m, case["n"], case["k"], case["l"], cfg["n_samples"], seed, pool=pool, name=label
-            )
-        )
-        if case.get("markov_check"):
-            result = markov_property_check(
-                m, case["n"], cfg["n_samples"], seed, pool=pool,
-                name=f"order-stats/markov/{fam}(n={case['n']})",
-            )
-            reports.extend(result.reports)
-            details[f"markov/{fam}#{pos}"] = result.details
-    return ExperimentResult(experiment="order-stats", reports=reports, details=details)
-
-
-def _run_records(cfg, seed, pool):
-    m = marginal_from_config(cfg["marginal"])
-    result = record_predictor_mse(
-        m,
-        cfg["depth"],
-        cfg["lag"],
-        cfg["n_samples"],
-        seed,
-        cap=int(cfg.get("cap", 10**6)),
-        pool=pool,
-        name="records",
-    )
-    return ExperimentResult(experiment="records", reports=[result.report], details=result.details)
-
-
-def _run_coalition(cfg, seed, pool):
-    market = market_from_config({**cfg, "seed": seed})
-    _, result = compare_strategies(market, pool=pool, name="coalition")
-    return result
-
-
-RUNNERS = {
-    "theorem1": lambda cfg, seed, pool: _run_theorem12(cfg, seed, pool, verify_theorem1),
-    "theorem2": lambda cfg, seed, pool: _run_theorem12(cfg, seed, pool, verify_theorem2),
-    "theorem3": _run_theorem3,
-    "corollary-chain": _run_corollary,
-    "covariance": _run_covariance,
-    "copula-swap": _run_copula_swap,
-    "sequence-stats": _run_sequence_stats,
-    "martingale": _run_martingale,
-    "order-stats": _run_order_stats,
-    "records": _run_records,
-    "coalition": _run_coalition,
-}
+    return _read(cfg, experiment)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +358,12 @@ def default_suite():
 
 
 def run_experiment(cfg, seed=None, workers=1, pool=None):
-    """Validate and run one experiment config; returns ExperimentResult."""
+    """Build the models of one experiment config and run it; returns
+    ExperimentResult, or raises ConfigError naming every field at fault."""
     cfg = dict(cfg)
     if seed is not None:
         cfg["seed"] = int(seed)
-    diags = validate_config(cfg)
+    run, diags = _read(cfg)
     if diags:
         raise ConfigError(diags)
     own_pool = None
@@ -615,7 +371,7 @@ def run_experiment(cfg, seed=None, workers=1, pool=None):
         if pool is None and workers > 1:
             own_pool = ThreadPoolExecutor(max_workers=workers)
             pool = own_pool
-        return RUNNERS[cfg["experiment"]](cfg, cfg["seed"], pool)
+        return run(pool)
     finally:
         if own_pool is not None:
             own_pool.shutdown()
@@ -673,11 +429,6 @@ def _load_config(path):
     return cfg
 
 
-def list_suite():
-    """The recognized experiment names, one per line."""
-    return "\n".join(EXPERIMENT_NAMES)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="cexpect",
@@ -694,7 +445,9 @@ def main(argv=None):
     p_verify.add_argument("--out", default="reports", help="output directory")
     p_verify.add_argument("--format", choices=["json", "csv", "both"], default="both")
 
-    p_validate = sub.add_parser("validate", help="validate a config without running it")
+    p_validate = sub.add_parser(
+        "validate", help="check a config by building its models, without simulating"
+    )
     p_validate.add_argument("--config", required=True)
 
     sub.add_parser("list", help="list experiment names")
@@ -702,7 +455,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        print(list_suite())
+        print("\n".join(EXPERIMENT_NAMES))
         return 0
 
     if args.command == "validate":

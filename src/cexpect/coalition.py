@@ -5,9 +5,10 @@ equicorrelated); an optional outsider contributes Y (one marginal, possibly
 the exact max-distribution of m iid outsiders).  The traded price is the
 rowwise maximum Z.  Individual predictors E(Z | X_i = x) come from exact
 one-dimensional quadrature in the independent case (E[max(x, M)] =
-x + int_x (1 - F_M)) and from tabulated Nadaraya-Watson regression in the
-dependent case.  compare_strategies pits the coalition-average predictor
-against each individual predictor on common draws.
+x + int_x (1 - F_M)) and from tabulated Nadaraya-Watson regression on the
+simulated market in the dependent case.  compare_strategies pits the
+coalition-average predictor against each individual predictor on common
+draws.
 """
 
 import math
@@ -16,16 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .condexp import (
-    RegressionFunction,
-    chebyshev_nodes,
-    kernel_regress,
-    kernel_regress_grid,
-)
+from .condexp import RegressionFunction, chebyshev_nodes, kernel_regress_grid
+from .config import Fields
 from .errors import ConstructionError, DomainError, ExtrapolationError
 from .marginals import Marginal, MaxOfIid, marginal_from_config
 from .quadrature import tabulate
-from .reports import ExperimentResult, inequality_report
+from .reports import ExperimentResult, check_sample_size, inequality_report
 from .rng import simulate_chunked
 
 TAG_MARKET = 5
@@ -50,17 +47,17 @@ class MarketConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_brokers < 1:
-            raise ConstructionError(f"n_brokers must be >= 1, got {self.n_brokers}")
-        if self.rho_xx is not None:
-            k = self.n_brokers
-            if k > 1 and not (-1.0 / (k - 1) < self.rho_xx < 1.0):
-                raise ConstructionError(
-                    f"equicorrelation rho_xx={self.rho_xx} must lie in "
-                    f"(-1/{k - 1}, 1) for {k} brokers"
-                )
-        if self.n_samples < 1000:
-            raise ConstructionError(f"n_samples must be >= 1000, got {self.n_samples}")
+        k = self.n_brokers
+        if k < 1:
+            raise ConstructionError(f"n_brokers must be >= 1, got {k}", "n_brokers")
+        floor = -1.0 / (k - 1) if k > 1 else -1.0
+        if self.rho_xx is not None and not (floor < self.rho_xx < 1.0):
+            raise ConstructionError(
+                f"equicorrelation rho_xx={self.rho_xx} must lie in ({floor:.6g}, 1) "
+                f"for {k} brokers",
+                "rho_xx",
+            )
+        check_sample_size(self.n_samples)
 
     @property
     def iid_brokers(self):
@@ -77,27 +74,36 @@ class MarketConfig:
 
 
 def market_from_config(cfg):
-    """Build a MarketConfig from the scenario-config dict schema."""
-    try:
-        brokers = cfg["brokers"]
-        marginal = marginal_from_config(brokers["marginal"])
-        rho_xx = brokers.get("rho_xx")
-        outsider_cfg = cfg.get("outsider")
-        outsider = None
-        if outsider_cfg is not None:
-            base = marginal_from_config(outsider_cfg["marginal"])
-            count = int(outsider_cfg.get("count", 1))
-            outsider = base if count == 1 else MaxOfIid(base=base, count=count)
-        return MarketConfig(
-            n_brokers=int(brokers["count"]),
-            broker_marginal=marginal,
-            rho_xx=None if rho_xx is None else float(rho_xx),
-            outsider=outsider,
-            n_samples=int(cfg["n_samples"]),
-            seed=int(cfg["seed"]),
-        )
-    except KeyError as exc:
-        raise DomainError(f"market config is missing key {exc}") from exc
+    """Build a MarketConfig from the scenario-config dict schema; raises
+    ConfigError naming every field at fault."""
+    f = Fields(cfg, "a market config object")
+    brokers = f.model("brokers", _brokers_from_config)
+    outsider = f.model("outsider", _outsider_from_config, default=None)
+    n_samples, seed = f.integer("n_samples"), f.integer("seed")
+    if brokers is None:
+        return f.close(None)
+    keys = {"n_brokers": "brokers.count", "rho_xx": "brokers.rho_xx"}
+    market = f.build(
+        MarketConfig, keys=keys, outsider=outsider, n_samples=n_samples, seed=seed, **brokers
+    )
+    return f.close(market)
+
+
+def _brokers_from_config(cfg):
+    f = Fields(cfg, "a brokers object")
+    marginal = f.model("marginal", marginal_from_config)
+    rho_xx = f.number("rho_xx", None)
+    return f.close(dict(n_brokers=f.integer("count"), broker_marginal=marginal, rho_xx=rho_xx))
+
+
+def _outsider_from_config(cfg):
+    """The max of `count` iid outsiders (one by default); null for none."""
+    if cfg is None:
+        return None
+    f = Fields(cfg, "an outsider object or null")
+    base = f.model("marginal", marginal_from_config)
+    count = f.integer("count", 1)
+    return f.close(base if count == 1 else f.build(MaxOfIid, base=base, count=count))
 
 
 def simulate_market(cfg: MarketConfig, pool=None):
@@ -138,28 +144,43 @@ def competitor_max_cdf(cfg: MarketConfig, w):
 
 
 def individual_predictor(cfg: MarketConfig, i, x):
-    """E(Z | X_i = x).  Exact quadrature for independent brokers:
+    """E(Z | X_i = x) for independent brokers, by exact quadrature:
     E[max(x, M)] = x + int_x^hi (1 - F_M(w)) dw, which is nondecreasing in x
-    and always >= x.  The dependent case falls back to kernel regression on
-    a dedicated simulated sample.
+    and always >= x.  Dependent brokers have no such form; their predictor
+    is `predictor_table(cfg, i, sample)` on a simulated market.
     """
     if not 0 <= i < cfg.n_brokers:
         raise DomainError(f"broker index {i} out of range 0..{cfg.n_brokers - 1}")
+    if not cfg.iid_brokers:
+        raise DomainError("dependent brokers: use predictor_table(cfg, i, simulate_market(cfg))")
     lo, hi = _price_range(cfg)
     if not (lo <= x <= hi):
         raise ExtrapolationError(f"x={x} outside the price range [{lo:.6g}, {hi:.6g}]")
-    if cfg.iid_brokers:
-        return float(_iid_predictor(cfg, np.array([float(x)]))[0])
-    x_s, _, z_s = simulate_market(cfg)
-    return kernel_regress(x_s[:, i], z_s, x)
+    return float(_iid_predictor(cfg, np.array([float(x)]))[0])
 
 
 def _iid_predictor(cfg: MarketConfig, xs):
-    """x + int_x^hi (1 - F_M(w)) dw at every x of `xs`, one quadrature row
-    each."""
+    """x + int_x^hi (1 - F_M(w)) dw at every x of `xs`.
+
+    1 - F_M has a kink at each finite support endpoint of its factors, which
+    tanh-sinh cannot converge across, so a row is split at the endpoints
+    strictly inside (x, hi); a row without one is a single quadrature row.
+    """
     _, hi = _price_range(cfg)
-    tail = tabulate(lambda rows, w: 1.0 - competitor_max_cdf(cfg, w), xs, np.full_like(xs, hi))
-    return xs + tail
+    factors = [cfg.broker_marginal] if cfg.n_brokers > 1 else []
+    if cfg.outsider is not None:
+        factors.append(cfg.outsider)
+    kinks = sorted({e for m in factors for e in m.support() if math.isfinite(e)})
+    rows, lows, highs = [], [], []
+    for row, x in enumerate(xs):
+        edges = [x, *(e for e in kinks if x < e < hi), hi]
+        rows += [row] * (len(edges) - 1)
+        lows += edges[:-1]
+        highs += edges[1:]
+    pieces = tabulate(
+        lambda _, w: 1.0 - competitor_max_cdf(cfg, w), np.array(lows), np.array(highs)
+    )
+    return xs + np.bincount(rows, weights=pieces, minlength=xs.size)
 
 
 def _price_range(cfg: MarketConfig):
@@ -190,7 +211,8 @@ def predictor_table(cfg: MarketConfig, i=0, sample=None):
 
 
 def coalition_average_predictor(cfg: MarketConfig, prices, tables=None):
-    """Mean over brokers of E(Z | X_i = prices[i])."""
+    """Mean over brokers of E(Z | X_i = prices[i]), from `tables` (one
+    `predictor_table` per broker) or, for independent brokers, by quadrature."""
     prices = np.asarray(prices, dtype=float)
     if prices.shape != (cfg.n_brokers,):
         raise DomainError(f"expected {cfg.n_brokers} prices, got shape {prices.shape}")

@@ -23,6 +23,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from . import quadrature
+from .config import Fields
 from .copulas import Copula, Gaussian, copula_from_config
 from .errors import (
     ConstructionError,
@@ -167,14 +168,16 @@ class BivariateModel:
 
 
 def bivariate_from_config(cfg):
-    try:
-        return BivariateModel(
-            copula=copula_from_config(cfg["copula"]),
-            marginal_x=marginal_from_config(cfg["marginal_x"]),
-            marginal_y=marginal_from_config(cfg["marginal_y"]),
+    """Build a BivariateModel from its JSON-config dict representation;
+    raises ConfigError naming every field at fault."""
+    f = Fields(cfg, "a bivariate model object")
+    return f.close(
+        BivariateModel(
+            copula=f.model("copula", copula_from_config),
+            marginal_x=f.model("marginal_x", marginal_from_config),
+            marginal_y=f.model("marginal_y", marginal_from_config),
         )
-    except KeyError as exc:
-        raise DomainError(f"bivariate model config is missing key {exc}") from exc
+    )
 
 
 def _regression(copula, target: Marginal, conditioner: Marginal, swap):
@@ -300,16 +303,16 @@ class GaussianVector:
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.asarray(cov, dtype=float)
         d = mean.size
-        if d < 2:
-            raise ConstructionError(f"dimension must be >= 2, got {d}")
+        if mean.ndim != 1 or d < 2:
+            raise ConstructionError(f"mean must be 1-D of length >= 2, got {mean.shape}", "mean")
         if cov.shape != (d, d):
-            raise ConstructionError(f"covariance must be {d}x{d}, got {cov.shape}")
+            raise ConstructionError(f"covariance must be {d}x{d}, got {cov.shape}", "cov")
         if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ConstructionError("covariance must be symmetric")
+            raise ConstructionError("covariance must be symmetric", "cov")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
-            raise ConstructionError("covariance must be positive definite") from exc
+            raise ConstructionError("covariance must be positive definite", "cov") from exc
         self.mean = mean
         self.cov = cov
         self._chol = chol
@@ -365,6 +368,8 @@ def equicorrelated_vector(dim, rho, mean=0.0, sd=1.0):
 
 def ar_vector(dim, r, mean=0.0, sd=1.0):
     """Gaussian vector with AR(1)-style covariance sd^2 * r^|i-j|."""
+    if dim < 2:
+        raise ConstructionError(f"dimension must be >= 2, got {dim}", "dim")
     idx = np.arange(dim)
     cov = sd * sd * (float(r) ** np.abs(idx[:, None] - idx[None, :]))
     return GaussianVector(np.full(dim, float(mean)), cov)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
+from .config import Fields
 from .errors import DomainError
 
 
@@ -117,7 +118,7 @@ class Gaussian(Copula):
 
     def __post_init__(self):
         if not (-1.0 < self.rho < 1.0):
-            raise DomainError(f"gaussian copula requires -1 < rho < 1, got {self.rho}")
+            raise DomainError(f"gaussian copula requires -1 < rho < 1, got {self.rho}", "rho")
 
     def _cdf(self, u, v):
         if self.rho == 0.0:
@@ -179,7 +180,7 @@ class FGM(Copula):
 
     def __post_init__(self):
         if not (-1.0 <= self.theta <= 1.0):
-            raise DomainError(f"fgm copula requires -1 <= theta <= 1, got {self.theta}")
+            raise DomainError(f"fgm copula requires -1 <= theta <= 1, got {self.theta}", "theta")
 
     def _cdf(self, u, v):
         return u * v * (1.0 + self.theta * (1.0 - u) * (1.0 - v))
@@ -219,7 +220,7 @@ class Clayton(Copula):
 
     def __post_init__(self):
         if not (self.alpha > 0.0):
-            raise DomainError(f"clayton copula requires alpha > 0, got {self.alpha}")
+            raise DomainError(f"clayton copula requires alpha > 0, got {self.alpha}", "alpha")
 
     def _cdf(self, u, v):
         a = self.alpha
@@ -366,19 +367,17 @@ def sup_distance_swapped(empirical, copula, grid=50):
 
 
 def copula_from_config(cfg):
-    """Build a copula from its JSON-config dict representation."""
-    if not isinstance(cfg, dict) or "family" not in cfg:
-        raise DomainError(f"copula config must be a dict with a 'family' key, got {cfg!r}")
-    family = cfg["family"]
-    try:
-        if family == "independence":
-            return Independence()
-        if family == "gaussian":
-            return Gaussian(rho=float(cfg["rho"]))
-        if family == "fgm":
-            return FGM(theta=float(cfg["theta"]))
-        if family == "clayton":
-            return Clayton(alpha=float(cfg["alpha"]))
-    except KeyError as exc:
-        raise DomainError(f"copula config for {family!r} is missing key {exc}") from exc
-    raise DomainError(f"unknown copula family {family!r}")
+    """Build a copula from its JSON-config dict representation; raises
+    ConfigError naming every field at fault."""
+    f = Fields(cfg, "a copula config object")
+    family = f.choice("family", ("independence", "gaussian", "fgm", "clayton"))
+    c = None
+    if family == "independence":
+        c = Independence()
+    elif family == "gaussian":
+        c = f.build(Gaussian, rho=f.number("rho"))
+    elif family == "fgm":
+        c = f.build(FGM, theta=f.number("theta"))
+    elif family == "clayton":
+        c = f.build(Clayton, alpha=f.number("alpha"))
+    return f.close(c)

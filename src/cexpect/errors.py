@@ -2,7 +2,11 @@
 
 
 class CexpectError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `param` names the argument at fault."""
+
+    def __init__(self, message="", param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class DomainError(CexpectError, ValueError):
@@ -33,8 +37,8 @@ class SampleSizeError(CexpectError, ValueError):
     """Too little data survived simulation for a stable estimate."""
 
 
-class ConfigError(CexpectError, ValueError):
-    """A config file failed validation; carries per-field diagnostics."""
+class ConfigError(DomainError):
+    """A config failed validation; carries per-field diagnostics."""
 
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import quadrature
+from .config import Fields
 from .errors import DomainError
 
 TAIL_EPS = 1e-12
@@ -86,7 +87,7 @@ class Uniform(Marginal):
     def __post_init__(self):
         if not (self.lower < self.upper):
             raise DomainError(
-                f"uniform requires lower < upper, got [{self.lower}, {self.upper}]"
+                f"uniform requires lower < upper, got [{self.lower}, {self.upper}]", "upper"
             )
 
     def cdf(self, x):
@@ -127,7 +128,7 @@ class Exponential(Marginal):
 
     def __post_init__(self):
         if not (self.rate > 0.0):
-            raise DomainError(f"exponential rate must be > 0, got {self.rate}")
+            raise DomainError(f"exponential rate must be > 0, got {self.rate}", "rate")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,7 +146,8 @@ class Exponential(Marginal):
         return -np.log1p(-p) / self.rate
 
     def _isf(self, s):
-        return -np.log(s) / self.rate
+        with np.errstate(divide="ignore"):  # s = 0 is the upper end, +inf
+            return -np.log(s) / self.rate
 
     def mean(self):
         return 1.0 / self.rate
@@ -167,7 +169,7 @@ class Normal(Marginal):
 
     def __post_init__(self):
         if not (self.sd > 0.0):
-            raise DomainError(f"normal sd must be > 0, got {self.sd}")
+            raise DomainError(f"normal sd must be > 0, got {self.sd}", "sd")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -212,10 +214,10 @@ class MaxOfIid(Marginal):
     count: int = 1
 
     def __post_init__(self):
-        if self.base is None or not isinstance(self.base, Marginal):
-            raise DomainError("MaxOfIid requires a base marginal")
         if self.count < 1:
-            raise DomainError(f"MaxOfIid count must be >= 1, got {self.count}")
+            raise DomainError(f"MaxOfIid count must be >= 1, got {self.count}", "count")
+        if not isinstance(self.base, Marginal):
+            raise DomainError("MaxOfIid requires a base marginal", "base")
 
     def cdf(self, x):
         return self.base.cdf(x) ** self.count
@@ -232,8 +234,9 @@ class MaxOfIid(Marginal):
         return self.base._quantile(p ** (1.0 / self.count))
 
     def _isf(self, s):
-        # F = F0^count, so sf0 = 1 - (1 - s)^(1/count).
-        return self.base._isf(-np.expm1(np.log1p(-s) / self.count))
+        # F = F0^count, so sf0 = 1 - (1 - s)^(1/count), which is 1 at s = 1.
+        with np.errstate(divide="ignore"):
+            return self.base._isf(-np.expm1(np.log1p(-s) / self.count))
 
     def mean(self):
         lo, hi = self.truncated_support()
@@ -252,19 +255,18 @@ class MaxOfIid(Marginal):
 
 
 def marginal_from_config(cfg):
-    """Build a marginal from its JSON-config dict representation."""
-    if not isinstance(cfg, dict) or "family" not in cfg:
-        raise DomainError(f"marginal config must be a dict with a 'family' key, got {cfg!r}")
-    family = cfg["family"]
-    try:
-        if family == "uniform":
-            return Uniform(lower=float(cfg["lower"]), upper=float(cfg["upper"]))
-        if family == "exponential":
-            return Exponential(rate=float(cfg["rate"]))
-        if family == "normal":
-            return Normal(mean_=float(cfg["mean"]), sd=float(cfg["sd"]))
-        if family == "max-of-iid":
-            return MaxOfIid(base=marginal_from_config(cfg["base"]), count=int(cfg["count"]))
-    except KeyError as exc:
-        raise DomainError(f"marginal config for {family!r} is missing key {exc}") from exc
-    raise DomainError(f"unknown marginal family {family!r}")
+    """Build a marginal from its JSON-config dict representation; raises
+    ConfigError naming every field at fault."""
+    f = Fields(cfg, "a marginal config object")
+    family = f.choice("family", ("uniform", "exponential", "normal", "max-of-iid"))
+    m = None
+    if family == "uniform":
+        m = f.build(Uniform, lower=f.number("lower"), upper=f.number("upper"))
+    elif family == "exponential":
+        m = f.build(Exponential, rate=f.number("rate"))
+    elif family == "normal":
+        m = f.build(Normal, mean_=f.number("mean"), sd=f.number("sd"))
+    elif family == "max-of-iid":
+        base = f.model("base", marginal_from_config)
+        m = f.build(MaxOfIid, base=base, count=f.integer("count"))
+    return f.close(m)

@@ -165,6 +165,12 @@ def window_conditional_mean(matrix, j, x0, halfwidth):
     return float(np.mean(matrix[mask, n - 1])), count
 
 
+def check_markov_order(n):
+    """The Markov check conditions on two order statistics below the maximum."""
+    if n < 3:
+        raise DomainError(f"markov check needs n >= 3, got {n}", "n")
+
+
 def markov_property_check(
     m: Marginal,
     n,
@@ -185,8 +191,7 @@ def markov_property_check(
     detrended residuals are split by X_{n-2:n} sub-bins and each sub-bin mean
     is tested against 0.  satisfied <=> max |z| <= 4.
     """
-    if n < 3:
-        raise DomainError(f"markov check needs n >= 3, got {n}")
+    check_markov_order(n)
     matrix = order_stat_matrix(m, n, n_samples, seed, pool=pool)
     t = matrix[:, n - 1]
     w = matrix[:, n - 2]
@@ -243,13 +248,18 @@ def markov_property_check(
     return ExperimentResult(experiment=base, reports=[report], details=details)
 
 
+def check_order_indices(n, k, l):
+    """The domain of `mse_order_inequality`: 1 <= k <= l <= n - 1."""
+    if not (1 <= k <= l <= n - 1):
+        raise DomainError(f"need 1 <= k <= l <= n-1, got k={k}, l={l}, n={n}")
+
+
 def mse_order_inequality(m: Marginal, n, k, l, n_samples, seed, pool=None, name=None):
     """Eq. between order statistics: conditioning on a higher order statistic
     predicts the maximum at least as well.  lhs conditions on X_{l:n}, rhs on
     X_{k:n}, k <= l; k = l degenerates to exact equality.
     """
-    if not (1 <= k <= l <= n - 1):
-        raise DomainError(f"need 1 <= k <= l <= n-1, got k={k}, l={l}, n={n}")
+    check_order_indices(n, k, l)
     reg_k = max_regression(m, n, k)
     reg_l = reg_k if l == k else max_regression(m, n, l)
     matrix = order_stat_matrix(m, n, n_samples, seed, pool=pool)
@@ -319,9 +329,9 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
     deterministic per (seed, chunk), independent of worker count.
     """
     if depth < 3:
-        raise DomainError(f"record depth must be >= 3, got {depth}")
+        raise DomainError(f"record depth must be >= 3, got {depth}", "depth")
     if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
+        raise DomainError(f"cap must be >= 1, got {cap}", "cap")
     # Record times are float64, so a cap beyond its range means no cap.
     limit = float(min(cap, sys.float_info.max))
 
@@ -385,6 +395,17 @@ class RecordMseResult:
     details: dict
 
 
+def check_record_mse(n, lag, cap):
+    """The domain of `record_predictor_mse`: depth n >= 3, lag 1 or 2, and a
+    cap of at least n draws, the earliest a depth-n record can come."""
+    if n < 3:
+        raise DomainError(f"record depth must be >= 3, got {n}", "n")
+    if lag not in (1, 2):
+        raise DomainError(f"lag must be 1 or 2, got {lag}", "lag")
+    if cap < n:
+        raise DomainError(f"cap must be >= the record depth {n}, got {cap}", "cap")
+
+
 def record_predictor_mse(
     m: Marginal,
     n,
@@ -403,10 +424,7 @@ def record_predictor_mse(
     regression over the simulated record pairs, so the comparison treats
     both lags identically; closed forms serve as oracles in tests only.
     """
-    if lag not in (1, 2):
-        raise DomainError(f"lag must be 1 or 2, got {lag}")
-    if n < 3:
-        raise DomainError(f"record depth must be >= 3, got {n}")
+    check_record_mse(n, lag, cap)
     batch = simulate_records(m, n, n_samples, seed, cap=cap, pool=pool)
     kept = batch.values.shape[0]
     if kept < 1000:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
+
 SCHEMA_VERSION = 1
 CSV_HEADER = ["name", "lhs", "rhs", "se", "n", "seed", "satisfied", "margin_sigmas"]
 
@@ -24,14 +26,21 @@ INEQUALITY_SLACK_SIGMAS = 3.0
 EQUALITY_SLACK_SIGMAS = 4.0
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Paired Monte Carlo estimates of two MSEs and a satisfied verdict.
+def check_sample_size(n_samples):
+    """A paired report and its standard error need at least 1000 draws."""
+    if n_samples < 1000:
+        raise DomainError(f"reports need n_samples >= 1000, got {n_samples}", "n_samples")
 
-    satisfied <=> lhs_estimate <= rhs_estimate + 3 * paired_diff_se, where
+
+@dataclass(frozen=True)
+class PairedReport:
+    """Paired Monte Carlo estimates of two quantities and a satisfied verdict.
+
     paired_diff_se is the standard error of the per-draw difference under
     common random numbers (exactly 0 when both sides are the same
-    computation, so degenerate cases report margin exactly 0).
+    computation, so degenerate cases report margin exactly 0).  `kind`, not
+    serialized, names the verdict: "inequality" is lhs <= rhs + 3 * se,
+    "equality" is |lhs - rhs| <= 4 * se; margin_sigmas is (rhs - lhs) / se.
     """
 
     name: str
@@ -42,6 +51,7 @@ class InequalityReport:
     seed: int
     satisfied: bool
     margin_sigmas: float
+    kind: str = "inequality"
 
     def csv_row(self):
         return [
@@ -69,19 +79,18 @@ class InequalityReport:
 
 
 def inequality_report(name, lhs_sq, rhs_sq, seed):
-    """Build an InequalityReport from paired per-draw squared errors."""
+    """Build an inequality PairedReport from paired per-draw squared errors."""
     lhs_sq = np.asarray(lhs_sq, dtype=float)
     rhs_sq = np.asarray(rhs_sq, dtype=float)
     n = lhs_sq.size
-    if n < 1000:
-        raise ValueError(f"reports need n_samples >= 1000, got {n}")
+    check_sample_size(n)
     lhs = float(np.mean(lhs_sq))
     rhs = float(np.mean(rhs_sq))
     d = lhs_sq - rhs_sq
     se = float(np.std(d, ddof=1)) / math.sqrt(n)
     satisfied = lhs <= rhs + INEQUALITY_SLACK_SIGMAS * se
     margin = (rhs - lhs) / se if se > 0.0 else 0.0
-    return InequalityReport(
+    return PairedReport(
         name=name,
         lhs_estimate=lhs,
         rhs_estimate=rhs,
@@ -93,53 +102,15 @@ def inequality_report(name, lhs_sq, rhs_sq, seed):
     )
 
 
-@dataclass(frozen=True)
-class EqualityCheck:
-    """Two-sided paired check: |lhs - rhs| within 4 paired standard errors."""
-
-    name: str
-    lhs_estimate: float
-    rhs_estimate: float
-    paired_diff_se: float
-    n_samples: int
-    seed: int
-    satisfied: bool
-    margin_sigmas: float  # signed (rhs - lhs) / se
-
-    def csv_row(self):
-        return [
-            self.name,
-            repr(self.lhs_estimate),
-            repr(self.rhs_estimate),
-            repr(self.paired_diff_se),
-            str(self.n_samples),
-            str(self.seed),
-            "true" if self.satisfied else "false",
-            repr(self.margin_sigmas),
-        ]
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "lhs_estimate": self.lhs_estimate,
-            "rhs_estimate": self.rhs_estimate,
-            "paired_diff_se": self.paired_diff_se,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "satisfied": self.satisfied,
-            "margin_sigmas": self.margin_sigmas,
-        }
-
-
 def equality_check(name, lhs, rhs, diff_values, seed):
-    """Build an EqualityCheck from the per-draw paired difference sample."""
+    """Build an equality PairedReport from the per-draw paired difference sample."""
     diff_values = np.asarray(diff_values, dtype=float)
     n = diff_values.size
     se = float(np.std(diff_values, ddof=1)) / math.sqrt(n)
     gap = abs(lhs - rhs)
     satisfied = gap <= EQUALITY_SLACK_SIGMAS * se if se > 0.0 else gap == 0.0
     margin = (rhs - lhs) / se if se > 0.0 else 0.0
-    return EqualityCheck(
+    return PairedReport(
         name=name,
         lhs_estimate=float(lhs),
         rhs_estimate=float(rhs),
@@ -148,6 +119,7 @@ def equality_check(name, lhs, rhs, diff_values, seed):
         seed=int(seed),
         satisfied=bool(satisfied),
         margin_sigmas=float(margin),
+        kind="equality",
     )
 
 

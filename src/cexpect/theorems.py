@@ -22,9 +22,10 @@ from .condexp import (
     RegressionFunction,
     chebyshev_nodes,
 )
+from .config import Fields
 from .copulas import EmpiricalCopula, sup_distance, sup_distance_swapped
 from .errors import ConstructionError, DomainError, UnsupportedModelError
-from .marginals import Marginal, Normal
+from .marginals import Marginal, Normal, Uniform, marginal_from_config
 from .quadrature import tabulate
 from .reports import (
     ExperimentResult,
@@ -55,11 +56,19 @@ class GaussianCopies:
 
     def __init__(self, n_copies, rho_xx, rho_xy, mean_x=0.0, sd_x=1.0, mean_y=0.0, sd_y=1.0):
         if n_copies < 1:
-            raise ConstructionError(f"n_copies must be >= 1, got {n_copies}")
-        if sd_x <= 0 or sd_y <= 0:
-            raise ConstructionError("standard deviations must be positive")
+            raise ConstructionError(f"n_copies must be >= 1, got {n_copies}", "n_copies")
+        for param, sd in (("sd_x", sd_x), ("sd_y", sd_y)):
+            if not sd > 0:
+                raise ConstructionError(f"{param} must be > 0, got {sd}", param)
         if not (-1.0 < rho_xy < 1.0):
-            raise ConstructionError(f"rho_xy must be in (-1, 1), got {rho_xy}")
+            raise ConstructionError(f"rho_xy must be in (-1, 1), got {rho_xy}", "rho_xy")
+        if not -1.0 <= rho_xx <= 1.0:
+            raise ConstructionError(f"rho_xx must be in [-1, 1], got {rho_xx}", "rho_xx")
+        if n_copies > 1 and rho_xx <= -1.0 / (n_copies - 1):
+            raise ConstructionError(
+                f"rho_xx must be > -1/(n_copies-1) = {-1.0 / (n_copies - 1):.6g}, got {rho_xx}",
+                "rho_xx",
+            )
         self.n_copies = int(n_copies)
         self.rho_xx = float(rho_xx)
         self.rho_xy = float(rho_xy)
@@ -127,9 +136,9 @@ class ConditionalIidCopies:
 
     def __init__(self, n_copies, beta, y_marginal: Marginal, noise: Marginal):
         if n_copies < 1:
-            raise ConstructionError(f"n_copies must be >= 1, got {n_copies}")
+            raise ConstructionError(f"n_copies must be >= 1, got {n_copies}", "n_copies")
         if beta == 0.0:
-            raise ConstructionError("beta must be nonzero")
+            raise ConstructionError("beta must be nonzero", "beta")
         self.n_copies = int(n_copies)
         self.beta = float(beta)
         self.y_marginal = y_marginal
@@ -162,36 +171,45 @@ class ConditionalIidCopies:
 
         num = tabulate(lambda rows, y: y * weight(rows, y), lo[open_rows], hi[open_rows])
         den = tabulate(weight, lo[open_rows], hi[open_rows])
-        values = np.empty_like(grid)
-        values[open_rows] = num / den
-        # A node with an empty y-interval copies the previous node's value.
-        for i in np.flatnonzero(hi <= lo):
-            values[i] = values[i - 1] if i else self.y_marginal.mean()
+        values = np.full_like(grid, np.nan)
+        has_mass = den > 0
+        values[open_rows[has_mass]] = num[has_mass] / den[has_mass]
+        # A node with an empty y-interval, or whose joint density underflows
+        # to 0 (far tails of a max-of-iid), carries no mass: it copies the
+        # previous computed node's value, or the first one before any.
+        known = np.flatnonzero(~np.isnan(values))
+        if known.size:
+            nodes = np.arange(grid.size)
+            values = values[known[np.maximum(np.searchsorted(known, nodes, side="right") - 1, 0)]]
         return RegressionFunction(grid, values)
 
 
 def copies_model_from_config(cfg):
-    kind = cfg.get("kind", "gaussian-copies")
+    """Build a copies model from its JSON-config dict representation; raises
+    ConfigError naming every field at fault."""
+    f = Fields(cfg, "a copies model object")
+    kind = f.choice("kind", ("gaussian-copies", "conditional-iid"), default="gaussian-copies")
+    model = None
     if kind == "gaussian-copies":
-        return GaussianCopies(
-            n_copies=int(cfg["n_copies"]),
-            rho_xx=float(cfg.get("rho_xx", 0.0)),
-            rho_xy=float(cfg["rho_xy"]),
-            mean_x=float(cfg.get("mean_x", 0.0)),
-            sd_x=float(cfg.get("sd_x", 1.0)),
-            mean_y=float(cfg.get("mean_y", 0.0)),
-            sd_y=float(cfg.get("sd_y", 1.0)),
+        model = f.build(
+            GaussianCopies,
+            n_copies=f.integer("n_copies"),
+            rho_xx=f.number("rho_xx"),
+            rho_xy=f.number("rho_xy"),
+            mean_x=f.number("mean_x", 0.0),
+            sd_x=f.number("sd_x", 1.0),
+            mean_y=f.number("mean_y", 0.0),
+            sd_y=f.number("sd_y", 1.0),
         )
-    if kind == "conditional-iid":
-        from .marginals import marginal_from_config
-
-        return ConditionalIidCopies(
-            n_copies=int(cfg["n_copies"]),
-            beta=float(cfg["beta"]),
-            y_marginal=marginal_from_config(cfg["y"]),
-            noise=marginal_from_config(cfg["noise"]),
+    elif kind == "conditional-iid":
+        model = f.build(
+            ConditionalIidCopies,
+            n_copies=f.integer("n_copies"),
+            beta=f.number("beta"),
+            y_marginal=f.model("y", marginal_from_config),
+            noise=f.model("noise", marginal_from_config),
         )
-    raise DomainError(f"unknown copies-model kind {kind!r}")
+    return f.close(model)
 
 
 def default_copies_battery():
@@ -202,8 +220,6 @@ def default_copies_battery():
     and collapsing rho_xx for n=1 (it has no effect with a single copy).
     Adds two comonotone cells and one conditional-iid cell.
     """
-    from .marginals import Uniform
-
     models = []
     for rho_xy in (0.2, 0.5):
         models.append(GaussianCopies(1, 0.0, rho_xy))
@@ -270,9 +286,8 @@ def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, name=None, du
     conditioning collapses to the single distinct value and the report shows
     margin exactly 0.
     """
+    check_theorem3_dim(v.dim, duplicate_last)
     if duplicate_last:
-        if v.dim != 2:
-            raise DomainError("duplicate_last requires a 2-dimensional vector")
         mat = simulate_chunked(
             lambda rng, count: (v.sample(rng, count),), n_samples, seed, TAG_MAIN, pool=pool
         )[0]
@@ -287,8 +302,6 @@ def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, name=None, du
             "mse_z": base.residual_variance(0, (1,)),
         }
     else:
-        if v.dim != 3:
-            raise DomainError(f"theorem3 needs a 3-dimensional vector, got d={v.dim}")
         mat = simulate_chunked(
             lambda rng, count: (v.sample(rng, count),), n_samples, seed, TAG_MAIN, pool=pool
         )[0]
@@ -310,11 +323,35 @@ def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, name=None, du
     return Theorem3Result(report=report, closed_form=closed)
 
 
+def check_theorem3_dim(dim, duplicate_last=False):
+    """Theorem 3 takes (X, Y, Z), or (X, Y) when Z duplicates Y."""
+    want = 2 if duplicate_last else 3
+    if dim != want:
+        raise DomainError(f"theorem3 needs a {want}-dimensional vector, got d={dim}", "dim")
+
+
 def _linear_pred(v: GaussianVector, target, given, mat):
     if len(given) == 0:
         return np.full(mat.shape[0], v.mean[target])
     intercept, coefs = v.conditional_coefficients(target, given)
     return intercept + mat[:, list(given)] @ coefs
+
+
+def chain_index_sets(dim, index_sets, target):
+    """The index sets of a corollary chain, each sorted, after checking that
+    they are at least two, nested, and inside 0..dim-1 without `target`."""
+    sets = [tuple(sorted(s)) for s in index_sets]
+    if len(sets) < 2:
+        raise DomainError("need at least two index sets", "index_sets")
+    for pos, s in enumerate(sets):
+        param = f"index_sets[{pos}]"
+        if target in s:
+            raise DomainError("an index set must not contain the target index", param)
+        if any(not 0 <= i < dim for i in s):
+            raise DomainError(f"indices out of range for dimension {dim}", param)
+        if pos and not set(sets[pos - 1]).issubset(s):
+            raise DomainError("index sets must be nested: this set misses an earlier index", param)
+    return sets
 
 
 def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, target=None, pool=None, name=None):
@@ -323,18 +360,7 @@ def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, targe
     """
     if target is None:
         target = v.dim - 1
-    sets = [tuple(sorted(s)) for s in index_sets]
-    if len(sets) < 2:
-        raise DomainError("need at least two index sets")
-    for s in sets:
-        if any(i == target for i in s):
-            raise DomainError(f"target {target} must not appear in index sets")
-        if any(not 0 <= i < v.dim for i in s):
-            raise DomainError(f"index set {s} out of range for dimension {v.dim}")
-    for small, large in zip(sets, sets[1:]):
-        if not set(small).issubset(large):
-            raise DomainError(f"index sets must be nested: {small} is not a subset of {large}")
-
+    sets = chain_index_sets(v.dim, index_sets, target)
     mat = simulate_chunked(
         lambda rng, count: (v.sample(rng, count),), n_samples, seed, TAG_MAIN, pool=pool
     )[0]
@@ -417,6 +443,14 @@ def covariance_counterexample(v: GaussianVector):
     return predictor_pair_covariance(rho, cov_xy), cov_xy
 
 
+def check_copula_swap(grid, threshold):
+    """A lattice of grid >= 2 points a side and a positive threshold."""
+    if grid < 2:
+        raise DomainError(f"grid must be >= 2, got {grid}", "grid")
+    if not threshold > 0:
+        raise DomainError(f"threshold must be > 0, got {threshold}", "threshold")
+
+
 def verify_copula_theorem(
     model: BivariateModel,
     n_samples,
@@ -433,6 +467,7 @@ def verify_copula_theorem(
     Compares the empirical copula of (Z1, Z2) against C(s, t) and, since all
     supported families are exchangeable, against C(t, s) as well.
     """
+    check_copula_swap(grid, threshold)
     phi = model.phi()
     psi = model.psi()
     for label, f in (("phi", phi), ("psi", psi)):
@@ -498,6 +533,20 @@ def martingale_exact_mse(n, k):
     return float(n + 1 - k)
 
 
+def martingale_subsets(walk_length, subsets):
+    """The subsets of 1..walk_length to score, each deduplicated and sorted."""
+    if walk_length < 1:
+        raise DomainError(f"walk length must be >= 1, got {walk_length}", "walk_length")
+    if not subsets:
+        raise DomainError("need at least one subset", "subsets")
+    subsets = [tuple(sorted(set(subset))) for subset in subsets]
+    for pos, subset in enumerate(subsets):
+        if subset and (subset[0] < 1 or subset[-1] > walk_length):
+            message = f"subset {list(subset)} must lie within 1..{walk_length}"
+            raise DomainError(message, f"subsets[{pos}]")
+    return subsets
+
+
 def martingale_checks(walk_length, n_samples, seed, subsets, pool=None, names=None):
     """Martingale forecast checks on the symmetric +/-1 random walk.
 
@@ -509,12 +558,7 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None, names=No
     order, named by `names` when given.
     """
     n = int(walk_length)
-    if n < 1:
-        raise DomainError(f"walk length must be >= 1, got {n}")
-    subsets = [tuple(sorted(set(int(k) for k in subset))) for subset in subsets]
-    for subset in subsets:
-        if subset and (subset[0] < 1 or subset[-1] > n):
-            raise DomainError(f"subset {subset} must lie within 1..{n}")
+    subsets = martingale_subsets(n, [[int(k) for k in subset] for subset in subsets])
 
     def worker(rng, count):
         steps = rng.integers(0, 2, size=(count, n + 1)).astype(np.float64) * 2.0 - 1.0

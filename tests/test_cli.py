@@ -2,6 +2,9 @@
 and the `cexpect verify` command: exit codes and worker-independent reports."""
 
 import json
+import math
+
+import pytest
 
 from cexpect import cli
 from cexpect.cli import validate_config
@@ -143,3 +146,82 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True, timeout=120
     )
     assert done.stdout.strip() == "False"
+
+
+def _suite_with(name, **changes):
+    return {**cli.default_suite()[name], **changes}
+
+
+_COPIES = {"kind": "gaussian-copies", "n_copies": 3, "rho_xx": 0.3, "rho_xy": 0.5}
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+_EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+_BIV = cli.default_suite()["covariance"]["model"]
+_EXP1 = {"family": "exponential", "rate": 1.0}
+_UNBOUNDED = {"family": "uniform", "lower": 0.0, "upper": math.inf}
+
+# (config, the field its diagnostic must name); each used to pass `validate`
+# and then fail or run anyway, or crashed `validate` itself.
+REJECTED = {
+    "copies-sd-zero": (_suite_with("theorem1", model={**_COPIES, "sd_x": 0}), "model.sd_x"),
+    "copies-sd-string": (_suite_with("theorem2", model={**_COPIES, "sd_x": "a"}), "model.sd_x"),
+    "copies-no-rho-xx": (
+        _suite_with("theorem1", model={k: v for k, v in _COPIES.items() if k != "rho_xx"}),
+        "model.rho_xx",
+    ),
+    "theorem12-no-model": (
+        {k: v for k, v in cli.default_suite()["theorem1"].items() if k != "model"},
+        "model",
+    ),
+    "theorem3-mean-string": (
+        _suite_with("theorem3", model={"kind": "explicit", "mean": "x", "cov": _EYE3}),
+        "model.mean",
+    ),
+    "theorem3-2d": (
+        _suite_with("theorem3", model={"kind": "explicit", "mean": [0.0, 0.0], "cov": _EYE2}),
+        "model.mean",
+    ),
+    "chain-bogus-kind": (
+        _suite_with("corollary-chain", model={"kind": "bogus", "r": 0.6, "dim": 4}),
+        "model.kind",
+    ),
+    "chain-bool-index": (
+        _suite_with("corollary-chain", index_sets=[[True], [1, 2]]),
+        "index_sets[0]",
+    ),
+    "martingale-bool-index": (_suite_with("martingale", subsets=[[True]]), "subsets[0]"),
+    "uniform-upper-infinity": (
+        _suite_with("copula-swap", models=[{**_BIV, "marginal_x": _UNBOUNDED}]),
+        "models[0].marginal_x.upper",
+    ),
+    "rho-nan": (
+        _suite_with("covariance", model={**_BIV, "copula": {"family": "gaussian", "rho": math.nan}}),
+        "model.copula.rho",
+    ),
+    "copies-float-count": (
+        _suite_with("theorem1", model={**_COPIES, "n_copies": 1.5}),
+        "model.n_copies",
+    ),
+    "records-float-depth": (_suite_with("records", depth=4.0), "depth"),
+    "order-float-n": (
+        _suite_with("order-stats", cases=[{"marginal": _EXP1, "n": 5.0, "k": 3, "l": 4}]),
+        "cases[0].n",
+    ),
+    "brokers-float-count": (
+        _suite_with("coalition", brokers={"count": 2.5, "marginal": _EXP1}),
+        "brokers.count",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_config_names_its_field(case, tmp_path, capsys):
+    cfg, field = REJECTED[case]
+    config = _write_config(tmp_path, cfg)
+    assert _validate("--config", config) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and "Traceback" not in err
+    out = tmp_path / "out"
+    assert _verify(cfg["experiment"], "--config", config, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and "Traceback" not in err
+    assert not out.exists()

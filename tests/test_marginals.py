@@ -1,6 +1,7 @@
 """Marginal families: closed-form values, inversion, sampling, quadrature mass."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ class TestInversion:
         assert float(Normal(1.5, 0.7)._isf(1e-200)) == pytest.approx(
             1.5 + 0.7 * stats.norm.isf(1e-200), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            Exponential(2.0),
+            MaxOfIid(base=Exponential(), count=50),
+            MaxOfIid(base=Uniform(-1.0, 2.0), count=3),
+        ],
+        ids=str,
+    )
+    def test_isf_support_ends_exact_and_silent(self, m):
+        # s = 0 is the upper support end and s = 1 the lower one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = m._isf(np.array([0.0, 1.0]))
+        assert ends.tolist() == list(m.support())[::-1]
 
 
 class TestSampling:

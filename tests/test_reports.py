@@ -118,3 +118,46 @@ def test_config_hash_stable_under_reordering():
     b = {"nested": {"a": [1, 2], "b": 2.5}, "x": 1}
     assert canonical_config_hash(a) == canonical_config_hash(b)
     assert canonical_config_hash(a) != canonical_config_hash({"x": 2})
+
+
+def _golden_result():
+    x = np.arange(1000, dtype=float) / 1000.0
+    return ExperimentResult(
+        experiment="golden",
+        reports=[
+            inequality_report("golden/inequality", x**2, x, seed=3),
+            equality_check("golden/equality", 0.25, 0.26, np.sin(np.arange(1000.0)), seed=4),
+            threshold_report("golden/threshold", 0.01, 0.02, 1000, 5),
+        ],
+        details={"k": 1},
+    )
+
+
+GOLDEN_JSON = (
+    '{\n  "details": {\n    "k": 1\n  },\n  "experiment": "golden",\n  "reports": [\n'
+    '    {\n      "lhs_estimate": 0.33283349999999995,\n      "margin_sigmas": 70.67488988784726,\n'
+    '      "n_samples": 1000,\n      "name": "golden/inequality",\n'
+    '      "paired_diff_se": 0.0023582137908453793,\n      "rhs_estimate": 0.4995,\n'
+    '      "satisfied": true,\n      "seed": 3\n    },\n'
+    '    {\n      "lhs_estimate": 0.25,\n      "margin_sigmas": 0.4472096372996774,\n'
+    '      "n_samples": 1000,\n      "name": "golden/equality",\n'
+    '      "paired_diff_se": 0.022360877686763623,\n      "rhs_estimate": 0.26,\n'
+    '      "satisfied": true,\n      "seed": 4\n    },\n'
+    '    {\n      "n_samples": 1000,\n      "name": "golden/threshold",\n      "satisfied": true,\n'
+    '      "seed": 5,\n      "statistic": 0.01,\n      "threshold": 0.02\n    }\n'
+    '  ],\n  "schema_version": 1\n}\n'
+)
+
+GOLDEN_CSV = (
+    "name,lhs,rhs,se,n,seed,satisfied,margin_sigmas\n"
+    "golden/inequality,0.33283349999999995,0.4995,0.0023582137908453793,1000,3,true,70.67488988784726\n"
+    "golden/equality,0.25,0.26,0.022360877686763623,1000,4,true,0.4472096372996774\n"
+    "golden/threshold,0.01,0.02,0.0,1000,5,true,0.01\n"
+)
+
+
+def test_golden_report_bytes():
+    # One report of each kind, pinned byte for byte in both formats.
+    result = _golden_result()
+    assert render_json(result.to_json_dict()) == GOLDEN_JSON.encode()
+    assert render_csv(result.reports) == GOLDEN_CSV.encode()

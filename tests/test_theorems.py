@@ -9,7 +9,7 @@ from scipy.stats import norm
 from cexpect.condexp import BivariateModel, GaussianVector, ar_vector, equicorrelated_vector
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
-from cexpect.marginals import Normal, Uniform
+from cexpect.marginals import MaxOfIid, Normal, Uniform
 from cexpect.theorems import (
     ConditionalIidCopies,
     GaussianCopies,
@@ -74,6 +74,15 @@ class TestCopiesModels:
         a, b = np.minimum(sign * a, sign * b), np.maximum(sign * a, sign * b)
         expected = sign * (norm.pdf(a) - norm.pdf(b)) / (norm.cdf(b) - norm.cdf(a))
         assert np.max(np.abs(predictor.values - expected)) <= 1e-8
+
+    def test_predictor_where_the_joint_density_underflows(self):
+        # Near x = -1.8 both factors of f_Y(y) f_eps(x - beta y) are about
+        # F^49 with F tiny, so the weight underflows to 0 on whole rows.
+        peaked = MaxOfIid(base=Uniform(-1, 1), count=50)
+        predictor = ConditionalIidCopies(1, 0.8, peaked, peaked).predictor()
+        assert np.all(np.isfinite(predictor.values))
+        assert np.all((predictor.values >= -1.0) & (predictor.values <= 1.0))
+        assert np.all(np.diff(predictor.values) >= 0.0)
 
 
 class TestTheorem1:
