@@ -23,7 +23,7 @@ from .errors import ConstructionError, DomainError, ExtrapolationError
 from .marginals import Marginal, MaxOfIid, marginal_from_config
 from .quadrature import tabulate
 from .reports import ExperimentResult, check_sample_size, inequality_report
-from .rng import simulate_chunked
+from .rng import check_row_width, simulate_chunked
 
 TAG_MARKET = 5
 PREDICTOR_NODES = 201
@@ -50,6 +50,7 @@ class MarketConfig:
         k = self.n_brokers
         if k < 1:
             raise ConstructionError(f"n_brokers must be >= 1, got {k}", "n_brokers")
+        check_row_width(k, "n_brokers")
         floor = -1.0 / (k - 1) if k > 1 else -1.0
         if self.rho_xx is not None and not (floor < self.rho_xx < 1.0):
             raise ConstructionError(

@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .marginals import Marginal, Normal, marginal_from_config
+from .rng import check_row_width
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -322,8 +323,9 @@ class GaussianVector:
         return self.mean.size
 
     def sample(self, rng, n):
-        z = rng.standard_normal((n, self.dim))
-        return self.mean + z @ self._chol.T
+        x = rng.standard_normal((n, self.dim)) @ self._chol.T
+        x += self.mean
+        return x
 
     def conditional_coefficients(self, target, given):
         """(intercept, coefs) with E(X_t | X_g = v) = intercept + coefs @ v."""
@@ -361,6 +363,7 @@ def gaussian_conditional(v: GaussianVector, target, given, values):
 
 def equicorrelated_vector(dim, rho, mean=0.0, sd=1.0):
     """Standard equicorrelated GaussianVector helper."""
+    check_row_width(dim, "dim")
     cov = np.full((dim, dim), rho * sd * sd)
     np.fill_diagonal(cov, sd * sd)
     return GaussianVector(np.full(dim, float(mean)), cov)
@@ -370,6 +373,7 @@ def ar_vector(dim, r, mean=0.0, sd=1.0):
     """Gaussian vector with AR(1)-style covariance sd^2 * r^|i-j|."""
     if dim < 2:
         raise ConstructionError(f"dimension must be >= 2, got {dim}", "dim")
+    check_row_width(dim, "dim")
     idx = np.arange(dim)
     cov = sd * sd * (float(r) ** np.abs(idx[:, None] - idx[None, :]))
     return GaussianVector(np.full(dim, float(mean)), cov)

@@ -295,7 +295,8 @@ class EmpiricalCopula:
 
     Normalized ranks are rank/(N+1) with ties broken deterministically by
     original index (the ranks of a stable argsort), so evaluation is
-    reproducible.
+    reproducible.  The integer ranks are kept (int32 while N < 2**31); the
+    normalized ones are derived on demand.
     """
 
     def __init__(self, x, y):
@@ -313,35 +314,66 @@ class EmpiricalCopula:
                 f"x value(s) and {bad_y} non-finite y value(s) of {x.size}"
             )
         self.n = x.size
-        self.ranks_u = self._normalized_ranks(x)
-        self.ranks_v = self._normalized_ranks(y)
+        self._rank_u = self._ranks(x)
+        self._rank_v = self._ranks(y)
         self._lattices = {}
 
     @staticmethod
-    def _normalized_ranks(values):
-        order = _stable_argsort(values)
-        ranks = np.empty(values.size, dtype=float)
-        ranks[order] = np.arange(1, values.size + 1, dtype=float)
-        return ranks / (values.size + 1)
+    def _ranks(values):
+        """Ranks 1..N of a stable argsort, in the narrowest of int32/int64."""
+        dtype = np.int32 if values.size < 2**31 else np.int64
+        ranks = np.empty(values.size, dtype=dtype)
+        ranks[_stable_argsort(values)] = np.arange(1, values.size + 1, dtype=dtype)
+        return ranks
+
+    @property
+    def ranks_u(self):
+        """Normalized ranks rank/(N+1) of the first coordinate."""
+        return self._rank_u / (self.n + 1)
+
+    @property
+    def ranks_v(self):
+        """Normalized ranks rank/(N+1) of the second coordinate."""
+        return self._rank_v / (self.n + 1)
 
     def cdf(self, u, v):
         """Fraction of sample points whose normalized ranks are <= (u, v)."""
         return float(np.count_nonzero((self.ranks_u <= u) & (self.ranks_v <= v))) / self.n
 
+    def _rank_bins(self, levels):
+        """Bin of every rank 0..N: the index of the smallest level >= rank/(N+1),
+        as np.searchsorted(levels, rank / (N+1), side="left") gives it.
+
+        The bins rise with the rank, so the table is found from one count
+        per level, #{r : r/(N+1) <= level}.  Each count is located exactly
+        by testing the ranks near level * (N+1), whose floating-point error
+        is far below one rank.
+        """
+        n = self.n
+        guess = np.floor(levels * (n + 1)).astype(np.int64)
+        near = guess[:, None] + np.arange(-2, 3)
+        inside = (near >= 0) & (near <= n) & (near / (n + 1) <= levels[:, None])
+        counts = np.clip(guess - 2, 0, n + 1) + np.count_nonzero(inside, axis=1)
+        per_bin = np.diff(counts, prepend=0, append=n + 1)
+        return np.repeat(np.arange(levels.size + 1, dtype=self._rank_u.dtype), per_bin)
+
     def lattice(self, grid):
         """Empirical copula on the grid x grid lattice over [0, 1]^2.
 
         O(N + grid^2): bin each point at the smallest lattice level covering
-        its rank, then take the 2-D cumulative sum.  Built once per grid;
-        the returned arrays are shared and read-only.
+        its rank, through one bin table indexed by rank, then take the 2-D
+        cumulative sum.  Built once per grid; the returned arrays are shared
+        and read-only.
         """
         if grid < 2:
             raise DomainError(f"grid must be >= 2, got {grid}")
         if grid not in self._lattices:
             levels = np.linspace(0.0, 1.0, grid)
-            iu = np.searchsorted(levels, self.ranks_u, side="left")
-            iv = np.searchsorted(levels, self.ranks_v, side="left")
-            counts = np.bincount(iu * (grid + 1) + iv, minlength=(grid + 1) ** 2)
+            bins = self._rank_bins(levels)
+            cell = bins[self._rank_u].astype(np.intp)
+            cell *= grid + 1
+            cell += bins[self._rank_v]
+            counts = np.bincount(cell, minlength=(grid + 1) ** 2)
             counts = counts.reshape(grid + 1, grid + 1)
             table = counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / self.n
             levels.flags.writeable = False

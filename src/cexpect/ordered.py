@@ -27,7 +27,7 @@ from .errors import DomainError, SampleSizeError
 from .marginals import Exponential, Marginal, Uniform
 from .quadrature import integrate, tabulate
 from .reports import ExperimentResult, inequality_report, threshold_report
-from .rng import run_chunked, simulate_chunked
+from .rng import check_row_width, run_chunked, simulate_chunked
 
 TAG_ORDER = 3
 TAG_RECORDS = 4
@@ -250,6 +250,7 @@ def markov_property_check(
 
 def check_order_indices(n, k, l):
     """The domain of `mse_order_inequality`: 1 <= k <= l <= n - 1."""
+    check_row_width(n, "n")
     if not (1 <= k <= l <= n - 1):
         raise DomainError(f"need 1 <= k <= l <= n-1, got k={k}, l={l}, n={n}")
 
@@ -400,6 +401,7 @@ def check_record_mse(n, lag, cap):
     cap of at least n draws, the earliest a depth-n record can come."""
     if n < 3:
         raise DomainError(f"record depth must be >= 3, got {n}", "n")
+    check_row_width(n, "n")
     if lag not in (1, 2):
         raise DomainError(f"lag must be 1 or 2, got {lag}", "lag")
     if cap < n:

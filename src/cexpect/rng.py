@@ -16,10 +16,23 @@ enumerates fixed-size replication chunks.  A replication batch is therefore
 fully determined by (seed, tag, chunk) and is independent of how many worker
 threads execute the chunks.  Chunk outputs are always merged in ascending
 chunk order, which makes every reduction bit-identical for any worker count.
-``simulate_chunked`` merges array chunks in place: it allocates each output
-array once, from the first chunk's shape and dtype, copies every chunk into
-its rows as the chunk arrives in that order, and drops the chunk, instead
-of keeping every chunk alive until one final concatenation.
+
+A pool runs the chunks through an in-order window: at most 2 x workers
+chunks are submitted and not yet taken, and the next chunk is submitted
+when the oldest one is taken.  So finished chunks cannot pile up while the
+caller works through the earlier ones, and a worker's exception cancels
+the chunks still queued.
+
+A worker does its experiment's per-row work itself and returns only the
+columns the reports read (squared errors, predictor values, a walk in a
+narrow integer dtype), never the raw draws the columns came from.
+Elementwise arithmetic gives a row the same value in whichever chunk it
+runs, so the result does not depend on the chunking; reductions over whole
+columns run once, after assembly.  ``simulate_chunked`` assembles array
+chunks in place: it allocates each output array once, from the first
+chunk's shape and dtype, copies every chunk into its rows as the chunk
+arrives in that order, and drops the chunk, instead of keeping every chunk
+alive until one final concatenation.
 
 The record stream (tag 4, ``ordered.simulate_records``) uses chunks of 8192
 sequences.  Each chunk draws a (count, depth) block of standard exponentials,
@@ -27,7 +40,12 @@ the hazard increments of the records, and then a (count, depth - 1) block of
 standard exponentials, inverted into the geometric waits between records.
 """
 
+from collections import deque
+from itertools import islice
+
 import numpy as np
+
+from .errors import DomainError
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -35,6 +53,17 @@ MASK32 = (1 << 32) - 1
 # Replication chunk size shared by all experiments. Changing it changes the
 # random stream layout, so it is part of the reproducibility contract.
 CHUNK_SIZE = 65536
+
+# Most draws a model may take per replication (a vector dimension, a number
+# of copies, brokers or order statistics, a walk or record depth): a chunk of
+# CHUNK_SIZE rows that wide is 64 MiB of float64.
+MAX_ROW_WIDTH = 128
+
+
+def check_row_width(width, param):
+    """A size field of at most MAX_ROW_WIDTH, checked before any allocation."""
+    if width > MAX_ROW_WIDTH:
+        raise DomainError(f"{param} must be <= {MAX_ROW_WIDTH}, got {width}", param)
 
 
 def philox_stream(seed, stream):
@@ -66,16 +95,30 @@ def chunk_sizes(n_total, chunk_size=CHUNK_SIZE):
 
 
 def _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
-    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order."""
+    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order.
+
+    With a pool, at most 2 x pool._max_workers chunks are in flight (see the
+    module docstring); the queued ones are cancelled if a worker raises or
+    the iterator is dropped.
+    """
     sizes = chunk_sizes(n_total, chunk_size)
 
     def call(c):
         return worker(chunk_stream(seed, tag, c), sizes[c])
 
-    indices = range(len(sizes))
+    indices = iter(range(len(sizes)))
     if pool is None:
-        return map(call, indices)
-    return pool.map(call, indices)
+        yield from map(call, indices)
+        return
+    window = deque(pool.submit(call, c) for c in islice(indices, 2 * pool._max_workers))
+    try:
+        while window:
+            result = window.popleft().result()
+            window.extend(pool.submit(call, c) for c in islice(indices, 1))
+            yield result
+    finally:
+        for future in window:
+            future.cancel()
 
 
 def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
@@ -104,8 +147,8 @@ def simulate_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=N
         if out is None:
             out = tuple(np.empty((n_total,) + a.shape[1:], dtype=a.dtype) for a in part)
         count = part[0].shape[0]
-        for dst, a in zip(out, part):
-            dst[row : row + count] = a
+        for i, dst in enumerate(out):
+            dst[row : row + count] = part[i]
         row += count
         del part
     if row != n_total:

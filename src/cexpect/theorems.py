@@ -7,7 +7,13 @@ inequalities, 4 for identities).  Degenerate cases where both sides are the
 same computation produce margin exactly 0.
 
 Replications run in fixed-size chunks with per-chunk Philox streams (see
-rng.py), so reports are bit-identical for any worker count.
+rng.py), so reports are bit-identical for any worker count.  Each chunk
+worker draws its rows and reduces them to the per-row columns its reports
+read: the squared errors of each predictor, or the predictor values with
+the draws they pair with.  Only those columns are assembled across chunks;
+the means, covariances and copula ranks are taken once over the whole
+columns.  A worker computes each row as the whole-array code would, so the
+bytes of a report do not depend on the chunking.
 """
 
 import math
@@ -33,7 +39,7 @@ from .reports import (
     inequality_report,
     threshold_report,
 )
-from .rng import simulate_chunked
+from .rng import check_row_width, simulate_chunked
 
 # Stream tags (part of the reproducibility contract).
 TAG_MAIN = 1
@@ -57,6 +63,7 @@ class GaussianCopies:
     def __init__(self, n_copies, rho_xx, rho_xy, mean_x=0.0, sd_x=1.0, mean_y=0.0, sd_y=1.0):
         if n_copies < 1:
             raise ConstructionError(f"n_copies must be >= 1, got {n_copies}", "n_copies")
+        check_row_width(n_copies, "n_copies")
         for param, sd in (("sd_x", sd_x), ("sd_y", sd_y)):
             if not sd > 0:
                 raise ConstructionError(f"{param} must be > 0, got {sd}", param)
@@ -137,6 +144,7 @@ class ConditionalIidCopies:
     def __init__(self, n_copies, beta, y_marginal: Marginal, noise: Marginal):
         if n_copies < 1:
             raise ConstructionError(f"n_copies must be >= 1, got {n_copies}", "n_copies")
+        check_row_width(n_copies, "n_copies")
         if beta == 0.0:
             raise ConstructionError("beta must be nonzero", "beta")
         self.n_copies = int(n_copies)
@@ -244,18 +252,23 @@ def _row_average(columns, comonotone):
     return columns.mean(axis=1)
 
 
+def _averaging_errors(y, preds, comonotone):
+    """(lhs_sq, rhs_sq): squared errors of the row average of `preds` and of
+    its first column, as predictors of y."""
+    return (y - _row_average(preds, comonotone)) ** 2, (y - preds[:, 0]) ** 2
+
+
 def verify_theorem1(model, n_samples, seed, pool=None, name=None):
     """Averaged predictor beats any single predictor:
     E(Y - mean_i E(Y|X_i))^2 <= E(Y - E(Y|X_1))^2, on common draws.
     """
     psi = model.predictor()
-    y, x = simulate_chunked(
-        lambda rng, count: model.sample(rng, count), n_samples, seed, TAG_MAIN, pool=pool
-    )
-    preds = psi(x)
-    avg = _row_average(preds, model.comonotone)
-    lhs_sq = (y - avg) ** 2
-    rhs_sq = (y - preds[:, 0]) ** 2
+
+    def worker(rng, count):
+        y, x = model.sample(rng, count)
+        return _averaging_errors(y, psi(x), model.comonotone)
+
+    lhs_sq, rhs_sq = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
     return inequality_report(name or f"theorem1/{model.label()}", lhs_sq, rhs_sq, seed)
 
 
@@ -263,12 +276,12 @@ def verify_theorem2(model, n_samples, seed, pool=None, name=None):
     """Averaged copies beat any single copy:
     E(Y - mean_i X_i)^2 <= E(Y - X_1)^2, on common draws.
     """
-    y, x = simulate_chunked(
-        lambda rng, count: model.sample(rng, count), n_samples, seed, TAG_MAIN, pool=pool
-    )
-    avg = _row_average(x, model.comonotone)
-    lhs_sq = (y - avg) ** 2
-    rhs_sq = (y - x[:, 0]) ** 2
+
+    def worker(rng, count):
+        y, x = model.sample(rng, count)
+        return _averaging_errors(y, x, model.comonotone)
+
+    lhs_sq, rhs_sq = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
     return inequality_report(name or f"theorem2/{model.label()}", lhs_sq, rhs_sq, seed)
 
 
@@ -287,37 +300,14 @@ def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, name=None, du
     margin exactly 0.
     """
     check_theorem3_dim(v.dim, duplicate_last)
-    if duplicate_last:
-        mat = simulate_chunked(
-            lambda rng, count: (v.sample(rng, count),), n_samples, seed, TAG_MAIN, pool=pool
-        )[0]
-        mat = np.column_stack([mat, mat[:, 1]])
-        base = v
-        pred_both = _linear_pred(base, 0, (1,), mat)
-        pred_y = pred_both
-        pred_z = pred_both
-        closed = {
-            "mse_both": base.residual_variance(0, (1,)),
-            "mse_y": base.residual_variance(0, (1,)),
-            "mse_z": base.residual_variance(0, (1,)),
-        }
-    else:
-        mat = simulate_chunked(
-            lambda rng, count: (v.sample(rng, count),), n_samples, seed, TAG_MAIN, pool=pool
-        )[0]
-        pred_both = _linear_pred(v, 0, (1, 2), mat)
-        pred_y = _linear_pred(v, 0, (1,), mat)
-        pred_z = _linear_pred(v, 0, (2,), mat)
-        closed = {
-            "mse_both": v.residual_variance(0, (1, 2)),
-            "mse_y": v.residual_variance(0, (1,)),
-            "mse_z": v.residual_variance(0, (2,)),
-        }
-
-    x = mat[:, 0]
-    lhs_sq = (x - pred_both) ** 2
-    rhs_y_sq = (x - pred_y) ** 2
-    rhs_z_sq = (x - pred_z) ** 2
+    # Conditioning on (Y, Z), on Y and on Z; Z = Y collapses all three to Y.
+    sets = [(1,)] * 3 if duplicate_last else [(1, 2), (1,), (2,)]
+    distinct = list(dict.fromkeys(sets))
+    sq_errors = dict(zip(distinct, _conditioning_errors(v, 0, distinct, n_samples, seed, pool)))
+    lhs_sq, rhs_y_sq, rhs_z_sq = (sq_errors[s] for s in sets)
+    closed = {
+        key: v.residual_variance(0, s) for key, s in zip(("mse_both", "mse_y", "mse_z"), sets)
+    }
     rhs_sq = rhs_y_sq if float(np.mean(rhs_y_sq)) <= float(np.mean(rhs_z_sq)) else rhs_z_sq
     report = inequality_report(name or "theorem3", lhs_sq, rhs_sq, seed)
     return Theorem3Result(report=report, closed_form=closed)
@@ -335,6 +325,18 @@ def _linear_pred(v: GaussianVector, target, given, mat):
         return np.full(mat.shape[0], v.mean[target])
     intercept, coefs = v.conditional_coefficients(target, given)
     return intercept + mat[:, list(given)] @ coefs
+
+
+def _conditioning_errors(v: GaussianVector, target, index_sets, n_samples, seed, pool):
+    """Per-draw squared errors of E(X_target | X_s), one column per index
+    set s, all on the same draws of `v`."""
+
+    def worker(rng, count):
+        mat = v.sample(rng, count)
+        x = mat[:, target]
+        return tuple((x - _linear_pred(v, target, s, mat)) ** 2 for s in index_sets)
+
+    return simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
 
 
 def chain_index_sets(dim, index_sets, target):
@@ -361,16 +363,8 @@ def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, targe
     if target is None:
         target = v.dim - 1
     sets = chain_index_sets(v.dim, index_sets, target)
-    mat = simulate_chunked(
-        lambda rng, count: (v.sample(rng, count),), n_samples, seed, TAG_MAIN, pool=pool
-    )[0]
-    x = mat[:, target]
-    sq_errors = []
-    closed = []
-    for s in sets:
-        pred = _linear_pred(v, target, s, mat)
-        sq_errors.append((x - pred) ** 2)
-        closed.append(v.residual_variance(target, s) if s else float(v.cov[target, target]))
+    sq_errors = _conditioning_errors(v, target, sets, n_samples, seed, pool)
+    closed = [v.residual_variance(target, s) if s else float(v.cov[target, target]) for s in sets]
 
     reports = []
     base = name or "corollary-chain"
@@ -395,16 +389,15 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
     """Cov(E(X|Y), Y) = Cov(E(Y|X), X) = Cov(X, Y), all on common draws."""
     phi = model.phi()
     psi = model.psi()
-    x, y = simulate_chunked(
-        lambda rng, count: model.sample(rng, count), n_samples, seed, TAG_MAIN, pool=pool
-    )
-    z1 = phi(y)
-    z2 = psi(x)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    z1c = z1 - z1.mean()
-    z2c = z2 - z2.mean()
-    n = x.size
+
+    def worker(rng, count):
+        x, y = model.sample(rng, count)
+        return x, y, phi(y), psi(x)
+
+    xc, yc, z1c, z2c = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+    for column in (xc, yc, z1c, z2c):
+        column -= column.mean()
+    n = xc.size
     cov_phi = float(np.sum(z1c * yc) / (n - 1))
     cov_psi = float(np.sum(z2c * xc) / (n - 1))
     cov_xy = float(np.sum(xc * yc) / (n - 1))
@@ -476,12 +469,13 @@ def verify_copula_theorem(
                 f"copula-swap verification needs strictly increasing {label}; "
                 f"got {f.monotonicity}"
             )
-    x, y = simulate_chunked(
-        lambda rng, count: model.sample(rng, count), n_samples, seed, TAG_MAIN, pool=pool
-    )
-    z1 = phi(y)
-    z2 = psi(x)
-    emp = EmpiricalCopula(np.asarray(z1), np.asarray(z2))
+
+    def worker(rng, count):
+        x, y = model.sample(rng, count)
+        return phi(y), psi(x)
+
+    z1, z2 = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+    emp = EmpiricalCopula(z1, z2)
     d_swapped = sup_distance_swapped(emp, model.copula, grid)
     d_direct = sup_distance(emp, model.copula, grid)
 
@@ -503,12 +497,14 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None, 
     E Y2 = E X2 and Cov(Y1, Y2) = Cov(X1, X2), where Y1 = X1.
     """
     psi = model.psi()  # x1 -> E(X2 | X1 = x1)
-    x1, x2 = simulate_chunked(
-        lambda rng, count: model.sample(rng, count), n_samples, seed, TAG_MAIN, pool=pool
-    )
-    y2 = psi(x1)
-    n = x1.size
-    x1c = x1 - x1.mean()
+
+    def worker(rng, count):
+        x1, x2 = model.sample(rng, count)
+        return x1, x2, psi(x1)
+
+    x1c, x2, y2 = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+    x1c -= x1c.mean()
+    n = x1c.size
     mean_y2 = float(np.mean(y2))
     mean_x2 = float(np.mean(x2))
     cov_pred = float(np.sum(x1c * (y2 - y2.mean())) / (n - 1))
@@ -537,6 +533,7 @@ def martingale_subsets(walk_length, subsets):
     """The subsets of 1..walk_length to score, each deduplicated and sorted."""
     if walk_length < 1:
         raise DomainError(f"walk length must be >= 1, got {walk_length}", "walk_length")
+    check_row_width(walk_length, "walk_length")
     if not subsets:
         raise DomainError("need at least one subset", "subsets")
     subsets = [tuple(sorted(set(subset))) for subset in subsets]
@@ -559,21 +556,23 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None, names=No
     """
     n = int(walk_length)
     subsets = martingale_subsets(n, [[int(k) for k in subset] for subset in subsets])
+    # |S_k| <= n + 1, so the narrowest signed type holding -(n + 2) holds the walk.
+    dtype = np.min_scalar_type(-(n + 2))
 
     def worker(rng, count):
-        steps = rng.integers(0, 2, size=(count, n + 1)).astype(np.float64) * 2.0 - 1.0
-        return (np.cumsum(steps, axis=1),)
+        steps = rng.integers(0, 2, size=(count, n + 1)).astype(dtype)
+        steps *= 2
+        steps -= 1
+        return (np.cumsum(steps, axis=1, dtype=dtype),)
 
     walk = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)[0]
     s_next = walk[:, n]
-    lhs_sq = (s_next - walk[:, n - 1]) ** 2
+    # Subtracting in float64, where the walk's values are exact integers.
+    lhs_sq = np.subtract(s_next, walk[:, n - 1], dtype=np.float64) ** 2
     results = []
     for pos, subset in enumerate(subsets):
-        if subset:
-            pred = walk[:, subset[-1] - 1]
-        else:
-            pred = np.zeros(walk.shape[0])
-        rhs_sq = (s_next - pred) ** 2
+        pred = walk[:, subset[-1] - 1] if subset else 0.0
+        rhs_sq = np.subtract(s_next, pred, dtype=np.float64) ** 2
         base = names[pos] if names else f"martingale/subset={list(subset)}"
         report = inequality_report(base, lhs_sq, rhs_sq, seed)
         closed = {

@@ -3,6 +3,7 @@ and the `cexpect verify` command: exit codes and worker-independent reports."""
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -111,6 +112,44 @@ def test_validate_exit_codes(tmp_path, capsys):
     broken.write_text("{not json")
     assert _validate("--config", str(broken)) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+WIDE = 10**6
+
+
+@pytest.mark.parametrize(
+    "experiment, changes, field",
+    [
+        ("corollary-chain", {"model": {"kind": "ar", "r": 0.6, "dim": WIDE}}, "model.dim"),
+        (
+            "theorem1",
+            {"model": {"kind": "gaussian-copies", "n_copies": WIDE, "rho_xx": 0.3, "rho_xy": 0.2}},
+            "model.n_copies",
+        ),
+        (
+            "theorem2",
+            {"model": {"kind": "conditional-iid", "n_copies": WIDE, "beta": 0.8, "y": NORMAL,
+                       "noise": NORMAL}},
+            "model.n_copies",
+        ),
+        ("order-stats", {"cases": [{"marginal": NORMAL, "n": WIDE, "k": 1, "l": 2}]}, "cases[0].n"),
+        ("coalition", {"brokers": {"count": WIDE, "marginal": NORMAL, "rho_xx": 0.3}}, "brokers.count"),
+        ("martingale", {"walk_length": WIDE, "subsets": [[1]]}, "walk_length"),
+        ("records", {"depth": WIDE, "cap": 10 * WIDE}, "depth"),
+    ],
+)
+def test_oversized_field_rejected_before_allocating(tmp_path, capsys, experiment, changes, field):
+    config = _write_config(tmp_path, {**cli.default_suite()[experiment], **changes})
+    tracemalloc.start()
+    try:
+        status = _validate("--config", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{field}: ") and "<= 128" in lines[0]
+    assert peak < 2**20
 
 
 def test_non_object_config_rejected(tmp_path, capsys):

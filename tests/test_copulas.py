@@ -263,6 +263,35 @@ class TestEmpiricalCopula:
         np.testing.assert_array_equal(levels, ref_levels)
         np.testing.assert_array_equal(table, ref_table)
 
+    # n + 1 a multiple of grid - 1 puts ranks exactly on lattice levels.
+    @pytest.mark.parametrize("n, grid", [(29_999, 11), (4_999, 51), (3 * 2**18 - 1, 7),
+                                         (30_001, 50), (9, 4), (1, 2)])
+    def test_lattice_matches_searchsorted_reference(self, n, grid):
+        rng = philox_stream(39, 0)
+        x = np.round(rng.standard_normal(n), 1)
+        y = np.round(x + rng.standard_normal(n), 1)
+        e = EmpiricalCopula(x, y)
+        levels = np.linspace(0.0, 1.0, grid)
+        iu = np.searchsorted(levels, self._stable_ranks(x), side="left")
+        iv = np.searchsorted(levels, self._stable_ranks(y), side="left")
+        counts = np.bincount(iu * (grid + 1) + iv, minlength=(grid + 1) ** 2)
+        counts = counts.reshape(grid + 1, grid + 1)
+        ref_table = counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / n
+        got_levels, table = e.lattice(grid)
+        np.testing.assert_array_equal(got_levels, levels)
+        np.testing.assert_array_equal(table, ref_table)
+        ranks = np.arange(n + 1) / (n + 1)
+        ref_bins = np.searchsorted(levels, ranks, side="left")
+        np.testing.assert_array_equal(e._rank_bins(levels), ref_bins)
+        if n > 10 and (n + 1) % (grid - 1) == 0:
+            assert np.isin(levels[1:-1], ranks).sum() >= (grid - 2) // 2
+
+    def test_integer_ranks(self):
+        rng = philox_stream(40, 0)
+        e = EmpiricalCopula(rng.random(1000), rng.random(1000))
+        assert e._rank_u.dtype == np.int32
+        np.testing.assert_array_equal(np.sort(e._rank_v), np.arange(1, 1001))
+
     def test_lattice_built_once_per_grid_and_read_only(self):
         rng = philox_stream(38, 0)
         e = EmpiricalCopula(rng.random(1000), rng.random(1000))

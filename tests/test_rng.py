@@ -1,5 +1,7 @@
 """Random-stream contract: pinned Philox key layout and chunked determinism."""
 
+from concurrent.futures import CancelledError, Future
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ def _mixed_worker(rng, count):
     return u, rng.integers(0, 7, size=(count, 3)), (u < 0.5)
 
 
-@pytest.mark.parametrize("n_total", [CHUNK_SIZE, 2 * CHUNK_SIZE + 17, 500])
+@pytest.mark.parametrize("n_total", [CHUNK_SIZE, 2 * CHUNK_SIZE + 17, 500, 9 * CHUNK_SIZE + 5])
 @pytest.mark.parametrize("workers", [None, 2])
 def test_simulate_chunked_equals_concatenated_parts(n_total, workers):
     from concurrent.futures import ThreadPoolExecutor
@@ -125,6 +127,77 @@ def test_simulate_chunked_rejects_short_chunks():
 
     with pytest.raises(ValueError):
         simulate_chunked(worker, 2 * CHUNK_SIZE, seed=1)
+
+
+class _LazyFuture(Future):
+    """A future whose call runs when its result is first read."""
+
+    def __init__(self, call):
+        super().__init__()
+        self._call = call
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            try:
+                self.set_result(self._call())
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class _LazyPool:
+    """Executor stub: records every submitted future and the most that were
+    outstanding (submitted, not yet run) at once."""
+
+    def __init__(self, workers):
+        self._max_workers = workers
+        self.futures = []
+        self.most_outstanding = 0
+
+    def submit(self, fn, *args):
+        future = _LazyFuture(lambda: fn(*args))
+        self.futures.append(future)
+        outstanding = sum(not f.done() for f in self.futures)
+        self.most_outstanding = max(self.most_outstanding, outstanding)
+        return future
+
+
+def _first_draw(rng, count):
+    return float(rng.random()), count
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_window_bounds_outstanding_chunks_and_keeps_order(workers):
+    n_total = 10 * 1000 + 7
+    pool = _LazyPool(workers)
+    got = run_chunked(_first_draw, n_total, seed=3, tag=5, chunk_size=1000, pool=pool)
+    assert got == run_chunked(_first_draw, n_total, seed=3, tag=5, chunk_size=1000)
+    assert len(pool.futures) == 11
+    assert pool.most_outstanding == 2 * workers
+
+
+def _chunk_index(rng):
+    return int(rng.bit_generator.state["state"]["key"][1]) & 0xFFFFFFFF
+
+
+def test_pool_window_propagates_worker_error_and_cancels_queued_chunks():
+    def worker(rng, count):
+        if _chunk_index(rng) == 3:
+            raise RuntimeError("chunk 3 failed")
+        return count
+
+    pool = _LazyPool(2)
+    with pytest.raises(RuntimeError, match="chunk 3 failed"):
+        run_chunked(worker, 80, seed=1, chunk_size=10, pool=pool)
+    # Chunks 0-3 were taken in order, 4-6 were queued behind them, and 7
+    # was never submitted.
+    assert len(pool.futures) == 7
+    assert [f.done() and not f.cancelled() for f in pool.futures[:4]] == [True] * 4
+    assert isinstance(pool.futures[3].exception(), RuntimeError)
+    for future in pool.futures[4:]:
+        assert future.cancelled()
+        with pytest.raises(CancelledError):
+            future.result()
 
 
 def test_same_seed_same_vectors():

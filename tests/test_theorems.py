@@ -1,6 +1,7 @@
 """Verification harness operations and their spec'd degenerate cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from cexpect.condexp import BivariateModel, GaussianVector, ar_vector, equicorre
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
 from cexpect.marginals import MaxOfIid, Normal, Uniform
+from cexpect.reports import inequality_report
+from cexpect.rng import CHUNK_SIZE, simulate_chunked
 from cexpect.theorems import (
     ConditionalIidCopies,
+    TAG_MAIN,
     GaussianCopies,
     covariance_counterexample,
     default_copies_battery,
@@ -325,6 +329,22 @@ class TestMartingale:
         with ThreadPoolExecutor(max_workers=2) as pool:
             assert martingale_checks(5, N, 72, subsets, pool=pool) == shared
 
+    @pytest.mark.parametrize("n", [126, 127, 128])
+    def test_narrow_integer_walk_matches_float_walk(self, n):
+        # n = 126 is the longest walk an int8 holds; 127 and 128 need int16.
+        def float_walk(rng, count):
+            steps = rng.integers(0, 2, size=(count, n + 1)).astype(np.float64) * 2.0 - 1.0
+            return (np.cumsum(steps, axis=1),)
+
+        walk = simulate_chunked(float_walk, 3000, 73, TAG_MAIN)[0]
+        lhs_sq = (walk[:, n] - walk[:, n - 1]) ** 2
+        subsets = [(n,), (1,), ()]
+        results = martingale_checks(n, 3000, 73, subsets, names=["full", "first", "none"])
+        for (subset, name), result in zip(zip(subsets, ["full", "first", "none"]), results):
+            pred = walk[:, subset[-1] - 1] if subset else np.zeros(3000)
+            expect = inequality_report(name, lhs_sq, (walk[:, n] - pred) ** 2, 73)
+            assert result.reports == [expect]
+
     def test_subset_validated(self):
         with pytest.raises(DomainError):
             martingale_check(5, N, 69, subset=(0,))
@@ -343,6 +363,22 @@ class TestDeterminism:
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = verify_theorem1(m, N, 71, pool=pool)
         assert serial == parallel
+
+    def test_theorem1_memory_stays_near_its_report_columns(self):
+        # Assembling the (n, 5) copies and then the (n, 5) predictions takes
+        # at least 2 * 5 * n * 8 bytes.  Reduced in the workers, the peak is
+        # the two squared-error columns plus one chunk's (n/4, 6) normal
+        # draws and their Cholesky product: 2 + 3 columns of n float64.
+        n = 4 * CHUNK_SIZE
+        model = GaussianCopies(5, 0.3, 0.5)
+        verify_theorem1(model, 1000, 72)
+        tracemalloc.start()
+        try:
+            verify_theorem1(model, n, 72)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * 8
 
     def test_different_seeds_differ(self):
         m = GaussianCopies(3, 0.3, 0.5)
