@@ -63,7 +63,6 @@ from .ordered import (
     simulate_records,
 )
 from .coalition import (
-    CoalitionReport,
     MarketConfig,
     coalition_average_predictor,
     compare_strategies,

@@ -50,9 +50,7 @@ def _read_copies(which, verify):
         models = f.model("model", _copies_models)
 
         def run(pool):
-            reports = [
-                verify(m, n_samples, seed, pool=pool, name=f"{which}/{m.label()}") for m in models
-            ]
+            reports = [verify(m, n_samples, seed, pool=pool) for m in models]
             details = {"battery_size": len(models)}
             return ExperimentResult(experiment=which, reports=reports, details=details)
 
@@ -72,16 +70,9 @@ def _copies_models(cfg):
 
 def _read_theorem3(f, n_samples, seed):
     vector, duplicate = f.model("model", _theorem3_vector) or (None, False)
-    name = "theorem3/duplicate" if duplicate else "theorem3"
-
-    def run(pool):
-        result = theorems.verify_theorem3(
-            vector, n_samples, seed, pool=pool, name=name, duplicate_last=duplicate
-        )
-        details = {"closed_form": result.closed_form}
-        return ExperimentResult(experiment="theorem3", reports=[result.report], details=details)
-
-    return run
+    return lambda pool: theorems.verify_theorem3(
+        vector, n_samples, seed, pool=pool, duplicate_last=duplicate
+    )
 
 
 def _theorem3_vector(cfg):
@@ -103,15 +94,10 @@ def _read_corollary(f, n_samples, seed):
     vector = f.model("model", _ar_vector)
     sets = f.index_lists("index_sets")
     if vector is not None and isinstance(sets, list):
-        # Config indices are 1-based and the target is the last coordinate.
+        # Config indices are 1-based.
         zero_based = [[i - 1 for i in s] for s in sets]
-        target = vector.dim - 1
-        sets = f.build(
-            theorems.chain_index_sets, dim=vector.dim, index_sets=zero_based, target=target
-        )
-    return lambda pool: theorems.verify_corollary_chain(
-        vector, sets, n_samples, seed, target=vector.dim - 1, pool=pool, name="corollary-chain"
-    )
+        sets = f.build(theorems.chain_index_sets, dim=vector.dim, index_sets=zero_based)
+    return lambda pool: theorems.verify_corollary_chain(vector, sets, n_samples, seed, pool=pool)
 
 
 def _ar_vector(cfg):
@@ -121,10 +107,10 @@ def _ar_vector(cfg):
     return f.close(vector)
 
 
-def _read_bivariate(verify, name):
+def _read_bivariate(verify):
     def read(f, n_samples, seed):
         model = f.model("model", bivariate_from_config)
-        return lambda pool: verify(model, n_samples, seed, pool=pool, name=name)
+        return lambda pool: verify(model, n_samples, seed, pool=pool)
 
     return read
 
@@ -159,15 +145,9 @@ def _read_martingale(f, n_samples, seed):
     f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
 
     def run(pool):
-        results = theorems.martingale_checks(
-            walk_length, n_samples, seed, subsets, pool=pool,
-            names=[f"martingale/subset={sorted(s)}" for s in subsets],
-        )
-        reports = []
-        details = {}
-        for s, result in zip(subsets, results):
-            reports.extend(result.reports)
-            details[f"subset={sorted(s)}"] = result.details
+        results = theorems.martingale_checks(walk_length, n_samples, seed, subsets, pool=pool)
+        reports = [report for result in results for report in result.reports]
+        details = {r.experiment.removeprefix("martingale/"): r.details for r in results}
         return ExperimentResult(experiment="martingale", reports=reports, details=details)
 
     return run
@@ -192,17 +172,11 @@ def _read_order_stats(f, n_samples, seed):
         reports = []
         details = {}
         for pos, (m, n, k, l, markov) in enumerate(cases):
-            fam = m.to_config()["family"]
-            label = f"order-stats/{fam}(n={n},k={k},l={l})"
-            reports.append(
-                ordered.mse_order_inequality(m, n, k, l, n_samples, seed, pool=pool, name=label)
-            )
+            reports.append(ordered.mse_order_inequality(m, n, k, l, n_samples, seed, pool=pool))
             if markov:
-                result = ordered.markov_property_check(
-                    m, n, n_samples, seed, pool=pool, name=f"order-stats/markov/{fam}(n={n})"
-                )
+                result = ordered.markov_property_check(m, n, n_samples, seed, pool=pool)
                 reports.extend(result.reports)
-                details[f"markov/{fam}#{pos}"] = result.details
+                details[f"markov/{m.to_config()['family']}#{pos}"] = result.details
         return ExperimentResult(experiment="order-stats", reports=reports, details=details)
 
     return run
@@ -213,19 +187,14 @@ def _read_records(f, n_samples, seed):
     depth, lag = f.integer("depth"), f.integer("lag")
     cap = f.integer("cap", ordered.RECORD_CAP_DEFAULT)
     f.build(ordered.check_record_mse, keys={"n": "depth"}, n=depth, lag=lag, cap=cap)
-
-    def run(pool):
-        result = ordered.record_predictor_mse(
-            marginal, depth, lag, n_samples, seed, cap=cap, pool=pool, name="records"
-        )
-        return ExperimentResult("records", reports=[result.report], details=result.details)
-
-    return run
+    return lambda pool: ordered.record_predictor_mse(
+        marginal, depth, lag, n_samples, seed, cap=cap, pool=pool
+    )
 
 
 def _read_coalition(f, n_samples, seed):
     market = f.merge(market_from_config)
-    return lambda pool: compare_strategies(market, pool=pool, name="coalition")[1]
+    return lambda pool: compare_strategies(market, pool=pool)
 
 
 # experiment name -> reader(fields, n_samples, seed) -> run(pool) -> ExperimentResult
@@ -234,9 +203,9 @@ EXPERIMENTS = {
     "theorem2": _read_copies("theorem2", theorems.verify_theorem2),
     "theorem3": _read_theorem3,
     "corollary-chain": _read_corollary,
-    "covariance": _read_bivariate(theorems.verify_covariance_identity, "covariance"),
+    "covariance": _read_bivariate(theorems.verify_covariance_identity),
     "copula-swap": _read_copula_swap,
-    "sequence-stats": _read_bivariate(theorems.predicted_sequence_stats, "sequence-stats"),
+    "sequence-stats": _read_bivariate(theorems.predicted_sequence_stats),
     "martingale": _read_martingale,
     "order-stats": _read_order_stats,
     "records": _read_records,
@@ -274,7 +243,7 @@ def validate_config(cfg, experiment=None):
 
 
 def default_suite():
-    """Built-in configs for every experiment (the `--suite default` battery)."""
+    """Built-in configs for every experiment, the ones `verify all` runs."""
     biv_gauss = {
         "copula": {"family": "gaussian", "rho": 0.5},
         "marginal_x": {"family": "normal", "mean": 0.0, "sd": 1.0},
@@ -357,7 +326,7 @@ def default_suite():
 # Run orchestration.
 
 
-def run_experiment(cfg, seed=None, workers=1, pool=None):
+def run_experiment(cfg, seed=None, workers=1):
     """Build the models of one experiment config and run it; returns
     ExperimentResult, or raises ConfigError naming every field at fault."""
     cfg = dict(cfg)
@@ -366,15 +335,10 @@ def run_experiment(cfg, seed=None, workers=1, pool=None):
     run, diags = _read(cfg)
     if diags:
         raise ConfigError(diags)
-    own_pool = None
-    try:
-        if pool is None and workers > 1:
-            own_pool = ThreadPoolExecutor(max_workers=workers)
-            pool = own_pool
-        return run(pool)
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return run(pool)
+    return run(None)
 
 
 def write_outputs(results, out_dir, fmt="both", manifest_extra=None):
@@ -437,9 +401,8 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run one experiment or the whole suite")
-    p_verify.add_argument("experiment", help="experiment name, or 'all' for a suite")
+    p_verify.add_argument("experiment", help="experiment name, or 'all' for the default suite")
     p_verify.add_argument("--config", help="JSON config path (required unless 'all')")
-    p_verify.add_argument("--suite", default="default", help="suite name for 'all'")
     p_verify.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_verify.add_argument("--workers", type=int, default=1, help="worker threads (>= 1)")
     p_verify.add_argument("--out", default="reports", help="output directory")
@@ -476,9 +439,6 @@ def main(argv=None):
         return 2
     try:
         if args.experiment == "all":
-            if args.suite != "default":
-                print(f"unknown suite {args.suite!r}", file=sys.stderr)
-                return 2
             configs = list(default_suite().values())
         else:
             if args.experiment not in EXPERIMENT_NAMES:

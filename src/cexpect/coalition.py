@@ -12,12 +12,17 @@ draws.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .condexp import RegressionFunction, chebyshev_nodes, kernel_regress_grid
+from .condexp import (
+    RegressionFunction,
+    chebyshev_nodes,
+    equicorrelated_vector,
+    kernel_regress_grid,
+)
 from .config import Fields
 from .errors import ConstructionError, DomainError, ExtrapolationError
 from .marginals import Marginal, MaxOfIid, marginal_from_config
@@ -64,15 +69,6 @@ class MarketConfig:
     def iid_brokers(self):
         return self.rho_xx is None or self.n_brokers == 1
 
-    def _broker_chol(self):
-        k = self.n_brokers
-        corr = np.full((k, k), float(self.rho_xx))
-        np.fill_diagonal(corr, 1.0)
-        try:
-            return np.linalg.cholesky(corr)
-        except np.linalg.LinAlgError as exc:
-            raise ConstructionError("equicorrelation matrix not positive definite") from exc
-
 
 def market_from_config(cfg):
     """Build a MarketConfig from the scenario-config dict schema; raises
@@ -114,14 +110,13 @@ def simulate_market(cfg: MarketConfig, pool=None):
     cfg.seed; brokers draw before the outsider within each chunk.
     """
     k = cfg.n_brokers
-    chol = None if cfg.iid_brokers else cfg._broker_chol()
+    normals = None if cfg.iid_brokers else equicorrelated_vector(k, cfg.rho_xx)
 
     def worker(rng, count):
-        if chol is None:
+        if normals is None:
             u = rng.random((count, k))
         else:
-            z = rng.standard_normal((count, k)) @ chol.T
-            u = ndtr(z)
+            u = ndtr(normals.sample(rng, count))
         x = cfg.broker_marginal._quantile(np.clip(u, 1e-15, 1.0 - 1e-16))
         if cfg.outsider is not None:
             y = cfg.outsider.sample(rng, count)
@@ -224,38 +219,13 @@ def coalition_average_predictor(cfg: MarketConfig, prices, tables=None):
     return float(np.mean([tables[i](prices[i]) for i in range(cfg.n_brokers)]))
 
 
-@dataclass
-class CoalitionReport:
-    """Per-broker and coalition predictor MSEs plus win probabilities."""
-
-    per_broker_mse: list
-    coalition_mse: float
-    win_probabilities: list
-    outsider_win_probability: float
-    paired_ses: list
-    satisfied: list
-    n_samples: int
-    seed: int
-    details: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {
-            "per_broker_mse": self.per_broker_mse,
-            "coalition_mse": self.coalition_mse,
-            "win_probabilities": self.win_probabilities,
-            "outsider_win_probability": self.outsider_win_probability,
-            "paired_ses": self.paired_ses,
-            "satisfied": self.satisfied,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "details": self.details,
-        }
-
-
-def compare_strategies(cfg: MarketConfig, pool=None, name=None):
+def compare_strategies(cfg: MarketConfig, pool=None):
     """Coalition-average predictor vs each individual predictor, plus win
     probabilities (strict-max winner; ties, probability zero for continuous
     models, break toward the lowest broker index, then the outsider).
+
+    One report per broker; the details carry the per-broker and coalition
+    MSEs and the win probabilities.
     """
     sample = simulate_market(cfg, pool=pool)
     x, y, z = sample
@@ -268,27 +238,25 @@ def compare_strategies(cfg: MarketConfig, pool=None, name=None):
     coalition = preds[:, 0] if cfg.n_brokers == 1 else preds.mean(axis=1)
 
     lhs_sq = (z - coalition) ** 2
-    base = name or "coalition"
     reports = []
     for i in range(cfg.n_brokers):
         rhs_sq = (z - preds[:, i]) ** 2
-        reports.append(inequality_report(f"{base}/broker{i + 1}", lhs_sq, rhs_sq, cfg.seed))
+        reports.append(inequality_report(f"coalition/broker{i + 1}", lhs_sq, rhs_sq, cfg.seed))
 
     board = np.column_stack([x, y])
     winner = np.argmax(board, axis=1)
     win_counts = np.bincount(winner, minlength=cfg.n_brokers + 1)
     win_probs = win_counts / x.shape[0]
 
-    report = CoalitionReport(
-        per_broker_mse=[r.rhs_estimate for r in reports],
-        coalition_mse=float(np.mean(lhs_sq)),
-        win_probabilities=win_probs[: cfg.n_brokers].tolist(),
-        outsider_win_probability=float(win_probs[cfg.n_brokers]),
-        paired_ses=[r.paired_diff_se for r in reports],
-        satisfied=[r.satisfied for r in reports],
-        n_samples=int(cfg.n_samples),
-        seed=int(cfg.seed),
-        details={"win_probability_sum": float(win_probs.sum())},
-    )
-    result = ExperimentResult(experiment=base, reports=reports, details=report.to_json_dict())
-    return report, result
+    details = {
+        "per_broker_mse": [r.rhs_estimate for r in reports],
+        "coalition_mse": float(np.mean(lhs_sq)),
+        "win_probabilities": win_probs[: cfg.n_brokers].tolist(),
+        "outsider_win_probability": float(win_probs[cfg.n_brokers]),
+        "paired_ses": [r.paired_diff_se for r in reports],
+        "satisfied": [r.satisfied for r in reports],
+        "n_samples": int(cfg.n_samples),
+        "seed": int(cfg.seed),
+        "details": {"win_probability_sum": float(win_probs.sum())},
+    }
+    return ExperimentResult(experiment="coalition", reports=reports, details=details)

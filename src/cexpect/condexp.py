@@ -154,11 +154,11 @@ class BivariateModel:
 
     def phi(self):
         """y -> E(X | Y = y) as a RegressionFunction over the Y support."""
-        return _regression(self.copula, self.marginal_x, self.marginal_y, swap=False)
+        return _regression(self.copula, self.marginal_x, self.marginal_y)
 
     def psi(self):
         """x -> E(Y | X = x) as a RegressionFunction over the X support."""
-        return _regression(self.copula, self.marginal_y, self.marginal_x, swap=True)
+        return _regression(self.copula, self.marginal_y, self.marginal_x)
 
     def to_config(self):
         return {
@@ -181,7 +181,7 @@ def bivariate_from_config(cfg):
     )
 
 
-def _regression(copula, target: Marginal, conditioner: Marginal, swap):
+def _regression(copula, target: Marginal, conditioner: Marginal):
     """Tabulate t -> E(target | conditioner = t), all nodes in one batched
     tanh-sinh quadrature.
 

@@ -35,6 +35,9 @@ TAG_RECORDS = 4
 RECORD_CAP_DEFAULT = 10**6
 REGRESSION_BINS = 40
 REGRESSION_INTERIOR = (0.05, 0.95)
+MARKOV_PRIMARY_BINS = 20
+MARKOV_SUB_BINS = 3
+MARKOV_MIN_COUNT = 200
 
 
 def cond_pdf_max_given_next(m: Marginal, z, x):
@@ -171,25 +174,16 @@ def check_markov_order(n):
         raise DomainError(f"markov check needs n >= 3, got {n}", "n")
 
 
-def markov_property_check(
-    m: Marginal,
-    n,
-    n_samples,
-    seed,
-    primary_bins=20,
-    sub_bins=3,
-    min_count=200,
-    pool=None,
-    name=None,
-):
+def markov_property_check(m: Marginal, n, n_samples, seed, pool=None):
     """Markov check for order statistics: given X_{n-1:n}, the conditional
     mean of X_{n:n} must not depend on X_{n-2:n}.
 
-    Rows are binned by X_{n-1:n} (equal-count bins); inside each bin the
-    within-bin linear trend in X_{n-1:n} is removed (it exactly absorbs the
-    confounding between the bin's residual spread and X_{n-2:n}), then the
-    detrended residuals are split by X_{n-2:n} sub-bins and each sub-bin mean
-    is tested against 0.  satisfied <=> max |z| <= 4.
+    Rows are binned by X_{n-1:n} (20 equal-count bins, fewer when a sub-bin
+    would average under 200 rows); inside each bin the within-bin linear
+    trend in X_{n-1:n} is removed (it exactly absorbs the confounding between
+    the bin's residual spread and X_{n-2:n}), then the detrended residuals
+    are split into 3 X_{n-2:n} sub-bins and each sub-bin mean is tested
+    against 0.  satisfied <=> max |z| <= 4.
     """
     check_markov_order(n)
     matrix = order_stat_matrix(m, n, n_samples, seed, pool=pool)
@@ -197,11 +191,10 @@ def markov_property_check(
     w = matrix[:, n - 2]
     v = matrix[:, n - 3]
 
-    widened = False
-    rows_per = n_samples // (primary_bins * sub_bins)
-    if rows_per < min_count:
-        primary_bins = max(4, n_samples // (min_count * sub_bins))
-        widened = True
+    primary_bins, sub_bins = MARKOV_PRIMARY_BINS, MARKOV_SUB_BINS
+    widened = n_samples // (primary_bins * sub_bins) < MARKOV_MIN_COUNT
+    if widened:
+        primary_bins = max(4, n_samples // (MARKOV_MIN_COUNT * sub_bins))
 
     qs = np.quantile(w, np.linspace(0.0, 1.0, primary_bins + 1))
     bin_ids = np.clip(np.searchsorted(qs[1:-1], w, side="right"), 0, primary_bins - 1)
@@ -236,8 +229,8 @@ def markov_property_check(
         )
 
     max_abs_z = float(np.max(np.abs(zs))) if zs else 0.0
-    base = name or f"order-stats/markov(n={n})"
-    report = threshold_report(base, max_abs_z, 4.0, n_samples, seed)
+    name = f"order-stats/markov/{m.to_config()['family']}(n={n})"
+    report = threshold_report(name, max_abs_z, 4.0, n_samples, seed)
     details = {
         "max_abs_z": max_abs_z,
         "primary_bins": int(primary_bins),
@@ -245,7 +238,7 @@ def markov_property_check(
         "bins_widened": widened,
         "bin_conditional_means": bin_rows,
     }
-    return ExperimentResult(experiment=base, reports=[report], details=details)
+    return ExperimentResult(experiment=name, reports=[report], details=details)
 
 
 def check_order_indices(n, k, l):
@@ -255,7 +248,7 @@ def check_order_indices(n, k, l):
         raise DomainError(f"need 1 <= k <= l <= n-1, got k={k}, l={l}, n={n}")
 
 
-def mse_order_inequality(m: Marginal, n, k, l, n_samples, seed, pool=None, name=None):
+def mse_order_inequality(m: Marginal, n, k, l, n_samples, seed, pool=None):
     """Eq. between order statistics: conditioning on a higher order statistic
     predicts the maximum at least as well.  lhs conditions on X_{l:n}, rhs on
     X_{k:n}, k <= l; k = l degenerates to exact equality.
@@ -267,8 +260,8 @@ def mse_order_inequality(m: Marginal, n, k, l, n_samples, seed, pool=None, name=
     target = matrix[:, n - 1]
     lhs_sq = (target - reg_l(matrix[:, l - 1])) ** 2
     rhs_sq = (target - reg_k(matrix[:, k - 1])) ** 2
-    base = name or f"order-stats/mse(n={n},k={k},l={l})"
-    return inequality_report(base, lhs_sq, rhs_sq, seed)
+    name = f"order-stats/{m.to_config()['family']}(n={n},k={k},l={l})"
+    return inequality_report(name, lhs_sq, rhs_sq, seed)
 
 
 @dataclass(frozen=True)
@@ -355,16 +348,17 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
     )
 
 
-def binned_regression(cond, target, n_bins=REGRESSION_BINS, interior=REGRESSION_INTERIOR):
+def binned_regression(cond, target):
     """Equal-count binned regression of target on cond.
 
-    Bin edges are cond quantiles across the interior band (default 5th-95th
+    Bin edges are cond quantiles across the interior band (5th-95th
     percentile, 40 bins); rows outside the band fall into the edge bins.
     Returns (per-row predictions, diagnostics dict).
     """
     cond = np.asarray(cond, dtype=float)
     target = np.asarray(target, dtype=float)
-    edges = np.quantile(cond, np.linspace(interior[0], interior[1], n_bins + 1))
+    n_bins = REGRESSION_BINS
+    edges = np.quantile(cond, np.linspace(*REGRESSION_INTERIOR, n_bins + 1))
     ids = np.clip(np.searchsorted(edges[1:-1], cond, side="right"), 0, n_bins - 1)
     counts = np.bincount(ids, minlength=n_bins).astype(float)
     if np.any(counts == 0):
@@ -390,12 +384,6 @@ def record_gap_pvalue(batch: RecordBatch, rate=1.0):
     return float(stats.kstest(gaps, lambda x: 1.0 - np.exp(-rate * x)).pvalue)
 
 
-@dataclass
-class RecordMseResult:
-    report: object
-    details: dict
-
-
 def check_record_mse(n, lag, cap):
     """The domain of `record_predictor_mse`: depth n >= 3, lag 1 or 2, and a
     cap of at least n draws, the earliest a depth-n record can come."""
@@ -408,16 +396,7 @@ def check_record_mse(n, lag, cap):
         raise DomainError(f"cap must be >= the record depth {n}, got {cap}", "cap")
 
 
-def record_predictor_mse(
-    m: Marginal,
-    n,
-    lag,
-    n_samples,
-    seed,
-    cap=RECORD_CAP_DEFAULT,
-    pool=None,
-    name=None,
-):
+def record_predictor_mse(m: Marginal, n, lag, n_samples, seed, cap=RECORD_CAP_DEFAULT, pool=None):
     """Paired record-prediction MSE report: conditioning on the previous
     record (lag 1) vs conditioning `lag` records back.
 
@@ -443,8 +422,7 @@ def record_predictor_mse(
         pred_lag, diag_lag = binned_regression(cond_lag, target)
     lhs_sq = (target - pred_1) ** 2
     rhs_sq = (target - pred_lag) ** 2
-    base = name or f"records/depth={n},lag={lag}"
-    report = inequality_report(base, lhs_sq, rhs_sq, seed)
+    report = inequality_report("records", lhs_sq, rhs_sq, seed)
     details = {
         "n_kept": int(kept),
         "n_discarded": int(batch.n_discarded),
@@ -452,4 +430,4 @@ def record_predictor_mse(
         "lag1_bins": diag_1,
         f"lag{lag}_bins": diag_lag,
     }
-    return RecordMseResult(report=report, details=details)
+    return ExperimentResult("records", [report], details)

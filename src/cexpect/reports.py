@@ -174,7 +174,9 @@ class ExperimentResult:
 
     `reports` drive the CSV and the satisfied verdict; `details` is
     experiment-specific JSON-able metadata (closed-form cross-checks,
-    discard counters, diagnostics).
+    discard counters, diagnostics).  An operation returns a PairedReport
+    when it makes one report and no details, and an ExperimentResult
+    otherwise; each operation names its own reports.
     """
 
     experiment: str

@@ -17,7 +17,6 @@ bytes of a report do not depend on the chunking.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .condexp import (
     chebyshev_nodes,
 )
 from .config import Fields
-from .copulas import EmpiricalCopula, sup_distance, sup_distance_swapped
+from .copulas import EmpiricalCopula, Gaussian, sup_distance, sup_distance_swapped
 from .errors import ConstructionError, DomainError, UnsupportedModelError
 from .marginals import Marginal, Normal, Uniform, marginal_from_config
 from .quadrature import tabulate
@@ -125,12 +124,9 @@ class GaussianCopies:
 
     def predictor(self):
         """x -> E(Y | X_i = x); one shared affine rule for all copies."""
-        slope = self.rho_xy * self.sd_y / self.sd_x
-        intercept = self.mean_y - slope * self.mean_x
-        x_marg = Normal(mean_=self.mean_x, sd=self.sd_x)
-        lo, hi = x_marg.truncated_support()
-        grid = chebyshev_nodes(lo, hi)
-        return RegressionFunction(grid, intercept + slope * grid, affine=(intercept, slope))
+        x_marginal = Normal(mean_=self.mean_x, sd=self.sd_x)
+        y_marginal = Normal(mean_=self.mean_y, sd=self.sd_y)
+        return BivariateModel(Gaussian(self.rho_xy), x_marginal, y_marginal).psi()
 
 
 class ConditionalIidCopies:
@@ -258,7 +254,7 @@ def _averaging_errors(y, preds, comonotone):
     return (y - _row_average(preds, comonotone)) ** 2, (y - preds[:, 0]) ** 2
 
 
-def verify_theorem1(model, n_samples, seed, pool=None, name=None):
+def verify_theorem1(model, n_samples, seed, pool=None):
     """Averaged predictor beats any single predictor:
     E(Y - mean_i E(Y|X_i))^2 <= E(Y - E(Y|X_1))^2, on common draws.
     """
@@ -269,10 +265,10 @@ def verify_theorem1(model, n_samples, seed, pool=None, name=None):
         return _averaging_errors(y, psi(x), model.comonotone)
 
     lhs_sq, rhs_sq = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    return inequality_report(name or f"theorem1/{model.label()}", lhs_sq, rhs_sq, seed)
+    return inequality_report(f"theorem1/{model.label()}", lhs_sq, rhs_sq, seed)
 
 
-def verify_theorem2(model, n_samples, seed, pool=None, name=None):
+def verify_theorem2(model, n_samples, seed, pool=None):
     """Averaged copies beat any single copy:
     E(Y - mean_i X_i)^2 <= E(Y - X_1)^2, on common draws.
     """
@@ -282,22 +278,16 @@ def verify_theorem2(model, n_samples, seed, pool=None, name=None):
         return _averaging_errors(y, x, model.comonotone)
 
     lhs_sq, rhs_sq = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    return inequality_report(name or f"theorem2/{model.label()}", lhs_sq, rhs_sq, seed)
+    return inequality_report(f"theorem2/{model.label()}", lhs_sq, rhs_sq, seed)
 
 
-@dataclass
-class Theorem3Result:
-    report: object
-    closed_form: dict
-
-
-def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, name=None, duplicate_last=False):
+def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, duplicate_last=False):
     """Two conditioners beat the better single conditioner:
     E[X - E(X|Y,Z)]^2 <= min over single-conditioner MSEs.
 
     With duplicate_last=True, `v` is 2-dimensional (X, Y) and Z = Y exactly;
     conditioning collapses to the single distinct value and the report shows
-    margin exactly 0.
+    margin exactly 0, under the name "theorem3/duplicate".
     """
     check_theorem3_dim(v.dim, duplicate_last)
     # Conditioning on (Y, Z), on Y and on Z; Z = Y collapses all three to Y.
@@ -309,8 +299,9 @@ def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, name=None, du
         key: v.residual_variance(0, s) for key, s in zip(("mse_both", "mse_y", "mse_z"), sets)
     }
     rhs_sq = rhs_y_sq if float(np.mean(rhs_y_sq)) <= float(np.mean(rhs_z_sq)) else rhs_z_sq
-    report = inequality_report(name or "theorem3", lhs_sq, rhs_sq, seed)
-    return Theorem3Result(report=report, closed_form=closed)
+    name = "theorem3/duplicate" if duplicate_last else "theorem3"
+    report = inequality_report(name, lhs_sq, rhs_sq, seed)
+    return ExperimentResult("theorem3", [report], {"closed_form": closed})
 
 
 def check_theorem3_dim(dim, duplicate_last=False):
@@ -339,9 +330,11 @@ def _conditioning_errors(v: GaussianVector, target, index_sets, n_samples, seed,
     return simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
 
 
-def chain_index_sets(dim, index_sets, target):
+def chain_index_sets(dim, index_sets):
     """The index sets of a corollary chain, each sorted, after checking that
-    they are at least two, nested, and inside 0..dim-1 without `target`."""
+    they are at least two, nested, and inside 0..dim-1 without the target
+    dim-1."""
+    target = dim - 1
     sets = [tuple(sorted(s)) for s in index_sets]
     if len(sets) < 2:
         raise DomainError("need at least two index sets", "index_sets")
@@ -356,22 +349,21 @@ def chain_index_sets(dim, index_sets, target):
     return sets
 
 
-def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, target=None, pool=None, name=None):
-    """Nested conditioning never hurts: MSE is nonincreasing along a chain
-    of nested index sets.  One report per adjacent pair.
+def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, pool=None):
+    """Nested conditioning never hurts: MSE of predicting the last coordinate
+    is nonincreasing along a chain of nested index sets.  One report per
+    adjacent pair.
     """
-    if target is None:
-        target = v.dim - 1
-    sets = chain_index_sets(v.dim, index_sets, target)
+    target = v.dim - 1
+    sets = chain_index_sets(v.dim, index_sets)
     sq_errors = _conditioning_errors(v, target, sets, n_samples, seed, pool)
     closed = [v.residual_variance(target, s) if s else float(v.cov[target, target]) for s in sets]
 
     reports = []
-    base = name or "corollary-chain"
     for i in range(len(sets) - 1):
         reports.append(
             inequality_report(
-                f"{base}/{list(sets[i])}->{list(sets[i + 1])}",
+                f"corollary-chain/{list(sets[i])}->{list(sets[i + 1])}",
                 sq_errors[i + 1],
                 sq_errors[i],
                 seed,
@@ -382,10 +374,10 @@ def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, targe
         "closed_form_mse": closed,
         "monte_carlo_mse": [float(np.mean(e)) for e in sq_errors],
     }
-    return ExperimentResult(experiment=base, reports=reports, details=details)
+    return ExperimentResult(experiment="corollary-chain", reports=reports, details=details)
 
 
-def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None, name=None):
+def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None):
     """Cov(E(X|Y), Y) = Cov(E(Y|X), X) = Cov(X, Y), all on common draws."""
     phi = model.phi()
     psi = model.psi()
@@ -398,18 +390,28 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
     for column in (xc, yc, z1c, z2c):
         column -= column.mean()
     n = xc.size
-    cov_phi = float(np.sum(z1c * yc) / (n - 1))
-    cov_psi = float(np.sum(z2c * xc) / (n - 1))
-    cov_xy = float(np.sum(xc * yc) / (n - 1))
+    # Each centred column (the loop variable included) is released after its
+    # last product, so the three products never coexist with all four columns.
+    del column
+    phi_y = z1c * yc
+    del z1c
+    x_y = xc * yc
+    del yc
+    psi_x = z2c * xc
+    del z2c, xc
+    cov_phi = float(np.sum(phi_y) / (n - 1))
+    cov_psi = float(np.sum(psi_x) / (n - 1))
+    cov_xy = float(np.sum(x_y) / (n - 1))
 
-    base = name or "covariance"
     checks = [
-        equality_check(f"{base}/cov(phi(Y),Y)=cov(X,Y)", cov_phi, cov_xy, z1c * yc - xc * yc, seed),
-        equality_check(f"{base}/cov(psi(X),X)=cov(X,Y)", cov_psi, cov_xy, z2c * xc - xc * yc, seed),
-        equality_check(f"{base}/cov(phi(Y),Y)=cov(psi(X),X)", cov_phi, cov_psi, z1c * yc - z2c * xc, seed),
+        equality_check("covariance/cov(phi(Y),Y)=cov(X,Y)", cov_phi, cov_xy, phi_y - x_y, seed),
+        equality_check("covariance/cov(psi(X),X)=cov(X,Y)", cov_psi, cov_xy, psi_x - x_y, seed),
+        equality_check(
+            "covariance/cov(phi(Y),Y)=cov(psi(X),X)", cov_phi, cov_psi, phi_y - psi_x, seed
+        ),
     ]
     details = {"cov_phi_y": cov_phi, "cov_psi_x": cov_psi, "cov_xy": cov_xy}
-    return ExperimentResult(experiment=base, reports=checks, details=details)
+    return ExperimentResult(experiment="covariance", reports=checks, details=details)
 
 
 def predictor_pair_covariance(rho, cov_xy):
@@ -492,7 +494,7 @@ def verify_copula_theorem(
     return ExperimentResult(experiment=base, reports=reports, details=details)
 
 
-def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None, name=None):
+def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
     """Predicted-sequence identities for (X1, X2) with Y2 = E(X2 | X1):
     E Y2 = E X2 and Cov(Y1, Y2) = Cov(X1, X2), where Y1 = X1.
     """
@@ -510,10 +512,11 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None, 
     cov_pred = float(np.sum(x1c * (y2 - y2.mean())) / (n - 1))
     cov_raw = float(np.sum(x1c * (x2 - x2.mean())) / (n - 1))
 
-    base = name or "sequence-stats"
     checks = [
-        equality_check(f"{base}/mean(Y2)=mean(X2)", mean_y2, mean_x2, y2 - x2, seed),
-        equality_check(f"{base}/cov(Y1,Y2)=cov(X1,X2)", cov_pred, cov_raw, x1c * (y2 - x2), seed),
+        equality_check("sequence-stats/mean(Y2)=mean(X2)", mean_y2, mean_x2, y2 - x2, seed),
+        equality_check(
+            "sequence-stats/cov(Y1,Y2)=cov(X1,X2)", cov_pred, cov_raw, x1c * (y2 - x2), seed
+        ),
     ]
     details = {
         "mean_y2": mean_y2,
@@ -521,7 +524,7 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None, 
         "cov_y1_y2": cov_pred,
         "cov_x1_x2": cov_raw,
     }
-    return ExperimentResult(experiment=base, reports=checks, details=details)
+    return ExperimentResult(experiment="sequence-stats", reports=checks, details=details)
 
 
 def martingale_exact_mse(n, k):
@@ -544,7 +547,7 @@ def martingale_subsets(walk_length, subsets):
     return subsets
 
 
-def martingale_checks(walk_length, n_samples, seed, subsets, pool=None, names=None):
+def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     """Martingale forecast checks on the symmetric +/-1 random walk.
 
     lhs = E[S_{n+1} - S_n]^2 (the optimal full-information forecast error,
@@ -552,10 +555,11 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None, names=No
     expectation given any subset of the past is the value at its latest
     index.  Empty subset predicts by the mean 0.  Every subset is scored on
     the same walk, drawn once; returns one ExperimentResult per subset, in
-    order, named by `names` when given.
+    order, named "martingale/subset=[...]" by the subset as given, sorted.
     """
     n = int(walk_length)
-    subsets = martingale_subsets(n, [[int(k) for k in subset] for subset in subsets])
+    given = [sorted(int(k) for k in subset) for subset in subsets]
+    subsets = martingale_subsets(n, given)
     # |S_k| <= n + 1, so the narrowest signed type holding -(n + 2) holds the walk.
     dtype = np.min_scalar_type(-(n + 2))
 
@@ -570,20 +574,19 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None, names=No
     # Subtracting in float64, where the walk's values are exact integers.
     lhs_sq = np.subtract(s_next, walk[:, n - 1], dtype=np.float64) ** 2
     results = []
-    for pos, subset in enumerate(subsets):
+    for subset, indices in zip(subsets, given):
         pred = walk[:, subset[-1] - 1] if subset else 0.0
         rhs_sq = np.subtract(s_next, pred, dtype=np.float64) ** 2
-        base = names[pos] if names else f"martingale/subset={list(subset)}"
-        report = inequality_report(base, lhs_sq, rhs_sq, seed)
+        name = f"martingale/subset={indices}"
+        report = inequality_report(name, lhs_sq, rhs_sq, seed)
         closed = {
             "exact_lhs": 1.0,
             "exact_rhs": martingale_exact_mse(n, subset[-1] if subset else 0),
         }
-        results.append(ExperimentResult(experiment=base, reports=[report], details=closed))
+        results.append(ExperimentResult(experiment=name, reports=[report], details=closed))
     return results
 
 
-def martingale_check(walk_length, n_samples, seed, subset=(), pool=None, name=None):
+def martingale_check(walk_length, n_samples, seed, subset=(), pool=None):
     """One-subset form of `martingale_checks`."""
-    names = [name] if name else None
-    return martingale_checks(walk_length, n_samples, seed, [subset], pool, names)[0]
+    return martingale_checks(walk_length, n_samples, seed, [subset], pool)[0]

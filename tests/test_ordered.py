@@ -336,18 +336,18 @@ class TestRecordPredictorMse:
 
     def test_lag1_vs_lag2_satisfied(self):
         res = record_predictor_mse(Exponential(1.0), 4, 2, 100_000, 90)
-        assert res.report.satisfied
-        assert res.report.margin_sigmas >= 3
+        assert res.reports[0].satisfied
+        assert res.reports[0].margin_sigmas >= 3
         assert res.details["n_discarded"] >= 0
 
     def test_depth3_lag2_conditions_on_first_record(self):
         res = record_predictor_mse(Exponential(1.0), 3, 2, 50_000, 91)
-        assert res.report.satisfied
+        assert res.reports[0].satisfied
 
     def test_lag1_degenerates_to_equality(self):
         res = record_predictor_mse(Exponential(1.0), 4, 1, 20_000, 92)
-        assert res.report.lhs_estimate == res.report.rhs_estimate
-        assert res.report.margin_sigmas == 0.0
+        assert res.reports[0].lhs_estimate == res.reports[0].rhs_estimate
+        assert res.reports[0].margin_sigmas == 0.0
 
     def test_too_few_records_raises(self):
         with pytest.raises(SampleSizeError):

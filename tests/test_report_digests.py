@@ -1,11 +1,15 @@
-"""Report bytes of every chunk-reduced experiment, pinned.
+"""Report bytes of every chunk-reduced experiment, and of the ordered-data
+and coalition experiments, pinned.
 
 Each config runs at 2 * CHUNK_SIZE + 12345 rows: three chunks, the last one
 ragged.  The per-row work of these experiments runs inside the chunk
 workers, which return only the columns a report reads; elementwise
 arithmetic gives the same value per row in whichever chunk it runs, so the
 digests below, recorded when the whole draw matrices were still assembled
-before any per-row work, must not move.  `--workers 1` and `2` must agree.
+before any per-row work, must not move.  The order-stats, records and
+coalition digests were recorded when those operations still returned their
+own result types and the runner named their reports.  `--workers 1` and `2`
+must agree.
 """
 
 import hashlib
@@ -29,7 +33,11 @@ def _suite(name, **changes):
 
 def configs():
     """(label, config) of every experiment whose per-row work moved into
-    the workers, with tabulated (interpolated) models beside affine ones."""
+    the workers, with tabulated (interpolated) models beside affine ones,
+    then the ordered-data and coalition experiments; the dependent-broker
+    coalition config also has non-uniform brokers and a max-of-two
+    outsider."""
+    dependent_brokers = {"count": 3, "marginal": NORMAL, "rho_xx": 0.4}
     clayton = {"copula": {"family": "clayton", "alpha": 2.0}, "marginal_x": EXP1, "marginal_y": NORMAL}
     return [
         ("theorem1", _suite("theorem1")),
@@ -44,6 +52,13 @@ def configs():
         ("sequence-stats", _suite("sequence-stats")),
         ("sequence-stats-clayton", _suite("sequence-stats", model=clayton)),
         ("martingale", _suite("martingale")),
+        ("order-stats", _suite("order-stats")),
+        ("records", _suite("records")),
+        ("coalition", _suite("coalition")),
+        (
+            "coalition-dependent",
+            _suite("coalition", brokers=dependent_brokers, outsider={"marginal": EXP1, "count": 2}),
+        ),
     ]
 
 
@@ -54,7 +69,8 @@ def report_digest(cfg, workers):
     return hashlib.sha256(blob).hexdigest()
 
 
-# Recorded with the draw matrices assembled whole before the per-row work.
+# Recorded with the draw matrices assembled whole before the per-row work,
+# and for the last four before the operations returned ExperimentResult.
 DIGESTS = {
     "theorem1": "53856e25b30e36c2f2f27c8c1ce0a1ace52cc063104e868d52841ab3f1f22d5c",
     "theorem2": "3e2394f9887220f9cf00a1d6a763f1715c443e1cbd9484a93be7e05ac2ced5b3",
@@ -68,6 +84,10 @@ DIGESTS = {
     "sequence-stats": "0957276175af7836b2efdc38f0e6e839165fe0eceb91dacfe5b83dbca5fbe959",
     "sequence-stats-clayton": "8a3285103b5f5c3916ce52c120af6649d5db5202202218c745dc4af00f657ce8",
     "martingale": "8c0c8133096b83a055b1bc8ce2317272b04e2ad910d8669a0c9ddb6484395624",
+    "order-stats": "6a8ac590b586a363c7636947ded7e825eeb92e8fe95940eb54dce7b8ef260207",
+    "records": "fe738511ee3f9a7ffe71985c0141165f234c27a24551097abf367728c2958f7b",
+    "coalition": "17310f5651ab58b04525e216e98f0b651934295474b92321482228289e7ca030",
+    "coalition-dependent": "bea0c460e914ab318a62808d74ba2149acb513c5d97a7255b4b38c34b13586af",
 }
 
 

@@ -137,9 +137,9 @@ class TestTheorem2:
 class TestTheorem3:
     def test_equicorrelated_closed_forms(self):
         res = verify_theorem3(equicorrelated_vector(3, 0.5), N, 47)
-        assert res.closed_form["mse_both"] == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert res.closed_form["mse_y"] == pytest.approx(0.75, abs=1e-12)
-        r = res.report
+        assert res.details["closed_form"]["mse_both"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert res.details["closed_form"]["mse_y"] == pytest.approx(0.75, abs=1e-12)
+        r = res.reports[0]
         n = r.n_samples
         # Monte Carlo within 4 SE of each closed form.
         assert abs(r.lhs_estimate - 2.0 / 3.0) <= 4 * r.lhs_estimate * math.sqrt(2.0 / n) * 1.5
@@ -150,7 +150,7 @@ class TestTheorem3:
         # Z independent of (X, Y): conditioning on Z adds nothing.
         cov = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
         res = verify_theorem3(GaussianVector(np.zeros(3), cov), N, 48)
-        r = res.report
+        r = res.reports[0]
         assert abs(r.lhs_estimate - r.rhs_estimate) <= 1e-10
         assert r.satisfied
 
@@ -158,8 +158,8 @@ class TestTheorem3:
         res = verify_theorem3(
             equicorrelated_vector(2, 0.5), N, 49, duplicate_last=True
         )
-        assert res.report.lhs_estimate == res.report.rhs_estimate
-        assert res.report.margin_sigmas == 0.0
+        assert res.reports[0].lhs_estimate == res.reports[0].rhs_estimate
+        assert res.reports[0].margin_sigmas == 0.0
 
     def test_dimension_validated(self):
         with pytest.raises(DomainError):
@@ -217,6 +217,21 @@ class TestCovarianceIdentity:
         for key in ("cov_phi_y", "cov_psi_x", "cov_xy"):
             assert res.details[key] == pytest.approx(0.5, abs=0.02)
         assert res.all_satisfied
+
+    def test_memory_releases_each_column_after_its_last_product(self):
+        # Forming the three products while all four centred columns live
+        # takes six columns of n float64; releasing each column after its
+        # last product keeps the peak near five.
+        n = 4 * CHUNK_SIZE
+        model = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
+        verify_covariance_identity(model, 1000, 58)
+        tracemalloc.start()
+        try:
+            verify_covariance_identity(model, n, 58)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.75 * n * 8
 
     def test_fgm_mutual_consistency(self):
         m = BivariateModel(FGM(theta=1.0), Uniform(), Uniform())
@@ -320,12 +335,7 @@ class TestMartingale:
         subsets = [(1, 2, 3, 4, 5), (1,), (3,), (5,), (), (4, 2, 4)]
         shared = martingale_checks(5, N, 72, subsets)
         assert shared == [martingale_check(5, N, 72, subset=s) for s in subsets]
-        assert [r.experiment for r in shared][-1] == "martingale/subset=[2, 4]"
-        named = martingale_checks(5, N, 72, subsets[:2], names=["a", "b"])
-        assert named == [
-            martingale_check(5, N, 72, subset=s, name=name)
-            for s, name in zip(subsets[:2], ["a", "b"])
-        ]
+        assert [r.experiment for r in shared][-1] == "martingale/subset=[2, 4, 4]"
         with ThreadPoolExecutor(max_workers=2) as pool:
             assert martingale_checks(5, N, 72, subsets, pool=pool) == shared
 
@@ -339,9 +349,10 @@ class TestMartingale:
         walk = simulate_chunked(float_walk, 3000, 73, TAG_MAIN)[0]
         lhs_sq = (walk[:, n] - walk[:, n - 1]) ** 2
         subsets = [(n,), (1,), ()]
-        results = martingale_checks(n, 3000, 73, subsets, names=["full", "first", "none"])
-        for (subset, name), result in zip(zip(subsets, ["full", "first", "none"]), results):
+        results = martingale_checks(n, 3000, 73, subsets)
+        for subset, result in zip(subsets, results):
             pred = walk[:, subset[-1] - 1] if subset else np.zeros(3000)
+            name = f"martingale/subset={list(subset)}"
             expect = inequality_report(name, lhs_sq, (walk[:, n] - pred) ** 2, 73)
             assert result.reports == [expect]
 
