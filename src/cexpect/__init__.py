@@ -59,6 +59,7 @@ from .ordered import (
     markov_property_check,
     max_regression,
     mse_order_inequality,
+    order_stats,
     record_predictor_mse,
     simulate_records,
 )

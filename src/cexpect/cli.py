@@ -2,9 +2,13 @@
 
 Loads scenario configs, reads each into built models (one reader per
 experiment, on the model builders and constructors, which own every
-parameter domain), dispatches to the verification operations, manages
-deterministic parallelism (the runner owns the worker pool; modules never
-spawn their own), and writes reports:
+parameter domain), manages deterministic parallelism (the runner owns the
+worker pool; modules never spawn their own), and writes reports.  A reader
+returns one call of its experiment's operation, which takes the config's
+n_samples and seed and returns the finished ExperimentResult, report names
+and detail keys included; only the copies battery of theorems 1 and 2
+loops, one operation call per model.  `verify --seed` replaces the seed of
+each config, and the manifest hashes the config as run.  Outputs:
 
     <out>/<experiment>.json   typed report envelope (schema_version 1)
     <out>/reports.csv         one row per report (fixed header, LF, UTF-8)
@@ -116,41 +120,20 @@ def _read_bivariate(verify):
 
 
 def _read_copula_swap(f, n_samples, seed):
-    if "models" not in f.cfg and "model" in f.cfg:
-        models = [f.model("model", bivariate_from_config)]
-    else:
-        models = f.models("models", bivariate_from_config)
+    models = f.models("models", bivariate_from_config)
     grid = f.integer("grid", theorems.COPULA_SWAP_DEFAULT_GRID)
     threshold = f.number("threshold", theorems.COPULA_SWAP_DEFAULT_THRESHOLD)
     f.build(theorems.check_copula_swap, grid=grid, threshold=threshold)
-
-    def run(pool):
-        reports = []
-        details = {}
-        for pos, model in enumerate(models):
-            label = f"copula-swap/{model.copula.to_config()['family']}#{pos}"
-            result = theorems.verify_copula_theorem(
-                model, n_samples, seed, grid=grid, threshold=threshold, pool=pool, name=label
-            )
-            reports.extend(result.reports)
-            details[label] = result.details
-        return ExperimentResult(experiment="copula-swap", reports=reports, details=details)
-
-    return run
+    return lambda pool: theorems.verify_copula_theorem(
+        models, n_samples, seed, grid, threshold, pool=pool
+    )
 
 
 def _read_martingale(f, n_samples, seed):
     walk_length = f.integer("walk_length")
     subsets = f.index_lists("subsets")
     f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
-
-    def run(pool):
-        results = theorems.martingale_checks(walk_length, n_samples, seed, subsets, pool=pool)
-        reports = [report for result in results for report in result.reports]
-        details = {r.experiment.removeprefix("martingale/"): r.details for r in results}
-        return ExperimentResult(experiment="martingale", reports=reports, details=details)
-
-    return run
+    return lambda pool: theorems.martingale_checks(walk_length, n_samples, seed, subsets, pool=pool)
 
 
 def _order_case(cfg):
@@ -167,19 +150,9 @@ def _order_case(cfg):
 
 def _read_order_stats(f, n_samples, seed):
     cases = f.models("cases", _order_case)
-
-    def run(pool):
-        reports = []
-        details = {}
-        for pos, (m, n, k, l, markov) in enumerate(cases):
-            reports.append(ordered.mse_order_inequality(m, n, k, l, n_samples, seed, pool=pool))
-            if markov:
-                result = ordered.markov_property_check(m, n, n_samples, seed, pool=pool)
-                reports.extend(result.reports)
-                details[f"markov/{m.to_config()['family']}#{pos}"] = result.details
-        return ExperimentResult(experiment="order-stats", reports=reports, details=details)
-
-    return run
+    if cases and None not in cases:
+        f.build(ordered.check_order_cases, cases=cases)
+    return lambda pool: ordered.order_stats(cases, n_samples, seed, pool=pool)
 
 
 def _read_records(f, n_samples, seed):
@@ -194,7 +167,7 @@ def _read_records(f, n_samples, seed):
 
 def _read_coalition(f, n_samples, seed):
     market = f.merge(market_from_config)
-    return lambda pool: compare_strategies(market, pool=pool)
+    return lambda pool: compare_strategies(market, n_samples, seed, pool=pool)
 
 
 # experiment name -> reader(fields, n_samples, seed) -> run(pool) -> ExperimentResult
@@ -326,12 +299,9 @@ def default_suite():
 # Run orchestration.
 
 
-def run_experiment(cfg, seed=None, workers=1):
+def run_experiment(cfg, workers=1):
     """Build the models of one experiment config and run it; returns
     ExperimentResult, or raises ConfigError naming every field at fault."""
-    cfg = dict(cfg)
-    if seed is not None:
-        cfg["seed"] = int(seed)
     run, diags = _read(cfg)
     if diags:
         raise ConfigError(diags)
@@ -459,13 +429,12 @@ def main(argv=None):
 
         results = []
         for cfg in configs:
-            started = time.perf_counter()
-            result = run_experiment(cfg, seed=args.seed, workers=args.workers)
-            elapsed = time.perf_counter() - started
-            used_cfg = dict(cfg)
             if args.seed is not None:
-                used_cfg["seed"] = args.seed
-            results.append((used_cfg, result, elapsed))
+                cfg = {**cfg, "seed": args.seed}
+            started = time.perf_counter()
+            result = run_experiment(cfg, workers=args.workers)
+            elapsed = time.perf_counter() - started
+            results.append((cfg, result, elapsed))
             status = "ok" if result.all_satisfied else "UNSATISFIED"
             print(f"{result.experiment}: {len(result.reports)} report(s), {status} [{elapsed:.2f}s]")
     except ConfigError as exc:

@@ -27,7 +27,7 @@ from .config import Fields
 from .errors import ConstructionError, DomainError, ExtrapolationError
 from .marginals import Marginal, MaxOfIid, marginal_from_config
 from .quadrature import tabulate
-from .reports import ExperimentResult, check_sample_size, inequality_report
+from .reports import ExperimentResult, inequality_report
 from .rng import check_row_width, simulate_chunked
 
 TAG_MARKET = 5
@@ -48,8 +48,6 @@ class MarketConfig:
     broker_marginal: Marginal
     rho_xx: float = None
     outsider: Marginal = None
-    n_samples: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         k = self.n_brokers
@@ -63,7 +61,6 @@ class MarketConfig:
                 f"for {k} brokers",
                 "rho_xx",
             )
-        check_sample_size(self.n_samples)
 
     @property
     def iid_brokers(self):
@@ -76,14 +73,10 @@ def market_from_config(cfg):
     f = Fields(cfg, "a market config object")
     brokers = f.model("brokers", _brokers_from_config)
     outsider = f.model("outsider", _outsider_from_config, default=None)
-    n_samples, seed = f.integer("n_samples"), f.integer("seed")
     if brokers is None:
         return f.close(None)
     keys = {"n_brokers": "brokers.count", "rho_xx": "brokers.rho_xx"}
-    market = f.build(
-        MarketConfig, keys=keys, outsider=outsider, n_samples=n_samples, seed=seed, **brokers
-    )
-    return f.close(market)
+    return f.close(f.build(MarketConfig, keys=keys, outsider=outsider, **brokers))
 
 
 def _brokers_from_config(cfg):
@@ -103,11 +96,12 @@ def _outsider_from_config(cfg):
     return f.close(base if count == 1 else f.build(MaxOfIid, base=base, count=count))
 
 
-def simulate_market(cfg: MarketConfig, pool=None):
-    """Simulated (X, Y, Z): broker prices, outsider price, rowwise max.
+def simulate_market(cfg: MarketConfig, n_samples, seed, pool=None):
+    """n_samples simulated (X, Y, Z): broker prices, outsider price, rowwise
+    max.
 
     Y is all -inf when the outsider is disabled.  Deterministic given
-    cfg.seed; brokers draw before the outsider within each chunk.
+    seed; brokers draw before the outsider within each chunk.
     """
     k = cfg.n_brokers
     normals = None if cfg.iid_brokers else equicorrelated_vector(k, cfg.rho_xx)
@@ -125,7 +119,7 @@ def simulate_market(cfg: MarketConfig, pool=None):
         z_price = np.maximum(x.max(axis=1), y)
         return x, y, z_price
 
-    return simulate_chunked(worker, cfg.n_samples, cfg.seed, TAG_MARKET, pool=pool)
+    return simulate_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool)
 
 
 def competitor_max_cdf(cfg: MarketConfig, w):
@@ -148,7 +142,9 @@ def individual_predictor(cfg: MarketConfig, i, x):
     if not 0 <= i < cfg.n_brokers:
         raise DomainError(f"broker index {i} out of range 0..{cfg.n_brokers - 1}")
     if not cfg.iid_brokers:
-        raise DomainError("dependent brokers: use predictor_table(cfg, i, simulate_market(cfg))")
+        raise DomainError(
+            "dependent brokers: use predictor_table(cfg, i, simulate_market(cfg, n_samples, seed))"
+        )
     lo, hi = _price_range(cfg)
     if not (lo <= x <= hi):
         raise ExtrapolationError(f"x={x} outside the price range [{lo:.6g}, {hi:.6g}]")
@@ -219,15 +215,16 @@ def coalition_average_predictor(cfg: MarketConfig, prices, tables=None):
     return float(np.mean([tables[i](prices[i]) for i in range(cfg.n_brokers)]))
 
 
-def compare_strategies(cfg: MarketConfig, pool=None):
+def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):
     """Coalition-average predictor vs each individual predictor, plus win
     probabilities (strict-max winner; ties, probability zero for continuous
     models, break toward the lowest broker index, then the outsider).
 
-    One report per broker; the details carry the per-broker and coalition
-    MSEs and the win probabilities.
+    One report per broker, all on the same n_samples markets drawn from
+    `seed`; the details carry the per-broker and coalition MSEs and the win
+    probabilities.
     """
-    sample = simulate_market(cfg, pool=pool)
+    sample = simulate_market(cfg, n_samples, seed, pool=pool)
     x, y, z = sample
     if cfg.iid_brokers:
         shared = predictor_table(cfg)
@@ -241,7 +238,7 @@ def compare_strategies(cfg: MarketConfig, pool=None):
     reports = []
     for i in range(cfg.n_brokers):
         rhs_sq = (z - preds[:, i]) ** 2
-        reports.append(inequality_report(f"coalition/broker{i + 1}", lhs_sq, rhs_sq, cfg.seed))
+        reports.append(inequality_report(f"coalition/broker{i + 1}", lhs_sq, rhs_sq, seed))
 
     board = np.column_stack([x, y])
     winner = np.argmax(board, axis=1)
@@ -255,8 +252,8 @@ def compare_strategies(cfg: MarketConfig, pool=None):
         "outsider_win_probability": float(win_probs[cfg.n_brokers]),
         "paired_ses": [r.paired_diff_se for r in reports],
         "satisfied": [r.satisfied for r in reports],
-        "n_samples": int(cfg.n_samples),
-        "seed": int(cfg.seed),
+        "n_samples": int(n_samples),
+        "seed": int(seed),
         "details": {"win_probability_sum": float(win_probs.sum())},
     }
     return ExperimentResult(experiment="coalition", reports=reports, details=details)

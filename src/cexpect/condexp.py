@@ -100,11 +100,6 @@ class RegressionFunction:
         lo, hi = self.domain
         return self._interp(np.clip(x, lo, hi))
 
-    def range(self):
-        v_lo = float(self(self.domain[0]))
-        v_hi = float(self(self.domain[1]))
-        return (v_lo, v_hi) if v_lo <= v_hi else (v_hi, v_lo)
-
 
 def generalized_inverse(f: RegressionFunction, t):
     """inf{x : f(x) >= t} for increasing f, inf{x : f(x) <= t} for decreasing.
@@ -144,9 +139,6 @@ class BivariateModel:
     marginal_x: Marginal
     marginal_y: Marginal
 
-    def joint_cdf(self, x, y):
-        return self.copula.cdf(self.marginal_x.cdf(x), self.marginal_y.cdf(y))
-
     def sample(self, rng, n):
         """n joint draws via copula sampling + marginal quantiles."""
         u, v = self.copula.sample(rng, n)
@@ -159,13 +151,6 @@ class BivariateModel:
     def psi(self):
         """x -> E(Y | X = x) as a RegressionFunction over the X support."""
         return _regression(self.copula, self.marginal_y, self.marginal_x)
-
-    def to_config(self):
-        return {
-            "copula": self.copula.to_config(),
-            "marginal_x": self.marginal_x.to_config(),
-            "marginal_y": self.marginal_y.to_config(),
-        }
 
 
 def bivariate_from_config(cfg):

@@ -48,10 +48,6 @@ class Copula:
         u, v = self._clip_pair(u, v)
         return self._cdf(u, v)
 
-    def density(self, u, v):
-        u, v = self._clip_pair(u, v)
-        return self._density(u, v)
-
     def cond_cdf(self, u, v):
         """dC/du at (u, v): the conditional cdf of V given U = u."""
         u, v = self._clip_pair(u, v)
@@ -99,9 +95,6 @@ class Independence(Copula):
     def _cdf(self, u, v):
         return u * v
 
-    def _density(self, u, v):
-        return np.ones_like(u * v)
-
     def _cond_cdf(self, u, v):
         return v
 
@@ -131,13 +124,6 @@ class Gaussian(Copula):
         h = ndtri(np.where(interior, u, 0.5))
         k = ndtri(np.where(interior, v, 0.5))
         return np.where(interior, _bvn_cdf(h, k, self.rho), out)
-
-    def _density(self, u, v):
-        x = ndtri(np.clip(u, 1e-300, 1 - 1e-16))
-        y = ndtri(np.clip(v, 1e-300, 1 - 1e-16))
-        r = self.rho
-        q = (r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * (1.0 - r * r))
-        return np.exp(-q) / math.sqrt(1.0 - r * r)
 
     def _cond_cdf(self, u, v):
         x = ndtri(np.clip(u, 1e-300, 1 - 1e-16))
@@ -184,9 +170,6 @@ class FGM(Copula):
 
     def _cdf(self, u, v):
         return u * v * (1.0 + self.theta * (1.0 - u) * (1.0 - v))
-
-    def _density(self, u, v):
-        return 1.0 + self.theta * (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
 
     def _cond_cdf(self, u, v):
         return v * (1.0 + self.theta * (1.0 - 2.0 * u) * (1.0 - v))
@@ -237,20 +220,6 @@ class Clayton(Copula):
         lv = -a * np.log(v)
         m = np.maximum(lu, lv)
         return m + np.log(np.exp(lu - m) + np.exp(lv - m) - np.exp(-m))
-
-    def _density(self, u, v):
-        # Log-space evaluation keeps the density smooth down to the axes
-        # (it vanishes like u^alpha); a hard floor would plant a step that
-        # quadrature converges across only slowly.
-        a = self.alpha
-        uu = np.maximum(u, 1e-300)
-        vv = np.maximum(v, 1e-300)
-        log_c = (
-            math.log1p(a)
-            - (a + 1.0) * (np.log(uu) + np.log(vv))
-            - (1.0 / a + 2.0) * self._log_t(a, uu, vv)
-        )
-        return np.exp(log_c)
 
     def _cond_cdf(self, u, v):
         a = self.alpha

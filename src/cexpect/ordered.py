@@ -26,7 +26,7 @@ from .condexp import RegressionFunction, chebyshev_nodes
 from .errors import DomainError, SampleSizeError
 from .marginals import Exponential, Marginal, Uniform
 from .quadrature import integrate, tabulate
-from .reports import ExperimentResult, inequality_report, threshold_report
+from .reports import ExperimentResult, check_unique_names, inequality_report, threshold_report
 from .rng import check_row_width, run_chunked, simulate_chunked
 
 TAG_ORDER = 3
@@ -229,7 +229,7 @@ def markov_property_check(m: Marginal, n, n_samples, seed, pool=None):
         )
 
     max_abs_z = float(np.max(np.abs(zs))) if zs else 0.0
-    name = f"order-stats/markov/{m.to_config()['family']}(n={n})"
+    name = _markov_name(m, n)
     report = threshold_report(name, max_abs_z, 4.0, n_samples, seed)
     details = {
         "max_abs_z": max_abs_z,
@@ -260,8 +260,49 @@ def mse_order_inequality(m: Marginal, n, k, l, n_samples, seed, pool=None):
     target = matrix[:, n - 1]
     lhs_sq = (target - reg_l(matrix[:, l - 1])) ** 2
     rhs_sq = (target - reg_k(matrix[:, k - 1])) ** 2
-    name = f"order-stats/{m.to_config()['family']}(n={n},k={k},l={l})"
-    return inequality_report(name, lhs_sq, rhs_sq, seed)
+    return inequality_report(_order_name(m, n, k, l), lhs_sq, rhs_sq, seed)
+
+
+def _family(m: Marginal):
+    return m.to_config()["family"]
+
+
+def _order_name(m: Marginal, n, k, l):
+    return f"order-stats/{_family(m)}(n={n},k={k},l={l})"
+
+
+def _markov_name(m: Marginal, n):
+    return f"order-stats/markov/{_family(m)}(n={n})"
+
+
+def check_order_cases(cases):
+    """No two order-stats cases (marginal, n, k, l, markov_check) make a
+    report of the same name: the inequality report is named by the
+    marginal's family and (n, k, l), the Markov report by family and n."""
+    names = []
+    for pos, (m, n, k, l, markov_check) in enumerate(cases):
+        names.append((pos, _order_name(m, n, k, l)))
+        if markov_check:
+            names.append((pos, _markov_name(m, n)))
+    check_unique_names(names, "cases")
+
+
+def order_stats(cases, n_samples, seed, pool=None):
+    """The order-stats experiment over `cases`, each (marginal, n, k, l,
+    markov_check): the case's `mse_order_inequality` report and, where
+    markov_check is set, its `markov_property_check` report, whose details
+    are keyed "markov/{family}#i" by the case's position i.
+    """
+    check_order_cases(cases)
+    reports = []
+    details = {}
+    for pos, (m, n, k, l, markov_check) in enumerate(cases):
+        reports.append(mse_order_inequality(m, n, k, l, n_samples, seed, pool=pool))
+        if markov_check:
+            markov = markov_property_check(m, n, n_samples, seed, pool=pool)
+            reports += markov.reports
+            details[f"markov/{_family(m)}#{pos}"] = markov.details
+    return ExperimentResult("order-stats", reports, details)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,18 @@ def check_sample_size(n_samples):
         raise DomainError(f"reports need n_samples >= 1000, got {n_samples}", "n_samples")
 
 
+def check_unique_names(named, field):
+    """Report names are unique within an experiment: `named` is the
+    (position, name) of each report, in order, and the first name made
+    again raises DomainError at `field`[position]."""
+    first = {}
+    for pos, name in named:
+        if name in first:
+            message = f"repeats the report {name!r} of {field}[{first[name]}]"
+            raise DomainError(message, f"{field}[{pos}]")
+        first[name] = pos
+
+
 @dataclass(frozen=True)
 class PairedReport:
     """Paired Monte Carlo estimates of two quantities and a satisfied verdict.

@@ -34,6 +34,7 @@ from .marginals import Marginal, Normal, Uniform, marginal_from_config
 from .quadrature import tabulate
 from .reports import (
     ExperimentResult,
+    check_unique_names,
     equality_check,
     inequality_report,
     threshold_report,
@@ -330,10 +331,14 @@ def _conditioning_errors(v: GaussianVector, target, index_sets, n_samples, seed,
     return simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
 
 
+def _chain_name(shorter, longer):
+    return f"corollary-chain/{list(shorter)}->{list(longer)}"
+
+
 def chain_index_sets(dim, index_sets):
     """The index sets of a corollary chain, each sorted, after checking that
-    they are at least two, nested, and inside 0..dim-1 without the target
-    dim-1."""
+    they are at least two, nested, inside 0..dim-1 without the target dim-1,
+    and that no adjacent pair repeats an earlier pair's report name."""
     target = dim - 1
     sets = [tuple(sorted(s)) for s in index_sets]
     if len(sets) < 2:
@@ -346,6 +351,8 @@ def chain_index_sets(dim, index_sets):
             raise DomainError(f"indices out of range for dimension {dim}", param)
         if pos and not set(sets[pos - 1]).issubset(s):
             raise DomainError("index sets must be nested: this set misses an earlier index", param)
+    names = [(pos + 1, _chain_name(*pair)) for pos, pair in enumerate(zip(sets, sets[1:]))]
+    check_unique_names(names, "index_sets")
     return sets
 
 
@@ -361,14 +368,8 @@ def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, pool=
 
     reports = []
     for i in range(len(sets) - 1):
-        reports.append(
-            inequality_report(
-                f"corollary-chain/{list(sets[i])}->{list(sets[i + 1])}",
-                sq_errors[i + 1],
-                sq_errors[i],
-                seed,
-            )
-        )
+        name = _chain_name(sets[i], sets[i + 1])
+        reports.append(inequality_report(name, sq_errors[i + 1], sq_errors[i], seed))
     details = {
         "index_sets": [list(s) for s in sets],
         "closed_form_mse": closed,
@@ -447,51 +448,56 @@ def check_copula_swap(grid, threshold):
 
 
 def verify_copula_theorem(
-    model: BivariateModel,
+    models,
     n_samples,
     seed,
     grid=COPULA_SWAP_DEFAULT_GRID,
     threshold=COPULA_SWAP_DEFAULT_THRESHOLD,
     pool=None,
-    name=None,
 ):
-    """The copula of (Z1, Z2) = (E(X|Y), E(Y|X)) is the argument-swapped C.
+    """The copula of (Z1, Z2) = (E(X|Y), E(Y|X)) is the argument-swapped C,
+    for each BivariateModel of `models`, each on the same seed.
 
     Requires strictly increasing regression functions (the inversion chain
     behind the theorem needs them); models violating that are rejected.
     Compares the empirical copula of (Z1, Z2) against C(s, t) and, since all
-    supported families are exchangeable, against C(t, s) as well.
+    supported families are exchangeable, against C(t, s) as well.  Model i
+    is named "copula-swap/{family}#i": its reports are that name plus
+    "/swapped" and "/exchangeable", and its details are keyed by it.
     """
     check_copula_swap(grid, threshold)
-    phi = model.phi()
-    psi = model.psi()
-    for label, f in (("phi", phi), ("psi", psi)):
-        if f.monotonicity != INCREASING:
-            raise UnsupportedModelError(
-                f"copula-swap verification needs strictly increasing {label}; "
-                f"got {f.monotonicity}"
-            )
+    reports = []
+    details = {}
+    for pos, model in enumerate(models):
+        phi = model.phi()
+        psi = model.psi()
+        for label, f in (("phi", phi), ("psi", psi)):
+            if f.monotonicity != INCREASING:
+                raise UnsupportedModelError(
+                    f"copula-swap verification needs strictly increasing {label}; "
+                    f"got {f.monotonicity}"
+                )
 
-    def worker(rng, count):
-        x, y = model.sample(rng, count)
-        return phi(y), psi(x)
+        def worker(rng, count):
+            x, y = model.sample(rng, count)
+            return phi(y), psi(x)
 
-    z1, z2 = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    emp = EmpiricalCopula(z1, z2)
-    d_swapped = sup_distance_swapped(emp, model.copula, grid)
-    d_direct = sup_distance(emp, model.copula, grid)
+        z1, z2 = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+        emp = EmpiricalCopula(z1, z2)
+        d_swapped = sup_distance_swapped(emp, model.copula, grid)
+        d_direct = sup_distance(emp, model.copula, grid)
 
-    base = name or "copula-swap"
-    reports = [
-        threshold_report(f"{base}/swapped", d_swapped, threshold, n_samples, seed),
-        threshold_report(f"{base}/exchangeable", d_direct, threshold, n_samples, seed),
-    ]
-    details = {
-        "sup_distance_swapped": d_swapped,
-        "sup_distance_exchangeable": d_direct,
-        "grid": int(grid),
-    }
-    return ExperimentResult(experiment=base, reports=reports, details=details)
+        name = f"copula-swap/{model.copula.to_config()['family']}#{pos}"
+        reports += [
+            threshold_report(f"{name}/swapped", d_swapped, threshold, n_samples, seed),
+            threshold_report(f"{name}/exchangeable", d_direct, threshold, n_samples, seed),
+        ]
+        details[name] = {
+            "sup_distance_swapped": d_swapped,
+            "sup_distance_exchangeable": d_direct,
+            "grid": int(grid),
+        }
+    return ExperimentResult(experiment="copula-swap", reports=reports, details=details)
 
 
 def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
@@ -532,19 +538,26 @@ def martingale_exact_mse(n, k):
     return float(n + 1 - k)
 
 
+def _subset_name(subset):
+    return f"martingale/subset={sorted(subset)}"
+
+
 def martingale_subsets(walk_length, subsets):
-    """The subsets of 1..walk_length to score, each deduplicated and sorted."""
+    """The subsets of 1..walk_length to score, each deduplicated and sorted,
+    after checking that no two are the same list once sorted (their reports
+    would share a name)."""
     if walk_length < 1:
         raise DomainError(f"walk length must be >= 1, got {walk_length}", "walk_length")
     check_row_width(walk_length, "walk_length")
     if not subsets:
         raise DomainError("need at least one subset", "subsets")
-    subsets = [tuple(sorted(set(subset))) for subset in subsets]
-    for pos, subset in enumerate(subsets):
+    sets = [tuple(sorted(set(subset))) for subset in subsets]
+    for pos, subset in enumerate(sets):
         if subset and (subset[0] < 1 or subset[-1] > walk_length):
             message = f"subset {list(subset)} must lie within 1..{walk_length}"
             raise DomainError(message, f"subsets[{pos}]")
-    return subsets
+    check_unique_names([(pos, _subset_name(s)) for pos, s in enumerate(subsets)], "subsets")
+    return sets
 
 
 def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
@@ -554,8 +567,10 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     exactly 1); rhs = E[S_{n+1} - S_max(subset)]^2, since the conditional
     expectation given any subset of the past is the value at its latest
     index.  Empty subset predicts by the mean 0.  Every subset is scored on
-    the same walk, drawn once; returns one ExperimentResult per subset, in
-    order, named "martingale/subset=[...]" by the subset as given, sorted.
+    the same walk, drawn once.  Returns the experiment's ExperimentResult:
+    one report per subset, in order, named "martingale/subset=[...]" by the
+    subset as given, sorted, and that subset's exact MSEs keyed
+    "subset=[...]" in the details.
     """
     n = int(walk_length)
     given = [sorted(int(k) for k in subset) for subset in subsets]
@@ -573,20 +588,20 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     s_next = walk[:, n]
     # Subtracting in float64, where the walk's values are exact integers.
     lhs_sq = np.subtract(s_next, walk[:, n - 1], dtype=np.float64) ** 2
-    results = []
+    reports = []
+    details = {}
     for subset, indices in zip(subsets, given):
         pred = walk[:, subset[-1] - 1] if subset else 0.0
         rhs_sq = np.subtract(s_next, pred, dtype=np.float64) ** 2
-        name = f"martingale/subset={indices}"
-        report = inequality_report(name, lhs_sq, rhs_sq, seed)
-        closed = {
+        name = _subset_name(indices)
+        reports.append(inequality_report(name, lhs_sq, rhs_sq, seed))
+        details[name.removeprefix("martingale/")] = {
             "exact_lhs": 1.0,
             "exact_rhs": martingale_exact_mse(n, subset[-1] if subset else 0),
         }
-        results.append(ExperimentResult(experiment=name, reports=[report], details=closed))
-    return results
+    return ExperimentResult(experiment="martingale", reports=reports, details=details)
 
 
 def martingale_check(walk_length, n_samples, seed, subset=(), pool=None):
     """One-subset form of `martingale_checks`."""
-    return martingale_checks(walk_length, n_samples, seed, [subset], pool)[0]
+    return martingale_checks(walk_length, n_samples, seed, [subset], pool)

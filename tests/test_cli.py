@@ -11,7 +11,7 @@ from cexpect import cli
 from cexpect.cli import validate_config
 from cexpect.coalition import market_from_config
 from cexpect.marginals import MaxOfIid
-from cexpect.reports import ExperimentResult, threshold_report
+from cexpect.reports import ExperimentResult, canonical_config_hash, threshold_report
 
 NORMAL = {"family": "normal", "mean": 0.0, "sd": 1.0}
 
@@ -74,8 +74,38 @@ def test_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_flag_runs_the_config_with_that_seed(tmp_path):
+    records = cli.default_suite()["records"]
+    reseeded = {**records, "seed": 5}
+    flagged, direct = tmp_path / "flagged", tmp_path / "direct"
+    config = _write_config(tmp_path, records)
+    assert _verify("records", "--config", config, "--seed", "5", "--out", str(flagged)) == 0
+    config = _write_config(tmp_path, reseeded, "reseeded.json")
+    assert _verify("records", "--config", config, "--out", str(direct)) == 0
+    assert (flagged / "records.json").read_bytes() == (direct / "records.json").read_bytes()
+    manifest = json.loads((flagged / "manifest.json").read_text())
+    assert manifest["experiments"]["records"]["config_hash"] == canonical_config_hash(reseeded)
+
+
+def test_verify_command_errors_exit_2(tmp_path, capsys):
+    records = cli.default_suite()["records"]
+    out = tmp_path / "out"
+    assert _verify("records", "--out", str(out)) == 2
+    assert "--config is required" in capsys.readouterr().err
+    config = _write_config(tmp_path, records)
+    assert _verify("martingale", "--config", config, "--out", str(out)) == 2
+    assert "config is for 'records', not 'martingale'" in capsys.readouterr().err
+    # Too few sequences reach depth 4 within 4 draws: a SampleSizeError
+    # that only the run can find.
+    short = _write_config(tmp_path, {**records, "cap": 4, "n_samples": 20_000}, "short.json")
+    assert _verify("records", "--config", short, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unsatisfied_verdict_exits_1(tmp_path, monkeypatch):
-    def unsatisfied(cfg, seed=None, workers=1, pool=None):
+    def unsatisfied(cfg, workers=1):
         report = threshold_report("records", 5.0, 4.0, cfg["n_samples"], cfg["seed"])
         return ExperimentResult(experiment="records", reports=[report])
 
@@ -112,6 +142,9 @@ def test_validate_exit_codes(tmp_path, capsys):
     broken.write_text("{not json")
     assert _validate("--config", str(broken)) == 2
     assert "invalid JSON" in capsys.readouterr().err
+    unknown = _write_config(tmp_path, {"experiment": "nope"}, "unknown.json")
+    assert _validate("--config", unknown) == 2
+    assert capsys.readouterr().err.startswith("experiment: unknown experiment 'nope'")
 
 
 WIDE = 10**6
@@ -249,6 +282,28 @@ REJECTED = {
         _suite_with("coalition", brokers={"count": 2.5, "marginal": _EXP1}),
         "brokers.count",
     ),
+    # Configs whose experiment would write two reports of one name.
+    "martingale-repeated-subset": (_suite_with("martingale", subsets=[[1, 2], [2, 1]]), "subsets[1]"),
+    "order-repeated-inequality": (
+        _suite_with(
+            "order-stats",
+            cases=[
+                {"marginal": {"family": "uniform", "lower": 0.0, "upper": upper}, "n": 4, "k": 2, "l": 3}
+                for upper in (1.0, 2.0)
+            ],
+        ),
+        "cases[1]",
+    ),
+    "order-repeated-markov": (
+        _suite_with(
+            "order-stats",
+            cases=[
+                {"marginal": _EXP1, "n": 5, "k": k, "l": 4, "markov_check": True} for k in (2, 3)
+            ],
+        ),
+        "cases[1]",
+    ),
+    "chain-repeated-pair": (_suite_with("corollary-chain", index_sets=[[1], [1], [1]]), "index_sets[2]"),
 }
 
 

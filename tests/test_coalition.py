@@ -86,13 +86,13 @@ def test_individual_predictor_rejects_bad_arguments():
 
 
 def test_dependent_brokers_need_the_simulated_tables():
-    cfg = MarketConfig(3, Normal(), rho_xx=0.3, n_samples=5000, seed=3)
+    cfg = MarketConfig(3, Normal(), rho_xx=0.3)
     with pytest.raises(DomainError, match="predictor_table"):
         individual_predictor(cfg, 0, 0.0)
     prices = np.zeros(3)
     with pytest.raises(DomainError, match="predictor_table"):
         coalition_average_predictor(cfg, prices)
-    sample = simulate_market(cfg)
+    sample = simulate_market(cfg, 5000, 3)
     tables = [predictor_table(cfg, i, sample) for i in range(3)]
     expected = np.mean([t(0.0) for t in tables])
     assert coalition_average_predictor(cfg, prices, tables) == expected

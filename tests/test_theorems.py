@@ -266,23 +266,23 @@ class TestCovarianceCounterexample:
 class TestCopulaSwap:
     def test_gaussian_rho05(self):
         res = verify_copula_theorem(
-            BivariateModel(Gaussian(rho=0.5), Normal(), Normal()), N, 60
+            [BivariateModel(Gaussian(rho=0.5), Normal(), Normal())], N, 60
         )
-        assert res.details["sup_distance_swapped"] <= 0.02
-        assert res.details["sup_distance_exchangeable"] <= 0.02
+        assert res.details["copula-swap/gaussian#0"]["sup_distance_swapped"] <= 0.02
+        assert res.details["copula-swap/gaussian#0"]["sup_distance_exchangeable"] <= 0.02
         assert res.all_satisfied
 
     def test_independence_rejected(self):
         m = BivariateModel(Independence(), Uniform(), Uniform())
         with pytest.raises(UnsupportedModelError):
-            verify_copula_theorem(m, N, 61)
+            verify_copula_theorem([m], N, 61)
 
     def test_clayton_uniform(self):
         res = verify_copula_theorem(
-            BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform()), N, 62
+            [BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())], N, 62
         )
-        assert res.details["sup_distance_swapped"] <= 0.02
-        assert res.details["sup_distance_exchangeable"] <= 0.02
+        assert res.details["copula-swap/clayton#0"]["sup_distance_swapped"] <= 0.02
+        assert res.details["copula-swap/clayton#0"]["sup_distance_exchangeable"] <= 0.02
 
 
 class TestPredictedSequence:
@@ -334,8 +334,8 @@ class TestMartingale:
 
         subsets = [(1, 2, 3, 4, 5), (1,), (3,), (5,), (), (4, 2, 4)]
         shared = martingale_checks(5, N, 72, subsets)
-        assert shared == [martingale_check(5, N, 72, subset=s) for s in subsets]
-        assert [r.experiment for r in shared][-1] == "martingale/subset=[2, 4, 4]"
+        assert shared.reports == [martingale_check(5, N, 72, subset=s).reports[0] for s in subsets]
+        assert shared.reports[-1].name == "martingale/subset=[2, 4, 4]"
         with ThreadPoolExecutor(max_workers=2) as pool:
             assert martingale_checks(5, N, 72, subsets, pool=pool) == shared
 
@@ -350,11 +350,11 @@ class TestMartingale:
         lhs_sq = (walk[:, n] - walk[:, n - 1]) ** 2
         subsets = [(n,), (1,), ()]
         results = martingale_checks(n, 3000, 73, subsets)
-        for subset, result in zip(subsets, results):
+        for subset, report in zip(subsets, results.reports, strict=True):
             pred = walk[:, subset[-1] - 1] if subset else np.zeros(3000)
             name = f"martingale/subset={list(subset)}"
             expect = inequality_report(name, lhs_sq, (walk[:, n] - pred) ** 2, 73)
-            assert result.reports == [expect]
+            assert report == expect
 
     def test_subset_validated(self):
         with pytest.raises(DomainError):
