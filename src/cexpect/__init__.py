@@ -36,7 +36,6 @@ from .theorems import (
     GaussianCopies,
     covariance_counterexample,
     default_copies_battery,
-    martingale_check,
     martingale_checks,
     predicted_sequence_stats,
     predictor_pair_covariance,

@@ -5,10 +5,10 @@ experiment, on the model builders and constructors, which own every
 parameter domain), manages deterministic parallelism (the runner owns the
 worker pool; modules never spawn their own), and writes reports.  A reader
 returns one call of its experiment's operation, which takes the config's
-n_samples and seed and returns the finished ExperimentResult, report names
-and detail keys included; only the copies battery of theorems 1 and 2
-loops, one operation call per model.  `verify --seed` replaces the seed of
-each config, and the manifest hashes the config as run.  Outputs:
+models, n_samples and seed and returns the finished ExperimentResult,
+report names and detail keys included; no reader loops or builds a result.
+`verify --seed` replaces the seed of each config, and the manifest hashes
+the config as run.  Outputs:
 
     <out>/<experiment>.json   typed report envelope (schema_version 1)
     <out>/reports.csv         one row per report (fixed header, LF, UTF-8)
@@ -36,40 +36,22 @@ from .condexp import GaussianVector, ar_vector, bivariate_from_config, equicorre
 from .config import Diagnostic, Fields
 from .errors import CexpectError, ConfigError
 from .marginals import marginal_from_config
-from .reports import (
-    ExperimentResult,
-    canonical_config_hash,
-    check_sample_size,
-    render_csv,
-    render_json,
-)
+from .reports import canonical_config_hash, check_sample_size, render_csv, render_json
 
 
 # ---------------------------------------------------------------------------
 # Experiments: each reads its config into built models and returns the run.
 
 
-def _read_copies(which, verify):
+def _read_model(builder, verify):
+    """The reader of an experiment whose "model" key describes what it runs:
+    verify(builder(cfg["model"]), n_samples, seed, pool)."""
+
     def read(f, n_samples, seed):
-        models = f.model("model", _copies_models)
-
-        def run(pool):
-            reports = [verify(m, n_samples, seed, pool=pool) for m in models]
-            details = {"battery_size": len(models)}
-            return ExperimentResult(experiment=which, reports=reports, details=details)
-
-        return run
+        model = f.model("model", builder)
+        return lambda pool: verify(model, n_samples, seed, pool=pool)
 
     return read
-
-
-def _copies_models(cfg):
-    """The default battery, or the one copies model the config describes."""
-    f = Fields(cfg, "a copies model object")
-    kinds = ("battery", "gaussian-copies", "conditional-iid")
-    if f.close(f.choice("kind", kinds, default="gaussian-copies")) == "battery":
-        return theorems.default_copies_battery()
-    return [theorems.copies_model_from_config(cfg)]
 
 
 def _read_theorem3(f, n_samples, seed):
@@ -109,14 +91,6 @@ def _ar_vector(cfg):
     f.choice("kind", ("ar",), default="ar")
     vector = f.build(ar_vector, keys={"cov": "r"}, dim=f.integer("dim"), r=f.number("r"))
     return f.close(vector)
-
-
-def _read_bivariate(verify):
-    def read(f, n_samples, seed):
-        model = f.model("model", bivariate_from_config)
-        return lambda pool: verify(model, n_samples, seed, pool=pool)
-
-    return read
 
 
 def _read_copula_swap(f, n_samples, seed):
@@ -172,13 +146,13 @@ def _read_coalition(f, n_samples, seed):
 
 # experiment name -> reader(fields, n_samples, seed) -> run(pool) -> ExperimentResult
 EXPERIMENTS = {
-    "theorem1": _read_copies("theorem1", theorems.verify_theorem1),
-    "theorem2": _read_copies("theorem2", theorems.verify_theorem2),
+    "theorem1": _read_model(theorems.copies_models_from_config, theorems.verify_theorem1),
+    "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2),
     "theorem3": _read_theorem3,
     "corollary-chain": _read_corollary,
-    "covariance": _read_bivariate(theorems.verify_covariance_identity),
+    "covariance": _read_model(bivariate_from_config, theorems.verify_covariance_identity),
     "copula-swap": _read_copula_swap,
-    "sequence-stats": _read_bivariate(theorems.predicted_sequence_stats),
+    "sequence-stats": _read_model(bivariate_from_config, theorems.predicted_sequence_stats),
     "martingale": _read_martingale,
     "order-stats": _read_order_stats,
     "records": _read_records,

@@ -232,7 +232,7 @@ def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):
     else:
         tables = [predictor_table(cfg, i, sample) for i in range(cfg.n_brokers)]
     preds = np.column_stack([tables[i](x[:, i]) for i in range(cfg.n_brokers)])
-    coalition = preds[:, 0] if cfg.n_brokers == 1 else preds.mean(axis=1)
+    coalition = preds.mean(axis=1)
 
     lhs_sq = (z - coalition) ** 2
     reports = []

@@ -346,19 +346,19 @@ def gaussian_conditional(v: GaussianVector, target, given, values):
     return v.conditional_mean(target, given, values)
 
 
-def equicorrelated_vector(dim, rho, mean=0.0, sd=1.0):
-    """Standard equicorrelated GaussianVector helper."""
+def equicorrelated_vector(dim, rho):
+    """Standard equicorrelated GaussianVector: unit variances, correlation rho."""
     check_row_width(dim, "dim")
-    cov = np.full((dim, dim), rho * sd * sd)
-    np.fill_diagonal(cov, sd * sd)
-    return GaussianVector(np.full(dim, float(mean)), cov)
+    cov = np.full((dim, dim), rho, dtype=float)
+    np.fill_diagonal(cov, 1.0)
+    return GaussianVector(np.zeros(dim), cov)
 
 
-def ar_vector(dim, r, mean=0.0, sd=1.0):
-    """Gaussian vector with AR(1)-style covariance sd^2 * r^|i-j|."""
+def ar_vector(dim, r):
+    """Standard Gaussian vector with AR(1)-style covariance r^|i-j|."""
     if dim < 2:
         raise ConstructionError(f"dimension must be >= 2, got {dim}", "dim")
     check_row_width(dim, "dim")
     idx = np.arange(dim)
-    cov = sd * sd * (float(r) ** np.abs(idx[:, None] - idx[None, :]))
-    return GaussianVector(np.full(dim, float(mean)), cov)
+    cov = float(r) ** np.abs(idx[:, None] - idx[None, :])
+    return GaussianVector(np.zeros(dim), cov)

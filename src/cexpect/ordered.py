@@ -174,19 +174,20 @@ def check_markov_order(n):
         raise DomainError(f"markov check needs n >= 3, got {n}", "n")
 
 
-def markov_property_check(m: Marginal, n, n_samples, seed, pool=None):
-    """Markov check for order statistics: given X_{n-1:n}, the conditional
-    mean of X_{n:n} must not depend on X_{n-2:n}.
+def markov_property_check(m: Marginal, matrix, seed):
+    """Markov check for order statistics on `matrix`, an (n_samples, n)
+    `order_stat_matrix` of marginal `m` drawn from `seed`: given X_{n-1:n},
+    the conditional mean of X_{n:n} must not depend on X_{n-2:n}.
 
     Rows are binned by X_{n-1:n} (20 equal-count bins, fewer when a sub-bin
     would average under 200 rows); inside each bin the within-bin linear
     trend in X_{n-1:n} is removed (it exactly absorbs the confounding between
     the bin's residual spread and X_{n-2:n}), then the detrended residuals
     are split into 3 X_{n-2:n} sub-bins and each sub-bin mean is tested
-    against 0.  satisfied <=> max |z| <= 4.
+    against 0.  satisfied <=> max |z| <= 4.  Returns (report, details).
     """
+    n_samples, n = matrix.shape
     check_markov_order(n)
-    matrix = order_stat_matrix(m, n, n_samples, seed, pool=pool)
     t = matrix[:, n - 1]
     w = matrix[:, n - 2]
     v = matrix[:, n - 3]
@@ -229,8 +230,7 @@ def markov_property_check(m: Marginal, n, n_samples, seed, pool=None):
         )
 
     max_abs_z = float(np.max(np.abs(zs))) if zs else 0.0
-    name = _markov_name(m, n)
-    report = threshold_report(name, max_abs_z, 4.0, n_samples, seed)
+    report = threshold_report(_markov_name(m, n), max_abs_z, 4.0, n_samples, seed)
     details = {
         "max_abs_z": max_abs_z,
         "primary_bins": int(primary_bins),
@@ -238,7 +238,7 @@ def markov_property_check(m: Marginal, n, n_samples, seed, pool=None):
         "bins_widened": widened,
         "bin_conditional_means": bin_rows,
     }
-    return ExperimentResult(experiment=name, reports=[report], details=details)
+    return report, details
 
 
 def check_order_indices(n, k, l):
@@ -248,15 +248,17 @@ def check_order_indices(n, k, l):
         raise DomainError(f"need 1 <= k <= l <= n-1, got k={k}, l={l}, n={n}")
 
 
-def mse_order_inequality(m: Marginal, n, k, l, n_samples, seed, pool=None):
-    """Eq. between order statistics: conditioning on a higher order statistic
-    predicts the maximum at least as well.  lhs conditions on X_{l:n}, rhs on
-    X_{k:n}, k <= l; k = l degenerates to exact equality.
+def mse_order_inequality(m: Marginal, k, l, matrix, seed):
+    """Eq. between order statistics, on `matrix`, an (n_samples, n)
+    `order_stat_matrix` of marginal `m` drawn from `seed`: conditioning on a
+    higher order statistic predicts the maximum at least as well.  lhs
+    conditions on X_{l:n}, rhs on X_{k:n}, k <= l; k = l degenerates to
+    exact equality.
     """
+    n = matrix.shape[1]
     check_order_indices(n, k, l)
     reg_k = max_regression(m, n, k)
     reg_l = reg_k if l == k else max_regression(m, n, l)
-    matrix = order_stat_matrix(m, n, n_samples, seed, pool=pool)
     target = matrix[:, n - 1]
     lhs_sq = (target - reg_l(matrix[:, l - 1])) ** 2
     rhs_sq = (target - reg_k(matrix[:, k - 1])) ** 2
@@ -289,19 +291,21 @@ def check_order_cases(cases):
 
 def order_stats(cases, n_samples, seed, pool=None):
     """The order-stats experiment over `cases`, each (marginal, n, k, l,
-    markov_check): the case's `mse_order_inequality` report and, where
-    markov_check is set, its `markov_property_check` report, whose details
-    are keyed "markov/{family}#i" by the case's position i.
+    markov_check).  Each case draws one `order_stat_matrix` from `seed`, on
+    which it makes its `mse_order_inequality` report and, where markov_check
+    is set, its `markov_property_check` report, whose details are keyed
+    "markov/{family}#i" by the case's position i.
     """
     check_order_cases(cases)
     reports = []
     details = {}
     for pos, (m, n, k, l, markov_check) in enumerate(cases):
-        reports.append(mse_order_inequality(m, n, k, l, n_samples, seed, pool=pool))
+        matrix = order_stat_matrix(m, n, n_samples, seed, pool=pool)
+        reports.append(mse_order_inequality(m, k, l, matrix, seed))
         if markov_check:
-            markov = markov_property_check(m, n, n_samples, seed, pool=pool)
-            reports += markov.reports
-            details[f"markov/{_family(m)}#{pos}"] = markov.details
+            report, markov_details = markov_property_check(m, matrix, seed)
+            reports.append(report)
+            details[f"markov/{_family(m)}#{pos}"] = markov_details
     return ExperimentResult("order-stats", reports, details)
 
 

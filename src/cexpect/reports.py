@@ -186,9 +186,11 @@ class ExperimentResult:
 
     `reports` drive the CSV and the satisfied verdict; `details` is
     experiment-specific JSON-able metadata (closed-form cross-checks,
-    discard counters, diagnostics).  An operation returns a PairedReport
-    when it makes one report and no details, and an ExperimentResult
-    otherwise; each operation names its own reports.
+    discard counters, diagnostics).  Every operation in `cli.EXPERIMENTS`
+    returns its experiment's ExperimentResult and names its own reports; a
+    report builder that such an operation calls, like `mse_order_inequality`
+    or `markov_property_check`, returns its report (and its details, if it
+    has any), never an ExperimentResult.
     """
 
     experiment: str

@@ -84,23 +84,15 @@ class GaussianCopies:
         self.mean_y = float(mean_y)
         self.sd_y = float(sd_y)
         self.comonotone = self.rho_xx == 1.0
-        if self.comonotone or self.n_copies == 1:
-            cov = np.array(
-                [
-                    [sd_y**2, rho_xy * sd_x * sd_y],
-                    [rho_xy * sd_x * sd_y, sd_x**2],
-                ]
-            )
-            mean = np.array([mean_y, mean_x])
-        else:
-            k = self.n_copies
-            cov = np.empty((k + 1, k + 1))
-            cov[0, 0] = sd_y**2
-            cov[0, 1:] = cov[1:, 0] = rho_xy * sd_x * sd_y
-            xx = np.full((k, k), rho_xx * sd_x**2)
-            np.fill_diagonal(xx, sd_x**2)
-            cov[1:, 1:] = xx
-            mean = np.concatenate([[mean_y], np.full(k, mean_x)])
+        # The comonotone covariance is singular: draw (Y, X) and repeat X.
+        k = 1 if self.comonotone else self.n_copies
+        cov = np.empty((k + 1, k + 1))
+        cov[0, 0] = sd_y**2
+        cov[0, 1:] = cov[1:, 0] = rho_xy * sd_x * sd_y
+        xx = np.full((k, k), rho_xx * sd_x**2)
+        np.fill_diagonal(xx, sd_x**2)
+        cov[1:, 1:] = xx
+        mean = np.concatenate([[mean_y], np.full(k, mean_x)])
         try:
             self._joint = GaussianVector(mean, cov)
         except ConstructionError as exc:
@@ -116,12 +108,10 @@ class GaussianCopies:
     def sample(self, rng, n):
         """Returns (Y, X) with X of shape (n, n_copies)."""
         mat = self._joint.sample(rng, n)
-        y = mat[:, 0]
-        if self.comonotone or self.n_copies == 1:
-            x = np.repeat(mat[:, 1:2], self.n_copies, axis=1)
-        else:
-            x = mat[:, 1:]
-        return y, x
+        x = mat[:, 1:]
+        if self.comonotone:
+            x = np.repeat(x, self.n_copies, axis=1)
+        return mat[:, 0], x
 
     def predictor(self):
         """x -> E(Y | X_i = x); one shared affine rule for all copies."""
@@ -189,11 +179,15 @@ class ConditionalIidCopies:
         return RegressionFunction(grid, values)
 
 
-def copies_model_from_config(cfg):
-    """Build a copies model from its JSON-config dict representation; raises
-    ConfigError naming every field at fault."""
+def copies_models_from_config(cfg):
+    """The copies models of a JSON-config dict: the default battery for kind
+    "battery", else the one model it describes; raises ConfigError naming
+    every field at fault."""
     f = Fields(cfg, "a copies model object")
-    kind = f.choice("kind", ("gaussian-copies", "conditional-iid"), default="gaussian-copies")
+    kinds = ("battery", "gaussian-copies", "conditional-iid")
+    kind = f.choice("kind", kinds, default="gaussian-copies")
+    if kind == "battery":
+        return f.close(default_copies_battery())
     model = None
     if kind == "gaussian-copies":
         model = f.build(
@@ -214,7 +208,7 @@ def copies_model_from_config(cfg):
             y_marginal=f.model("y", marginal_from_config),
             noise=f.model("noise", marginal_from_config),
         )
-    return f.close(model)
+    return f.close([model])
 
 
 def default_copies_battery():
@@ -242,44 +236,39 @@ def default_copies_battery():
     return models
 
 
-def _row_average(columns, comonotone):
-    """Mean over copies; identical-copy models take the shared column exactly."""
-    if comonotone or columns.shape[1] == 1:
-        return columns[:, 0]
-    return columns.mean(axis=1)
+def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
+    """One inequality report per copies model, each on `seed`: the squared
+    error of the row average of the columns `averaged(model)` makes of the
+    copies, as a predictor of Y, against that of its first column.  A
+    comonotone model's columns are one column repeated, so its average is
+    that column exactly."""
+    reports = []
+    for model in models:
+        columns = averaged(model)
+
+        def worker(rng, count):
+            y, x = model.sample(rng, count)
+            values = columns(x)
+            average = values[:, 0] if model.comonotone else values.mean(axis=1)
+            return (y - average) ** 2, (y - values[:, 0]) ** 2
+
+        lhs_sq, rhs_sq = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+        reports.append(inequality_report(f"{experiment}/{model.label()}", lhs_sq, rhs_sq, seed))
+    return ExperimentResult(experiment, reports, {"battery_size": len(models)})
 
 
-def _averaging_errors(y, preds, comonotone):
-    """(lhs_sq, rhs_sq): squared errors of the row average of `preds` and of
-    its first column, as predictors of y."""
-    return (y - _row_average(preds, comonotone)) ** 2, (y - preds[:, 0]) ** 2
-
-
-def verify_theorem1(model, n_samples, seed, pool=None):
-    """Averaged predictor beats any single predictor:
+def verify_theorem1(models, n_samples, seed, pool=None):
+    """Averaged predictor beats any single predictor, for each copies model:
     E(Y - mean_i E(Y|X_i))^2 <= E(Y - E(Y|X_1))^2, on common draws.
     """
-    psi = model.predictor()
-
-    def worker(rng, count):
-        y, x = model.sample(rng, count)
-        return _averaging_errors(y, psi(x), model.comonotone)
-
-    lhs_sq, rhs_sq = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    return inequality_report(f"theorem1/{model.label()}", lhs_sq, rhs_sq, seed)
+    return _verify_averaging("theorem1", models, lambda m: m.predictor(), n_samples, seed, pool)
 
 
-def verify_theorem2(model, n_samples, seed, pool=None):
-    """Averaged copies beat any single copy:
+def verify_theorem2(models, n_samples, seed, pool=None):
+    """Averaged copies beat any single copy, for each copies model:
     E(Y - mean_i X_i)^2 <= E(Y - X_1)^2, on common draws.
     """
-
-    def worker(rng, count):
-        y, x = model.sample(rng, count)
-        return _averaging_errors(y, x, model.comonotone)
-
-    lhs_sq, rhs_sq = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    return inequality_report(f"theorem2/{model.label()}", lhs_sq, rhs_sq, seed)
+    return _verify_averaging("theorem2", models, lambda m: lambda x: x, n_samples, seed, pool)
 
 
 def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, duplicate_last=False):
@@ -600,8 +589,3 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
             "exact_rhs": martingale_exact_mse(n, subset[-1] if subset else 0),
         }
     return ExperimentResult(experiment="martingale", reports=reports, details=details)
-
-
-def martingale_check(walk_length, n_samples, seed, subset=(), pool=None):
-    """One-subset form of `martingale_checks`."""
-    return martingale_checks(walk_length, n_samples, seed, [subset], pool)

@@ -8,8 +8,10 @@ from scipy import integrate
 from cexpect.coalition import (
     MarketConfig,
     coalition_average_predictor,
+    compare_strategies,
     competitor_max_cdf,
     individual_predictor,
+    market_from_config,
     predictor_table,
     simulate_market,
 )
@@ -96,3 +98,16 @@ def test_dependent_brokers_need_the_simulated_tables():
     tables = [predictor_table(cfg, i, sample) for i in range(3)]
     expected = np.mean([t(0.0) for t in tables])
     assert coalition_average_predictor(cfg, prices, tables) == expected
+
+
+def test_one_broker_is_its_own_coalition():
+    # The coalition average of one broker's predictor is that predictor, so
+    # the report compares a column with itself: exact equality, margin 0.
+    market = market_from_config({
+        "brokers": {"count": 1, "marginal": {"family": "uniform", "lower": 0.0, "upper": 1.0}},
+        "outsider": {"marginal": {"family": "exponential", "rate": 1.0}},
+    })
+    (report,) = compare_strategies(market, 5000, 4).reports
+    assert report.lhs_estimate == report.rhs_estimate
+    assert report.margin_sigmas == 0.0
+    assert report.satisfied

@@ -21,6 +21,7 @@ from cexpect.ordered import (
     max_regression,
     mse_order_inequality,
     order_stat_matrix,
+    order_stats,
     record_gap_pvalue,
     record_predictor_mse,
     simulate_records,
@@ -146,44 +147,76 @@ class TestOrderStatSimulation:
         assert mean == pytest.approx(g1(Uniform(), 0.5), abs=0.01)
 
     def test_markov_property_uniform(self):
-        res = markov_property_check(Uniform(), 5, 300_000, 74)
-        assert res.all_satisfied
-        assert not res.details["bins_widened"]
+        matrix = order_stat_matrix(Uniform(), 5, 300_000, 74)
+        report, details = markov_property_check(Uniform(), matrix, 74)
+        assert report.satisfied
+        assert not details["bins_widened"]
 
     def test_markov_property_smallest_case(self):
-        res = markov_property_check(Uniform(), 3, 200_000, 75)
-        assert res.all_satisfied
+        matrix = order_stat_matrix(Uniform(), 3, 200_000, 75)
+        report, _ = markov_property_check(Uniform(), matrix, 75)
+        assert report.satisfied
 
     def test_markov_bins_widened_when_starved(self):
-        res = markov_property_check(Uniform(), 5, 10_000, 76)
-        assert res.details["bins_widened"]
+        matrix = order_stat_matrix(Uniform(), 5, 10_000, 76)
+        _, details = markov_property_check(Uniform(), matrix, 76)
+        assert details["bins_widened"]
 
     def test_markov_needs_three(self):
         with pytest.raises(DomainError):
-            markov_property_check(Uniform(), 2, 10_000, 77)
+            markov_property_check(Uniform(), order_stat_matrix(Uniform(), 2, 10_000, 77), 77)
 
 
 class TestMseOrderInequality:
     def test_uniform_case_satisfied(self):
-        r = mse_order_inequality(Uniform(), 5, 3, 4, 100_000, 78)
+        r = mse_order_inequality(Uniform(), 3, 4, order_stat_matrix(Uniform(), 5, 100_000, 78), 78)
         assert r.satisfied
         assert r.margin_sigmas >= 3
 
     def test_exponential_case_satisfied(self):
-        r = mse_order_inequality(Exponential(1.0), 5, 3, 4, 100_000, 79)
+        matrix = order_stat_matrix(Exponential(1.0), 5, 100_000, 79)
+        r = mse_order_inequality(Exponential(1.0), 3, 4, matrix, 79)
         assert r.satisfied
         assert r.margin_sigmas >= 3
 
     def test_k_equals_l_exact_equality(self):
-        r = mse_order_inequality(Uniform(), 5, 3, 3, 100_000, 80)
+        r = mse_order_inequality(Uniform(), 3, 3, order_stat_matrix(Uniform(), 5, 100_000, 80), 80)
         assert r.lhs_estimate == r.rhs_estimate
         assert r.margin_sigmas == 0.0
 
     def test_bounds_validated(self):
+        matrix = order_stat_matrix(Uniform(), 5, 10_000, 81)
         with pytest.raises(DomainError):
-            mse_order_inequality(Uniform(), 5, 4, 3, 10_000, 81)
+            mse_order_inequality(Uniform(), 4, 3, matrix, 81)
         with pytest.raises(DomainError):
-            mse_order_inequality(Uniform(), 5, 1, 5, 10_000, 82)
+            mse_order_inequality(Uniform(), 1, 5, matrix, 82)
+
+
+class TestOrderStats:
+    def test_each_case_draws_its_matrix_once(self, monkeypatch):
+        import cexpect.ordered
+
+        calls = []
+
+        def spy(m, n, n_samples, seed, pool=None):
+            calls.append((m, n))
+            return order_stat_matrix(m, n, n_samples, seed, pool=pool)
+
+        monkeypatch.setattr(cexpect.ordered, "order_stat_matrix", spy)
+        uniform, exponential = Uniform(), Exponential(1.0)
+        cases = [(uniform, 5, 3, 4, True), (exponential, 4, 2, 2, False)]
+        result = order_stats(cases, 10_000, 83)
+        assert calls == [(uniform, 5), (exponential, 4)]
+
+        uniform_matrix = order_stat_matrix(uniform, 5, 10_000, 83)
+        exponential_matrix = order_stat_matrix(exponential, 4, 10_000, 83)
+        markov_report, markov_details = markov_property_check(uniform, uniform_matrix, 83)
+        assert result.reports == [
+            mse_order_inequality(uniform, 3, 4, uniform_matrix, 83),
+            markov_report,
+            mse_order_inequality(exponential, 2, 2, exponential_matrix, 83),
+        ]
+        assert result.details == {"markov/uniform#0": markov_details}
 
 
 class TestRecordExtraction:

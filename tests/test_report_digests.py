@@ -36,8 +36,14 @@ def configs():
     the workers, with tabulated (interpolated) models beside affine ones,
     then the ordered-data and coalition experiments; the dependent-broker
     coalition config also has non-uniform brokers and a max-of-two
-    outsider."""
+    outsider.  The second order-stats config has a k == l case and Markov
+    checks on uniform and exponential marginals; one coalition config has
+    a single broker."""
     dependent_brokers = {"count": 3, "marginal": NORMAL, "rho_xx": 0.4}
+    order_cases = [
+        {"marginal": UNIFORM, "n": 4, "k": 2, "l": 2, "markov_check": True},
+        {"marginal": EXP1, "n": 5, "k": 2, "l": 4, "markov_check": True},
+    ]
     clayton = {"copula": {"family": "clayton", "alpha": 2.0}, "marginal_x": EXP1, "marginal_y": NORMAL}
     return [
         ("theorem1", _suite("theorem1")),
@@ -53,8 +59,10 @@ def configs():
         ("sequence-stats-clayton", _suite("sequence-stats", model=clayton)),
         ("martingale", _suite("martingale")),
         ("order-stats", _suite("order-stats")),
+        ("order-stats-markov", _suite("order-stats", cases=order_cases)),
         ("records", _suite("records")),
         ("coalition", _suite("coalition")),
+        ("coalition-one-broker", _suite("coalition", brokers={"count": 1, "marginal": UNIFORM})),
         (
             "coalition-dependent",
             _suite("coalition", brokers=dependent_brokers, outsider={"marginal": EXP1, "count": 2}),
@@ -70,7 +78,10 @@ def report_digest(cfg, workers):
 
 
 # Recorded with the draw matrices assembled whole before the per-row work,
-# and for the last four before the operations returned ExperimentResult.
+# for the original order-stats, records and coalition configs before the
+# operations returned ExperimentResult, and for "order-stats-markov" and
+# "coalition-one-broker" while each order-stats report drew its own matrix
+# and a one-broker coalition took its predictor column as the average.
 DIGESTS = {
     "theorem1": "53856e25b30e36c2f2f27c8c1ce0a1ace52cc063104e868d52841ab3f1f22d5c",
     "theorem2": "3e2394f9887220f9cf00a1d6a763f1715c443e1cbd9484a93be7e05ac2ced5b3",
@@ -85,8 +96,10 @@ DIGESTS = {
     "sequence-stats-clayton": "8a3285103b5f5c3916ce52c120af6649d5db5202202218c745dc4af00f657ce8",
     "martingale": "8c0c8133096b83a055b1bc8ce2317272b04e2ad910d8669a0c9ddb6484395624",
     "order-stats": "6a8ac590b586a363c7636947ded7e825eeb92e8fe95940eb54dce7b8ef260207",
+    "order-stats-markov": "1691f1d9991d1c8886984588bbf251ba9986fcf6788ef065cbc5ad793b189538",
     "records": "fe738511ee3f9a7ffe71985c0141165f234c27a24551097abf367728c2958f7b",
     "coalition": "17310f5651ab58b04525e216e98f0b651934295474b92321482228289e7ca030",
+    "coalition-one-broker": "fadef4b00172e67f6621643085b1b998d3bc9d5cd18124df81fc7907ef57d424",
     "coalition-dependent": "bea0c460e914ab318a62808d74ba2149acb513c5d97a7255b4b38c34b13586af",
 }
 

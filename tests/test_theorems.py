@@ -19,7 +19,6 @@ from cexpect.theorems import (
     GaussianCopies,
     covariance_counterexample,
     default_copies_battery,
-    martingale_check,
     martingale_checks,
     martingale_exact_mse,
     predicted_sequence_stats,
@@ -91,47 +90,64 @@ class TestCopiesModels:
 
 class TestTheorem1:
     def test_n1_exact_equality(self):
-        r = verify_theorem1(GaussianCopies(1, 0.0, 0.5), N, 42)
+        r = verify_theorem1([GaussianCopies(1, 0.0, 0.5)], N, 42).reports[0]
         assert r.lhs_estimate == r.rhs_estimate
         assert r.margin_sigmas == 0.0
         assert r.satisfied
 
     def test_comonotone_exact_equality(self):
-        r = verify_theorem1(GaussianCopies(3, 1.0, 0.5), N, 42)
+        r = verify_theorem1([GaussianCopies(3, 1.0, 0.5)], N, 42).reports[0]
         assert r.lhs_estimate == r.rhs_estimate
         assert r.margin_sigmas == 0.0
 
     def test_gaussian_cell_satisfied_with_margin(self):
         # Analytic oracle: all quantities affine in a Gaussian vector, so
         # lhs < rhs strictly when copies are not comonotone.
-        r = verify_theorem1(GaussianCopies(3, 0.3, 0.5), N, 42)
+        r = verify_theorem1([GaussianCopies(3, 0.3, 0.5)], N, 42).reports[0]
         assert r.satisfied
         assert r.margin_sigmas >= 3
 
     def test_conditional_iid_cell(self):
         m = ConditionalIidCopies(3, 0.8, Normal(), Uniform(-1, 1))
-        r = verify_theorem1(m, 50_000, 43)
+        r = verify_theorem1([m], 50_000, 43).reports[0]
         assert r.satisfied
         assert r.margin_sigmas >= 3
 
 
 class TestTheorem2:
     def test_n1_exact_equality(self):
-        r = verify_theorem2(GaussianCopies(1, 0.0, 0.2), N, 44)
+        r = verify_theorem2([GaussianCopies(1, 0.0, 0.2)], N, 44).reports[0]
         assert r.margin_sigmas == 0.0
 
     def test_independent_copies_variance_decomposition(self):
         # Y independent of 4 iid copies, all standard normal:
         # lhs = 1 + 1/4, rhs = 2 (analytic variance decomposition).
-        r = verify_theorem2(GaussianCopies(4, 0.0, 0.0), N, 45)
+        r = verify_theorem2([GaussianCopies(4, 0.0, 0.0)], N, 45).reports[0]
         assert r.lhs_estimate == pytest.approx(1.25, abs=0.02)
         assert r.rhs_estimate == pytest.approx(2.0, abs=0.03)
         assert r.satisfied
 
     def test_comonotone_exact_equality(self):
-        r = verify_theorem2(GaussianCopies(4, 1.0, 0.3), N, 46)
+        r = verify_theorem2([GaussianCopies(4, 1.0, 0.3)], N, 46).reports[0]
         assert r.lhs_estimate == r.rhs_estimate
         assert r.margin_sigmas == 0.0
+
+
+class TestCopiesBattery:
+    @pytest.mark.parametrize("verify", [verify_theorem1, verify_theorem2])
+    def test_battery_is_the_one_model_runs_in_order(self, verify):
+        models = [
+            GaussianCopies(1, 0.0, 0.5),
+            GaussianCopies(3, 0.3, 0.5),
+            GaussianCopies(3, 1.0, 0.5),
+            ConditionalIidCopies(3, 0.8, Normal(), Uniform(-1, 1)),
+        ]
+        battery = verify(models, 20_000, 90)
+        singles = [verify([m], 20_000, 90) for m in models]
+        assert battery.experiment == verify.__name__.replace("verify_", "")
+        assert battery.reports == [single.reports[0] for single in singles]
+        assert battery.details == {"battery_size": 4}
+        assert all(single.details == {"battery_size": 1} for single in singles)
 
 
 class TestTheorem3:
@@ -308,14 +324,14 @@ class TestPredictedSequence:
 
 class TestMartingale:
     def test_full_information_equality(self):
-        res = martingale_check(5, N, 66, subset=(1, 2, 3, 4, 5))
+        res = martingale_checks(5, N, 66, [(1, 2, 3, 4, 5)])
         r = res.reports[0]
         assert r.lhs_estimate == 1.0
         assert r.rhs_estimate == 1.0
         assert r.margin_sigmas == 0.0
 
     def test_subset_3_oracle(self):
-        res = martingale_check(5, N, 67, subset=(3,))
+        res = martingale_checks(5, N, 67, [(3,)])
         r = res.reports[0]
         assert martingale_exact_mse(5, 3) == 3.0
         se_rhs = math.sqrt(2.0) * 3.0 / math.sqrt(N)  # rough chi2 scale
@@ -323,7 +339,7 @@ class TestMartingale:
         assert r.satisfied
 
     def test_empty_subset_variance_oracle(self):
-        res = martingale_check(5, N, 68, subset=())
+        res = martingale_checks(5, N, 68, [()])
         r = res.reports[0]
         assert martingale_exact_mse(5, 0) == 6.0
         assert r.rhs_estimate == pytest.approx(6.0, abs=0.15)
@@ -334,7 +350,7 @@ class TestMartingale:
 
         subsets = [(1, 2, 3, 4, 5), (1,), (3,), (5,), (), (4, 2, 4)]
         shared = martingale_checks(5, N, 72, subsets)
-        assert shared.reports == [martingale_check(5, N, 72, subset=s).reports[0] for s in subsets]
+        assert shared.reports == [martingale_checks(5, N, 72, [s]).reports[0] for s in subsets]
         assert shared.reports[-1].name == "martingale/subset=[2, 4, 4]"
         with ThreadPoolExecutor(max_workers=2) as pool:
             assert martingale_checks(5, N, 72, subsets, pool=pool) == shared
@@ -358,9 +374,9 @@ class TestMartingale:
 
     def test_subset_validated(self):
         with pytest.raises(DomainError):
-            martingale_check(5, N, 69, subset=(0,))
+            martingale_checks(5, N, 69, [(0,)])
         with pytest.raises(DomainError):
-            martingale_check(5, N, 70, subset=(6,))
+            martingale_checks(5, N, 70, [(6,)])
         with pytest.raises(DomainError):
             martingale_checks(5, N, 70, [(1,), (6,)])
 
@@ -370,9 +386,9 @@ class TestDeterminism:
         from concurrent.futures import ThreadPoolExecutor
 
         m = GaussianCopies(3, 0.3, 0.5)
-        serial = verify_theorem1(m, N, 71)
+        serial = verify_theorem1([m], N, 71)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = verify_theorem1(m, N, 71, pool=pool)
+            parallel = verify_theorem1([m], N, 71, pool=pool)
         assert serial == parallel
 
     def test_theorem1_memory_stays_near_its_report_columns(self):
@@ -382,10 +398,10 @@ class TestDeterminism:
         # draws and their Cholesky product: 2 + 3 columns of n float64.
         n = 4 * CHUNK_SIZE
         model = GaussianCopies(5, 0.3, 0.5)
-        verify_theorem1(model, 1000, 72)
+        verify_theorem1([model], 1000, 72)
         tracemalloc.start()
         try:
-            verify_theorem1(model, n, 72)
+            verify_theorem1([model], n, 72)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -393,4 +409,4 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         m = GaussianCopies(3, 0.3, 0.5)
-        assert verify_theorem1(m, 10_000, 1) != verify_theorem1(m, 10_000, 2)
+        assert verify_theorem1([m], 10_000, 1) != verify_theorem1([m], 10_000, 2)
