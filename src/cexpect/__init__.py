@@ -24,21 +24,15 @@ from .condexp import (
     ar_vector,
     bivariate_from_config,
     equicorrelated_vector,
-    gaussian_conditional,
-    generalized_inverse,
     kernel_regress,
-    knn_regress,
-    predictor_quantile,
 )
 from .reports import ExperimentResult, PairedReport, ThresholdReport
 from .theorems import (
     ConditionalIidCopies,
     GaussianCopies,
-    covariance_counterexample,
     default_copies_battery,
     martingale_checks,
     predicted_sequence_stats,
-    predictor_pair_covariance,
     verify_copula_theorem,
     verify_corollary_chain,
     verify_covariance_identity,
@@ -48,13 +42,6 @@ from .theorems import (
 )
 from .ordered import (
     RecordBatch,
-    RecordSequence,
-    cond_pdf_max_given_next,
-    cond_pdf_max_given_second,
-    cumulative_hazard,
-    extract_records,
-    g1,
-    g2,
     markov_property_check,
     max_regression,
     mse_order_inequality,
@@ -64,9 +51,7 @@ from .ordered import (
 )
 from .coalition import (
     MarketConfig,
-    coalition_average_predictor,
     compare_strategies,
-    individual_predictor,
     market_from_config,
     simulate_market,
 )

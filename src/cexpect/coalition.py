@@ -24,7 +24,7 @@ from .condexp import (
     kernel_regress_grid,
 )
 from .config import Fields
-from .errors import ConstructionError, DomainError, ExtrapolationError
+from .errors import ConstructionError, DomainError
 from .marginals import Marginal, MaxOfIid, marginal_from_config
 from .quadrature import tabulate
 from .reports import ExperimentResult, inequality_report
@@ -133,24 +133,6 @@ def competitor_max_cdf(cfg: MarketConfig, w):
     return out
 
 
-def individual_predictor(cfg: MarketConfig, i, x):
-    """E(Z | X_i = x) for independent brokers, by exact quadrature:
-    E[max(x, M)] = x + int_x^hi (1 - F_M(w)) dw, which is nondecreasing in x
-    and always >= x.  Dependent brokers have no such form; their predictor
-    is `predictor_table(cfg, i, sample)` on a simulated market.
-    """
-    if not 0 <= i < cfg.n_brokers:
-        raise DomainError(f"broker index {i} out of range 0..{cfg.n_brokers - 1}")
-    if not cfg.iid_brokers:
-        raise DomainError(
-            "dependent brokers: use predictor_table(cfg, i, simulate_market(cfg, n_samples, seed))"
-        )
-    lo, hi = _price_range(cfg)
-    if not (lo <= x <= hi):
-        raise ExtrapolationError(f"x={x} outside the price range [{lo:.6g}, {hi:.6g}]")
-    return float(_iid_predictor(cfg, np.array([float(x)]))[0])
-
-
 def _iid_predictor(cfg: MarketConfig, xs):
     """x + int_x^hi (1 - F_M(w)) dw at every x of `xs`.
 
@@ -200,19 +182,6 @@ def predictor_table(cfg: MarketConfig, i=0, sample=None):
     lo, hi = np.percentile(x_s, [5.0, 95.0])
     grid = np.linspace(lo, hi, PREDICTOR_NODES)
     return RegressionFunction(grid, kernel_regress_grid(x_s, z_s, grid))
-
-
-def coalition_average_predictor(cfg: MarketConfig, prices, tables=None):
-    """Mean over brokers of E(Z | X_i = prices[i]), from `tables` (one
-    `predictor_table` per broker) or, for independent brokers, by quadrature."""
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape != (cfg.n_brokers,):
-        raise DomainError(f"expected {cfg.n_brokers} prices, got shape {prices.shape}")
-    if tables is None:
-        return float(
-            np.mean([individual_predictor(cfg, i, p) for i, p in enumerate(prices)])
-        )
-    return float(np.mean([tables[i](prices[i]) for i in range(cfg.n_brokers)]))
 
 
 def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):

@@ -6,11 +6,8 @@
   conditional mean integral, and evaluated through monotone cubic (PCHIP)
   interpolation.  The Gaussian copula with normal marginals short-circuits
   to the exact affine form.
-* Generalized inverses of monotone regression functions, with the endpoint
-  conventions for out-of-range arguments.
-* Empirical regression estimators: Nadaraya-Watson with a Gaussian kernel
-  (Silverman bandwidth) and a k-nearest-neighbor estimator on a
-  standardized two-dimensional conditioning plane.
+* Nadaraya-Watson regression with a Gaussian kernel (Silverman bandwidth),
+  which tabulates the dependent-broker predictors of `coalition`.
 * GaussianVector with closed-form conditional means via the normal
   equations, for any dimension >= 2.
 """
@@ -20,17 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from . import quadrature
 from .config import Fields
 from .copulas import Copula, Gaussian, copula_from_config
-from .errors import (
-    ConstructionError,
-    DomainError,
-    ExtrapolationError,
-    UnsupportedModelError,
-)
+from .errors import ConstructionError, DomainError, ExtrapolationError
 from .marginals import Marginal, Normal, marginal_from_config
 from .rng import check_row_width
 
@@ -99,36 +90,6 @@ class RegressionFunction:
             return self.affine[0] + self.affine[1] * x
         lo, hi = self.domain
         return self._interp(np.clip(x, lo, hi))
-
-
-def generalized_inverse(f: RegressionFunction, t):
-    """inf{x : f(x) >= t} for increasing f, inf{x : f(x) <= t} for decreasing.
-
-    Arguments beyond the range map to the domain endpoints (the +/-infinity
-    conventions for unbounded supports).  Non-monotone rules are rejected.
-    """
-    if f.monotonicity == NON_MONOTONE:
-        raise UnsupportedModelError(
-            "generalized inverse needs a monotone regression function"
-        )
-    t = float(t)
-    lo, hi = f.domain
-    if f.affine is not None:
-        x = (t - f.affine[0]) / f.affine[1]
-        return float(min(max(x, lo), hi))
-    v_lo = float(f(lo))
-    v_hi = float(f(hi))
-    if f.monotonicity == INCREASING:
-        if t <= v_lo:
-            return lo
-        if t >= v_hi:
-            return hi
-    else:
-        if t >= v_lo:
-            return lo
-        if t <= v_hi:
-            return hi
-    return float(brentq(lambda x: float(f(x)) - t, lo, hi, xtol=1e-13, rtol=1e-14))
 
 
 @dataclass(frozen=True)
@@ -206,36 +167,15 @@ def _regression(copula, target: Marginal, conditioner: Marginal):
     return RegressionFunction(grid, values)
 
 
-def predictor_quantile(model: BivariateModel, which, t, phi=None, psi=None):
-    """Quantile of the predictor Z1 = E(X|Y) or Z2 = E(Y|X).
-
-    For a strictly increasing regression function the predictor quantile is
-    the regression function evaluated at the conditioning marginal quantile.
-    Pass prebuilt phi/psi to avoid re-tabulation inside loops.
-    """
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"quantile level must be in (0, 1), got {t}")
-    if which not in ("Z1", "Z2"):
-        raise DomainError(f"which must be 'Z1' or 'Z2', got {which!r}")
-    if which == "Z1":
-        f = phi if phi is not None else model.phi()
-        source = model.marginal_y
-    else:
-        f = psi if psi is not None else model.psi()
-        source = model.marginal_x
-    if f.monotonicity != INCREASING:
-        raise UnsupportedModelError(
-            "predictor quantile requires a strictly increasing regression function"
-        )
-    return float(f(source.quantile(t)))
-
-
 def kernel_regress(x, y, x0):
     """Nadaraya-Watson estimate of E(Y | X = x0) with a Gaussian kernel.
 
     Bandwidth is Silverman's rule h = 1.06 * std(x) * n^(-1/5).  x0 must lie
     within the [5th, 95th] percentile band of x.
     """
+    # Only tests call this one-point form; it stays because the benchmark
+    # tracer's ENTRY_POINTS names it, and tests/test_entry_points.py requires
+    # every entry point to resolve.
     return float(kernel_regress_grid(x, y, np.array([float(x0)]))[0])
 
 
@@ -260,26 +200,6 @@ def kernel_regress_grid(x, y, grid):
         w = np.exp(-0.5 * ((x - x0) / h) ** 2)
         values[k] = np.sum(w * y) / np.sum(w)
     return values
-
-
-def knn_regress(targets, cond1, cond2, point):
-    """k-NN estimate of E(target | cond = point) on a standardized plane.
-
-    k = ceil(N^(2/3)) capped at N // 10; distances are Euclidean after each
-    conditioning coordinate is standardized by its sample mean and sd.
-    """
-    targets = np.asarray(targets, dtype=float)
-    c1 = np.asarray(cond1, dtype=float)
-    c2 = np.asarray(cond2, dtype=float)
-    n = targets.size
-    if n < 1000:
-        raise DomainError(f"knn regression needs >= 1000 points, got {n}")
-    k = min(math.ceil(n ** (2.0 / 3.0)), n // 10)
-    s1 = float(np.std(c1, ddof=1)) or 1.0
-    s2 = float(np.std(c2, ddof=1)) or 1.0
-    d2 = ((c1 - point[0]) / s1) ** 2 + ((c2 - point[1]) / s2) ** 2
-    idx = np.argpartition(d2, k - 1)[:k]
-    return float(np.mean(targets[idx]))
 
 
 class GaussianVector:
@@ -339,11 +259,6 @@ class GaussianVector:
         gg = self.cov[np.ix_(given, given)]
         tg = self.cov[target, list(given)]
         return float(self.cov[target, target] - tg @ np.linalg.solve(gg, tg))
-
-
-def gaussian_conditional(v: GaussianVector, target, given, values):
-    """Functional form of GaussianVector.conditional_mean (spec operation)."""
-    return v.conditional_mean(target, given, values)
 
 
 def equicorrelated_vector(dim, rho):

@@ -76,10 +76,6 @@ class Copula:
         w = rng.random(n)
         return u, self._cond_quantile(u, w)
 
-    def sample_pair(self, rng):
-        u, v = self.sample(rng, 1)
-        return float(u[0]), float(v[0])
-
     @staticmethod
     def _clip_pair(u, v):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)

@@ -49,6 +49,8 @@ class Marginal:
         right tail where 1 - s rounds."""
         raise NotImplementedError
 
+    # No experiment reads mean or variance; tests and the benchmark use them
+    # as oracles.
     def mean(self):
         raise NotImplementedError
 

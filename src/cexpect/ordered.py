@@ -1,8 +1,7 @@
 """Order-statistic and record-value machinery.
 
-Conditional laws of the sample maximum given a lower order statistic, their
-closed-form means for the uniform and exponential families, Markov-property
-checks on binned simulations, record extraction, capped record-sequence
+The regression of the sample maximum on a lower order statistic,
+Markov-property checks on binned simulations, capped record-sequence
 simulation (by the exact Markov chain of the records), and the MSE-ordering
 reports.
 
@@ -24,8 +23,11 @@ import numpy as np
 
 from .condexp import RegressionFunction, chebyshev_nodes
 from .errors import DomainError, SampleSizeError
-from .marginals import Exponential, Marginal, Uniform
-from .quadrature import integrate, tabulate
+from .marginals import Marginal
+# Unused here, but perfbench's test_tracer_reports_missing_names_and_restores_bindings
+# rebinds ordered.integrate; the binding goes when that test is retargeted.
+from .quadrature import integrate  # noqa: F401
+from .quadrature import tabulate
 from .reports import ExperimentResult, check_unique_names, inequality_report, threshold_report
 from .rng import check_row_width, run_chunked, simulate_chunked
 
@@ -38,78 +40,6 @@ REGRESSION_INTERIOR = (0.05, 0.95)
 MARKOV_PRIMARY_BINS = 20
 MARKOV_SUB_BINS = 3
 MARKOV_MIN_COUNT = 200
-
-
-def cond_pdf_max_given_next(m: Marginal, z, x):
-    """Density of X_{n:n} at z given X_{n-1:n} = x:  f(z) / (1 - F(x)), z >= x.
-
-    The support is closed on the left: at z = x the density takes its right
-    limit f(x) / (1 - F(x)), so it has no jump at its own endpoint.
-    """
-    return _cond_pdf_max(m, z, x, lag=1)
-
-
-def cond_pdf_max_given_second(m: Marginal, z, x):
-    """Density of X_{n:n} at z given X_{n-2:n} = x:
-    2 (F(z) - F(x)) f(z) / (1 - F(x))^2, z >= x (0 at z = x).
-    """
-    return _cond_pdf_max(m, z, x, lag=2)
-
-
-def _cond_pdf_max(m: Marginal, z, x, lag):
-    # Support z >= x, closed on the left like Exponential.pdf; a strict z > x
-    # would put a jump at the lower limit of cond_mean_max's integral (lag 1).
-    sf_x = float(m.sf(x))
-    if sf_x <= 0.0:
-        raise DomainError(f"conditioning point x={x} has F(x)=1; conditional law undefined")
-    z = np.asarray(z, dtype=float)
-    sf_z = np.asarray(m.sf(z), dtype=float)
-    ratio = np.clip((sf_x - sf_z) / sf_x, 0.0, 1.0)
-    dens = lag * ratio ** (lag - 1) * np.asarray(m.pdf(z), dtype=float) / sf_x
-    return np.where(z >= x, dens, 0.0)
-
-
-def _check_interior(m: Marginal, x):
-    lo, hi = m.support()
-    if not (lo < x < hi):
-        raise DomainError(f"x={x} must lie strictly inside the support ({lo}, {hi})")
-
-
-def cond_mean_max(m: Marginal, x, lag, method="auto"):
-    """E(X_{n:n} | X_{n-lag:n} = x): the mean of the max of `lag` iid draws
-    from F truncated above x.
-
-    Closed forms for the uniform ((x + lag*b)/(lag+1)) and exponential
-    (x + H_lag / rate) families; z-space quadrature of z * cond_pdf over
-    z >= x for everything else or when method="quadrature".  At z = x the
-    lag-1 density takes its right limit f(x)/sf(x), so the integrand is
-    continuous on the closed interval [x, hi].
-    """
-    _check_interior(m, x)
-    if method not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
-    if method != "quadrature":
-        if isinstance(m, Uniform):
-            return (x + lag * m.upper) / (lag + 1.0)
-        if isinstance(m, Exponential):
-            harmonic = sum(1.0 / i for i in range(1, lag + 1))
-            return x + harmonic / m.rate
-        if method == "closed":
-            raise DomainError(f"no closed form for {type(m).__name__}")
-    lo, hi = m.truncated_support()
-    num = integrate(lambda z: z * _cond_pdf_max(m, z, x, lag), x, hi)
-    den = integrate(lambda z: _cond_pdf_max(m, z, x, lag), x, hi)
-    return float(num / den)
-
-
-def g1(m: Marginal, x, method="auto"):
-    """E(X_{n:n} | X_{n-1:n} = x)."""
-    return cond_mean_max(m, x, lag=1, method=method)
-
-
-def g2(m: Marginal, x, method="auto"):
-    """E(X_{n:n} | X_{n-2:n} = x)."""
-    return cond_mean_max(m, x, lag=2, method=method)
 
 
 def max_regression(m: Marginal, n, j):
@@ -149,23 +79,6 @@ def order_stat_matrix(m: Marginal, n, n_samples, seed, pool=None):
         return (x,)
 
     return simulate_chunked(worker, n_samples, seed, TAG_ORDER, pool=pool)[0]
-
-
-def window_conditional_mean(matrix, j, x0, halfwidth):
-    """Mean of the row max over rows with X_{j:n} in [x0 - h, x0 + h].
-
-    Returns (mean, count).  `matrix` comes from order_stat_matrix; j is the
-    1-based order-statistic index to condition on.
-    """
-    n = matrix.shape[1]
-    if not 1 <= j <= n:
-        raise DomainError(f"order statistic index {j} out of range 1..{n}")
-    cond = matrix[:, j - 1]
-    mask = np.abs(cond - x0) <= halfwidth
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        raise SampleSizeError(f"no rows with X_{{{j}:{n}}} within {halfwidth} of {x0}")
-    return float(np.mean(matrix[mask, n - 1])), count
 
 
 def check_markov_order(n):
@@ -309,35 +222,6 @@ def order_stats(cases, n_samples, seed, pool=None):
     return ExperimentResult("order-stats", reports, details)
 
 
-@dataclass(frozen=True)
-class RecordSequence:
-    """Upper record values and their 1-based record times."""
-
-    values: np.ndarray
-    times: np.ndarray
-
-
-def extract_records(sequence):
-    """Upper records of a sequence; the first element is a record by convention."""
-    seq = np.asarray(sequence, dtype=float)
-    if seq.ndim != 1 or seq.size == 0:
-        raise DomainError("record extraction needs a nonempty 1-D sequence")
-    running = np.maximum.accumulate(seq)
-    before = np.empty_like(seq)
-    before[0] = -np.inf
-    before[1:] = running[:-1]
-    idx = np.flatnonzero(seq > before)
-    return RecordSequence(values=seq[idx], times=idx + 1)
-
-
-def cumulative_hazard(m: Marginal, x):
-    """R(x) = -log(1 - F(x)); requires 0 < F(x) < 1."""
-    f = float(m.cdf(x))
-    if not (0.0 < f < 1.0):
-        raise DomainError(f"cumulative hazard needs 0 < F(x) < 1; F({x}) = {f}")
-    return float(-np.log(m.sf(x)))
-
-
 @dataclass
 class RecordBatch:
     """Record values at depths (n, n-1, n-2) for sequences reaching depth n.
@@ -418,15 +302,6 @@ def binned_regression(cond, target):
         "bin_count": counts.astype(int).tolist(),
     }
     return mean_t[ids], diagnostics
-
-
-def record_gap_pvalue(batch: RecordBatch, rate=1.0):
-    """KS p-value of the lag-1 record gaps against Exponential(rate)."""
-    # Imported here: scipy.stats costs about a third of `import cexpect`.
-    from scipy import stats
-
-    gaps = batch.values[:, 0] - batch.values[:, 1]
-    return float(stats.kstest(gaps, lambda x: 1.0 - np.exp(-rate * x)).pvalue)
 
 
 def check_record_mse(n, lag, cap):

@@ -16,8 +16,6 @@ columns.  A worker computes each row as the whole-array code would, so the
 bytes of a report do not depend on the chunking.
 """
 
-import math
-
 import numpy as np
 
 from .condexp import (
@@ -402,30 +400,6 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
     ]
     details = {"cov_phi_y": cov_phi, "cov_psi_x": cov_psi, "cov_xy": cov_xy}
     return ExperimentResult(experiment="covariance", reports=checks, details=details)
-
-
-def predictor_pair_covariance(rho, cov_xy):
-    """Analytic Cov(E(X|Y), E(Y|X)) for the bivariate normal: rho^2 Cov(X,Y).
-
-    Valid for any |rho| <= 1 (the degenerate rho = +/-1 limit is symbolic,
-    no sampling involved); equals Cov(X, Y) only when rho^2 = 1.
-    """
-    if not (-1.0 <= rho <= 1.0):
-        raise DomainError(f"rho must be in [-1, 1], got {rho}")
-    return rho * rho * cov_xy
-
-
-def covariance_counterexample(v: GaussianVector):
-    """(Cov(Z1, Z2), Cov(X, Y)) for a bivariate normal vector.
-
-    Demonstrates Cov(E(X|Y), E(Y|X)) = rho^2 Cov(X,Y) != Cov(X,Y) whenever
-    rho^2 != 1 and Cov(X,Y) != 0.
-    """
-    if v.dim != 2:
-        raise DomainError(f"counterexample needs a 2-dimensional vector, got d={v.dim}")
-    cov_xy = float(v.cov[0, 1])
-    rho = cov_xy / math.sqrt(float(v.cov[0, 0]) * float(v.cov[1, 1]))
-    return predictor_pair_covariance(rho, cov_xy), cov_xy
 
 
 def check_copula_swap(grid, threshold):

@@ -7,15 +7,13 @@ from scipy import integrate
 
 from cexpect.coalition import (
     MarketConfig,
-    coalition_average_predictor,
     compare_strategies,
     competitor_max_cdf,
-    individual_predictor,
     market_from_config,
     predictor_table,
     simulate_market,
 )
-from cexpect.errors import DomainError, ExtrapolationError
+from cexpect.errors import DomainError
 from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
 from cexpect.quadrature import tabulate
 
@@ -62,42 +60,21 @@ def test_rows_without_interior_kink_are_one_quadrature_row():
 
 def test_individual_predictor_closed_form():
     # k iid Uniform(0, 1) brokers, no outsider: F_M(w) = w^(k-1), so
-    # E[max(x, M)] = 1 - (1 - x^k) / k.
+    # E[max(x, M)] = 1 - (1 - x^k) / k at every node, endpoints included.
     k = 4
-    cfg = MarketConfig(k, Uniform())
-    for x in (0.0, 0.1, 0.5, 0.9, 1.0):
-        assert individual_predictor(cfg, 1, x) == pytest.approx(1.0 - (1.0 - x**k) / k, abs=1e-12)
-
-
-def test_individual_predictor_agrees_with_table_and_average():
-    cfg = MarketConfig(3, Normal(), outsider=Uniform())
-    table = predictor_table(cfg)
-    x = float(table.grid[57])
-    assert individual_predictor(cfg, 2, x) == table.values[57]
-    prices = np.array([-0.5, 0.25, 1.5])
-    expected = np.mean([individual_predictor(cfg, i, p) for i, p in enumerate(prices)])
-    assert coalition_average_predictor(cfg, prices) == expected
-
-
-def test_individual_predictor_rejects_bad_arguments():
-    cfg = MarketConfig(2, Uniform())
-    with pytest.raises(DomainError):
-        individual_predictor(cfg, 2, 0.5)
-    with pytest.raises(ExtrapolationError):
-        individual_predictor(cfg, 0, 1.5)
+    table = predictor_table(MarketConfig(k, Uniform()))
+    x = table.grid
+    assert (x[0], x[-1]) == (0.0, 1.0)
+    np.testing.assert_allclose(table.values, 1.0 - (1.0 - x**k) / k, rtol=0, atol=1e-12)
 
 
 def test_dependent_brokers_need_the_simulated_tables():
     cfg = MarketConfig(3, Normal(), rho_xx=0.3)
-    with pytest.raises(DomainError, match="predictor_table"):
-        individual_predictor(cfg, 0, 0.0)
-    prices = np.zeros(3)
-    with pytest.raises(DomainError, match="predictor_table"):
-        coalition_average_predictor(cfg, prices)
+    with pytest.raises(DomainError, match="simulated sample"):
+        predictor_table(cfg, 0)
     sample = simulate_market(cfg, 5000, 3)
-    tables = [predictor_table(cfg, i, sample) for i in range(3)]
-    expected = np.mean([t(0.0) for t in tables])
-    assert coalition_average_predictor(cfg, prices, tables) == expected
+    lo, hi = np.percentile(sample[0][:, 1], [5.0, 95.0])
+    assert predictor_table(cfg, 1, sample).domain == (lo, hi)
 
 
 def test_one_broker_is_its_own_coalition():

@@ -1,4 +1,4 @@
-"""Conditional-expectation engines: closed forms, inverses, estimators."""
+"""Conditional-expectation engines: closed forms and estimators."""
 
 import math
 import time
@@ -18,19 +18,14 @@ from cexpect.condexp import (
     RegressionFunction,
     ar_vector,
     equicorrelated_vector,
-    gaussian_conditional,
-    generalized_inverse,
     kernel_regress,
     kernel_regress_grid,
-    knn_regress,
-    predictor_quantile,
 )
 from cexpect.copulas import FGM, Clayton, Gaussian, Independence
 from cexpect.errors import (
     ConstructionError,
     DomainError,
     ExtrapolationError,
-    UnsupportedModelError,
 )
 from cexpect.marginals import Exponential, Normal, Uniform
 from cexpect.rng import philox_stream
@@ -140,77 +135,6 @@ class TestCopulaMarginalGrid:
         assert np.max(np.abs(phi.values - expected)[inside]) <= 1e-8
 
 
-class TestGeneralizedInverse:
-    def test_identity(self):
-        f = RegressionFunction(np.linspace(0, 1, 11), np.linspace(0, 1, 11))
-        assert generalized_inverse(f, 0.5) == pytest.approx(0.5, abs=1e-10)
-
-    def test_gaussian_psi_inverse_affine(self):
-        # psi^-1(t) = t / rho for standard normals; at t = 0.5 -> 1.0.
-        psi = GAUSS_MODEL.psi()
-        assert generalized_inverse(psi, 0.5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_rejected(self):
-        f = RegressionFunction(np.linspace(0, 1, 11), np.full(11, 3.0))
-        assert f.monotonicity == NON_MONOTONE
-        with pytest.raises(UnsupportedModelError):
-            generalized_inverse(f, 3.0)
-
-    def test_out_of_range_maps_to_endpoints_increasing(self):
-        f = RegressionFunction(np.linspace(0, 1, 11), np.linspace(2, 4, 11))
-        assert generalized_inverse(f, 1.0) == 0.0
-        assert generalized_inverse(f, 9.0) == 1.0
-
-    def test_out_of_range_maps_to_endpoints_decreasing(self):
-        f = RegressionFunction(np.linspace(0, 1, 11), np.linspace(4, 2, 11))
-        assert generalized_inverse(f, 9.0) == 0.0
-        assert generalized_inverse(f, 1.0) == 1.0
-
-    def test_composition_tolerance_quadrature_built(self):
-        m = BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())
-        phi = m.phi()
-        assert phi.monotonicity == INCREASING
-        for t in (0.2, 0.4, 0.6):
-            x = generalized_inverse(phi, t)
-            assert float(phi(x)) == pytest.approx(t, abs=1e-8)
-
-
-class TestPredictorQuantile:
-    def test_gaussian_median_is_zero(self):
-        assert predictor_quantile(GAUSS_MODEL, "Z1", 0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_marginal_identity(self):
-        # F_{Z1}(z) = F_Y(phi^-1(z)): check the quantile inverts it.
-        phi = GAUSS_MODEL.phi()
-        t = 0.8
-        z = predictor_quantile(GAUSS_MODEL, "Z1", t, phi=phi)
-        y = generalized_inverse(phi, z)
-        assert float(Normal().cdf(y)) == pytest.approx(t, abs=1e-10)
-
-    def test_independence_rejected(self):
-        m = BivariateModel(Independence(), Uniform(), Uniform())
-        with pytest.raises(UnsupportedModelError):
-            predictor_quantile(m, "Z1", 0.5)
-
-    def test_fgm_negative_theta_z2_near_zero(self):
-        m = BivariateModel(FGM(theta=-1.0), Uniform(), Uniform())
-        # psi decreasing -> monotone-increasing precondition fails.
-        with pytest.raises(UnsupportedModelError):
-            predictor_quantile(m, "Z2", 0.001)
-
-    def test_fgm_positive_theta_z2_limit(self):
-        # With theta = 1, psi is increasing: psi(0) = 1/2 - 1/6 = 1/3 and
-        # the t -> 0+ quantile approaches it.
-        m = BivariateModel(FGM(theta=1.0), Uniform(), Uniform())
-        psi = m.psi()
-        val = predictor_quantile(m, "Z2", 1e-6, psi=psi)
-        assert val == pytest.approx(1.0 / 3.0, abs=1e-4)
-
-    def test_t_domain(self):
-        with pytest.raises(DomainError):
-            predictor_quantile(GAUSS_MODEL, "Z1", 0.0)
-
-
 class TestKernelRegress:
     def test_deterministic_linear_relation(self):
         rng = philox_stream(41, 0)
@@ -267,47 +191,21 @@ class TestKernelRegress:
             kernel_regress(x, x, np.nan)
 
 
-class TestKnnRegress:
-    def test_constant_target_exact(self):
-        rng = philox_stream(45, 0)
-        t = np.full(2000, 7.0)
-        assert knn_regress(t, rng.random(2000), rng.random(2000), (0.5, 0.5)) == 7.0
-
-    def test_additive_relation(self):
-        rng = philox_stream(46, 0)
-        c1 = rng.random(50_000)
-        c2 = rng.random(50_000)
-        t = c1 + c2
-        assert knn_regress(t, c1, c2, (0.3, 0.4)) == pytest.approx(0.7, abs=0.05)
-
-    def test_trivariate_equicorrelated_oracle(self):
-        # E(X | Y = 1, Z = 1) = 2 rho / (1 + rho) * ... = (1 + 1)/3 = 2/3
-        # for standard equicorrelated rho = 0.5 (weights rho/(1+rho) each).
-        v = equicorrelated_vector(3, 0.5)
-        mat = v.sample(philox_stream(47, 0), 100_000)
-        est = knn_regress(mat[:, 0], mat[:, 1], mat[:, 2], (1.0, 1.0))
-        assert est == pytest.approx(2.0 / 3.0, abs=0.05)
-
-    def test_min_sample_size(self):
-        with pytest.raises(DomainError):
-            knn_regress(np.arange(100.0), np.arange(100.0), np.arange(100.0), (1, 1))
-
-
 class TestGaussianVector:
     def test_identity_covariance_conditional_is_mean(self):
         v = GaussianVector([1.0, 2.0, 3.0], np.eye(3))
-        assert gaussian_conditional(v, 0, (1, 2), [9.0, -9.0]) == pytest.approx(1.0)
+        assert v.conditional_mean(0, (1, 2), [9.0, -9.0]) == pytest.approx(1.0)
 
     def test_bivariate_standard_rho05(self):
         v = equicorrelated_vector(2, 0.5)
-        assert gaussian_conditional(v, 0, (1,), [1.0]) == pytest.approx(0.5, abs=1e-14)
+        assert v.conditional_mean(0, (1,), [1.0]) == pytest.approx(0.5, abs=1e-14)
 
     def test_trivariate_equicorrelated_weights(self):
         # Hand oracle: normal equations give weight rho/(1+rho) = 1/3 each.
         v = equicorrelated_vector(3, 0.5)
         x2, x3 = 0.7, -0.2
         expect = (x2 + x3) / 3.0
-        assert gaussian_conditional(v, 0, (1, 2), [x2, x3]) == pytest.approx(expect, abs=1e-12)
+        assert v.conditional_mean(0, (1, 2), [x2, x3]) == pytest.approx(expect, abs=1e-12)
 
     def test_residual_variance_closed_forms(self):
         v = equicorrelated_vector(3, 0.5)
@@ -330,7 +228,7 @@ class TestGaussianVector:
     def test_empty_given_rejected(self):
         v = equicorrelated_vector(3, 0.3)
         with pytest.raises(DomainError):
-            gaussian_conditional(v, 0, (), [])
+            v.conditional_mean(0, (), [])
 
     def test_ar_vector_structure(self):
         v = ar_vector(4, 0.6)
@@ -380,6 +278,7 @@ class TestModuleInvariants:
         _, y = GAUSS_MODEL.sample(philox_stream(51, 0), 100_000)
         z1 = np.asarray(phi(y))
         for t in np.arange(0.1, 0.95, 0.1):
-            q = predictor_quantile(GAUSS_MODEL, "Z1", float(t), phi=phi)
+            # phi increases, so the t-quantile of Z1 = phi(Y) is phi at Y's.
+            q = float(phi(Normal().quantile(t)))
             frac = float(np.mean(z1 <= q))
             assert abs(frac - t) <= 0.01

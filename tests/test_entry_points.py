@@ -30,6 +30,8 @@ def test_every_traced_entry_point_resolves(monkeypatch):
 
 
 def test_ordered_integrates_through_the_traced_engine():
-    # The tracer rebinds every module-level copy of quadrature.integrate, so
-    # ordered's calls are timed only while it holds that same function.
+    # ordered does not call integrate.  It keeps the binding because
+    # perfbench's test_tracer_reports_missing_names_and_restores_bindings
+    # calls ordered.integrate through the tracer's rebinding, which only
+    # reaches a module-level copy of quadrature.integrate.
     assert cexpect.ordered.integrate is cexpect.quadrature.integrate

