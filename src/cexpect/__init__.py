@@ -26,7 +26,7 @@ from .condexp import (
     equicorrelated_vector,
     kernel_regress,
 )
-from .reports import ExperimentResult, PairedReport, ThresholdReport
+from .reports import ExperimentResult, PairedReport
 from .theorems import (
     ConditionalIidCopies,
     GaussianCopies,

@@ -8,14 +8,15 @@ returns one call of its experiment's operation, which takes the config's
 models, n_samples and seed and returns the finished ExperimentResult,
 report names and detail keys included; no reader loops or builds a result.
 `verify --seed` replaces the seed of each config, and the manifest hashes
-the config as run.  Outputs:
+the config as run.  Every run writes all three outputs:
 
-    <out>/<experiment>.json   typed report envelope (schema_version 1)
+    <out>/<experiment>.json   report envelope (schema_version 2)
     <out>/reports.csv         one row per report (fixed header, LF, UTF-8)
     <out>/manifest.json       tool version, config hashes, timings, discards
 
 `cexpect validate` builds the models of a config and never simulates; it
-names every field at fault, as `verify` does before it runs anything.
+names every field at fault, and every key no reader reads, as `verify`
+does before it runs anything.
 
 Exit status is 0 iff every verdict in the run is satisfied, 1 on any
 unsatisfied verdict, 2 on config or usage errors.  Reports are byte-identical
@@ -163,18 +164,18 @@ EXPERIMENT_NAMES = list(EXPERIMENTS)
 
 
 def _read(cfg, experiment=None):
-    """(run, diagnostics) for a config dict: run(pool) runs the experiment on
-    the models built here, and is None when a diagnostic names a field."""
+    """run(pool) for a config dict, which runs the experiment on the models
+    built here; raises ConfigError naming every field at fault."""
     name = experiment or cfg.get("experiment")
     if not isinstance(name, str) or name not in EXPERIMENTS:
         message = f"unknown experiment {name!r}; see `cexpect list`"
-        return None, [Diagnostic("experiment", message)]
+        raise ConfigError([Diagnostic("experiment", message)])
     f = Fields(cfg)
+    f.read.add("experiment")
     seed = f.integer("seed")
     n_samples = f.integer("n_samples")
     f.build(check_sample_size, n_samples=n_samples)
-    run = EXPERIMENTS[name](f, n_samples, seed)
-    return (None if f.diags else run), f.diags
+    return f.close(EXPERIMENTS[name](f, n_samples, seed))
 
 
 def validate_config(cfg, experiment=None):
@@ -182,7 +183,11 @@ def validate_config(cfg, experiment=None):
 
     Builds every model the config describes and never simulates.
     """
-    return _read(cfg, experiment)[1]
+    try:
+        _read(cfg, experiment)
+    except ConfigError as exc:
+        return exc.diagnostics
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +281,14 @@ def default_suite():
 def run_experiment(cfg, workers=1):
     """Build the models of one experiment config and run it; returns
     ExperimentResult, or raises ConfigError naming every field at fault."""
-    run, diags = _read(cfg)
-    if diags:
-        raise ConfigError(diags)
+    run = _read(cfg)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return run(pool)
     return run(None)
 
 
-def write_outputs(results, out_dir, fmt="both", manifest_extra=None):
+def write_outputs(results, out_dir, manifest_extra=None):
     """Write report files, the aggregate CSV, and the manifest.
 
     `results` is a list of (config, ExperimentResult, wallclock_seconds).
@@ -308,16 +311,14 @@ def write_outputs(results, out_dir, fmt="both", manifest_extra=None):
             "wallclock_seconds": elapsed,
             "all_satisfied": result.all_satisfied,
         }
-        if fmt in ("json", "both"):
-            path = out / f"{name}.json"
-            path.write_bytes(render_json(result.to_json_dict()))
-            entry["report_file"] = path.name
+        path = out / f"{name}.json"
+        path.write_bytes(render_json(result.to_json_dict()))
+        entry["report_file"] = path.name
         if "n_discarded" in result.details:
             entry["discards"] = result.details["n_discarded"]
         manifest["experiments"][name] = entry
         all_reports.extend(result.reports)
-    if fmt in ("csv", "both"):
-        (out / "reports.csv").write_bytes(render_csv(all_reports))
+    (out / "reports.csv").write_bytes(render_csv(all_reports))
     (out / "manifest.json").write_bytes(render_json(manifest))
     return manifest
 
@@ -350,7 +351,6 @@ def main(argv=None):
     p_verify.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_verify.add_argument("--workers", type=int, default=1, help="worker threads (>= 1)")
     p_verify.add_argument("--out", default="reports", help="output directory")
-    p_verify.add_argument("--format", choices=["json", "csv", "both"], default="both")
 
     p_validate = sub.add_parser(
         "validate", help="check a config by building its models, without simulating"
@@ -419,7 +419,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    write_outputs(results, args.out, fmt=args.format, manifest_extra={"workers": args.workers})
+    write_outputs(results, args.out, manifest_extra={"workers": args.workers})
     return 0 if all(r.all_satisfied for _, r, _ in results) else 1
 
 

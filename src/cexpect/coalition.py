@@ -190,8 +190,7 @@ def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):
     models, break toward the lowest broker index, then the outsider).
 
     One report per broker, all on the same n_samples markets drawn from
-    `seed`; the details carry the per-broker and coalition MSEs and the win
-    probabilities.
+    `seed`; the details carry the win probabilities.
     """
     sample = simulate_market(cfg, n_samples, seed, pool=pool)
     x, y, z = sample
@@ -215,14 +214,7 @@ def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):
     win_probs = win_counts / x.shape[0]
 
     details = {
-        "per_broker_mse": [r.rhs_estimate for r in reports],
-        "coalition_mse": float(np.mean(lhs_sq)),
         "win_probabilities": win_probs[: cfg.n_brokers].tolist(),
         "outsider_win_probability": float(win_probs[cfg.n_brokers]),
-        "paired_ses": [r.paired_diff_se for r in reports],
-        "satisfied": [r.satisfied for r in reports],
-        "n_samples": int(n_samples),
-        "seed": int(seed),
-        "details": {"win_probability_sum": float(win_probs.sum())},
     }
     return ExperimentResult(experiment="coalition", reports=reports, details=details)

@@ -4,8 +4,9 @@ A config is checked by building its models: the constructors own every
 range and cross-field check and raise DomainError or ConstructionError
 naming the parameter at fault.  `Fields` adds only the type checks that
 float() and int() cannot express (missing key, not a number, bool, not an
-integer, not finite) and joins each error onto its config path, so one
-read reports every field at fault.  Reading never simulates.
+integer, not finite) and the keys that no read took (a misspelt key would
+otherwise leave its default in force), and joins each error onto its config
+path, so one read reports every field at fault.  Reading never simulates.
 """
 
 import math
@@ -56,9 +57,10 @@ class Fields:
 
     Each read records a Diagnostic for a field at fault and goes on, so one
     pass finds every fault, and `close` raises them together as a
-    ConfigError.  A field that failed its type check stops the `build` that
-    takes it; a sub-model that failed is None, and a constructor error about
-    that None repeats diagnostics already recorded, so it is dropped.
+    ConfigError, with an "unknown key" Diagnostic for each key of the object
+    that no read took.  A field that failed its type check stops the `build`
+    that takes it; a sub-model that failed is None, and a constructor error
+    about that None repeats diagnostics already recorded, so it is dropped.
     """
 
     def __init__(self, cfg, what="an object"):
@@ -66,6 +68,7 @@ class Fields:
             raise ConfigError([Diagnostic("", f"must be {what}, got {cfg!r}")])
         self.cfg = cfg
         self.diags = []
+        self.read = set()
 
     def fail(self, field, message):
         diag = Diagnostic(field, message)
@@ -74,6 +77,7 @@ class Fields:
         return _INVALID
 
     def _raw(self, key, default):
+        self.read.add(key)
         if key in self.cfg:
             return self.cfg[key]
         return self.fail(key, "missing required key") if default is _REQUIRED else default
@@ -96,14 +100,16 @@ class Fields:
         return self.number(key, default, integer=True)
 
     def choice(self, key, options, default=_REQUIRED):
-        """One of `options`, of the same type; None when it is not."""
+        """One of `options`, of the same type; None when it is not, and then
+        no key of the object is unknown, since the choice decides which are
+        read."""
         value = self._raw(key, default)
-        if value is _INVALID:
-            return None
-        if not any(type(value) is type(o) and value == o for o in options):
+        if any(type(value) is type(o) and value == o for o in options):
+            return value
+        self.read.update(self.cfg)
+        if value is not _INVALID:
             self.fail(key, f"must be one of {'/'.join(map(str, options))}, got {value!r}")
-            return None
-        return value
+        return None
 
     def array(self, key):
         """A rectangular, possibly nested, list of finite numbers, as an array."""
@@ -147,8 +153,12 @@ class Fields:
         return [self._built(f"{key}[{pos}]", builder, item) for pos, item in enumerate(value)]
 
     def merge(self, builder):
-        """builder(this whole object), its diagnostics kept at their paths."""
-        return self._built("", builder, self.cfg)
+        """builder(the keys of this object that no read has taken so far),
+        its diagnostics kept at their paths; those keys are then read here,
+        and the builder names any of them it does not read."""
+        rest = {key: value for key, value in self.cfg.items() if key not in self.read}
+        self.read.update(rest)
+        return self._built("", builder, rest)
 
     def _built(self, field, builder, value):
         try:
@@ -174,6 +184,9 @@ class Fields:
 
     def close(self, value):
         """`value`, or a ConfigError with every diagnostic recorded."""
+        for key in self.cfg:
+            if key not in self.read:
+                self.fail(key, "unknown key")
         if self.diags:
             raise ConfigError(self.diags)
         return value

@@ -281,7 +281,6 @@ class EmpiricalCopula:
         self.n = x.size
         self._rank_u = self._ranks(x)
         self._rank_v = self._ranks(y)
-        self._lattices = {}
 
     @staticmethod
     def _ranks(values):
@@ -327,24 +326,18 @@ class EmpiricalCopula:
 
         O(N + grid^2): bin each point at the smallest lattice level covering
         its rank, through one bin table indexed by rank, then take the 2-D
-        cumulative sum.  Built once per grid; the returned arrays are shared
-        and read-only.
+        cumulative sum.
         """
         if grid < 2:
             raise DomainError(f"grid must be >= 2, got {grid}")
-        if grid not in self._lattices:
-            levels = np.linspace(0.0, 1.0, grid)
-            bins = self._rank_bins(levels)
-            cell = bins[self._rank_u].astype(np.intp)
-            cell *= grid + 1
-            cell += bins[self._rank_v]
-            counts = np.bincount(cell, minlength=(grid + 1) ** 2)
-            counts = counts.reshape(grid + 1, grid + 1)
-            table = counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / self.n
-            levels.flags.writeable = False
-            table.flags.writeable = False
-            self._lattices[grid] = (levels, table)
-        return self._lattices[grid]
+        levels = np.linspace(0.0, 1.0, grid)
+        bins = self._rank_bins(levels)
+        cell = bins[self._rank_u].astype(np.intp)
+        cell *= grid + 1
+        cell += bins[self._rank_v]
+        counts = np.bincount(cell, minlength=(grid + 1) ** 2)
+        counts = counts.reshape(grid + 1, grid + 1)
+        return levels, counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / self.n
 
 
 def sup_distance(empirical, copula, grid=50):

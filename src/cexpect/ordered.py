@@ -97,7 +97,8 @@ def markov_property_check(m: Marginal, matrix, seed):
     trend in X_{n-1:n} is removed (it exactly absorbs the confounding between
     the bin's residual spread and X_{n-2:n}), then the detrended residuals
     are split into 3 X_{n-2:n} sub-bins and each sub-bin mean is tested
-    against 0.  satisfied <=> max |z| <= 4.  Returns (report, details).
+    against 0.  The report's lhs is max |z| and its rhs 4, the threshold it
+    must not exceed.  Returns (report, details).
     """
     n_samples, n = matrix.shape
     check_markov_order(n)
@@ -145,7 +146,6 @@ def markov_property_check(m: Marginal, matrix, seed):
     max_abs_z = float(np.max(np.abs(zs))) if zs else 0.0
     report = threshold_report(_markov_name(m, n), max_abs_z, 4.0, n_samples, seed)
     details = {
-        "max_abs_z": max_abs_z,
         "primary_bins": int(primary_bins),
         "sub_bins": int(sub_bins),
         "bins_widened": widened,
@@ -343,6 +343,8 @@ def record_predictor_mse(m: Marginal, n, lag, n_samples, seed, cap=RECORD_CAP_DE
     lhs_sq = (target - pred_1) ** 2
     rhs_sq = (target - pred_lag) ** 2
     report = inequality_report("records", lhs_sq, rhs_sq, seed)
+    # n_kept is the report's n_samples; perfbench's count oracle reads it
+    # beside n_discarded, which the manifest also reads.
     details = {
         "n_kept": int(kept),
         "n_discarded": int(batch.n_discarded),

@@ -1,9 +1,10 @@
-"""Report types and deterministic JSON/CSV emission.
+"""The report type and deterministic JSON/CSV emission.
 
-Every verification produces rows for one shared CSV schema
-(name, lhs, rhs, se, n, seed, satisfied, margin_sigmas) plus a typed JSON
-object.  Serialization is byte-deterministic: floats use Python repr
-(shortest round-trip), JSON keys are sorted, and CSV uses LF endings.
+Every verdict is one PairedReport, written as one row of the CSV schema
+(name, lhs, rhs, se, n, seed, satisfied, margin_sigmas) and as one JSON
+object with the same fields, in report files of schema version 2.
+Serialization is byte-deterministic: floats use Python repr (shortest
+round-trip), JSON keys are sorted, and CSV uses LF endings.
 """
 
 import csv
@@ -11,13 +12,13 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CSV_HEADER = ["name", "lhs", "rhs", "se", "n", "seed", "satisfied", "margin_sigmas"]
 
 # One-sided slack for inequality verdicts: lhs <= rhs + 3 * paired SE.
@@ -50,9 +51,10 @@ class PairedReport:
 
     paired_diff_se is the standard error of the per-draw difference under
     common random numbers (exactly 0 when both sides are the same
-    computation, so degenerate cases report margin exactly 0).  `kind`, not
-    serialized, names the verdict: "inequality" is lhs <= rhs + 3 * se,
-    "equality" is |lhs - rhs| <= 4 * se; margin_sigmas is (rhs - lhs) / se.
+    computation, so degenerate cases report margin exactly 0).  The builder
+    sets the verdict: `inequality_report` is lhs <= rhs + 3 * se,
+    `equality_check` is |lhs - rhs| <= 4 * se, and `threshold_report` is
+    lhs <= rhs at se 0; margin_sigmas is (rhs - lhs) / se, or 0 at se 0.
     """
 
     name: str
@@ -63,7 +65,6 @@ class PairedReport:
     seed: int
     satisfied: bool
     margin_sigmas: float
-    kind: str = "inequality"
 
     def csv_row(self):
         return [
@@ -78,16 +79,7 @@ class PairedReport:
         ]
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "lhs_estimate": self.lhs_estimate,
-            "rhs_estimate": self.rhs_estimate,
-            "paired_diff_se": self.paired_diff_se,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "satisfied": self.satisfied,
-            "margin_sigmas": self.margin_sigmas,
-        }
+        return asdict(self)
 
 
 def inequality_report(name, lhs_sq, rhs_sq, seed):
@@ -131,52 +123,21 @@ def equality_check(name, lhs, rhs, diff_values, seed):
         seed=int(seed),
         satisfied=bool(satisfied),
         margin_sigmas=float(margin),
-        kind="equality",
     )
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """A statistic checked against a hard threshold (no Monte Carlo slack)."""
-
-    name: str
-    statistic: float
-    threshold: float
-    n_samples: int
-    seed: int
-    satisfied: bool
-
-    def csv_row(self):
-        return [
-            self.name,
-            repr(self.statistic),
-            repr(self.threshold),
-            repr(0.0),
-            str(self.n_samples),
-            str(self.seed),
-            "true" if self.satisfied else "false",
-            repr(self.threshold - self.statistic),
-        ]
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "satisfied": self.satisfied,
-        }
-
-
 def threshold_report(name, statistic, threshold, n_samples, seed):
-    return ThresholdReport(
+    """A statistic checked against a hard threshold, with no Monte Carlo
+    slack: lhs is the statistic, rhs the threshold, se and margin 0."""
+    return PairedReport(
         name=name,
-        statistic=float(statistic),
-        threshold=float(threshold),
+        lhs_estimate=float(statistic),
+        rhs_estimate=float(threshold),
+        paired_diff_se=0.0,
         n_samples=int(n_samples),
         seed=int(seed),
         satisfied=bool(statistic <= threshold),
+        margin_sigmas=0.0,
     )
 
 

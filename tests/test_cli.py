@@ -11,7 +11,7 @@ from cexpect import cli
 from cexpect.cli import validate_config
 from cexpect.coalition import market_from_config
 from cexpect.marginals import MaxOfIid
-from cexpect.reports import ExperimentResult, canonical_config_hash, threshold_report
+from cexpect.reports import CSV_HEADER, ExperimentResult, canonical_config_hash, threshold_report
 
 NORMAL = {"family": "normal", "mean": 0.0, "sd": 1.0}
 
@@ -29,8 +29,8 @@ def _market(outsider_marginal):
 def test_max_of_iid_marginal_accepted():
     cfg = _market({"family": "max-of-iid", "base": NORMAL, "count": 4})
     assert validate_config(cfg) == []
-    # The builder takes the same config.
-    outsider = market_from_config(cfg).outsider
+    # The builder takes the same market object.
+    outsider = market_from_config({key: cfg[key] for key in ("brokers", "outsider")}).outsider
     assert isinstance(outsider, MaxOfIid) and outsider.count == 4
 
 
@@ -116,12 +116,45 @@ def test_unsatisfied_verdict_exits_1(tmp_path, monkeypatch):
     assert b",false," in (out / "reports.csv").read_bytes()
 
 
-def test_verify_all_smoke(tmp_path):
-    out = tmp_path / "out"
+@pytest.fixture(scope="module")
+def suite_out(tmp_path_factory):
+    """The output directory of one `verify all`."""
+    out = tmp_path_factory.mktemp("suite")
     assert _verify("all", "--out", str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    return out
+
+
+def test_verify_all_smoke(suite_out):
+    manifest = json.loads((suite_out / "manifest.json").read_text())
     assert sorted(manifest["experiments"]) == sorted(cli.default_suite())
     assert all(entry["all_satisfied"] for entry in manifest["experiments"].values())
+
+
+# Detail keys that repeated a report of their own file.
+REPEATED_DETAILS = {
+    "per_broker_mse", "coalition_mse", "paired_ses", "win_probability_sum",
+    "cov_phi_y", "cov_psi_x", "cov_xy", "mean_y2", "mean_x2", "cov_y1_y2", "cov_x1_x2",
+    "max_abs_z", "sup_distance_swapped", "sup_distance_exchangeable",
+}
+
+
+def _keys(value):
+    """Every dict key anywhere inside `value`."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    return set().union(*map(_keys, value)) if isinstance(value, list) else set()
+
+
+def test_every_report_row_has_one_key_set_and_details_repeat_none(suite_out):
+    rows = []
+    for name in cli.default_suite():
+        doc = json.loads((suite_out / f"{name}.json").read_text())
+        rows += doc["reports"]
+        assert doc["schema_version"] == 2
+        assert not _keys(doc["details"]) & (REPEATED_DETAILS | set(doc["reports"][0]))
+    assert len(rows) == len((suite_out / "reports.csv").read_text().splitlines()) - 1 == 69
+    assert {frozenset(row) for row in rows} == {frozenset(rows[0])}
+    assert len(rows[0]) == len(CSV_HEADER)
 
 
 def _validate(*args):
@@ -304,6 +337,13 @@ REJECTED = {
         "cases[1]",
     ),
     "chain-repeated-pair": (_suite_with("corollary-chain", index_sets=[[1], [1], [1]]), "index_sets[2]"),
+    # Misspelt keys, which used to leave the default in force.
+    "records-misspelt-cap": (_suite_with("records", caap=4), "caap"),
+    "swap-misspelt-threshold": (_suite_with("copula-swap", treshold=0.5), "treshold"),
+    "brokers-misspelt-rho": (
+        _suite_with("coalition", brokers={"count": 4, "marginal": _EXP1, "rho": 0.5}),
+        "brokers.rho",
+    ),
 }
 
 

@@ -294,17 +294,6 @@ class TestEmpiricalCopula:
         assert e._rank_u.dtype == np.int32
         np.testing.assert_array_equal(np.sort(e._rank_v), np.arange(1, 1001))
 
-    def test_lattice_built_once_per_grid_and_read_only(self):
-        rng = philox_stream(38, 0)
-        e = EmpiricalCopula(rng.random(1000), rng.random(1000))
-        levels, table = e.lattice(11)
-        assert e.lattice(11)[1] is table
-        assert e.lattice(12)[1].shape == (12, 12)
-        with pytest.raises(ValueError):
-            table[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            levels[0] = 1.0
-
     def test_non_finite_sample_rejected_with_count(self):
         x = np.linspace(0.0, 1.0, 10)
         y = x.copy()

@@ -4,12 +4,9 @@ and coalition experiments, pinned.
 Each config runs at 2 * CHUNK_SIZE + 12345 rows: three chunks, the last one
 ragged.  The per-row work of these experiments runs inside the chunk
 workers, which return only the columns a report reads; elementwise
-arithmetic gives the same value per row in whichever chunk it runs, so the
-digests below, recorded when the whole draw matrices were still assembled
-before any per-row work, must not move.  The order-stats, records and
-coalition digests were recorded when those operations still returned their
-own result types and the runner named their reports.  `--workers 1` and `2`
-must agree.
+arithmetic gives the same value per row in whichever chunk it runs, so no
+digest moved when that work moved into the workers.  A digest moves only
+with a declared change of report bytes.  `--workers 1` and `2` must agree.
 """
 
 import hashlib
@@ -77,30 +74,27 @@ def report_digest(cfg, workers):
     return hashlib.sha256(blob).hexdigest()
 
 
-# Recorded with the draw matrices assembled whole before the per-row work,
-# for the original order-stats, records and coalition configs before the
-# operations returned ExperimentResult, and for "order-stats-markov" and
-# "coalition-one-broker" while each order-stats report drew its own matrix
-# and a one-broker coalition took its predictor column as the average.
+# Recorded for report schema version 2: every report is a PairedReport, and
+# the details repeat no report field.
 DIGESTS = {
-    "theorem1": "53856e25b30e36c2f2f27c8c1ce0a1ace52cc063104e868d52841ab3f1f22d5c",
-    "theorem2": "3e2394f9887220f9cf00a1d6a763f1715c443e1cbd9484a93be7e05ac2ced5b3",
-    "theorem3": "715254bcb6517cb0fcfa0ea2a3cea059c16baf66a7bd46339a51b8d7cf291783",
-    "theorem3-duplicate": "062cd9848378eaa3c0979d9d7c1de6385a348c3bf2c5af9d45fd0d511d4da4c5",
-    "corollary-chain": "350ad8e7c6fbb790cfa907f082f0d23b02c98da00e02c44080d9462779ae781e",
-    "corollary-chain-empty": "cb858f7cbe05f2e0f49bd11df83f2e947b890d7f23aabf749fc9cbc0ae608928",
-    "covariance": "dfa12b1aa60c344487f245ef26db02da483083f9f6661c618aa3bf374d25ab1f",
-    "covariance-clayton": "f717df4dfe6eb56a568f8c360f2bc724aa6c1f2fc376376830a5370520372e54",
-    "copula-swap": "212bccef8e8504864f2eaf7db687e96d16bebee0ad707de2d9531ffaab3acc70",
-    "sequence-stats": "0957276175af7836b2efdc38f0e6e839165fe0eceb91dacfe5b83dbca5fbe959",
-    "sequence-stats-clayton": "8a3285103b5f5c3916ce52c120af6649d5db5202202218c745dc4af00f657ce8",
-    "martingale": "8c0c8133096b83a055b1bc8ce2317272b04e2ad910d8669a0c9ddb6484395624",
-    "order-stats": "6a8ac590b586a363c7636947ded7e825eeb92e8fe95940eb54dce7b8ef260207",
-    "order-stats-markov": "1691f1d9991d1c8886984588bbf251ba9986fcf6788ef065cbc5ad793b189538",
-    "records": "fe738511ee3f9a7ffe71985c0141165f234c27a24551097abf367728c2958f7b",
-    "coalition": "17310f5651ab58b04525e216e98f0b651934295474b92321482228289e7ca030",
-    "coalition-one-broker": "fadef4b00172e67f6621643085b1b998d3bc9d5cd18124df81fc7907ef57d424",
-    "coalition-dependent": "bea0c460e914ab318a62808d74ba2149acb513c5d97a7255b4b38c34b13586af",
+    "theorem1": "83be096233751bc6ecee160030f71e8fa0df247fc34a707db2253d5d8781763e",
+    "theorem2": "f43b52c020fd411437ced168d268b8b5b41fe53b469586c95040e441dc9b63c0",
+    "theorem3": "2f72cc5cab37ed78933381ee157508bca98f50431f7ed0786c3345bbd9713973",
+    "theorem3-duplicate": "528b8c0fd4c65b4ee5d3640c6eb31d686fcf389f666d1335b6fe909add904e42",
+    "corollary-chain": "074675e4598c15e24cabf1952810b51df128994348ddf01c09ca54ab2c955c69",
+    "corollary-chain-empty": "e651b3f1e60d910ab897e576988ff09bd9c9227faa46c326b5df7053d3232a48",
+    "covariance": "6bec93cd8cc177d431053b528192a7d5e17f104ad58fcd88a9d05f8936a078bb",
+    "covariance-clayton": "669cf7267df9183f115e95ca7d2f2a7e8d868cf425fed4f3db53bae5d3925d36",
+    "copula-swap": "22debdf4322b7a235550579340864be91a855d2671309736a4fba5e1ade2494d",
+    "sequence-stats": "912937875967eb36685479caf08861b37c955ff7938ed307a1285ce5ea6323fb",
+    "sequence-stats-clayton": "f0e94455bf4a39ae8fb7b96064f3460471fb3cdbac1a1bbc9d7f40db2552dc5b",
+    "martingale": "c181efdf8b1d19efcc5fa35f72022425aabf203682d749667a1f66a75f97e2b6",
+    "order-stats": "c9df05705fceae6fb9ec77c4d0a4c2c6dd27d570a83c1118e7baf9c2e598bd3f",
+    "order-stats-markov": "eec22ed2528ef76aeb45b7218dbf22161d07eb645a3fc1e7e643eb767fa274ca",
+    "records": "09d59106daff13616531b5de0718de39abe4be292438c061d0e988231d20bfc5",
+    "coalition": "17a4b3268288b64d5ff1efb0ac268bada6fc34748bd1af89a965fc04716acb44",
+    "coalition-one-broker": "c6c27a65514b3526322920773491e1b5ebde2e4829f811cdf59d808e8159253f",
+    "coalition-dependent": "a8f974bd5b1ce62e7a3c698c66e5b4213862431ee3108e5d80c5446fe5c1eac7",
 }
 
 
@@ -108,4 +102,4 @@ DIGESTS = {
 def test_report_bytes_pinned_for_any_worker_count(label, cfg):
     one = report_digest(cfg, workers=1)
     assert report_digest(cfg, workers=2) == one
-    assert one == DIGESTS[label]
+    assert one == DIGESTS[label], one

@@ -100,7 +100,7 @@ def test_json_rendering_is_canonical():
     blob2 = render_json(res.to_json_dict())
     assert blob1 == blob2
     parsed = json.loads(blob1)
-    assert parsed["schema_version"] == 1
+    assert parsed["schema_version"] == 2
     assert set(parsed["reports"][0].keys()) == {
         "name",
         "lhs_estimate",
@@ -143,21 +143,23 @@ GOLDEN_JSON = (
     '      "n_samples": 1000,\n      "name": "golden/equality",\n'
     '      "paired_diff_se": 0.022360877686763623,\n      "rhs_estimate": 0.26,\n'
     '      "satisfied": true,\n      "seed": 4\n    },\n'
-    '    {\n      "n_samples": 1000,\n      "name": "golden/threshold",\n      "satisfied": true,\n'
-    '      "seed": 5,\n      "statistic": 0.01,\n      "threshold": 0.02\n    }\n'
-    '  ],\n  "schema_version": 1\n}\n'
+    '    {\n      "lhs_estimate": 0.01,\n      "margin_sigmas": 0.0,\n'
+    '      "n_samples": 1000,\n      "name": "golden/threshold",\n'
+    '      "paired_diff_se": 0.0,\n      "rhs_estimate": 0.02,\n'
+    '      "satisfied": true,\n      "seed": 5\n    }\n'
+    '  ],\n  "schema_version": 2\n}\n'
 )
 
 GOLDEN_CSV = (
     "name,lhs,rhs,se,n,seed,satisfied,margin_sigmas\n"
     "golden/inequality,0.33283349999999995,0.4995,0.0023582137908453793,1000,3,true,70.67488988784726\n"
     "golden/equality,0.25,0.26,0.022360877686763623,1000,4,true,0.4472096372996774\n"
-    "golden/threshold,0.01,0.02,0.0,1000,5,true,0.01\n"
+    "golden/threshold,0.01,0.02,0.0,1000,5,true,0.0\n"
 )
 
 
 def test_golden_report_bytes():
-    # One report of each kind, pinned byte for byte in both formats.
+    # One report from each builder, pinned byte for byte in both formats.
     result = _golden_result()
     assert render_json(result.to_json_dict()) == GOLDEN_JSON.encode()
     assert render_csv(result.reports) == GOLDEN_CSV.encode()

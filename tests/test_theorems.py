@@ -216,20 +216,27 @@ class TestCorollaryChain:
             verify_corollary_chain(ar_vector(3, 0.5), [(2,), (0, 2)], N, 55)
 
 
+def _covariances(res):
+    """(Cov(phi(Y), Y), Cov(psi(X), X), Cov(X, Y)) as the covariance reports
+    state them."""
+    phi_y, psi_x, _ = res.reports
+    return phi_y.lhs_estimate, psi_x.lhs_estimate, phi_y.rhs_estimate
+
+
 class TestCovarianceIdentity:
     def test_independence_all_near_zero(self):
         m = BivariateModel(Independence(), Uniform(), Uniform())
         res = verify_covariance_identity(m, N, 56)
-        for key in ("cov_phi_y", "cov_psi_x", "cov_xy"):
-            assert abs(res.details[key]) <= 0.01
+        for cov in _covariances(res):
+            assert abs(cov) <= 0.01
         assert res.all_satisfied
 
     def test_gaussian_rho05_all_near_half(self):
         res = verify_covariance_identity(
             BivariateModel(Gaussian(rho=0.5), Normal(), Normal()), N, 57
         )
-        for key in ("cov_phi_y", "cov_psi_x", "cov_xy"):
-            assert res.details[key] == pytest.approx(0.5, abs=0.02)
+        for cov in _covariances(res):
+            assert cov == pytest.approx(0.5, abs=0.02)
         assert res.all_satisfied
 
     def test_memory_releases_each_column_after_its_last_product(self):
@@ -289,8 +296,9 @@ class TestCopulaSwap:
         res = verify_copula_theorem(
             [BivariateModel(Gaussian(rho=0.5), Normal(), Normal())], N, 60
         )
-        assert res.details["copula-swap/gaussian#0"]["sup_distance_swapped"] <= 0.02
-        assert res.details["copula-swap/gaussian#0"]["sup_distance_exchangeable"] <= 0.02
+        (report,) = res.reports
+        assert report.name == "copula-swap/gaussian#0/swapped"
+        assert report.lhs_estimate <= 0.02
         assert res.all_satisfied
 
     def test_independence_rejected(self):
@@ -302,8 +310,21 @@ class TestCopulaSwap:
         res = verify_copula_theorem(
             [BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())], N, 62
         )
-        assert res.details["copula-swap/clayton#0"]["sup_distance_swapped"] <= 0.02
-        assert res.details["copula-swap/clayton#0"]["sup_distance_exchangeable"] <= 0.02
+        (report,) = res.reports
+        assert report.name == "copula-swap/clayton#0/swapped"
+        assert report.lhs_estimate <= 0.02
+
+    def test_one_report_per_model(self):
+        # Every family is exchangeable, so a report against the unswapped
+        # C would repeat the swapped one: each model writes one report.
+        models = [
+            BivariateModel(Gaussian(rho=0.5), Normal(), Normal()),
+            BivariateModel(FGM(theta=0.5), Uniform(), Uniform()),
+        ]
+        res = verify_copula_theorem(models, 20_000, 66)
+        names = ["copula-swap/gaussian#0", "copula-swap/fgm#1"]
+        assert [r.name for r in res.reports] == [f"{name}/swapped" for name in names]
+        assert res.details == {name: {"grid": 50} for name in names}
 
 
 class TestPredictedSequence:
@@ -311,14 +332,15 @@ class TestPredictedSequence:
         m = BivariateModel(Gaussian(rho=0.6), Normal(), Normal())
         res = predicted_sequence_stats(m, N, 63)
         # Cov(Y1, Y2) = Cov(X1, rho X1) = 0.6 analytically.
-        assert res.details["cov_y1_y2"] == pytest.approx(0.6, abs=0.02)
-        assert res.details["cov_x1_x2"] == pytest.approx(0.6, abs=0.02)
+        cov = res.reports[1]
+        assert cov.lhs_estimate == pytest.approx(0.6, abs=0.02)
+        assert cov.rhs_estimate == pytest.approx(0.6, abs=0.02)
         assert res.all_satisfied
 
     def test_independence_constant_predictor(self):
         m = BivariateModel(Independence(), Uniform(), Uniform())
         res = predicted_sequence_stats(m, N, 64)
-        assert abs(res.details["cov_y1_y2"]) <= 1e-6
+        assert abs(res.reports[1].lhs_estimate) <= 1e-6
         assert res.all_satisfied
 
     def test_fgm_negative_theta(self):
