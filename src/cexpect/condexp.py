@@ -4,8 +4,13 @@
   functions x -> E(Y|X=x) and y -> E(X|Y=y) are tabulated on 513
   Chebyshev-spaced nodes by one batched tanh-sinh quadrature of the
   conditional mean integral, and evaluated through monotone cubic (PCHIP)
-  interpolation.  The Gaussian copula with normal marginals short-circuits
-  to the exact affine form.
+  interpolation.  The PCHIP is in-house: Fritsch-Butland node slopes
+  (SIAM J. Sci. Stat. Comput. 5(2), 1984) with Moler's one-sided end rule
+  (Numerical Computing with MATLAB, sec. 3.6, pchiptx.m), built and summed
+  step for step as scipy's PchipInterpolator, whose bits it matches, so
+  importing cexpect loads neither scipy.interpolate nor scipy.optimize.
+  The Gaussian copula with normal marginals short-circuits to the exact
+  affine form.
 * Nadaraya-Watson regression with a Gaussian kernel (Silverman bandwidth),
   which tabulates the dependent-broker predictors of `coalition`.
 * GaussianVector with closed-form conditional means via the normal
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import quadrature
 from .config import Fields
@@ -38,6 +42,33 @@ def chebyshev_nodes(lo, hi, n=GRID_NODES):
     k = np.arange(n, dtype=float)
     x = np.cos(math.pi * k / (n - 1))[::-1]
     return lo + (hi - lo) * 0.5 * (x + 1.0)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope with its two shape-preserving
+    overrides; h0, m0 are the end interval's width and secant slope."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h, m):
+    """PCHIP node slopes from interval widths h and secant slopes m: the
+    weighted harmonic mean of the two secants inside (zero where they change
+    sign or either is zero), Moler's rule at the ends, linear on 2 nodes."""
+    if m.size == 1:
+        return np.concatenate([m, m])
+    d = np.zeros(m.size + 1)
+    mean = np.sign(m[:-1]) * np.sign(m[1:]) > 0
+    w1 = (2 * h[1:] + h[:-1])[mean]
+    w2 = (h[1:] + 2 * h[:-1])[mean]
+    d[1:-1][mean] = 1.0 / ((w1 / m[:-1][mean] + w2 / m[1:][mean]) / (w1 + w2))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
 
 
 class RegressionFunction:
@@ -62,7 +93,17 @@ class RegressionFunction:
         self.domain = (float(grid[0]), float(grid[-1]))
         self.affine = affine
         self.monotonicity = self._classify(values, affine)
-        self._interp = PchipInterpolator(grid, values)
+        # The cubic on [grid[k], grid[k+1]] is c0 + c1 s + c2 s^2 + c3 s^3 in
+        # s = x - grid[k], with the coefficients of a cubic Hermite spline.
+        h = np.diff(grid)
+        secant = np.diff(values) / h
+        d = _pchip_slopes(h, secant)
+        t = (d[:-1] + d[1:] - 2 * secant) / h
+        # + 0.0 turns -0.0 into 0.0, as summing from a zero accumulator does.
+        self._c0 = values[:-1] + 0.0
+        self._c1 = d[:-1]
+        self._c2 = (secant - d[:-1]) / h - t
+        self._c3 = t / h
 
     @staticmethod
     def _classify(values, affine):
@@ -89,7 +130,13 @@ class RegressionFunction:
         if self.affine is not None:
             return self.affine[0] + self.affine[1] * x
         lo, hi = self.domain
-        return self._interp(np.clip(x, lo, hi))
+        x = np.clip(x, lo, hi)
+        # The interval k with grid[k] <= x < grid[k+1]; the last one also
+        # takes x = grid[-1] (and NaN, which stays NaN).
+        k = np.searchsorted(self.grid[1:-1], x, side="right")
+        s = x - self.grid[k]
+        # Summed in this order, not by Horner's rule, to keep scipy's bits.
+        return self._c0[k] + self._c1[k] * s + self._c2[k] * (s * s) + self._c3[k] * (s * s * s)
 
 
 @dataclass(frozen=True)

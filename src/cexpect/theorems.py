@@ -44,6 +44,9 @@ TAG_MAIN = 1
 
 COPULA_SWAP_DEFAULT_THRESHOLD = 0.02
 COPULA_SWAP_DEFAULT_GRID = 50
+# Most lattice points a side: the lattice arrays are grid^2 float64 (8 MiB
+# each at 1024), and one Gaussian model peaks near 190 MB of RSS there.
+COPULA_SWAP_MAX_GRID = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +407,10 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
 
 
 def check_copula_swap(grid, threshold):
-    """A lattice of grid >= 2 points a side and a positive threshold."""
-    if grid < 2:
-        raise DomainError(f"grid must be >= 2, got {grid}", "grid")
+    """A lattice of 2 to COPULA_SWAP_MAX_GRID points a side and a positive
+    threshold, checked before any draw."""
+    if not 2 <= grid <= COPULA_SWAP_MAX_GRID:
+        raise DomainError(f"grid must be in [2, {COPULA_SWAP_MAX_GRID}], got {grid}", "grid")
     if not threshold > 0:
         raise DomainError(f"threshold must be > 0, got {threshold}", "threshold")
 

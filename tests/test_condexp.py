@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
+from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from cexpect.condexp import (
@@ -17,6 +18,7 @@ from cexpect.condexp import (
     GaussianVector,
     RegressionFunction,
     ar_vector,
+    chebyshev_nodes,
     equicorrelated_vector,
     kernel_regress,
     kernel_regress_grid,
@@ -81,6 +83,67 @@ class TestRegressionFunctions:
             RegressionFunction([0.0, 1.0], [1.0, np.nan])
         with pytest.raises(DomainError):
             RegressionFunction([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+
+
+def _same_bits(a, b):
+    """Same shape and values, NaN where NaN, and the same sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b))
+    )
+
+
+_IRREGULAR = np.cumsum(philox_stream(3, 0).exponential(size=60))
+
+# (grid, values): grids of every spacing and size, values with plateaus
+# (zero secants), sign changes and -0.0.
+PCHIP_TABLES = {
+    "chebyshev-513": (chebyshev_nodes(-4.0, 4.0), np.tanh(chebyshev_nodes(-4.0, 4.0))),
+    "linspace-sign-changes": (np.linspace(0.0, 10.0, 40), np.sin(np.linspace(0.0, 10.0, 40))),
+    "irregular-plateaus": (_IRREGULAR, np.round(np.sin(_IRREGULAR) * 2.0)),
+    "irregular-random": (_IRREGULAR, philox_stream(4, 0).standard_normal(60)),
+    "2-nodes": (np.array([-1.0, 2.0]), np.array([3.0, -0.5])),
+    "3-nodes": (np.array([0.0, 0.25, 2.0]), np.array([1.0, 1.5, 4.0])),
+    # Every coefficient of the first cubic is negative, so only the sum
+    # from +0.0 that scipy starts with makes the value at 0 read +0.0.
+    "negative-zero-start": (np.array([0.0, 0.5, 1.5, 2.0]), np.array([-0.0, -1.0, -4.0, -6.0])),
+    # Moler's end rule overridden: the three-point slope at 0 has the wrong
+    # sign (set to 0), or the secants change sign and it exceeds 3 m0 (set
+    # to 3 m0).
+    "end-slope-zeroed": (np.arange(4.0), np.array([0.0, 1.0, 6.0, 7.0])),
+    "end-slope-tripled": (np.arange(3.0), np.array([0.0, 1.0, -9.0])),
+}
+
+
+@pytest.mark.parametrize("table", sorted(PCHIP_TABLES))
+def test_pchip_matches_scipy_bit_for_bit(table):
+    grid, values = PCHIP_TABLES[table]
+    f = RegressionFunction(grid, values)
+    ref = PchipInterpolator(grid, values)
+    lo, hi = grid[0], grid[-1]
+    x = np.concatenate(
+        [
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            np.linspace(lo, hi, 1001),
+            philox_stream(5, 0).uniform(lo - 1.0, hi + 1.0, 1000),
+            [lo - 1.0, hi + 1.0, -np.inf, np.inf, np.nan],
+        ]
+    )
+    assert _same_bits(f(x), ref(np.clip(x, lo, hi)))
+    assert _same_bits(f(x[:1000].reshape(40, 25)), ref(np.clip(x[:1000], lo, hi).reshape(40, 25)))
+    for point in (grid[1], np.float64(lo - 1.0), np.array(hi)):
+        assert _same_bits(f(point), ref(np.clip(point, lo, hi)))
+
+
+def test_pchip_tables_reach_both_end_overrides():
+    grid, values = PCHIP_TABLES["end-slope-zeroed"]
+    assert PchipInterpolator(grid, values).derivative()(0.0) == 0.0
+    grid, values = PCHIP_TABLES["end-slope-tripled"]
+    assert PchipInterpolator(grid, values).derivative()(0.0) == 3.0
 
 
 # Every copula family against every pair of target and conditioning marginals.
