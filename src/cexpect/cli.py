@@ -16,7 +16,8 @@ the config as run.  Every run writes all three outputs:
 
 `cexpect validate` builds the models of a config and never simulates; it
 names every field at fault, and every key no reader reads, as `verify`
-does before it runs anything.
+does before it runs anything.  Copula-swap models are tabulated at read
+time, since a model whose regressions are not increasing is at fault.
 
 Exit status is 0 iff every verdict in the run is satisfied, 1 on any
 unsatisfied verdict, 2 on config or usage errors.  Reports are byte-identical
@@ -99,8 +100,15 @@ def _read_copula_swap(f, n_samples, seed):
     grid = f.integer("grid", theorems.COPULA_SWAP_DEFAULT_GRID)
     threshold = f.number("threshold", theorems.COPULA_SWAP_DEFAULT_THRESHOLD)
     f.build(theorems.check_copula_swap, grid=grid, threshold=threshold)
+    # Tabulated here, so that validate rejects a model whose regressions are
+    # not increasing, and handed to the operation, which then reuses them.
+    tables = [
+        f.build(theorems.copula_swap_tables, keys={"model": f"models[{pos}]"}, model=model)
+        for pos, model in enumerate(models or [])
+        if model is not None
+    ]
     return lambda pool: theorems.verify_copula_theorem(
-        models, n_samples, seed, grid, threshold, pool=pool
+        models, n_samples, seed, grid, threshold, pool=pool, tables=tables
     )
 
 
@@ -370,6 +378,9 @@ def main(argv=None):
             diags = validate_config(_load_config(args.config))
         except ConfigError as exc:
             diags = exc.diagnostics
+        except CexpectError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if diags:
             for d in diags:
                 print(d.render(), file=sys.stderr)

@@ -9,6 +9,15 @@
   (Numerical Computing with MATLAB, sec. 3.6, pchiptx.m), built and summed
   step for step as scipy's PchipInterpolator, whose bits it matches, so
   importing cexpect loads neither scipy.interpolate nor scipy.optimize.
+  Each key finds its interval by the indexed search of Chen & Asau (AIIE
+  Trans. 6(2), 1974; Devroye 1986, sec. III.2.4): a guide table over at most
+  GUIDE_BUCKETS equal buckets of the domain, built once per table, gives an
+  upper bound on the interval index, and a fixed number of backward steps,
+  the most breakpoints any bucket holds, lands on the index np.searchsorted
+  would give.  Keys and breakpoints go into buckets by one float
+  expression, which is monotone in its argument, so a breakpoint in a
+  bucket above a key's is above the key: the bound is never low, and
+  backward steps alone are exact.
   The Gaussian copula with normal marginals short-circuits to the exact
   affine form.
 * Nadaraya-Watson regression with a Gaussian kernel (Silverman bandwidth),
@@ -35,6 +44,9 @@ NON_MONOTONE = "non-monotone"
 
 GRID_NODES = 513
 MONOTONE_TOL = 1e-9
+# Guide-table buckets at most: 32 KiB of uint16 for a 513-node table, and
+# at most two breakpoints a bucket on its Chebyshev grid.
+GUIDE_BUCKETS = 16384
 
 
 def chebyshev_nodes(lo, hi, n=GRID_NODES):
@@ -71,6 +83,32 @@ def _pchip_slopes(h, m):
     return d
 
 
+def _bucket(x, lo, scale, top):
+    """floor((x - lo) * scale) clipped to [0, top], for x >= lo; NaN goes to
+    top.  One expression for keys and breakpoints, monotone in x."""
+    t = np.asarray(x - lo)
+    t *= scale
+    np.fmin(t, top, out=t)
+    return t.astype(np.intp)
+
+
+def _guide_table(grid):
+    """(scale, table, steps) of the indexed interval search on `grid`.
+
+    table[q] is the number of breakpoints grid[1:-1] in buckets 0..q, so it
+    is never below the interval index of a key in bucket q, and never above
+    it by more than the breakpoints in bucket q; steps is the most of those
+    in any bucket.  The bucket count follows the smallest gap, so that a
+    regular or Chebyshev grid puts one or two breakpoints in a bucket.
+    """
+    span = grid[-1] - grid[0]
+    buckets = math.ceil(min(GUIDE_BUCKETS, span / np.min(np.diff(grid))))
+    scale = buckets / span
+    counts = np.bincount(_bucket(grid[1:-1], grid[0], scale, buckets - 1), minlength=buckets)
+    table = np.cumsum(counts).astype(np.min_scalar_type(grid.size))
+    return scale, table, int(counts.max())
+
+
 class RegressionFunction:
     """Tabulated real -> real rule with a monotonicity flag.
 
@@ -104,6 +142,7 @@ class RegressionFunction:
         self._c1 = d[:-1]
         self._c2 = (secant - d[:-1]) / h - t
         self._c3 = t / h
+        self._guide = _guide_table(grid) if affine is None else None
 
     @staticmethod
     def _classify(values, affine):
@@ -125,15 +164,27 @@ class RegressionFunction:
             return DECREASING
         return NON_MONOTONE
 
+    def _interval(self, x):
+        """The interval k with grid[k] <= x < grid[k+1] of each key x in the
+        domain, as np.searchsorted(grid[1:-1], x, side="right") finds it:
+        the last interval also takes x = grid[-1], and NaN."""
+        # The guide table bounds k from above, since monotone bucketing puts
+        # no breakpoint <= x in a bucket above x's; each step moves k down
+        # while grid[k] > x, and stops at grid[0] <= x.  NaN, which buckets
+        # to the top, compares false and stays in the last interval.
+        scale, table, steps = self._guide
+        k = table[_bucket(x, self.domain[0], scale, table.size - 1)].astype(np.intp)
+        for _ in range(steps):
+            k -= x < self.grid[k]
+        return k
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.affine is not None:
             return self.affine[0] + self.affine[1] * x
         lo, hi = self.domain
         x = np.clip(x, lo, hi)
-        # The interval k with grid[k] <= x < grid[k+1]; the last one also
-        # takes x = grid[-1] (and NaN, which stays NaN).
-        k = np.searchsorted(self.grid[1:-1], x, side="right")
+        k = self._interval(x)
         s = x - self.grid[k]
         # Summed in this order, not by Horner's rule, to keep scipy's bits.
         return self._c0[k] + self._c1[k] * s + self._c2[k] * (s * s) + self._c3[k] * (s * s * s)
@@ -242,10 +293,26 @@ def kernel_regress_grid(x, y, grid):
             f"x0 = {x0} outside the [5th, 95th] percentile band [{lo:.6g}, {hi:.6g}]"
         )
     h = 1.06 * float(np.std(x, ddof=1)) * x.size ** (-0.2)
+    # Each node computes w = exp(-0.5 ((x - x0) / h)^2), then sum(w), then
+    # sum(w y) in place, by the same ufuncs in the same order as the
+    # temporaries of that expression did, into one buffer.  The buffer and x
+    # are contiguous, like those temporaries, and each np.sum takes a whole
+    # array, so every sum keeps its pairwise summation tree and every bit.
+    # A strided column (predictor_table passes one) is copied once, not read
+    # strided at every node.
+    x = np.ascontiguousarray(x)
+    y = np.ascontiguousarray(y)
+    w = np.empty_like(x)
     values = np.empty_like(grid)
     for k, x0 in enumerate(grid):
-        w = np.exp(-0.5 * ((x - x0) / h) ** 2)
-        values[k] = np.sum(w * y) / np.sum(w)
+        np.subtract(x, x0, out=w)
+        np.divide(w, h, out=w)
+        np.square(w, out=w)
+        np.multiply(w, -0.5, out=w)
+        np.exp(w, out=w)
+        total = np.sum(w)
+        np.multiply(w, y, out=w)
+        values[k] = np.sum(w) / total
     return values
 
 

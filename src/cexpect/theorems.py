@@ -415,6 +415,21 @@ def check_copula_swap(grid, threshold):
         raise DomainError(f"threshold must be > 0, got {threshold}", "threshold")
 
 
+def copula_swap_tables(model):
+    """(phi, psi) of a copula-swap model, tabulated and checked before any
+    draw: both must be strictly increasing, as the inversion chain behind
+    the theorem needs; raises UnsupportedModelError otherwise."""
+    phi, psi = model.phi(), model.psi()
+    for label, f in (("phi", phi), ("psi", psi)):
+        if f.monotonicity != INCREASING:
+            raise UnsupportedModelError(
+                f"copula-swap verification needs strictly increasing {label}; "
+                f"got {f.monotonicity}",
+                "model",
+            )
+    return phi, psi
+
+
 def verify_copula_theorem(
     models,
     n_samples,
@@ -422,28 +437,24 @@ def verify_copula_theorem(
     grid=COPULA_SWAP_DEFAULT_GRID,
     threshold=COPULA_SWAP_DEFAULT_THRESHOLD,
     pool=None,
+    tables=None,
 ):
     """The copula of (Z1, Z2) = (E(X|Y), E(Y|X)) is the argument-swapped C,
     for each BivariateModel of `models`, each on the same seed.
 
-    Requires strictly increasing regression functions (the inversion chain
-    behind the theorem needs them); models violating that are rejected.
-    Compares the empirical copula of (Z1, Z2) against the swapped C(t, s)
-    on the grid x grid lattice.  Model i is named "copula-swap/{family}#i":
-    its report is that name plus "/swapped", and its details are keyed by it.
+    `tables` holds copula_swap_tables(model) of each model when the caller
+    has built them; without it they are built here, and a model whose
+    regressions are not increasing raises UnsupportedModelError.  Compares
+    the empirical copula of (Z1, Z2) against the swapped C(t, s) on the
+    grid x grid lattice.  Model i is named "copula-swap/{family}#i": its
+    report is that name plus "/swapped", and its details are keyed by it.
     """
     check_copula_swap(grid, threshold)
+    if tables is None:
+        tables = [copula_swap_tables(model) for model in models]
     reports = []
     details = {}
-    for pos, model in enumerate(models):
-        phi = model.phi()
-        psi = model.psi()
-        for label, f in (("phi", phi), ("psi", psi)):
-            if f.monotonicity != INCREASING:
-                raise UnsupportedModelError(
-                    f"copula-swap verification needs strictly increasing {label}; "
-                    f"got {f.monotonicity}"
-                )
+    for pos, (model, (phi, psi)) in enumerate(zip(models, tables)):
 
         def worker(rng, count):
             x, y = model.sample(rng, count)

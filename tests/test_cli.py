@@ -266,6 +266,8 @@ _EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 _BIV = cli.default_suite()["covariance"]["model"]
 _EXP1 = {"family": "exponential", "rate": 1.0}
 _UNBOUNDED = {"family": "uniform", "lower": 0.0, "upper": math.inf}
+_UNIT = {"family": "uniform", "lower": 0.0, "upper": 1.0}
+_UNIT_UU = {"marginal_x": _UNIT, "marginal_y": _UNIT}
 
 # (config, the field its diagnostic must name); each used to pass `validate`
 # and then fail or run anyway, or crashed `validate` itself.
@@ -310,6 +312,22 @@ REJECTED = {
         "model.n_copies",
     ),
     "records-float-depth": (_suite_with("records", depth=4.0), "depth"),
+    # Models whose regressions are not increasing: constant, or decreasing.
+    "swap-independence": (
+        _suite_with("copula-swap", models=[{**_UNIT_UU, "copula": {"family": "independence"}}]),
+        "models[0]",
+    ),
+    "swap-gaussian-negative": (
+        _suite_with(
+            "copula-swap",
+            models=[_BIV, {**_BIV, "copula": {"family": "gaussian", "rho": -0.5}}],
+        ),
+        "models[1]",
+    ),
+    "swap-fgm-zero": (
+        _suite_with("copula-swap", models=[{**_UNIT_UU, "copula": {"family": "fgm", "theta": 0.0}}]),
+        "models[0]",
+    ),
     # A lattice this fine would need about 75 GiB before the bound.
     "copula-swap-huge-grid": (_suite_with("copula-swap", grid=100_000), "grid"),
     "order-float-n": (

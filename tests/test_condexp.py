@@ -146,6 +146,60 @@ def test_pchip_tables_reach_both_end_overrides():
     assert PchipInterpolator(grid, values).derivative()(0.0) == 3.0
 
 
+# Grids of the interval search: both tabulation grids, the kernel tables'
+# regular one, gaps from 1e-12 to 1e3 at two magnitudes, and the fewest nodes.
+SEARCH_GRIDS = {
+    "chebyshev-513": chebyshev_nodes(-3.0, 5.0),
+    "chebyshev-201": chebyshev_nodes(0.0, 1.0, 201),
+    "linspace-201": np.linspace(-1.7, 2.3, 201),
+    "irregular-gaps": np.cumsum([-5.0, 1e-12, 1e3, 1e-12, 1e-12, 0.5, 1e3, 1e-12, 3.0]),
+    "2-nodes": np.array([-1.0, 2.0]),
+    "3-nodes": np.array([0.0, 0.25, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GRIDS))
+def test_interval_search_matches_searchsorted(name):
+    grid = SEARCH_GRIDS[name]
+    f = RegressionFunction(grid, np.sin(grid))
+    lo, hi = grid[0], grid[-1]
+    keys = np.concatenate(
+        [
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            philox_stream(6, 0).uniform(lo, hi, 2000),
+            [lo, hi, lo - 1.0, hi + 1.0, -np.inf, np.inf, np.nan],
+        ]
+    )
+    # Keys reach the search clipped to the domain, as __call__ clips them.
+    x = np.clip(keys, lo, hi)
+    expected = np.searchsorted(grid[1:-1], x, side="right")
+    assert np.array_equal(f._interval(x), expected)
+    assert np.array_equal(f._interval(x[:2000].reshape(40, 50)), expected[:2000].reshape(40, 50))
+    for key in (x[1], np.float64(hi), np.nan):
+        point = np.clip(np.asarray(key), lo, hi)
+        assert f._interval(point) == np.searchsorted(grid[1:-1], point, side="right")
+
+
+def test_interval_search_steps_on_tabulation_grids():
+    # The Chebyshev grids put at most two breakpoints, the regular one at
+    # most one, in a bucket, so a key takes at most that many steps.
+    steps = {name: RegressionFunction(g, np.sin(g))._guide[2] for name, g in SEARCH_GRIDS.items()}
+    assert steps["chebyshev-513"] <= 2
+    assert steps["chebyshev-201"] <= 1
+    assert steps["linspace-201"] <= 1
+
+
+def test_lookup_state_is_small():
+    # A 513-node table holds at most 64 KiB of guide table; an affine table
+    # evaluates its closed form and holds none.
+    grid = chebyshev_nodes(-4.0, 4.0)
+    _, table, _ = RegressionFunction(grid, np.tanh(grid))._guide
+    assert table.nbytes <= 64 * 1024
+    assert GAUSS_MODEL.psi()._guide is None
+
+
 # Every copula family against every pair of target and conditioning marginals.
 GRID_COPULAS = [Independence(), Gaussian(rho=0.5), FGM(theta=0.5), Clayton(alpha=2.0)]
 GRID_MARGINALS = [Uniform(), Exponential(), Normal()]
@@ -242,6 +296,22 @@ class TestKernelRegress:
             expected.append(float(np.sum(w * y) / np.sum(w)))
         assert kernel_regress_grid(x, y, grid).tolist() == expected
         assert [kernel_regress(x, y, x0) for x0 in grid] == expected
+
+    def test_strided_column_matches_pointwise_formula(self):
+        # The dependent-broker table passes a column of a 2-D sample; the
+        # buffered loop over its contiguous copy gives the bits of the
+        # per-node expression on the strided column itself.
+        sample = philox_stream(47, 0).standard_normal((20_000, 3))
+        x, y = sample[:, 1], sample[:, 2]
+        assert not (x.flags.c_contiguous or y.flags.c_contiguous)
+        lo, hi = np.percentile(x, [5.0, 95.0])
+        grid = np.linspace(lo, hi, 21)
+        h = 1.06 * float(np.std(x, ddof=1)) * x.size ** (-0.2)
+        expected = []
+        for x0 in grid:
+            w = np.exp(-0.5 * ((x - x0) / h) ** 2)
+            expected.append(float(np.sum(w * y) / np.sum(w)))
+        assert kernel_regress_grid(x, y, grid).tolist() == expected
 
     def test_grid_extrapolation_rejected(self):
         rng = philox_stream(46, 0)
