@@ -57,14 +57,12 @@ def _read_model(builder, verify):
 
 
 def _read_theorem3(f, n_samples, seed):
-    vector, duplicate = f.model("model", _theorem3_vector) or (None, False)
-    return lambda pool: theorems.verify_theorem3(
-        vector, n_samples, seed, pool=pool, duplicate_last=duplicate
-    )
+    vector = f.model("model", _theorem3_vector)
+    return lambda pool: theorems.verify_theorem3(vector, n_samples, seed, pool=pool)
 
 
 def _theorem3_vector(cfg):
-    """(vector, duplicate_last): (X, Y, Z), or (X, Y) with Z a duplicate of Y."""
+    """(X, Y, Z), or (X, Y) with Z a duplicate of Y."""
     f = Fields(cfg, "a theorem3 model object")
     kind = f.choice("kind", ("equicorrelated", "explicit", "duplicate"), default="equicorrelated")
     vector = None
@@ -75,7 +73,7 @@ def _theorem3_vector(cfg):
     elif kind is not None:
         dim = 2 if kind == "duplicate" else 3
         vector = f.build(equicorrelated_vector, keys={"cov": "rho"}, dim=dim, rho=f.number("rho"))
-    return f.close((vector, kind == "duplicate"))
+    return f.close(vector)
 
 
 def _read_corollary(f, n_samples, seed):
@@ -97,19 +95,14 @@ def _ar_vector(cfg):
 
 def _read_copula_swap(f, n_samples, seed):
     models = f.models("models", bivariate_from_config)
-    grid = f.integer("grid", theorems.COPULA_SWAP_DEFAULT_GRID)
-    threshold = f.number("threshold", theorems.COPULA_SWAP_DEFAULT_THRESHOLD)
-    f.build(theorems.check_copula_swap, grid=grid, threshold=threshold)
     # Tabulated here, so that validate rejects a model whose regressions are
-    # not increasing, and handed to the operation, which then reuses them.
+    # not increasing, and handed to the operation, which builds none itself.
     tables = [
         f.build(theorems.copula_swap_tables, keys={"model": f"models[{pos}]"}, model=model)
         for pos, model in enumerate(models or [])
         if model is not None
     ]
-    return lambda pool: theorems.verify_copula_theorem(
-        models, n_samples, seed, grid, threshold, pool=pool, tables=tables
-    )
+    return lambda pool: theorems.verify_copula_theorem(models, tables, n_samples, seed, pool=pool)
 
 
 def _read_martingale(f, n_samples, seed):
@@ -244,7 +237,6 @@ def default_suite():
                     "marginal_y": {"family": "uniform", "lower": 0.0, "upper": 1.0},
                 },
             ],
-            "grid": 50, "threshold": 0.02,
             "n_samples": 100_000, "seed": 106,
         },
         "sequence-stats": {

@@ -359,14 +359,6 @@ class GaussianVector:
         intercept = self.mean[target] - float(coefs @ self.mean[list(given)])
         return intercept, coefs
 
-    def conditional_mean(self, target, given, values):
-        """E(X_target | X_given = values) via the normal equations."""
-        values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise DomainError("conditioning values must be finite")
-        intercept, coefs = self.conditional_coefficients(target, given)
-        return intercept + float(coefs @ values)
-
     def residual_variance(self, target, given):
         """Var(X_target | X_given): the Schur complement entry."""
         given = tuple(given)

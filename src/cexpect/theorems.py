@@ -42,11 +42,11 @@ from .rng import check_row_width, simulate_chunked
 # Stream tags (part of the reproducibility contract).
 TAG_MAIN = 1
 
-COPULA_SWAP_DEFAULT_THRESHOLD = 0.02
-COPULA_SWAP_DEFAULT_GRID = 50
-# Most lattice points a side: the lattice arrays are grid^2 float64 (8 MiB
-# each at 1024), and one Gaussian model peaks near 190 MB of RSS there.
-COPULA_SWAP_MAX_GRID = 1024
+# Copula-swap compares on a COPULA_SWAP_GRID x COPULA_SWAP_GRID lattice and
+# passes a model whose sup distance is within COPULA_SWAP_THRESHOLD; neither
+# is a config key, so no config can switch the check off.
+COPULA_SWAP_GRID = 50
+COPULA_SWAP_THRESHOLD = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +272,19 @@ def verify_theorem2(models, n_samples, seed, pool=None):
     return _verify_averaging("theorem2", models, lambda m: lambda x: x, n_samples, seed, pool)
 
 
-def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, duplicate_last=False):
+def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None):
     """Two conditioners beat the better single conditioner:
     E[X - E(X|Y,Z)]^2 <= min over single-conditioner MSEs.
 
-    With duplicate_last=True, `v` is 2-dimensional (X, Y) and Z = Y exactly;
+    `v` is (X, Y, Z), or 2-dimensional (X, Y) with Z = Y exactly: then
     conditioning collapses to the single distinct value and the report shows
     margin exactly 0, under the name "theorem3/duplicate".
     """
-    check_theorem3_dim(v.dim, duplicate_last)
+    if v.dim not in (2, 3):
+        raise DomainError(f"theorem3 needs a 2- or 3-dimensional vector, got d={v.dim}", "dim")
+    duplicate = v.dim == 2
     # Conditioning on (Y, Z), on Y and on Z; Z = Y collapses all three to Y.
-    sets = [(1,)] * 3 if duplicate_last else [(1, 2), (1,), (2,)]
+    sets = [(1,)] * 3 if duplicate else [(1, 2), (1,), (2,)]
     distinct = list(dict.fromkeys(sets))
     sq_errors = dict(zip(distinct, _conditioning_errors(v, 0, distinct, n_samples, seed, pool)))
     lhs_sq, rhs_y_sq, rhs_z_sq = (sq_errors[s] for s in sets)
@@ -290,16 +292,15 @@ def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None, duplicate_las
         key: v.residual_variance(0, s) for key, s in zip(("mse_both", "mse_y", "mse_z"), sets)
     }
     rhs_sq = rhs_y_sq if float(np.mean(rhs_y_sq)) <= float(np.mean(rhs_z_sq)) else rhs_z_sq
-    name = "theorem3/duplicate" if duplicate_last else "theorem3"
+    name = "theorem3/duplicate" if duplicate else "theorem3"
     report = inequality_report(name, lhs_sq, rhs_sq, seed)
     return ExperimentResult("theorem3", [report], {"closed_form": closed})
 
 
-def check_theorem3_dim(dim, duplicate_last=False):
-    """Theorem 3 takes (X, Y, Z), or (X, Y) when Z duplicates Y."""
-    want = 2 if duplicate_last else 3
-    if dim != want:
-        raise DomainError(f"theorem3 needs a {want}-dimensional vector, got d={dim}", "dim")
+def check_theorem3_dim(dim):
+    """An explicit theorem 3 vector is (X, Y, Z): 3-dimensional."""
+    if dim != 3:
+        raise DomainError(f"theorem3 needs a 3-dimensional vector, got d={dim}", "dim")
 
 
 def _linear_pred(v: GaussianVector, target, given, mat):
@@ -406,15 +407,6 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
     return ExperimentResult(experiment="covariance", reports=checks)
 
 
-def check_copula_swap(grid, threshold):
-    """A lattice of 2 to COPULA_SWAP_MAX_GRID points a side and a positive
-    threshold, checked before any draw."""
-    if not 2 <= grid <= COPULA_SWAP_MAX_GRID:
-        raise DomainError(f"grid must be in [2, {COPULA_SWAP_MAX_GRID}], got {grid}", "grid")
-    if not threshold > 0:
-        raise DomainError(f"threshold must be > 0, got {threshold}", "threshold")
-
-
 def copula_swap_tables(model):
     """(phi, psi) of a copula-swap model, tabulated and checked before any
     draw: both must be strictly increasing, as the inversion chain behind
@@ -430,28 +422,16 @@ def copula_swap_tables(model):
     return phi, psi
 
 
-def verify_copula_theorem(
-    models,
-    n_samples,
-    seed,
-    grid=COPULA_SWAP_DEFAULT_GRID,
-    threshold=COPULA_SWAP_DEFAULT_THRESHOLD,
-    pool=None,
-    tables=None,
-):
+def verify_copula_theorem(models, tables, n_samples, seed, pool=None):
     """The copula of (Z1, Z2) = (E(X|Y), E(Y|X)) is the argument-swapped C,
     for each BivariateModel of `models`, each on the same seed.
 
-    `tables` holds copula_swap_tables(model) of each model when the caller
-    has built them; without it they are built here, and a model whose
-    regressions are not increasing raises UnsupportedModelError.  Compares
-    the empirical copula of (Z1, Z2) against the swapped C(t, s) on the
-    grid x grid lattice.  Model i is named "copula-swap/{family}#i": its
-    report is that name plus "/swapped", and its details are keyed by it.
+    `tables` holds copula_swap_tables(model) of each model.  Compares the
+    empirical copula of (Z1, Z2) against the swapped C(t, s) on the
+    COPULA_SWAP_GRID-square lattice.  Model i is named
+    "copula-swap/{family}#i": its report is that name plus "/swapped", and
+    its details are keyed by it.
     """
-    check_copula_swap(grid, threshold)
-    if tables is None:
-        tables = [copula_swap_tables(model) for model in models]
     reports = []
     details = {}
     for pos, (model, (phi, psi)) in enumerate(zip(models, tables)):
@@ -462,10 +442,12 @@ def verify_copula_theorem(
 
         z1, z2 = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
         emp = EmpiricalCopula(z1, z2)
-        d_swapped = sup_distance_swapped(emp, model.copula, grid)
+        d_swapped = sup_distance_swapped(emp, model.copula, COPULA_SWAP_GRID)
         name = f"copula-swap/{model.copula.to_config()['family']}#{pos}"
-        reports.append(threshold_report(f"{name}/swapped", d_swapped, threshold, n_samples, seed))
-        details[name] = {"grid": int(grid)}
+        reports.append(
+            threshold_report(f"{name}/swapped", d_swapped, COPULA_SWAP_THRESHOLD, n_samples, seed)
+        )
+        details[name] = {"grid": COPULA_SWAP_GRID}
     return ExperimentResult(experiment="copula-swap", reports=reports, details=details)
 
 

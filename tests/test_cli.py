@@ -328,8 +328,12 @@ REJECTED = {
         _suite_with("copula-swap", models=[{**_UNIT_UU, "copula": {"family": "fgm", "theta": 0.0}}]),
         "models[0]",
     ),
-    # A lattice this fine would need about 75 GiB before the bound.
+    # The lattice size and the bound are constants, not keys: grid 2 made
+    # every sup distance 0, a huge threshold passed any sample, and a huge
+    # grid ran out of memory.
     "copula-swap-huge-grid": (_suite_with("copula-swap", grid=100_000), "grid"),
+    "swap-grid-2": (_suite_with("copula-swap", grid=2), "grid"),
+    "swap-loose-threshold": (_suite_with("copula-swap", threshold=1e308), "threshold"),
     "order-float-n": (
         _suite_with("order-stats", cases=[{"marginal": _EXP1, "n": 5.0, "k": 3, "l": 4}]),
         "cases[0].n",

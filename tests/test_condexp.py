@@ -327,18 +327,21 @@ class TestKernelRegress:
 class TestGaussianVector:
     def test_identity_covariance_conditional_is_mean(self):
         v = GaussianVector([1.0, 2.0, 3.0], np.eye(3))
-        assert v.conditional_mean(0, (1, 2), [9.0, -9.0]) == pytest.approx(1.0)
+        intercept, coefs = v.conditional_coefficients(0, (1, 2))
+        assert intercept + coefs @ [9.0, -9.0] == pytest.approx(1.0)
 
     def test_bivariate_standard_rho05(self):
         v = equicorrelated_vector(2, 0.5)
-        assert v.conditional_mean(0, (1,), [1.0]) == pytest.approx(0.5, abs=1e-14)
+        intercept, coefs = v.conditional_coefficients(0, (1,))
+        assert intercept + coefs @ [1.0] == pytest.approx(0.5, abs=1e-14)
 
     def test_trivariate_equicorrelated_weights(self):
         # Hand oracle: normal equations give weight rho/(1+rho) = 1/3 each.
         v = equicorrelated_vector(3, 0.5)
         x2, x3 = 0.7, -0.2
         expect = (x2 + x3) / 3.0
-        assert v.conditional_mean(0, (1, 2), [x2, x3]) == pytest.approx(expect, abs=1e-12)
+        intercept, coefs = v.conditional_coefficients(0, (1, 2))
+        assert intercept + coefs @ [x2, x3] == pytest.approx(expect, abs=1e-12)
 
     def test_residual_variance_closed_forms(self):
         v = equicorrelated_vector(3, 0.5)
@@ -356,12 +359,12 @@ class TestGaussianVector:
     def test_target_in_given_rejected(self):
         v = equicorrelated_vector(3, 0.3)
         with pytest.raises(DomainError):
-            v.conditional_mean(0, (0, 1), [1.0, 1.0])
+            v.conditional_coefficients(0, (0, 1))
 
     def test_empty_given_rejected(self):
         v = equicorrelated_vector(3, 0.3)
         with pytest.raises(DomainError):
-            v.conditional_mean(0, (), [])
+            v.conditional_coefficients(0, ())
 
     def test_ar_vector_structure(self):
         v = ar_vector(4, 0.6)

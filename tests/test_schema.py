@@ -137,10 +137,7 @@ def schema(edge):
             }
         ),
         "covariance": _dicts({"model": bivariate}),
-        "copula-swap": _dicts(
-            {"models": st.lists(bivariate, min_size=1, max_size=2)},
-            {"grid": integer(50, 2, 10), "threshold": num(0.02, 0.5)},
-        ),
+        "copula-swap": _dicts({"models": st.lists(bivariate, min_size=1, max_size=2)}),
         "sequence-stats": _dicts({"model": bivariate}),
         "martingale": _dicts({"walk_length": integer(3, 5), "subsets": subsets}),
         "order-stats": _dicts({"cases": st.lists(order_case, min_size=1, max_size=2)}),

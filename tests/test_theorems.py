@@ -17,6 +17,7 @@ from cexpect.theorems import (
     ConditionalIidCopies,
     TAG_MAIN,
     GaussianCopies,
+    copula_swap_tables,
     default_copies_battery,
     martingale_checks,
     martingale_exact_mse,
@@ -169,15 +170,15 @@ class TestTheorem3:
         assert r.satisfied
 
     def test_duplicate_conditioner_exact_equality(self):
-        res = verify_theorem3(
-            equicorrelated_vector(2, 0.5), N, 49, duplicate_last=True
-        )
+        res = verify_theorem3(equicorrelated_vector(2, 0.5), N, 49)
+        assert res.reports[0].name == "theorem3/duplicate"
         assert res.reports[0].lhs_estimate == res.reports[0].rhs_estimate
         assert res.reports[0].margin_sigmas == 0.0
 
     def test_dimension_validated(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             verify_theorem3(equicorrelated_vector(4, 0.2), N, 50)
+        assert info.value.param == "dim"
 
 
 class TestCorollaryChain:
@@ -291,11 +292,14 @@ class TestCovarianceCounterexample:
         assert mc == pytest.approx(_predictor_pair_covariance(v)[0], abs=0.01)
 
 
+def _verify_swap(models, n_samples, seed):
+    tables = [copula_swap_tables(m) for m in models]
+    return verify_copula_theorem(models, tables, n_samples, seed)
+
+
 class TestCopulaSwap:
     def test_gaussian_rho05(self):
-        res = verify_copula_theorem(
-            [BivariateModel(Gaussian(rho=0.5), Normal(), Normal())], N, 60
-        )
+        res = _verify_swap([BivariateModel(Gaussian(rho=0.5), Normal(), Normal())], N, 60)
         (report,) = res.reports
         assert report.name == "copula-swap/gaussian#0/swapped"
         assert report.lhs_estimate <= 0.02
@@ -304,12 +308,10 @@ class TestCopulaSwap:
     def test_independence_rejected(self):
         m = BivariateModel(Independence(), Uniform(), Uniform())
         with pytest.raises(UnsupportedModelError):
-            verify_copula_theorem([m], N, 61)
+            copula_swap_tables(m)
 
     def test_clayton_uniform(self):
-        res = verify_copula_theorem(
-            [BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())], N, 62
-        )
+        res = _verify_swap([BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())], N, 62)
         (report,) = res.reports
         assert report.name == "copula-swap/clayton#0/swapped"
         assert report.lhs_estimate <= 0.02
@@ -321,7 +323,7 @@ class TestCopulaSwap:
             BivariateModel(Gaussian(rho=0.5), Normal(), Normal()),
             BivariateModel(FGM(theta=0.5), Uniform(), Uniform()),
         ]
-        res = verify_copula_theorem(models, 20_000, 66)
+        res = _verify_swap(models, 20_000, 66)
         names = ["copula-swap/gaussian#0", "copula-swap/fgm#1"]
         assert [r.name for r in res.reports] == [f"{name}/swapped" for name in names]
         assert res.details == {name: {"grid": 50} for name in names}
