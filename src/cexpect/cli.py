@@ -16,8 +16,11 @@ the config as run.  Every run writes all three outputs:
 
 `cexpect validate` builds the models of a config and never simulates; it
 names every field at fault, and every key no reader reads, as `verify`
-does before it runs anything.  Copula-swap models are tabulated at read
-time, since a model whose regressions are not increasing is at fault.
+does before it runs anything.  Each reader bounds n_samples by the columns
+its operation keeps (reports.MAX_SAMPLE_CELLS), so a run that could not
+hold its sample fails here, not at allocation.  Copula-swap models are
+tabulated at read time, since a model whose regressions are not
+increasing is at fault.
 
 Exit status is 0 iff every verdict in the run is satisfied, 1 on any
 unsatisfied verdict, 2 on config or usage errors.  Reports are byte-identical
@@ -45,12 +48,14 @@ from .reports import canonical_config_hash, check_sample_size, render_csv, rende
 # Experiments: each reads its config into built models and returns the run.
 
 
-def _read_model(builder, verify):
-    """The reader of an experiment whose "model" key describes what it runs:
-    verify(builder(cfg["model"]), n_samples, seed, pool)."""
+def _read_model(builder, verify, width):
+    """The reader of an experiment whose "model" key describes what it runs,
+    keeping `width` columns: verify(builder(cfg["model"]), n_samples, seed,
+    pool)."""
 
     def read(f, n_samples, seed):
         model = f.model("model", builder)
+        f.build(check_sample_size, n_samples=n_samples, width=width)
         return lambda pool: verify(model, n_samples, seed, pool=pool)
 
     return read
@@ -58,6 +63,7 @@ def _read_model(builder, verify):
 
 def _read_theorem3(f, n_samples, seed):
     vector = f.model("model", _theorem3_vector)
+    f.build(check_sample_size, n_samples=n_samples, width=3)
     return lambda pool: theorems.verify_theorem3(vector, n_samples, seed, pool=pool)
 
 
@@ -83,6 +89,8 @@ def _read_corollary(f, n_samples, seed):
         # Config indices are 1-based.
         zero_based = [[i - 1 for i in s] for s in sets]
         sets = f.build(theorems.chain_index_sets, dim=vector.dim, index_sets=zero_based)
+    width = len(sets) if isinstance(sets, list) else 1  # one squared error per set
+    f.build(check_sample_size, n_samples=n_samples, width=width)
     return lambda pool: theorems.verify_corollary_chain(vector, sets, n_samples, seed, pool=pool)
 
 
@@ -102,13 +110,17 @@ def _read_copula_swap(f, n_samples, seed):
         for pos, model in enumerate(models or [])
         if model is not None
     ]
+    # Two table columns and their two int32 ranks.
+    f.build(check_sample_size, n_samples=n_samples, width=3)
     return lambda pool: theorems.verify_copula_theorem(models, tables, n_samples, seed, pool=pool)
 
 
 def _read_martingale(f, n_samples, seed):
     walk_length = f.integer("walk_length")
     subsets = f.index_lists("subsets")
-    f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
+    checked = f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
+    width = walk_length + 3 if checked is not None else 1  # the walk and two squared errors
+    f.build(check_sample_size, n_samples=n_samples, width=width)
     return lambda pool: theorems.martingale_checks(walk_length, n_samples, seed, subsets, pool=pool)
 
 
@@ -128,6 +140,8 @@ def _read_order_stats(f, n_samples, seed):
     cases = f.models("cases", _order_case)
     if cases and None not in cases:
         f.build(ordered.check_order_cases, cases=cases)
+    width = max((case[1] for case in cases or [] if case is not None), default=1)
+    f.build(check_sample_size, n_samples=n_samples, width=width)
     return lambda pool: ordered.order_stats(cases, n_samples, seed, pool=pool)
 
 
@@ -136,6 +150,7 @@ def _read_records(f, n_samples, seed):
     depth, lag = f.integer("depth"), f.integer("lag")
     cap = f.integer("cap", ordered.RECORD_CAP_DEFAULT)
     f.build(ordered.check_record_mse, keys={"n": "depth"}, n=depth, lag=lag, cap=cap)
+    f.build(check_sample_size, n_samples=n_samples, width=3)  # the last three records
     return lambda pool: ordered.record_predictor_mse(
         marginal, depth, lag, n_samples, seed, cap=cap, pool=pool
     )
@@ -143,18 +158,21 @@ def _read_records(f, n_samples, seed):
 
 def _read_coalition(f, n_samples, seed):
     market = f.merge(market_from_config)
+    # A predictor per broker, the traded price and the winner.
+    width = market.n_brokers + 2 if market is not None else 1
+    f.build(check_sample_size, n_samples=n_samples, width=width)
     return lambda pool: compare_strategies(market, n_samples, seed, pool=pool)
 
 
 # experiment name -> reader(fields, n_samples, seed) -> run(pool) -> ExperimentResult
 EXPERIMENTS = {
-    "theorem1": _read_model(theorems.copies_models_from_config, theorems.verify_theorem1),
-    "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2),
+    "theorem1": _read_model(theorems.copies_models_from_config, theorems.verify_theorem1, 2),
+    "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2, 2),
     "theorem3": _read_theorem3,
     "corollary-chain": _read_corollary,
-    "covariance": _read_model(bivariate_from_config, theorems.verify_covariance_identity),
+    "covariance": _read_model(bivariate_from_config, theorems.verify_covariance_identity, 4),
     "copula-swap": _read_copula_swap,
-    "sequence-stats": _read_model(bivariate_from_config, theorems.predicted_sequence_stats),
+    "sequence-stats": _read_model(bivariate_from_config, theorems.predicted_sequence_stats, 3),
     "martingale": _read_martingale,
     "order-stats": _read_order_stats,
     "records": _read_records,
@@ -175,7 +193,6 @@ def _read(cfg, experiment=None):
     f.read.add("experiment")
     seed = f.integer("seed")
     n_samples = f.integer("n_samples")
-    f.build(check_sample_size, n_samples=n_samples)
     return f.close(EXPERIMENTS[name](f, n_samples, seed))
 
 

@@ -3,35 +3,42 @@
 n coalition brokers suggest prices X_1..X_n (iid, or Gaussian-copula
 equicorrelated); an optional outsider contributes Y (one marginal, possibly
 the exact max-distribution of m iid outsiders).  The traded price is the
-rowwise maximum Z.  Individual predictors E(Z | X_i = x) come from exact
-one-dimensional quadrature in the independent case (E[max(x, M)] =
-x + int_x (1 - F_M)) and from tabulated Nadaraya-Watson regression on the
-simulated market in the dependent case.  compare_strategies pits the
-coalition-average predictor against each individual predictor on common
-draws.
+rowwise maximum Z.  The brokers are exchangeable, so one table of the
+individual predictor E(Z | X_i = x) serves them all.  It is exact
+one-dimensional quadrature, E(Z | x) = x + int_x (1 - P(max of the others
+<= w | x)) dw: in w for independent brokers, and in the other brokers'
+conditional normal score for dependent ones, whose maximum has the
+equicorrelated-normal distribution of Dunnett & Sobel (1955).
+compare_strategies pits the coalition-average predictor against each
+individual predictor on common draws.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from numpy.polynomial.hermite_e import hermegauss
+from scipy.special import ndtr, ndtri
 
-from .condexp import (
-    RegressionFunction,
-    chebyshev_nodes,
-    equicorrelated_vector,
-    kernel_regress_grid,
-)
+from .condexp import RegressionFunction, chebyshev_nodes, equicorrelated_vector
 from .config import Fields
-from .errors import ConstructionError, DomainError
-from .marginals import Marginal, MaxOfIid, marginal_from_config
+from .errors import ConstructionError, NumericalError
+from .marginals import TAIL_EPS, Marginal, MaxOfIid, marginal_from_config
 from .quadrature import tabulate
 from .reports import ExperimentResult, inequality_report
 from .rng import check_row_width, simulate_chunked
 
 TAG_MARKET = 5
 PREDICTOR_NODES = 201
+# The others' standardized score at which the dependent-broker integral
+# leaves u for w: each other broker lies above it with probability TAIL_EPS.
+U_TOP = float(-ndtri(TAIL_EPS))
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Gauss-Hermite nodes of the equicorrelated maximum: the first count, the
+# largest, and the agreement of two successive tables that stops doubling.
+GH_START = 16
+GH_MAX = 256
+GH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,17 +103,13 @@ def _outsider_from_config(cfg):
     return f.close(base if count == 1 else f.build(MaxOfIid, base=base, count=count))
 
 
-def simulate_market(cfg: MarketConfig, n_samples, seed, pool=None):
-    """n_samples simulated (X, Y, Z): broker prices, outsider price, rowwise
-    max.
-
-    Y is all -inf when the outsider is disabled.  Deterministic given
-    seed; brokers draw before the outsider within each chunk.
-    """
+def _market_draw(cfg: MarketConfig):
+    """draw(rng, count): one chunk of (X, Y, Z), brokers drawn before the
+    outsider; Y is all -inf when the outsider is disabled."""
     k = cfg.n_brokers
     normals = None if cfg.iid_brokers else equicorrelated_vector(k, cfg.rho_xx)
 
-    def worker(rng, count):
+    def draw(rng, count):
         if normals is None:
             u = rng.random((count, k))
         else:
@@ -119,7 +122,14 @@ def simulate_market(cfg: MarketConfig, n_samples, seed, pool=None):
         z_price = np.maximum(x.max(axis=1), y)
         return x, y, z_price
 
-    return simulate_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool)
+    return draw
+
+
+def simulate_market(cfg: MarketConfig, n_samples, seed, pool=None):
+    """n_samples simulated (X, Y, Z): broker prices, outsider price, rowwise
+    max.  Deterministic given seed; these are the markets compare_strategies
+    scores."""
+    return simulate_chunked(_market_draw(cfg), n_samples, seed, TAG_MARKET, pool=pool)
 
 
 def competitor_max_cdf(cfg: MarketConfig, w):
@@ -133,28 +143,44 @@ def competitor_max_cdf(cfg: MarketConfig, w):
     return out
 
 
-def _iid_predictor(cfg: MarketConfig, xs):
-    """x + int_x^hi (1 - F_M(w)) dw at every x of `xs`.
+def _split_integrals(f, lows, highs, cuts=()):
+    """int_{lows_i}^{highs_i} f(i, w) dw for every row i, in one tabulation.
 
-    1 - F_M has a kink at each finite support endpoint of its factors, which
-    tanh-sinh cannot converge across, so a row is split at the endpoints
-    strictly inside (x, hi); a row without one is a single quadrature row.
+    A kink of the integrand stops tanh-sinh from converging across it, so
+    row i is split at each cuts[j][i] strictly inside (lows_i, highs_i); a
+    row without one is a single quadrature row.  `cuts` are scalars or
+    arrays shaped like `lows`, and f(rows, w) gets the row of each piece.
     """
+    cuts = [np.broadcast_to(c, lows.shape) for c in cuts]
+    owners, starts, ends = [], [], []
+    for row, (lo, hi) in enumerate(zip(lows, highs)):
+        edges = [lo, *sorted({c[row] for c in cuts if lo < c[row] < hi}), hi]
+        owners += [row] * (len(edges) - 1)
+        starts += edges[:-1]
+        ends += edges[1:]
+    owners = np.array(owners, dtype=np.intp)
+    pieces = tabulate(lambda p, w: f(owners[p], w), np.array(starts), np.array(ends))
+    return np.bincount(owners, weights=pieces, minlength=lows.size)
+
+
+def _finite_endpoints(marginals):
+    return sorted({e for m in marginals for e in m.support() if math.isfinite(e)})
+
+
+def _iid_predictor(cfg: MarketConfig, xs):
+    """x + int_x^hi (1 - F_M(w)) dw at every x of `xs`, split at the finite
+    support endpoints of F_M's factors, where 1 - F_M has its kinks."""
     _, hi = _price_range(cfg)
     factors = [cfg.broker_marginal] if cfg.n_brokers > 1 else []
     if cfg.outsider is not None:
         factors.append(cfg.outsider)
-    kinks = sorted({e for m in factors for e in m.support() if math.isfinite(e)})
-    rows, lows, highs = [], [], []
-    for row, x in enumerate(xs):
-        edges = [x, *(e for e in kinks if x < e < hi), hi]
-        rows += [row] * (len(edges) - 1)
-        lows += edges[:-1]
-        highs += edges[1:]
-    pieces = tabulate(
-        lambda _, w: 1.0 - competitor_max_cdf(cfg, w), np.array(lows), np.array(highs)
+    tail = _split_integrals(
+        lambda _, w: 1.0 - competitor_max_cdf(cfg, w),
+        xs,
+        np.full_like(xs, hi),
+        _finite_endpoints(factors),
     )
-    return xs + np.bincount(rows, weights=pieces, minlength=xs.size)
+    return xs + tail
 
 
 def _price_range(cfg: MarketConfig):
@@ -165,23 +191,117 @@ def _price_range(cfg: MarketConfig):
     return lo, hi
 
 
-def predictor_table(cfg: MarketConfig, i=0, sample=None):
-    """Tabulated individual predictor for fast rowwise evaluation.
+def _score(m: Marginal, w):
+    """Normal score Phi^-1(F(w)) of price w, each half from its own tail."""
+    p, q = m.cdf(w), m.sf(w)
+    return np.where(p <= 0.5, ndtri(np.minimum(p, 0.5)), -ndtri(np.minimum(q, 0.5)))
 
-    iid brokers share one exact quadrature table; dependent brokers get a
-    Nadaraya-Watson table fit on `sample` (conditioning values clamp to the
-    estimator's trusted interior band).
+
+def _price(m: Marginal, s):
+    """The price F^-1(Phi(s)) of normal score s; above the median through
+    the upper tail, which keeps the digits Phi(s) loses as it rounds to 1."""
+    lower = m._quantile(ndtr(np.minimum(s, 0.0)))
+    upper = m._isf(ndtr(-np.maximum(s, 0.0)))
+    return np.where(s <= 0.0, lower, upper)
+
+
+def _others_below(u, m, r, nodes):
+    """P(max of m standard normals with equicorrelation r <= u).
+
+    That is E_S[Phi((u - sqrt(r) S) / sqrt(1 - r))^m] over S ~ N(0, 1)
+    (Dunnett & Sobel 1955), here by `nodes` Gauss-Hermite nodes in S, one at
+    a time so that memory stays that of u.  For r < 0, sqrt(r) is imaginary
+    and the real part is taken (Steck & Owen 1962).
     """
-    b_lo, b_hi = cfg.broker_marginal.truncated_support()
+    if m == 1:
+        return ndtr(u)
+    s, weights = hermegauss(nodes)
+    weights /= SQRT_2PI
+    if r < 0.0:
+        # S and -S give complex conjugates, whose real parts agree.
+        shifts, weights = 1j * math.sqrt(-r) * s[s > 0.0], 2.0 * weights[s > 0.0]
+    else:
+        shifts = math.sqrt(r) * s
+    scale = 1.0 / math.sqrt(1.0 - r)
+    total = np.zeros(u.shape)
+    for shift, weight in zip(shifts, weights):
+        total += weight * np.real(ndtr((u - shift) * scale) ** m)
+    return total
+
+
+def _dependent_predictor(cfg: MarketConfig, xs):
+    """E(Z | X_i = x) for equicorrelated brokers at every x of `xs`, all
+    inside the broker's [TAIL_EPS, 1 - TAIL_EPS] quantile range.
+
+    Given broker i's normal score z, the other k - 1 scores are
+    rho z + sigma E_j, sigma = sqrt(1 - rho^2), where the E_j are standard
+    normals with equicorrelation r = rho / (1 + rho).  So
+    E(Z | x) = x + int_x (1 - P(M <= w | x) F_out(w)) dw, which is integrated
+    in the others' standardized score u = (Phi^-1(F(w)) - rho z) / sigma,
+    from u(x) up to U_TOP, split at the outsider's finite support endpoints.
+    Above the price at U_TOP the other brokers are below w but for TAIL_EPS,
+    and only 1 - F_out(w) remains, integrated in w.  The Gauss-Hermite
+    count of P(M <= w | x) doubles from GH_START until two successive
+    tables agree within GH_TOL; past GH_MAX, NumericalError names rho_xx.
+    """
+    b, rho, out = cfg.broker_marginal, cfg.rho_xx, cfg.outsider
+    m = cfg.n_brokers - 1
+    sigma = math.sqrt(1.0 - rho * rho)
+    r = rho / (1.0 + rho)
+    z = np.clip(_score(b, xs), -U_TOP, U_TOP)
+    kinks = _finite_endpoints([out] if out is not None else [])
+    values = xs.copy()
+    if out is not None:
+        w_top = np.maximum(xs, _price(b, rho * z + sigma * U_TOP))
+        _, o_hi = out.truncated_support()
+        values += _split_integrals(lambda _, w: out.sf(w), w_top, np.maximum(w_top, o_hi), kinks)
+    u_lo = np.minimum((1.0 - rho) * z / sigma, U_TOP)
+    u_kinks = [(float(_score(b, e)) - rho * z) / sigma for e in kinks]
+
+    def tail(nodes):
+        def integrand(rows, u):
+            s = rho * z[rows, None] + sigma * u
+            w = _price(b, s)
+            below = _others_below(u, m, r, nodes)
+            if out is not None:
+                below *= out.cdf(w)
+            # dw/du = sigma phi(s) / f(w)
+            return (1.0 - below) * (sigma / SQRT_2PI) * np.exp(-0.5 * s * s) / b.pdf(w)
+
+        return _split_integrals(integrand, u_lo, np.full_like(u_lo, U_TOP), u_kinks)
+
+    if m == 1:
+        return values + tail(None)
+    nodes, previous = GH_START, tail(GH_START)
+    while nodes < GH_MAX:
+        nodes *= 2
+        current = tail(nodes)
+        if np.max(np.abs(current - previous)) <= GH_TOL:
+            return values + current
+        previous = current
+    raise NumericalError(
+        f"the predictor of {cfg.n_brokers} brokers at rho_xx={rho} did not converge "
+        f"within {GH_MAX} Gauss-Hermite nodes",
+        point=rho,
+        param="rho_xx",
+    )
+
+
+def predictor_table(cfg: MarketConfig):
+    """The individual predictor x -> E(Z | X_i = x), tabulated once on
+    PREDICTOR_NODES Chebyshev nodes; brokers are exchangeable, so every
+    broker shares it.
+
+    iid brokers tabulate it over the broker's truncated support, dependent
+    brokers over its [TAIL_EPS, 1 - TAIL_EPS] quantile range; evaluations
+    clamp to the domain.
+    """
+    b = cfg.broker_marginal
     if cfg.iid_brokers:
-        grid = chebyshev_nodes(b_lo, b_hi, PREDICTOR_NODES)
+        grid = chebyshev_nodes(*b.truncated_support(), PREDICTOR_NODES)
         return RegressionFunction(grid, _iid_predictor(cfg, grid))
-    if sample is None:
-        raise DomainError("dependent-broker predictor table needs the simulated sample")
-    x_s, z_s = sample[0][:, i], sample[2]
-    lo, hi = np.percentile(x_s, [5.0, 95.0])
-    grid = np.linspace(lo, hi, PREDICTOR_NODES)
-    return RegressionFunction(grid, kernel_regress_grid(x_s, z_s, grid))
+    grid = chebyshev_nodes(float(b._quantile(TAIL_EPS)), float(b._isf(TAIL_EPS)), PREDICTOR_NODES)
+    return RegressionFunction(grid, _dependent_predictor(cfg, grid))
 
 
 def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):
@@ -192,14 +312,17 @@ def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):
     One report per broker, all on the same n_samples markets drawn from
     `seed`; the details carry the win probabilities.
     """
-    sample = simulate_market(cfg, n_samples, seed, pool=pool)
-    x, y, z = sample
-    if cfg.iid_brokers:
-        shared = predictor_table(cfg)
-        tables = [shared] * cfg.n_brokers
-    else:
-        tables = [predictor_table(cfg, i, sample) for i in range(cfg.n_brokers)]
-    preds = np.column_stack([tables[i](x[:, i]) for i in range(cfg.n_brokers)])
+    table = predictor_table(cfg)
+    draw = _market_draw(cfg)
+
+    def worker(rng, count):
+        # The markets of simulate_market, reduced to what the reports read:
+        # the shared table on the chunk's (count, k) price block, Z, and the
+        # index of the winner.
+        x, y, z_price = draw(rng, count)
+        return table(x), z_price, np.argmax(np.column_stack([x, y]), axis=1)
+
+    preds, z, winner = simulate_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool)
     coalition = preds.mean(axis=1)
 
     lhs_sq = (z - coalition) ** 2
@@ -208,11 +331,7 @@ def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):
         rhs_sq = (z - preds[:, i]) ** 2
         reports.append(inequality_report(f"coalition/broker{i + 1}", lhs_sq, rhs_sq, seed))
 
-    board = np.column_stack([x, y])
-    winner = np.argmax(board, axis=1)
-    win_counts = np.bincount(winner, minlength=cfg.n_brokers + 1)
-    win_probs = win_counts / x.shape[0]
-
+    win_probs = np.bincount(winner, minlength=cfg.n_brokers + 1) / n_samples
     details = {
         "win_probabilities": win_probs[: cfg.n_brokers].tolist(),
         "outsider_win_probability": float(win_probs[cfg.n_brokers]),

@@ -20,8 +20,6 @@
   backward steps alone are exact.
   The Gaussian copula with normal marginals short-circuits to the exact
   affine form.
-* Nadaraya-Watson regression with a Gaussian kernel (Silverman bandwidth),
-  which tabulates the dependent-broker predictors of `coalition`.
 * GaussianVector with closed-form conditional means via the normal
   equations, for any dimension >= 2.
 """
@@ -271,49 +269,22 @@ def kernel_regress(x, y, x0):
     Bandwidth is Silverman's rule h = 1.06 * std(x) * n^(-1/5).  x0 must lie
     within the [5th, 95th] percentile band of x.
     """
-    # Only tests call this one-point form; it stays because the benchmark
-    # tracer's ENTRY_POINTS names it, and tests/test_entry_points.py requires
-    # every entry point to resolve.
-    return float(kernel_regress_grid(x, y, np.array([float(x0)]))[0])
-
-
-def kernel_regress_grid(x, y, grid):
-    """kernel_regress at every point of `grid`, with the percentile band and
-    the bandwidth computed once for the whole grid."""
+    # No experiment calls this; it stays because the benchmark tracer's
+    # ENTRY_POINTS names it, and tests/test_entry_points.py requires every
+    # entry point to resolve.
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    grid = np.asarray(grid, dtype=float)
+    x0 = float(x0)
     if x.size < 50:
         raise DomainError(f"kernel regression needs >= 50 points, got {x.size}")
     lo, hi = np.percentile(x, [5.0, 95.0])
-    outside = ~((grid >= lo) & (grid <= hi))
-    if np.any(outside):
-        x0 = grid[outside][0]
+    if not lo <= x0 <= hi:
         raise ExtrapolationError(
             f"x0 = {x0} outside the [5th, 95th] percentile band [{lo:.6g}, {hi:.6g}]"
         )
     h = 1.06 * float(np.std(x, ddof=1)) * x.size ** (-0.2)
-    # Each node computes w = exp(-0.5 ((x - x0) / h)^2), then sum(w), then
-    # sum(w y) in place, by the same ufuncs in the same order as the
-    # temporaries of that expression did, into one buffer.  The buffer and x
-    # are contiguous, like those temporaries, and each np.sum takes a whole
-    # array, so every sum keeps its pairwise summation tree and every bit.
-    # A strided column (predictor_table passes one) is copied once, not read
-    # strided at every node.
-    x = np.ascontiguousarray(x)
-    y = np.ascontiguousarray(y)
-    w = np.empty_like(x)
-    values = np.empty_like(grid)
-    for k, x0 in enumerate(grid):
-        np.subtract(x, x0, out=w)
-        np.divide(w, h, out=w)
-        np.square(w, out=w)
-        np.multiply(w, -0.5, out=w)
-        np.exp(w, out=w)
-        total = np.sum(w)
-        np.multiply(w, y, out=w)
-        values[k] = np.sum(w) / total
-    return values
+    w = np.exp(-0.5 * ((x - x0) / h) ** 2)
+    return float(np.sum(w * y) / np.sum(w))
 
 
 class GaussianVector:

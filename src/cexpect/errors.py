@@ -20,8 +20,8 @@ class ConstructionError(CexpectError, ValueError):
 class NumericalError(CexpectError, ArithmeticError):
     """A numerical routine failed to converge; carries the offending point."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
+    def __init__(self, message, point=None, param=None):
+        super().__init__(message, param)
         self.point = point
 
 

@@ -27,10 +27,23 @@ INEQUALITY_SLACK_SIGMAS = 3.0
 EQUALITY_SLACK_SIGMAS = 4.0
 
 
-def check_sample_size(n_samples):
-    """A paired report and its standard error need at least 1000 draws."""
+# Most cells, rows times kept columns, that an operation's sample may hold:
+# 1 GiB of float64.
+MAX_SAMPLE_CELLS = 2**27
+
+
+def check_sample_size(n_samples, width=1):
+    """A paired report and its standard error need at least 1000 draws, and
+    an operation that keeps `width` columns of n_samples rows may keep at
+    most MAX_SAMPLE_CELLS cells; checked before any allocation."""
     if n_samples < 1000:
         raise DomainError(f"reports need n_samples >= 1000, got {n_samples}", "n_samples")
+    if n_samples * width > MAX_SAMPLE_CELLS:
+        raise DomainError(
+            f"n_samples times the {width} column(s) kept must be <= {MAX_SAMPLE_CELLS}, "
+            f"got {n_samples}",
+            "n_samples",
+        )
 
 
 def check_unique_names(named, field):

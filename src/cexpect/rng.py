@@ -82,16 +82,12 @@ def chunk_stream(seed, tag, chunk_index):
 
 
 def chunk_sizes(n_total, chunk_size=CHUNK_SIZE):
-    """Split n_total replications into fixed-size chunks (last one ragged)."""
+    """(chunks, last): n_total replications split into `chunks` fixed-size
+    chunks, the last of which holds `last` rows (ragged)."""
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
-    sizes = []
-    left = n_total
-    while left > 0:
-        take = min(chunk_size, left)
-        sizes.append(take)
-        left -= take
-    return sizes
+    chunks = -(-n_total // chunk_size)
+    return chunks, n_total - (chunks - 1) * chunk_size
 
 
 def _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
@@ -101,12 +97,12 @@ def _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
     module docstring); the queued ones are cancelled if a worker raises or
     the iterator is dropped.
     """
-    sizes = chunk_sizes(n_total, chunk_size)
+    chunks, last = chunk_sizes(n_total, chunk_size)
 
     def call(c):
-        return worker(chunk_stream(seed, tag, c), sizes[c])
+        return worker(chunk_stream(seed, tag, c), chunk_size if c < chunks - 1 else last)
 
-    indices = iter(range(len(sizes)))
+    indices = iter(range(chunks))
     if pool is None:
         yield from map(call, indices)
         return

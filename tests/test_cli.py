@@ -286,6 +286,9 @@ REJECTED = {
         _suite_with("theorem3", model={"kind": "explicit", "mean": "x", "cov": _EYE3}),
         "model.mean",
     ),
+    # Each reader bounds n_samples by the columns its operation keeps: this
+    # one validated, then asked for a 74.5 GiB column.
+    "theorem3-huge-n-samples": (_suite_with("theorem3", n_samples=10**10), "n_samples"),
     "theorem3-2d": (
         _suite_with("theorem3", model={"kind": "explicit", "mean": [0.0, 0.0], "cov": _EYE2}),
         "model.mean",

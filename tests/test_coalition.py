@@ -1,10 +1,15 @@
 """Coalition-market predictors: the exact quadrature predictor of
-independent brokers, its kinks, and the dependent-broker tables."""
+independent brokers, its kinks, and the exact dependent-broker predictor."""
+
+import inspect
+import math
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
+from cexpect import coalition
 from cexpect.coalition import (
     MarketConfig,
     compare_strategies,
@@ -13,8 +18,8 @@ from cexpect.coalition import (
     predictor_table,
     simulate_market,
 )
-from cexpect.errors import DomainError
-from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
+from cexpect.errors import NumericalError
+from cexpect.marginals import TAIL_EPS, Exponential, MaxOfIid, Normal, Uniform
 from cexpect.quadrature import tabulate
 
 
@@ -68,13 +73,81 @@ def test_individual_predictor_closed_form():
     np.testing.assert_allclose(table.values, 1.0 - (1.0 - x**k) / k, rtol=0, atol=1e-12)
 
 
-def test_dependent_brokers_need_the_simulated_tables():
-    cfg = MarketConfig(3, Normal(), rho_xx=0.3)
-    with pytest.raises(DomainError, match="simulated sample"):
-        predictor_table(cfg, 0)
-    sample = simulate_market(cfg, 5000, 3)
-    lo, hi = np.percentile(sample[0][:, 1], [5.0, 95.0])
-    assert predictor_table(cfg, 1, sample).domain == (lo, hi)
+def test_dependent_table_is_built_from_the_market_alone():
+    # One table for every broker, from the model: no sample and no index.
+    assert list(inspect.signature(predictor_table).parameters) == ["cfg"]
+    table = predictor_table(MarketConfig(3, Normal(), rho_xx=0.3))
+    assert table.domain == (float(Normal()._quantile(TAIL_EPS)), float(Normal()._isf(TAIL_EPS)))
+    assert table.monotonicity == "increasing"
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.3, 0.99])
+def test_two_dependent_brokers_closed_form(rho):
+    # Given X_1 = x, X_2 ~ N(rho x, sigma^2), so E(max(x, X_2) | x) =
+    # x + (rho x - x) Phi(d) + sigma phi(d), with d = (rho x - x) / sigma.
+    table = predictor_table(MarketConfig(2, Normal(), rho_xx=rho))
+    x = table.grid
+    sigma = math.sqrt(1.0 - rho * rho)
+    d = (rho * x - x) / sigma
+    exact = x + (rho * x - x) * ndtr(d) + sigma * np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
+    np.testing.assert_allclose(table.values, exact, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "brokers, outsider",
+    [
+        (Normal(), MaxOfIid(base=Exponential(), count=2)),
+        (Exponential(), Uniform(-1.0, 0.5)),
+        (Uniform(0.0, 1.0), Normal()),
+    ],
+)
+def test_uncorrelated_brokers_match_the_iid_predictor(brokers, outsider):
+    # rho_xx = 0 takes the dependent path; at its nodes, the iid quadrature
+    # in w gives the same values.
+    dependent = predictor_table(MarketConfig(3, brokers, rho_xx=0.0, outsider=outsider))
+    iid = coalition._iid_predictor(MarketConfig(3, brokers, outsider=outsider), dependent.grid)
+    np.testing.assert_allclose(dependent.values, iid, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "k, brokers, rho, outsider",
+    [
+        (4, Normal(), 0.99, Normal()),
+        (8, Normal(), 0.9, Normal()),
+        (2, Normal(), -0.9, Normal()),
+        (3, Exponential(), 0.95, Uniform(0.0, 1.0)),
+    ],
+)
+def test_edge_dependent_markets_end_in_a_verdict(k, brokers, rho, outsider):
+    # Integrated in w, the first three did not converge at level 10; with
+    # scores mapped to prices through Phi(s) near 1, the last stalled.
+    result = compare_strategies(MarketConfig(k, brokers, rho_xx=rho, outsider=outsider), 20_000, 7)
+    assert len(result.reports) == k and result.all_satisfied
+
+
+def test_unresolved_predictor_names_rho_xx(monkeypatch):
+    # Near its floor -1/(k - 1), rho_xx needs more Gauss-Hermite nodes than
+    # the cap; k = 3 at -0.45 needs 128, so a cap of 32 stops it early.
+    monkeypatch.setattr(coalition, "GH_MAX", 32)
+    with pytest.raises(NumericalError, match="rho_xx") as caught:
+        predictor_table(MarketConfig(3, Normal(), rho_xx=-0.45))
+    assert caught.value.param == "rho_xx"
+
+
+@pytest.mark.parametrize("rho", [0.4, -0.3])
+def test_dependent_predictor_is_the_conditional_expectation(rho):
+    # E[(Z - pred(X_1)) 1{X_1 <= F^-1(q)}] = 0 for every q when pred is
+    # E(Z | X_1): a z-test at q = 0.05, ..., 0.95 on the pinned dependent
+    # market (brokers as in tests/test_report_digests.py), and on rho < 0,
+    # where the table takes the complex branch.
+    market = MarketConfig(3, Normal(), rho_xx=rho, outsider=MaxOfIid(base=Exponential(), count=2))
+    n = 200_000
+    x, _, z = simulate_market(market, n, 16)
+    residual = z - predictor_table(market)(x[:, 0])
+    cuts = market.broker_marginal._quantile(np.arange(1, 20) * 0.05)
+    terms = residual[:, None] * (x[:, :1] <= cuts)
+    z_scores = terms.mean(axis=0) / (terms.std(axis=0, ddof=1) / math.sqrt(n))
+    assert np.max(np.abs(z_scores)) <= 4.0
 
 
 def test_one_broker_is_its_own_coalition():

@@ -21,7 +21,6 @@ from cexpect.condexp import (
     chebyshev_nodes,
     equicorrelated_vector,
     kernel_regress,
-    kernel_regress_grid,
 )
 from cexpect.copulas import FGM, Clayton, Gaussian, Independence
 from cexpect.errors import (
@@ -146,8 +145,7 @@ def test_pchip_tables_reach_both_end_overrides():
     assert PchipInterpolator(grid, values).derivative()(0.0) == 3.0
 
 
-# Grids of the interval search: both tabulation grids, the kernel tables'
-# regular one, gaps from 1e-12 to 1e3 at two magnitudes, and the fewest nodes.
+# Grids of the interval search: both tabulation grids, a regular one, gaps from 1e-12 to 1e3 at two magnitudes, and the fewest nodes.
 SEARCH_GRIDS = {
     "chebyshev-513": chebyshev_nodes(-3.0, 5.0),
     "chebyshev-201": chebyshev_nodes(0.0, 1.0, 201),
@@ -276,52 +274,23 @@ class TestKernelRegress:
         x = rng.standard_normal(1000)
         with pytest.raises(ExtrapolationError):
             kernel_regress(x, x, float(np.max(x)) + 1.0)
+        with pytest.raises(ExtrapolationError):
+            kernel_regress(x, x, np.nan)
 
     def test_min_sample_size(self):
         with pytest.raises(DomainError):
             kernel_regress(np.arange(10.0), np.arange(10.0), 5.0)
 
-    def test_grid_matches_pointwise_formula(self):
-        # The per-node Nadaraya-Watson mean with the band and bandwidth
-        # recomputed at every node, as the dependent-broker table did.
+    def test_matches_pointwise_formula(self):
+        # The Nadaraya-Watson mean with the band and bandwidth of the sample.
         rng = philox_stream(45, 0)
         x = rng.standard_normal(5000)
         y = x**2 + rng.standard_normal(5000)
         lo, hi = np.percentile(x, [5.0, 95.0])
-        grid = np.linspace(lo, hi, 17)
         h = 1.06 * float(np.std(x, ddof=1)) * x.size ** (-0.2)
-        expected = []
-        for x0 in grid:
+        for x0 in np.linspace(lo, hi, 17):
             w = np.exp(-0.5 * ((x - x0) / h) ** 2)
-            expected.append(float(np.sum(w * y) / np.sum(w)))
-        assert kernel_regress_grid(x, y, grid).tolist() == expected
-        assert [kernel_regress(x, y, x0) for x0 in grid] == expected
-
-    def test_strided_column_matches_pointwise_formula(self):
-        # The dependent-broker table passes a column of a 2-D sample; the
-        # buffered loop over its contiguous copy gives the bits of the
-        # per-node expression on the strided column itself.
-        sample = philox_stream(47, 0).standard_normal((20_000, 3))
-        x, y = sample[:, 1], sample[:, 2]
-        assert not (x.flags.c_contiguous or y.flags.c_contiguous)
-        lo, hi = np.percentile(x, [5.0, 95.0])
-        grid = np.linspace(lo, hi, 21)
-        h = 1.06 * float(np.std(x, ddof=1)) * x.size ** (-0.2)
-        expected = []
-        for x0 in grid:
-            w = np.exp(-0.5 * ((x - x0) / h) ** 2)
-            expected.append(float(np.sum(w * y) / np.sum(w)))
-        assert kernel_regress_grid(x, y, grid).tolist() == expected
-
-    def test_grid_extrapolation_rejected(self):
-        rng = philox_stream(46, 0)
-        x = rng.standard_normal(1000)
-        with pytest.raises(ExtrapolationError):
-            kernel_regress_grid(x, x, np.array([0.0, float(np.max(x)) + 1.0]))
-        with pytest.raises(ExtrapolationError):
-            kernel_regress_grid(x, x, np.array([0.0, np.nan]))
-        with pytest.raises(ExtrapolationError):
-            kernel_regress(x, x, np.nan)
+            assert kernel_regress(x, y, x0) == float(np.sum(w * y) / np.sum(w))
 
 
 class TestGaussianVector:

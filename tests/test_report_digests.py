@@ -94,7 +94,8 @@ DIGESTS = {
     "records": "09d59106daff13616531b5de0718de39abe4be292438c061d0e988231d20bfc5",
     "coalition": "17a4b3268288b64d5ff1efb0ac268bada6fc34748bd1af89a965fc04716acb44",
     "coalition-one-broker": "c6c27a65514b3526322920773491e1b5ebde2e4829f811cdf59d808e8159253f",
-    "coalition-dependent": "a8f974bd5b1ce62e7a3c698c66e5b4213862431ee3108e5d80c5446fe5c1eac7",
+    # Re-recorded when the dependent-broker predictor became the exact table.
+    "coalition-dependent": "2ecc4b119608be68ee10165deded619a99d6ca11929c183dc56c334c421437ed",
 }
 
 

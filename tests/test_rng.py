@@ -52,10 +52,11 @@ def test_chunk_stream_rejects_oversized_ids():
 
 
 def test_chunk_sizes_cover_total():
-    sizes = chunk_sizes(3 * CHUNK_SIZE + 17)
-    assert sum(sizes) == 3 * CHUNK_SIZE + 17
-    assert sizes[:-1] == [CHUNK_SIZE] * 3
-    assert sizes[-1] == 17
+    # (chunks, rows of the last chunk), computed without a per-chunk list.
+    assert chunk_sizes(3 * CHUNK_SIZE + 17) == (4, 17)
+    assert chunk_sizes(2 * CHUNK_SIZE) == (2, CHUNK_SIZE)
+    assert chunk_sizes(1) == (1, 1)
+    assert chunk_sizes(10**13) == (-(-(10**13) // CHUNK_SIZE), 10**13 % CHUNK_SIZE)
 
 
 def test_run_chunked_is_pool_independent():
