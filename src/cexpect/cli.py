@@ -4,9 +4,10 @@ Loads scenario configs, reads each into built models (one reader per
 experiment, on the model builders and constructors, which own every
 parameter domain), manages deterministic parallelism (the runner owns the
 worker pool; modules never spawn their own), and writes reports.  A reader
-returns one call of its experiment's operation, which takes the config's
-models, n_samples and seed and returns the finished ExperimentResult,
-report names and detail keys included; no reader loops or builds a result.
+returns its experiment's operation with the config's models bound, which
+takes n_samples and seed and returns the finished ExperimentResult, report
+names and detail keys included, and the number of columns it keeps; no
+reader loops, builds a result or reads n_samples or seed.
 `verify --seed` replaces the seed of each config, and the manifest hashes
 the config as run.  Every run writes all three outputs:
 
@@ -16,11 +17,12 @@ the config as run.  Every run writes all three outputs:
 
 `cexpect validate` builds the models of a config and never simulates; it
 names every field at fault, and every key no reader reads, as `verify`
-does before it runs anything.  Each reader bounds n_samples by the columns
-its operation keeps (reports.MAX_SAMPLE_CELLS), so a run that could not
-hold its sample fails here, not at allocation.  Copula-swap models are
-tabulated at read time, since a model whose regressions are not
-increasing is at fault.
+does before it runs anything.  n_samples is bounded by the columns the
+operation keeps (reports.MAX_SAMPLE_CELLS), so a run that could not hold
+its sample fails here, not at allocation.  Copula-swap models and the
+coalition predictor are tabulated at read time, since a model whose
+regressions are not increasing, or whose predictor does not converge, is
+at fault.
 
 Exit status is 0 iff every verdict in the run is satisfied, 1 on any
 unsatisfied verdict, 2 on config or usage errors.  Reports are byte-identical
@@ -33,10 +35,11 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import __version__, ordered, theorems
-from .coalition import compare_strategies, market_from_config
+from .coalition import compare_strategies, market_from_config, predictor_table
 from .condexp import GaussianVector, ar_vector, bivariate_from_config, equicorrelated_vector
 from .config import Diagnostic, Fields
 from .errors import CexpectError, ConfigError
@@ -45,26 +48,17 @@ from .reports import canonical_config_hash, check_sample_size, render_csv, rende
 
 
 # ---------------------------------------------------------------------------
-# Experiments: each reads its config into built models and returns the run.
+# Experiments: each reads its config into built models and returns its
+# operation's call and the columns that operation keeps.
 
 
 def _read_model(builder, verify, width):
-    """The reader of an experiment whose "model" key describes what it runs,
-    keeping `width` columns: verify(builder(cfg["model"]), n_samples, seed,
-    pool)."""
-
-    def read(f, n_samples, seed):
-        model = f.model("model", builder)
-        f.build(check_sample_size, n_samples=n_samples, width=width)
-        return lambda pool: verify(model, n_samples, seed, pool=pool)
-
-    return read
+    """The reader of an experiment whose "model" key describes what it runs."""
+    return lambda f: (partial(verify, f.model("model", builder)), width)
 
 
-def _read_theorem3(f, n_samples, seed):
-    vector = f.model("model", _theorem3_vector)
-    f.build(check_sample_size, n_samples=n_samples, width=3)
-    return lambda pool: theorems.verify_theorem3(vector, n_samples, seed, pool=pool)
+def _read_theorem3(f):
+    return partial(theorems.verify_theorem3, f.model("model", _theorem3_vector)), 3
 
 
 def _theorem3_vector(cfg):
@@ -82,7 +76,7 @@ def _theorem3_vector(cfg):
     return f.close(vector)
 
 
-def _read_corollary(f, n_samples, seed):
+def _read_corollary(f):
     vector = f.model("model", _ar_vector)
     sets = f.index_lists("index_sets")
     if vector is not None and isinstance(sets, list):
@@ -90,8 +84,7 @@ def _read_corollary(f, n_samples, seed):
         zero_based = [[i - 1 for i in s] for s in sets]
         sets = f.build(theorems.chain_index_sets, dim=vector.dim, index_sets=zero_based)
     width = len(sets) if isinstance(sets, list) else 1  # one squared error per set
-    f.build(check_sample_size, n_samples=n_samples, width=width)
-    return lambda pool: theorems.verify_corollary_chain(vector, sets, n_samples, seed, pool=pool)
+    return partial(theorems.verify_corollary_chain, vector, sets), width
 
 
 def _ar_vector(cfg):
@@ -101,7 +94,7 @@ def _ar_vector(cfg):
     return f.close(vector)
 
 
-def _read_copula_swap(f, n_samples, seed):
+def _read_copula_swap(f):
     models = f.models("models", bivariate_from_config)
     # Tabulated here, so that validate rejects a model whose regressions are
     # not increasing, and handed to the operation, which builds none itself.
@@ -111,17 +104,15 @@ def _read_copula_swap(f, n_samples, seed):
         if model is not None
     ]
     # Two table columns and their two int32 ranks.
-    f.build(check_sample_size, n_samples=n_samples, width=3)
-    return lambda pool: theorems.verify_copula_theorem(models, tables, n_samples, seed, pool=pool)
+    return partial(theorems.verify_copula_theorem, models, tables), 3
 
 
-def _read_martingale(f, n_samples, seed):
+def _read_martingale(f):
     walk_length = f.integer("walk_length")
     subsets = f.index_lists("subsets")
     checked = f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
     width = walk_length + 3 if checked is not None else 1  # the walk and two squared errors
-    f.build(check_sample_size, n_samples=n_samples, width=width)
-    return lambda pool: theorems.martingale_checks(walk_length, n_samples, seed, subsets, pool=pool)
+    return partial(theorems.martingale_checks, walk_length, subsets=subsets), width
 
 
 def _order_case(cfg):
@@ -136,35 +127,37 @@ def _order_case(cfg):
     return f.close((marginal, n, k, l, markov))
 
 
-def _read_order_stats(f, n_samples, seed):
+def _read_order_stats(f):
     cases = f.models("cases", _order_case)
     if cases and None not in cases:
         f.build(ordered.check_order_cases, cases=cases)
     width = max((case[1] for case in cases or [] if case is not None), default=1)
-    f.build(check_sample_size, n_samples=n_samples, width=width)
-    return lambda pool: ordered.order_stats(cases, n_samples, seed, pool=pool)
+    return partial(ordered.order_stats, cases), width
 
 
-def _read_records(f, n_samples, seed):
+def _read_records(f):
     marginal = f.model("marginal", marginal_from_config)
     depth, lag = f.integer("depth"), f.integer("lag")
     cap = f.integer("cap", ordered.RECORD_CAP_DEFAULT)
     f.build(ordered.check_record_mse, keys={"n": "depth"}, n=depth, lag=lag, cap=cap)
-    f.build(check_sample_size, n_samples=n_samples, width=3)  # the last three records
-    return lambda pool: ordered.record_predictor_mse(
-        marginal, depth, lag, n_samples, seed, cap=cap, pool=pool
-    )
+    # The last three records.
+    return partial(ordered.record_predictor_mse, marginal, depth, lag, cap=cap), 3
 
 
-def _read_coalition(f, n_samples, seed):
+def _read_coalition(f):
     market = f.merge(market_from_config)
+    if market is None:  # its diagnostics are recorded
+        return None, 1
+    # Tabulated here, so that validate rejects a market whose predictor does
+    # not converge, and handed to the operation, which builds none itself.
+    table = f.build(predictor_table, keys={"rho_xx": "brokers.rho_xx"}, cfg=market)
     # A predictor per broker, the traded price and the winner.
-    width = market.n_brokers + 2 if market is not None else 1
-    f.build(check_sample_size, n_samples=n_samples, width=width)
-    return lambda pool: compare_strategies(market, n_samples, seed, pool=pool)
+    return partial(compare_strategies, market, table), market.n_brokers + 2
 
 
-# experiment name -> reader(fields, n_samples, seed) -> run(pool) -> ExperimentResult
+# experiment name -> reader(fields) -> (call(n_samples, seed, pool=), width),
+# where call runs the experiment's operation on the models the reader built
+# and width is the number of columns the operation keeps per row.
 EXPERIMENTS = {
     "theorem1": _read_model(theorems.copies_models_from_config, theorems.verify_theorem1, 2),
     "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2, 2),
@@ -182,10 +175,12 @@ EXPERIMENTS = {
 EXPERIMENT_NAMES = list(EXPERIMENTS)
 
 
-def _read(cfg, experiment=None):
+def _read(cfg):
     """run(pool) for a config dict, which runs the experiment on the models
-    built here; raises ConfigError naming every field at fault."""
-    name = experiment or cfg.get("experiment")
+    built here; raises ConfigError naming every field at fault.  The reader
+    says how many columns its operation keeps, and n_samples is bounded by
+    them here, before any draw."""
+    name = cfg.get("experiment")
     if not isinstance(name, str) or name not in EXPERIMENTS:
         message = f"unknown experiment {name!r}; see `cexpect list`"
         raise ConfigError([Diagnostic("experiment", message)])
@@ -193,16 +188,18 @@ def _read(cfg, experiment=None):
     f.read.add("experiment")
     seed = f.integer("seed")
     n_samples = f.integer("n_samples")
-    return f.close(EXPERIMENTS[name](f, n_samples, seed))
+    call, width = EXPERIMENTS[name](f)
+    f.build(check_sample_size, n_samples=n_samples, width=width)
+    return f.close(lambda pool: call(n_samples, seed, pool=pool))
 
 
-def validate_config(cfg, experiment=None):
+def validate_config(cfg):
     """Diagnostics for a config dict, empty when it is valid.
 
     Builds every model the config describes and never simulates.
     """
     try:
-        _read(cfg, experiment)
+        _read(cfg)
     except ConfigError as exc:
         return exc.diagnostics
     return []

@@ -304,15 +304,18 @@ def predictor_table(cfg: MarketConfig):
     return RegressionFunction(grid, _dependent_predictor(cfg, grid))
 
 
-def compare_strategies(cfg: MarketConfig, n_samples, seed, pool=None):
+def compare_strategies(cfg: MarketConfig, table, n_samples, seed, pool=None):
     """Coalition-average predictor vs each individual predictor, plus win
     probabilities (strict-max winner; ties, probability zero for continuous
     models, break toward the lowest broker index, then the outsider).
 
-    One report per broker, all on the same n_samples markets drawn from
-    `seed`; the details carry the win probabilities.
+    `table` is predictor_table(cfg).  One report per broker, all on the same
+    n_samples markets drawn from `seed`; the details carry the win
+    probabilities.  The reports rest on the brokers' exchangeability: by
+    Jensen, (z - mean_i p_i)^2 <= mean_i (z - p_i)^2 on every draw, and
+    exchangeable columns p_i share one expected error, so any exchangeable
+    predictor columns pass, a wrong table included.
     """
-    table = predictor_table(cfg)
     draw = _market_draw(cfg)
 
     def worker(rng, count):

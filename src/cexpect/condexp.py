@@ -54,6 +54,13 @@ def chebyshev_nodes(lo, hi, n=GRID_NODES):
     return lo + (hi - lo) * 0.5 * (x + 1.0)
 
 
+def fill_massless(values, has_mass):
+    """Table values where each node without mass copies the last node with
+    mass before it, or the first one where none is before it."""
+    source = np.where(has_mass, np.arange(values.size), np.argmax(has_mass))
+    return values[np.maximum.accumulate(source)]
+
+
 def _pchip_end_slope(h0, h1, m0, m1):
     """Moler's one-sided three-point end slope with its two shape-preserving
     overrides; h0, m0 are the end interval's width and secant slope."""

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConstructionError, DomainError, UnsupportedModelError
+from .errors import (
+    ConfigError,
+    ConstructionError,
+    DomainError,
+    NumericalError,
+    UnsupportedModelError,
+)
 
 _REQUIRED = object()  # default of a key that must be present
 _INVALID = object()  # stands in for a field that failed its type check
@@ -169,14 +175,14 @@ class Fields:
             return None
 
     def build(self, ctor, keys=None, **kwargs):
-        """ctor(**kwargs); on a DomainError, ConstructionError or
-        UnsupportedModelError, None and a Diagnostic at the parameter it
-        names (renamed to its config key by `keys`)."""
+        """ctor(**kwargs); on a DomainError, ConstructionError,
+        UnsupportedModelError or NumericalError, None and a Diagnostic at the
+        parameter it names (renamed to its config key by `keys`)."""
         if any(value is _INVALID for value in kwargs.values()):
             return None
         try:
             return ctor(**kwargs)
-        except (DomainError, ConstructionError, UnsupportedModelError) as exc:
+        except (DomainError, ConstructionError, UnsupportedModelError, NumericalError) as exc:
             if exc.param in kwargs and kwargs[exc.param] is None:
                 return None
             self.fail((keys or {}).get(exc.param, exc.param) or "", str(exc))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condexp import RegressionFunction, chebyshev_nodes
+from .condexp import RegressionFunction, chebyshev_nodes, fill_massless
 from .errors import DomainError, SampleSizeError
 from .marginals import Marginal
 # Unused here, but perfbench's test_tracer_reports_missing_names_and_restores_bindings
@@ -63,9 +63,7 @@ def max_regression(m: Marginal, n, j):
     values = np.empty_like(grid)
     values[open_rows] = tabulate(mean_of_max, np.zeros(open_rows.size), 1.0 - 1e-13)
     # A node with sf(x) = 0 copies the previous node's value.
-    for i in np.flatnonzero(sf <= 0.0):
-        values[i] = values[i - 1]
-    return RegressionFunction(grid, values)
+    return RegressionFunction(grid, fill_massless(values, sf > 0.0))
 
 
 def order_stat_matrix(m: Marginal, n, n_samples, seed, pool=None):

@@ -95,6 +95,20 @@ class PairedReport:
         return asdict(self)
 
 
+def _paired_report(name, lhs, rhs, se, n_samples, seed, satisfied):
+    """The PairedReport of a verdict its builder computed."""
+    return PairedReport(
+        name=name,
+        lhs_estimate=float(lhs),
+        rhs_estimate=float(rhs),
+        paired_diff_se=float(se),
+        n_samples=int(n_samples),
+        seed=int(seed),
+        satisfied=bool(satisfied),
+        margin_sigmas=float((rhs - lhs) / se if se > 0.0 else 0.0),
+    )
+
+
 def inequality_report(name, lhs_sq, rhs_sq, seed):
     """Build an inequality PairedReport from paired per-draw squared errors."""
     lhs_sq = np.asarray(lhs_sq, dtype=float)
@@ -103,20 +117,8 @@ def inequality_report(name, lhs_sq, rhs_sq, seed):
     check_sample_size(n)
     lhs = float(np.mean(lhs_sq))
     rhs = float(np.mean(rhs_sq))
-    d = lhs_sq - rhs_sq
-    se = float(np.std(d, ddof=1)) / math.sqrt(n)
-    satisfied = lhs <= rhs + INEQUALITY_SLACK_SIGMAS * se
-    margin = (rhs - lhs) / se if se > 0.0 else 0.0
-    return PairedReport(
-        name=name,
-        lhs_estimate=lhs,
-        rhs_estimate=rhs,
-        paired_diff_se=se,
-        n_samples=int(n),
-        seed=int(seed),
-        satisfied=bool(satisfied),
-        margin_sigmas=float(margin),
-    )
+    se = float(np.std(lhs_sq - rhs_sq, ddof=1)) / math.sqrt(n)
+    return _paired_report(name, lhs, rhs, se, n, seed, lhs <= rhs + INEQUALITY_SLACK_SIGMAS * se)
 
 
 def equality_check(name, lhs, rhs, diff_values, seed):
@@ -126,32 +128,13 @@ def equality_check(name, lhs, rhs, diff_values, seed):
     se = float(np.std(diff_values, ddof=1)) / math.sqrt(n)
     gap = abs(lhs - rhs)
     satisfied = gap <= EQUALITY_SLACK_SIGMAS * se if se > 0.0 else gap == 0.0
-    margin = (rhs - lhs) / se if se > 0.0 else 0.0
-    return PairedReport(
-        name=name,
-        lhs_estimate=float(lhs),
-        rhs_estimate=float(rhs),
-        paired_diff_se=se,
-        n_samples=int(n),
-        seed=int(seed),
-        satisfied=bool(satisfied),
-        margin_sigmas=float(margin),
-    )
+    return _paired_report(name, lhs, rhs, se, n, seed, satisfied)
 
 
 def threshold_report(name, statistic, threshold, n_samples, seed):
     """A statistic checked against a hard threshold, with no Monte Carlo
     slack: lhs is the statistic, rhs the threshold, se and margin 0."""
-    return PairedReport(
-        name=name,
-        lhs_estimate=float(statistic),
-        rhs_estimate=float(threshold),
-        paired_diff_se=0.0,
-        n_samples=int(n_samples),
-        seed=int(seed),
-        satisfied=bool(statistic <= threshold),
-        margin_sigmas=0.0,
-    )
+    return _paired_report(name, statistic, threshold, 0.0, n_samples, seed, statistic <= threshold)
 
 
 @dataclass

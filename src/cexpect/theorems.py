@@ -24,6 +24,7 @@ from .condexp import (
     GaussianVector,
     RegressionFunction,
     chebyshev_nodes,
+    fill_massless,
 )
 from .config import Fields
 from .copulas import EmpiricalCopula, Gaussian, sup_distance_swapped
@@ -173,11 +174,7 @@ class ConditionalIidCopies:
         # A node with an empty y-interval, or whose joint density underflows
         # to 0 (far tails of a max-of-iid), carries no mass: it copies the
         # previous computed node's value, or the first one before any.
-        known = np.flatnonzero(~np.isnan(values))
-        if known.size:
-            nodes = np.arange(grid.size)
-            values = values[known[np.maximum(np.searchsorted(known, nodes, side="right") - 1, 0)]]
-        return RegressionFunction(grid, values)
+        return RegressionFunction(grid, fill_massless(values, ~np.isnan(values)))
 
 
 def copies_models_from_config(cfg):
@@ -261,6 +258,11 @@ def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
 def verify_theorem1(models, n_samples, seed, pool=None):
     """Averaged predictor beats any single predictor, for each copies model:
     E(Y - mean_i E(Y|X_i))^2 <= E(Y - E(Y|X_1))^2, on common draws.
+
+    The reports rest on the copies' exchangeability: by Jensen,
+    (y - mean_i v_i)^2 <= mean_i (y - v_i)^2 on every draw, and exchangeable
+    columns v_i share one expected error, so any exchangeable predictor
+    columns pass, a wrong predictor included.
     """
     return _verify_averaging("theorem1", models, lambda m: m.predictor(), n_samples, seed, pool)
 
@@ -268,6 +270,9 @@ def verify_theorem1(models, n_samples, seed, pool=None):
 def verify_theorem2(models, n_samples, seed, pool=None):
     """Averaged copies beat any single copy, for each copies model:
     E(Y - mean_i X_i)^2 <= E(Y - X_1)^2, on common draws.
+
+    As in verify_theorem1, the reports rest on the copies' exchangeability:
+    by Jensen, any exchangeable columns pass, whatever their joint law with Y.
     """
     return _verify_averaging("theorem2", models, lambda m: lambda x: x, n_samples, seed, pool)
 

@@ -7,9 +7,10 @@ import tracemalloc
 
 import pytest
 
-from cexpect import cli
+from cexpect import cli, coalition, rng
 from cexpect.cli import validate_config
 from cexpect.coalition import market_from_config
+from cexpect.config import Fields
 from cexpect.marginals import MaxOfIid
 from cexpect.reports import CSV_HEADER, ExperimentResult, canonical_config_hash, threshold_report
 
@@ -286,8 +287,8 @@ REJECTED = {
         _suite_with("theorem3", model={"kind": "explicit", "mean": "x", "cov": _EYE3}),
         "model.mean",
     ),
-    # Each reader bounds n_samples by the columns its operation keeps: this
-    # one validated, then asked for a 74.5 GiB column.
+    # n_samples is bounded by the columns the operation keeps: this one
+    # validated, then asked for a 74.5 GiB column.
     "theorem3-huge-n-samples": (_suite_with("theorem3", n_samples=10**10), "n_samples"),
     "theorem3-2d": (
         _suite_with("theorem3", model={"kind": "explicit", "mean": [0.0, 0.0], "cov": _EYE2}),
@@ -389,3 +390,46 @@ def test_rejected_config_names_its_field(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{field}: " in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_unresolved_coalition_predictor_rejected_at_read_time(tmp_path, capsys, monkeypatch):
+    # Near its floor -1/(k - 1), rho_xx needs more Gauss-Hermite nodes than
+    # the cap allows, and the reader's table build reports it at the field.
+    # A cap of 32 fails as the cap of 256 does (in about 7 s), in under 1 s.
+    monkeypatch.setattr(coalition, "GH_MAX", 32)
+    brokers = {"count": 3, "marginal": NORMAL, "rho_xx": -0.48}
+    config = _write_config(tmp_path, _suite_with("coalition", brokers=brokers))
+    assert _validate("--config", config) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("brokers.rho_xx: ")
+    out = tmp_path / "out"
+    assert _verify("coalition", "--config", config, "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == lines
+    assert not out.exists()
+
+
+def _columns_per_row(part):
+    arrays = part if isinstance(part, tuple) else (part,)
+    return sum(math.prod(a.shape[1:]) for a in arrays)
+
+
+@pytest.mark.parametrize("name", sorted(cli.default_suite()))
+def test_declared_width_covers_the_kept_columns(name, monkeypatch):
+    # The reader's width bounds n_samples before any draw, so it must cover
+    # every column a chunk of the operation returns.
+    cfg = cli.default_suite()[name]
+    f = Fields(cfg)
+    f.read.update(("experiment", "seed", "n_samples"))
+    call, width = cli.EXPERIMENTS[name](f)
+    f.close(None)
+    seen = []
+    chunk_results = rng._chunk_results
+
+    def spy(*args):
+        for part in chunk_results(*args):
+            seen.append(_columns_per_row(part))
+            yield part
+
+    monkeypatch.setattr(rng, "_chunk_results", spy)
+    call(5000, cfg["seed"], pool=None)
+    assert seen and max(seen) <= width

@@ -121,7 +121,8 @@ def test_uncorrelated_brokers_match_the_iid_predictor(brokers, outsider):
 def test_edge_dependent_markets_end_in_a_verdict(k, brokers, rho, outsider):
     # Integrated in w, the first three did not converge at level 10; with
     # scores mapped to prices through Phi(s) near 1, the last stalled.
-    result = compare_strategies(MarketConfig(k, brokers, rho_xx=rho, outsider=outsider), 20_000, 7)
+    market = MarketConfig(k, brokers, rho_xx=rho, outsider=outsider)
+    result = compare_strategies(market, predictor_table(market), 20_000, 7)
     assert len(result.reports) == k and result.all_satisfied
 
 
@@ -157,7 +158,7 @@ def test_one_broker_is_its_own_coalition():
         "brokers": {"count": 1, "marginal": {"family": "uniform", "lower": 0.0, "upper": 1.0}},
         "outsider": {"marginal": {"family": "exponential", "rate": 1.0}},
     })
-    (report,) = compare_strategies(market, 5000, 4).reports
+    (report,) = compare_strategies(market, predictor_table(market), 5000, 4).reports
     assert report.lhs_estimate == report.rhs_estimate
     assert report.margin_sigmas == 0.0
     assert report.satisfied

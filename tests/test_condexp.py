@@ -20,6 +20,7 @@ from cexpect.condexp import (
     ar_vector,
     chebyshev_nodes,
     equicorrelated_vector,
+    fill_massless,
     kernel_regress,
 )
 from cexpect.copulas import FGM, Clayton, Gaussian, Independence
@@ -196,6 +197,22 @@ def test_lookup_state_is_small():
     _, table, _ = RegressionFunction(grid, np.tanh(grid))._guide
     assert table.nbytes <= 64 * 1024
     assert GAUSS_MODEL.psi()._guide is None
+
+
+@pytest.mark.parametrize(
+    "has_mass, expected",
+    [
+        ([1, 1, 0, 1, 0, 0], [0.0, 1.0, 1.0, 3.0, 3.0, 3.0]),
+        ([0, 0, 1, 0, 1, 1], [2.0, 2.0, 2.0, 2.0, 4.0, 5.0]),
+        ([1, 1, 1, 1, 1, 1], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+        ([0, 0, 0, 0, 0, 0], [0.0] * 6),
+    ],
+)
+def test_massless_nodes_copy_the_last_node_with_mass(has_mass, expected):
+    # Before the first node with mass, a node copies that first one.
+    values = np.arange(6.0)
+    filled = fill_massless(values, np.array(has_mass, dtype=bool))
+    assert filled.tolist() == expected
 
 
 # Every copula family against every pair of target and conditioning marginals.

@@ -1,32 +1,50 @@
-"""The benchmark's tracer finds every entry point it times.
+"""The benchmark's interface to the package still holds.
 
 `perfbench/tracer.py` patches the package from outside and reports a name
 it cannot resolve as absent, so a renamed or moved entry point would
-silently drop out of the per-layer metrics.  This test loads the tracer by
-path and writes nothing under `perfbench/`.
+silently drop out of the per-layer metrics; `perfbench/workloads.py` holds
+configs that the benchmark runs through `cli.run_experiment(cfg,
+workers=)`, so a config the package stopped accepting would fail every
+operation of a workload.  These tests load both files by path and write
+nothing under `perfbench/`.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import cexpect.ordered
 import cexpect.quadrature
+from cexpect import cli
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer(monkeypatch):
+def _load(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_entry_point_resolves(monkeypatch):
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load(monkeypatch, "tracer")
     assert [name for name in tracer.ENTRY_POINTS if tracer.resolve(name) is None] == []
+
+
+@pytest.mark.parametrize("workload", ["tabulation", "records", "sampling"])
+def test_every_workload_and_defect_config_validates(monkeypatch, workload):
+    workloads = _load(monkeypatch, "workloads")
+    configs = workloads.workload_configs(workload, 1) + workloads.defect_configs(workload, 1)
+    assert configs and [cli.validate_config(cfg) for cfg in configs] == [[]] * len(configs)
+
+
+def test_run_experiment_takes_workers():
+    assert "workers" in inspect.signature(cli.run_experiment).parameters
 
 
 def test_ordered_integrates_through_the_traced_engine():
