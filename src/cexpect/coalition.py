@@ -39,6 +39,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 GH_START = 16
 GH_MAX = 256
 GH_TOL = 1e-10
+# Rows that probe a count after two tables disagree (see _dependent_predictor).
+GH_PROBE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,9 @@ def _dependent_predictor(cfg: MarketConfig, xs):
     and only 1 - F_out(w) remains, integrated in w.  The Gauss-Hermite
     count of P(M <= w | x) doubles from GH_START until two successive
     tables agree within GH_TOL; past GH_MAX, NumericalError names rho_xx.
+    After a disagreement, a count whose GH_PROBE_ROWS probe rows already
+    disagree is skipped untabulated; the tables accepted and the counts
+    rejected are those of building every table.
     """
     b, rho, out = cfg.broker_marginal, cfg.rho_xx, cfg.outsider
     m = cfg.n_brokers - 1
@@ -258,9 +263,11 @@ def _dependent_predictor(cfg: MarketConfig, xs):
     u_lo = np.minimum((1.0 - rho) * z / sigma, U_TOP)
     u_kinks = [(float(_score(b, e)) - rho * z) / sigma for e in kinks]
 
-    def tail(nodes):
-        def integrand(rows, u):
-            s = rho * z[rows, None] + sigma * u
+    def tail(nodes, rows=slice(None)):
+        z_rows, lo = z[rows], u_lo[rows]
+
+        def integrand(pieces, u):
+            s = rho * z_rows[pieces, None] + sigma * u
             w = _price(b, s)
             below = _others_below(u, m, r, nodes)
             if out is not None:
@@ -268,17 +275,31 @@ def _dependent_predictor(cfg: MarketConfig, xs):
             # dw/du = sigma phi(s) / f(w)
             return (1.0 - below) * (sigma / SQRT_2PI) * np.exp(-0.5 * s * s) / b.pdf(w)
 
-        return _split_integrals(integrand, u_lo, np.full_like(u_lo, U_TOP), u_kinks)
+        return _split_integrals(integrand, lo, np.full_like(lo, U_TOP), [k[rows] for k in u_kinks])
 
     if m == 1:
         return values + tail(None)
-    nodes, previous = GH_START, tail(GH_START)
+    # A row's integral does not depend on which rows share its tabulation.
+    # So once two tables disagree, the rows that disagreed most probe the
+    # next count first: while they alone move by more than GH_TOL, so does
+    # the whole table, which is then not built (previous is None).
+    nodes, previous, probe = GH_START, tail(GH_START), None
     while nodes < GH_MAX:
         nodes *= 2
+        if probe is not None:
+            rows, before = probe
+            after = tail(nodes, rows)
+            if np.max(np.abs(after - before)) > GH_TOL:
+                previous, probe = None, (rows, after)
+                continue
+            if previous is None:
+                previous = tail(nodes // 2)
         current = tail(nodes)
-        if np.max(np.abs(current - previous)) <= GH_TOL:
+        change = np.abs(current - previous)
+        if np.max(change) <= GH_TOL:
             return values + current
-        previous = current
+        rows = np.sort(np.argsort(change)[-GH_PROBE_ROWS:])
+        previous, probe = current, (rows, current[rows])
     raise NumericalError(
         f"the predictor of {cfg.n_brokers} brokers at rho_xx={rho} did not converge "
         f"within {GH_MAX} Gauss-Hermite nodes",

@@ -294,6 +294,26 @@ def kernel_regress(x, y, x0):
     return float(np.sum(w * y) / np.sum(w))
 
 
+# OpenBLAS keeps a gemm on the calling thread while m * n * k <= 65536 *
+# GEMM_MULTITHREAD_THRESHOLD (4) = GEMM_CELLS; a larger one may run on its
+# own threads, which compete with the chunk pool's workers.  A block of
+# rows x d draws times the d x d Cholesky factor stays within it at
+# rows = GEMM_CELLS // d**2.  The MIN_BLOCK_ROWS floor binds only at
+# d = 129 (128 copies and their target), still on one thread; blocks of 8
+# rows at d = 128 differ from the whole product in the last bit.
+GEMM_CELLS = 2**18
+MIN_BLOCK_ROWS = 16
+
+
+def _row_blocks(n, d):
+    """Slices of max(MIN_BLOCK_ROWS, GEMM_CELLS // d**2) rows covering
+    range(n).  The last one ends at n and may overlap the one before it, so
+    that no block is shorter unless n itself is: a short tail block (one
+    row goes to gemv) differs from the whole product in the last bit."""
+    rows = max(MIN_BLOCK_ROWS, GEMM_CELLS // (d * d))
+    return [slice(s, s + rows) for s in [*range(0, n - rows, rows), max(n - rows, 0)]]
+
+
 class GaussianVector:
     """Multivariate normal with symmetric positive-definite covariance."""
 
@@ -320,7 +340,19 @@ class GaussianVector:
         return self.mean.size
 
     def sample(self, rng, n):
-        x = rng.standard_normal((n, self.dim)) @ self._chol.T
+        """n draws mean + L z, one per row, from n rows of standard normals z.
+
+        The product z @ L.T runs in the row blocks of `_row_blocks`, each
+        small enough for OpenBLAS to compute on the calling thread, so a
+        chunk worker starts no BLAS threads (see the rng module docstring).
+        Every block has the same number of rows, and each row comes out as
+        in the whole product computed on one thread, bit for bit.
+        """
+        z = rng.standard_normal((n, self.dim))
+        x = np.empty_like(z)
+        chol_t = self._chol.T
+        for block in _row_blocks(n, self.dim):
+            np.matmul(z[block], chol_t, out=x[block])
         x += self.mean
         return x
 

@@ -34,6 +34,15 @@ chunk's shape and dtype, copies every chunk into its rows as the chunk
 arrives in that order, and drops the chunk, instead of keeping every chunk
 alive until one final concatenation.
 
+A chunk worker must not start threads of its own: the pool's workers
+already occupy the cores, and extra threads make them wait on each other.
+A whole-chunk BLAS product does start them: OpenBLAS may run a gemm of
+more than 2**18 multiply-adds on its own threads, and runs a (65536, 6) @
+(6, 6) product on two.  Measured on 2 vCPUs, two pool workers drawing
+Gaussian vectors that way took longer than one.  So
+``condexp.GaussianVector.sample`` multiplies in row blocks that OpenBLAS
+keeps on the calling thread.
+
 The record stream (tag 4, ``ordered.simulate_records``) uses chunks of 8192
 sequences.  Each chunk draws a (count, depth) block of standard exponentials,
 the hazard increments of the records, and then a (count, depth - 1) block of

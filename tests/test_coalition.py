@@ -2,6 +2,7 @@
 independent brokers, its kinks, and the exact dependent-broker predictor."""
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from cexpect import coalition
+from cexpect import cli, coalition
 from cexpect.coalition import (
     MarketConfig,
     compare_strategies,
@@ -128,11 +129,83 @@ def test_edge_dependent_markets_end_in_a_verdict(k, brokers, rho, outsider):
 
 def test_unresolved_predictor_names_rho_xx(monkeypatch):
     # Near its floor -1/(k - 1), rho_xx needs more Gauss-Hermite nodes than
-    # the cap; k = 3 at -0.45 needs 128, so a cap of 32 stops it early.
+    # the cap; k = 3 at -0.45 needs 256, so a cap of 32 stops it early.
     monkeypatch.setattr(coalition, "GH_MAX", 32)
     with pytest.raises(NumericalError, match="rho_xx") as caught:
         predictor_table(MarketConfig(3, Normal(), rho_xx=-0.45))
     assert caught.value.param == "rho_xx"
+
+
+def _spy_tail_tables(monkeypatch):
+    """Spy on _split_integrals; the returned list gets (lows, values) of
+    each table of the brokers' tail, which integrates up to U_TOP: full
+    tables and probes, not the outsider's table."""
+    tables = []
+    split = coalition._split_integrals
+
+    def spy(f, lows, highs, cuts=()):
+        values = split(f, lows, highs, cuts)
+        if np.all(highs == coalition.U_TOP):
+            tables.append((lows, values))
+        return values
+
+    monkeypatch.setattr(coalition, "_split_integrals", spy)
+    return tables
+
+
+FULL, PROBE = coalition.PREDICTOR_NODES, coalition.GH_PROBE_ROWS
+
+
+def test_non_converging_market_is_rejected_after_two_full_tables(monkeypatch):
+    # k = 3 at -0.48 fails at every count up to GH_MAX.  Building each full
+    # table made five; the probe rows skip every count after 32.
+    tables = _spy_tail_tables(monkeypatch)
+    market = MarketConfig(3, Normal(), rho_xx=-0.48, outsider=Normal())
+    with pytest.raises(NumericalError, match="rho_xx") as caught:
+        predictor_table(market)
+    assert caught.value.param == "rho_xx"
+    assert [lows.size for lows, _ in tables] == [FULL, FULL, PROBE, PROBE, PROBE]
+    tables.clear()
+    cfg = {
+        **cli.default_suite()["coalition"],
+        "brokers": {"count": 3, "marginal": Normal().to_config(), "rho_xx": -0.48},
+    }
+    (diagnostic,) = cli.validate_config(cfg)
+    assert diagnostic.field == "brokers.rho_xx"
+    assert sum(lows.size == FULL for lows, _ in tables) == 2
+
+
+@pytest.mark.parametrize(
+    "market, sizes",
+    [
+        # Agrees at 32 nodes, as the tabulation workload's market (k = 4).
+        (MarketConfig(3, Normal(), rho_xx=0.3, outsider=Normal()), [FULL, FULL]),
+        # Agrees at 64 nodes, after one failed comparison and a probe.
+        (
+            MarketConfig(3, Exponential(), rho_xx=0.95, outsider=Uniform(0.0, 1.0)),
+            [FULL, FULL, PROBE, FULL],
+        ),
+        # Agrees at 128: the probe skips 64, then passes, and 64 is filled in.
+        (MarketConfig(6, Exponential(), rho_xx=0.97), [FULL, FULL, PROBE, PROBE, FULL, FULL]),
+        # Agrees at 128: the probe passes at 64, the full comparison does not.
+        (MarketConfig(5, Exponential(), rho_xx=0.99), [FULL, FULL, PROBE, FULL, PROBE, FULL]),
+    ],
+)
+def test_converging_market_builds_as_many_full_tables_as_before(monkeypatch, market, sizes):
+    # Building every table from GH_START up to the count that agrees makes
+    # as many full tables.  A probe row has the value of its row in the full
+    # table of the same count, the last one built before the next probe,
+    # bit for bit: the skip rests on that.
+    tables = _spy_tail_tables(monkeypatch)
+    predictor_table(market)
+    assert [lows.size for lows, _ in tables] == sizes
+    for i, (lows, values) in enumerate(tables):
+        same_count = list(itertools.takewhile(lambda t: t[0].size == FULL, tables[i + 1 :]))
+        if lows.size == PROBE and same_count:
+            full_lows, full_values = same_count[-1]
+            rows = np.flatnonzero(np.isin(full_lows, lows))
+            assert np.array_equal(full_lows[rows], lows)
+            assert np.array_equal(full_values[rows], values)
 
 
 @pytest.mark.parametrize("rho", [0.4, -0.3])

@@ -20,6 +20,7 @@ from cexpect.condexp import (
     ar_vector,
     chebyshev_nodes,
     equicorrelated_vector,
+    _row_blocks,
     fill_massless,
     kernel_regress,
 )
@@ -30,7 +31,7 @@ from cexpect.errors import (
     ExtrapolationError,
 )
 from cexpect.marginals import Exponential, Normal, Uniform
-from cexpect.rng import philox_stream
+from cexpect.rng import CHUNK_SIZE, MAX_ROW_WIDTH, philox_stream
 
 GAUSS_MODEL = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
 
@@ -368,6 +369,38 @@ class TestGaussianVector:
             prod = resid * (mat[:, j] - mat[:, j].mean())
             se = float(np.std(prod, ddof=1)) / math.sqrt(n)
             assert abs(float(prod.mean())) <= 4 * se
+
+
+def _block_rows(d):
+    return max(16, 2**18 // d**2)
+
+
+@pytest.mark.parametrize("d", [*range(2, 17), 32, 64, 128, MAX_ROW_WIDTH + 1])
+def test_blocked_sample_is_the_whole_product_bit_for_bit(d):
+    # The product runs in row blocks; each row must come out as in one
+    # whole-draw product, at sizes around the block height and the chunk.
+    # A copies model of MAX_ROW_WIDTH copies draws MAX_ROW_WIDTH + 1 columns.
+    a = np.random.default_rng(d).standard_normal((d, d))
+    v = GaussianVector(0.1 * np.arange(d), a @ a.T / d + np.eye(d))
+    chol = np.linalg.cholesky(v.cov)
+    rows = _block_rows(d)
+    for n in sorted({1, 15, 16, 17, rows - 1, rows, rows + 1, 50_000, CHUNK_SIZE}):
+        expected = philox_stream(90 + d, n).standard_normal((n, d)) @ chol.T + v.mean
+        assert np.array_equal(v.sample(philox_stream(90 + d, n), n), expected), n
+
+
+def test_row_blocks_stay_on_the_calling_thread():
+    # OpenBLAS keeps a gemm of at most 2**18 multiply-adds on the calling
+    # thread; a block of fewer than 16 rows may differ in the last bit.
+    for d in range(1, MAX_ROW_WIDTH + 1):
+        rows = _block_rows(d)
+        assert rows >= 16 and rows * d * d <= 2**18
+        for n in {1, 15, 16, 17, rows - 1, rows, rows + 1, 2 * rows + 3, CHUNK_SIZE}:
+            covered = np.zeros(n, dtype=int)
+            for block in _row_blocks(n, d):
+                assert len(range(n)[block]) == min(n, rows), (d, n)
+                covered[block] += 1
+            assert covered.min() >= 1, (d, n)
 
 
 class TestModuleInvariants:

@@ -420,6 +420,17 @@ class TestDeterminism:
             parallel = verify_theorem1([m], N, 71, pool=pool)
         assert serial == parallel
 
+    def test_wide_model_reports_bit_identical_across_pools(self):
+        # d = 128 draws multiply in 16-row blocks, and the last chunk
+        # (4464 rows) is ragged; eight workers run both chunks at once.
+        from concurrent.futures import ThreadPoolExecutor
+
+        m = GaussianCopies(127, 0.3, 0.05)
+        serial = verify_theorem1([m], 70_000, 73)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = verify_theorem1([m], 70_000, 73, pool=pool)
+        assert serial == parallel
+
     def test_theorem1_memory_stays_near_its_report_columns(self):
         # Assembling the (n, 5) copies and then the (n, 5) predictions takes
         # at least 2 * 5 * n * 8 bytes.  Reduced in the workers, the peak is
