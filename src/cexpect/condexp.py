@@ -299,8 +299,11 @@ def kernel_regress(x, y, x0):
 # own threads, which compete with the chunk pool's workers.  A block of
 # rows x d draws times the d x d Cholesky factor stays within it at
 # rows = GEMM_CELLS // d**2.  The MIN_BLOCK_ROWS floor binds only at
-# d = 129 (128 copies and their target), still on one thread; blocks of 8
-# rows at d = 128 differ from the whole product in the last bit.
+# d = 129, a copies model at the MAX_ROW_WIDTH size bound of rng.py (128
+# copies) with its target: 16 rows there are 266,256 multiply-adds, past
+# GEMM_CELLS, and still run on one thread, because OpenBLAS gives a gemm
+# one thread per GEMM_CELLS multiply-adds.  Blocks of 8 rows at d = 128
+# differ from the whole product in the last bit.
 GEMM_CELLS = 2**18
 MIN_BLOCK_ROWS = 16
 

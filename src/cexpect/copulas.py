@@ -12,12 +12,18 @@ quadrature of the bivariate normal density).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
 from .config import Fields
 from .errors import DomainError
+
+# Rows a block of the empirical copula's lattice pass holds.
+BLOCK_ROWS = 2**16
+# Buckets of the lattice's guide-table search.
+LATTICE_BUCKETS = 4096
 
 
 def _bvn_cdf(h, k, rho):
@@ -260,8 +266,9 @@ class EmpiricalCopula:
 
     Normalized ranks are rank/(N+1) with ties broken deterministically by
     original index (the ranks of a stable argsort), so evaluation is
-    reproducible.  The integer ranks are kept (int32 while N < 2**31); the
-    normalized ones are derived on demand.
+    reproducible.  The columns are kept as given, not copied.  The integer
+    ranks (int32 while N < 2**31) are made on demand, for `cdf`, `ranks_u`
+    and `ranks_v`; `lattice` bins by order statistics and makes no ranks.
     """
 
     def __init__(self, x, y):
@@ -279,16 +286,28 @@ class EmpiricalCopula:
                 f"x value(s) and {bad_y} non-finite y value(s) of {x.size}"
             )
         self.n = x.size
-        self._rank_u = self._ranks(x)
-        self._rank_v = self._ranks(y)
+        self._x = x
+        self._y = y
+
+    @staticmethod
+    def _rank_dtype(n):
+        return np.int32 if n < 2**31 else np.int64
 
     @staticmethod
     def _ranks(values):
         """Ranks 1..N of a stable argsort, in the narrowest of int32/int64."""
-        dtype = np.int32 if values.size < 2**31 else np.int64
+        dtype = EmpiricalCopula._rank_dtype(values.size)
         ranks = np.empty(values.size, dtype=dtype)
         ranks[_stable_argsort(values)] = np.arange(1, values.size + 1, dtype=dtype)
         return ranks
+
+    @cached_property
+    def _rank_u(self):
+        return self._ranks(self._x)
+
+    @cached_property
+    def _rank_v(self):
+        return self._ranks(self._y)
 
     @property
     def ranks_u(self):
@@ -304,40 +323,122 @@ class EmpiricalCopula:
         """Fraction of sample points whose normalized ranks are <= (u, v)."""
         return float(np.count_nonzero((self.ranks_u <= u) & (self.ranks_v <= v))) / self.n
 
-    def _rank_bins(self, levels):
-        """Bin of every rank 0..N: the index of the smallest level >= rank/(N+1),
-        as np.searchsorted(levels, rank / (N+1), side="left") gives it.
+    def _rank_cuts(self, levels):
+        """#{r in 0..N : r/(N+1) <= level} for each level.
 
-        The bins rise with the rank, so the table is found from one count
-        per level, #{r : r/(N+1) <= level}.  Each count is located exactly
-        by testing the ranks near level * (N+1), whose floating-point error
-        is far below one rank.
+        Each count is located exactly by testing the ranks near
+        level * (N+1), whose floating-point error is far below one rank.
         """
         n = self.n
         guess = np.floor(levels * (n + 1)).astype(np.int64)
         near = guess[:, None] + np.arange(-2, 3)
         inside = (near >= 0) & (near <= n) & (near / (n + 1) <= levels[:, None])
-        counts = np.clip(guess - 2, 0, n + 1) + np.count_nonzero(inside, axis=1)
-        per_bin = np.diff(counts, prepend=0, append=n + 1)
-        return np.repeat(np.arange(levels.size + 1, dtype=self._rank_u.dtype), per_bin)
+        return np.clip(guess - 2, 0, n + 1) + np.count_nonzero(inside, axis=1)
+
+    def _rank_bins(self, levels):
+        """Bin of every rank 0..N: the index of the smallest level >= rank/(N+1),
+        as np.searchsorted(levels, rank / (N+1), side="left") gives it.
+
+        The bins rise with the rank, so rank r is in bin #{k : cuts[k] <= r}
+        of the cuts `_rank_cuts(levels)`.
+        """
+        per_bin = np.diff(self._rank_cuts(levels), prepend=0, append=self.n + 1)
+        dtype = self._rank_dtype(self.n)
+        return np.repeat(np.arange(levels.size + 1, dtype=dtype), per_bin)
 
     def lattice(self, grid):
         """Empirical copula on the grid x grid lattice over [0, 1]^2.
 
-        O(N + grid^2): bin each point at the smallest lattice level covering
-        its rank, through one bin table indexed by rank, then take the 2-D
-        cumulative sum.
+        Bins each point at the smallest lattice level covering its rank,
+        found from the column's order statistics at the lattice's rank cuts
+        (`_lattice_bins`), then counts the points per cell in row blocks and
+        takes the 2-D cumulative sum.  No point has a rank at the top cut
+        N + 1, so a point's bin is below `grid`.
         """
         if grid < 2:
             raise DomainError(f"grid must be >= 2, got {grid}")
         levels = np.linspace(0.0, 1.0, grid)
-        bins = self._rank_bins(levels)
-        cell = bins[self._rank_u].astype(np.intp)
-        cell *= grid + 1
-        cell += bins[self._rank_v]
-        counts = np.bincount(cell, minlength=(grid + 1) ** 2)
-        counts = counts.reshape(grid + 1, grid + 1)
-        return levels, counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / self.n
+        cuts = self._rank_cuts(levels)
+        bins_u = _lattice_bins(self._x, cuts, grid)
+        bins_v = _lattice_bins(self._y, cuts, grid)
+        counts = np.zeros(grid * grid, dtype=np.intp)
+        for start in range(0, self.n, BLOCK_ROWS):
+            cell = bins_u[start : start + BLOCK_ROWS].astype(np.intp)
+            cell *= grid
+            cell += bins_v[start : start + BLOCK_ROWS]
+            counts += np.bincount(cell, minlength=counts.size)
+        return levels, counts.reshape(grid, grid).cumsum(axis=0).cumsum(axis=1) / self.n
+
+
+def _lattice_bins(values, cuts, grid):
+    """#{k : cuts[k] <= rank} for the stable rank 1..N of every value, in the
+    narrowest unsigned dtype that holds `grid`, for nondecreasing cuts.
+
+    A value above t_k, the value of rank cuts[k], has a higher rank; one below
+    it a lower rank.  So the count is the number of t_k <= the value, found by
+    a guide-table search over the distinct t_k in row blocks, less one for each
+    cut that splits a run of values equal to t_k and falls after the value's
+    place in the run, in index order.
+    """
+    n = values.size
+    ordered = np.sort(values)
+    cuts = cuts[cuts <= n]
+    thresholds = ordered[cuts - 1]
+    # thresholds[0] is the least value, since cuts[0] = 1: every count is >= 1.
+    last = np.append(thresholds[1:] != thresholds[:-1], True)
+    keys = thresholds[last]
+    dtype = np.min_scalar_type(grid)
+    # at_most[j] = #{k : t_k <= keys[j - 1]}.
+    at_most = np.concatenate(([0], np.flatnonzero(last) + 1)).astype(dtype)
+    search = _guide_search(keys, ordered[-1])
+    below = np.searchsorted(ordered, thresholds)
+    del ordered
+    bins = np.empty(n, dtype=dtype)
+    for start in range(0, n, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        np.take(at_most, search(values[block]), out=bins[block])
+    split = cuts - 1 > below
+    for value in np.unique(thresholds[split]):
+        run = np.flatnonzero(values == value)
+        for lower in (cuts - 1 - below)[split & (thresholds == value)]:
+            bins[run[:lower]] -= 1
+    return bins
+
+
+def _guide_search(keys, hi):
+    """Function giving #{j : keys[j] <= x} for x in [keys[0], hi], keys
+    strictly increasing: Chen & Asau's indexed search, as
+    condexp.RegressionFunction._interval makes it, with a bucket expression
+    that cannot overflow on any finite span (hi - keys[0] may)."""
+    lo = keys[0]
+    half_span = 0.5 * hi - 0.5 * lo
+    top = LATTICE_BUCKETS - 1
+    # Below this span the scale would overflow; one bucket then holds all keys.
+    tiny = half_span <= LATTICE_BUCKETS * np.finfo(float).tiny
+    scale = 0.0 if tiny else 0.5 * LATTICE_BUCKETS / half_span
+    offset = lo * scale
+
+    def bucket(x):
+        # x * scale, not (x - lo) * scale: |x| is below 2**53 (hi - lo) for
+        # x in [lo, hi] unless hi = lo, so the product stays finite.
+        t = np.multiply(x, scale)
+        t -= offset
+        np.minimum(t, top, out=t)
+        return t.astype(np.intp)
+
+    per_bucket = np.bincount(bucket(keys), minlength=LATTICE_BUCKETS)
+    table = np.cumsum(per_bucket)
+    steps = int(per_bucket.max())
+    # prior[j] = keys[j - 1]: a count j is too high while keys[j - 1] > x.
+    prior = np.concatenate(([lo], keys))
+
+    def search(x):
+        j = table[bucket(x)]
+        for _ in range(steps):
+            j -= x < prior[j]
+        return j
+
+    return search
 
 
 def sup_distance(empirical, copula, grid):

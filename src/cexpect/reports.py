@@ -5,6 +5,19 @@ Every verdict is one PairedReport, written as one row of the CSV schema
 object with the same fields, in report files of schema version 2.
 Serialization is byte-deterministic: floats use Python repr (shortest
 round-trip), JSON keys are sorted, and CSV uses LF endings.
+
+A report's means and standard error come from blocked sums with the bits
+of np.mean and np.std(ddof=1).  numpy sums a contiguous column by pairwise
+summation (Higham 1993, SIAM J. Sci. Comput. 14): a run of L > 128 values
+is the sum of its first L//2 - (L//2) % 8 values plus the sum of the rest,
+and a shorter run is summed in eight interleaved accumulators.  A run's sum
+depends only on its values, so following that split down to runs of at most
+SUM_LEAF values, summing each with np.add.reduce and adding the sums back up
+the same tree gives numpy's sum, bit for bit.  Each leaf forms its rows of
+lhs - rhs, centres and squares them in one cache-sized buffer, so no
+full-length temporary is made.  A zero's sign can differ at a leaf (numpy
+adds each reduction to +0.0), but only where every sum it enters is zero,
+and the mean and variance take +0.0 there too.
 """
 
 import csv
@@ -26,6 +39,9 @@ INEQUALITY_SLACK_SIGMAS = 3.0
 # Two-sided tolerance for equality checks: |lhs - rhs| <= 4 * paired SE.
 EQUALITY_SLACK_SIGMAS = 4.0
 
+
+# Values a leaf of the blocked sums holds: 512 KiB of float64, in cache.
+SUM_LEAF = 2**16
 
 # Most cells, rows times kept columns, that an operation's sample may hold:
 # 1 GiB of float64.
@@ -109,15 +125,55 @@ def _paired_report(name, lhs, rhs, se, n_samples, seed, satisfied):
     )
 
 
+def _pairwise_sum(leaf_sum, start, stop):
+    """np.add.reduce of a column's values start..stop-1, bit for bit, from
+    leaf_sum(a, b), the np.add.reduce of its values a..b-1, called on runs
+    of at most SUM_LEAF values (see the module docstring)."""
+    if stop - start <= SUM_LEAF:
+        return float(leaf_sum(start, stop))
+    half = (stop - start) // 2
+    mid = start + half - half % 8
+    return _pairwise_sum(leaf_sum, start, mid) + _pairwise_sum(leaf_sum, mid, stop)
+
+
+def _mean(column):
+    """np.mean of a 1-D float64 column, bit for bit."""
+    n = column.size
+    return _pairwise_sum(lambda start, stop: np.add.reduce(column[start:stop]), 0, n) / n
+
+
+def _sd(rows, n):
+    """np.std(d, ddof=1) of a column d of n values, bit for bit.
+    rows(start, stop, out) gives d[start:stop], written into `out` or as a
+    view; a leaf centres and squares it in `out`."""
+    buf = np.empty(min(n, SUM_LEAF))
+
+    def mean_sum(start, stop):
+        return np.add.reduce(rows(start, stop, buf[: stop - start]))
+
+    mean = _pairwise_sum(mean_sum, 0, n) / n
+
+    def square_sum(start, stop):
+        out = buf[: stop - start]
+        centred = np.subtract(rows(start, stop, out), mean, out=out)
+        return np.add.reduce(np.multiply(centred, centred, out=centred))
+
+    return math.sqrt(_pairwise_sum(square_sum, 0, n) / (n - 1))
+
+
 def inequality_report(name, lhs_sq, rhs_sq, seed):
     """Build an inequality PairedReport from paired per-draw squared errors."""
     lhs_sq = np.asarray(lhs_sq, dtype=float)
     rhs_sq = np.asarray(rhs_sq, dtype=float)
     n = lhs_sq.size
     check_sample_size(n)
-    lhs = float(np.mean(lhs_sq))
-    rhs = float(np.mean(rhs_sq))
-    se = float(np.std(lhs_sq - rhs_sq, ddof=1)) / math.sqrt(n)
+    lhs = _mean(lhs_sq)
+    rhs = _mean(rhs_sq)
+
+    def diff(start, stop, out):
+        return np.subtract(lhs_sq[start:stop], rhs_sq[start:stop], out=out)
+
+    se = _sd(diff, n) / math.sqrt(n)
     return _paired_report(name, lhs, rhs, se, n, seed, lhs <= rhs + INEQUALITY_SLACK_SIGMAS * se)
 
 
@@ -125,7 +181,7 @@ def equality_check(name, lhs, rhs, diff_values, seed):
     """Build an equality PairedReport from the per-draw paired difference sample."""
     diff_values = np.asarray(diff_values, dtype=float)
     n = diff_values.size
-    se = float(np.std(diff_values, ddof=1)) / math.sqrt(n)
+    se = _sd(lambda start, stop, out: diff_values[start:stop], n) / math.sqrt(n)
     gap = abs(lhs - rhs)
     satisfied = gap <= EQUALITY_SLACK_SIGMAS * se if se > 0.0 else gap == 0.0
     return _paired_report(name, lhs, rhs, se, n, seed, satisfied)

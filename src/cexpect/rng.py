@@ -63,9 +63,12 @@ MASK32 = (1 << 32) - 1
 # random stream layout, so it is part of the reproducibility contract.
 CHUNK_SIZE = 65536
 
-# Most draws a model may take per replication (a vector dimension, a number
-# of copies, brokers or order statistics, a walk or record depth): a chunk of
-# CHUNK_SIZE rows that wide is 64 MiB of float64.
+# Largest size field a model may have (a vector dimension, a number of
+# copies, brokers or order statistics, a walk or record depth).  A model
+# may draw one column more than its size field: the copies' target, the
+# walk's next step, the outsider beside the brokers.  So a replication takes
+# at most MAX_ROW_WIDTH + 1 draws, and a chunk of CHUNK_SIZE rows that wide
+# is 64.5 MiB of float64.
 MAX_ROW_WIDTH = 128
 
 

@@ -11,8 +11,12 @@ rng.py), so reports are bit-identical for any worker count.  Each chunk
 worker draws its rows and reduces them to the per-row columns its reports
 read: the squared errors of each predictor, or the predictor values with
 the draws they pair with.  Only those columns are assembled across chunks;
-the means, covariances and copula ranks are taken once over the whole
-columns.  A worker computes each row as the whole-array code would, so the
+the means, covariances and the copula lattice are taken once over the whole
+columns, on the calling thread.  A report's means and standard error are
+blocked sums along numpy's pairwise tree (see reports.py), and the lattice
+bins each column by the order statistics at its rank cuts, with no ranks
+(see copulas.EmpiricalCopula.lattice); both run in row blocks that stay in
+cache.  A worker computes each row as the whole-array code would, so the
 bytes of a report do not depend on the chunking.
 """
 

@@ -1,6 +1,7 @@
 """Copula families against 2-D quadrature oracles and structural invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 from cexpect.copulas import (
+    BLOCK_ROWS,
     Clayton,
     EmpiricalCopula,
     FGM,
@@ -265,13 +267,28 @@ class TestEmpiricalCopula:
         np.testing.assert_array_equal(levels, ref_levels)
         np.testing.assert_array_equal(table, ref_table)
 
-    # n + 1 a multiple of grid - 1 puts ranks exactly on lattice levels.
-    @pytest.mark.parametrize("n, grid", [(29_999, 11), (4_999, 51), (3 * 2**18 - 1, 7),
-                                         (30_001, 50), (9, 4), (1, 2)])
-    def test_lattice_matches_searchsorted_reference(self, n, grid):
+    # n + 1 a multiple of grid - 1 puts ranks exactly on lattice levels.  Past
+    # two row blocks, cuts split runs of tied values that cross block
+    # boundaries.  Scaled to top = 1e308, a column's span max - min overflows.
+    @pytest.mark.parametrize("n, grid, top", [
+        pytest.param(29_999, 11, None, id="29999-11"),
+        pytest.param(4_999, 51, None, id="4999-51"),
+        pytest.param(3 * 2**18 - 1, 7, None, id="786431-7"),
+        pytest.param(30_001, 50, None, id="30001-50"),
+        pytest.param(9, 4, None, id="9-4"),
+        pytest.param(1, 2, None, id="1-2"),
+        pytest.param(2 * BLOCK_ROWS + 999, 50, None, id="132071-50"),
+        pytest.param(BLOCK_ROWS + 1, 257, None, id="65537-257"),
+        pytest.param(2 * BLOCK_ROWS + 3, 50, 1e308, id="131075-50-1e308"),
+    ])
+    def test_lattice_matches_searchsorted_reference(self, n, grid, top):
         rng = philox_stream(39, 0)
         x = np.round(rng.standard_normal(n), 1)
         y = np.round(x + rng.standard_normal(n), 1)
+        if top is not None:
+            x = x / np.abs(x).max() * top
+            y = y / np.abs(y).max() * top
+            x[:2] = -top, top
         e = EmpiricalCopula(x, y)
         levels = np.linspace(0.0, 1.0, grid)
         iu = np.searchsorted(levels, self._stable_ranks(x), side="left")
@@ -285,8 +302,30 @@ class TestEmpiricalCopula:
         ranks = np.arange(n + 1) / (n + 1)
         ref_bins = np.searchsorted(levels, ranks, side="left")
         np.testing.assert_array_equal(e._rank_bins(levels), ref_bins)
+        assert "_rank_u" not in vars(e) and "_rank_v" not in vars(e)
         if n > 10 and (n + 1) % (grid - 1) == 0:
             assert np.isin(levels[1:-1], ranks).sum() >= (grid - 2) // 2
+        if n > 2 * BLOCK_ROWS:
+            ordered = np.sort(x)
+            cuts = e._rank_cuts(levels)
+            cuts = cuts[(cuts > 1) & (cuts <= n)]
+            splits = cuts[ordered[cuts - 2] == ordered[cuts - 1]]
+            run = np.flatnonzero(x == ordered[splits[0] - 1])
+            assert run[0] // BLOCK_ROWS < run[-1] // BLOCK_ROWS
+
+    def test_lattice_peak_memory_below_the_rank_arrays(self):
+        # Ranking takes an int64 argsort order and two int32 rank arrays,
+        # 16 bytes a row; the lattice makes no ranks.
+        n = 2**20
+        rng = philox_stream(41, 0)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            EmpiricalCopula(x, y).lattice(50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n
 
     def test_integer_ranks(self):
         rng = philox_stream(40, 0)

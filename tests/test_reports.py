@@ -1,12 +1,16 @@
 """Report construction rules and byte-deterministic serialization."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cexpect.reports import (
     CSV_HEADER,
+    SUM_LEAF,
     ExperimentResult,
     canonical_config_hash,
     equality_check,
@@ -69,6 +73,51 @@ def test_equality_check_two_sided():
     bad = equality_check("e", 1.0, 1.0 + 5 * se, diffs, seed=2)
     assert good.satisfied
     assert not bad.satisfied
+
+
+def _check_moments_match_numpy(n):
+    """Report means and SEs equal np.mean and np.std(ddof=1) bit for bit, on
+    values of mixed magnitude with signed zeros, lhs a strided column view."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, 2)) * np.exp(rng.uniform(-20.0, 20.0, (n, 2)))
+    values[::5, 0] = -0.0
+    values[1::7, 1] = 0.0
+    values[2::11] = -0.0
+    lhs = values[:, 0]
+    rhs = np.ascontiguousarray(values[:, 1])
+    r = inequality_report("t", lhs, rhs, seed=1)
+    assert r.lhs_estimate == float(np.mean(lhs))
+    assert r.rhs_estimate == float(np.mean(rhs))
+    assert r.paired_diff_se == float(np.std(lhs - rhs, ddof=1)) / math.sqrt(n)
+    for diff in (lhs, rhs):
+        e = equality_check("e", 0.0, 0.0, diff, seed=1)
+        assert e.paired_diff_se == float(np.std(diff, ddof=1)) / math.sqrt(n)
+
+
+@pytest.mark.parametrize(
+    "n", [1000, SUM_LEAF - 1, SUM_LEAF, SUM_LEAF + 1, 2 * SUM_LEAF + 8, 143_417, 2_000_000]
+)
+def test_blocked_moments_match_numpy(n):
+    _check_moments_match_numpy(n)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1000, 4 * SUM_LEAF + 100))
+def test_blocked_moments_match_numpy_at_drawn_lengths(n):
+    _check_moments_match_numpy(n)
+
+
+def test_inequality_report_makes_no_full_length_temporary():
+    n = 2**20
+    rng = np.random.default_rng(8)
+    lhs, rhs = rng.random(n), rng.random(n)
+    tracemalloc.start()
+    try:
+        inequality_report("t", lhs, rhs, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lhs.nbytes
 
 
 def test_threshold_report_rule():
