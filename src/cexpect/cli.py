@@ -103,7 +103,8 @@ def _read_copula_swap(f):
         for pos, model in enumerate(models or [])
         if model is not None
     ]
-    # Two table columns and their two int32 ranks.
+    # Two float64 table columns, then the lattice's sorted copy of one
+    # column at a time and the two narrow-integer bin arrays.
     return partial(theorems.verify_copula_theorem, models, tables), 3
 
 
@@ -111,7 +112,8 @@ def _read_martingale(f):
     walk_length = f.integer("walk_length")
     subsets = f.index_lists("subsets")
     checked = f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
-    width = walk_length + 3 if checked is not None else 1  # the walk and two squared errors
+    # One narrow-integer squared-error column per predictor index.
+    width = len(theorems.martingale_predictors(walk_length, checked)) if checked is not None else 1
     return partial(theorems.martingale_checks, walk_length, subsets=subsets), width
 
 

@@ -13,11 +13,18 @@ is the sum of its first L//2 - (L//2) % 8 values plus the sum of the rest,
 and a shorter run is summed in eight interleaved accumulators.  A run's sum
 depends only on its values, so following that split down to runs of at most
 SUM_LEAF values, summing each with np.add.reduce and adding the sums back up
-the same tree gives numpy's sum, bit for bit.  Each leaf forms its rows of
-lhs - rhs, centres and squares them in one cache-sized buffer, so no
-full-length temporary is made.  A zero's sign can differ at a leaf (numpy
-adds each reduction to +0.0), but only where every sum it enters is zero,
-and the mean and variance take +0.0 there too.
+the same tree gives numpy's sum, bit for bit.  A leaf may sum several
+columns and return the vector of their sums; vectors add elementwise, with
+each column's bits.  So a report reads its columns in fused leaf passes:
+one sums the estimates' columns and the paired differences, one more sums
+the differences' centred squares.  Each leaf forms its rows of the
+differences (and of any product they come from) in one cache-sized
+scratch block, so no full-length temporary is made.  A column of exact
+integers in a narrow dtype, like the martingale's squared errors, is cast
+to float64 a leaf at a time; its sums stay below 2**53, so they are exact
+in any order and equal those of the float64 column.  A zero's sign can
+differ at a leaf (numpy adds each reduction to +0.0), but only where every
+sum it enters is zero, and the mean and variance take +0.0 there too.
 """
 
 import csv
@@ -125,66 +132,91 @@ def _paired_report(name, lhs, rhs, se, n_samples, seed, satisfied):
     )
 
 
+def row_sums(rows):
+    """The np.add.reduce of each row of a leaf (a 2-D block or a list of
+    1-D rows), in float64, as a vector."""
+    return np.array([np.add.reduce(row, dtype=np.float64) for row in rows])
+
+
 def _pairwise_sum(leaf_sum, start, stop):
-    """np.add.reduce of a column's values start..stop-1, bit for bit, from
-    leaf_sum(a, b), the np.add.reduce of its values a..b-1, called on runs
-    of at most SUM_LEAF values (see the module docstring)."""
+    """The leaf sums of rows start..stop-1, added up along numpy's pairwise
+    tree.  A module function, not a nested one: a recursive closure is a
+    reference cycle, which would keep its leaf's columns alive until a
+    garbage collection."""
     if stop - start <= SUM_LEAF:
-        return float(leaf_sum(start, stop))
+        return leaf_sum(start, stop)
     half = (stop - start) // 2
     mid = start + half - half % 8
     return _pairwise_sum(leaf_sum, start, mid) + _pairwise_sum(leaf_sum, mid, stop)
 
 
-def _mean(column):
-    """np.mean of a 1-D float64 column, bit for bit."""
-    n = column.size
-    return _pairwise_sum(lambda start, stop: np.add.reduce(column[start:stop]), 0, n) / n
+def blocked_sums(leaf_sum, n):
+    """np.add.reduce of each of k columns of n values, bit for bit, in one
+    pass: leaf_sum(start, stop) gives the row_sums of rows start..stop-1 of
+    the k columns, and is called on runs of at most SUM_LEAF rows along
+    numpy's pairwise tree (see the module docstring).  The leaves' vectors
+    add elementwise, so each entry has the bits of its own column's tree."""
+    return _pairwise_sum(leaf_sum, 0, n)
 
 
-def _sd(rows, n):
-    """np.std(d, ddof=1) of a column d of n values, bit for bit.
-    rows(start, stop, out) gives d[start:stop], written into `out` or as a
-    view; a leaf centres and squares it in `out`."""
-    buf = np.empty(min(n, SUM_LEAF))
+def column_means(columns):
+    """np.mean of each 1-D column of one length, bit for bit, in one pass:
+    float64 columns, or exact integers that sum below 2**53 in any order."""
+    n = columns[0].size
+    return blocked_sums(lambda start, stop: row_sums([c[start:stop] for c in columns]), n) / n
 
-    def mean_sum(start, stop):
-        return np.add.reduce(rows(start, stop, buf[: stop - start]))
 
-    mean = _pairwise_sum(mean_sum, 0, n) / n
+def _sd(rows, sums, n):
+    """np.std(d, ddof=1) of each of k columns d of n values, bit for bit,
+    given their sums along the leaf tree.  rows(start, stop) gives rows
+    start..stop-1 of the k columns as a (k, stop - start) float64 scratch
+    block, which a leaf centres and squares in place."""
+    mean = (np.asarray(sums) / n)[:, None]
 
     def square_sum(start, stop):
-        out = buf[: stop - start]
-        centred = np.subtract(rows(start, stop, out), mean, out=out)
-        return np.add.reduce(np.multiply(centred, centred, out=centred))
+        block = rows(start, stop)
+        block -= mean
+        block *= block
+        return row_sums(block)
 
-    return math.sqrt(_pairwise_sum(square_sum, 0, n) / (n - 1))
+    return np.sqrt(blocked_sums(square_sum, n) / (n - 1))
 
 
 def inequality_report(name, lhs_sq, rhs_sq, seed):
-    """Build an inequality PairedReport from paired per-draw squared errors."""
-    lhs_sq = np.asarray(lhs_sq, dtype=float)
-    rhs_sq = np.asarray(rhs_sq, dtype=float)
+    """Build an inequality PairedReport from paired per-draw squared errors:
+    float64 columns, or exact integers in a narrow dtype (see column_means).
+    One pass sums both columns and their difference, one more its squares."""
     n = lhs_sq.size
     check_sample_size(n)
-    lhs = _mean(lhs_sq)
-    rhs = _mean(rhs_sq)
+    buf = np.empty((1, min(n, SUM_LEAF)))
 
-    def diff(start, stop, out):
-        return np.subtract(lhs_sq[start:stop], rhs_sq[start:stop], out=out)
+    def diff(start, stop):
+        out = buf[:, : stop - start]
+        np.subtract(lhs_sq[start:stop], rhs_sq[start:stop], out=out[0], dtype=np.float64)
+        return out
 
-    se = _sd(diff, n) / math.sqrt(n)
+    def sums(start, stop):
+        return row_sums([lhs_sq[start:stop], rhs_sq[start:stop], *diff(start, stop)])
+
+    lhs_sum, rhs_sum, diff_sum = blocked_sums(sums, n)
+    lhs, rhs = lhs_sum / n, rhs_sum / n
+    se = _sd(diff, [diff_sum], n)[0] / math.sqrt(n)
     return _paired_report(name, lhs, rhs, se, n, seed, lhs <= rhs + INEQUALITY_SLACK_SIGMAS * se)
 
 
-def equality_check(name, lhs, rhs, diff_values, seed):
-    """Build an equality PairedReport from the per-draw paired difference sample."""
-    diff_values = np.asarray(diff_values, dtype=float)
-    n = diff_values.size
-    se = _sd(lambda start, stop, out: diff_values[start:stop], n) / math.sqrt(n)
-    gap = abs(lhs - rhs)
-    satisfied = gap <= EQUALITY_SLACK_SIGMAS * se if se > 0.0 else gap == 0.0
-    return _paired_report(name, lhs, rhs, se, n, seed, satisfied)
+def equality_check(names, lhs, rhs, diff, diff_sums, n, seed):
+    """Build one equality PairedReport per name i, lhs[i] against rhs[i],
+    from difference column i of the per-draw paired differences.
+    diff(start, stop) gives rows start..stop-1 of the difference columns as
+    in _sd, and diff_sums their sums along the leaf tree, which the caller
+    takes in the pass that sums its estimates."""
+    se = _sd(diff, diff_sums, n) / math.sqrt(n)
+    reports = []
+    for name, left, right, s in zip(names, lhs, rhs, se, strict=True):
+        gap = abs(left - right)
+        satisfied = gap <= EQUALITY_SLACK_SIGMAS * s if s > 0.0 else gap == 0.0
+        reports.append(_paired_report(name, left, right, s, n, seed, satisfied))
+    return reports
 
 
 def threshold_report(name, statistic, threshold, n_samples, seed):

@@ -24,15 +24,16 @@ caller works through the earlier ones, and a worker's exception cancels
 the chunks still queued.
 
 A worker does its experiment's per-row work itself and returns only the
-columns the reports read (squared errors, predictor values, a walk in a
-narrow integer dtype), never the raw draws the columns came from.
-Elementwise arithmetic gives a row the same value in whichever chunk it
-runs, so the result does not depend on the chunking; reductions over whole
-columns run once, after assembly.  ``simulate_chunked`` assembles array
-chunks in place: it allocates each output array once, from the first
-chunk's shape and dtype, copies every chunk into its rows as the chunk
-arrives in that order, and drops the chunk, instead of keeping every chunk
-alive until one final concatenation.
+columns the reports read (squared errors, predictor values; the
+martingale's squared errors as exact integers in a narrow unsigned dtype),
+never the raw draws the columns came from.  Elementwise arithmetic gives a
+row the same value in whichever chunk it runs, so the result does not
+depend on the chunking; the reductions run after assembly, along the
+reports' leaf tree.  ``simulate_chunked`` assembles array chunks in place:
+it allocates each output array once, from the first chunk's shape and
+dtype, copies every chunk into its rows as the chunk arrives in that
+order, and drops the chunk, instead of keeping every chunk alive until one
+final concatenation.
 
 A chunk worker must not start threads of its own: the pool's workers
 already occupy the cores, and extra threads make them wait on each other.

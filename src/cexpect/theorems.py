@@ -9,15 +9,19 @@ same computation produce margin exactly 0.
 Replications run in fixed-size chunks with per-chunk Philox streams (see
 rng.py), so reports are bit-identical for any worker count.  Each chunk
 worker draws its rows and reduces them to the per-row columns its reports
-read: the squared errors of each predictor, or the predictor values with
-the draws they pair with.  Only those columns are assembled across chunks;
-the means, covariances and the copula lattice are taken once over the whole
-columns, on the calling thread.  A report's means and standard error are
-blocked sums along numpy's pairwise tree (see reports.py), and the lattice
-bins each column by the order statistics at its rank cuts, with no ranks
-(see copulas.EmpiricalCopula.lattice); both run in row blocks that stay in
-cache.  A worker computes each row as the whole-array code would, so the
-bytes of a report do not depend on the chunking.
+read: the squared errors of each predictor (exact integers in a narrow
+unsigned dtype for the martingale), or the predictor values with the draws
+they pair with.  Only those columns are assembled across chunks.  The
+reports read them on the calling thread through reports' leaf tree, in
+fused passes of cache-sized blocks: a report's means and standard error,
+and the covariance and sequence-stats checks' column means, centred
+products and paired differences, are formed a leaf at a time, with the
+bits of np.mean, np.sum and np.std over the whole columns (see
+reports.py).  So no operation forms a full-length float64 temporary.  The
+copula lattice bins each column by the order statistics at its rank cuts,
+with no ranks (see copulas.EmpiricalCopula.lattice), in row blocks too.  A
+worker computes each row as the whole-array code would, so the bytes of a
+report do not depend on the chunking.
 """
 
 import numpy as np
@@ -36,10 +40,14 @@ from .errors import ConstructionError, DomainError, UnsupportedModelError
 from .marginals import Marginal, Normal, Uniform, marginal_from_config
 from .quadrature import tabulate
 from .reports import (
+    SUM_LEAF,
     ExperimentResult,
+    blocked_sums,
     check_unique_names,
+    column_means,
     equality_check,
     inequality_report,
+    row_sums,
     threshold_report,
 )
 from .rng import check_row_width, simulate_chunked
@@ -300,7 +308,8 @@ def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None):
     closed = {
         key: v.residual_variance(0, s) for key, s in zip(("mse_both", "mse_y", "mse_z"), sets)
     }
-    rhs_sq = rhs_y_sq if float(np.mean(rhs_y_sq)) <= float(np.mean(rhs_z_sq)) else rhs_z_sq
+    mse_y, mse_z = column_means([rhs_y_sq, rhs_z_sq])
+    rhs_sq = rhs_y_sq if mse_y <= mse_z else rhs_z_sq
     name = "theorem3/duplicate" if duplicate else "theorem3"
     report = inequality_report(name, lhs_sq, rhs_sq, seed)
     return ExperimentResult("theorem3", [report], {"closed_form": closed})
@@ -373,9 +382,9 @@ def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, pool=
     details = {
         "index_sets": [list(s) for s in sets],
         "closed_form_mse": closed,
-        # The reports state these means too; perfbench's closed-form oracle
-        # reads them here, one per index set, beside closed_form_mse.
-        "monte_carlo_mse": [float(np.mean(e)) for e in sq_errors],
+        # The reports' means, one per index set, beside closed_form_mse:
+        # perfbench's closed-form oracle reads them here.
+        "monte_carlo_mse": [reports[0].rhs_estimate] + [r.lhs_estimate for r in reports],
     }
     return ExperimentResult(experiment="corollary-chain", reports=reports, details=details)
 
@@ -389,30 +398,54 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
         x, y = model.sample(rng, count)
         return x, y, phi(y), psi(x)
 
-    xc, yc, z1c, z2c = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    for column in (xc, yc, z1c, z2c):
-        column -= column.mean()
-    n = xc.size
-    # Each centred column (the loop variable included) is released after its
-    # last product, so the three products never coexist with all four columns.
-    del column
-    phi_y = z1c * yc
-    del z1c
-    x_y = xc * yc
-    del yc
-    psi_x = z2c * xc
-    del z2c, xc
-    cov_phi = float(np.sum(phi_y) / (n - 1))
-    cov_psi = float(np.sum(psi_x) / (n - 1))
-    cov_xy = float(np.sum(x_y) / (n - 1))
+    columns = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+    n = n_samples
+    means = column_means(columns)
+    buf = np.empty((4, min(n, SUM_LEAF)))
 
-    checks = [
-        equality_check("covariance/cov(phi(Y),Y)=cov(X,Y)", cov_phi, cov_xy, phi_y - x_y, seed),
-        equality_check("covariance/cov(psi(X),X)=cov(X,Y)", cov_psi, cov_xy, psi_x - x_y, seed),
-        equality_check(
-            "covariance/cov(phi(Y),Y)=cov(psi(X),X)", cov_phi, cov_psi, phi_y - psi_x, seed
-        ),
-    ]
+    def products(start, stop):
+        """Rows start..stop-1 of the centred products psi(X) X, X Y and
+        phi(Y) Y in rows 0, 2 and 3 of a scratch block."""
+        block = buf[:, : stop - start]
+        # Centred X, Y, phi(Y) and psi(X) go to rows 2, 1, 3 and 0.
+        for row, column, mean in zip((2, 1, 3, 0), columns, means):
+            np.subtract(column[start:stop], mean, out=block[row])
+        psi_x, y, x_y, phi_y = block
+        psi_x *= x_y
+        phi_y *= y
+        x_y *= y
+        return block
+
+    def differences(block):
+        """Overwrite rows 1..3 of a products block with the paired
+        differences phi(Y) Y - X Y, psi(X) X - X Y and phi(Y) Y - psi(X) X."""
+        psi_x, _, x_y, phi_y = block
+        np.subtract(phi_y, x_y, out=block[1])
+        np.subtract(psi_x, x_y, out=x_y)
+        np.subtract(phi_y, psi_x, out=phi_y)
+        return block[1:]
+
+    def leaf_sums(start, stop):
+        block = products(start, stop)
+        psi_x, _, x_y, phi_y = block
+        covariance_sums = row_sums((psi_x, x_y, phi_y))
+        return np.concatenate([covariance_sums, row_sums(differences(block))])
+
+    sums = blocked_sums(leaf_sums, n)
+    cov_psi, cov_xy, cov_phi = sums[:3] / (n - 1)
+    checks = equality_check(
+        [
+            "covariance/cov(phi(Y),Y)=cov(X,Y)",
+            "covariance/cov(psi(X),X)=cov(X,Y)",
+            "covariance/cov(phi(Y),Y)=cov(psi(X),X)",
+        ],
+        [cov_phi, cov_psi, cov_phi],
+        [cov_xy, cov_xy, cov_psi],
+        lambda start, stop: differences(products(start, stop)),
+        sums[3:],
+        n,
+        seed,
+    )
     return ExperimentResult(experiment="covariance", reports=checks)
 
 
@@ -470,20 +503,45 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
         x1, x2 = model.sample(rng, count)
         return x1, x2, psi(x1)
 
-    x1c, x2, y2 = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    x1c -= x1c.mean()
-    n = x1c.size
-    mean_y2 = float(np.mean(y2))
-    mean_x2 = float(np.mean(x2))
-    cov_pred = float(np.sum(x1c * (y2 - y2.mean())) / (n - 1))
-    cov_raw = float(np.sum(x1c * (x2 - x2.mean())) / (n - 1))
+    columns = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+    x1, x2, y2 = columns
+    n = n_samples
+    mean_x1, mean_x2, mean_y2 = column_means(columns)
+    buf = np.empty((3, min(n, SUM_LEAF)))
 
-    checks = [
-        equality_check("sequence-stats/mean(Y2)=mean(X2)", mean_y2, mean_x2, y2 - x2, seed),
-        equality_check(
-            "sequence-stats/cov(Y1,Y2)=cov(X1,X2)", cov_pred, cov_raw, x1c * (y2 - x2), seed
-        ),
-    ]
+    def centred(start, stop):
+        """A scratch block whose row 0 holds rows start..stop-1 of X1 centred."""
+        block = buf[:, : stop - start]
+        np.subtract(x1[start:stop], mean_x1, out=block[0])
+        return block
+
+    def differences(block, start, stop):
+        """Overwrite rows 1 and 2 of a centred block with rows start..stop-1
+        of the paired differences Y2 - X2 and X1 (Y2 - X2), X1 centred."""
+        x1c, diff, cov_diff = block
+        np.subtract(y2[start:stop], x2[start:stop], out=diff)
+        np.multiply(x1c, diff, out=cov_diff)
+        return block[1:]
+
+    def leaf_sums(start, stop):
+        block = centred(start, stop)
+        x1c, pred, raw = block
+        np.multiply(x1c, np.subtract(y2[start:stop], mean_y2, out=pred), out=pred)
+        np.multiply(x1c, np.subtract(x2[start:stop], mean_x2, out=raw), out=raw)
+        covariance_sums = row_sums(block[1:])
+        return np.concatenate([covariance_sums, row_sums(differences(block, start, stop))])
+
+    sums = blocked_sums(leaf_sums, n)
+    cov_pred, cov_raw = sums[:2] / (n - 1)
+    checks = equality_check(
+        ["sequence-stats/mean(Y2)=mean(X2)", "sequence-stats/cov(Y1,Y2)=cov(X1,X2)"],
+        [mean_y2, cov_pred],
+        [mean_x2, cov_raw],
+        lambda start, stop: differences(centred(start, stop), start, stop),
+        sums[2:],
+        n,
+        seed,
+    )
     return ExperimentResult(experiment="sequence-stats", reports=checks)
 
 
@@ -514,6 +572,13 @@ def martingale_subsets(walk_length, subsets):
     return sets
 
 
+def martingale_predictors(walk_length, subsets):
+    """The walk indices k whose S_k predicts S_{walk_length + 1}, sorted:
+    walk_length itself, for the full-information forecast, and the latest
+    index of each checked subset, 0 (predicting by 0) for an empty one."""
+    return sorted({walk_length, *(subset[-1] if subset else 0 for subset in subsets)})
+
+
 def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     """Martingale forecast checks on the symmetric +/-1 random walk.
 
@@ -529,29 +594,38 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     n = int(walk_length)
     given = [sorted(int(k) for k in subset) for subset in subsets]
     subsets = martingale_subsets(n, given)
-    # |S_k| <= n + 1, so the narrowest signed type holding -(n + 2) holds the walk.
-    dtype = np.min_scalar_type(-(n + 2))
+    predictors = martingale_predictors(n, subsets)
+    # |S_k| <= n + 1, so the narrowest signed type holding -(n + 2) holds the
+    # walk, and |S_{n+1} - S_k| <= n + 1, so the narrowest unsigned type
+    # holding (n + 1)**2 holds each squared error.
+    walk_dtype = np.min_scalar_type(-(n + 2))
+    error_dtype = np.min_scalar_type((n + 1) ** 2)
 
     def worker(rng, count):
-        steps = rng.integers(0, 2, size=(count, n + 1)).astype(dtype)
+        steps = rng.integers(0, 2, size=(count, n + 1)).astype(walk_dtype)
         steps *= 2
         steps -= 1
-        return (np.cumsum(steps, axis=1, dtype=dtype),)
+        walk = np.cumsum(steps, axis=1, dtype=walk_dtype)
+        s_next = walk[:, n]
+        errors = []
+        for k in predictors:
+            error = np.abs(s_next - walk[:, k - 1] if k else s_next).astype(error_dtype)
+            error *= error
+            errors.append(error)
+        return tuple(errors)
 
-    walk = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)[0]
-    s_next = walk[:, n]
-    # Subtracting in float64, where the walk's values are exact integers.
-    lhs_sq = np.subtract(s_next, walk[:, n - 1], dtype=np.float64) ** 2
+    # Squared errors of S_k as a predictor of S_{n+1}, one column per k.
+    columns = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+    sq_errors = dict(zip(predictors, columns))
     reports = []
     details = {}
     for subset, indices in zip(subsets, given):
-        pred = walk[:, subset[-1] - 1] if subset else 0.0
-        rhs_sq = np.subtract(s_next, pred, dtype=np.float64) ** 2
+        k = subset[-1] if subset else 0
         name = _subset_name(indices)
-        reports.append(inequality_report(name, lhs_sq, rhs_sq, seed))
+        reports.append(inequality_report(name, sq_errors[n], sq_errors[k], seed))
         # perfbench's exact-rhs oracle reads the exact MSEs, keyed by subset.
         details[name.removeprefix("martingale/")] = {
             "exact_lhs": 1.0,
-            "exact_rhs": martingale_exact_mse(n, subset[-1] if subset else 0),
+            "exact_rhs": martingale_exact_mse(n, k),
         }
     return ExperimentResult(experiment="martingale", reports=reports, details=details)

@@ -35,13 +35,15 @@ def configs():
     coalition config also has non-uniform brokers and a max-of-two
     outsider.  The second order-stats config has a k == l case and Markov
     checks on uniform and exponential marginals; one coalition config has
-    a single broker."""
+    a single broker.  The 128-step martingale keeps uint16 squared errors,
+    the default one uint8."""
     dependent_brokers = {"count": 3, "marginal": NORMAL, "rho_xx": 0.4}
     order_cases = [
         {"marginal": UNIFORM, "n": 4, "k": 2, "l": 2, "markov_check": True},
         {"marginal": EXP1, "n": 5, "k": 2, "l": 4, "markov_check": True},
     ]
     clayton = {"copula": {"family": "clayton", "alpha": 2.0}, "marginal_x": EXP1, "marginal_y": NORMAL}
+    clayton_uniform = {**clayton, "marginal_x": UNIFORM, "marginal_y": UNIFORM}
     return [
         ("theorem1", _suite("theorem1")),
         ("theorem2", _suite("theorem2")),
@@ -54,7 +56,9 @@ def configs():
         ("copula-swap", _suite("copula-swap")),
         ("sequence-stats", _suite("sequence-stats")),
         ("sequence-stats-clayton", _suite("sequence-stats", model=clayton)),
+        ("sequence-stats-clayton-uniform", _suite("sequence-stats", model=clayton_uniform)),
         ("martingale", _suite("martingale")),
+        ("martingale-128", _suite("martingale", walk_length=128, subsets=[[1], [64], [128], []])),
         ("order-stats", _suite("order-stats")),
         ("order-stats-markov", _suite("order-stats", cases=order_cases)),
         ("records", _suite("records")),
@@ -88,7 +92,13 @@ DIGESTS = {
     "copula-swap": "22debdf4322b7a235550579340864be91a855d2671309736a4fba5e1ade2494d",
     "sequence-stats": "912937875967eb36685479caf08861b37c955ff7938ed307a1285ce5ea6323fb",
     "sequence-stats-clayton": "f0e94455bf4a39ae8fb7b96064f3460471fb3cdbac1a1bbc9d7f40db2552dc5b",
+    # Recorded on whole-column products and differences, before the leaf
+    # passes.
+    "sequence-stats-clayton-uniform": "4b328cd55459d70980e27b68f5cd4068b3f286eb764e760b5e2b7cae1e5e8daf",
     "martingale": "c181efdf8b1d19efcc5fa35f72022425aabf203682d749667a1f66a75f97e2b6",
+    # Recorded on the float64 walk errors, before the workers returned
+    # narrow-integer squared errors (uint16 at this length).
+    "martingale-128": "b60954d224fa5e4ad890a222da2c4ace0aabfd4996aec2ea4a66de7e0675571c",
     "order-stats": "c9df05705fceae6fb9ec77c4d0a4c2c6dd27d570a83c1118e7baf9c2e598bd3f",
     "order-stats-markov": "eec22ed2528ef76aeb45b7218dbf22161d07eb645a3fc1e7e643eb767fa274ca",
     "records": "09d59106daff13616531b5de0718de39abe4be292438c061d0e988231d20bfc5",

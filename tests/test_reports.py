@@ -12,13 +12,27 @@ from cexpect.reports import (
     CSV_HEADER,
     SUM_LEAF,
     ExperimentResult,
+    blocked_sums,
     canonical_config_hash,
+    column_means,
     equality_check,
     inequality_report,
     render_csv,
     render_json,
+    row_sums,
     threshold_report,
 )
+
+
+def _equality(name, lhs, rhs, diff, seed):
+    """The equality_check of one difference column held whole."""
+    n = diff.size
+
+    def rows(start, stop):
+        return diff[None, start:stop].copy()
+
+    diff_sums = blocked_sums(lambda start, stop: row_sums(rows(start, stop)), n)
+    return equality_check([name], [lhs], [rhs], rows, diff_sums, n, seed)[0]
 
 
 def test_inequality_satisfied_rule():
@@ -69,8 +83,8 @@ def test_equality_check_two_sided():
     rng = np.random.default_rng(5)
     diffs = rng.standard_normal(10_000) * 0.01
     se = float(np.std(diffs, ddof=1)) / np.sqrt(diffs.size)
-    good = equality_check("e", 1.0, 1.0 + 3 * se, diffs, seed=2)
-    bad = equality_check("e", 1.0, 1.0 + 5 * se, diffs, seed=2)
+    good = _equality("e", 1.0, 1.0 + 3 * se, diffs, seed=2)
+    bad = _equality("e", 1.0, 1.0 + 5 * se, diffs, seed=2)
     assert good.satisfied
     assert not bad.satisfied
 
@@ -90,8 +104,9 @@ def _check_moments_match_numpy(n):
     assert r.rhs_estimate == float(np.mean(rhs))
     assert r.paired_diff_se == float(np.std(lhs - rhs, ddof=1)) / math.sqrt(n)
     for diff in (lhs, rhs):
-        e = equality_check("e", 0.0, 0.0, diff, seed=1)
+        e = _equality("e", 0.0, 0.0, diff, seed=1)
         assert e.paired_diff_se == float(np.std(diff, ddof=1)) / math.sqrt(n)
+    assert list(column_means([lhs, rhs])) == [np.mean(lhs), np.mean(rhs)]
 
 
 @pytest.mark.parametrize(
@@ -118,6 +133,19 @@ def test_inequality_report_makes_no_full_length_temporary():
     finally:
         tracemalloc.stop()
     assert peak < lhs.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_integer_columns_report_as_their_float64_copies(dtype):
+    # Exact integers sum exactly in any order, so a narrow-integer column,
+    # cast a leaf at a time, reports the bits of its float64 copy.
+    n = 2 * SUM_LEAF + 1003
+    rng = np.random.default_rng(9)
+    top = np.iinfo(dtype).max
+    lhs, rhs = (rng.integers(0, top, n, endpoint=True).astype(dtype) for _ in range(2))
+    r = inequality_report("t", lhs, rhs, seed=1)
+    assert r == inequality_report("t", lhs.astype(float), rhs.astype(float), seed=1)
+    assert r.lhs_estimate == np.mean(lhs.astype(float))
 
 
 def test_threshold_report_rule():
@@ -175,7 +203,7 @@ def _golden_result():
         experiment="golden",
         reports=[
             inequality_report("golden/inequality", x**2, x, seed=3),
-            equality_check("golden/equality", 0.25, 0.26, np.sin(np.arange(1000.0)), seed=4),
+            _equality("golden/equality", 0.25, 0.26, np.sin(np.arange(1000.0)), seed=4),
             threshold_report("golden/threshold", 0.01, 0.02, 1000, 5),
         ],
         details={"k": 1},

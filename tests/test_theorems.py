@@ -1,5 +1,6 @@
 """Verification harness operations and their spec'd degenerate cases."""
 
+import gc
 import math
 import tracemalloc
 
@@ -8,9 +9,10 @@ import pytest
 from scipy.stats import norm
 
 from cexpect.condexp import BivariateModel, GaussianVector, ar_vector, equicorrelated_vector
+from cexpect import theorems
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
-from cexpect.marginals import MaxOfIid, Normal, Uniform
+from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
 from cexpect.reports import inequality_report
 from cexpect.rng import CHUNK_SIZE, simulate_chunked
 from cexpect.theorems import (
@@ -224,6 +226,109 @@ def _covariances(res):
     return phi_y.lhs_estimate, psi_x.lhs_estimate, phi_y.rhs_estimate
 
 
+# Rows spanning four leaves of the reports' blocked sums, the last ragged.
+LEAVES_ROWS = 200_003
+
+
+def _on_columns(monkeypatch, operation, model, columns=None):
+    """operation(model, LEAVES_ROWS, 59) and the columns its draws assembled,
+    or run on `columns` in their place."""
+    kept = []
+
+    def assemble(worker, n_total, *args, **kwargs):
+        out = simulate_chunked(worker, n_total, *args, **kwargs) if columns is None else columns
+        kept.extend(column.copy() for column in out)
+        return out
+
+    monkeypatch.setattr(theorems, "simulate_chunked", assemble)
+    return operation(model, LEAVES_ROWS, 59), kept
+
+
+def _signed_zero_columns(k):
+    """k columns of mixed magnitude, the first all zeros of either sign, so
+    it centres to signed zeros and so do its products."""
+    rng = np.random.default_rng(k)
+    columns = rng.standard_normal((k, LEAVES_ROWS)) * np.exp(rng.uniform(-20, 20, (k, LEAVES_ROWS)))
+    columns[0] = 0.0
+    columns[0, ::3] = -0.0
+    columns[1:, ::5] = -0.0
+    return list(columns)
+
+
+def _covariance_reference(columns):
+    """(lhs, rhs, se) of each covariance report, from whole columns."""
+    n = columns[0].size
+    xc, yc, z1c, z2c = (column - np.mean(column) for column in columns)
+    phi_y, x_y, psi_x = z1c * yc, xc * yc, z2c * xc
+    cov_phi, cov_xy, cov_psi = (np.sum(p) / (n - 1) for p in (phi_y, x_y, psi_x))
+    pairs = [
+        (cov_phi, cov_xy, phi_y - x_y),
+        (cov_psi, cov_xy, psi_x - x_y),
+        (cov_phi, cov_psi, phi_y - psi_x),
+    ]
+    return [(lhs, rhs, np.std(d, ddof=1) / math.sqrt(n)) for lhs, rhs, d in pairs]
+
+
+def _sequence_reference(columns):
+    """(lhs, rhs, se) of each sequence-stats report, from whole columns."""
+    x1, x2, y2 = columns
+    n = x1.size
+    x1c = x1 - np.mean(x1)
+    cov_pred = np.sum(x1c * (y2 - np.mean(y2))) / (n - 1)
+    cov_raw = np.sum(x1c * (x2 - np.mean(x2))) / (n - 1)
+    pairs = [(np.mean(y2), np.mean(x2), y2 - x2), (cov_pred, cov_raw, x1c * (y2 - x2))]
+    return [(lhs, rhs, np.std(d, ddof=1) / math.sqrt(n)) for lhs, rhs, d in pairs]
+
+
+CLAYTON_EXP = BivariateModel(Clayton(alpha=2.0), Exponential(), Exponential())
+
+
+@pytest.mark.parametrize("draws", ["clayton-exponential", "signed-zeros"])
+@pytest.mark.parametrize(
+    "operation, width, reference",
+    [
+        (verify_covariance_identity, 4, _covariance_reference),
+        (predicted_sequence_stats, 3, _sequence_reference),
+    ],
+    ids=["covariance", "sequence-stats"],
+)
+def test_fused_reports_equal_whole_column_numpy(monkeypatch, operation, width, reference, draws):
+    # The reports' leaf passes give the bits of np.mean, np.sum and
+    # np.std(ddof=1) over the full product and difference columns.
+    columns = _signed_zero_columns(width) if draws == "signed-zeros" else None
+    result, kept = _on_columns(monkeypatch, operation, CLAYTON_EXP, columns)
+    expected = reference(kept)
+    for report, values in zip(result.reports, expected, strict=True):
+        stated = (report.lhs_estimate, report.rhs_estimate, report.paired_diff_se)
+        assert list(map(repr, stated)) == [repr(float(v)) for v in values]
+
+
+GAUSS_NN = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: martingale_checks(5, 5000, 1, [(1,), ()]),
+        lambda: verify_covariance_identity(GAUSS_NN, 5000, 1),
+        lambda: predicted_sequence_stats(GAUSS_NN, 5000, 1),
+        lambda: verify_theorem3(equicorrelated_vector(3, 0.5), 5000, 1),
+    ],
+    ids=["martingale", "covariance", "sequence-stats", "theorem3"],
+)
+def test_leaf_passes_leave_no_reference_cycle(operation):
+    # A cycle through a leaf function keeps its columns alive until a
+    # collection, so repeated runs pile them up: peak RSS grows by pass.
+    operation()
+    gc.collect()
+    gc.disable()
+    try:
+        operation()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestCovarianceIdentity:
     def test_independence_all_near_zero(self):
         m = BivariateModel(Independence(), Uniform(), Uniform())
@@ -242,8 +347,8 @@ class TestCovarianceIdentity:
 
     def test_memory_releases_each_column_after_its_last_product(self):
         # Forming the three products while all four centred columns live
-        # takes six columns of n float64; releasing each column after its
-        # last product keeps the peak near five.
+        # takes six columns of n float64.  The leaf passes form them a leaf
+        # at a time; at this n the peak is in the draws, near five columns.
         n = 4 * CHUNK_SIZE
         model = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
         verify_covariance_identity(model, 1000, 58)
@@ -254,6 +359,20 @@ class TestCovarianceIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 5.75 * n * 8
+
+    def test_memory_stays_near_its_four_columns(self):
+        # Four kept columns and one four-row scratch block of the leaf
+        # passes: no centred column, product or difference is full length.
+        n = 2**20
+        model = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
+        verify_covariance_identity(model, 1000, 58)
+        tracemalloc.start()
+        try:
+            verify_covariance_identity(model, n, 58)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.6 * n * 8
 
     def test_fgm_mutual_consistency(self):
         m = BivariateModel(FGM(theta=1.0), Uniform(), Uniform())
@@ -400,6 +519,60 @@ class TestMartingale:
             name = f"martingale/subset={list(subset)}"
             expect = inequality_report(name, lhs_sq, (walk[:, n] - pred) ** 2, 73)
             assert report == expect
+
+    @pytest.mark.parametrize(
+        "n, subsets, dtype",
+        [
+            (1, [(1,), ()], np.uint8),
+            (5, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()], np.uint8),
+            (128, [(1,), (64,), (128,), ()], np.uint16),
+        ],
+    )
+    def test_integer_errors_report_as_float_whole_columns(self, monkeypatch, n, subsets, dtype):
+        # The float64 reference forms the errors from the whole walk, in a
+        # narrow signed dtype, and passes them to inequality_report.
+        walk_dtype = np.min_scalar_type(-(n + 2))
+
+        def walk_worker(rng, count):
+            steps = rng.integers(0, 2, size=(count, n + 1)).astype(walk_dtype)
+            steps *= 2
+            steps -= 1
+            return (np.cumsum(steps, axis=1, dtype=walk_dtype),)
+
+        walk = simulate_chunked(walk_worker, LEAVES_ROWS, 74, TAG_MAIN)[0]
+        s_next = walk[:, n]
+        lhs_sq = np.subtract(s_next, walk[:, n - 1], dtype=np.float64) ** 2
+        kept = []
+
+        def assemble(*args, **kwargs):
+            kept.extend(simulate_chunked(*args, **kwargs))
+            return tuple(kept)
+
+        monkeypatch.setattr(theorems, "simulate_chunked", assemble)
+        results = martingale_checks(n, LEAVES_ROWS, 74, subsets)
+        assert {column.dtype for column in kept} == {np.dtype(dtype)}
+        for subset, report in zip(subsets, results.reports, strict=True):
+            pred = walk[:, subset[-1] - 1] if subset else 0.0
+            rhs_sq = np.subtract(s_next, pred, dtype=np.float64) ** 2
+            assert report == inequality_report(report.name, lhs_sq, rhs_sq, 74)
+            assert report.rhs_estimate == np.mean(rhs_sq)
+            se = np.std(lhs_sq - rhs_sq, ddof=1) / math.sqrt(LEAVES_ROWS)
+            assert report.paired_diff_se == se
+
+    def test_memory_keeps_narrow_squared_errors(self):
+        # One uint8 column per distinct predictor index (4 here), beside a
+        # chunk's draws; keeping the int8 walk and forming float64 errors
+        # from it took 30.1 bytes a row.
+        n = 2**20
+        subsets = [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]
+        martingale_checks(5, 1000, 75, subsets)
+        tracemalloc.start()
+        try:
+            martingale_checks(5, n, 75, subsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n
 
     def test_subset_validated(self):
         with pytest.raises(DomainError):
