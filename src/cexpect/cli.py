@@ -103,8 +103,10 @@ def _read_copula_swap(f):
         for pos, model in enumerate(models or [])
         if model is not None
     ]
-    # Two float64 table columns, then the lattice's sorted copy of one
-    # column at a time and the two narrow-integer bin arrays.
+    # The operation keeps no column, only each chunk's lattice counts.  It
+    # declares 3 all the same, so that the n_samples it admits (at most
+    # MAX_SAMPLE_CELLS // 3 = 44,739,242) stay as before, until a time budget
+    # bounds n_samples in place of the kept columns.
     return partial(theorems.verify_copula_theorem, models, tables), 3
 
 

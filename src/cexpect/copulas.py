@@ -1,9 +1,13 @@
-"""Bivariate copulas, copula sampling, and the rank-based empirical copula.
+"""Bivariate copulas, copula sampling, and the lattice empirical copula.
 
 Four families: independence, Gaussian, Farlie-Gumbel-Morgenstern, Clayton.
 All are exchangeable (C(u,v) = C(v,u)).  Sampling uses the conditional
 distribution method (draw u uniform, invert v from dC/du) except for the
 Gaussian family, which maps a correlated normal pair through the normal cdf.
+
+The empirical copula counts pairs whose margins are known, so no ranks are
+taken: each count on the lattice is binomial, and sup_distance reads the
+largest |z| of the counts against a copula's cdf.
 
 The Gaussian copula cdf is evaluated through Owen's T function, which is
 deterministic and accurate to ~1e-15 (cross-checked in tests against a 2-D
@@ -12,18 +16,12 @@ quadrature of the bivariate normal density).
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import bdtr, bdtrc, ndtr, ndtri, owens_t
 
 from .config import Fields
 from .errors import DomainError
-
-# Rows a block of the empirical copula's lattice pass holds.
-BLOCK_ROWS = 2**16
-# Buckets of the lattice's guide-table search.
-LATTICE_BUCKETS = 4096
 
 
 def _bvn_cdf(h, k, rho):
@@ -243,221 +241,86 @@ class Clayton(Copula):
         return {"family": "clayton", "alpha": self.alpha}
 
 
-def _stable_argsort(values):
-    """argsort(values, kind="stable") of finite values, from the faster default sort.
+def lattice_counts(u, v, grid):
+    """Count of the pairs (u, v) in [0, 1]^2 in each cell of the grid x grid
+    lattice on linspace(0, 1, grid), flattened row-major.
 
-    The default sort orders equal values arbitrarily; each run of equal
-    values is then put in index order by sorting run_id * n + index.
+    A pair counts in row i and column j, the smallest levels >= u and >= v,
+    the bins np.searchsorted(levels, p) gives.  Each bin is ceil((grid - 1)
+    p), moved one level down or up where rounding put it past a level: 0.6
+    ms against searchsorted's 2.6 ms a 65,536-value column.  The counts of
+    chunks add exactly.
     """
-    order = np.argsort(values)
-    ordered = values[order]
-    tie = ordered[1:] == ordered[:-1]
-    if tie.any():
-        run_id = np.concatenate(([0], np.cumsum(~tie)))
-        offset = run_id * values.size
-        key = offset + order
-        key.sort()
-        order = key - offset
-    return order
+    levels = np.linspace(0.0, 1.0, grid)
+    below = np.concatenate(([-np.inf], levels[:-1]))
+
+    def bins(p):
+        b = np.ceil(p * (grid - 1)).astype(np.intp)
+        b -= below[b] >= p
+        b += levels[b] < p
+        return b
+
+    cell = bins(u)
+    cell *= grid
+    cell += bins(v)
+    return np.bincount(cell, minlength=grid * grid)
 
 
 class EmpiricalCopula:
-    """Rank-based empirical copula of a paired sample.
+    """Empirical copula of n pairs with known uniform margins, on the lattice
+    levels linspace(0, 1, grid).
 
-    Normalized ranks are rank/(N+1) with ties broken deterministically by
-    original index (the ranks of a stable argsort), so evaluation is
-    reproducible.  The columns are kept as given, not copied.  The integer
-    ranks (int32 while N < 2**31) are made on demand, for `cdf`, `ranks_u`
-    and `ranks_v`; `lattice` bins by order statistics and makes no ranks.
+    Built from the pairs' summed lattice_counts.  at_most[i, j] counts the
+    pairs with u <= levels[i] and v <= levels[j]; for pairs drawn from a
+    copula C it is Binomial(n, C(levels[i], levels[j])).
     """
 
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.size == 0 or y.size == 0:
-            raise DomainError("empirical copula needs a nonempty sample")
-        if x.shape != y.shape or x.ndim != 1:
-            raise DomainError("empirical copula needs two 1-D arrays of equal length")
-        bad_x = x.size - np.count_nonzero(np.isfinite(x))
-        bad_y = y.size - np.count_nonzero(np.isfinite(y))
-        if bad_x or bad_y:
+    def __init__(self, counts, grid):
+        if grid < 2 or np.size(counts) != grid * grid:
             raise DomainError(
-                f"empirical copula needs finite samples; got {bad_x} non-finite "
-                f"x value(s) and {bad_y} non-finite y value(s) of {x.size}"
+                f"empirical copula needs grid >= 2 and grid^2 counts; got grid {grid} "
+                f"and {np.size(counts)} counts"
             )
-        self.n = x.size
-        self._x = x
-        self._y = y
-
-    @staticmethod
-    def _rank_dtype(n):
-        return np.int32 if n < 2**31 else np.int64
-
-    @staticmethod
-    def _ranks(values):
-        """Ranks 1..N of a stable argsort, in the narrowest of int32/int64."""
-        dtype = EmpiricalCopula._rank_dtype(values.size)
-        ranks = np.empty(values.size, dtype=dtype)
-        ranks[_stable_argsort(values)] = np.arange(1, values.size + 1, dtype=dtype)
-        return ranks
-
-    @cached_property
-    def _rank_u(self):
-        return self._ranks(self._x)
-
-    @cached_property
-    def _rank_v(self):
-        return self._ranks(self._y)
-
-    @property
-    def ranks_u(self):
-        """Normalized ranks rank/(N+1) of the first coordinate."""
-        return self._rank_u / (self.n + 1)
-
-    @property
-    def ranks_v(self):
-        """Normalized ranks rank/(N+1) of the second coordinate."""
-        return self._rank_v / (self.n + 1)
-
-    def cdf(self, u, v):
-        """Fraction of sample points whose normalized ranks are <= (u, v)."""
-        return float(np.count_nonzero((self.ranks_u <= u) & (self.ranks_v <= v))) / self.n
-
-    def _rank_cuts(self, levels):
-        """#{r in 0..N : r/(N+1) <= level} for each level.
-
-        Each count is located exactly by testing the ranks near
-        level * (N+1), whose floating-point error is far below one rank.
-        """
-        n = self.n
-        guess = np.floor(levels * (n + 1)).astype(np.int64)
-        near = guess[:, None] + np.arange(-2, 3)
-        inside = (near >= 0) & (near <= n) & (near / (n + 1) <= levels[:, None])
-        return np.clip(guess - 2, 0, n + 1) + np.count_nonzero(inside, axis=1)
-
-    def _rank_bins(self, levels):
-        """Bin of every rank 0..N: the index of the smallest level >= rank/(N+1),
-        as np.searchsorted(levels, rank / (N+1), side="left") gives it.
-
-        The bins rise with the rank, so rank r is in bin #{k : cuts[k] <= r}
-        of the cuts `_rank_cuts(levels)`.
-        """
-        per_bin = np.diff(self._rank_cuts(levels), prepend=0, append=self.n + 1)
-        dtype = self._rank_dtype(self.n)
-        return np.repeat(np.arange(levels.size + 1, dtype=dtype), per_bin)
-
-    def lattice(self, grid):
-        """Empirical copula on the grid x grid lattice over [0, 1]^2.
-
-        Bins each point at the smallest lattice level covering its rank,
-        found from the column's order statistics at the lattice's rank cuts
-        (`_lattice_bins`), then counts the points per cell in row blocks and
-        takes the 2-D cumulative sum.  No point has a rank at the top cut
-        N + 1, so a point's bin is below `grid`.
-        """
-        if grid < 2:
-            raise DomainError(f"grid must be >= 2, got {grid}")
-        levels = np.linspace(0.0, 1.0, grid)
-        cuts = self._rank_cuts(levels)
-        bins_u = _lattice_bins(self._x, cuts, grid)
-        bins_v = _lattice_bins(self._y, cuts, grid)
-        counts = np.zeros(grid * grid, dtype=np.intp)
-        for start in range(0, self.n, BLOCK_ROWS):
-            cell = bins_u[start : start + BLOCK_ROWS].astype(np.intp)
-            cell *= grid
-            cell += bins_v[start : start + BLOCK_ROWS]
-            counts += np.bincount(cell, minlength=counts.size)
-        return levels, counts.reshape(grid, grid).cumsum(axis=0).cumsum(axis=1) / self.n
+        self.levels = np.linspace(0.0, 1.0, grid)
+        self.at_most = np.reshape(counts, (grid, grid)).cumsum(axis=0).cumsum(axis=1)
+        self.n = int(self.at_most[-1, -1])
+        if self.n == 0:
+            raise DomainError("empirical copula needs a nonempty sample")
 
 
-def _lattice_bins(values, cuts, grid):
-    """#{k : cuts[k] <= rank} for the stable rank 1..N of every value, in the
-    narrowest unsigned dtype that holds `grid`, for nondecreasing cuts.
+def sup_distance(empirical, copula):
+    """Largest |z| of the empirical copula against C(u, v) on its lattice."""
+    u = empirical.levels[:, None]
+    return _lattice_z(empirical, copula.cdf(u, u.T))
 
-    A value above t_k, the value of rank cuts[k], has a higher rank; one below
-    it a lower rank.  So the count is the number of t_k <= the value, found by
-    a guide-table search over the distinct t_k in row blocks, less one for each
-    cut that splits a run of values equal to t_k and falls after the value's
-    place in the run, in index order.
+
+def sup_distance_swapped(empirical, copula):
+    """Largest |z| of the empirical copula against the swapped C(v, u)."""
+    u = empirical.levels[:, None]
+    return _lattice_z(empirical, copula.cdf(u.T, u))
+
+
+def _lattice_z(empirical, cdf):
+    """Largest |z| of the lattice counts against the cdf values `cdf`.
+
+    On each cell with 0 < cdf < 1 the count is Binomial(n, cdf), and its z
+    is the normal quantile of the smaller exact tail, P(K <= k) or P(K >=
+    k): close to (k/n - C) / sqrt(C (1 - C) / n) where n C (1 - C) is large,
+    and of the stated size where a cell holds few draws.  A tail below the
+    least normal double reads as z = 37.5; a lattice with no such cell as 0.
     """
-    n = values.size
-    ordered = np.sort(values)
-    cuts = cuts[cuts <= n]
-    thresholds = ordered[cuts - 1]
-    # thresholds[0] is the least value, since cuts[0] = 1: every count is >= 1.
-    last = np.append(thresholds[1:] != thresholds[:-1], True)
-    keys = thresholds[last]
-    dtype = np.min_scalar_type(grid)
-    # at_most[j] = #{k : t_k <= keys[j - 1]}.
-    at_most = np.concatenate(([0], np.flatnonzero(last) + 1)).astype(dtype)
-    search = _guide_search(keys, ordered[-1])
-    below = np.searchsorted(ordered, thresholds)
-    del ordered
-    bins = np.empty(n, dtype=dtype)
-    for start in range(0, n, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        np.take(at_most, search(values[block]), out=bins[block])
-    split = cuts - 1 > below
-    for value in np.unique(thresholds[split]):
-        run = np.flatnonzero(values == value)
-        for lower in (cuts - 1 - below)[split & (thresholds == value)]:
-            bins[run[:lower]] -= 1
-    return bins
-
-
-def _guide_search(keys, hi):
-    """Function giving #{j : keys[j] <= x} for x in [keys[0], hi], keys
-    strictly increasing: Chen & Asau's indexed search, as
-    condexp.RegressionFunction._interval makes it, with a bucket expression
-    that cannot overflow on any finite span (hi - keys[0] may)."""
-    lo = keys[0]
-    half_span = 0.5 * hi - 0.5 * lo
-    top = LATTICE_BUCKETS - 1
-    # Below this span the scale would overflow; one bucket then holds all keys.
-    tiny = half_span <= LATTICE_BUCKETS * np.finfo(float).tiny
-    scale = 0.0 if tiny else 0.5 * LATTICE_BUCKETS / half_span
-    offset = lo * scale
-
-    def bucket(x):
-        # x * scale, not (x - lo) * scale: |x| is below 2**53 (hi - lo) for
-        # x in [lo, hi] unless hi = lo, so the product stays finite.
-        t = np.multiply(x, scale)
-        t -= offset
-        np.minimum(t, top, out=t)
-        return t.astype(np.intp)
-
-    per_bucket = np.bincount(bucket(keys), minlength=LATTICE_BUCKETS)
-    table = np.cumsum(per_bucket)
-    steps = int(per_bucket.max())
-    # prior[j] = keys[j - 1]: a count j is too high while keys[j - 1] > x.
-    prior = np.concatenate(([lo], keys))
-
-    def search(x):
-        j = table[bucket(x)]
-        for _ in range(steps):
-            j -= x < prior[j]
-        return j
-
-    return search
-
-
-def sup_distance(empirical, copula, grid):
-    """Max |empirical - model| over a grid x grid lattice of [0, 1]^2."""
-    # Only tests call this unswapped form; it stays because the benchmark
-    # tracer's ENTRY_POINTS names it, and tests/test_entry_points.py requires
-    # every entry point to resolve.
-    return _lattice_distance(empirical, copula.cdf, grid)
-
-
-def sup_distance_swapped(empirical, copula, grid):
-    """Same as sup_distance but against the argument-swapped cdf C(v, u)."""
-    return _lattice_distance(empirical, lambda u, v: copula.cdf(v, u), grid)
-
-
-def _lattice_distance(empirical, cdf, grid):
-    levels, emp = empirical.lattice(grid)
-    uu, vv = np.meshgrid(levels, levels, indexing="ij")
-    return float(np.max(np.abs(emp - cdf(uu, vv))))
+    inside = (cdf > 0.0) & (cdf < 1.0)
+    k, c, n = empirical.at_most[inside], cdf[inside], empirical.n
+    # The binomial median is within 1 of n C, so the smaller tail is P(K >=
+    # k) above n C and P(K <= k) below it.  Each cell evaluates only that
+    # tail: 5 ms against 11 ms for both tails over 2400 cells at n = 1e5 (one
+    # core of a 2-vCPU host), where perfbench's tabulation pass runs three
+    # copula-swap operations in about 0.35 s.
+    up = k > n * c
+    tail = np.empty(k.size)
+    tail[up] = bdtrc(k[up] - 1, n, c[up])
+    tail[~up] = bdtr(k[~up], n, c[~up])
+    return float(-ndtri(max(np.min(tail, initial=0.5), np.finfo(float).tiny)))
 
 
 def copula_from_config(cfg):

@@ -26,10 +26,13 @@ the chunks still queued.
 A worker does its experiment's per-row work itself and returns only the
 columns the reports read (squared errors, predictor values; the
 martingale's squared errors as exact integers in a narrow unsigned dtype),
-never the raw draws the columns came from.  Elementwise arithmetic gives a
-row the same value in whichever chunk it runs, so the result does not
-depend on the chunking; the reductions run after assembly, along the
-reports' leaf tree.  ``simulate_chunked`` assembles array chunks in place:
+or, where a report needs no column, the chunk's integer counts (the
+copula-swap lattice cells, which ``run_chunked``'s caller adds in chunk
+order), never the raw draws the columns came from.  Elementwise arithmetic
+gives a row the same value in whichever chunk it runs, and integer counts
+add exactly, so the result does not depend on the chunking; the column
+reductions run after assembly, along the reports' leaf tree.
+``simulate_chunked`` assembles array chunks in place:
 it allocates each output array once, from the first chunk's shape and
 dtype, copies every chunk into its rows as the chunk arrives in that
 order, and drops the chunk, instead of keeping every chunk alive until one

@@ -17,14 +17,18 @@ fused passes of cache-sized blocks: a report's means and standard error,
 and the covariance and sequence-stats checks' column means, centred
 products and paired differences, are formed a leaf at a time, with the
 bits of np.mean, np.sum and np.std over the whole columns (see
-reports.py).  So no operation forms a full-length float64 temporary.  The
-copula lattice bins each column by the order statistics at its rank cuts,
-with no ranks (see copulas.EmpiricalCopula.lattice), in row blocks too.  A
+reports.py).  So no operation forms a full-length float64 temporary.  A
 worker computes each row as the whole-array code would, so the bytes of a
 report do not depend on the chunking.
+
+Copula-swap keeps no column.  Each worker bins its draws on a lattice at
+the known margins and returns the integer count of each cell; the calling
+thread adds the counts in chunk order, so the report bytes are the same
+for any chunking or worker count.
 """
 
 import numpy as np
+from scipy.special import ndtri
 
 from .condexp import (
     INCREASING,
@@ -35,7 +39,7 @@ from .condexp import (
     fill_massless,
 )
 from .config import Fields
-from .copulas import EmpiricalCopula, Gaussian, sup_distance_swapped
+from .copulas import EmpiricalCopula, Gaussian, lattice_counts, sup_distance_swapped
 from .errors import ConstructionError, DomainError, UnsupportedModelError
 from .marginals import Marginal, Normal, Uniform, marginal_from_config
 from .quadrature import tabulate
@@ -50,16 +54,20 @@ from .reports import (
     row_sums,
     threshold_report,
 )
-from .rng import check_row_width, simulate_chunked
+from .rng import check_row_width, run_chunked, simulate_chunked
 
 # Stream tags (part of the reproducibility contract).
 TAG_MAIN = 1
 
-# Copula-swap compares on a COPULA_SWAP_GRID x COPULA_SWAP_GRID lattice and
-# passes a model whose sup distance is within COPULA_SWAP_THRESHOLD; neither
-# is a config key, so no config can switch the check off.
+# Copula-swap counts draws on a COPULA_SWAP_GRID x COPULA_SWAP_GRID lattice
+# and passes a model whose largest |z| over the lattice is within
+# COPULA_SWAP_Z; neither is a config key, so no config can switch the check
+# off.  Each lattice count is binomial, and (49^2 - 1) = 2400 of them have
+# 0 < C < 1.  Each z reads an exact two-sided binomial tail, so a Bonferroni
+# bound over those cells at size 1e-3 a model is
+# z* = -ndtri(1e-3 / (2 * 2400)), about 5.061.
 COPULA_SWAP_GRID = 50
-COPULA_SWAP_THRESHOLD = 0.02
+COPULA_SWAP_Z = float(-ndtri(1e-3 / (2 * ((COPULA_SWAP_GRID - 1) ** 2 - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -464,32 +472,59 @@ def copula_swap_tables(model):
     return phi, psi
 
 
+def copula_swap_z(model, n_samples, seed, pool=None):
+    """sup_distance_swapped of the draws' empirical copula at the known
+    margins: the largest |z| of the lattice counts against C(t, s).
+
+    Each chunk worker draws (x, y) with model.sample and returns the
+    lattice_counts of (s, t) = (F_Y(y), F_X(x)), which have the ranks of
+    (Z1, Z2) = (phi(Y), psi(X)) when phi and psi are strictly increasing;
+    the calling thread adds the counts in chunk order.  The margins are the
+    model's known cdfs, so a wrong marginal sampler fails too.
+    """
+    grid = COPULA_SWAP_GRID
+
+    def worker(rng, count):
+        x, y = model.sample(rng, count)
+        return lattice_counts(model.marginal_y.cdf(y), model.marginal_x.cdf(x), grid)
+
+    counts = sum(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    return sup_distance_swapped(EmpiricalCopula(counts, grid), model.copula)
+
+
+def _min_relative_step(f):
+    """Smallest step between a table's nodes over the table's span: how far
+    an increasing table is from a flat (0) or falling (< 0) step."""
+    return float(np.min(np.diff(f.values)) / (f.values.max() - f.values.min()))
+
+
 def verify_copula_theorem(models, tables, n_samples, seed, pool=None):
     """The copula of (Z1, Z2) = (E(X|Y), E(Y|X)) is the argument-swapped C,
     for each BivariateModel of `models`, each on the same seed.
 
-    `tables` holds copula_swap_tables(model) of each model.  Compares the
-    empirical copula of (Z1, Z2) against the swapped C(t, s) on the
-    COPULA_SWAP_GRID-square lattice.  Model i is named
-    "copula-swap/{family}#i": its report is that name plus "/swapped", and
-    its details are keyed by it.
+    `tables` holds copula_swap_tables(model) of each model.  If phi and psi
+    are strictly increasing, (Z1, Z2) has the ranks of (Y, X) and its
+    copula is C(t, s) (Nelsen 2006, Thm 2.4.3).  copula_swap_tables checks
+    that premise only to the INCREASING tolerance of condexp, which admits
+    flat and slightly falling steps, so the details record how near each
+    table comes to one.  The draws check only the sampler, and no worker
+    evaluates phi or psi: the report is copula_swap_z against
+    COPULA_SWAP_Z.  Model i
+    is named "copula-swap/{family}#i": its report is that name plus
+    "/swapped", and its details, keyed by it, hold the lattice size and each
+    table's smallest relative step.
     """
     reports = []
     details = {}
     for pos, (model, (phi, psi)) in enumerate(zip(models, tables)):
-
-        def worker(rng, count):
-            x, y = model.sample(rng, count)
-            return phi(y), psi(x)
-
-        z1, z2 = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-        emp = EmpiricalCopula(z1, z2)
-        d_swapped = sup_distance_swapped(emp, model.copula, COPULA_SWAP_GRID)
+        z = copula_swap_z(model, n_samples, seed, pool=pool)
         name = f"copula-swap/{model.copula.to_config()['family']}#{pos}"
-        reports.append(
-            threshold_report(f"{name}/swapped", d_swapped, COPULA_SWAP_THRESHOLD, n_samples, seed)
-        )
-        details[name] = {"grid": COPULA_SWAP_GRID}
+        reports.append(threshold_report(f"{name}/swapped", z, COPULA_SWAP_Z, n_samples, seed))
+        details[name] = {
+            "grid": COPULA_SWAP_GRID,
+            "phi_min_relative_step": _min_relative_step(phi),
+            "psi_min_relative_step": _min_relative_step(psi),
+        }
     return ExperimentResult(experiment="copula-swap", reports=reports, details=details)
 
 

@@ -392,6 +392,14 @@ def test_rejected_config_names_its_field(case, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_copula_swap_admits_the_n_samples_of_three_kept_columns():
+    # Copula-swap keeps only lattice counts; its reader still declares 3
+    # columns, so the admitted n_samples stay MAX_SAMPLE_CELLS // 3.
+    assert validate_config(_suite_with("copula-swap", n_samples=44_739_242)) == []
+    diagnostics = validate_config(_suite_with("copula-swap", n_samples=44_739_243))
+    assert [d.field for d in diagnostics] == ["n_samples"]
+
+
 def test_unresolved_coalition_predictor_rejected_at_read_time(tmp_path, capsys, monkeypatch):
     # Near its floor -1/(k - 1), rho_xx needs more Gauss-Hermite nodes than
     # the cap allows, and the reader's table build reports it at the field.

@@ -1,7 +1,9 @@
-"""Copula families against 2-D quadrature oracles and structural invariants."""
+"""Copula families against 2-D quadrature oracles and structural invariants,
+the lattice empirical copula against searchsorted references, and the
+samplers against their cdfs on the copula-swap lattice."""
 
 import math
-import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,19 +12,22 @@ from scipy import integrate as sci_integrate
 from scipy import stats
 from scipy.special import ndtri
 
+from cexpect.condexp import BivariateModel
 from cexpect.copulas import (
-    BLOCK_ROWS,
     Clayton,
     EmpiricalCopula,
     FGM,
     Gaussian,
     Independence,
     copula_from_config,
+    lattice_counts,
     sup_distance,
     sup_distance_swapped,
 )
 from cexpect.errors import DomainError
+from cexpect.marginals import Exponential, Normal
 from cexpect.rng import philox_stream
+from cexpect.theorems import COPULA_SWAP_Z, copula_swap_z
 
 ALL_FAMILIES = [
     Independence(),
@@ -199,177 +204,171 @@ class TestSampling:
         assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
 
 
+def _lattice(u, v, grid):
+    return EmpiricalCopula(lattice_counts(u, v, grid), grid)
+
+
 class TestEmpiricalCopula:
     def test_corner_values(self):
         rng = philox_stream(28, 0)
-        e = EmpiricalCopula(rng.random(500), rng.random(500))
-        assert e.cdf(1.0, 1.0) == 1.0
-        assert e.cdf(0.0, 0.5) == 0.0
-        assert e.cdf(0.5, 0.0) == 0.0
+        e = _lattice(rng.random(500), rng.random(500), 50)
+        assert e.n == 500 and e.at_most[-1, -1] == 500
+        assert e.at_most[0, 25] == 0 and e.at_most[25, 0] == 0
 
     def test_independence_center(self):
         u, v = Independence().sample(philox_stream(29, 0), 100_000)
-        e = EmpiricalCopula(u, v)
-        assert e.cdf(0.5, 0.5) == pytest.approx(0.25, abs=0.01)
+        e = _lattice(u, v, 51)
+        assert e.at_most[25, 25] / e.n == pytest.approx(0.25, abs=0.01)
 
     def test_empty_sample_rejected(self):
-        with pytest.raises(DomainError):
-            EmpiricalCopula(np.array([]), np.array([]))
-
-    def test_ranks_are_permutations(self):
-        rng = philox_stream(30, 0)
-        e = EmpiricalCopula(rng.random(100), rng.random(100))
-        expect = np.arange(1, 101) / 101.0
-        np.testing.assert_allclose(np.sort(e.ranks_u), expect, atol=1e-15)
-        np.testing.assert_allclose(np.sort(e.ranks_v), expect, atol=1e-15)
+        with pytest.raises(DomainError, match="nonempty"):
+            EmpiricalCopula(np.zeros(4, dtype=np.intp), 2)
 
     def test_lattice_matches_pointwise_eval(self):
         rng = philox_stream(31, 0)
-        e = EmpiricalCopula(rng.random(2000), rng.random(2000))
-        levels, table = e.lattice(9)
-        for i, u in enumerate(levels):
-            for j, v in enumerate(levels):
-                assert table[i, j] == pytest.approx(e.cdf(u, v), abs=1e-12)
-
-
-    @staticmethod
-    def _stable_ranks(values):
-        ranks = np.empty(values.size)
-        ranks[np.argsort(values, kind="stable")] = np.arange(1, values.size + 1)
-        return ranks / (values.size + 1)
-
-    def test_ranks_match_stable_argsort_under_ties(self):
-        rng = philox_stream(36, 0)
-        heavy = np.round(rng.standard_normal(50_000), 2)
-        flat = np.full(50_000, 0.25)
-        signed_zeros = np.where(rng.random(50_000) < 0.5, 0.0, -0.0)
-        for x, y in ((heavy, flat), (flat, signed_zeros), (heavy, rng.random(50_000))):
-            e = EmpiricalCopula(x, y)
-            np.testing.assert_array_equal(e.ranks_u, self._stable_ranks(x))
-            np.testing.assert_array_equal(e.ranks_v, self._stable_ranks(y))
-
-    @staticmethod
-    def _add_at_lattice(e, grid):
-        levels = np.linspace(0.0, 1.0, grid)
-        iu = np.searchsorted(levels, e.ranks_u, side="left")
-        iv = np.searchsorted(levels, e.ranks_v, side="left")
-        counts = np.zeros((grid + 1, grid + 1))
-        np.add.at(counts, (iu, iv), 1.0)
-        return levels, counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / e.n
+        u, v = rng.random(2000), rng.random(2000)
+        e = _lattice(u, v, 9)
+        for i, a in enumerate(e.levels):
+            for j, b in enumerate(e.levels):
+                assert e.at_most[i, j] == np.count_nonzero((u <= a) & (v <= b))
 
     @pytest.mark.parametrize("grid", [2, 9, 50, 257])
     def test_lattice_matches_add_at_reference(self, grid):
-        rng = philox_stream(37, 0)
-        x = np.round(rng.standard_normal(30_001), 1)
-        e = EmpiricalCopula(x, x + rng.standard_normal(30_001))
-        levels, table = e.lattice(grid)
-        ref_levels, ref_table = self._add_at_lattice(e, grid)
-        np.testing.assert_array_equal(levels, ref_levels)
-        np.testing.assert_array_equal(table, ref_table)
-
-    # n + 1 a multiple of grid - 1 puts ranks exactly on lattice levels.  Past
-    # two row blocks, cuts split runs of tied values that cross block
-    # boundaries.  Scaled to top = 1e308, a column's span max - min overflows.
-    @pytest.mark.parametrize("n, grid, top", [
-        pytest.param(29_999, 11, None, id="29999-11"),
-        pytest.param(4_999, 51, None, id="4999-51"),
-        pytest.param(3 * 2**18 - 1, 7, None, id="786431-7"),
-        pytest.param(30_001, 50, None, id="30001-50"),
-        pytest.param(9, 4, None, id="9-4"),
-        pytest.param(1, 2, None, id="1-2"),
-        pytest.param(2 * BLOCK_ROWS + 999, 50, None, id="132071-50"),
-        pytest.param(BLOCK_ROWS + 1, 257, None, id="65537-257"),
-        pytest.param(2 * BLOCK_ROWS + 3, 50, 1e308, id="131075-50-1e308"),
-    ])
-    def test_lattice_matches_searchsorted_reference(self, n, grid, top):
-        rng = philox_stream(39, 0)
-        x = np.round(rng.standard_normal(n), 1)
-        y = np.round(x + rng.standard_normal(n), 1)
-        if top is not None:
-            x = x / np.abs(x).max() * top
-            y = y / np.abs(y).max() * top
-            x[:2] = -top, top
-        e = EmpiricalCopula(x, y)
+        u, v = Clayton(alpha=2.0).sample(philox_stream(37, 0), 30_001)
         levels = np.linspace(0.0, 1.0, grid)
-        iu = np.searchsorted(levels, self._stable_ranks(x), side="left")
-        iv = np.searchsorted(levels, self._stable_ranks(y), side="left")
-        counts = np.bincount(iu * (grid + 1) + iv, minlength=(grid + 1) ** 2)
-        counts = counts.reshape(grid + 1, grid + 1)
-        ref_table = counts[:grid, :grid].cumsum(axis=0).cumsum(axis=1) / n
-        got_levels, table = e.lattice(grid)
-        np.testing.assert_array_equal(got_levels, levels)
-        np.testing.assert_array_equal(table, ref_table)
-        ranks = np.arange(n + 1) / (n + 1)
-        ref_bins = np.searchsorted(levels, ranks, side="left")
-        np.testing.assert_array_equal(e._rank_bins(levels), ref_bins)
-        assert "_rank_u" not in vars(e) and "_rank_v" not in vars(e)
+        counts = np.zeros((grid, grid), dtype=np.int64)
+        np.add.at(counts, (np.searchsorted(levels, u), np.searchsorted(levels, v)), 1)
+        e = _lattice(u, v, grid)
+        np.testing.assert_array_equal(e.levels, levels)
+        np.testing.assert_array_equal(e.at_most, counts.cumsum(axis=0).cumsum(axis=1))
+
+    # n + 1 a multiple of grid - 1 puts values k / (n + 1) exactly on lattice
+    # levels, and others an ulp off them, where ceil((grid - 1) p) alone
+    # would bin a value one level off.
+    @pytest.mark.parametrize("n, grid", [
+        pytest.param(29_999, 11, id="29999-11"),
+        pytest.param(4_999, 51, id="4999-51"),
+        pytest.param(3 * 2**18 - 1, 7, id="786431-7"),
+        pytest.param(30_001, 50, id="30001-50"),
+        pytest.param(9, 4, id="9-4"),
+        pytest.param(1, 2, id="1-2"),
+        pytest.param(132_071, 50, id="132071-50"),
+        pytest.param(65_537, 257, id="65537-257"),
+    ])
+    def test_lattice_matches_searchsorted_reference(self, n, grid):
+        rng = philox_stream(39, 0)
+        u = (rng.permutation(n) + 1) / (n + 1)
+        v = (rng.permutation(n) + 1) / (n + 1)
+        levels = np.linspace(0.0, 1.0, grid)
+        cells = np.searchsorted(levels, u) * grid + np.searchsorted(levels, v)
+        np.testing.assert_array_equal(
+            lattice_counts(u, v, grid), np.bincount(cells, minlength=grid * grid)
+        )
         if n > 10 and (n + 1) % (grid - 1) == 0:
-            assert np.isin(levels[1:-1], ranks).sum() >= (grid - 2) // 2
-        if n > 2 * BLOCK_ROWS:
-            ordered = np.sort(x)
-            cuts = e._rank_cuts(levels)
-            cuts = cuts[(cuts > 1) & (cuts <= n)]
-            splits = cuts[ordered[cuts - 2] == ordered[cuts - 1]]
-            run = np.flatnonzero(x == ordered[splits[0] - 1])
-            assert run[0] // BLOCK_ROWS < run[-1] // BLOCK_ROWS
+            assert np.isin(levels[1:-1], u).sum() >= (grid - 2) // 2
 
-    def test_lattice_peak_memory_below_the_rank_arrays(self):
-        # Ranking takes an int64 argsort order and two int32 rank arrays,
-        # 16 bytes a row; the lattice makes no ranks.
-        n = 2**20
-        rng = philox_stream(41, 0)
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        tracemalloc.start()
-        try:
-            EmpiricalCopula(x, y).lattice(50)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * n
 
-    def test_integer_ranks(self):
-        rng = philox_stream(40, 0)
-        e = EmpiricalCopula(rng.random(1000), rng.random(1000))
-        assert e._rank_u.dtype == np.int32
-        np.testing.assert_array_equal(np.sort(e._rank_v), np.arange(1, 1001))
-
-    def test_non_finite_sample_rejected_with_count(self):
-        x = np.linspace(0.0, 1.0, 10)
-        y = x.copy()
-        y[[2, 5]] = np.nan
-        y[7] = np.inf
-        with pytest.raises(DomainError, match="0 non-finite x value.* 3 non-finite y value"):
-            EmpiricalCopula(x, y)
-        with pytest.raises(DomainError, match="1 non-finite x value"):
-            EmpiricalCopula(np.where(x > 0.95, -np.inf, x), x)
+def _shift_cdf(u, v):
+    """Copula of (U, (U + 0.3) mod 1), which is not exchangeable."""
+    low = np.maximum(0.0, np.minimum(np.minimum(u, 0.7), v - 0.3))
+    return low + np.maximum(0.0, np.minimum(u, v + 0.7) - 0.7)
 
 
 class TestSupDistance:
     def test_same_copula_small_distance(self):
         c = Gaussian(rho=0.5)
         u, v = c.sample(philox_stream(32, 0), 100_000)
-        e = EmpiricalCopula(u, v)
-        assert sup_distance(e, c, grid=50) <= 0.02
+        assert sup_distance(_lattice(u, v, 50), c) <= COPULA_SWAP_Z
 
     def test_wrong_copula_large_distance(self):
-        # Gaussian rho=0.8 cdf at (0.5, 0.5) exceeds 0.25 by ~0.148.
+        # Gaussian rho=0.8 cdf at (0.5, 0.5) exceeds 0.25 by ~0.148, about
+        # 100 SEs at 100k draws: the tail underflows and z reads its cap.
         c = Gaussian(rho=0.8)
-        gap = float(c.cdf(0.5, 0.5)) - 0.25
-        assert gap > 0.1
         u, v = c.sample(philox_stream(33, 0), 100_000)
-        e = EmpiricalCopula(u, v)
-        assert sup_distance(e, Independence(), grid=50) >= 0.05
+        cap = float(-ndtri(np.finfo(float).tiny))
+        assert sup_distance(_lattice(u, v, 50), Independence()) == cap
+        assert 37.5 < cap < 37.6
 
     def test_grid_two_is_corners_only(self):
         u, v = Clayton(alpha=3.0).sample(philox_stream(34, 0), 5000)
-        e = EmpiricalCopula(u, v)
-        assert sup_distance(e, Independence(), grid=2) == 0.0
-        assert sup_distance_swapped(e, Gaussian(rho=0.9), grid=2) == 0.0
+        e = _lattice(u, v, 2)
+        assert sup_distance(e, Independence()) == 0.0
+        assert sup_distance_swapped(e, Gaussian(rho=0.9)) == 0.0
 
     def test_grid_validation(self):
-        u, v = Independence().sample(philox_stream(35, 0), 100)
-        with pytest.raises(DomainError):
-            EmpiricalCopula(u, v).lattice(1)
+        with pytest.raises(DomainError, match="grid >= 2"):
+            EmpiricalCopula(np.ones(1, dtype=np.intp), 1)
+        with pytest.raises(DomainError, match="9 counts"):
+            EmpiricalCopula(np.ones(9, dtype=np.intp), 2)
+
+    def test_swapped_reads_the_transposed_lattice(self):
+        # Every family here is exchangeable; a shift copula is not, so its
+        # draws pass against C(u, v) and fail against C(v, u).
+        shift = SimpleNamespace(cdf=_shift_cdf)
+        u = philox_stream(38, 0).random(100_000)
+        v = (u + 0.3) % 1.0
+        e, transposed = _lattice(u, v, 50), _lattice(v, u, 50)
+        assert sup_distance(e, shift) <= COPULA_SWAP_Z < sup_distance_swapped(e, shift)
+        assert sup_distance_swapped(transposed, shift) == sup_distance(e, shift)
+        assert sup_distance(transposed, shift) == sup_distance_swapped(e, shift)
+
+
+def _read_as(draws, model):
+    """Draws of the model `draws`, binned at the margins of `model` and
+    checked against its copula."""
+    return SimpleNamespace(
+        sample=draws.sample,
+        copula=model.copula,
+        marginal_x=model.marginal_x,
+        marginal_y=model.marginal_y,
+    )
+
+
+class TestSamplerLattice:
+    """Each family's sampler against its own cdf at the known margins, with
+    copula_swap_z's stated bound; and draws read through a wrong model."""
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            Independence(),
+            Gaussian(rho=0.99),
+            Gaussian(rho=-0.99),
+            FGM(theta=1.0),
+            FGM(theta=-1.0),
+            Clayton(alpha=0.7),
+            Clayton(alpha=20.0),
+        ],
+        ids=str,
+    )
+    def test_every_family_passes(self, c):
+        model = BivariateModel(c, Exponential(1.0), Normal())
+        assert copula_swap_z(model, 200_000, 42) <= COPULA_SWAP_Z
+
+    @pytest.mark.parametrize(
+        "draws, reference, n",
+        [
+            pytest.param(
+                BivariateModel(Gaussian(rho=0.5), Normal(), Normal()),
+                BivariateModel(Gaussian(rho=0.49), Normal(), Normal()),
+                2_000_000,
+                id="gaussian-0.5-as-0.49",
+            ),
+            pytest.param(
+                BivariateModel(Gaussian(rho=0.5), Exponential(1.0), Normal()),
+                BivariateModel(Gaussian(rho=0.5), Exponential(1.02), Normal()),
+                200_000,
+                id="exp-1-as-1.02",
+            ),
+        ],
+    )
+    def test_wrong_model_fails(self, draws, reference, n):
+        assert copula_swap_z(_read_as(draws, reference), n, 42) > COPULA_SWAP_Z
+
+    def test_bound_is_bonferroni_over_the_inner_cells(self):
+        # 2400 cells of the 50-point lattice have 0 < C < 1; the bound has
+        # two-sided size 1e-3 over them.
+        assert 2 * 2400 * stats.norm.sf(COPULA_SWAP_Z) == pytest.approx(1e-3, rel=1e-12)
 
 
 class TestConfig:

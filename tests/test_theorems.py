@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import bdtr, bdtrc, ndtri
 from scipy.stats import norm
 
 from cexpect.condexp import BivariateModel, GaussianVector, ar_vector, equicorrelated_vector
@@ -14,7 +15,7 @@ from cexpect.copulas import Clayton, FGM, Gaussian, Independence
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
 from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
 from cexpect.reports import inequality_report
-from cexpect.rng import CHUNK_SIZE, simulate_chunked
+from cexpect.rng import CHUNK_SIZE, chunk_stream, simulate_chunked
 from cexpect.theorems import (
     ConditionalIidCopies,
     TAG_MAIN,
@@ -421,7 +422,8 @@ class TestCopulaSwap:
         res = _verify_swap([BivariateModel(Gaussian(rho=0.5), Normal(), Normal())], N, 60)
         (report,) = res.reports
         assert report.name == "copula-swap/gaussian#0/swapped"
-        assert report.lhs_estimate <= 0.02
+        assert report.lhs_estimate <= theorems.COPULA_SWAP_Z
+        assert report.rhs_estimate == theorems.COPULA_SWAP_Z
         assert res.all_satisfied
 
     def test_independence_rejected(self):
@@ -433,7 +435,7 @@ class TestCopulaSwap:
         res = _verify_swap([BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())], N, 62)
         (report,) = res.reports
         assert report.name == "copula-swap/clayton#0/swapped"
-        assert report.lhs_estimate <= 0.02
+        assert report.lhs_estimate <= theorems.COPULA_SWAP_Z
 
     def test_one_report_per_model(self):
         # Every family is exchangeable, so a report against the unswapped
@@ -445,7 +447,59 @@ class TestCopulaSwap:
         res = _verify_swap(models, 20_000, 66)
         names = ["copula-swap/gaussian#0", "copula-swap/fgm#1"]
         assert [r.name for r in res.reports] == [f"{name}/swapped" for name in names]
-        assert res.details == {name: {"grid": 50} for name in names}
+        assert [set(res.details[name]) for name in names] == [
+            {"grid", "phi_min_relative_step", "psi_min_relative_step"}
+        ] * 2
+        assert all(res.details[name]["grid"] == 50 for name in names)
+
+    def test_details_hold_each_tables_smallest_relative_step(self):
+        # FGM(theta) with U(0, 1) marginals has phi(v) = psi(v) = 1/2 +
+        # theta (2v - 1) / 6, linear, so its smallest relative step is the
+        # smallest gap of the table's grid over the grid's span.
+        model = BivariateModel(FGM(theta=0.5), Uniform(), Uniform())
+        phi, psi = copula_swap_tables(model)
+        detail = _verify_swap([model], 20_000, 67).details["copula-swap/fgm#0"]
+        for key, table in (("phi_min_relative_step", phi), ("psi_min_relative_step", psi)):
+            gap = np.min(np.diff(table.grid)) / (table.grid[-1] - table.grid[0])
+            assert detail[key] == pytest.approx(gap, rel=1e-6)
+            assert 0.0 < detail[key] < 1e-4
+
+    def test_z_matches_a_whole_sample_reference(self):
+        # Three chunks, the last ragged, against the whole sample binned by
+        # np.searchsorted and the smaller of both exact binomial tails.
+        model = BivariateModel(Clayton(alpha=2.0), Exponential(1.0), Normal())
+        n = 2 * CHUNK_SIZE + 12345
+        z = theorems.copula_swap_z(model, n, 69)
+        chunks = [
+            model.sample(chunk_stream(69, TAG_MAIN, c), CHUNK_SIZE if c < 2 else 12345)
+            for c in range(3)
+        ]
+        x, y = (np.concatenate(parts) for parts in zip(*chunks))
+        levels = np.linspace(0.0, 1.0, 50)
+        s = np.searchsorted(levels, model.marginal_y.cdf(y), side="left")
+        t = np.searchsorted(levels, model.marginal_x.cdf(x), side="left")
+        counts = np.zeros((50, 50), dtype=np.int64)
+        np.add.at(counts, (s, t), 1)
+        k = counts.cumsum(axis=0).cumsum(axis=1)
+        c = np.array([[float(model.copula.cdf(u, v)) for u in levels] for v in levels])
+        inside = (c > 0.0) & (c < 1.0)
+        k, c = k[inside], c[inside]
+        tail = np.minimum(bdtr(k, n, c), bdtrc(k - 1, n, c))
+        assert z == -ndtri(min(tail.min(), 0.5))
+        assert inside.sum() == 2400
+
+    def test_workers_do_not_evaluate_the_tables(self):
+        # The premise is checked on the tables; the draws check the sampler.
+        class Unevaluated:
+            def __init__(self, table):
+                self.values = table.values
+
+            def __call__(self, x):
+                raise AssertionError("a table was evaluated on the draws")
+
+        model = BivariateModel(Clayton(alpha=2.0), Exponential(1.0), Normal())
+        tables = [tuple(map(Unevaluated, copula_swap_tables(model)))]
+        assert verify_copula_theorem([model], tables, 20_000, 68).all_satisfied
 
 
 class TestPredictedSequence:
