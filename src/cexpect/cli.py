@@ -6,8 +6,9 @@ parameter domain), manages deterministic parallelism (the runner owns the
 worker pool; modules never spawn their own), and writes reports.  A reader
 returns its experiment's operation with the config's models bound, which
 takes n_samples and seed and returns the finished ExperimentResult, report
-names and detail keys included, and the number of columns it keeps; no
-reader loops, builds a result or reads n_samples or seed.
+names and detail keys included, and the number of columns it keeps per
+row: 0 for an operation whose chunk workers return statistics, which keeps
+none.  No reader loops, builds a result or reads n_samples or seed.
 `verify --seed` replaces the seed of each config, and the manifest hashes
 the config as run.  Every run writes all three outputs:
 
@@ -17,9 +18,10 @@ the config as run.  Every run writes all three outputs:
 
 `cexpect validate` builds the models of a config and never simulates; it
 names every field at fault, and every key no reader reads, as `verify`
-does before it runs anything.  n_samples is bounded by the columns the
-operation keeps (reports.MAX_SAMPLE_CELLS), so a run that could not hold
-its sample fails here, not at allocation.  Copula-swap models and the
+does before it runs anything.  n_samples is bounded by
+reports.MAX_SAMPLE_CELLS rows, or cells for order-stats and records, which
+keep their whole sample, so a run that could not hold its sample fails
+here, not at allocation.  Copula-swap models and the
 coalition predictor are tabulated at read time, since a model whose
 regressions are not increasing, or whose predictor does not converge, is
 at fault.
@@ -52,13 +54,13 @@ from .reports import canonical_config_hash, check_sample_size, render_csv, rende
 # operation's call and the columns that operation keeps.
 
 
-def _read_model(builder, verify, width):
+def _read_model(builder, verify):
     """The reader of an experiment whose "model" key describes what it runs."""
-    return lambda f: (partial(verify, f.model("model", builder)), width)
+    return lambda f: (partial(verify, f.model("model", builder)), 0)
 
 
 def _read_theorem3(f):
-    return partial(theorems.verify_theorem3, f.model("model", _theorem3_vector)), 3
+    return partial(theorems.verify_theorem3, f.model("model", _theorem3_vector)), 0
 
 
 def _theorem3_vector(cfg):
@@ -83,8 +85,7 @@ def _read_corollary(f):
         # Config indices are 1-based.
         zero_based = [[i - 1 for i in s] for s in sets]
         sets = f.build(theorems.chain_index_sets, dim=vector.dim, index_sets=zero_based)
-    width = len(sets) if isinstance(sets, list) else 1  # one squared error per set
-    return partial(theorems.verify_corollary_chain, vector, sets), width
+    return partial(theorems.verify_corollary_chain, vector, sets), 0
 
 
 def _ar_vector(cfg):
@@ -103,20 +104,14 @@ def _read_copula_swap(f):
         for pos, model in enumerate(models or [])
         if model is not None
     ]
-    # The operation keeps no column, only each chunk's lattice counts.  It
-    # declares 3 all the same, so that the n_samples it admits (at most
-    # MAX_SAMPLE_CELLS // 3 = 44,739,242) stay as before, until a time budget
-    # bounds n_samples in place of the kept columns.
-    return partial(theorems.verify_copula_theorem, models, tables), 3
+    return partial(theorems.verify_copula_theorem, models, tables), 0
 
 
 def _read_martingale(f):
     walk_length = f.integer("walk_length")
     subsets = f.index_lists("subsets")
-    checked = f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
-    # One narrow-integer squared-error column per predictor index.
-    width = len(theorems.martingale_predictors(walk_length, checked)) if checked is not None else 1
-    return partial(theorems.martingale_checks, walk_length, subsets=subsets), width
+    f.build(theorems.martingale_subsets, walk_length=walk_length, subsets=subsets)
+    return partial(theorems.martingale_checks, walk_length, subsets=subsets), 0
 
 
 def _order_case(cfg):
@@ -151,25 +146,25 @@ def _read_records(f):
 def _read_coalition(f):
     market = f.merge(market_from_config)
     if market is None:  # its diagnostics are recorded
-        return None, 1
+        return None, 0
     # Tabulated here, so that validate rejects a market whose predictor does
     # not converge, and handed to the operation, which builds none itself.
     table = f.build(predictor_table, keys={"rho_xx": "brokers.rho_xx"}, cfg=market)
-    # A predictor per broker, the traded price and the winner.
-    return partial(compare_strategies, market, table), market.n_brokers + 2
+    return partial(compare_strategies, market, table), 0
 
 
 # experiment name -> reader(fields) -> (call(n_samples, seed, pool=), width),
 # where call runs the experiment's operation on the models the reader built
-# and width is the number of columns the operation keeps per row.
+# and width is the number of columns the operation keeps per row (0 for
+# none).
 EXPERIMENTS = {
-    "theorem1": _read_model(theorems.copies_models_from_config, theorems.verify_theorem1, 2),
-    "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2, 2),
+    "theorem1": _read_model(theorems.copies_models_from_config, theorems.verify_theorem1),
+    "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2),
     "theorem3": _read_theorem3,
     "corollary-chain": _read_corollary,
-    "covariance": _read_model(bivariate_from_config, theorems.verify_covariance_identity, 4),
+    "covariance": _read_model(bivariate_from_config, theorems.verify_covariance_identity),
     "copula-swap": _read_copula_swap,
-    "sequence-stats": _read_model(bivariate_from_config, theorems.predicted_sequence_stats, 3),
+    "sequence-stats": _read_model(bivariate_from_config, theorems.predicted_sequence_stats),
     "martingale": _read_martingale,
     "order-stats": _read_order_stats,
     "records": _read_records,

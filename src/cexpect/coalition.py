@@ -25,8 +25,8 @@ from .config import Fields
 from .errors import ConstructionError, NumericalError
 from .marginals import TAIL_EPS, Marginal, MaxOfIid, marginal_from_config
 from .quadrature import tabulate
-from .reports import ExperimentResult, inequality_report
-from .rng import check_row_width, simulate_chunked
+from .reports import ExperimentResult, inequality_report, merged, paired_moments
+from .rng import check_row_width, run_chunked, simulate_chunked
 
 TAG_MARKET = 5
 PREDICTOR_NODES = 201
@@ -338,24 +338,26 @@ def compare_strategies(cfg: MarketConfig, table, n_samples, seed, pool=None):
     predictor columns pass, a wrong table included.
     """
     draw = _market_draw(cfg)
+    k = cfg.n_brokers
 
     def worker(rng, count):
         # The markets of simulate_market, reduced to what the reports read:
-        # the shared table on the chunk's (count, k) price block, Z, and the
-        # index of the winner.
+        # the paired_moments of the coalition's squared error against each
+        # broker's, and the count of wins of each broker and the outsider.
         x, y, z_price = draw(rng, count)
-        return table(x), z_price, np.argmax(np.column_stack([x, y]), axis=1)
+        preds = table(x)
+        lhs_sq = (z_price - preds.mean(axis=1)) ** 2
+        stats = [paired_moments(lhs_sq, (z_price - preds[:, i]) ** 2) for i in range(k)]
+        winner = np.argmax(np.column_stack([x, y]), axis=1)
+        return stats, np.bincount(winner, minlength=k + 1)
 
-    preds, z, winner = simulate_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool)
-    coalition = preds.mean(axis=1)
+    stats, wins = merged(run_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool))
+    reports = [
+        inequality_report(f"coalition/broker{i + 1}", broker, seed)
+        for i, broker in enumerate(stats)
+    ]
 
-    lhs_sq = (z - coalition) ** 2
-    reports = []
-    for i in range(cfg.n_brokers):
-        rhs_sq = (z - preds[:, i]) ** 2
-        reports.append(inequality_report(f"coalition/broker{i + 1}", lhs_sq, rhs_sq, seed))
-
-    win_probs = np.bincount(winner, minlength=cfg.n_brokers + 1) / n_samples
+    win_probs = wins / n_samples
     details = {
         "win_probabilities": win_probs[: cfg.n_brokers].tolist(),
         "outsider_win_probability": float(win_probs[cfg.n_brokers]),

@@ -6,25 +6,16 @@ object with the same fields, in report files of schema version 2.
 Serialization is byte-deterministic: floats use Python repr (shortest
 round-trip), JSON keys are sorted, and CSV uses LF endings.
 
-A report's means and standard error come from blocked sums with the bits
-of np.mean and np.std(ddof=1).  numpy sums a contiguous column by pairwise
-summation (Higham 1993, SIAM J. Sci. Comput. 14): a run of L > 128 values
-is the sum of its first L//2 - (L//2) % 8 values plus the sum of the rest,
-and a shorter run is summed in eight interleaved accumulators.  A run's sum
-depends only on its values, so following that split down to runs of at most
-SUM_LEAF values, summing each with np.add.reduce and adding the sums back up
-the same tree gives numpy's sum, bit for bit.  A leaf may sum several
-columns and return the vector of their sums; vectors add elementwise, with
-each column's bits.  So a report reads its columns in fused leaf passes:
-one sums the estimates' columns and the paired differences, one more sums
-the differences' centred squares.  Each leaf forms its rows of the
-differences (and of any product they come from) in one cache-sized
-scratch block, so no full-length temporary is made.  A column of exact
-integers in a narrow dtype, like the martingale's squared errors, is cast
-to float64 a leaf at a time; its sums stay below 2**53, so they are exact
-in any order and equal those of the float64 column.  A zero's sign can
-differ at a leaf (numpy adds each reduction to +0.0), but only where every
-sum it enters is zero, and the mean and variance take +0.0 there too.
+A report reads its means and standard error from Moments: the count, the
+means and the centred co-moment matrix of its per-row variables.  Each
+chunk worker returns the Moments of its rows, and the calling thread merges
+them left to right in ascending chunk order with the pairwise update of
+Chan, Golub & LeVeque (1983, Amer. Statist. 37), so report bytes depend on
+the chunking, never on the number of workers.  Against whole-column
+np.mean and np.std(ddof=1) a report moves only in its last bits (within
+1e-10 relative).  Two cases are exact: a difference column that is
+identically 0 has co-moment 0, so its report has se 0 and margin 0, and a
+constant column keeps its exact mean.
 """
 
 import csv
@@ -37,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .rng import CHUNK_SIZE
 
 SCHEMA_VERSION = 2
 CSV_HEADER = ["name", "lhs", "rhs", "se", "n", "seed", "satisfied", "margin_sigmas"]
@@ -47,26 +39,25 @@ INEQUALITY_SLACK_SIGMAS = 3.0
 EQUALITY_SLACK_SIGMAS = 4.0
 
 
-# Values a leaf of the blocked sums holds: 512 KiB of float64, in cache.
-SUM_LEAF = 2**16
-
 # Most cells, rows times kept columns, that an operation's sample may hold:
-# 1 GiB of float64.
+# 1 GiB of float64.  An operation whose chunk workers return statistics
+# keeps no column (width 0) and may draw MAX_SAMPLE_CELLS rows.  theorem1
+# on one five-copy model draws 8-10M rows a second with two workers on 2
+# vCPUs, so it takes 13-17 s for them.  Order-stats and records keep their
+# whole sample.
 MAX_SAMPLE_CELLS = 2**27
 
 
-def check_sample_size(n_samples, width=1):
+def check_sample_size(n_samples, width=0):
     """A paired report and its standard error need at least 1000 draws, and
-    an operation that keeps `width` columns of n_samples rows may keep at
-    most MAX_SAMPLE_CELLS cells; checked before any allocation."""
+    n_samples times max(width, 1) may be at most MAX_SAMPLE_CELLS, where
+    `width` is the columns an operation keeps per row (0 for one that keeps
+    none); checked before any allocation."""
     if n_samples < 1000:
         raise DomainError(f"reports need n_samples >= 1000, got {n_samples}", "n_samples")
-    if n_samples * width > MAX_SAMPLE_CELLS:
-        raise DomainError(
-            f"n_samples times the {width} column(s) kept must be <= {MAX_SAMPLE_CELLS}, "
-            f"got {n_samples}",
-            "n_samples",
-        )
+    limit = MAX_SAMPLE_CELLS // max(width, 1)
+    if n_samples > limit:
+        raise DomainError(f"n_samples must be <= {limit}, got {n_samples}", "n_samples")
 
 
 def check_unique_names(named, field):
@@ -132,85 +123,112 @@ def _paired_report(name, lhs, rhs, se, n_samples, seed, satisfied):
     )
 
 
-def row_sums(rows):
-    """The np.add.reduce of each row of a leaf (a 2-D block or a list of
-    1-D rows), in float64, as a vector."""
-    return np.array([np.add.reduce(row, dtype=np.float64) for row in rows])
+@dataclass(frozen=True)
+class Moments:
+    """Statistics of k per-row variables over n rows: their means and the
+    centred co-moment matrix m2[i, j] = sum over the rows of
+    (w_i - mean_i) (w_j - mean_j).
+
+    `of` takes one chunk's rows, `merge` combines two disjoint samples.  A
+    column that is constant (identically 0 included) has mean exactly its
+    value and co-moments exactly 0, in `of` and through every merge.
+    """
+
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray
+
+    @classmethod
+    def of(cls, rows):
+        """The Moments of k 1-D columns of one length, one per variable.
+
+        Each column is shifted by its first value before it is summed, so a
+        constant column sums to exactly 0.  Each co-moment is the pairwise
+        np.add.reduce of an elementwise product of two centred columns, with
+        no BLAS call, which a chunk worker avoids (see rng.py).  On 2 vCPUs
+        the sampling workload's martingale took about 105 ms this way, and
+        about 170 ms with the co-moments as BLAS products in column blocks.
+        """
+        k, n = len(rows), len(rows[0])
+        shift = np.array([row[0] for row in rows], dtype=np.float64)
+        centred = np.empty((k, n))
+        for out, row, value in zip(centred, rows, shift):
+            np.subtract(row, value, out=out)
+        offset = np.add.reduce(centred, axis=1) / n
+        for out, value in zip(centred, offset):
+            out -= value
+        m2 = np.empty((k, k))
+        product = np.empty(n)
+        for i in range(k):
+            for j in range(i, k):
+                np.multiply(centred[i], centred[j], out=product)
+                m2[i, j] = m2[j, i] = np.add.reduce(product)
+        return cls(n, shift + offset, m2)
+
+    def merge(self, other):
+        """The Moments of both samples' rows, by the pairwise update of Chan,
+        Golub & LeVeque (1983)."""
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        mean = self.mean + delta * (other.n / n)
+        m2 = self.m2 + other.m2 + np.multiply.outer(delta, delta) * (self.n * other.n / n)
+        return Moments(n, mean, m2)
+
+    def se(self, weights):
+        """Standard error of the mean of the per-row combination
+        weights . w: sqrt(weights' m2 weights / (n - 1)) / sqrt(n)."""
+        return _standard_error(float(weights @ self.m2 @ weights), self.n)
 
 
-def _pairwise_sum(leaf_sum, start, stop):
-    """The leaf sums of rows start..stop-1, added up along numpy's pairwise
-    tree.  A module function, not a nested one: a recursive closure is a
-    reference cycle, which would keep its leaf's columns alive until a
-    garbage collection."""
-    if stop - start <= SUM_LEAF:
-        return leaf_sum(start, stop)
-    half = (stop - start) // 2
-    mid = start + half - half % 8
-    return _pairwise_sum(leaf_sum, start, mid) + _pairwise_sum(leaf_sum, mid, stop)
+def _standard_error(m2, n):
+    """np.std(ddof=1) / sqrt(n) of a column whose centred sum of squares
+    is m2; a rounding below 0 counts as 0."""
+    return math.sqrt(max(m2, 0.0) / (n - 1)) / math.sqrt(n)
 
 
-def blocked_sums(leaf_sum, n):
-    """np.add.reduce of each of k columns of n values, bit for bit, in one
-    pass: leaf_sum(start, stop) gives the row_sums of rows start..stop-1 of
-    the k columns, and is called on runs of at most SUM_LEAF rows along
-    numpy's pairwise tree (see the module docstring).  The leaves' vectors
-    add elementwise, so each entry has the bits of its own column's tree."""
-    return _pairwise_sum(leaf_sum, 0, n)
+def _combine(total, part):
+    if isinstance(total, Moments):
+        return total.merge(part)
+    if isinstance(total, (list, tuple)):
+        return type(total)(map(_combine, total, part))
+    return total + part
 
 
-def column_means(columns):
-    """np.mean of each 1-D column of one length, bit for bit, in one pass:
-    float64 columns, or exact integers that sum below 2**53 in any order."""
-    n = columns[0].size
-    return blocked_sums(lambda start, stop: row_sums([c[start:stop] for c in columns]), n) / n
+def merged(parts):
+    """Per-chunk results folded left to right, in the order given (the
+    ascending chunk order of rng.run_chunked): Moments merge, integer
+    counts add, and lists and tuples of them combine position by position."""
+    total = None
+    for part in parts:
+        total = part if total is None else _combine(total, part)
+    return total
 
 
-def _sd(rows, sums, n):
-    """np.std(d, ddof=1) of each of k columns d of n values, bit for bit,
-    given their sums along the leaf tree.  rows(start, stop) gives rows
-    start..stop-1 of the k columns as a (k, stop - start) float64 scratch
-    block, which a leaf centres and squares in place."""
-    mean = (np.asarray(sums) / n)[:, None]
-
-    def square_sum(start, stop):
-        block = rows(start, stop)
-        block -= mean
-        block *= block
-        return row_sums(block)
-
-    return np.sqrt(blocked_sums(square_sum, n) / (n - 1))
+def paired_moments(lhs, rhs):
+    """The Moments of (lhs, rhs, lhs - rhs) over two paired per-row
+    columns, which `inequality_report` reads.  The columns are read
+    CHUNK_SIZE rows at a time, merged in order, so that whole columns reduce
+    as the chunk workers' rows do, with no full-length temporary."""
+    parts = []
+    for start in range(0, lhs.size, CHUNK_SIZE):
+        left, right = lhs[start : start + CHUNK_SIZE], rhs[start : start + CHUNK_SIZE]
+        parts.append(Moments.of((left, right, left - right)))
+    return merged(parts)
 
 
-def inequality_report(name, lhs_sq, rhs_sq, seed):
-    """Build an inequality PairedReport from paired per-draw squared errors:
-    float64 columns, or exact integers in a narrow dtype (see column_means).
-    One pass sums both columns and their difference, one more its squares."""
-    n = lhs_sq.size
+def inequality_report(name, stats, seed):
+    """An inequality PairedReport from `stats`, the Moments of the paired
+    per-draw squared errors (lhs, rhs, lhs - rhs) of paired_moments."""
+    n = stats.n
     check_sample_size(n)
-    buf = np.empty((1, min(n, SUM_LEAF)))
-
-    def diff(start, stop):
-        out = buf[:, : stop - start]
-        np.subtract(lhs_sq[start:stop], rhs_sq[start:stop], out=out[0], dtype=np.float64)
-        return out
-
-    def sums(start, stop):
-        return row_sums([lhs_sq[start:stop], rhs_sq[start:stop], *diff(start, stop)])
-
-    lhs_sum, rhs_sum, diff_sum = blocked_sums(sums, n)
-    lhs, rhs = lhs_sum / n, rhs_sum / n
-    se = _sd(diff, [diff_sum], n)[0] / math.sqrt(n)
+    lhs, rhs = stats.mean[:2]
+    se = _standard_error(stats.m2[2, 2], n)
     return _paired_report(name, lhs, rhs, se, n, seed, lhs <= rhs + INEQUALITY_SLACK_SIGMAS * se)
 
 
-def equality_check(names, lhs, rhs, diff, diff_sums, n, seed):
-    """Build one equality PairedReport per name i, lhs[i] against rhs[i],
-    from difference column i of the per-draw paired differences.
-    diff(start, stop) gives rows start..stop-1 of the difference columns as
-    in _sd, and diff_sums their sums along the leaf tree, which the caller
-    takes in the pass that sums its estimates."""
-    se = _sd(diff, diff_sums, n) / math.sqrt(n)
+def equality_check(names, lhs, rhs, se, n, seed):
+    """One equality PairedReport per name i, lhs[i] against rhs[i], with se[i]
+    the standard error of the mean of their per-draw paired difference."""
     reports = []
     for name, left, right, s in zip(names, lhs, rhs, se, strict=True):
         gap = abs(left - right)

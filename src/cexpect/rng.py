@@ -23,20 +23,19 @@ when the oldest one is taken.  So finished chunks cannot pile up while the
 caller works through the earlier ones, and a worker's exception cancels
 the chunks still queued.
 
-A worker does its experiment's per-row work itself and returns only the
-columns the reports read (squared errors, predictor values; the
-martingale's squared errors as exact integers in a narrow unsigned dtype),
-or, where a report needs no column, the chunk's integer counts (the
-copula-swap lattice cells, which ``run_chunked``'s caller adds in chunk
-order), never the raw draws the columns came from.  Elementwise arithmetic
-gives a row the same value in whichever chunk it runs, and integer counts
-add exactly, so the result does not depend on the chunking; the column
-reductions run after assembly, along the reports' leaf tree.
-``simulate_chunked`` assembles array chunks in place:
-it allocates each output array once, from the first chunk's shape and
-dtype, copies every chunk into its rows as the chunk arrives in that
-order, and drops the chunk, instead of keeping every chunk alive until one
-final concatenation.
+A worker does its experiment's per-row work itself and returns statistics
+of its rows, not the rows: the ``reports.Moments`` (count, means and
+centred co-moments) of the per-row values its reports read, or integer
+counts (the copula-swap lattice cells, the coalition's wins).
+``run_chunked``'s caller merges them left to right in ascending chunk
+order, so the merged statistics depend on the chunking, which is fixed,
+and never on the number of workers.  Only the samples that are kept whole
+return rows: the record chunks their kept sequences, and
+``simulate_chunked`` the order-statistic matrix and the markets of
+``coalition.simulate_market``.  ``simulate_chunked`` allocates each output array
+once, from the first chunk's shape and dtype, copies every chunk into its
+rows as the chunk arrives in that order, and drops the chunk, instead of
+keeping every chunk alive until one final concatenation.
 
 A chunk worker must not start threads of its own: the pool's workers
 already occupy the cores, and extra threads make them wait on each other.
@@ -45,7 +44,8 @@ more than 2**18 multiply-adds on its own threads, and runs a (65536, 6) @
 (6, 6) product on two.  Measured on 2 vCPUs, two pool workers drawing
 Gaussian vectors that way took longer than one.  So
 ``condexp.GaussianVector.sample`` multiplies in row blocks that OpenBLAS
-keeps on the calling thread.
+keeps on the calling thread, and ``reports.Moments.of`` forms co-moments
+from elementwise products, with no BLAS call.
 
 The record stream (tag 4, ``ordered.simulate_records``) uses chunks of 8192
 sequences.  Each chunk draws a (count, depth) block of standard exponentials,

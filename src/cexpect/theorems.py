@@ -7,24 +7,19 @@ inequalities, 4 for identities).  Degenerate cases where both sides are the
 same computation produce margin exactly 0.
 
 Replications run in fixed-size chunks with per-chunk Philox streams (see
-rng.py), so reports are bit-identical for any worker count.  Each chunk
-worker draws its rows and reduces them to the per-row columns its reports
-read: the squared errors of each predictor (exact integers in a narrow
-unsigned dtype for the martingale), or the predictor values with the draws
-they pair with.  Only those columns are assembled across chunks.  The
-reports read them on the calling thread through reports' leaf tree, in
-fused passes of cache-sized blocks: a report's means and standard error,
-and the covariance and sequence-stats checks' column means, centred
-products and paired differences, are formed a leaf at a time, with the
-bits of np.mean, np.sum and np.std over the whole columns (see
-reports.py).  So no operation forms a full-length float64 temporary.  A
-worker computes each row as the whole-array code would, so the bytes of a
-report do not depend on the chunking.
+rng.py).  Each chunk worker draws its rows and reduces them to the
+statistics its reports read: the reports.Moments of the paired squared
+errors (lhs, rhs, lhs - rhs) for an inequality, or of the raw per-row
+variables whose co-moments give the covariance and sequence-stats
+identities.  No column outlives its chunk.  The calling thread merges the
+chunks' Moments in chunk order, so the bytes of a report do not depend on
+the number of workers, and they differ from whole-column np.mean and
+np.std only in their last bits.
 
-Copula-swap keeps no column.  Each worker bins its draws on a lattice at
-the known margins and returns the integer count of each cell; the calling
-thread adds the counts in chunk order, so the report bytes are the same
-for any chunking or worker count.
+Copula-swap keeps no column either.  Each worker bins its draws on a
+lattice at the known margins and returns the integer count of each cell;
+the calling thread adds the counts in chunk order, so the report bytes are
+the same for any chunking or worker count.
 """
 
 import numpy as np
@@ -44,17 +39,16 @@ from .errors import ConstructionError, DomainError, UnsupportedModelError
 from .marginals import Marginal, Normal, Uniform, marginal_from_config
 from .quadrature import tabulate
 from .reports import (
-    SUM_LEAF,
     ExperimentResult,
-    blocked_sums,
+    Moments,
     check_unique_names,
-    column_means,
     equality_check,
     inequality_report,
-    row_sums,
+    merged,
+    paired_moments,
     threshold_report,
 )
-from .rng import check_row_width, run_chunked, simulate_chunked
+from .rng import check_row_width, run_chunked
 
 # Stream tags (part of the reproducibility contract).
 TAG_MAIN = 1
@@ -268,10 +262,10 @@ def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
             y, x = model.sample(rng, count)
             values = columns(x)
             average = values[:, 0] if model.comonotone else values.mean(axis=1)
-            return (y - average) ** 2, (y - values[:, 0]) ** 2
+            return paired_moments((y - average) ** 2, (y - values[:, 0]) ** 2)
 
-        lhs_sq, rhs_sq = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-        reports.append(inequality_report(f"{experiment}/{model.label()}", lhs_sq, rhs_sq, seed))
+        stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+        reports.append(inequality_report(f"{experiment}/{model.label()}", stats, seed))
     return ExperimentResult(experiment, reports, {"battery_size": len(models)})
 
 
@@ -310,16 +304,13 @@ def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None):
     duplicate = v.dim == 2
     # Conditioning on (Y, Z), on Y and on Z; Z = Y collapses all three to Y.
     sets = [(1,)] * 3 if duplicate else [(1, 2), (1,), (2,)]
-    distinct = list(dict.fromkeys(sets))
-    sq_errors = dict(zip(distinct, _conditioning_errors(v, 0, distinct, n_samples, seed, pool)))
-    lhs_sq, rhs_y_sq, rhs_z_sq = (sq_errors[s] for s in sets)
+    by_y, by_z = _conditioning_errors(v, 0, sets, [(0, 1), (0, 2)], n_samples, seed, pool)
     closed = {
         key: v.residual_variance(0, s) for key, s in zip(("mse_both", "mse_y", "mse_z"), sets)
     }
-    mse_y, mse_z = column_means([rhs_y_sq, rhs_z_sq])
-    rhs_sq = rhs_y_sq if mse_y <= mse_z else rhs_z_sq
+    stats = by_y if by_y.mean[1] <= by_z.mean[1] else by_z
     name = "theorem3/duplicate" if duplicate else "theorem3"
-    report = inequality_report(name, lhs_sq, rhs_sq, seed)
+    report = inequality_report(name, stats, seed)
     return ExperimentResult("theorem3", [report], {"closed_form": closed})
 
 
@@ -336,16 +327,19 @@ def _linear_pred(v: GaussianVector, target, given, mat):
     return intercept + mat[:, list(given)] @ coefs
 
 
-def _conditioning_errors(v: GaussianVector, target, index_sets, n_samples, seed, pool):
-    """Per-draw squared errors of E(X_target | X_s), one column per index
-    set s, all on the same draws of `v`."""
+def _conditioning_errors(v: GaussianVector, target, index_sets, pairs, n_samples, seed, pool):
+    """The paired_moments of the squared errors of E(X_target | X_s) for
+    s = index_sets[a] against s = index_sets[b], for each pair (a, b) of
+    `pairs`, all on the same draws of `v`.  A repeated set is one column, so
+    its pairs read an identically 0 difference."""
 
     def worker(rng, count):
         mat = v.sample(rng, count)
         x = mat[:, target]
-        return tuple((x - _linear_pred(v, target, s, mat)) ** 2 for s in index_sets)
+        errors = {s: (x - _linear_pred(v, target, s, mat)) ** 2 for s in dict.fromkeys(index_sets)}
+        return [paired_moments(errors[index_sets[a]], errors[index_sets[b]]) for a, b in pairs]
 
-    return simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
+    return merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
 
 
 def _chain_name(shorter, longer):
@@ -380,13 +374,14 @@ def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, pool=
     """
     target = v.dim - 1
     sets = chain_index_sets(v.dim, index_sets)
-    sq_errors = _conditioning_errors(v, target, sets, n_samples, seed, pool)
+    pairs = [(i + 1, i) for i in range(len(sets) - 1)]
+    stats = _conditioning_errors(v, target, sets, pairs, n_samples, seed, pool)
     closed = [v.residual_variance(target, s) if s else float(v.cov[target, target]) for s in sets]
 
     reports = []
-    for i in range(len(sets) - 1):
+    for i, pair_stats in enumerate(stats):
         name = _chain_name(sets[i], sets[i + 1])
-        reports.append(inequality_report(name, sq_errors[i + 1], sq_errors[i], seed))
+        reports.append(inequality_report(name, pair_stats, seed))
     details = {
         "index_sets": [list(s) for s in sets],
         "closed_form_mse": closed,
@@ -397,50 +392,45 @@ def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, pool=
     return ExperimentResult(experiment="corollary-chain", reports=reports, details=details)
 
 
+def _medians(model: BivariateModel):
+    """The medians of X and Y: constants by which the covariance workers
+    shift their draws, so the products they form stay near the draws' own
+    scale and the quadratic forms of their co-moments do not cancel."""
+    return float(model.marginal_x._quantile(0.5)), float(model.marginal_y._quantile(0.5))
+
+
 def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None):
-    """Cov(E(X|Y), Y) = Cov(E(Y|X), X) = Cov(X, Y), all on common draws."""
+    """Cov(E(X|Y), Y) = Cov(E(Y|X), X) = Cov(X, Y), all on common draws.
+
+    Each covariance is the sum of centred products over n - 1, centred at
+    the sample means, and each report's SE is that of its per-draw paired
+    difference, for example (phi(Y) - mean)(Y - mean) - (X - mean)(Y - mean).
+    No worker knows the sample means, so each returns the Moments of the
+    per-draw variables w = (X, Y, phi(Y), psi(X), phi(Y) Y, psi(X) X, X Y),
+    X and phi(Y) shifted by the median of X, Y and psi(X) by that of Y.  A
+    centred product is then c . w plus a constant, with c set by the merged
+    means, and its difference's variance is the quadratic form of the
+    merged co-moments.
+    """
     phi = model.phi()
     psi = model.psi()
+    mid_x, mid_y = _medians(model)
 
     def worker(rng, count):
         x, y = model.sample(rng, count)
-        return x, y, phi(y), psi(x)
+        phi_y, psi_x = phi(y) - mid_x, psi(x) - mid_y
+        x, y = x - mid_x, y - mid_y
+        return Moments.of((x, y, phi_y, psi_x, phi_y * y, psi_x * x, x * y))
 
-    columns = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    n = n_samples
-    means = column_means(columns)
-    buf = np.empty((4, min(n, SUM_LEAF)))
-
-    def products(start, stop):
-        """Rows start..stop-1 of the centred products psi(X) X, X Y and
-        phi(Y) Y in rows 0, 2 and 3 of a scratch block."""
-        block = buf[:, : stop - start]
-        # Centred X, Y, phi(Y) and psi(X) go to rows 2, 1, 3 and 0.
-        for row, column, mean in zip((2, 1, 3, 0), columns, means):
-            np.subtract(column[start:stop], mean, out=block[row])
-        psi_x, y, x_y, phi_y = block
-        psi_x *= x_y
-        phi_y *= y
-        x_y *= y
-        return block
-
-    def differences(block):
-        """Overwrite rows 1..3 of a products block with the paired
-        differences phi(Y) Y - X Y, psi(X) X - X Y and phi(Y) Y - psi(X) X."""
-        psi_x, _, x_y, phi_y = block
-        np.subtract(phi_y, x_y, out=block[1])
-        np.subtract(psi_x, x_y, out=x_y)
-        np.subtract(phi_y, psi_x, out=phi_y)
-        return block[1:]
-
-    def leaf_sums(start, stop):
-        block = products(start, stop)
-        psi_x, _, x_y, phi_y = block
-        covariance_sums = row_sums((psi_x, x_y, phi_y))
-        return np.concatenate([covariance_sums, row_sums(differences(block))])
-
-    sums = blocked_sums(leaf_sums, n)
-    cov_psi, cov_xy, cov_phi = sums[:3] / (n - 1)
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    cov = stats.m2 / (n_samples - 1)
+    cov_xy, cov_phi, cov_psi = cov[0, 1], cov[2, 1], cov[3, 0]
+    # (phi(Y) - m)(Y - m), (psi(X) - m)(X - m) and (X - m)(Y - m) as c . w.
+    mx, my, mphi, mpsi = stats.mean[:4]
+    phi_y, psi_x, x_y = np.zeros((3, 7))
+    phi_y[[4, 2, 1]] = 1.0, -my, -mphi
+    psi_x[[5, 3, 0]] = 1.0, -mx, -mpsi
+    x_y[[6, 0, 1]] = 1.0, -my, -mx
     checks = equality_check(
         [
             "covariance/cov(phi(Y),Y)=cov(X,Y)",
@@ -449,9 +439,8 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
         ],
         [cov_phi, cov_psi, cov_phi],
         [cov_xy, cov_xy, cov_psi],
-        lambda start, stop: differences(products(start, stop)),
-        sums[3:],
-        n,
+        [stats.se(phi_y - x_y), stats.se(psi_x - x_y), stats.se(phi_y - psi_x)],
+        n_samples,
         seed,
     )
     return ExperimentResult(experiment="covariance", reports=checks)
@@ -531,50 +520,35 @@ def verify_copula_theorem(models, tables, n_samples, seed, pool=None):
 def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
     """Predicted-sequence identities for (X1, X2) with Y2 = E(X2 | X1):
     E Y2 = E X2 and Cov(Y1, Y2) = Cov(X1, X2), where Y1 = X1.
+
+    The covariances are centred at the sample means.  The paired
+    differences are Y2 - X2 and (X1 - mean X1)(Y2 - X2).  As in
+    verify_covariance_identity, each worker returns the Moments of the
+    per-draw variables (X1, X2, Y2, X1 X2, X1 Y2), X1 shifted by its median
+    and X2 and Y2 by that of X2, and each difference is a combination of
+    them with weights set by the merged means.
     """
     psi = model.psi()  # x1 -> E(X2 | X1 = x1)
+    mid_1, mid_2 = _medians(model)
 
     def worker(rng, count):
         x1, x2 = model.sample(rng, count)
-        return x1, x2, psi(x1)
+        y2 = psi(x1) - mid_2
+        x1, x2 = x1 - mid_1, x2 - mid_2
+        return Moments.of((x1, x2, y2, x1 * x2, x1 * y2))
 
-    columns = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    x1, x2, y2 = columns
-    n = n_samples
-    mean_x1, mean_x2, mean_y2 = column_means(columns)
-    buf = np.empty((3, min(n, SUM_LEAF)))
-
-    def centred(start, stop):
-        """A scratch block whose row 0 holds rows start..stop-1 of X1 centred."""
-        block = buf[:, : stop - start]
-        np.subtract(x1[start:stop], mean_x1, out=block[0])
-        return block
-
-    def differences(block, start, stop):
-        """Overwrite rows 1 and 2 of a centred block with rows start..stop-1
-        of the paired differences Y2 - X2 and X1 (Y2 - X2), X1 centred."""
-        x1c, diff, cov_diff = block
-        np.subtract(y2[start:stop], x2[start:stop], out=diff)
-        np.multiply(x1c, diff, out=cov_diff)
-        return block[1:]
-
-    def leaf_sums(start, stop):
-        block = centred(start, stop)
-        x1c, pred, raw = block
-        np.multiply(x1c, np.subtract(y2[start:stop], mean_y2, out=pred), out=pred)
-        np.multiply(x1c, np.subtract(x2[start:stop], mean_x2, out=raw), out=raw)
-        covariance_sums = row_sums(block[1:])
-        return np.concatenate([covariance_sums, row_sums(differences(block, start, stop))])
-
-    sums = blocked_sums(leaf_sums, n)
-    cov_pred, cov_raw = sums[:2] / (n - 1)
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    cov = stats.m2 / (n_samples - 1)
+    m1 = stats.mean[0]
+    # Y2 - X2, and (X1 - m1)(Y2 - X2) = X1 Y2 - X1 X2 - m1 Y2 + m1 X2.
+    mean_diff = np.array([0.0, -1.0, 1.0, 0.0, 0.0])
+    cov_diff = np.array([0.0, m1, -m1, -1.0, 1.0])
     checks = equality_check(
         ["sequence-stats/mean(Y2)=mean(X2)", "sequence-stats/cov(Y1,Y2)=cov(X1,X2)"],
-        [mean_y2, cov_pred],
-        [mean_x2, cov_raw],
-        lambda start, stop: differences(centred(start, stop), start, stop),
-        sums[2:],
-        n,
+        [stats.mean[2] + mid_2, cov[0, 2]],
+        [stats.mean[1] + mid_2, cov[0, 1]],
+        [stats.se(mean_diff), stats.se(cov_diff)],
+        n_samples,
         seed,
     )
     return ExperimentResult(experiment="sequence-stats", reports=checks)
@@ -629,12 +603,11 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     n = int(walk_length)
     given = [sorted(int(k) for k in subset) for subset in subsets]
     subsets = martingale_subsets(n, given)
+    latest = [subset[-1] if subset else 0 for subset in subsets]
     predictors = martingale_predictors(n, subsets)
-    # |S_k| <= n + 1, so the narrowest signed type holding -(n + 2) holds the
-    # walk, and |S_{n+1} - S_k| <= n + 1, so the narrowest unsigned type
-    # holding (n + 1)**2 holds each squared error.
+    # |S_k| <= n + 1 and |S_{n+1} - S_k| <= n + 1, so the narrowest signed
+    # type holding -(n + 2) holds the walk and each error.
     walk_dtype = np.min_scalar_type(-(n + 2))
-    error_dtype = np.min_scalar_type((n + 1) ** 2)
 
     def worker(rng, count):
         steps = rng.integers(0, 2, size=(count, n + 1)).astype(walk_dtype)
@@ -642,22 +615,20 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
         steps -= 1
         walk = np.cumsum(steps, axis=1, dtype=walk_dtype)
         s_next = walk[:, n]
-        errors = []
-        for k in predictors:
-            error = np.abs(s_next - walk[:, k - 1] if k else s_next).astype(error_dtype)
-            error *= error
-            errors.append(error)
-        return tuple(errors)
+        # Squared errors of S_k as a predictor of S_{n+1}, one column per k.
+        sq = {
+            k: np.square(s_next - walk[:, k - 1] if k else s_next, dtype=np.float64)
+            for k in predictors
+        }
+        return [paired_moments(sq[n], sq[k]) for k in predictors]
 
-    # Squared errors of S_k as a predictor of S_{n+1}, one column per k.
-    columns = simulate_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool)
-    sq_errors = dict(zip(predictors, columns))
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    by_predictor = dict(zip(predictors, stats))
     reports = []
     details = {}
-    for subset, indices in zip(subsets, given):
-        k = subset[-1] if subset else 0
+    for k, indices in zip(latest, given):
         name = _subset_name(indices)
-        reports.append(inequality_report(name, sq_errors[n], sq_errors[k], seed))
+        reports.append(inequality_report(name, by_predictor[k], seed))
         # perfbench's exact-rhs oracle reads the exact MSEs, keyed by subset.
         details[name.removeprefix("martingale/")] = {
             "exact_lhs": 1.0,

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cexpect import cli, coalition, rng
@@ -12,7 +13,14 @@ from cexpect.cli import validate_config
 from cexpect.coalition import market_from_config
 from cexpect.config import Fields
 from cexpect.marginals import MaxOfIid
-from cexpect.reports import CSV_HEADER, ExperimentResult, canonical_config_hash, threshold_report
+from cexpect.reports import (
+    CSV_HEADER,
+    MAX_SAMPLE_CELLS,
+    ExperimentResult,
+    Moments,
+    canonical_config_hash,
+    threshold_report,
+)
 
 NORMAL = {"family": "normal", "mean": 0.0, "sd": 1.0}
 
@@ -392,12 +400,14 @@ def test_rejected_config_names_its_field(case, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_copula_swap_admits_the_n_samples_of_three_kept_columns():
-    # Copula-swap keeps only lattice counts; its reader still declares 3
-    # columns, so the admitted n_samples stay MAX_SAMPLE_CELLS // 3.
-    assert validate_config(_suite_with("copula-swap", n_samples=44_739_242)) == []
-    diagnostics = validate_config(_suite_with("copula-swap", n_samples=44_739_243))
-    assert [d.field for d in diagnostics] == ["n_samples"]
+def test_copula_swap_admits_the_n_samples_of_the_row_bound():
+    # Copula-swap keeps only lattice counts and declares width 0, so it
+    # admits MAX_SAMPLE_CELLS rows; order-stats keeps its (n_samples, n)
+    # matrix, n = 5 here, and is bounded by the cells.
+    for name, limit in (("copula-swap", MAX_SAMPLE_CELLS), ("order-stats", MAX_SAMPLE_CELLS // 5)):
+        assert validate_config(_suite_with(name, n_samples=limit)) == []
+        diagnostics = validate_config(_suite_with(name, n_samples=limit + 1))
+        assert [d.field for d in diagnostics] == ["n_samples"]
 
 
 def test_unresolved_coalition_predictor_rejected_at_read_time(tmp_path, capsys, monkeypatch):
@@ -416,28 +426,52 @@ def test_unresolved_coalition_predictor_rejected_at_read_time(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _nbytes(part):
+    """Bytes of a chunk result: arrays, integers, Moments, and the lists
+    and tuples that hold them."""
+    if isinstance(part, Moments):
+        return part.mean.nbytes + part.m2.nbytes
+    if isinstance(part, (list, tuple)):
+        return sum(map(_nbytes, part))
+    return np.asarray(part).nbytes
+
+
 def _columns_per_row(part):
+    """Columns per row of a column-keeping chunk result: a (count, ...)
+    array, or a tuple of them."""
     arrays = part if isinstance(part, tuple) else (part,)
     return sum(math.prod(a.shape[1:]) for a in arrays)
 
 
 @pytest.mark.parametrize("name", sorted(cli.default_suite()))
 def test_declared_width_covers_the_kept_columns(name, monkeypatch):
-    # The reader's width bounds n_samples before any draw, so it must cover
-    # every column a chunk of the operation returns.
+    # The reader's width bounds n_samples before any draw.  An operation
+    # that declares width 0 streams: its chunk results do not grow with a
+    # chunk's rows.  Any other must cover every column a chunk returns.
     cfg = cli.default_suite()[name]
     f = Fields(cfg)
     f.read.update(("experiment", "seed", "n_samples"))
     call, width = cli.EXPERIMENTS[name](f)
     f.close(None)
-    seen = []
     chunk_results = rng._chunk_results
 
-    def spy(*args):
-        for part in chunk_results(*args):
-            seen.append(_columns_per_row(part))
-            yield part
+    def chunks_of(n_samples):
+        seen = []
 
-    monkeypatch.setattr(rng, "_chunk_results", spy)
-    call(5000, cfg["seed"], pool=None)
-    assert seen and max(seen) <= width
+        def spy(*args):
+            for part in chunk_results(*args):
+                seen.append(part)
+                yield part
+
+        monkeypatch.setattr(rng, "_chunk_results", spy)
+        call(n_samples, cfg["seed"], pool=None)
+        assert seen
+        return seen
+
+    # One chunk each, of 5000 and 8000 rows.
+    small, large = chunks_of(5000), chunks_of(8000)
+    if width == 0:
+        assert list(map(_nbytes, small)) == list(map(_nbytes, large))
+    else:
+        assert max(map(_columns_per_row, small + large)) <= width
+        assert sum(map(_nbytes, large)) > sum(map(_nbytes, small))

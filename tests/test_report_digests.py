@@ -3,13 +3,14 @@ and coalition experiments, pinned.
 
 Each config runs at 2 * CHUNK_SIZE + 12345 rows: three chunks, the last one
 ragged.  The per-row work of these experiments runs inside the chunk
-workers, which return only the columns a report reads; elementwise
-arithmetic gives the same value per row in whichever chunk it runs, so no
-digest moved when that work moved into the workers.  A digest moves only
-with a declared change of report bytes.  `--workers 1` and `2` must agree.
+workers, which return the statistics of their rows; the calling thread
+merges them in chunk order, so the bytes depend on the fixed chunking and
+not on the worker count.  A digest moves only with a declared change of
+report bytes.  `--workers 1` and `2` must agree.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -35,8 +36,8 @@ def configs():
     coalition config also has non-uniform brokers and a max-of-two
     outsider.  The second order-stats config has a k == l case and Markov
     checks on uniform and exponential marginals; one coalition config has
-    a single broker.  The 128-step martingale keeps uint16 squared errors,
-    the default one uint8."""
+    a single broker.  The 128-step martingale walks in int16, the default
+    one in int8."""
     dependent_brokers = {"count": 3, "marginal": NORMAL, "rho_xx": 0.4}
     order_cases = [
         {"marginal": UNIFORM, "n": 4, "k": 2, "l": 2, "markov_check": True},
@@ -79,35 +80,34 @@ def report_digest(cfg, workers):
 
 
 # Recorded for report schema version 2: every report is a PairedReport, and
-# the details repeat no report field.
+# the details repeat no report field.  Re-recorded once when the chunk
+# workers began to return per-chunk statistics, merged in chunk order: the
+# values moved only in their last bits (see PINNED below), and the digests
+# of theorem3-duplicate, covariance, copula-swap and martingale-128 did not
+# move.
 DIGESTS = {
-    "theorem1": "83be096233751bc6ecee160030f71e8fa0df247fc34a707db2253d5d8781763e",
-    "theorem2": "f43b52c020fd411437ced168d268b8b5b41fe53b469586c95040e441dc9b63c0",
-    "theorem3": "2f72cc5cab37ed78933381ee157508bca98f50431f7ed0786c3345bbd9713973",
+    "theorem1": "16cb635e7dffa36df962d02e07aef50eb9303bbc7c9d00f5a7644e0122b0dec4",
+    "theorem2": "218b01a63e85b4ced42d48aa2a48e74ae4c17c44676e11f1c9defbf67abb364b",
+    "theorem3": "45b9d6b42afc2ab1c9164a4b6420a75c594c150d17e607823a1eb950946ca288",
     "theorem3-duplicate": "528b8c0fd4c65b4ee5d3640c6eb31d686fcf389f666d1335b6fe909add904e42",
-    "corollary-chain": "074675e4598c15e24cabf1952810b51df128994348ddf01c09ca54ab2c955c69",
-    "corollary-chain-empty": "e651b3f1e60d910ab897e576988ff09bd9c9227faa46c326b5df7053d3232a48",
+    "corollary-chain": "cc868ca3659c13b97a7d8c12a1092067a740eb127898490a8a271f20de84dd0f",
+    "corollary-chain-empty": "aad6a2fa9beffbf65a1b7055bdc4152625969d2d41084829b2b3ebbf9e7be368",
     "covariance": "6bec93cd8cc177d431053b528192a7d5e17f104ad58fcd88a9d05f8936a078bb",
-    "covariance-clayton": "669cf7267df9183f115e95ca7d2f2a7e8d868cf425fed4f3db53bae5d3925d36",
+    "covariance-clayton": "7cd9671d746bc428a26d5abfc601d016f1a89869cc522b17639f1bb83bee0bc7",
     # Re-recorded when the report became the largest lattice |z| at the
     # known margins, with each table's smallest relative step in the details.
     "copula-swap": "57e1c2b2c1c0732fea4ab78d44ff5f3b613c3a31fa67405d5d623cf5acb4a975",
-    "sequence-stats": "912937875967eb36685479caf08861b37c955ff7938ed307a1285ce5ea6323fb",
-    "sequence-stats-clayton": "f0e94455bf4a39ae8fb7b96064f3460471fb3cdbac1a1bbc9d7f40db2552dc5b",
-    # Recorded on whole-column products and differences, before the leaf
-    # passes.
-    "sequence-stats-clayton-uniform": "4b328cd55459d70980e27b68f5cd4068b3f286eb764e760b5e2b7cae1e5e8daf",
-    "martingale": "c181efdf8b1d19efcc5fa35f72022425aabf203682d749667a1f66a75f97e2b6",
-    # Recorded on the float64 walk errors, before the workers returned
-    # narrow-integer squared errors (uint16 at this length).
+    "sequence-stats": "232a6b2ec936d99b674b4b1ba867e6add177c10068190ddad1e45939be5c6f4c",
+    "sequence-stats-clayton": "0ca16f505c440c4513c0c7231654ef652ff6e3b7558dd61d2659f55b7b6e9152",
+    "sequence-stats-clayton-uniform": "8dd046e6abbc0c26443efa490ba47affc152e37fbaf744db89bad511c1319f85",
+    "martingale": "1fe8333b214dc40f989d5a376046168e211565ddfa80b4e71a025dde4e9a7016",
     "martingale-128": "b60954d224fa5e4ad890a222da2c4ace0aabfd4996aec2ea4a66de7e0675571c",
-    "order-stats": "c9df05705fceae6fb9ec77c4d0a4c2c6dd27d570a83c1118e7baf9c2e598bd3f",
-    "order-stats-markov": "eec22ed2528ef76aeb45b7218dbf22161d07eb645a3fc1e7e643eb767fa274ca",
-    "records": "09d59106daff13616531b5de0718de39abe4be292438c061d0e988231d20bfc5",
-    "coalition": "17a4b3268288b64d5ff1efb0ac268bada6fc34748bd1af89a965fc04716acb44",
-    "coalition-one-broker": "c6c27a65514b3526322920773491e1b5ebde2e4829f811cdf59d808e8159253f",
-    # Re-recorded when the dependent-broker predictor became the exact table.
-    "coalition-dependent": "2ecc4b119608be68ee10165deded619a99d6ca11929c183dc56c334c421437ed",
+    "order-stats": "6d5eb657ea3f3fcdbaa15a8a51b11bf5d5f78293603098b16a2b5bfd76e41350",
+    "order-stats-markov": "e5108cabba5fef1470861af63c5a99648c6cb329d642d994dc952a1a9df4ccf5",
+    "records": "3d6b7c52b6d8955c65ddd6496affadbd06ff4a0c762b5464f22d6b36e7b00108",
+    "coalition": "2c3445039ba3f81575e01fec6f49f087f2f627f9d46a0159a86b763de1eecec7",
+    "coalition-one-broker": "741a4cb7be868bc5243338384b4453022013fac9ba5d53ba12cd5193a7e639de",
+    "coalition-dependent": "f30e6127d22d08a7e1714f75e551699ee01f65712c9ef5bc0927248663b72aa8",
 }
 
 
@@ -116,3 +116,224 @@ def test_report_bytes_pinned_for_any_worker_count(label, cfg):
     one = report_digest(cfg, workers=1)
     assert report_digest(cfg, workers=2) == one
     assert one == DIGESTS[label], one
+
+
+# (name, lhs, rhs, se, satisfied) of every report of configs(), recorded on
+# the whole-column reductions that came before per-chunk statistics.  Merging
+# each chunk's statistics in chunk order moves a report's values only in
+# their last bits, so these hold within 1e-10 relative, the verdicts and
+# names exactly, and an se of exactly 0 (a difference column that is
+# identically 0) stays exactly 0.
+PINNED = {
+    'theorem1': [
+        ('theorem1/gaussian-copies(n=1,rxx=0,rxy=0.2)',
+         0.9637752075297112, 0.9637752075297112, 0.0, True),
+        ('theorem1/gaussian-copies(n=1,rxx=0,rxy=0.5)',
+         0.7510828736358682, 0.7510828736358682, 0.0, True),
+        ('theorem1/gaussian-copies(n=2,rxx=0,rxy=0.2)',
+         0.9435711005624775, 0.9637313572739842, 0.0007283134899619654, True),
+        ('theorem1/gaussian-copies(n=2,rxx=0,rxy=0.5)',
+         0.6269781724924774, 0.7524745986479614, 0.0015457491949936108, True),
+        ('theorem1/gaussian-copies(n=2,rxx=0.3,rxy=0.2)',
+         0.9495882559305101, 0.9637313572739842, 0.0006103697342386142, True),
+        ('theorem1/gaussian-copies(n=2,rxx=0.3,rxy=0.5)',
+         0.6645296910170755, 0.7524745986479614, 0.0013106247312624601, True),
+        ('theorem1/gaussian-copies(n=2,rxx=0.9,rxy=0.2)',
+         0.9616862427838317, 0.9637313572739842, 0.0002317198073948638, True),
+        ('theorem1/gaussian-copies(n=2,rxx=0.9,rxy=0.5)',
+         0.7398977861897335, 0.7524745986479614, 0.0005091025866600674, True),
+        ('theorem1/gaussian-copies(n=3,rxx=0,rxy=0.2)',
+         0.9318513285051012, 0.9582882989183594, 0.0008384699247616991, True),
+        ('theorem1/gaussian-copies(n=3,rxx=0,rxy=0.5)',
+         0.582405737203613, 0.7486775043645298, 0.001756225635465177, True),
+        ('theorem1/gaussian-copies(n=3,rxx=0.3,rxy=0.2)',
+         0.9397684425879326, 0.9582882989183594, 0.0007037278411423047, True),
+        ('theorem1/gaussian-copies(n=3,rxx=0.3,rxy=0.5)',
+         0.6322900149996554, 0.7486775043645298, 0.001498294670783502, True),
+        ('theorem1/gaussian-copies(n=3,rxx=0.9,rxy=0.2)',
+         0.9556326870265232, 0.9582882989183594, 0.00026748792320602775, True),
+        ('theorem1/gaussian-copies(n=3,rxx=0.9,rxy=0.5)',
+         0.7321018653409872, 0.7486775043645298, 0.00058759132052914, True),
+        ('theorem1/gaussian-copies(n=5,rxx=0,rxy=0.2)',
+         0.9306926291421688, 0.9632682685337971, 0.0009224430963194165, True),
+        ('theorem1/gaussian-copies(n=5,rxx=0.3,rxy=0.2)',
+         0.9403926631408724, 0.9632682685337971, 0.0007720259323838507, True),
+        ('theorem1/gaussian-copies(n=5,rxx=0.3,rxy=0.5)',
+         0.6115232130110998, 0.753260319377578, 0.001636105611857903, True),
+        ('theorem1/gaussian-copies(n=5,rxx=0.9,rxy=0.2)',
+         0.9599812465092468, 0.9632682685337971, 0.0002915189891722839, True),
+        ('theorem1/gaussian-copies(n=5,rxx=0.9,rxy=0.5)',
+         0.7327806080185737, 0.753260319377578, 0.0006405999566288157, True),
+        ('theorem1/gaussian-copies(n=3,comono,rxy=0.5)',
+         0.7510828736358682, 0.7510828736358682, 0.0, True),
+        ('theorem1/gaussian-copies(n=5,comono,rxy=0.2)',
+         0.9637752075297112, 0.9637752075297112, 0.0, True),
+        ('theorem1/cond-iid(n=3,beta=0.8)',
+         0.1909222446524155, 0.3385400910509235, 0.0008922981474657563, True),
+    ],
+    'theorem2': [
+        ('theorem2/gaussian-copies(n=1,rxx=0,rxy=0.2)',
+         1.590230980844971, 1.590230980844971, 0.0, True),
+        ('theorem2/gaussian-copies(n=1,rxx=0,rxy=0.5)',
+         0.9936184562878954, 0.9936184562878954, 0.0, True),
+        ('theorem2/gaussian-copies(n=2,rxx=0,rxy=0.2)',
+         1.100380245326874, 1.5966399120725099, 0.00433798650544361, True),
+        ('theorem2/gaussian-copies(n=2,rxx=0,rxy=0.5)',
+         0.5002141894366535, 0.9971045639110488, 0.0032289396757801143, True),
+        ('theorem2/gaussian-copies(n=2,rxx=0.3,rxy=0.2)',
+         1.2494659074625287, 1.5966399120725099, 0.0037295520196877372, True),
+        ('theorem2/gaussian-copies(n=2,rxx=0.3,rxy=0.5)',
+         0.6495015773823025, 0.9971045639110488, 0.0028342556540567176, True),
+        ('theorem2/gaussian-copies(n=2,rxx=0.9,rxy=0.2)',
+         1.5471018394131102, 1.5966399120725099, 0.0014816782660995093, True),
+        ('theorem2/gaussian-copies(n=2,rxx=0.9,rxy=0.5)',
+         0.9474447416967203, 0.9971045639110488, 0.0011657003582469382, True),
+        ('theorem2/gaussian-copies(n=3,rxx=0,rxy=0.2)',
+         0.930299181517334, 1.5893859977351805, 0.004837308681010899, True),
+        ('theorem2/gaussian-copies(n=3,rxx=0,rxy=0.5)',
+         0.3328052924535945, 0.9932942324421818, 0.0035004519307237597, True),
+        ('theorem2/gaussian-copies(n=3,rxx=0.3,rxy=0.2)',
+         1.1274357923227574, 1.5893859977351805, 0.004209887163843667, True),
+        ('theorem2/gaussian-copies(n=3,rxx=0.3,rxy=0.5)',
+         0.530836180764943, 0.9932942324421818, 0.003146481652899275, True),
+        ('theorem2/gaussian-copies(n=3,rxx=0.9,rxy=0.2)',
+         1.5221451865568907, 1.5893859977351805, 0.0017045602685458723, True),
+        ('theorem2/gaussian-copies(n=3,rxx=0.9,rxy=0.5)',
+         0.9262497615930886, 0.9932942324421818, 0.001337721910659772, True),
+        ('theorem2/gaussian-copies(n=5,rxx=0,rxy=0.2)',
+         0.8008471665530377, 1.5884303893626308, 0.005159118612912255, True),
+        ('theorem2/gaussian-copies(n=5,rxx=0.3,rxy=0.2)',
+         1.037583991649438, 1.5884303893626308, 0.0045185161369948185, True),
+        ('theorem2/gaussian-copies(n=5,rxx=0.3,rxy=0.5)',
+         0.4391166367606924, 0.9928053059507245, 0.003340182134957064, True),
+        ('theorem2/gaussian-copies(n=5,rxx=0.9,rxy=0.2)',
+         1.5102744352947346, 1.5884303893626308, 0.0018562151573242897, True),
+        ('theorem2/gaussian-copies(n=5,rxx=0.9,rxy=0.5)',
+         0.9139108315850103, 0.9928053059507245, 0.001456064036236477, True),
+        ('theorem2/gaussian-copies(n=3,comono,rxy=0.5)',
+         0.9936184562878954, 0.9936184562878954, 0.0, True),
+        ('theorem2/gaussian-copies(n=5,comono,rxy=0.2)',
+         1.590230980844971, 1.590230980844971, 0.0, True),
+        ('theorem2/cond-iid(n=3,beta=0.8)',
+         0.15091375954733705, 0.3756584137129799, 0.0009307025543979156, True),
+    ],
+    'theorem3': [
+        ('theorem3', 0.6673624065815512, 0.7501588814206627, 0.0012755194999094443, True),
+    ],
+    'theorem3-duplicate': [
+        ('theorem3/duplicate', 0.7516952385481638, 0.7516952385481638, 0.0, True),
+    ],
+    'corollary-chain': [
+        ('corollary-chain/[0]->[0, 1]',
+         0.8629250905047684, 0.9441467995092363, 0.0014421650233488912, True),
+        ('corollary-chain/[0, 1]->[0, 1, 2]',
+         0.6361211648651489, 0.8629250905047684, 0.002200861667731252, True),
+    ],
+    'corollary-chain-empty': [
+        ('corollary-chain/[]->[1]',
+         0.8629250905047684, 0.9898723155549523, 0.0018313930118854676, True),
+        ('corollary-chain/[1]->[0, 1, 2]',
+         0.6361211648651489, 0.8629250905047684, 0.002200861667731252, True),
+    ],
+    'covariance': [
+        ('covariance/cov(phi(Y),Y)=cov(X,Y)',
+         0.49994675088536944, 0.4962079370612135, 0.0022798200565431466, True),
+        ('covariance/cov(psi(X),X)=cov(X,Y)',
+         0.4977791753920853, 0.4962079370612135, 0.002290352548595699, True),
+        ('covariance/cov(phi(Y),Y)=cov(psi(X),X)',
+         0.49994675088536944, 0.4977791753920853, 0.002279744499572107, True),
+    ],
+    'covariance-clayton': [
+        ('covariance/cov(phi(Y),Y)=cov(X,Y)',
+         0.518324814901953, 0.5153651883719232, 0.0021685770189770795, True),
+        ('covariance/cov(psi(X),X)=cov(X,Y)',
+         0.5181994121066766, 0.5153651883719232, 0.0018743097435091891, True),
+        ('covariance/cov(phi(Y),Y)=cov(psi(X),X)',
+         0.518324814901953, 0.5181994121066766, 0.001872417373638124, True),
+    ],
+    'copula-swap': [
+        ('copula-swap/gaussian#0/swapped', 2.3853841782518144, 5.061181344720433, 0.0, True),
+        ('copula-swap/gaussian#1/swapped', 2.2532583453590562, 5.061181344720433, 0.0, True),
+        ('copula-swap/gaussian#2/swapped', 2.245980690781714, 5.061181344720433, 0.0, True),
+        ('copula-swap/clayton#3/swapped', 2.571181558587087, 5.061181344720433, 0.0, True),
+    ],
+    'sequence-stats': [
+        ('sequence-stats/mean(Y2)=mean(X2)',
+         -0.0019004357678935099, -0.0018347644566991564, 0.002109894665923773, True),
+        ('sequence-stats/cov(Y1,Y2)=cov(X1,X2)',
+         0.6046739835834545, 0.5997528123682391, 0.00211931381395441, True),
+    ],
+    'sequence-stats-clayton': [
+        ('sequence-stats/mean(Y2)=mean(X2)',
+         -0.0011961102028490468, 0.0007043067925593589, 0.001836963980677863, True),
+        ('sequence-stats/cov(Y1,Y2)=cov(X1,X2)',
+         0.5212037426755971, 0.5207014283393492, 0.001873888196840576, True),
+    ],
+    'sequence-stats-clayton-uniform': [
+        ('sequence-stats/mean(Y2)=mean(X2)',
+         0.49978440157370346, 0.5000052564978936, 0.0005406802599696633, True),
+        ('sequence-stats/cov(Y1,Y2)=cov(X1,X2)',
+         0.05681146451795533, 0.056721289880382324, 0.0001379976369182974, True),
+    ],
+    'martingale': [
+        ('martingale/subset=[1, 2, 3, 4, 5]', 1.0, 1.0, 0.0, True),
+        ('martingale/subset=[1]', 1.0, 4.964550924925218, 0.01659232045577826, True),
+        ('martingale/subset=[3]', 1.0, 2.9943521339869053, 0.00913865012308195, True),
+        ('martingale/subset=[5]', 1.0, 1.0, 0.0, True),
+        ('martingale/subset=[]', 1.0, 5.954245312619843, 0.020351556519831233, True),
+    ],
+    'martingale-128': [
+        ('martingale/subset=[1]', 1.0, 128.31315673874087, 0.479946958613995, True),
+        ('martingale/subset=[64]', 1.0, 64.69108264710599, 0.24187702912616083, True),
+        ('martingale/subset=[128]', 1.0, 1.0, 0.0, True),
+        ('martingale/subset=[]', 1.0, 129.34255353270532, 0.4831922215619463, True),
+    ],
+    'order-stats': [
+        ('order-stats/uniform(n=5,k=3,l=4)',
+         0.011896749294999074, 0.015948447996949028, 4.2630033964685594e-05, True),
+        ('order-stats/markov/uniform(n=5)', 2.164231533536079, 4.0, 0.0, True),
+        ('order-stats/exponential(n=5,k=3,l=4)',
+         1.0084066381981671, 1.2624114023654318, 0.0032035999798459536, True),
+    ],
+    'order-stats-markov': [
+        ('order-stats/uniform(n=4,k=2,l=2)', 0.022219441135512476, 0.022219441135512476, 0.0, True),
+        ('order-stats/markov/uniform(n=4)', 2.530003694835949, 4.0, 0.0, True),
+        ('order-stats/exponential(n=5,k=2,l=4)',
+         1.0084066381981671, 1.372492099378263, 0.0038041697555902254, True),
+        ('order-stats/markov/exponential(n=5)', 1.7961854547713743, 4.0, 0.0, True),
+    ],
+    'records': [
+        ('records', 1.1352404023576306, 2.091196808052362, 0.008432616008378043, True),
+    ],
+    'coalition': [
+        ('coalition/broker1',
+         0.015537522295179535, 0.01741461518317848, 1.8203741631445334e-05, True),
+        ('coalition/broker2',
+         0.015537522295179535, 0.017437022358124245, 1.808375774544374e-05, True),
+        ('coalition/broker3',
+         0.015537522295179535, 0.01741335724400479, 1.8098135055107748e-05, True),
+        ('coalition/broker4',
+         0.015537522295179535, 0.017449112907083567, 1.8171856506872374e-05, True),
+    ],
+    'coalition-one-broker': [
+        ('coalition/broker1', 0.033442333980559596, 0.033442333980559596, 0.0, True),
+    ],
+    'coalition-dependent': [
+        ('coalition/broker1', 1.0328705341156492, 1.052943986096033, 0.0005854803881454759, True),
+        ('coalition/broker2', 1.0328705341156492, 1.052098889014948, 0.0005927913103776254, True),
+        ('coalition/broker3', 1.0328705341156492, 1.0508923115315814, 0.0005953526143017722, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("label, cfg", configs(), ids=[label for label, _ in configs()])
+def test_reports_move_only_in_their_last_bits(label, cfg):
+    reports = cli.run_experiment(cfg, workers=1).reports
+    assert [r.name for r in reports] == [row[0] for row in PINNED[label]]
+    for report, (_, lhs, rhs, se, satisfied) in zip(reports, PINNED[label]):
+        assert report.satisfied == satisfied
+        values = (report.lhs_estimate, report.rhs_estimate, report.paired_diff_se)
+        for got, pinned in zip(values, (lhs, rhs, se)):
+            assert math.isclose(got, pinned, rel_tol=1e-10), (report.name, got, pinned)
+        if se == 0.0:
+            assert report.paired_diff_se == 0.0

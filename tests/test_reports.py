@@ -1,8 +1,10 @@
-"""Report construction rules and byte-deterministic serialization."""
+"""Report construction rules, the per-chunk statistics reports read, and
+byte-deterministic serialization."""
 
 import json
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,36 +12,36 @@ from hypothesis import given, settings, strategies as st
 
 from cexpect.reports import (
     CSV_HEADER,
-    SUM_LEAF,
     ExperimentResult,
-    blocked_sums,
+    Moments,
     canonical_config_hash,
-    column_means,
     equality_check,
     inequality_report,
+    merged,
+    paired_moments,
     render_csv,
     render_json,
-    row_sums,
     threshold_report,
 )
+from cexpect.rng import CHUNK_SIZE, run_chunked
+
+
+def _inequality(name, lhs, rhs, seed):
+    """The inequality_report of two paired columns held whole."""
+    return inequality_report(name, paired_moments(lhs, rhs), seed)
 
 
 def _equality(name, lhs, rhs, diff, seed):
     """The equality_check of one difference column held whole."""
-    n = diff.size
-
-    def rows(start, stop):
-        return diff[None, start:stop].copy()
-
-    diff_sums = blocked_sums(lambda start, stop: row_sums(rows(start, stop)), n)
-    return equality_check([name], [lhs], [rhs], rows, diff_sums, n, seed)[0]
+    se = Moments.of((diff,)).se(np.ones(1))
+    return equality_check([name], [lhs], [rhs], [se], diff.size, seed)[0]
 
 
 def test_inequality_satisfied_rule():
     rng = np.random.default_rng(1)
     rhs = rng.random(2000) + 1.0
     lhs = rhs - 0.5 + 0.01 * rng.standard_normal(2000)
-    r = inequality_report("t", lhs, rhs, seed=7)
+    r = _inequality("t", lhs, rhs, seed=7)
     assert r.satisfied
     assert r.margin_sigmas > 3
     assert r.lhs_estimate == pytest.approx(r.rhs_estimate - 0.5, abs=1e-3)
@@ -49,14 +51,14 @@ def test_inequality_violated():
     rng = np.random.default_rng(2)
     rhs = rng.random(2000)
     lhs = rhs + 1.0
-    r = inequality_report("t", lhs, rhs, seed=7)
+    r = _inequality("t", lhs, rhs, seed=7)
     assert not r.satisfied
     assert r.margin_sigmas < -3
 
 
 def test_exact_equality_margin_zero():
     vals = np.random.default_rng(3).random(2000)
-    r = inequality_report("t", vals, vals, seed=7)
+    r = _inequality("t", vals, vals, seed=7)
     assert r.paired_diff_se == 0.0
     assert r.margin_sigmas == 0.0
     assert r.satisfied
@@ -68,15 +70,15 @@ def test_slack_is_three_sigmas():
     noise = rng.standard_normal(100_000)
     rhs = np.zeros_like(noise)
     se = float(np.std(noise, ddof=1)) / np.sqrt(noise.size)
-    ok = inequality_report("t", noise - float(noise.mean()) + 2.0 * se, rhs, seed=1)
-    bad = inequality_report("t", noise - float(noise.mean()) + 4.0 * se, rhs, seed=1)
+    ok = _inequality("t", noise - float(noise.mean()) + 2.0 * se, rhs, seed=1)
+    bad = _inequality("t", noise - float(noise.mean()) + 4.0 * se, rhs, seed=1)
     assert ok.satisfied
     assert not bad.satisfied
 
 
 def test_min_samples_enforced():
     with pytest.raises(ValueError):
-        inequality_report("t", np.ones(10), np.ones(10), seed=0)
+        _inequality("t", np.ones(10), np.ones(10), seed=0)
 
 
 def test_equality_check_two_sided():
@@ -89,37 +91,108 @@ def test_equality_check_two_sided():
     assert not bad.satisfied
 
 
+def _close(got, want, scale):
+    """got within 1e-12 of want, relative to `scale`, the size of the
+    values summed, which bounds any summation order's rounding."""
+    return abs(got - want) <= 1e-12 * scale
+
+
 def _check_moments_match_numpy(n):
-    """Report means and SEs equal np.mean and np.std(ddof=1) bit for bit, on
-    values of mixed magnitude with signed zeros, lhs a strided column view."""
+    """Report means and SEs, read in chunks of CHUNK_SIZE rows and merged in
+    order, match np.mean and np.std(ddof=1) of the whole columns, on values
+    of mixed magnitude with zero runs, lhs a strided column view."""
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, 2)) * np.exp(rng.uniform(-20.0, 20.0, (n, 2)))
-    values[::5, 0] = -0.0
-    values[1::7, 1] = 0.0
-    values[2::11] = -0.0
+    values[::5, 0] = 0.0
+    values[2::11] = 0.0
     lhs = values[:, 0]
     rhs = np.ascontiguousarray(values[:, 1])
-    r = inequality_report("t", lhs, rhs, seed=1)
-    assert r.lhs_estimate == float(np.mean(lhs))
-    assert r.rhs_estimate == float(np.mean(rhs))
-    assert r.paired_diff_se == float(np.std(lhs - rhs, ddof=1)) / math.sqrt(n)
-    for diff in (lhs, rhs):
-        e = _equality("e", 0.0, 0.0, diff, seed=1)
-        assert e.paired_diff_se == float(np.std(diff, ddof=1)) / math.sqrt(n)
-    assert list(column_means([lhs, rhs])) == [np.mean(lhs), np.mean(rhs)]
+    r = _inequality("t", lhs, rhs, seed=1)
+    for got, column in ((r.lhs_estimate, lhs), (r.rhs_estimate, rhs)):
+        assert _close(got, np.mean(column), np.mean(np.abs(column)))
+    diff = lhs - rhs
+    se = np.std(diff, ddof=1) / math.sqrt(n)
+    assert _close(r.paired_diff_se, se, se)
+    for column in (lhs, rhs):
+        se = np.std(column, ddof=1) / math.sqrt(n)
+        assert _close(_equality("e", 0.0, 0.0, column, seed=1).paired_diff_se, se, se)
 
 
 @pytest.mark.parametrize(
-    "n", [1000, SUM_LEAF - 1, SUM_LEAF, SUM_LEAF + 1, 2 * SUM_LEAF + 8, 143_417, 2_000_000]
+    "n", [1000, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 8, 143_417, 2_000_000]
 )
 def test_blocked_moments_match_numpy(n):
     _check_moments_match_numpy(n)
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.integers(1000, 4 * SUM_LEAF + 100))
+@given(st.integers(1000, 4 * CHUNK_SIZE + 100))
 def test_blocked_moments_match_numpy_at_drawn_lengths(n):
     _check_moments_match_numpy(n)
+
+
+def _split(rows, cuts):
+    """The merged Moments of `rows` (k, n) cut at the sorted positions `cuts`."""
+    edges = [0, *cuts, rows.shape[1]]
+    return merged(Moments.of(rows[:, a:b]) for a, b in zip(edges, edges[1:]))
+
+
+@st.composite
+def _column_splits(draw):
+    """(rows, cuts): three correlated columns of 2..3000 rows, shifted off
+    zero, and sorted distinct cut positions; some end in a 1-row chunk."""
+    n = draw(st.integers(2, 3000))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=8)))
+    if n > 2 and draw(st.booleans()):
+        cuts = sorted({*cuts, n - 1})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((3, n))
+    rows = np.array([z[0], 0.6 * z[0] + 0.8 * z[1], z[2] * 4.0]) + np.array([[3.0], [-1.0], [0.5]])
+    return rows, cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_column_splits())
+def test_merged_moments_match_numpy_for_any_split(case):
+    rows, cuts = case
+    stats = _split(rows, cuts)
+    n = rows.shape[1]
+    assert stats.n == n
+    np.testing.assert_allclose(stats.mean, np.mean(rows, axis=1), rtol=1e-12)
+    np.testing.assert_allclose(np.diag(stats.m2) / (n - 1), np.var(rows, axis=1, ddof=1), rtol=1e-12)
+    cov = np.cov(rows)
+    scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    assert np.all(np.abs(stats.m2 / (n - 1) - cov) <= 1e-12 * scale)
+    weights = np.array([1.0, -2.0, 0.5])
+    se = np.std(weights @ rows, ddof=1) / math.sqrt(n)
+    assert stats.se(weights) == pytest.approx(se, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, -3.7e5, 0.0])
+def test_constant_column_keeps_its_exact_mean(value):
+    # Shifted by its first value, a constant column sums to exactly 0 in
+    # every chunk, and merging equal means adds exactly 0.
+    rng = np.random.default_rng(11)
+    rows = np.array([np.full(5001, value), rng.standard_normal(5001)])
+    for cuts in ([], [1], [1000, 2000, 5000], list(range(7, 5001, 997))):
+        stats = _split(rows, cuts)
+        assert stats.mean[0] == value
+        assert np.all(stats.m2[0] == 0.0) and np.all(stats.m2[:, 0] == 0.0)
+
+
+def _normal_moments(rng, count):
+    z = rng.standard_normal((3, count))
+    return Moments.of((z[0], z[0] * z[1] + 1.0, z[2] ** 2))
+
+
+def test_merge_in_chunk_order_is_the_same_for_any_worker_count():
+    n = 5 * CHUNK_SIZE + 777
+    serial = merged(run_chunked(_normal_moments, n, seed=21, tag=6))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        parallel = merged(run_chunked(_normal_moments, n, seed=21, tag=6, pool=pool))
+    assert serial.n == parallel.n == n
+    assert serial.mean.tobytes() == parallel.mean.tobytes()
+    assert serial.m2.tobytes() == parallel.m2.tobytes()
 
 
 def test_inequality_report_makes_no_full_length_temporary():
@@ -128,24 +201,11 @@ def test_inequality_report_makes_no_full_length_temporary():
     lhs, rhs = rng.random(n), rng.random(n)
     tracemalloc.start()
     try:
-        inequality_report("t", lhs, rhs, seed=1)
+        _inequality("t", lhs, rhs, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < lhs.nbytes
-
-
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
-def test_integer_columns_report_as_their_float64_copies(dtype):
-    # Exact integers sum exactly in any order, so a narrow-integer column,
-    # cast a leaf at a time, reports the bits of its float64 copy.
-    n = 2 * SUM_LEAF + 1003
-    rng = np.random.default_rng(9)
-    top = np.iinfo(dtype).max
-    lhs, rhs = (rng.integers(0, top, n, endpoint=True).astype(dtype) for _ in range(2))
-    r = inequality_report("t", lhs, rhs, seed=1)
-    assert r == inequality_report("t", lhs.astype(float), rhs.astype(float), seed=1)
-    assert r.lhs_estimate == np.mean(lhs.astype(float))
 
 
 def test_threshold_report_rule():
@@ -155,7 +215,7 @@ def test_threshold_report_rule():
 
 def test_csv_layout():
     vals = np.random.default_rng(6).random(2000)
-    r = inequality_report("name/a", vals, vals + 1.0, seed=9)
+    r = _inequality("name/a", vals, vals + 1.0, seed=9)
     blob = render_csv([r]).decode()
     lines = blob.split("\n")
     assert lines[0] == ",".join(CSV_HEADER)
@@ -171,7 +231,7 @@ def test_csv_layout():
 
 def test_json_rendering_is_canonical():
     vals = np.random.default_rng(7).random(2000)
-    r = inequality_report("j", vals, vals + 1.0, seed=3)
+    r = _inequality("j", vals, vals + 1.0, seed=3)
     res = ExperimentResult(experiment="j", reports=[r], details={"b": 1, "a": 2})
     blob1 = render_json(res.to_json_dict())
     blob2 = render_json(res.to_json_dict())
@@ -202,7 +262,7 @@ def _golden_result():
     return ExperimentResult(
         experiment="golden",
         reports=[
-            inequality_report("golden/inequality", x**2, x, seed=3),
+            _inequality("golden/inequality", x**2, x, seed=3),
             _equality("golden/equality", 0.25, 0.26, np.sin(np.arange(1000.0)), seed=4),
             threshold_report("golden/threshold", 0.01, 0.02, 1000, 5),
         ],

@@ -14,8 +14,8 @@ from cexpect import theorems
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
 from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
-from cexpect.reports import inequality_report
-from cexpect.rng import CHUNK_SIZE, chunk_stream, simulate_chunked
+from cexpect.reports import inequality_report, paired_moments
+from cexpect.rng import CHUNK_SIZE, chunk_sizes, chunk_stream, simulate_chunked
 from cexpect.theorems import (
     ConditionalIidCopies,
     TAG_MAIN,
@@ -227,29 +227,50 @@ def _covariances(res):
     return phi_y.lhs_estimate, psi_x.lhs_estimate, phi_y.rhs_estimate
 
 
-# Rows spanning four leaves of the reports' blocked sums, the last ragged.
-LEAVES_ROWS = 200_003
+# Rows spanning four chunks, the last ragged.
+CHUNKED_ROWS = 200_003
 
 
-def _on_columns(monkeypatch, operation, model, columns=None):
-    """operation(model, LEAVES_ROWS, 59) and the columns its draws assembled,
-    or run on `columns` in their place."""
-    kept = []
+class _Replay:
+    """A bivariate model whose draws replay given columns chunk by chunk,
+    in order, in a serial run: (x, y) are columns 0 and 1, phi(Y) column 2
+    and psi(X) the last column."""
 
-    def assemble(worker, n_total, *args, **kwargs):
-        out = simulate_chunked(worker, n_total, *args, **kwargs) if columns is None else columns
-        kept.extend(column.copy() for column in out)
-        return out
+    marginal_x = marginal_y = Normal()
 
-    monkeypatch.setattr(theorems, "simulate_chunked", assemble)
-    return operation(model, LEAVES_ROWS, 59), kept
+    def __init__(self, columns):
+        self.columns = columns
+        self.rows = slice(0, 0)
+
+    def sample(self, rng, count):
+        self.rows = slice(self.rows.stop, self.rows.stop + count)
+        return self.columns[0][self.rows], self.columns[1][self.rows]
+
+    def phi(self):
+        return lambda y: self.columns[2][self.rows]
+
+    def psi(self):
+        return lambda x: self.columns[-1][self.rows]
+
+
+def _drawn_columns(model, width, n, seed):
+    """The columns `width` operation reads from n draws of `model`: (x, y,
+    phi(Y), psi(X)) for width 4, (x1, x2, psi(X1)) for width 3."""
+    chunks, last = chunk_sizes(n)
+    draws = [
+        model.sample(chunk_stream(seed, TAG_MAIN, c), CHUNK_SIZE if c < chunks - 1 else last)
+        for c in range(chunks)
+    ]
+    x, y = (np.concatenate(column) for column in zip(*draws))
+    if width == 3:
+        return [x, y, model.psi()(x)]
+    return [x, y, model.phi()(y), model.psi()(x)]
 
 
 def _signed_zero_columns(k):
-    """k columns of mixed magnitude, the first all zeros of either sign, so
-    it centres to signed zeros and so do its products."""
+    """k columns of mixed magnitude, the first all zeros of either sign."""
     rng = np.random.default_rng(k)
-    columns = rng.standard_normal((k, LEAVES_ROWS)) * np.exp(rng.uniform(-20, 20, (k, LEAVES_ROWS)))
+    columns = rng.standard_normal((k, CHUNKED_ROWS)) * np.exp(rng.uniform(-20, 20, (k, CHUNKED_ROWS)))
     columns[0] = 0.0
     columns[0, ::3] = -0.0
     columns[1:, ::5] = -0.0
@@ -293,15 +314,20 @@ CLAYTON_EXP = BivariateModel(Clayton(alpha=2.0), Exponential(), Exponential())
     ],
     ids=["covariance", "sequence-stats"],
 )
-def test_fused_reports_equal_whole_column_numpy(monkeypatch, operation, width, reference, draws):
-    # The reports' leaf passes give the bits of np.mean, np.sum and
-    # np.std(ddof=1) over the full product and difference columns.
-    columns = _signed_zero_columns(width) if draws == "signed-zeros" else None
-    result, kept = _on_columns(monkeypatch, operation, CLAYTON_EXP, columns)
-    expected = reference(kept)
+def test_fused_reports_equal_whole_column_numpy(operation, width, reference, draws):
+    # Reports merged from per-chunk statistics equal np.mean, np.sum and
+    # np.std(ddof=1) over the whole product and difference columns, up to
+    # their last bits, on draws or on columns of mixed magnitude.
+    if draws == "signed-zeros":
+        columns = _signed_zero_columns(width)
+        result = operation(_Replay(columns), CHUNKED_ROWS, 59)
+    else:
+        columns = _drawn_columns(CLAYTON_EXP, width, CHUNKED_ROWS, 59)
+        result = operation(CLAYTON_EXP, CHUNKED_ROWS, 59)
+    expected = reference(columns)
     for report, values in zip(result.reports, expected, strict=True):
         stated = (report.lhs_estimate, report.rhs_estimate, report.paired_diff_se)
-        assert list(map(repr, stated)) == [repr(float(v)) for v in values]
+        assert stated == pytest.approx(values, rel=1e-10)
 
 
 GAUSS_NN = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
@@ -318,8 +344,9 @@ GAUSS_NN = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
     ids=["martingale", "covariance", "sequence-stats", "theorem3"],
 )
 def test_leaf_passes_leave_no_reference_cycle(operation):
-    # A cycle through a leaf function keeps its columns alive until a
-    # collection, so repeated runs pile them up: peak RSS grows by pass.
+    # A cycle through a chunk worker or its statistics keeps them alive
+    # until a collection, so repeated runs pile them up: peak RSS grows by
+    # pass.
     operation()
     gc.collect()
     gc.disable()
@@ -328,6 +355,31 @@ def test_leaf_passes_leave_no_reference_cycle(operation):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda n: verify_theorem1([GaussianCopies(5, 0.3, 0.5)], n, 76),
+        lambda n: verify_covariance_identity(GAUSS_NN, n, 76),
+        lambda n: martingale_checks(5, n, 76, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
+    ],
+    ids=["theorem1", "covariance", "martingale"],
+)
+def test_peak_memory_does_not_grow_with_n_samples(operation):
+    # Chunk workers return statistics, not columns, so four times the rows
+    # (16 chunks against 4) must not raise the peak by more than 1 MiB; a
+    # column of 2**20 float64 kept whole would raise it by 8 MiB.
+    operation(1000)
+    peaks = []
+    for n in (2**18, 2**20):
+        tracemalloc.start()
+        try:
+            operation(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**20, peaks
 
 
 class TestCovarianceIdentity:
@@ -348,8 +400,8 @@ class TestCovarianceIdentity:
 
     def test_memory_releases_each_column_after_its_last_product(self):
         # Forming the three products while all four centred columns live
-        # takes six columns of n float64.  The leaf passes form them a leaf
-        # at a time; at this n the peak is in the draws, near five columns.
+        # takes six columns of n float64.  A worker forms them for its chunk
+        # alone and returns their Moments, so no column outlives its chunk.
         n = 4 * CHUNK_SIZE
         model = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
         verify_covariance_identity(model, 1000, 58)
@@ -362,8 +414,8 @@ class TestCovarianceIdentity:
         assert peak < 5.75 * n * 8
 
     def test_memory_stays_near_its_four_columns(self):
-        # Four kept columns and one four-row scratch block of the leaf
-        # passes: no centred column, product or difference is full length.
+        # Below the four columns it once kept: no draw, centred column,
+        # product or difference is full length.
         n = 2**20
         model = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
         verify_covariance_identity(model, 1000, 58)
@@ -571,8 +623,8 @@ class TestMartingale:
         for subset, report in zip(subsets, results.reports, strict=True):
             pred = walk[:, subset[-1] - 1] if subset else np.zeros(3000)
             name = f"martingale/subset={list(subset)}"
-            expect = inequality_report(name, lhs_sq, (walk[:, n] - pred) ** 2, 73)
-            assert report == expect
+            rhs_sq = (walk[:, n] - pred) ** 2
+            assert report == inequality_report(name, paired_moments(lhs_sq, rhs_sq), 73)
 
     @pytest.mark.parametrize(
         "n, subsets, dtype",
@@ -582,10 +634,13 @@ class TestMartingale:
             (128, [(1,), (64,), (128,), ()], np.uint16),
         ],
     )
-    def test_integer_errors_report_as_float_whole_columns(self, monkeypatch, n, subsets, dtype):
-        # The float64 reference forms the errors from the whole walk, in a
-        # narrow signed dtype, and passes them to inequality_report.
+    def test_integer_errors_report_as_float_whole_columns(self, n, subsets, dtype):
+        # The reference forms each squared error exactly, in `dtype`, the
+        # narrowest unsigned type holding (n + 1)**2, from the whole walk in
+        # a narrow signed dtype; the float64 copies, read a chunk at a time,
+        # give the same bytes.
         walk_dtype = np.min_scalar_type(-(n + 2))
+        assert np.min_scalar_type((n + 1) ** 2) == dtype
 
         def walk_worker(rng, count):
             steps = rng.integers(0, 2, size=(count, n + 1)).astype(walk_dtype)
@@ -593,40 +648,22 @@ class TestMartingale:
             steps -= 1
             return (np.cumsum(steps, axis=1, dtype=walk_dtype),)
 
-        walk = simulate_chunked(walk_worker, LEAVES_ROWS, 74, TAG_MAIN)[0]
+        walk = simulate_chunked(walk_worker, CHUNKED_ROWS, 74, TAG_MAIN)[0]
         s_next = walk[:, n]
-        lhs_sq = np.subtract(s_next, walk[:, n - 1], dtype=np.float64) ** 2
-        kept = []
 
-        def assemble(*args, **kwargs):
-            kept.extend(simulate_chunked(*args, **kwargs))
-            return tuple(kept)
+        def squared_error(pred):
+            error = np.abs(s_next - pred).astype(dtype)
+            error *= error
+            return error.astype(np.float64)
 
-        monkeypatch.setattr(theorems, "simulate_chunked", assemble)
-        results = martingale_checks(n, LEAVES_ROWS, 74, subsets)
-        assert {column.dtype for column in kept} == {np.dtype(dtype)}
+        lhs_sq = squared_error(walk[:, n - 1])
+        results = martingale_checks(n, CHUNKED_ROWS, 74, subsets)
         for subset, report in zip(subsets, results.reports, strict=True):
-            pred = walk[:, subset[-1] - 1] if subset else 0.0
-            rhs_sq = np.subtract(s_next, pred, dtype=np.float64) ** 2
-            assert report == inequality_report(report.name, lhs_sq, rhs_sq, 74)
-            assert report.rhs_estimate == np.mean(rhs_sq)
-            se = np.std(lhs_sq - rhs_sq, ddof=1) / math.sqrt(LEAVES_ROWS)
-            assert report.paired_diff_se == se
-
-    def test_memory_keeps_narrow_squared_errors(self):
-        # One uint8 column per distinct predictor index (4 here), beside a
-        # chunk's draws; keeping the int8 walk and forming float64 errors
-        # from it took 30.1 bytes a row.
-        n = 2**20
-        subsets = [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]
-        martingale_checks(5, 1000, 75, subsets)
-        tracemalloc.start()
-        try:
-            martingale_checks(5, n, 75, subsets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * n
+            rhs_sq = squared_error(walk[:, subset[-1] - 1] if subset else 0)
+            assert report == inequality_report(report.name, paired_moments(lhs_sq, rhs_sq), 74)
+            assert report.rhs_estimate == pytest.approx(np.mean(rhs_sq), rel=1e-12)
+            se = np.std(lhs_sq - rhs_sq, ddof=1) / math.sqrt(CHUNKED_ROWS)
+            assert report.paired_diff_se == pytest.approx(se, rel=1e-12)
 
     def test_subset_validated(self):
         with pytest.raises(DomainError):
@@ -661,8 +698,8 @@ class TestDeterminism:
     def test_theorem1_memory_stays_near_its_report_columns(self):
         # Assembling the (n, 5) copies and then the (n, 5) predictions takes
         # at least 2 * 5 * n * 8 bytes.  Reduced in the workers, the peak is
-        # the two squared-error columns plus one chunk's (n/4, 6) normal
-        # draws and their Cholesky product: 2 + 3 columns of n float64.
+        # one chunk's (n/4, 6) normal draws and their Cholesky product, and
+        # no column of n rows.
         n = 4 * CHUNK_SIZE
         model = GaussianCopies(5, 0.3, 0.5)
         verify_theorem1([model], 1000, 72)
