@@ -303,9 +303,12 @@ def _sequence_reference(columns):
 
 
 CLAYTON_EXP = BivariateModel(Clayton(alpha=2.0), Exponential(), Exponential())
+# Means 1e4 sd apart from zero: unshifted, the co-moments of the products
+# cancel in the SE's quadratic form to about 1e-8 relative.
+FAR_FROM_ZERO = BivariateModel(Gaussian(rho=0.5), Normal(mean_=1e4), Normal(mean_=-1e4, sd=2.0))
 
 
-@pytest.mark.parametrize("draws", ["clayton-exponential", "signed-zeros"])
+@pytest.mark.parametrize("draws", ["clayton-exponential", "signed-zeros", "far-from-zero"])
 @pytest.mark.parametrize(
     "operation, width, reference",
     [
@@ -322,8 +325,9 @@ def test_fused_reports_equal_whole_column_numpy(operation, width, reference, dra
         columns = _signed_zero_columns(width)
         result = operation(_Replay(columns), CHUNKED_ROWS, 59)
     else:
-        columns = _drawn_columns(CLAYTON_EXP, width, CHUNKED_ROWS, 59)
-        result = operation(CLAYTON_EXP, CHUNKED_ROWS, 59)
+        model = FAR_FROM_ZERO if draws == "far-from-zero" else CLAYTON_EXP
+        columns = _drawn_columns(model, width, CHUNKED_ROWS, 59)
+        result = operation(model, CHUNKED_ROWS, 59)
     expected = reference(columns)
     for report, values in zip(result.reports, expected, strict=True):
         stated = (report.lhs_estimate, report.rhs_estimate, report.paired_diff_se)
