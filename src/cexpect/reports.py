@@ -205,24 +205,28 @@ def merged(parts):
 
 
 def paired_moments(lhs, rhs):
-    """The Moments of (lhs, rhs, lhs - rhs) over two paired per-row
-    columns, which `inequality_report` reads.  The columns are read
-    CHUNK_SIZE rows at a time, merged in order, so that whole columns reduce
-    as the chunk workers' rows do, with no full-length temporary."""
+    """The Moments of (lhs, lhs - rhs) over two paired per-row columns,
+    which `inequality_report` reads: the mean of lhs, and the mean and
+    variance of the difference, which set rhs and the verdict.  The columns
+    are read CHUNK_SIZE rows at a time, merged in order, so that whole
+    columns reduce as the chunk workers' rows do, with no full-length
+    temporary."""
     parts = []
     for start in range(0, lhs.size, CHUNK_SIZE):
         left, right = lhs[start : start + CHUNK_SIZE], rhs[start : start + CHUNK_SIZE]
-        parts.append(Moments.of((left, right, left - right)))
+        parts.append(Moments.of((left, left - right)))
     return merged(parts)
 
 
 def inequality_report(name, stats, seed):
-    """An inequality PairedReport from `stats`, the Moments of the paired
-    per-draw squared errors (lhs, rhs, lhs - rhs) of paired_moments."""
+    """An inequality PairedReport from `stats`, the paired_moments of the
+    per-draw squared errors: lhs is their mean, rhs that mean less the mean
+    difference, so an identically 0 difference gives rhs == lhs exactly."""
     n = stats.n
     check_sample_size(n)
-    lhs, rhs = stats.mean[:2]
-    se = _standard_error(stats.m2[2, 2], n)
+    lhs, diff = stats.mean
+    rhs = lhs - diff
+    se = _standard_error(stats.m2[1, 1], n)
     return _paired_report(name, lhs, rhs, se, n, seed, lhs <= rhs + INEQUALITY_SLACK_SIGMAS * se)
 
 

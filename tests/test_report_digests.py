@@ -86,12 +86,12 @@ def report_digest(cfg, workers):
 # of theorem3-duplicate, covariance, copula-swap and martingale-128 did not
 # move.
 DIGESTS = {
-    "theorem1": "16cb635e7dffa36df962d02e07aef50eb9303bbc7c9d00f5a7644e0122b0dec4",
-    "theorem2": "218b01a63e85b4ced42d48aa2a48e74ae4c17c44676e11f1c9defbf67abb364b",
-    "theorem3": "45b9d6b42afc2ab1c9164a4b6420a75c594c150d17e607823a1eb950946ca288",
+    "theorem1": "03dde821597367054922a83122951986eb57039ba162e62238fa4b9627f06211",
+    "theorem2": "938a33f37657fd2dd33f7e7013a16d7af1be09e00a54b7a286039ee10ea083c1",
+    "theorem3": "ec3a44a965cf5f6cfffdcc9879b8163688aa1373a9ed849b17d41b1976c29c07",
     "theorem3-duplicate": "528b8c0fd4c65b4ee5d3640c6eb31d686fcf389f666d1335b6fe909add904e42",
-    "corollary-chain": "cc868ca3659c13b97a7d8c12a1092067a740eb127898490a8a271f20de84dd0f",
-    "corollary-chain-empty": "aad6a2fa9beffbf65a1b7055bdc4152625969d2d41084829b2b3ebbf9e7be368",
+    "corollary-chain": "361b3c89e3aa0b678e536db601a5b4adb1b655c314d6913b936e390411e32a4b",
+    "corollary-chain-empty": "2446624033b1e024d898fd011bc1d50c4b601a2cbf186c2b3f06e3fcd76da8c6",
     "covariance": "6bec93cd8cc177d431053b528192a7d5e17f104ad58fcd88a9d05f8936a078bb",
     "covariance-clayton": "7cd9671d746bc428a26d5abfc601d016f1a89869cc522b17639f1bb83bee0bc7",
     # Re-recorded when the report became the largest lattice |z| at the
@@ -102,12 +102,12 @@ DIGESTS = {
     "sequence-stats-clayton-uniform": "8dd046e6abbc0c26443efa490ba47affc152e37fbaf744db89bad511c1319f85",
     "martingale": "1fe8333b214dc40f989d5a376046168e211565ddfa80b4e71a025dde4e9a7016",
     "martingale-128": "b60954d224fa5e4ad890a222da2c4ace0aabfd4996aec2ea4a66de7e0675571c",
-    "order-stats": "6d5eb657ea3f3fcdbaa15a8a51b11bf5d5f78293603098b16a2b5bfd76e41350",
-    "order-stats-markov": "e5108cabba5fef1470861af63c5a99648c6cb329d642d994dc952a1a9df4ccf5",
+    "order-stats": "1497562d1d868459808dd4e26c122521ee0e3d3bed1835ce58cd73b7c2df7cbb",
+    "order-stats-markov": "904a7e2ba7053341ee10091d144842204ed4799ca2c181ba40d22270df6e38e1",
     "records": "3d6b7c52b6d8955c65ddd6496affadbd06ff4a0c762b5464f22d6b36e7b00108",
-    "coalition": "2c3445039ba3f81575e01fec6f49f087f2f627f9d46a0159a86b763de1eecec7",
+    "coalition": "0629a31c2a5b7c792f753b0d874e531b6737365ea32ca8c2c80fe42a3d9c746e",
     "coalition-one-broker": "741a4cb7be868bc5243338384b4453022013fac9ba5d53ba12cd5193a7e639de",
-    "coalition-dependent": "f30e6127d22d08a7e1714f75e551699ee01f65712c9ef5bc0927248663b72aa8",
+    "coalition-dependent": "7dbde1fb8d4190c04e1d01a104b7d7021e951014d28a607d0fa0ea2acfb8c9d1",
 }
 
 

@@ -159,7 +159,8 @@ def test_merged_moments_match_numpy_for_any_split(case):
     n = rows.shape[1]
     assert stats.n == n
     np.testing.assert_allclose(stats.mean, np.mean(rows, axis=1), rtol=1e-12)
-    np.testing.assert_allclose(np.diag(stats.m2) / (n - 1), np.var(rows, axis=1, ddof=1), rtol=1e-12)
+    variances = np.diag(stats.m2) / (n - 1)
+    np.testing.assert_allclose(variances, np.var(rows, axis=1, ddof=1), rtol=1e-12)
     cov = np.cov(rows)
     scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     assert np.all(np.abs(stats.m2 / (n - 1) - cov) <= 1e-12 * scale)
@@ -272,9 +273,9 @@ def _golden_result():
 
 GOLDEN_JSON = (
     '{\n  "details": {\n    "k": 1\n  },\n  "experiment": "golden",\n  "reports": [\n'
-    '    {\n      "lhs_estimate": 0.33283349999999995,\n      "margin_sigmas": 70.67488988784726,\n'
+    '    {\n      "lhs_estimate": 0.33283349999999995,\n      "margin_sigmas": 70.67488988784724,\n'
     '      "n_samples": 1000,\n      "name": "golden/inequality",\n'
-    '      "paired_diff_se": 0.0023582137908453793,\n      "rhs_estimate": 0.4995,\n'
+    '      "paired_diff_se": 0.0023582137908453793,\n      "rhs_estimate": 0.49949999999999994,\n'
     '      "satisfied": true,\n      "seed": 3\n    },\n'
     '    {\n      "lhs_estimate": 0.25,\n      "margin_sigmas": 0.4472096372996774,\n'
     '      "n_samples": 1000,\n      "name": "golden/equality",\n'
@@ -289,7 +290,8 @@ GOLDEN_JSON = (
 
 GOLDEN_CSV = (
     "name,lhs,rhs,se,n,seed,satisfied,margin_sigmas\n"
-    "golden/inequality,0.33283349999999995,0.4995,0.0023582137908453793,1000,3,true,70.67488988784726\n"
+    "golden/inequality,0.33283349999999995,0.49949999999999994,0.0023582137908453793,1000,3,true,"
+    "70.67488988784724\n"
     "golden/equality,0.25,0.26,0.022360877686763623,1000,4,true,0.4472096372996774\n"
     "golden/threshold,0.01,0.02,0.0,1000,5,true,0.0\n"
 )

@@ -270,7 +270,8 @@ def _drawn_columns(model, width, n, seed):
 def _signed_zero_columns(k):
     """k columns of mixed magnitude, the first all zeros of either sign."""
     rng = np.random.default_rng(k)
-    columns = rng.standard_normal((k, CHUNKED_ROWS)) * np.exp(rng.uniform(-20, 20, (k, CHUNKED_ROWS)))
+    shape = (k, CHUNKED_ROWS)
+    columns = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
     columns[0] = 0.0
     columns[0, ::3] = -0.0
     columns[1:, ::5] = -0.0
