@@ -145,9 +145,10 @@ class Moments:
         Each column is shifted by its first value before it is summed, so a
         constant column sums to exactly 0.  Each co-moment is the pairwise
         np.add.reduce of an elementwise product of two centred columns, with
-        no BLAS call, which a chunk worker avoids (see rng.py).  On 2 vCPUs
-        the sampling workload's martingale took about 105 ms this way, and
-        about 170 ms with the co-moments as BLAS products in column blocks.
+        no BLAS call, which a chunk worker avoids (see rng.py).  On 2 vCPUs,
+        with three variables a report, the sampling workload's martingale
+        took about 105 ms this way and about 170 ms with the co-moments as
+        BLAS products in column blocks.
         """
         k, n = len(rows), len(rows[0])
         shift = np.array([row[0] for row in rows], dtype=np.float64)

@@ -32,10 +32,10 @@ order, so the merged statistics depend on the chunking, which is fixed,
 and never on the number of workers.  Only the samples that are kept whole
 return rows: the record chunks their kept sequences, and
 ``simulate_chunked`` the order-statistic matrix and the markets of
-``coalition.simulate_market``.  ``simulate_chunked`` allocates each output array
-once, from the first chunk's shape and dtype, copies every chunk into its
-rows as the chunk arrives in that order, and drops the chunk, instead of
-keeping every chunk alive until one final concatenation.
+``coalition.simulate_market``.  ``simulate_chunked`` allocates each output
+array once, from the first chunk's shape and dtype, copies every chunk
+into its rows as the chunk arrives in that order, and drops the chunk,
+instead of keeping every chunk alive until one final concatenation.
 
 A chunk worker must not start threads of its own: the pool's workers
 already occupy the cores, and extra threads make them wait on each other.

@@ -395,24 +395,21 @@ def verify_corollary_chain(v: GaussianVector, index_sets, n_samples, seed, pool=
 
 
 def _medians(model: BivariateModel):
-    """The medians of X and Y: constants by which the covariance workers
-    shift their draws, so the products they form stay near the draws' own
-    scale and the quadratic forms of their co-moments do not cancel."""
+    """The medians of X and Y, by which covariance and sequence-stats shift
+    their draws, and each regression's values by the median of the variable
+    it predicts, so that the quadratic forms of their products' co-moments
+    do not cancel."""
     return float(model.marginal_x._quantile(0.5)), float(model.marginal_y._quantile(0.5))
 
 
 def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None):
     """Cov(E(X|Y), Y) = Cov(E(Y|X), X) = Cov(X, Y), all on common draws.
 
-    Each covariance is the sum of centred products over n - 1, centred at
-    the sample means, and each report's SE is that of its per-draw paired
-    difference, for example (phi(Y) - mean)(Y - mean) - (X - mean)(Y - mean).
-    No worker knows the sample means, so each returns the Moments of the
-    per-draw variables w = (X, Y, phi(Y), psi(X), phi(Y) Y, psi(X) X, X Y),
-    X and phi(Y) shifted by the median of X, Y and psi(X) by that of Y.  A
-    centred product is then c . w plus a constant, with c set by the merged
-    means, and its difference's variance is the quadratic form of the
-    merged co-moments.
+    The products are centred at the sample means, which no worker knows, so
+    each returns the Moments of w = (X, Y, phi(Y), psi(X), phi(Y) Y,
+    psi(X) X, X Y), shifted by the medians.  A centred product, and each
+    paired difference of two, is then c . w plus a constant, with c set by
+    the merged means: its variance is the quadratic form of the co-moments.
     """
     phi = model.phi()
     psi = model.psi()
@@ -523,12 +520,10 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
     """Predicted-sequence identities for (X1, X2) with Y2 = E(X2 | X1):
     E Y2 = E X2 and Cov(Y1, Y2) = Cov(X1, X2), where Y1 = X1.
 
-    The covariances are centred at the sample means.  The paired
-    differences are Y2 - X2 and (X1 - mean X1)(Y2 - X2).  As in
-    verify_covariance_identity, each worker returns the Moments of the
-    per-draw variables (X1, X2, Y2, X1 X2, X1 Y2), X1 shifted by its median
-    and X2 and Y2 by that of X2, and each difference is a combination of
-    them with weights set by the merged means.
+    The paired differences are Y2 - X2 and (X1 - mean X1)(Y2 - X2).  As in
+    verify_covariance_identity, each worker returns the Moments of
+    (X1, X2, Y2, X1 X2, X1 Y2), shifted by the medians, and each difference
+    is a combination of them with weights set by the merged means.
     """
     psi = model.psi()  # x1 -> E(X2 | X1 = x1)
     mid_1, mid_2 = _medians(model)
