@@ -158,15 +158,17 @@ def test_merged_moments_match_numpy_for_any_split(case):
     stats = _split(rows, cuts)
     n = rows.shape[1]
     assert stats.n == n
-    np.testing.assert_allclose(stats.mean, np.mean(rows, axis=1), rtol=1e-12)
-    variances = np.diag(stats.m2) / (n - 1)
-    np.testing.assert_allclose(variances, np.var(rows, axis=1, ddof=1), rtol=1e-12)
+    # Each sum is compared within 1e-12 of the size of what it sums: a mean
+    # near 0 or a combination of nearly equal rows cancels in any order.
+    size = np.mean(np.abs(rows), axis=1)
+    assert np.all(np.abs(stats.mean - np.mean(rows, axis=1)) <= 1e-12 * size)
     cov = np.cov(rows)
-    scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
-    assert np.all(np.abs(stats.m2 / (n - 1) - cov) <= 1e-12 * scale)
+    sd = np.sqrt(np.diag(cov))
+    np.testing.assert_allclose(np.diag(stats.m2) / (n - 1), sd**2, rtol=1e-12)
+    assert np.all(np.abs(stats.m2 / (n - 1) - cov) <= 1e-12 * np.outer(sd, sd))
     weights = np.array([1.0, -2.0, 0.5])
-    se = np.std(weights @ rows, ddof=1) / math.sqrt(n)
-    assert stats.se(weights) == pytest.approx(se, rel=1e-12)
+    variance = np.var(weights @ rows, ddof=1)
+    assert abs(stats.se(weights) ** 2 * n - variance) <= 1e-12 * (np.abs(weights) @ sd) ** 2
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0 / 3.0, -3.7e5, 0.0])
