@@ -47,6 +47,8 @@ from .ordered import (
     mse_order_inequality,
     order_stats,
     record_predictor_mse,
+    record_regression,
+    record_tables,
     simulate_records,
 )
 from .coalition import (

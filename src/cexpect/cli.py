@@ -21,10 +21,10 @@ names every field at fault, and every key no reader reads, as `verify`
 does before it runs anything.  n_samples is bounded by
 reports.MAX_SAMPLE_CELLS rows, or cells for order-stats and records, which
 keep their whole sample, so a run that could not hold its sample fails
-here, not at allocation.  Copula-swap models and the
-coalition predictor are tabulated at read time, since a model whose
-regressions are not increasing, or whose predictor does not converge, is
-at fault.
+here, not at allocation.  Copula-swap models, the
+coalition predictor and the record tables are tabulated at read time, since
+a model whose regressions are not increasing, or whose predictor or tables
+do not converge, is at fault.
 
 Exit status is 0 iff every verdict in the run is satisfied, 1 on any
 unsatisfied verdict, 2 on config or usage errors.  Reports are byte-identical
@@ -139,8 +139,15 @@ def _read_records(f):
     depth, lag = f.integer("depth"), f.integer("lag")
     cap = f.integer("cap", ordered.RECORD_CAP_DEFAULT)
     f.build(ordered.check_record_mse, keys={"n": "depth"}, n=depth, lag=lag, cap=cap)
-    # The last three records.
-    return partial(ordered.record_predictor_mse, marginal, depth, lag, cap=cap), 3
+    # Tabulated here, so that validate rejects a marginal whose record
+    # tables do not converge, and handed to the operation, which builds none
+    # itself; a config already at fault is not tabulated.
+    tables = None
+    if marginal is not None and not f.diags:
+        keys = {"m": "marginal"}
+        tables = f.build(ordered.record_tables, keys=keys, m=marginal, n=depth, lag=lag)
+    # The last three records and their hazards.
+    return partial(ordered.record_predictor_mse, marginal, depth, lag, tables, cap=cap), 6
 
 
 def _read_coalition(f):

@@ -602,25 +602,41 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     subsets = martingale_subsets(n, given)
     latest = [subset[-1] if subset else 0 for subset in subsets]
     predictors = martingale_predictors(n, subsets)
-    # |S_k| <= n + 1 and |S_{n+1} - S_k| <= n + 1, so the narrowest signed
-    # type holding -(n + 2) holds the walk and each error.
-    walk_dtype = np.min_scalar_type(-(n + 2))
+    others = [k for k in predictors if k != n]
+    # |S_{n+1} - S_k| <= n + 1, so the narrowest signed type holding
+    # -(n + 2) holds each error.
+    step_dtype = np.min_scalar_type(-(n + 2))
 
     def worker(rng, count):
-        steps = rng.integers(0, 2, size=(count, n + 1)).astype(walk_dtype)
+        steps = rng.integers(0, 2, size=(count, n + 1)).astype(step_dtype)
         steps *= 2
         steps -= 1
-        walk = np.cumsum(steps, axis=1, dtype=walk_dtype)
-        s_next = walk[:, n]
-        # Squared errors of S_k as a predictor of S_{n+1}, one column per k.
-        sq = {
-            k: np.square(s_next - walk[:, k - 1] if k else s_next, dtype=np.float64)
-            for k in predictors
-        }
-        return [paired_moments(sq[n], sq[k]) for k in predictors]
+        # S_{n+1} - S_k is the sum of steps k+1..n+1, columns k..n of
+        # `steps`: exact suffix sums, added from the last column down.  A
+        # few columns add fastest one by one, a wide block row by row.
+        error = np.zeros(count, dtype=step_dtype)
+        sq = {}
+        column = n + 1
+        for k in reversed(predictors):
+            if column - k > 8:
+                error += steps[:, k:column].sum(axis=1, dtype=step_dtype)
+            else:
+                for j in range(column - 1, k - 1, -1):
+                    error += steps[:, j]
+            column = k
+            sq[k] = np.square(error, dtype=np.float64)
+        lhs = sq[n]
+        # The paired Moments of each predictor but S_n, or of lhs alone
+        # when there is none.
+        return [Moments.of((lhs, lhs - sq[k])) for k in others] or [Moments.of((lhs,))]
 
     stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
-    by_predictor = dict(zip(predictors, stats))
+    by_predictor = dict(zip(others, stats))
+    # S_n's difference from lhs is identically 0, so its statistics are
+    # exactly 0; lhs's are entry 0 of any of the Moments, since `of` and
+    # `merge` act entry by entry.
+    lhs = stats[0]
+    by_predictor[n] = Moments(lhs.n, np.array([lhs.mean[0], 0.0]), np.diag([lhs.m2[0, 0], 0.0]))
     reports = []
     details = {}
     for k, indices in zip(latest, given):

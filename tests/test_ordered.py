@@ -7,9 +7,14 @@ import pytest
 from scipy import integrate as sci_integrate
 from scipy import stats
 
-from cexpect.errors import DomainError, SampleSizeError
-from cexpect.marginals import Exponential, Normal, Uniform
+import cexpect.ordered
+from cexpect import cli
+from cexpect.condexp import RegressionFunction
+from cexpect.errors import DomainError, NumericalError, SampleSizeError
+from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
 from cexpect.ordered import (
+    MARKOV_LEVELS,
+    MARKOV_Z,
     binned_regression,
     markov_property_check,
     max_regression,
@@ -17,6 +22,8 @@ from cexpect.ordered import (
     order_stat_matrix,
     order_stats,
     record_predictor_mse,
+    record_regression,
+    record_tables,
     simulate_records,
 )
 from cexpect.quadrature import integrate
@@ -203,17 +210,53 @@ class TestOrderStatSimulation:
         matrix = order_stat_matrix(Uniform(), 5, 300_000, 74)
         report, details = markov_property_check(Uniform(), matrix, 74)
         assert report.satisfied
-        assert not details["bins_widened"]
+        assert report.lhs_estimate == max(map(abs, details["z"]))
+        assert report.rhs_estimate == MARKOV_Z
+        assert details["levels"] == MARKOV_LEVELS.tolist() and len(details["cuts"]) == 19
 
     def test_markov_property_smallest_case(self):
         matrix = order_stat_matrix(Uniform(), 3, 200_000, 75)
         report, _ = markov_property_check(Uniform(), matrix, 75)
         assert report.satisfied
 
-    def test_markov_bins_widened_when_starved(self):
-        matrix = order_stat_matrix(Uniform(), 5, 10_000, 76)
-        _, details = markov_property_check(Uniform(), matrix, 76)
-        assert details["bins_widened"]
+    def test_markov_critical_value_is_bonferroni_at_size_1e3(self):
+        # Two-sided, over the 19 levels.
+        assert MARKOV_Z == pytest.approx(stats.norm.isf(1e-3 / 38), abs=1e-9)
+        assert MARKOV_Z == pytest.approx(4.0436, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "m, n", [(Uniform(), 3), (Exponential(1.0), 5), (Normal(), 6)], ids=["uniform", "exp", "normal"]
+    )
+    def test_markov_null_passes(self, m, n):
+        for seed in (201, 202, 203):
+            report, _ = markov_property_check(m, order_stat_matrix(m, n, 100_000, seed), seed)
+            assert report.satisfied, (seed, report.lhs_estimate)
+
+    def test_markov_shifted_table_fails(self):
+        # A regression table 0.01 too high biases every residual by -0.01,
+        # about a tenth of its sd, so the top level, with 95% of the rows,
+        # reads z of about -0.01 sqrt(95000) / 0.11 = -28.
+        m = Uniform()
+        matrix = order_stat_matrix(m, 5, 100_000, 204)
+        table = max_regression(m, 5, 4)
+        shifted = RegressionFunction(table.grid, table.values + 0.01)
+        report, _ = markov_property_check(m, matrix, 204, shifted)
+        assert not report.satisfied
+        assert report.lhs_estimate > 5.0 * MARKOV_Z
+
+    @pytest.mark.parametrize(
+        "m, n", [(Uniform(), 3), (Exponential(2.0), 5), (Normal(1.0, 2.0), 6)], ids=str
+    )
+    def test_markov_cuts_are_quantiles_of_the_third_highest(self, m, n):
+        # P(X_{n-2:n} <= c_q) = q, so the count below each cut is
+        # Binomial(rows, q).
+        rows = 50_000
+        matrix = order_stat_matrix(m, n, rows, 205)
+        _, details = markov_property_check(m, matrix, 205)
+        below = np.array([np.count_nonzero(matrix[:, n - 3] <= c) for c in details["cuts"]])
+        q = MARKOV_LEVELS
+        z = (below - rows * q) / np.sqrt(rows * q * (1.0 - q))
+        assert np.max(np.abs(z)) <= 4.0
 
     def test_markov_needs_three(self):
         with pytest.raises(DomainError):
@@ -321,6 +364,13 @@ class TestRecordSimulation:
         assert np.all(batch.values[:, 0] > batch.values[:, 1])
         assert np.all(batch.values[:, 1] > batch.values[:, 2])
 
+    def test_hazards_are_kept_beside_the_values(self):
+        m = Normal()
+        batch = simulate_records(m, 4, 20_000, 85)
+        assert batch.hazards.shape == batch.values.shape
+        np.testing.assert_array_equal(batch.values, m._isf(np.exp(-batch.hazards)))
+        assert np.all(np.diff(batch.hazards, axis=1) < 0.0)
+
     def test_gap_ks_test_memorylessness(self):
         batch = simulate_records(Exponential(1.0), 4, 100_000, 86)
         gaps = batch.values[:, 0] - batch.values[:, 1]
@@ -395,42 +445,149 @@ class TestRecordSimulation:
         assert abs(discards[0] - discards[1]) <= 4.0 * math.sqrt(2.0 * n * p * (1.0 - p))
 
 
+def _record_mse(m, n, lag, n_samples, seed, **kwargs):
+    return record_predictor_mse(m, n, lag, record_tables(m, n, lag), n_samples, seed, **kwargs)
+
+
 class TestRecordPredictorMse:
     def test_lag1_regression_matches_memorylessness(self):
-        # Binned estimate of E(X_U(4) | X_U(3) = x) sits on x + 1.  The gap
-        # to the next Exp(1) record is Exp(1) (sd 1) whatever x is, so a bin
-        # of `count` rows has standard error 1 / sqrt(count); bound the
-        # worst of the 40 bins at |z| <= 4, as markov_property_check does.
-        res = record_predictor_mse(Exponential(1.0), 4, 2, 100_000, 89)
-        bins = res.details["lag1_bins"]
-        cond = np.array(bins["bin_mean_cond"])
-        target = np.array(bins["bin_mean_target"])
-        count = np.array(bins["bin_count"], dtype=float)
-        z = (target - (cond + 1.0)) * np.sqrt(count)
-        assert np.max(np.abs(z)) <= 4.0
+        # For Exp(1) records E(X_U(4) | X_U(3) = x) = x + 1, and the gap G
+        # to the next record is Exp(1) whatever x is, so the lag-1 squared
+        # error (G - 1)^2 has mean Var G = 1 and variance E(G - 1)^4 - 1 = 8.
+        # The lag-2 error is Gamma(2, 1) less its mean: mean 2, and
+        # variance 24 - 4 = 20.
+        res = _record_mse(Exponential(1.0), 4, 2, 100_000, 89)
+        report = res.reports[0]
+        n = report.n_samples
+        assert abs(report.lhs_estimate - 1.0) <= 4.0 * math.sqrt(8.0 / n)
+        assert abs(report.rhs_estimate - 2.0) <= 4.0 * math.sqrt(20.0 / n)
 
     def test_lag1_vs_lag2_satisfied(self):
-        res = record_predictor_mse(Exponential(1.0), 4, 2, 100_000, 90)
+        res = _record_mse(Exponential(1.0), 4, 2, 100_000, 90)
         assert res.reports[0].satisfied
         assert res.reports[0].margin_sigmas >= 3
         assert res.details["n_discarded"] >= 0
 
     def test_depth3_lag2_conditions_on_first_record(self):
-        res = record_predictor_mse(Exponential(1.0), 3, 2, 50_000, 91)
+        res = _record_mse(Exponential(1.0), 3, 2, 50_000, 91)
         assert res.reports[0].satisfied
 
     def test_lag1_degenerates_to_equality(self):
-        res = record_predictor_mse(Exponential(1.0), 4, 1, 20_000, 92)
+        res = _record_mse(Exponential(1.0), 4, 1, 20_000, 92)
         assert res.reports[0].lhs_estimate == res.reports[0].rhs_estimate
         assert res.reports[0].margin_sigmas == 0.0
 
     def test_too_few_records_raises(self):
         with pytest.raises(SampleSizeError):
-            record_predictor_mse(Exponential(1.0), 4, 2, 2000, 93, cap=10)
+            _record_mse(Exponential(1.0), 4, 2, 2000, 93, cap=10)
 
     def test_lag_validated(self):
+        tables = record_tables(Exponential(1.0), 4, 2)
         with pytest.raises(DomainError):
-            record_predictor_mse(Exponential(1.0), 4, 3, 10_000, 94)
+            record_predictor_mse(Exponential(1.0), 4, 3, tables, 10_000, 94)
+
+    def test_deep_uniform_records_end_in_a_finite_verdict(self):
+        # Depth-40 uniform records round to the upper end, so their values
+        # repeat; the tables read hazards, which do not.
+        res = _record_mse(Uniform(), 40, 2, 2000, 95, cap=10**300)
+        report = res.reports[0]
+        assert res.details["n_kept"] == 2000
+        values = (report.lhs_estimate, report.rhs_estimate, report.paired_diff_se)
+        assert all(math.isfinite(v) for v in values + (report.margin_sigmas,))
+
+    def test_table_build_failure_names_the_marginal(self, monkeypatch):
+        def diverging(f, a, b):
+            raise NumericalError("no convergence", point=(0, 0.0, 1.0))
+
+        monkeypatch.setattr(cexpect.ordered, "tabulate", diverging)
+        diagnostics = cli.validate_config(cli.default_suite()["records"])
+        assert [d.field for d in diagnostics] == ["marginal"]
+
+
+class TestRecordRegression:
+    # E(R_{k+L} | H(R_k) = h) on a grid of hazards h = -log sf(R_k).
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5])
+    @pytest.mark.parametrize("k, lag", [(1, 2), (3, 1), (2, 2), (29, 1)])
+    def test_exponential_closed_form(self, rate, k, lag):
+        # R_k = h / rate, and the hazard climbs by a Gamma(lag, 1) step: x + L / rate.
+        m = Exponential(rate)
+        table = record_regression(m, k, lag)
+        lo, hi = table.domain
+        h = np.linspace(lo, hi, 101)
+        np.testing.assert_allclose(table(h), (h + lag) / rate, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [Uniform(), Uniform(-1.0, 2.0)], ids=str)
+    @pytest.mark.parametrize("k, lag", [(1, 2), (3, 1), (2, 2)])
+    def test_uniform_closed_form(self, m, k, lag):
+        # sf(R_{k+L}) = sf(R_k) e^-G with E e^-G = 2^-L: b - (b - x) 2^-L.
+        # At the nodes, so the PCHIP step between them does not enter.
+        table = record_regression(m, k, lag)
+        x = m._isf(np.exp(-table.grid))
+        closed = m.upper - (m.upper - x) * 2.0**-lag
+        np.testing.assert_allclose(table.values, closed, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("k, lag", [(3, 1), (2, 2)])
+    def test_normal_matches_density_quadrature(self, k, lag):
+        # Given R_k = x, R_{k+L} has density f(z) (H(z) - H(x))^(L-1) /
+        # ((L-1)! sf(x)) on z > x, with H = -log sf.
+        table = record_regression(Normal(), k, lag)
+        for h, value in zip(table.grid[32::56], table.values[32::56]):
+            x = float(stats.norm.isf(math.exp(-h)))
+
+            def density(z):
+                return stats.norm.pdf(z) * (-stats.norm.logsf(z) - h) ** (lag - 1) / math.exp(-h)
+
+            oracle, _ = sci_integrate.quad(lambda z: z * density(z), x, np.inf, epsabs=1e-12)
+            assert value == pytest.approx(oracle, abs=1e-8), h
+
+    @pytest.mark.parametrize(
+        "m",
+        [MaxOfIid(Normal(), 3), MaxOfIid(Exponential(1.0), 50), MaxOfIid(Uniform(-1.0, 2.0), 50)],
+        ids=str,
+    )
+    def test_max_of_iid_converges(self, m):
+        for table in record_tables(m, 4, 2):
+            assert np.all(np.isfinite(table.values))
+            assert np.all(np.diff(table.values) >= 0.0)
+        assert cli.validate_config({**cli.default_suite()["records"], "marginal": m.to_config()}) == []
+
+    def test_lag1_tables_are_shared(self):
+        one, lag = record_tables(Normal(), 4, 1)
+        assert one is lag
+
+    def test_deep_exponential_records_are_not_clamped(self):
+        # A depth-30 Exp(1) record needs about e^29 draws, and the records
+        # before it lie above the marginal's truncated support, which ends
+        # at 27.63: the hazard table still predicts x + 1 there.
+        m = Exponential(1.0)
+        batch = simulate_records(m, 30, 2000, 5, cap=10**300)
+        x = batch.values[:, 1]
+        above = x > m.truncated_support()[1]
+        assert np.count_nonzero(above) >= 100
+        table = record_regression(m, 29, 1)
+        np.testing.assert_allclose(table(batch.hazards[above, 1]), x[above] + 1.0, atol=1e-9)
+
+
+def test_records_and_order_stats_never_fit_bins(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("binned_regression called")
+
+    monkeypatch.setattr(cexpect.ordered, "binned_regression", forbidden)
+    cases = [
+        {"marginal": {"family": "normal", "mean": 0.0, "sd": 1.0}, "n": 4, "k": 1, "l": 3,
+         "markov_check": True},
+        {"marginal": {"family": "uniform", "lower": 0.0, "upper": 1.0}, "n": 3, "k": 1, "l": 1,
+         "markov_check": True},
+    ]
+    suite = cli.default_suite()
+    for cfg in (
+        suite["records"],
+        {**suite["records"], "lag": 1},
+        suite["order-stats"],
+        {**suite["order-stats"], "cases": cases},
+    ):
+        assert cli.run_experiment({**cfg, "n_samples": 20_000}).all_satisfied
 
 
 class TestBinnedRegression:
