@@ -247,9 +247,10 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
     Geometric(exp(-R_{k-1})), taken by inversion of a second Exp(1) draw.
     A sequence is kept when its depth-`depth` record time 1 + sum(waits) is
     at most `cap`; its last three records are isf(exp(-R)), exact far into
-    the right tail, and the batch keeps their hazards R too.  A wait whose success probability underflows to 0 is
-    infinite, so its sequence is discarded.  Everything is chunked and
-    deterministic per (seed, chunk), independent of worker count.
+    the right tail, and the batch keeps their hazards R too.  A wait whose
+    success probability underflows to 0 is infinite, so its sequence is
+    discarded.  Everything is chunked and deterministic per (seed, chunk),
+    independent of worker count.
     """
     if depth < 3:
         raise DomainError(f"record depth must be >= 3, got {depth}", "depth")

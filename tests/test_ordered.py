@@ -225,7 +225,9 @@ class TestOrderStatSimulation:
         assert MARKOV_Z == pytest.approx(4.0436, abs=1e-4)
 
     @pytest.mark.parametrize(
-        "m, n", [(Uniform(), 3), (Exponential(1.0), 5), (Normal(), 6)], ids=["uniform", "exp", "normal"]
+        "m, n",
+        [(Uniform(), 3), (Exponential(1.0), 5), (Normal(), 6)],
+        ids=["uniform", "exp", "normal"],
     )
     def test_markov_null_passes(self, m, n):
         for seed in (201, 202, 203):
@@ -454,8 +456,8 @@ class TestRecordPredictorMse:
         # For Exp(1) records E(X_U(4) | X_U(3) = x) = x + 1, and the gap G
         # to the next record is Exp(1) whatever x is, so the lag-1 squared
         # error (G - 1)^2 has mean Var G = 1 and variance E(G - 1)^4 - 1 = 8.
-        # The lag-2 error is Gamma(2, 1) less its mean: mean 2, and
-        # variance 24 - 4 = 20.
+        # The lag-2 error is a Gamma(2, 1) gap less its mean 2: its square
+        # has mean 2 and variance 24 - 4 = 20.
         res = _record_mse(Exponential(1.0), 4, 2, 100_000, 89)
         report = res.reports[0]
         n = report.n_samples
@@ -550,7 +552,8 @@ class TestRecordRegression:
         for table in record_tables(m, 4, 2):
             assert np.all(np.isfinite(table.values))
             assert np.all(np.diff(table.values) >= 0.0)
-        assert cli.validate_config({**cli.default_suite()["records"], "marginal": m.to_config()}) == []
+        cfg = {**cli.default_suite()["records"], "marginal": m.to_config()}
+        assert cli.validate_config(cfg) == []
 
     def test_lag1_tables_are_shared(self):
         one, lag = record_tables(Normal(), 4, 1)
