@@ -146,8 +146,8 @@ def _read_records(f):
     if marginal is not None and not f.diags:
         keys = {"m": "marginal"}
         tables = f.build(ordered.record_tables, keys=keys, m=marginal, n=depth, lag=lag)
-    # The last three records and their hazards.
-    return partial(ordered.record_predictor_mse, marginal, depth, lag, tables, cap=cap), 6
+    # The hazards of the last three records.
+    return partial(ordered.record_predictor_mse, marginal, depth, lag, tables, cap=cap), 3
 
 
 def _read_coalition(f):

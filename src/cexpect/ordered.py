@@ -47,14 +47,13 @@ from .quadrature import integrate  # noqa: F401
 from .quadrature import tabulate
 from .reports import (
     ExperimentResult,
-    Moments,
+    blocked_paired_moments,
     check_unique_names,
     inequality_report,
-    merged,
     paired_moments,
     threshold_report,
 )
-from .rng import CHUNK_SIZE, check_row_width, run_chunked, simulate_chunked
+from .rng import check_row_width, run_chunked, simulate_chunked
 
 TAG_ORDER = 3
 TAG_RECORDS = 4
@@ -222,20 +221,25 @@ def order_stats(cases, n_samples, seed, pool=None):
 
 @dataclass
 class RecordBatch:
-    """Record values at depths (n, n-1, n-2) for sequences reaching depth n.
+    """Records at depths (n, n-1, n-2) for sequences reaching depth n.
 
-    values[:, 0] is the depth-n record, values[:, 1] the previous one,
-    values[:, 2] the one before that; hazards holds their cumulative
-    hazards -log sf in the same layout.  Sequences that did not reach depth
-    n within `cap` draws are discarded and counted.
+    hazards[:, 0] is the cumulative hazard -log sf of the depth-n record,
+    hazards[:, 1] of the previous one, hazards[:, 2] of the one before that;
+    `values` are the records themselves, isf(exp(-hazards)), computed on
+    each read.  Sequences that did not reach depth n within `cap` draws are
+    discarded and counted.
     """
 
-    values: np.ndarray
+    marginal: Marginal
     hazards: np.ndarray
     depth: int
     n_sequences: int
     n_discarded: int
     cap: int
+
+    @property
+    def values(self):
+        return self.marginal._isf(np.exp(-self.hazards))
 
 
 def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAULT, pool=None):
@@ -246,8 +250,8 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
     of Exp(1) draws, and the number of draws from record k-1 to record k is
     Geometric(exp(-R_{k-1})), taken by inversion of a second Exp(1) draw.
     A sequence is kept when its depth-`depth` record time 1 + sum(waits) is
-    at most `cap`; its last three records are isf(exp(-R)), exact far into
-    the right tail, and the batch keeps their hazards R too.  A wait whose
+    at most `cap`; the batch keeps the hazards R of its last three records,
+    whose values isf(exp(-R)) are exact far into the right tail.  A wait whose
     success probability underflows to 0 is infinite, so its sequence is
     discarded.  Everything is chunked and deterministic per (seed, chunk),
     independent of worker count.
@@ -267,18 +271,14 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
         kept = 1.0 + np.maximum(waits, 1.0).sum(axis=1) <= limit
         return hazards[kept, :-4:-1]  # depths n, n-1, n-2
 
-    # The chunk list goes once concatenated, so it is not held beside the
-    # hazards, their exp and the values.
-    hazards = np.concatenate(
-        run_chunked(worker, n_sequences, seed, TAG_RECORDS, chunk_size=8192, pool=pool), axis=0
-    )
-    values = m._isf(np.exp(-hazards))
+    parts = run_chunked(worker, n_sequences, seed, TAG_RECORDS, chunk_size=8192, pool=pool)
+    hazards = np.concatenate(parts, axis=0)
     return RecordBatch(
-        values=values,
+        marginal=m,
         hazards=hazards,
         depth=int(depth),
         n_sequences=int(n_sequences),
-        n_discarded=int(n_sequences - values.shape[0]),
+        n_discarded=int(n_sequences - hazards.shape[0]),
         cap=int(cap),
     )
 
@@ -374,23 +374,22 @@ def record_predictor_mse(
     """
     check_record_mse(n, lag, cap)
     batch = simulate_records(m, n, n_samples, seed, cap=cap, pool=pool)
-    kept = batch.values.shape[0]
+    kept = batch.hazards.shape[0]
     if kept < 1000:
         raise SampleSizeError(
             f"only {kept} sequences reached record depth {n} (cap {cap}); raise n_samples"
         )
-    # The paired_moments of the two squared errors, evaluated CHUNK_SIZE
-    # rows at a time, so that the tables' temporaries stay small beside the
-    # batch.
     table_1, table_lag = tables
-    parts = []
-    for start in range(0, kept, CHUNK_SIZE):
-        rows = slice(start, start + CHUNK_SIZE)
-        target = batch.values[rows, 0]
-        lhs_sq = (target - table_1(batch.hazards[rows, 1])) ** 2
-        rhs_sq = lhs_sq if lag == 1 else (target - table_lag(batch.hazards[rows, lag])) ** 2
-        parts.append(Moments.of((lhs_sq, lhs_sq - rhs_sq)))
-    report = inequality_report("records", merged(parts), seed)
+    hazards = batch.hazards
+
+    def squared_errors(rows):
+        # Made a block of rows at a time, so that the tables' temporaries
+        # stay small beside the hazards.
+        target = m._isf(np.exp(-hazards[rows, 0]))
+        lhs_sq = (target - table_1(hazards[rows, 1])) ** 2
+        return lhs_sq, lhs_sq if lag == 1 else (target - table_lag(hazards[rows, lag])) ** 2
+
+    report = inequality_report("records", blocked_paired_moments(kept, squared_errors), seed)
     # n_kept is the report's n_samples; perfbench's count oracle reads it
     # beside n_discarded, which the manifest also reads.
     details = {

@@ -208,15 +208,21 @@ def merged(parts):
 def paired_moments(lhs, rhs):
     """The Moments of (lhs, lhs - rhs) over two paired per-row columns,
     which `inequality_report` reads: the mean of lhs, and the mean and
-    variance of the difference, which set rhs and the verdict.  The columns
-    are read CHUNK_SIZE rows at a time, merged in order, so that whole
-    columns reduce as the chunk workers' rows do, with no full-length
-    temporary."""
-    parts = []
-    for start in range(0, lhs.size, CHUNK_SIZE):
-        left, right = lhs[start : start + CHUNK_SIZE], rhs[start : start + CHUNK_SIZE]
-        parts.append(Moments.of((left, left - right)))
-    return merged(parts)
+    variance of the difference, which set rhs and the verdict."""
+    return blocked_paired_moments(lhs.size, lambda rows: (lhs[rows], rhs[rows]))
+
+
+def blocked_paired_moments(n_rows, pair):
+    """paired_moments over n_rows rows whose columns are made a block at a
+    time: pair(rows) returns the (lhs, rhs) of a slice of rows.  Blocks are
+    CHUNK_SIZE rows, merged in order, so that whole columns reduce as the
+    chunk workers' rows do, with no full-length temporary."""
+
+    def block(start):
+        left, right = pair(slice(start, start + CHUNK_SIZE))
+        return Moments.of((left, left - right))
+
+    return merged(map(block, range(0, n_rows, CHUNK_SIZE)))
 
 
 def inequality_report(name, stats, seed):

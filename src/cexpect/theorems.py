@@ -612,18 +612,14 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
         steps *= 2
         steps -= 1
         # S_{n+1} - S_k is the sum of steps k+1..n+1, columns k..n of
-        # `steps`: exact suffix sums, added from the last column down.  A
-        # few columns add fastest one by one, a wide block row by row.
+        # `steps`: exact suffix sums, added column by column from the last.
         error = np.zeros(count, dtype=step_dtype)
         sq = {}
         column = n + 1
         for k in reversed(predictors):
-            if column - k > 8:
-                error += steps[:, k:column].sum(axis=1, dtype=step_dtype)
-            else:
-                for j in range(column - 1, k - 1, -1):
-                    error += steps[:, j]
-            column = k
+            while column > k:
+                column -= 1
+                error += steps[:, column]
             sq[k] = np.square(error, dtype=np.float64)
         lhs = sq[n]
         # The paired Moments of each predictor but S_n, or of lhs alone

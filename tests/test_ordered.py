@@ -366,12 +366,15 @@ class TestRecordSimulation:
         assert np.all(batch.values[:, 0] > batch.values[:, 1])
         assert np.all(batch.values[:, 1] > batch.values[:, 2])
 
-    def test_hazards_are_kept_beside_the_values(self):
+    def test_batch_keeps_the_hazards_and_reads_the_values_from_them(self):
         m = Normal()
         batch = simulate_records(m, 4, 20_000, 85)
-        assert batch.hazards.shape == batch.values.shape
-        np.testing.assert_array_equal(batch.values, m._isf(np.exp(-batch.hazards)))
+        assert batch.hazards.shape == (20_000 - batch.n_discarded, 3)
         assert np.all(np.diff(batch.hazards, axis=1) < 0.0)
+        values = batch.values
+        assert values.shape == batch.hazards.shape
+        assert np.all(np.diff(values, axis=1) <= 0.0)
+        np.testing.assert_allclose(-np.log(m.sf(values)), batch.hazards, rtol=1e-9)
 
     def test_gap_ks_test_memorylessness(self):
         batch = simulate_records(Exponential(1.0), 4, 100_000, 86)

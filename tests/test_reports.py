@@ -14,6 +14,7 @@ from cexpect.reports import (
     CSV_HEADER,
     ExperimentResult,
     Moments,
+    blocked_paired_moments,
     canonical_config_hash,
     equality_check,
     inequality_report,
@@ -196,6 +197,26 @@ def test_merge_in_chunk_order_is_the_same_for_any_worker_count():
     assert serial.n == parallel.n == n
     assert serial.mean.tobytes() == parallel.mean.tobytes()
     assert serial.m2.tobytes() == parallel.m2.tobytes()
+
+
+def test_blocked_paired_moments_makes_each_block_once_in_order():
+    n = 2 * CHUNK_SIZE + 5
+    rng = np.random.default_rng(9)
+    lhs, rhs = rng.random(n) + 2.0, rng.random(n)
+    seen = []
+
+    def pair(rows):
+        seen.append((rows.start, rows.stop))
+        return lhs[rows], rhs[rows]
+
+    stats = blocked_paired_moments(n, pair)
+    edges = range(0, 4 * CHUNK_SIZE, CHUNK_SIZE)
+    assert seen == list(zip(edges, edges[1:]))
+    blocks = (slice(a, b) for a, b in zip(edges, edges[1:]))
+    expected = merged(Moments.of((lhs[r], lhs[r] - rhs[r])) for r in blocks)
+    assert stats.n == n
+    assert stats.mean.tobytes() == expected.mean.tobytes()
+    assert stats.m2.tobytes() == expected.m2.tobytes()
 
 
 def test_inequality_report_makes_no_full_length_temporary():
