@@ -19,9 +19,9 @@ the config as run.  Every run writes all three outputs:
 `cexpect validate` builds the models of a config and never simulates; it
 names every field at fault, and every key no reader reads, as `verify`
 does before it runs anything.  n_samples is bounded by
-reports.MAX_SAMPLE_CELLS rows, or cells for order-stats and records, which
-keep their whole sample, so a run that could not hold its sample fails
-here, not at allocation.  Copula-swap models, the
+reports.MAX_SAMPLE_CELLS rows, or cells for records, which hold the
+hazards of every kept sequence, so a run that could not hold its sample
+fails here, not at allocation.  Copula-swap models, the
 coalition predictor and the record tables are tabulated at read time, since
 a model whose regressions are not increasing, or whose predictor or tables
 do not converge, is at fault.
@@ -130,8 +130,7 @@ def _read_order_stats(f):
     cases = f.models("cases", _order_case)
     if cases and None not in cases:
         f.build(ordered.check_order_cases, cases=cases)
-    width = max((case[1] for case in cases or [] if case is not None), default=1)
-    return partial(ordered.order_stats, cases), width
+    return partial(ordered.order_stats, cases), 0
 
 
 def _read_records(f):

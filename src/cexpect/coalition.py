@@ -325,6 +325,13 @@ def predictor_table(cfg: MarketConfig):
     return RegressionFunction(grid, _dependent_predictor(cfg, grid))
 
 
+def _winner(x, y):
+    """The winner of each market: the index of its first highest broker
+    price, or the number of brokers for an outsider strictly above them
+    all, as np.argmax of [x, y] picks it, without joining the columns."""
+    return np.where(y > x.max(axis=1), x.shape[1], np.argmax(x, axis=1))
+
+
 def compare_strategies(cfg: MarketConfig, table, n_samples, seed, pool=None):
     """Coalition-average predictor vs each individual predictor, plus win
     probabilities (strict-max winner; ties, probability zero for continuous
@@ -348,8 +355,7 @@ def compare_strategies(cfg: MarketConfig, table, n_samples, seed, pool=None):
         preds = table(x)
         lhs_sq = (z_price - preds.mean(axis=1)) ** 2
         stats = [paired_moments(lhs_sq, (z_price - preds[:, i]) ** 2) for i in range(k)]
-        winner = np.argmax(np.column_stack([x, y]), axis=1)
-        return stats, np.bincount(winner, minlength=k + 1)
+        return stats, np.bincount(_winner(x, y), minlength=k + 1)
 
     stats, wins = merged(run_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool))
     reports = [

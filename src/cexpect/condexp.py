@@ -17,7 +17,10 @@
   would give.  Keys and breakpoints go into buckets by one float
   expression, which is monotone in its argument, so a breakpoint in a
   bucket above a key's is above the key: the bound is never low, and
-  backward steps alone are exact.
+  backward steps alone are exact.  Keys are evaluated EVAL_BLOCK at a time
+  into one output array, through scratch arrays of one block that every
+  block reuses, so a call allocates its output and O(EVAL_BLOCK) more,
+  whatever the number of keys.
   The Gaussian copula with normal marginals short-circuits to the exact
   affine form.
 * GaussianVector with closed-form conditional means via the normal
@@ -26,6 +29,7 @@
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +49,11 @@ MONOTONE_TOL = 1e-9
 # Guide-table buckets at most: 32 KiB of uint16 for a 513-node table, and
 # at most two breakpoints a bucket on its Chebyshev grid.
 GUIDE_BUCKETS = 16384
+# Keys a RegressionFunction evaluates at a time: its scratch arrays, 35
+# bytes a key, then fit in L2 cache.  On 2 vCPUs (2 MiB of L2 each) a
+# record table took 0.93-0.97 ms on 65,536 keys at this size, 0.86-1.16 ms
+# at 16,384, 1.6 ms at 65,536 and 5.2-5.3 ms as whole-array expressions.
+EVAL_BLOCK = 8192
 
 
 def chebyshev_nodes(lo, hi, n=GRID_NODES):
@@ -88,13 +97,14 @@ def _pchip_slopes(h, m):
     return d
 
 
-def _bucket(x, lo, scale, top):
-    """floor((x - lo) * scale) clipped to [0, top], for x >= lo; NaN goes to
+def _bucket(x, lo, scale, top, out=None):
+    """floor((x - lo) * scale) clipped to [0, top], for x >= lo, as floats
+    whose integer part is the bucket (into `out` when given); NaN goes to
     top.  One expression for keys and breakpoints, monotone in x."""
-    t = np.asarray(x - lo)
+    t = np.subtract(x, lo, out=out)
     t *= scale
     np.fmin(t, top, out=t)
-    return t.astype(np.intp)
+    return t
 
 
 def _guide_table(grid):
@@ -109,9 +119,36 @@ def _guide_table(grid):
     span = grid[-1] - grid[0]
     buckets = math.ceil(min(GUIDE_BUCKETS, span / np.min(np.diff(grid))))
     scale = buckets / span
-    counts = np.bincount(_bucket(grid[1:-1], grid[0], scale, buckets - 1), minlength=buckets)
+    buckets_of = _bucket(grid[1:-1], grid[0], scale, buckets - 1).astype(np.intp)
+    counts = np.bincount(buckets_of, minlength=buckets)
     table = np.cumsum(counts).astype(np.min_scalar_type(grid.size))
     return scale, table, int(counts.max())
+
+
+class _Scratch(NamedTuple):
+    """Scratch arrays of one block of keys, shaped alike."""
+
+    keys: np.ndarray  # the clipped keys, then their offsets from grid[k]
+    index: np.ndarray  # interval indices k, intp
+    guide: np.ndarray  # guide-table entries, in the table's narrow dtype
+    below: np.ndarray  # key < grid[k], bool
+    term: np.ndarray  # float temporaries
+    power: np.ndarray  # s s, then s s s
+
+    @classmethod
+    def of(cls, shape, guide_dtype):
+        return cls(
+            np.empty(shape),
+            np.empty(shape, np.intp),
+            np.empty(shape, guide_dtype),
+            np.empty(shape, bool),
+            np.empty(shape),
+            np.empty(shape),
+        )
+
+    def head(self, n):
+        """The first n entries of each 1-D scratch array."""
+        return _Scratch(*(a[:n] for a in self))
 
 
 class RegressionFunction:
@@ -169,30 +206,65 @@ class RegressionFunction:
             return DECREASING
         return NON_MONOTONE
 
-    def _interval(self, x):
+    def _interval(self, x, work=None):
         """The interval k with grid[k] <= x < grid[k+1] of each key x in the
         domain, as np.searchsorted(grid[1:-1], x, side="right") finds it:
-        the last interval also takes x = grid[-1], and NaN."""
+        the last interval also takes x = grid[-1], and NaN.  k is
+        work.index, in scratch arrays shaped like x (made when not given)."""
         # The guide table bounds k from above, since monotone bucketing puts
         # no breakpoint <= x in a bucket above x's; each step moves k down
         # while grid[k] > x, and stops at grid[0] <= x.  NaN, which buckets
-        # to the top, compares false and stays in the last interval.
+        # to the top, compares false and stays in the last interval.  Every
+        # index is in range, so np.take needs no bounds check ("clip").
         scale, table, steps = self._guide
-        k = table[_bucket(x, self.domain[0], scale, table.size - 1)].astype(np.intp)
+        if work is None:
+            work = _Scratch.of(x.shape, table.dtype)
+        k = work.index
+        bucket = _bucket(x, self.domain[0], scale, table.size - 1, out=work.term)
+        np.copyto(k, bucket, casting="unsafe")
+        np.take(table, k, out=work.guide, mode="clip")
+        np.copyto(k, work.guide)
         for _ in range(steps):
-            k -= x < self.grid[k]
+            np.take(self.grid, k, out=work.term, mode="clip")
+            k -= np.less(x, work.term, out=work.below)
         return k
+
+    def _evaluate(self, x, out, work):
+        """The interpolant at the 1-D keys x, into out, on scratch arrays
+        shaped like x."""
+        lo, hi = self.domain
+        s = np.clip(x, lo, hi, out=work.keys)
+        k = self._interval(s, work)
+        term, power = work.term, work.power
+
+        def at_k(values, into=term):
+            return np.take(values, k, out=into, mode="clip")
+
+        s -= at_k(self.grid)
+        # c0 + c1 s + c2 (s s) + c3 (s s s), summed in this order, not by
+        # Horner's rule, to keep scipy's bits.
+        at_k(self._c0, out)
+        out += np.multiply(at_k(self._c1), s, out=term)
+        np.multiply(s, s, out=power)
+        out += np.multiply(at_k(self._c2), power, out=term)
+        power *= s
+        out += np.multiply(at_k(self._c3), power, out=term)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.affine is not None:
-            return self.affine[0] + self.affine[1] * x
-        lo, hi = self.domain
-        x = np.clip(x, lo, hi)
-        k = self._interval(x)
-        s = x - self.grid[k]
-        # Summed in this order, not by Horner's rule, to keep scipy's bits.
-        return self._c0[k] + self._c1[k] * s + self._c2[k] * (s * s) + self._c3[k] * (s * s * s)
+            intercept, slope = self.affine
+            out = np.multiply(x, slope)
+            out += intercept
+            return out
+        out = np.empty(x.shape)
+        # A view of the keys where their layout allows, else one copy.
+        keys, values = x.reshape(-1), out.reshape(-1)
+        work = _Scratch.of(min(keys.size, EVAL_BLOCK), self._guide[1].dtype)
+        for start in range(0, keys.size, EVAL_BLOCK):
+            stop = min(start + EVAL_BLOCK, keys.size)
+            self._evaluate(keys[start:stop], values[start:stop], work.head(stop - start))
+        return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,13 @@ hazards can round to one value.
 The Markov check tests the residual X_{n:n} - E(X_{n:n} | X_{n-1:n})
 against indicators of X_{n-2:n} at its known quantiles, the marked
 empirical process of Stute (1997, Ann. Statist. 25).
+
+The order-stats operation streams: its chunk workers reduce their sorted
+rows to the inequality's Moments and the Markov check's per-bin sums, so
+no (n_samples, n) matrix is kept.  `mse_order_inequality` and
+`markov_property_check` make the same per-chunk statistics from a whole
+`order_stat_matrix`, a CHUNK_SIZE block of rows at a time, and report the
+same bits.
 """
 
 import math
@@ -50,10 +57,11 @@ from .reports import (
     blocked_paired_moments,
     check_unique_names,
     inequality_report,
+    merged,
     paired_moments,
     threshold_report,
 )
-from .rng import check_row_width, run_chunked, simulate_chunked
+from .rng import CHUNK_SIZE, check_row_width, run_chunked, simulate_chunked
 
 TAG_ORDER = 3
 TAG_RECORDS = 4
@@ -91,23 +99,66 @@ def max_regression(m: Marginal, n, j):
     return RegressionFunction(grid, fill_massless(values, sf > 0.0))
 
 
-def order_stat_matrix(m: Marginal, n, n_samples, seed, pool=None):
-    """(n_samples, n) matrix of sorted iid rows; deterministic given seed."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+def _sorted_rows(m: Marginal, n):
+    """Chunk worker drawing a (count, n) block of sorted iid rows."""
 
-    def worker(rng, count):
+    def draw(rng, count):
         x = m.sample(rng, count * n).reshape(count, n)
         x.sort(axis=1)
-        return (x,)
+        return x
+
+    return draw
+
+
+def order_stat_matrix(m: Marginal, n, n_samples, seed, pool=None):
+    """(n_samples, n) matrix of sorted iid rows; deterministic given seed.
+    Its CHUNK_SIZE-row blocks are the chunks `order_stats` draws."""
+    if n < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    draw = _sorted_rows(m, n)
+
+    def worker(rng, count):
+        return (draw(rng, count),)
 
     return simulate_chunked(worker, n_samples, seed, TAG_ORDER, pool=pool)[0]
+
+
+def _chunks(matrix):
+    """The CHUNK_SIZE-row blocks of an `order_stat_matrix`: its chunks."""
+    return (matrix[start : start + CHUNK_SIZE] for start in range(0, matrix.shape[0], CHUNK_SIZE))
 
 
 def check_markov_order(n):
     """The Markov check conditions on two order statistics below the maximum."""
     if n < 3:
         raise DomainError(f"markov check needs n >= 3, got {n}", "n")
+
+
+def _markov_cuts(m: Marginal, n):
+    """The cuts c_q of `markov_property_check`, for an n-column sample."""
+    check_markov_order(n)
+    return m.quantile(betaincinv(n - 2, 3, MARKOV_LEVELS))
+
+
+def _markov_sums(rows, table, cuts):
+    """Per-bin sums of e and e^2 over a block of sorted rows: bin b holds
+    the rows whose X_{n-2:n} is below the cuts from index b on."""
+    n = rows.shape[1]
+    residual = rows[:, n - 1] - table(rows[:, n - 2])
+    ids = np.searchsorted(cuts, rows[:, n - 3])
+    bins = cuts.size + 1
+    sums = np.bincount(ids, weights=residual, minlength=bins)
+    return sums, np.bincount(ids, weights=np.square(residual, out=residual), minlength=bins)
+
+
+def _markov_report(m: Marginal, n, cuts, bin_sums, n_samples, seed):
+    """The Markov report and details from the merged `_markov_sums`."""
+    sums, squares = (np.cumsum(b)[:-1] for b in bin_sums)
+    z = np.divide(sums, np.sqrt(squares), out=np.zeros_like(sums), where=squares > 0.0)
+    max_abs_z = float(np.max(np.abs(z)))
+    report = threshold_report(_markov_name(m, n), max_abs_z, MARKOV_Z, n_samples, seed)
+    details = {"levels": MARKOV_LEVELS.tolist(), "cuts": cuts.tolist(), "z": z.tolist()}
+    return report, details
 
 
 def markov_property_check(m: Marginal, matrix, seed, table=None):
@@ -122,24 +173,15 @@ def markov_property_check(m: Marginal, matrix, seed, table=None):
     of X_{n-2:n}, F^-1 of the Beta(n - 2, 3) quantile, for each q in
     MARKOV_LEVELS: z_q = sum(e h_q) / sqrt(sum(e^2 h_q)).  The report's lhs
     is max_q |z_q| and its rhs MARKOV_Z, which it must not exceed.  Returns
-    (report, details); the details hold each level's cut and z.
+    (report, details); the details hold each level's cut and z.  The sums
+    are made per chunk and added in chunk order, as in `order_stats`.
     """
     n_samples, n = matrix.shape
-    check_markov_order(n)
+    cuts = _markov_cuts(m, n)
     if table is None:
         table = max_regression(m, n, n - 1)
-    residual = matrix[:, n - 1] - table(matrix[:, n - 2])
-    cuts = m.quantile(betaincinv(n - 2, 3, MARKOV_LEVELS))
-    # Row i is below the cuts from index ids[i] on.
-    ids = np.searchsorted(cuts, matrix[:, n - 3])
-    bins = MARKOV_LEVELS.size + 1
-    sums = np.cumsum(np.bincount(ids, weights=residual, minlength=bins))[:-1]
-    squares = np.cumsum(np.bincount(ids, weights=residual * residual, minlength=bins))[:-1]
-    z = np.divide(sums, np.sqrt(squares), out=np.zeros_like(sums), where=squares > 0.0)
-    max_abs_z = float(np.max(np.abs(z)))
-    report = threshold_report(_markov_name(m, n), max_abs_z, MARKOV_Z, n_samples, seed)
-    details = {"levels": MARKOV_LEVELS.tolist(), "cuts": cuts.tolist(), "z": z.tolist()}
-    return report, details
+    bin_sums = merged(_markov_sums(rows, table, cuts) for rows in _chunks(matrix))
+    return _markov_report(m, n, cuts, bin_sums, n_samples, seed)
 
 
 def check_order_indices(n, k, l):
@@ -149,22 +191,34 @@ def check_order_indices(n, k, l):
         raise DomainError(f"need 1 <= k <= l <= n-1, got k={k}, l={l}, n={n}")
 
 
+def _order_moments(rows, tables, k, l):
+    """paired_moments of the squared errors of predicting X_{n:n} from
+    X_{l:n} and from X_{k:n}, over a block of sorted rows."""
+
+    def squared_error(j):
+        error = tables[j](rows[:, j - 1])
+        np.subtract(rows[:, -1], error, out=error)
+        return np.square(error, out=error)
+
+    lhs_sq = squared_error(l)
+    return paired_moments(lhs_sq, lhs_sq if k == l else squared_error(k))
+
+
 def mse_order_inequality(m: Marginal, k, l, matrix, seed, tables=None):
     """Eq. between order statistics, on `matrix`, an (n_samples, n)
     `order_stat_matrix` of marginal `m` drawn from `seed`: conditioning on a
     higher order statistic predicts the maximum at least as well.  lhs
     conditions on X_{l:n}, rhs on X_{k:n}, k <= l; k = l degenerates to
     exact equality.  `tables` maps j to max_regression(m, n, j) for j = k
-    and l; they are built here when not given.
+    and l; they are built here when not given.  The statistics are made per
+    chunk and merged in chunk order, as in `order_stats`.
     """
     n = matrix.shape[1]
     check_order_indices(n, k, l)
     if tables is None:
         tables = _max_regressions(m, n, (k, l))
-    target = matrix[:, n - 1]
-    lhs_sq = (target - tables[l](matrix[:, l - 1])) ** 2
-    rhs_sq = (target - tables[k](matrix[:, k - 1])) ** 2
-    return inequality_report(_order_name(m, n, k, l), paired_moments(lhs_sq, rhs_sq), seed)
+    stats = merged(_order_moments(rows, tables, k, l) for rows in _chunks(matrix))
+    return inequality_report(_order_name(m, n, k, l), stats, seed)
 
 
 def _max_regressions(m: Marginal, n, indices):
@@ -198,22 +252,36 @@ def check_order_cases(cases):
 
 def order_stats(cases, n_samples, seed, pool=None):
     """The order-stats experiment over `cases`, each (marginal, n, k, l,
-    markov_check).  Each case draws one `order_stat_matrix` from `seed`, on
-    which it makes its `mse_order_inequality` report and, where markov_check
-    is set, its `markov_property_check` report, whose details are keyed
-    "markov/{family}#i" by the case's position i.  A case tabulates each
-    max_regression it reads once: the Markov check reads the j = n - 1
-    table, which the inequality may read too.
+    markov_check).  Each case makes its `mse_order_inequality` report and,
+    where markov_check is set, its `markov_property_check` report, whose
+    details are keyed "markov/{family}#i" by the case's position i, on the
+    rows of `order_stat_matrix`(m, n, n_samples, seed), and the same bits.
+
+    The rows are never kept: each chunk worker draws and sorts its chunk,
+    evaluates the case's tables on it and returns the inequality's Moments
+    and the Markov check's per-bin sums, which the calling thread merges in
+    chunk order.  A case tabulates each max_regression it reads once: the
+    Markov check reads the j = n - 1 table, which the inequality may read
+    too.
     """
     check_order_cases(cases)
     reports = []
     details = {}
     for pos, (m, n, k, l, markov_check) in enumerate(cases):
-        matrix = order_stat_matrix(m, n, n_samples, seed, pool=pool)
+        check_order_indices(n, k, l)
         tables = _max_regressions(m, n, (k, l, n - 1) if markov_check else (k, l))
-        reports.append(mse_order_inequality(m, k, l, matrix, seed, tables))
+        cuts = _markov_cuts(m, n) if markov_check else None
+        draw = _sorted_rows(m, n)
+
+        def worker(rng, count):
+            rows = draw(rng, count)
+            stats = _order_moments(rows, tables, k, l)
+            return (stats, _markov_sums(rows, tables[n - 1], cuts)) if markov_check else (stats,)
+
+        parts = merged(run_chunked(worker, n_samples, seed, TAG_ORDER, pool=pool))
+        reports.append(inequality_report(_order_name(m, n, k, l), parts[0], seed))
         if markov_check:
-            report, markov_details = markov_property_check(m, matrix, seed, tables[n - 1])
+            report, markov_details = _markov_report(m, n, cuts, parts[1], n_samples, seed)
             reports.append(report)
             details[f"markov/{_family(m)}#{pos}"] = markov_details
     return ExperimentResult("order-stats", reports, details)
@@ -264,12 +332,18 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
     limit = float(min(cap, sys.float_info.max))
 
     def worker(rng, count):
-        hazards = np.cumsum(rng.standard_exponential((count, depth)), axis=1)
+        # The cumulative sums of the increments, added a column at a time
+        # in place, in np.cumsum's order.
+        hazards = rng.standard_exponential((count, depth))
+        for j in range(1, depth):
+            hazards[:, j] += hazards[:, j - 1]
         rates = -np.log1p(-np.exp(-hazards[:, :-1]))
         with np.errstate(all="ignore"):
             waits = np.ceil(rng.standard_exponential((count, depth - 1)) / rates)
+        # A row sum, not a column loop: numpy sums 8 or more columns
+        # pairwise, and a loop would change its bits at depth 9 and above.
         kept = 1.0 + np.maximum(waits, 1.0).sum(axis=1) <= limit
-        return hazards[kept, :-4:-1]  # depths n, n-1, n-2
+        return np.take(hazards[:, :-4:-1], np.flatnonzero(kept), axis=0)  # depths n, n-1, n-2
 
     parts = run_chunked(worker, n_sequences, seed, TAG_RECORDS, chunk_size=8192, pool=pool)
     hazards = np.concatenate(parts, axis=0)

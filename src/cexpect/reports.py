@@ -43,8 +43,8 @@ EQUALITY_SLACK_SIGMAS = 4.0
 # 1 GiB of float64.  An operation whose chunk workers return statistics
 # keeps no column (width 0) and may draw MAX_SAMPLE_CELLS rows.  theorem1
 # on one five-copy model draws 8-10M rows a second with two workers on 2
-# vCPUs, so it takes 13-17 s for them.  Order-stats and records keep their
-# whole sample.
+# vCPUs, so it takes 13-17 s for them.  Only records keep their sample, the
+# hazards of the last three records of each kept sequence.
 MAX_SAMPLE_CELLS = 2**27
 
 

@@ -29,13 +29,14 @@ centred co-moments) of the per-row values its reports read, or integer
 counts (the copula-swap lattice cells, the coalition's wins).
 ``run_chunked``'s caller merges them left to right in ascending chunk
 order, so the merged statistics depend on the chunking, which is fixed,
-and never on the number of workers.  Only the samples that are kept whole
-return rows: the record chunks their kept sequences, and
-``simulate_chunked`` the order-statistic matrix and the markets of
-``coalition.simulate_market``.  ``simulate_chunked`` allocates each output
-array once, from the first chunk's shape and dtype, copies every chunk
-into its rows as the chunk arrives in that order, and drops the chunk,
-instead of keeping every chunk alive until one final concatenation.
+and never on the number of workers.  Only the record chunks return rows,
+the hazards of their kept sequences, which ``ordered.simulate_records``
+keeps whole.  ``simulate_chunked`` assembles whole samples for callers
+outside the operations: ``ordered.order_stat_matrix`` and
+``coalition.simulate_market``.  It allocates each output array once, from
+the first chunk's shape and dtype, copies every chunk into its rows as the
+chunk arrives in that order, and drops the chunk, instead of keeping every
+chunk alive until one final concatenation.
 
 A chunk worker must not start threads of its own: the pool's workers
 already occupy the cores, and extra threads make them wait on each other.

@@ -401,12 +401,12 @@ def test_rejected_config_names_its_field(case, tmp_path, capsys):
 
 
 def test_copula_swap_admits_the_n_samples_of_the_row_bound():
-    # Copula-swap keeps only lattice counts and declares width 0, so it
-    # admits MAX_SAMPLE_CELLS rows; order-stats keeps its (n_samples, n)
-    # matrix, n = 5 here, and is bounded by the cells.
-    for name, limit in (("copula-swap", MAX_SAMPLE_CELLS), ("order-stats", MAX_SAMPLE_CELLS // 5)):
-        assert validate_config(_suite_with(name, n_samples=limit)) == []
-        diagnostics = validate_config(_suite_with(name, n_samples=limit + 1))
+    # Copula-swap keeps only lattice counts, and order-stats only the
+    # statistics of each chunk's sorted rows: both declare width 0 and
+    # admit MAX_SAMPLE_CELLS rows.
+    for name in ("copula-swap", "order-stats"):
+        assert validate_config(_suite_with(name, n_samples=MAX_SAMPLE_CELLS)) == []
+        diagnostics = validate_config(_suite_with(name, n_samples=MAX_SAMPLE_CELLS + 1))
         assert [d.field for d in diagnostics] == ["n_samples"]
 
 

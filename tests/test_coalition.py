@@ -235,3 +235,17 @@ def test_one_broker_is_its_own_coalition():
     assert report.lhs_estimate == report.rhs_estimate
     assert report.margin_sigmas == 0.0
     assert report.satisfied
+
+
+def test_winner_ties_go_to_the_lowest_broker_before_the_outsider():
+    # The winner is the first maximum of [brokers, outsider], as np.argmax
+    # of the joined columns finds it: a broker that ties the outsider wins,
+    # tied brokers go to the lower index, and a missing outsider is -inf.
+    x = np.array([[1.0, 2.0, 2.0], [3.0, 3.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.2]])
+    y = np.array([2.0, 3.5, 0.0, -np.inf])
+    assert coalition._winner(x, y).tolist() == [1, 3, 0, 0]
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 3, (5000, 4)).astype(float)
+    y = rng.integers(0, 4, 5000).astype(float)
+    expected = np.argmax(np.column_stack([x, y]), axis=1)
+    assert np.array_equal(coalition._winner(x, y), expected)

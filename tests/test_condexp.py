@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import ndtri
 
 from cexpect.condexp import (
     DECREASING,
+    EVAL_BLOCK,
     INCREASING,
     NON_MONOTONE,
     GRID_NODES,
@@ -189,6 +191,80 @@ def test_interval_search_steps_on_tabulation_grids():
     assert steps["chebyshev-513"] <= 2
     assert steps["chebyshev-201"] <= 1
     assert steps["linspace-201"] <= 1
+
+
+def _whole_array(f, x):
+    """f at x as whole-array expressions: clip, np.searchsorted, then
+    c0 + c1 s + c2 (s s) + c3 (s s s) in that order."""
+    x = np.clip(np.asarray(x, dtype=float), *f.domain)
+    k = np.searchsorted(f.grid[1:-1], x, side="right")
+    s = x - f.grid[k]
+    return f._c0[k] + f._c1[k] * s + f._c2[k] * (s * s) + f._c3[k] * (s * s * s)
+
+
+def _eval_keys(f, shape):
+    """Keys of `shape` in and around f's domain, with the domain's ends, the
+    floats beside them, a node, the infinities and NaN spread among them,
+    the last key included."""
+    lo, hi = f.domain
+    width = hi - lo
+    keys = philox_stream(7, 0).uniform(lo - 0.1 * width, hi + 0.1 * width, math.prod(shape))
+    ends = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf)]
+    ends += [np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf), f.grid[1], -np.inf, np.inf, np.nan]
+    if keys.size:
+        keys[np.linspace(0, keys.size - 1, len(ends)).astype(np.intp)] = ends
+    return keys.reshape(shape)
+
+
+EVAL_TABLES = ["2-nodes", "chebyshev-513", "irregular-random"]
+EVAL_SHAPES = {
+    "empty": (0,),
+    "empty-2d": (0, 3),
+    "block-1": (EVAL_BLOCK - 1,),
+    "block": (EVAL_BLOCK,),
+    "block+1": (EVAL_BLOCK + 1,),
+    "chunk": (CHUNK_SIZE,),
+    "chunk-by-4": (CHUNK_SIZE, 4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EVAL_SHAPES))
+@pytest.mark.parametrize("table", EVAL_TABLES)
+def test_blocked_evaluation_is_the_whole_array_expression(table, shape):
+    f = RegressionFunction(*PCHIP_TABLES[table])
+    x = _eval_keys(f, EVAL_SHAPES[shape])
+    assert _same_bits(f(x), _whole_array(f, x))
+
+
+@pytest.mark.parametrize("table", EVAL_TABLES)
+def test_blocked_evaluation_of_views_and_scalars(table):
+    f = RegressionFunction(*PCHIP_TABLES[table])
+    x = _eval_keys(f, (CHUNK_SIZE, 4))
+    # Strided columns, a non-contiguous block (evaluated from one copy), a
+    # transpose, and a run of rows that crosses a block's end.
+    views = [x[:, 1], x[::3, 2], x[:, 1:3], x.T, x[5000 : 5003 + EVAL_BLOCK, 0]]
+    for view in views:
+        assert _same_bits(f(view), _whole_array(f, view))
+    lo, hi = f.domain
+    for key in (lo, hi, lo - 1.0, hi + 1.0, 0.5 * (lo + hi), np.nan):
+        for point in (key, np.float64(key), np.array(key)):
+            got, expected = f(point), _whole_array(f, point)
+            assert type(got) is type(expected) and _same_bits(got, expected)
+
+
+def test_evaluation_allocates_its_output_and_one_block():
+    # Whole-array expressions allocated about ten key-sized temporaries;
+    # the blocks reuse scratch arrays of EVAL_BLOCK keys, 35 bytes a key.
+    f = RegressionFunction(*PCHIP_TABLES["chebyshev-513"])
+    x = _eval_keys(f, (CHUNK_SIZE, 4))
+    f(x)
+    tracemalloc.start()
+    try:
+        out = f(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 64 * EVAL_BLOCK, peak
 
 
 def test_lookup_state_is_small():

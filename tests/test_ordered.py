@@ -15,6 +15,7 @@ from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
 from cexpect.ordered import (
     MARKOV_LEVELS,
     MARKOV_Z,
+    TAG_ORDER,
     binned_regression,
     markov_property_check,
     max_regression,
@@ -27,7 +28,7 @@ from cexpect.ordered import (
     simulate_records,
 )
 from cexpect.quadrature import integrate
-from cexpect.rng import philox_stream
+from cexpect.rng import CHUNK_SIZE, philox_stream
 
 
 def _cond_pdf_max(m, z, x, lag):
@@ -292,22 +293,30 @@ class TestMseOrderInequality:
 
 class TestOrderStats:
     def test_each_case_draws_its_matrix_once(self, monkeypatch):
-        import cexpect.ordered
+        # One chunked pass per case, which keeps no matrix; its reports are
+        # those of the helpers on the case's order_stat_matrix, bit for bit.
+        # Two chunks, the last one ragged, so that the merge order counts.
+        rows = CHUNK_SIZE + 5000
+        passes = []
+        run_chunked = cexpect.ordered.run_chunked
 
-        calls = []
+        def spy(worker, n_total, seed, tag, pool=None):
+            passes.append((n_total, seed, tag))
+            return run_chunked(worker, n_total, seed, tag, pool=pool)
 
-        def spy(m, n, n_samples, seed, pool=None):
-            calls.append((m, n))
-            return order_stat_matrix(m, n, n_samples, seed, pool=pool)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("order_stat_matrix called")
 
-        monkeypatch.setattr(cexpect.ordered, "order_stat_matrix", spy)
+        monkeypatch.setattr(cexpect.ordered, "run_chunked", spy)
+        monkeypatch.setattr(cexpect.ordered, "order_stat_matrix", forbidden)
         uniform, exponential = Uniform(), Exponential(1.0)
         cases = [(uniform, 5, 3, 4, True), (exponential, 4, 2, 2, False)]
-        result = order_stats(cases, 10_000, 83)
-        assert calls == [(uniform, 5), (exponential, 4)]
+        result = order_stats(cases, rows, 83)
+        assert passes == [(rows, 83, TAG_ORDER)] * 2
+        monkeypatch.undo()
 
-        uniform_matrix = order_stat_matrix(uniform, 5, 10_000, 83)
-        exponential_matrix = order_stat_matrix(exponential, 4, 10_000, 83)
+        uniform_matrix = order_stat_matrix(uniform, 5, rows, 83)
+        exponential_matrix = order_stat_matrix(exponential, 4, rows, 83)
         markov_report, markov_details = markov_property_check(uniform, uniform_matrix, 83)
         assert result.reports == [
             mse_order_inequality(uniform, 3, 4, uniform_matrix, 83),

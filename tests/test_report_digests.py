@@ -104,9 +104,11 @@ DIGESTS = {
     "martingale-128": "b60954d224fa5e4ad890a222da2c4ace0aabfd4996aec2ea4a66de7e0675571c",
     # Re-recorded when the Markov check became an indicator test of the
     # exact residual and records read exact hazard tables (order-stats,
-    # order-stats-markov and records).
-    "order-stats": "02108baa04175c46285047c594dfa9c6f72a04c74deae771e8301a910a80ae7e",
-    "order-stats-markov": "b8d3625ef2243fa2eca92a12cf83d9a50047ecf16b68a53852ea40a12ea3170f",
+    # order-stats-markov and records), and again for order-stats when its
+    # chunk workers began to return the Markov check's per-bin sums, added
+    # in chunk order: only the Markov z values moved, in their last bits.
+    "order-stats": "dddddf570153f723954b40fc4f1c25c35070d532d55b86c0299dc9bd8b2811cd",
+    "order-stats-markov": "5b1e6ccb66be6604c44eb9e50ff1037903d93ad0132d3b515c5221dcdcdfe247",
     "records": "32ee0c810521cf1bb1ee4074766ce03b86779cab15e881f9e10ee140008d702c",
     "coalition": "0629a31c2a5b7c792f753b0d874e531b6737365ea32ca8c2c80fe42a3d9c746e",
     "coalition-one-broker": "741a4cb7be868bc5243338384b4453022013fac9ba5d53ba12cd5193a7e639de",

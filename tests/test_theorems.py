@@ -14,6 +14,7 @@ from cexpect import theorems
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
 from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
+from cexpect.ordered import order_stats
 from cexpect.reports import inequality_report, paired_moments
 from cexpect.rng import CHUNK_SIZE, chunk_sizes, chunk_stream, simulate_chunked
 from cexpect.theorems import (
@@ -368,8 +369,9 @@ def test_leaf_passes_leave_no_reference_cycle(operation):
         lambda n: verify_theorem1([GaussianCopies(5, 0.3, 0.5)], n, 76),
         lambda n: verify_covariance_identity(GAUSS_NN, n, 76),
         lambda n: martingale_checks(5, n, 76, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
+        lambda n: order_stats([(Uniform(), 5, 3, 4, True)], n, 76),
     ],
-    ids=["theorem1", "covariance", "martingale"],
+    ids=["theorem1", "covariance", "martingale", "order-stats"],
 )
 def test_peak_memory_does_not_grow_with_n_samples(operation):
     # Chunk workers return statistics, not columns, so four times the rows
