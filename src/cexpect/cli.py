@@ -47,6 +47,7 @@ from .config import Diagnostic, Fields
 from .errors import CexpectError, ConfigError
 from .marginals import marginal_from_config
 from .reports import canonical_config_hash, check_sample_size, render_csv, render_json
+from .rng import MAX_WORKERS, check_workers
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,10 @@ def default_suite():
 
 def run_experiment(cfg, workers=1):
     """Build the models of one experiment config and run it; returns
-    ExperimentResult, or raises ConfigError naming every field at fault."""
+    ExperimentResult, or raises ConfigError naming every field at fault.
+    `workers` is checked first, so that no pool starts with more than
+    rng.MAX_WORKERS threads."""
+    check_workers(workers)
     run = _read(cfg)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -368,7 +372,7 @@ def main(argv=None):
     p_verify.add_argument("experiment", help="experiment name, or 'all' for the default suite")
     p_verify.add_argument("--config", help="JSON config path (required unless 'all')")
     p_verify.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_verify.add_argument("--workers", type=int, default=1, help="worker threads (>= 1)")
+    p_verify.add_argument("--workers", type=int, default=1, help=f"worker threads (1..{MAX_WORKERS})")
     p_verify.add_argument("--out", default="reports", help="output directory")
 
     p_validate = sub.add_parser(
@@ -400,10 +404,8 @@ def main(argv=None):
         return 0
 
     # verify
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     try:
+        check_workers(args.workers)
         if args.experiment == "all":
             configs = list(default_suite().values())
         else:

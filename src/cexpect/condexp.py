@@ -38,7 +38,7 @@ from .config import Fields
 from .copulas import Copula, Gaussian, copula_from_config
 from .errors import ConstructionError, DomainError, ExtrapolationError
 from .marginals import Marginal, Normal, marginal_from_config
-from .rng import check_row_width
+from .rng import CHUNK_SIZE, EVAL_BLOCK, check_row_width
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -49,11 +49,6 @@ MONOTONE_TOL = 1e-9
 # Guide-table buckets at most: 32 KiB of uint16 for a 513-node table, and
 # at most two breakpoints a bucket on its Chebyshev grid.
 GUIDE_BUCKETS = 16384
-# Keys a RegressionFunction evaluates at a time: its scratch arrays, 35
-# bytes a key, then fit in L2 cache.  On 2 vCPUs (2 MiB of L2 each) a
-# record table took 0.93-0.97 ms on 65,536 keys at this size, 0.86-1.16 ms
-# at 16,384, 1.6 ms at 65,536 and 5.2-5.3 ms as whole-array expressions.
-EVAL_BLOCK = 8192
 
 
 def chebyshev_nodes(lo, hi, n=GRID_NODES):
@@ -276,9 +271,22 @@ class BivariateModel:
     marginal_y: Marginal
 
     def sample(self, rng, n):
-        """n joint draws via copula sampling + marginal quantiles."""
-        u, v = self.copula.sample(rng, n)
-        return self.marginal_x._quantile(u), self.marginal_y._quantile(v)
+        """n joint draws via copula sampling + marginal quantiles: the blocks
+        of `blocks`, joined."""
+        blocks = self.blocks(rng, n)
+        x, y = np.empty(n), np.empty(n)
+        for rows, x_rows, y_rows in blocks:
+            x[rows], y[rows] = x_rows, y_rows
+        return x, y
+
+    def blocks(self, rng, n, first=None):
+        """An iterator of (rows, x, y): n joint draws in the row blocks of
+        copula.blocks (`first` as there), each pair of uniforms mapped
+        through the marginal quantiles."""
+        return (
+            (rows, self.marginal_x._quantile(u), self.marginal_y._quantile(v))
+            for rows, u, v in self.copula.blocks(rng, n, first)
+        )
 
     def phi(self):
         """y -> E(X | Y = y) as a RegressionFunction over the Y support."""
@@ -378,6 +386,14 @@ def kernel_regress(x, y, x0):
 # differ from the whole product in the last bit.
 GEMM_CELLS = 2**18
 MIN_BLOCK_ROWS = 16
+# A matrix-vector product (gemv), as theorems' linear predictors take of a
+# block of draws, runs each row through one of three OpenBLAS kernel paths:
+# rows in groups of ROW_ALIGN from the start of the call, the last
+# n % ROW_ALIGN rows of a call of n >= ROW_ALIGN rows, or every row of a
+# shorter call.  The paths differ in the last bit, so GaussianVector.blocks
+# cuts its blocks where one call over all the rows would take each row down
+# the same path.
+ROW_ALIGN = 4
 
 
 def _row_blocks(n, d):
@@ -385,8 +401,20 @@ def _row_blocks(n, d):
     range(n).  The last one ends at n and may overlap the one before it, so
     that no block is shorter unless n itself is: a short tail block (one
     row goes to gemv) differs from the whole product in the last bit."""
-    rows = max(MIN_BLOCK_ROWS, GEMM_CELLS // (d * d))
+    rows = _block_rows(d)
     return [slice(s, s + rows) for s in [*range(0, n - rows, rows), max(n - rows, 0)]]
+
+
+def _block_rows(d):
+    return max(MIN_BLOCK_ROWS, GEMM_CELLS // (d * d))
+
+
+def _aligned_cut(drawn, n):
+    """Where a block of the rows drawn so far ends, short of n: the last
+    multiple of ROW_ALIGN, moved one group down if fewer than ROW_ALIGN
+    rows would follow it."""
+    cut = drawn - drawn % ROW_ALIGN
+    return cut - ROW_ALIGN if n - cut < ROW_ALIGN else cut
 
 
 class GaussianVector:
@@ -415,21 +443,57 @@ class GaussianVector:
         return self.mean.size
 
     def sample(self, rng, n):
-        """n draws mean + L z, one per row, from n rows of standard normals z.
-
-        The product z @ L.T runs in the row blocks of `_row_blocks`, each
-        small enough for OpenBLAS to compute on the calling thread, so a
-        chunk worker starts no BLAS threads (see the rng module docstring).
-        Every block has the same number of rows, and each row comes out as
-        in the whole product computed on one thread, bit for bit.
-        """
-        z = rng.standard_normal((n, self.dim))
-        x = np.empty_like(z)
-        chol_t = self._chol.T
-        for block in _row_blocks(n, self.dim):
-            np.matmul(z[block], chol_t, out=x[block])
-        x += self.mean
+        """n draws mean + L z, one per row, from n rows of standard normals z:
+        the rows of `blocks`, copied into one (n, dim) array."""
+        x = np.empty((n, self.dim))
+        for rows, block in self.blocks(rng, n):
+            x[rows] = block
         return x
+
+    def scratch(self, n=CHUNK_SIZE):
+        """Scratch arrays of `blocks` over at most n rows: the normals of one
+        gemm block, and its draws with room for the rows held back."""
+        rows = min(n, _block_rows(self.dim))
+        return np.empty((rows, self.dim)), np.empty((rows + 2 * ROW_ALIGN, self.dim))
+
+    def blocks(self, rng, n, work=None):
+        """Yield (rows, x): n draws mean + L z in consecutive row blocks, x
+        the draws of the slice `rows` of range(n).
+
+        The normals are drawn a gemm block at a time with
+        standard_normal(out=), which fills rows in the order of one (n, dim)
+        draw, and each gemm block is one of `_row_blocks`: small enough for
+        OpenBLAS to keep on the calling thread (see the rng module
+        docstring), and of the same number of rows, so each row comes out as
+        in the whole product computed on one thread, bit for bit.  The
+        last block of a ragged n multiplies again the rows it shares with
+        the block before it and yields only its new rows.  A block starts at
+        a multiple of ROW_ALIGN and, unless it ends at n, spans a multiple
+        of it; the last spans at least ROW_ALIGN rows, or all n.  x is a
+        view of `work` (from `scratch(n)`, made when not given), overwritten
+        by the next block.
+        """
+        z, x = self.scratch(n) if work is None else work
+        chol_t = self._chol.T
+        start = held = drawn = 0  # x[:held] holds rows start .. drawn - 1
+        for block in _row_blocks(n, self.dim):
+            size = len(range(n)[block])
+            keep = drawn - block.start  # rows drawn with the block before
+            z[:keep] = z[size - keep : size]
+            rng.standard_normal(out=z[keep:size])
+            product = x[held : held + size]
+            np.matmul(z[:size], chol_t, out=product)
+            new = product[: size - keep]
+            if keep:
+                new[:] = product[keep:]
+            new += self.mean
+            held += size - keep
+            drawn += size - keep
+            cut = n if drawn == n else _aligned_cut(drawn, n)
+            yield slice(start, cut), x[: cut - start]
+            held -= cut - start
+            x[:held] = x[cut - start : cut - start + held]
+            start = cut
 
     def conditional_coefficients(self, target, given):
         """(intercept, coefs) with E(X_t | X_g = v) = intercept + coefs @ v."""

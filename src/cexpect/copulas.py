@@ -22,6 +22,7 @@ from scipy.special import bdtr, bdtrc, ndtr, ndtri, owens_t
 
 from .config import Fields
 from .errors import DomainError
+from .rng import EVAL_BLOCK
 
 
 def _bvn_cdf(h, k, rho):
@@ -73,12 +74,31 @@ class Copula:
         return v, 1.0 - v
 
     def sample(self, rng, n):
-        """n dependent uniform pairs (u, v); deterministic given rng."""
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
-        u = rng.random(n)
-        w = rng.random(n)
-        return u, self._cond_quantile(u, w)
+        """n dependent uniform pairs (u, v); deterministic given rng: the
+        blocks of `blocks`, joined."""
+        blocks = self.blocks(rng, n)
+        u, v = np.empty(n), np.empty(n)
+        for rows, u_rows, v_rows in blocks:
+            u[rows], v[rows] = u_rows, v_rows
+        return u, v
+
+    def blocks(self, rng, n, first=None):
+        """An iterator of (rows, u, v): n dependent uniform pairs in row
+        blocks of EVAL_BLOCK, u and v those of the slice `rows` of range(n).
+
+        The first column's n uniforms are drawn whole, at this call and
+        into first[:n] when `first` is given: its draw count fixes where the
+        second column's draws start.  The second column is then drawn a
+        block at a time with random(out=), which fills as one draw of n
+        does, and inverted from dC/du.  u is a view of the first column, and
+        v may be a view of a block array that the next block overwrites.
+        """
+        u = _first_column(rng.random, n, first)
+        w = np.empty(min(n, EVAL_BLOCK))
+        return (
+            (rows, u[rows], self._cond_quantile(u[rows], w_rows))
+            for rows, w_rows in _blocks(rng.random, n, w)
+        )
 
     @staticmethod
     def _clip_pair(u, v):
@@ -145,14 +165,16 @@ class Gaussian(Copula):
         z = ndtri(np.clip(w, 1e-300, 1 - 1e-16))
         return self.rho * x + math.sqrt(1.0 - self.rho**2) * z
 
-    def sample(self, rng, n):
-        """Correlated normal pair mapped through the normal cdf (exact)."""
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        y = self.rho * z1 + math.sqrt(1.0 - self.rho**2) * z2
-        return ndtr(z1), ndtr(y)
+    def blocks(self, rng, n, first=None):
+        """A correlated normal pair mapped through the normal cdf (exact):
+        Copula.blocks with standard normals in place of uniforms."""
+        z1 = _first_column(rng.standard_normal, n, first)
+        z2 = np.empty(min(n, EVAL_BLOCK))
+        scale = math.sqrt(1.0 - self.rho**2)
+        return (
+            (rows, ndtr(z1[rows]), ndtr(self.rho * z1[rows] + scale * z2_rows))
+            for rows, z2_rows in _blocks(rng.standard_normal, n, z2)
+        )
 
     def to_config(self):
         return {"family": "gaussian", "rho": self.rho}
@@ -239,6 +261,22 @@ class Clayton(Copula):
 
     def to_config(self):
         return {"family": "clayton", "alpha": self.alpha}
+
+
+def _first_column(draw, n, first):
+    """n draws of `draw` (a Generator method) whole, into first[:n] when
+    `first` is given."""
+    if n < 1:
+        raise DomainError(f"sample size must be >= 1, got {n}")
+    return draw(n) if first is None else draw(out=first[:n])
+
+
+def _blocks(draw, n, block):
+    """Yield (rows, draws) over range(n) in slices of block.size rows, each
+    filled by draw(out=) into the head of `block`."""
+    for start in range(0, n, block.size):
+        rows = slice(start, min(start + block.size, n))
+        yield rows, draw(out=block[: rows.stop - start])
 
 
 def lattice_counts(u, v, grid):

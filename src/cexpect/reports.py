@@ -140,29 +140,37 @@ class Moments:
 
     @classmethod
     def of(cls, rows):
-        """The Moments of k 1-D columns of one length, one per variable.
+        """The Moments of k 1-D columns of one length, one per variable:
+        of_block of a new (k, n) float64 copy of them."""
+        return cls.of_block(np.array(rows, dtype=np.float64))
 
-        Each column is shifted by its first value before it is summed, so a
-        constant column sums to exactly 0.  Each co-moment is the pairwise
-        np.add.reduce of an elementwise product of two centred columns, with
+    @classmethod
+    def of_block(cls, block, product=None):
+        """The Moments of the k rows of a (k, n) float64 block, one per
+        variable, which a chunk worker filled for this call: the block is
+        centred in place, so its values are lost.  `product` is an n-float
+        scratch for the co-moments' products, made when not given.
+
+        Each row is shifted by its first value before it is summed, so a
+        constant row sums to exactly 0.  Each co-moment is the pairwise
+        np.add.reduce of an elementwise product of two centred rows, with
         no BLAS call, which a chunk worker avoids (see rng.py).  On 2 vCPUs,
         with three variables a report, the sampling workload's martingale
         took about 105 ms this way and about 170 ms with the co-moments as
         BLAS products in column blocks.
         """
-        k, n = len(rows), len(rows[0])
-        shift = np.array([row[0] for row in rows], dtype=np.float64)
-        centred = np.empty((k, n))
-        for out, row, value in zip(centred, rows, shift):
-            np.subtract(row, value, out=out)
-        offset = np.add.reduce(centred, axis=1) / n
-        for out, value in zip(centred, offset):
-            out -= value
+        k, n = block.shape
+        shift = block[:, 0].copy()
+        for row, value in zip(block, shift):
+            row -= value
+        offset = np.add.reduce(block, axis=1) / n
+        for row, value in zip(block, offset):
+            row -= value
         m2 = np.empty((k, k))
-        product = np.empty(n)
+        product = np.empty(n) if product is None else product[:n]
         for i in range(k):
             for j in range(i, k):
-                np.multiply(centred[i], centred[j], out=product)
+                np.multiply(block[i], block[j], out=product)
                 m2[i, j] = m2[j, i] = np.add.reduce(product)
         return cls(n, shift + offset, m2)
 
@@ -220,7 +228,10 @@ def blocked_paired_moments(n_rows, pair):
 
     def block(start):
         left, right = pair(slice(start, start + CHUNK_SIZE))
-        return Moments.of((left, left - right))
+        rows = np.empty((2, left.size))
+        rows[0] = left
+        np.subtract(left, right, out=rows[1])
+        return Moments.of_block(rows)
 
     return merged(map(block, range(0, n_rows, CHUNK_SIZE)))
 

@@ -38,15 +38,28 @@ the first chunk's shape and dtype, copies every chunk into its rows as the
 chunk arrives in that order, and drops the chunk, instead of keeping every
 chunk alive until one final concatenation.
 
+A worker may take scratch arrays: ``run_chunked(..., scratch=make)``
+calls it as ``worker(rng, count, work)``, where ``work`` is what ``make()``
+returned.  The scratch is the operation's: ``make`` runs the first time a
+chunk finds no free scratch, so there is at most one scratch a pool thread
+(one in a serial run), every later chunk reuses a free one, and all of them
+are dropped with the call.  A worker writes its per-row values into the
+scratch a block of rows at a time and returns statistics computed from it,
+never the scratch or a view of it: the next chunk overwrites it.  Since
+each pool thread holds a scratch of up to eight CHUNK_SIZE rows of float64
+(4 MiB, the covariance identity's), a run may start at most MAX_WORKERS
+threads.
+
 A chunk worker must not start threads of its own: the pool's workers
 already occupy the cores, and extra threads make them wait on each other.
 A whole-chunk BLAS product does start them: OpenBLAS may run a gemm of
 more than 2**18 multiply-adds on its own threads, and runs a (65536, 6) @
 (6, 6) product on two.  Measured on 2 vCPUs, two pool workers drawing
 Gaussian vectors that way took longer than one.  So
-``condexp.GaussianVector.sample`` multiplies in row blocks that OpenBLAS
-keeps on the calling thread, and ``reports.Moments.of`` forms co-moments
-from elementwise products, with no BLAS call.
+``condexp.GaussianVector.blocks`` multiplies in row blocks that OpenBLAS
+keeps on the calling thread, the theorems' linear predictors take a gemv
+over one such block at a time, and ``reports.Moments.of_block`` forms
+co-moments from elementwise products, with no BLAS call.
 
 The record stream (tag 4, ``ordered.simulate_records``) uses chunks of 8192
 sequences.  Each chunk draws a (count, depth) block of standard exponentials,
@@ -68,6 +81,13 @@ MASK32 = (1 << 32) - 1
 # random stream layout, so it is part of the reproducibility contract.
 CHUNK_SIZE = 65536
 
+# Rows a chunk worker, or a regression table, handles at a time: the
+# table's scratch arrays, 35 bytes a key, then fit in L2 cache.  On 2 vCPUs
+# (2 MiB of L2 each) a record table took 0.93-0.97 ms on 65,536 keys at this
+# size, 0.86-1.16 ms at 16,384, 1.6 ms at 65,536 and 5.2-5.3 ms as
+# whole-array expressions.
+EVAL_BLOCK = 8192
+
 # Largest size field a model may have (a vector dimension, a number of
 # copies, brokers or order statistics, a walk or record depth).  A model
 # may draw one column more than its size field: the copies' target, the
@@ -75,6 +95,17 @@ CHUNK_SIZE = 65536
 # at most MAX_ROW_WIDTH + 1 draws, and a chunk of CHUNK_SIZE rows that wide
 # is 64.5 MiB of float64.
 MAX_ROW_WIDTH = 128
+
+
+# Most worker threads a run may start; see the module docstring.
+MAX_WORKERS = 64
+
+
+def check_workers(workers):
+    """A worker-thread count in 1..MAX_WORKERS, checked before any pool
+    starts."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise DomainError(f"workers must be in 1..{MAX_WORKERS}, got {workers}", "workers")
 
 
 def check_row_width(width, param):
@@ -107,17 +138,29 @@ def chunk_sizes(n_total, chunk_size=CHUNK_SIZE):
     return chunks, n_total - (chunks - 1) * chunk_size
 
 
-def _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
-    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order.
+def _chunk_results(worker, n_total, seed, tag, chunk_size, pool, scratch=None):
+    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order,
+    or `worker(rng, count, work)` with a scratch from `scratch()`.
 
     With a pool, at most 2 x pool._max_workers chunks are in flight (see the
     module docstring); the queued ones are cancelled if a worker raises or
     the iterator is dropped.
     """
     chunks, last = chunk_sizes(n_total, chunk_size)
+    free = []  # the scratches no running chunk holds
 
     def call(c):
-        return worker(chunk_stream(seed, tag, c), chunk_size if c < chunks - 1 else last)
+        rng, count = chunk_stream(seed, tag, c), chunk_size if c < chunks - 1 else last
+        if scratch is None:
+            return worker(rng, count)
+        try:
+            work = free.pop()
+        except IndexError:
+            work = scratch()
+        try:
+            return worker(rng, count, work)
+        finally:
+            free.append(work)
 
     indices = iter(range(chunks))
     if pool is None:
@@ -134,14 +177,17 @@ def _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
             future.cancel()
 
 
-def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
+def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None, scratch=None):
     """Run `worker(rng, count)` over deterministic chunks, in chunk order.
 
     Returns the list of per-chunk results ordered by chunk index.  `pool`
     may be a concurrent.futures executor owned by the caller; workers must
     not mutate shared state.  Results are identical for any pool size.
+    With `scratch`, a function of no arguments, the worker is called as
+    worker(rng, count, work) on a scratch that `scratch()` made (see the
+    module docstring).
     """
-    return list(_chunk_results(worker, n_total, seed, tag, chunk_size, pool))
+    return list(_chunk_results(worker, n_total, seed, tag, chunk_size, pool, scratch))
 
 
 def simulate_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):

@@ -7,19 +7,23 @@ inequalities, 4 for identities).  Degenerate cases where both sides are the
 same computation produce margin exactly 0.
 
 Replications run in fixed-size chunks with per-chunk Philox streams (see
-rng.py).  Each chunk worker draws its rows and reduces them to the
-statistics its reports read: the reports.Moments of the paired squared
-errors (lhs, lhs - rhs) for an inequality, or of the raw per-row
-variables whose co-moments give the covariance and sequence-stats
-identities.  No column outlives its chunk.  The calling thread merges the
-chunks' Moments in chunk order, so the bytes of a report do not depend on
-the number of workers, and they differ from whole-column np.mean and
-np.std only in their last bits.
+rng.py).  Each chunk worker reduces its rows to the statistics its reports
+read: the reports.Moments of the paired squared errors (lhs, lhs - rhs)
+for an inequality, or of the raw per-row variables whose co-moments give
+the covariance and sequence-stats identities.  It draws its rows a block at
+a time (the models' `blocks`) and writes each block's per-row values into a
+(k, count) block of the scratch its thread holds for the operation (see
+rng.run_chunked), which Moments.of_block centres in place; so a worker
+makes no whole-chunk array outside its scratch, only one block of
+temporaries.  The statistics are those of the whole-chunk columns, bit for
+bit.  The calling thread merges the chunks' Moments in chunk order, so
+the bytes of a report do not depend on the number of workers, and they
+differ from whole-column np.mean and np.std only in their last bits.
 
-Copula-swap keeps no column either.  Each worker bins its draws on a
-lattice at the known margins and returns the integer count of each cell;
-the calling thread adds the counts in chunk order, so the report bytes are
-the same for any chunking or worker count.
+Copula-swap keeps no column either.  Each worker bins each block of its
+draws on a lattice at the known margins and returns the integer count of
+each cell; the calling thread adds the counts in chunk order, so the report
+bytes are the same for any chunking or worker count.
 """
 
 import numpy as np
@@ -45,10 +49,9 @@ from .reports import (
     equality_check,
     inequality_report,
     merged,
-    paired_moments,
     threshold_report,
 )
-from .rng import check_row_width, run_chunked
+from .rng import CHUNK_SIZE, EVAL_BLOCK, check_row_width, run_chunked
 
 # Stream tags (part of the reproducibility contract).
 TAG_MAIN = 1
@@ -129,6 +132,16 @@ class GaussianCopies:
             x = np.repeat(x, self.n_copies, axis=1)
         return mat[:, 0], x
 
+    def scratch(self):
+        """Scratch arrays of `blocks` over a chunk."""
+        return self._joint.scratch()
+
+    def blocks(self, rng, n, work=None):
+        """An iterator of (rows, y, x): the draws of `sample` in the row
+        blocks of GaussianVector.blocks (`work` from `scratch()`), except
+        that a comonotone model's x is its one column, not repeated."""
+        return ((rows, mat[:, 0], mat[:, 1:]) for rows, mat in self._joint.blocks(rng, n, work))
+
     def predictor(self):
         """x -> E(Y | X_i = x); one shared affine rule for all copies."""
         x_marginal = Normal(mean_=self.mean_x, sd=self.sd_x)
@@ -160,9 +173,33 @@ class ConditionalIidCopies:
         return f"cond-iid(n={self.n_copies},beta={self.beta:g})"
 
     def sample(self, rng, n):
-        y = self.y_marginal.sample(rng, n)
-        eps = self.noise.sample(rng, n * self.n_copies).reshape(n, self.n_copies)
-        return y, self.beta * y[:, None] + eps
+        """Returns (Y, X) with X of shape (n, n_copies): the blocks of
+        `blocks`, joined."""
+        blocks = self.blocks(rng, n)
+        y, x = np.empty(n), np.empty((n, self.n_copies))
+        for rows, y_rows, x_rows in blocks:
+            y[rows], x[rows] = y_rows, x_rows
+        return y, x
+
+    def scratch(self):
+        """Scratch of `blocks` over a chunk: the uniforms of Y."""
+        return np.empty(CHUNK_SIZE)
+
+    def blocks(self, rng, n, work=None):
+        """An iterator of (rows, y, x): n draws in row blocks of EVAL_BLOCK.
+        Y's n uniforms are drawn whole, at this call and into work[:n] when
+        given, since the noise of all n rows is drawn after them, row by
+        row; each block then draws its rows' noise."""
+        if n < 1:
+            raise DomainError(f"sample size must be >= 1, got {n}")
+        u = rng.random(n) if work is None else rng.random(out=work[:n])
+        blocks = range(0, n, EVAL_BLOCK)
+        return (self._draw_block(rng, u[start : start + EVAL_BLOCK], start) for start in blocks)
+
+    def _draw_block(self, rng, u, start):
+        y = self.y_marginal._quantile(u)
+        eps = self.noise._quantile(rng.random(u.size * self.n_copies)).reshape(-1, self.n_copies)
+        return slice(start, start + u.size), y, self.beta * y[:, None] + eps
 
     def predictor(self):
         b = self.beta
@@ -248,23 +285,47 @@ def default_copies_battery():
     return models
 
 
+def _rows_scratch(k):
+    """A flat scratch buffer for a (k, count) block of per-row values and
+    the products of Moments.of_block over it (see `_block`)."""
+    return np.empty((k + 1) * CHUNK_SIZE)
+
+
+def _block(buffer, k, count):
+    """(block, product): the head of a `_rows_scratch(k)` buffer as a
+    C-contiguous (k, count) block, and the count floats after it."""
+    return buffer[: k * count].reshape(k, count), buffer[k * count : (k + 1) * count]
+
+
 def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
     """One inequality report per copies model, each on `seed`: the squared
     error of the row average of the columns `averaged(model)` makes of the
     copies, as a predictor of Y, against that of its first column.  A
-    comonotone model's columns are one column repeated, so its average is
-    that column exactly."""
+    comonotone model's blocks hold its one column, so its average is that
+    column exactly.
+
+    Each chunk worker writes the paired squared errors (lhs, lhs - rhs) of
+    each block of draws into its scratch block and returns its Moments."""
     reports = []
     for model in models:
         columns = averaged(model)
 
-        def worker(rng, count):
-            y, x = model.sample(rng, count)
-            values = columns(x)
-            average = values[:, 0] if model.comonotone else values.mean(axis=1)
-            return paired_moments((y - average) ** 2, (y - values[:, 0]) ** 2)
+        def scratch():
+            return _rows_scratch(2), model.scratch()
 
-        stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+        def worker(rng, count, work):
+            buffer, draws = work
+            block, product = _block(buffer, 2, count)
+            for rows, y, x in model.blocks(rng, count, draws):
+                values = columns(x)
+                average = np.add.reduce(values, axis=1, out=block[0, rows])
+                average /= values.shape[1]
+                np.square(np.subtract(y, average, out=average), out=average)
+                error = np.subtract(y, values[:, 0], out=block[1, rows])
+                np.subtract(average, np.square(error, out=error), out=error)
+            return Moments.of_block(block, product)
+
+        stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
         reports.append(inequality_report(f"{experiment}/{model.label()}", stats, seed))
     return ExperimentResult(experiment, reports, {"battery_size": len(models)})
 
@@ -322,26 +383,48 @@ def check_theorem3_dim(dim):
         raise DomainError(f"theorem3 needs a 3-dimensional vector, got d={dim}", "dim")
 
 
-def _linear_pred(v: GaussianVector, target, given, mat):
-    if len(given) == 0:
-        return np.full(mat.shape[0], v.mean[target])
-    intercept, coefs = v.conditional_coefficients(target, given)
-    return intercept + mat[:, list(given)] @ coefs
-
-
 def _conditioning_errors(v: GaussianVector, target, index_sets, pairs, n_samples, seed, pool):
-    """The paired_moments of the squared errors of E(X_target | X_s) for
+    """The paired Moments of the squared errors of E(X_target | X_s) for
     s = index_sets[a] against s = index_sets[b], for each pair (a, b) of
-    `pairs`, all on the same draws of `v`.  A repeated set is one column, so
-    its pairs read an identically 0 difference."""
+    `pairs`, all on the same draws of `v`.  A repeated set is one row of
+    errors, so its pairs read an identically 0 difference.
 
-    def worker(rng, count):
-        mat = v.sample(rng, count)
-        x = mat[:, target]
-        errors = {s: (x - _linear_pred(v, target, s, mat)) ** 2 for s in dict.fromkeys(index_sets)}
-        return [paired_moments(errors[index_sets[a]], errors[index_sets[b]]) for a, b in pairs]
+    Each chunk worker writes the squared errors of each distinct set into a
+    row of its scratch, a block of draws at a time: the predictor
+    intercept + X_s @ coefs is a gemv over the block's rows, which
+    GaussianVector.blocks cuts so that each row takes the kernel path of one
+    gemv over the chunk.  Each pair's (lhs, lhs - rhs) block is then filled
+    from those rows."""
+    sets = list(dict.fromkeys(index_sets))
+    row = {s: i for i, s in enumerate(sets)}
+    rules = [(list(s), *v.conditional_coefficients(target, s)) if s else None for s in sets]
 
-    return merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    def scratch():
+        return np.empty(len(sets) * CHUNK_SIZE), _rows_scratch(2), v.scratch()
+
+    def worker(rng, count, work):
+        error_buffer, buffer, draws = work
+        errors = error_buffer[: len(sets) * count].reshape(len(sets), count)
+        for rows, mat in v.blocks(rng, count, draws):
+            x = mat[:, target]
+            for error, rule in zip(errors[:, rows], rules):
+                if rule is None:
+                    error[:] = v.mean[target]
+                else:
+                    given, intercept, coefs = rule
+                    np.matmul(mat[:, given], coefs, out=error)
+                    error += intercept
+                np.square(np.subtract(x, error, out=error), out=error)
+        block, product = _block(buffer, 2, count)
+        stats = []
+        for a, b in pairs:
+            lhs, rhs = errors[row[index_sets[a]]], errors[row[index_sets[b]]]
+            block[0] = lhs
+            np.subtract(lhs, rhs, out=block[1])
+            stats.append(Moments.of_block(block, product))
+        return stats
+
+    return merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
 
 
 def _chain_name(shorter, longer):
@@ -415,13 +498,24 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
     psi = model.psi()
     mid_x, mid_y = _medians(model)
 
-    def worker(rng, count):
-        x, y = model.sample(rng, count)
-        phi_y, psi_x = phi(y) - mid_x, psi(x) - mid_y
-        x, y = x - mid_x, y - mid_y
-        return Moments.of((x, y, phi_y, psi_x, phi_y * y, psi_x * x, x * y))
+    def worker(rng, count, buffer):
+        block, product = _block(buffer, 7, count)
+        # The draws' first column is spent before the products are formed.
+        for rows, x, y in model.blocks(rng, count, first=product):
+            x_c, y_c, phi_y, psi_x, phi_y_y, psi_x_x, x_y = block[:, rows]
+            np.subtract(phi(y), mid_x, out=phi_y)
+            np.subtract(psi(x), mid_y, out=psi_x)
+            np.subtract(x, mid_x, out=x_c)
+            np.subtract(y, mid_y, out=y_c)
+            np.multiply(phi_y, y_c, out=phi_y_y)
+            np.multiply(psi_x, x_c, out=psi_x_x)
+            np.multiply(x_c, y_c, out=x_y)
+        return Moments.of_block(block, product)
 
-    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    def scratch():
+        return _rows_scratch(7)
+
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
     cov = stats.m2 / (n_samples - 1)
     cov_xy, cov_phi, cov_psi = cov[0, 1], cov[2, 1], cov[3, 0]
     # (phi(Y) - m)(Y - m), (psi(X) - m)(X - m) and (X - m)(Y - m) as c . w.
@@ -464,19 +558,25 @@ def copula_swap_z(model, n_samples, seed, pool=None):
     """sup_distance_swapped of the draws' empirical copula at the known
     margins: the largest |z| of the lattice counts against C(t, s).
 
-    Each chunk worker draws (x, y) with model.sample and returns the
-    lattice_counts of (s, t) = (F_Y(y), F_X(x)), which have the ranks of
-    (Z1, Z2) = (phi(Y), psi(X)) when phi and psi are strictly increasing;
-    the calling thread adds the counts in chunk order.  The margins are the
-    model's known cdfs, so a wrong marginal sampler fails too.
+    Each chunk worker draws (x, y) with model.blocks and returns the summed
+    lattice_counts of each block's (s, t) = (F_Y(y), F_X(x)), which have the
+    ranks of (Z1, Z2) = (phi(Y), psi(X)) when phi and psi are strictly
+    increasing; the calling thread adds the counts in chunk order.  The
+    margins are the model's known cdfs, so a wrong marginal sampler fails
+    too.
     """
     grid = COPULA_SWAP_GRID
 
-    def worker(rng, count):
-        x, y = model.sample(rng, count)
-        return lattice_counts(model.marginal_y.cdf(y), model.marginal_x.cdf(x), grid)
+    def worker(rng, count, first):
+        return sum(
+            lattice_counts(model.marginal_y.cdf(y), model.marginal_x.cdf(x), grid)
+            for _, x, y in model.blocks(rng, count, first)
+        )
 
-    counts = sum(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    def scratch():
+        return np.empty(CHUNK_SIZE)
+
+    counts = sum(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
     return sup_distance_swapped(EmpiricalCopula(counts, grid), model.copula)
 
 
@@ -528,13 +628,22 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
     psi = model.psi()  # x1 -> E(X2 | X1 = x1)
     mid_1, mid_2 = _medians(model)
 
-    def worker(rng, count):
-        x1, x2 = model.sample(rng, count)
-        y2 = psi(x1) - mid_2
-        x1, x2 = x1 - mid_1, x2 - mid_2
-        return Moments.of((x1, x2, y2, x1 * x2, x1 * y2))
+    def worker(rng, count, buffer):
+        block, product = _block(buffer, 5, count)
+        # The draws' first column is spent before the products are formed.
+        for rows, x1, x2 in model.blocks(rng, count, first=product):
+            x1_c, x2_c, y2, x1_x2, x1_y2 = block[:, rows]
+            np.subtract(psi(x1), mid_2, out=y2)
+            np.subtract(x1, mid_1, out=x1_c)
+            np.subtract(x2, mid_2, out=x2_c)
+            np.multiply(x1_c, x2_c, out=x1_x2)
+            np.multiply(x1_c, y2, out=x1_y2)
+        return Moments.of_block(block, product)
 
-    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    def scratch():
+        return _rows_scratch(5)
+
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
     cov = stats.m2 / (n_samples - 1)
     m1 = stats.mean[0]
     # Y2 - X2, and (X1 - m1)(Y2 - X2) = X1 Y2 - X1 X2 - m1 Y2 + m1 X2.
@@ -606,27 +715,42 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     # |S_{n+1} - S_k| <= n + 1, so the narrowest signed type holding
     # -(n + 2) holds each error.
     step_dtype = np.min_scalar_type(-(n + 2))
+    column_of = {k: i for i, k in enumerate(predictors)}
 
-    def worker(rng, count):
-        steps = rng.integers(0, 2, size=(count, n + 1)).astype(step_dtype)
-        steps *= 2
-        steps -= 1
+    def scratch():
+        return np.empty((len(predictors), CHUNK_SIZE), dtype=step_dtype), _rows_scratch(2)
+
+    def worker(rng, count, work):
+        error_buffer, buffer = work
+        errors = error_buffer[:, :count]
         # S_{n+1} - S_k is the sum of steps k+1..n+1, columns k..n of
-        # `steps`: exact suffix sums, added column by column from the last.
-        error = np.zeros(count, dtype=step_dtype)
-        sq = {}
-        column = n + 1
-        for k in reversed(predictors):
-            while column > k:
-                column -= 1
-                error += steps[:, column]
-            sq[k] = np.square(error, dtype=np.float64)
-        lhs = sq[n]
+        # `steps`: exact suffix sums, added column by column from the last,
+        # a block of rows of one (count, n + 1) draw at a time.
+        for start in range(0, count, EVAL_BLOCK):
+            rows = slice(start, min(start + EVAL_BLOCK, count))
+            steps = rng.integers(0, 2, size=(rows.stop - start, n + 1)).astype(step_dtype)
+            steps *= 2
+            steps -= 1
+            error = np.zeros(rows.stop - start, dtype=step_dtype)
+            column = n + 1
+            for k in reversed(predictors):
+                while column > k:
+                    column -= 1
+                    error += steps[:, column]
+                errors[column_of[k], rows] = error
+        block, product = _block(buffer, 2, count)
+        lhs, diff = block
         # The paired Moments of each predictor but S_n, or of lhs alone
-        # when there is none.
-        return [Moments.of((lhs, lhs - sq[k])) for k in others] or [Moments.of((lhs,))]
+        # when there is none; every square is an exact integer.
+        stats = []
+        for k in others or [n]:
+            np.square(errors[column_of[n]], dtype=np.float64, out=lhs)
+            np.square(errors[column_of[k]], dtype=np.float64, out=diff)
+            np.subtract(lhs, diff, out=diff)
+            stats.append(Moments.of_block(block if others else block[:1], product))
+        return stats
 
-    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
     by_predictor = dict(zip(others, stats))
     # S_n's difference from lhs is identically 0, so its statistics are
     # exactly 0; lhs's are entry 0 of any of the Moments, since `of` and

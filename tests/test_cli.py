@@ -12,6 +12,7 @@ from cexpect import cli, coalition, rng
 from cexpect.cli import validate_config
 from cexpect.coalition import market_from_config
 from cexpect.config import Fields
+from cexpect.errors import DomainError
 from cexpect.marginals import MaxOfIid
 from cexpect.reports import (
     CSV_HEADER,
@@ -81,6 +82,25 @@ def test_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert _verify("no-such-experiment", "--config", valid, "--out", out) == 2
     assert _verify("records", "--config", valid, "--workers", "0", "--out", out) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_workers_beyond_the_bound_start_no_pool(tmp_path, monkeypatch, capsys):
+    # Each pool thread holds a chunk scratch, so a worker count above
+    # rng.MAX_WORKERS is refused before any pool is built.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    records = cli.default_suite()["records"]
+    config = _write_config(tmp_path, records)
+    out = tmp_path / "out"
+    for workers in (rng.MAX_WORKERS + 1, 4096):
+        with pytest.raises(DomainError) as exc:
+            cli.run_experiment(records, workers=workers)
+        assert exc.value.param == "workers"
+        assert _verify("records", "--config", config, "--workers", str(workers), "--out", str(out)) == 2
+        assert "workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_flag_runs_the_config_with_that_seed(tmp_path):

@@ -15,6 +15,7 @@ from cexpect.condexp import (
     EVAL_BLOCK,
     INCREASING,
     NON_MONOTONE,
+    ROW_ALIGN,
     GRID_NODES,
     BivariateModel,
     GaussianVector,
@@ -463,6 +464,29 @@ def test_blocked_sample_is_the_whole_product_bit_for_bit(d):
     for n in sorted({1, 15, 16, 17, rows - 1, rows, rows + 1, 50_000, CHUNK_SIZE}):
         expected = philox_stream(90 + d, n).standard_normal((n, d)) @ chol.T + v.mean
         assert np.array_equal(v.sample(philox_stream(90 + d, n), n), expected), n
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, MAX_ROW_WIDTH + 1])
+def test_blocks_cut_where_one_gemv_takes_each_row_down_its_path(d):
+    # A gemv over a block takes each row down the OpenBLAS kernel path of
+    # one gemv over all n rows when the block starts at a multiple of
+    # ROW_ALIGN, spans a multiple of it unless it ends at n, and the last
+    # spans at least ROW_ALIGN rows (or all n).
+    a = np.random.default_rng(d).standard_normal((d, d))
+    v = GaussianVector(np.zeros(d), a @ a.T / d + np.eye(d))
+    rows = _block_rows(d)
+    work = v.scratch()
+    for n in sorted({1, 3, 5, rows - 1, rows + 1, rows + 2, 2 * rows + 3, 33_920, CHUNK_SIZE}):
+        expected = v.sample(philox_stream(91, n), n)
+        edges = []
+        for block, x in v.blocks(philox_stream(91, n), n, work):
+            edges.append((block.start, block.stop))
+            assert x.tobytes() == expected[block].tobytes(), (d, n, block)
+        assert edges[0][0] == 0 and edges[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+        assert all(a % ROW_ALIGN == 0 for a, _ in edges)
+        assert all((b - a) % ROW_ALIGN == 0 for a, b in edges[:-1])
+        assert n < ROW_ALIGN or edges[-1][1] - edges[-1][0] >= ROW_ALIGN
 
 
 def test_row_blocks_stay_on_the_calling_thread():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sci_integrate
 from scipy import stats
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from cexpect.condexp import BivariateModel
 from cexpect.copulas import (
@@ -26,7 +26,7 @@ from cexpect.copulas import (
 )
 from cexpect.errors import DomainError
 from cexpect.marginals import Exponential, Normal
-from cexpect.rng import philox_stream
+from cexpect.rng import CHUNK_SIZE, EVAL_BLOCK, philox_stream
 from cexpect.theorems import COPULA_SWAP_Z, copula_swap_z
 
 ALL_FAMILIES = [
@@ -129,7 +129,37 @@ class TestValidation:
             Clayton(alpha=0.0)
 
 
+def _whole_draw(copula, rng, n):
+    """The pairs of one whole-column draw of each column."""
+    if isinstance(copula, Gaussian):
+        z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
+        return ndtr(z1), ndtr(copula.rho * z1 + math.sqrt(1.0 - copula.rho**2) * z2)
+    u, w = rng.random(n), rng.random(n)
+    return u, copula._cond_quantile(u, w)
+
+
 class TestSampling:
+    @pytest.mark.parametrize(
+        "c",
+        [Independence(), Gaussian(rho=-0.7), FGM(theta=0.6), Clayton(alpha=2.0)],
+        ids=str,
+    )
+    def test_blocks_are_the_whole_column_draw(self, c):
+        # sample joins the blocks; the second column is drawn a block at a
+        # time, after the whole first column, into a caller's buffer or not.
+        first = np.empty(CHUNK_SIZE)
+        for n in (1, EVAL_BLOCK - 1, EVAL_BLOCK + 1, 33_920):
+            expected = _whole_draw(c, philox_stream(39, n), n)
+            u, v = c.sample(philox_stream(39, n), n)
+            assert u.tobytes() == expected[0].tobytes() and v.tobytes() == expected[1].tobytes()
+            rows = []
+            for block, u_rows, v_rows in c.blocks(philox_stream(39, n), n, first):
+                rows.append((block.start, block.stop))
+                assert u_rows.tobytes() == expected[0][block].tobytes()
+                assert v_rows.tobytes() == expected[1][block].tobytes()
+            assert rows[0][0] == 0 and rows[-1][1] == n
+            assert all(b - a == EVAL_BLOCK for a, b in rows[:-1])
+
     def test_gaussian_rho0_kendall_tau(self):
         u, v = Gaussian(rho=1e-12).sample(philox_stream(22, 0), 100_000)
         tau = stats.kendalltau(u, v).statistic
@@ -317,7 +347,7 @@ def _read_as(draws, model):
     """Draws of the model `draws`, binned at the margins of `model` and
     checked against its copula."""
     return SimpleNamespace(
-        sample=draws.sample,
+        blocks=draws.blocks,
         copula=model.copula,
         marginal_x=model.marginal_x,
         marginal_y=model.marginal_y,

@@ -11,13 +11,21 @@ from scipy.stats import norm
 
 from cexpect.condexp import BivariateModel, GaussianVector, ar_vector, equicorrelated_vector
 from cexpect import theorems
-from cexpect.copulas import Clayton, FGM, Gaussian, Independence
+from cexpect.copulas import Clayton, FGM, Gaussian, Independence, lattice_counts
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
 from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
 from cexpect.ordered import order_stats
-from cexpect.reports import inequality_report, paired_moments
-from cexpect.rng import CHUNK_SIZE, chunk_sizes, chunk_stream, simulate_chunked
+from cexpect.reports import Moments, inequality_report, paired_moments
+from cexpect.rng import (
+    CHUNK_SIZE,
+    EVAL_BLOCK,
+    chunk_sizes,
+    chunk_stream,
+    run_chunked,
+    simulate_chunked,
+)
 from cexpect.theorems import (
+    COPULA_SWAP_GRID,
     ConditionalIidCopies,
     TAG_MAIN,
     GaussianCopies,
@@ -233,7 +241,7 @@ CHUNKED_ROWS = 200_003
 
 
 class _Replay:
-    """A bivariate model whose draws replay given columns chunk by chunk,
+    """A bivariate model whose draws replay given columns block by block,
     in order, in a serial run: (x, y) are columns 0 and 1, phi(Y) column 2
     and psi(X) the last column."""
 
@@ -243,9 +251,11 @@ class _Replay:
         self.columns = columns
         self.rows = slice(0, 0)
 
-    def sample(self, rng, count):
-        self.rows = slice(self.rows.stop, self.rows.stop + count)
-        return self.columns[0][self.rows], self.columns[1][self.rows]
+    def blocks(self, rng, count, first=None):
+        start = self.rows.stop
+        for head in range(0, count, EVAL_BLOCK):
+            self.rows = slice(start + head, start + min(head + EVAL_BLOCK, count))
+            yield slice(head, head + EVAL_BLOCK), self.columns[0][self.rows], self.columns[1][self.rows]
 
     def phi(self):
         return lambda y: self.columns[2][self.rows]
@@ -387,6 +397,249 @@ def test_peak_memory_does_not_grow_with_n_samples(operation):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2**20, peaks
+
+
+# The chunk workers each operation ran before they drew and reduced in row
+# blocks: each draws its whole chunk with the model's sample and reduces
+# whole columns.  They are the oracles of the blocked workers, which must
+# return the same statistics, chunk by chunk and bit for bit.
+
+
+def _whole_copies(model, rng, n):
+    """(Y, X) of n rows of a copies model, each column drawn whole."""
+    if isinstance(model, ConditionalIidCopies):
+        y = model.y_marginal.sample(rng, n)
+        eps = model.noise.sample(rng, n * model.n_copies).reshape(n, model.n_copies)
+        return y, model.beta * y[:, None] + eps
+    return model.sample(rng, n)  # GaussianVector.sample is checked in test_condexp.py
+
+
+def _whole_averaging(model, columns):
+    def worker(rng, count):
+        y, x = _whole_copies(model, rng, count)
+        values = columns(x)
+        average = values[:, 0] if model.comonotone else values.mean(axis=1)
+        lhs = (y - average) ** 2
+        return Moments.of((lhs, lhs - (y - values[:, 0]) ** 2))
+
+    return worker
+
+
+def _whole_conditioning(v, target, index_sets, pairs):
+    def predictor(given, mat):
+        if not given:
+            return np.full(mat.shape[0], v.mean[target])
+        intercept, coefs = v.conditional_coefficients(target, given)
+        return intercept + mat[:, list(given)] @ coefs
+
+    def worker(rng, count):
+        mat = v.sample(rng, count)
+        x = mat[:, target]
+        errors = {s: (x - predictor(s, mat)) ** 2 for s in dict.fromkeys(index_sets)}
+        pair_errors = [(errors[index_sets[a]], errors[index_sets[b]]) for a, b in pairs]
+        return [Moments.of((lhs, lhs - rhs)) for lhs, rhs in pair_errors]
+
+    return worker
+
+
+def _whole_covariance(model):
+    phi, psi = model.phi(), model.psi()
+    mid_x, mid_y = theorems._medians(model)
+
+    def worker(rng, count):
+        x, y = model.sample(rng, count)
+        phi_y, psi_x = phi(y) - mid_x, psi(x) - mid_y
+        x, y = x - mid_x, y - mid_y
+        return Moments.of((x, y, phi_y, psi_x, phi_y * y, psi_x * x, x * y))
+
+    return worker
+
+
+def _whole_sequence(model):
+    psi = model.psi()
+    mid_1, mid_2 = theorems._medians(model)
+
+    def worker(rng, count):
+        x1, x2 = model.sample(rng, count)
+        y2 = psi(x1) - mid_2
+        x1, x2 = x1 - mid_1, x2 - mid_2
+        return Moments.of((x1, x2, y2, x1 * x2, x1 * y2))
+
+    return worker
+
+
+def _whole_martingale(n, subsets):
+    predictors = theorems.martingale_predictors(n, subsets)
+    others = [k for k in predictors if k != n]
+    step_dtype = np.min_scalar_type(-(n + 2))
+
+    def worker(rng, count):
+        steps = rng.integers(0, 2, size=(count, n + 1)).astype(step_dtype)
+        steps *= 2
+        steps -= 1
+        error = np.zeros(count, dtype=step_dtype)
+        sq = {}
+        column = n + 1
+        for k in reversed(predictors):
+            while column > k:
+                column -= 1
+                error += steps[:, column]
+            sq[k] = np.square(error, dtype=np.float64)
+        lhs = sq[n]
+        return [Moments.of((lhs, lhs - sq[k])) for k in others] or [Moments.of((lhs,))]
+
+    return worker
+
+
+def _whole_lattice(model):
+    def worker(rng, count):
+        x, y = model.sample(rng, count)
+        return lattice_counts(model.marginal_y.cdf(y), model.marginal_x.cdf(x), COPULA_SWAP_GRID)
+
+    return worker
+
+
+def _averaging_case(verify, model, columns):
+    return lambda n, pool: verify([model], n, 81, pool=pool), _whole_averaging(model, columns)
+
+
+def _conditioning_case(verify, v, index_sets, pairs, *args):
+    target = v.dim - 1 if verify is verify_corollary_chain else 0
+    oracle = _whole_conditioning(v, target, index_sets, pairs)
+    return lambda n, pool: verify(v, *args, n, 81, pool=pool), oracle
+
+
+def _martingale_case(n, subsets):
+    run = lambda rows, pool: martingale_checks(n, rows, 81, subsets, pool=pool)  # noqa: E731
+    return run, _whole_martingale(n, subsets)
+
+
+CLAYTON_UNIFORM = BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())
+COPIES_5 = GaussianCopies(5, 0.3, 0.5)
+COMONOTONE = GaussianCopies(3, 1.0, 0.5)
+COND_IID = ConditionalIidCopies(3, 0.8, Normal(), Uniform(lower=-1.0, upper=1.0))
+WIDEST = GaussianCopies(128, 0.3, 0.05)  # d = 129, MAX_ROW_WIDTH + 1 draws a row
+AR4 = ar_vector(4, 0.6)
+CHAIN = [(0,), (0, 1), (0, 1, 2)]
+EQUI3 = equicorrelated_vector(3, 0.5)
+DUPLICATE = equicorrelated_vector(2, 0.4)
+
+BLOCKED_WORKERS = {
+    "theorem1-copies5": _averaging_case(verify_theorem1, COPIES_5, COPIES_5.predictor()),
+    "theorem1-comonotone": _averaging_case(verify_theorem1, COMONOTONE, COMONOTONE.predictor()),
+    "theorem1-cond-iid": _averaging_case(verify_theorem1, COND_IID, COND_IID.predictor()),
+    "theorem2-d129": _averaging_case(verify_theorem2, WIDEST, lambda x: x),
+    "theorem3-d3": _conditioning_case(verify_theorem3, EQUI3, [(1, 2), (1,), (2,)], [(0, 1), (0, 2)]),
+    "theorem3-d2": _conditioning_case(verify_theorem3, DUPLICATE, [(1,)] * 3, [(0, 1), (0, 2)]),
+    "corollary-ar4": _conditioning_case(
+        verify_corollary_chain, AR4, CHAIN, [(1, 0), (2, 1)], CHAIN
+    ),
+    "covariance-gaussian": (
+        lambda n, pool: verify_covariance_identity(GAUSS_NN, n, 81, pool=pool),
+        _whole_covariance(GAUSS_NN),
+    ),
+    "covariance-clayton": (
+        lambda n, pool: verify_covariance_identity(CLAYTON_EXP, n, 81, pool=pool),
+        _whole_covariance(CLAYTON_EXP),
+    ),
+    "sequence-stats": (
+        lambda n, pool: predicted_sequence_stats(CLAYTON_EXP, n, 81, pool=pool),
+        _whole_sequence(CLAYTON_EXP),
+    ),
+    "martingale5": _martingale_case(5, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
+    "martingale-full-only": _martingale_case(7, [(7,)]),
+    "copula-swap-gaussian": (
+        lambda n, pool: theorems.copula_swap_z(GAUSS_NN, n, 81, pool=pool),
+        _whole_lattice(GAUSS_NN),
+    ),
+    "copula-swap-clayton": (
+        lambda n, pool: theorems.copula_swap_z(CLAYTON_UNIFORM, n, 81, pool=pool),
+        _whole_lattice(CLAYTON_UNIFORM),
+    ),
+}
+
+
+def _same_bits(a, b):
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, Moments):
+        return a.n == b.n and a.mean.tobytes() == b.mean.tobytes() and a.m2.tobytes() == b.m2.tobytes()
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("case", BLOCKED_WORKERS)
+def test_blocked_workers_return_the_whole_chunk_statistics(case, monkeypatch):
+    # Five chunks, the last the 33,920 rows of a 2M-row run, and one chunk
+    # below one block of draws, at one worker and three: every thread runs
+    # at least one chunk on a scratch another chunk used before.  Each
+    # chunk's statistics are compared after the last chunk ran, so a result
+    # that kept a view of the scratch would read a later chunk's rows.
+    from concurrent.futures import ThreadPoolExecutor
+
+    operation, oracle = BLOCKED_WORKERS[case]
+    captured = []
+
+    def capture(*args, **kwargs):
+        captured.append(run_chunked(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(theorems, "run_chunked", capture)
+    for n in (4 * CHUNK_SIZE + 33_920, 1000):
+        expected = run_chunked(oracle, n, 81, TAG_MAIN)
+        for workers in (1, 3):
+            captured.clear()
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                operation(n, pool if workers > 1 else None)
+            assert len(captured) == 1 and len(captured[0]) == len(expected), (n, workers)
+            for c, (got, want) in enumerate(zip(captured[0], expected)):
+                assert _same_bits(got, want), (n, workers, c)
+
+
+ROW = CHUNK_SIZE * 8  # bytes of one float64 row of a chunk
+
+
+def _nbytes(arrays):
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize(
+    "operation, scratch",
+    [
+        # (lhs, lhs - rhs) and the products' row; the normals and draws of
+        # one gemm block.
+        (lambda n: verify_theorem1([COPIES_5], n, 76), 3 * ROW + _nbytes(COPIES_5.scratch())),
+        # Three sets' errors, a pair's two rows and the products' row.
+        (
+            lambda n: verify_corollary_chain(AR4, CHAIN, n, 76),
+            6 * ROW + _nbytes(AR4.scratch()),
+        ),
+        # Seven variables and the products' row, which holds the draws'
+        # first column until the products are formed.
+        (lambda n: verify_covariance_identity(GAUSS_NN, n, 76), 8 * ROW),
+        # (lhs, lhs - rhs), the products' row and four predictors' int8
+        # errors.
+        (
+            lambda n: martingale_checks(5, n, 76, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
+            3 * ROW + 4 * CHUNK_SIZE,
+        ),
+        # The draws' first column.
+        (lambda n: theorems.copula_swap_z(GAUSS_NN, n, 76), ROW),
+    ],
+    ids=["theorem1", "corollary-chain", "covariance", "martingale", "copula-swap"],
+)
+def test_peak_memory_stays_within_the_scratch_and_one_block(operation, scratch):
+    # One worker, four chunks: the scratch is made once, and each block of
+    # rows adds at most a dozen float64 values a row of EVAL_BLOCK rows,
+    # with 256 KiB for everything else.  Whole-chunk draws and columns
+    # exceed this in every case.
+    operation(1000)
+    tracemalloc.start()
+    try:
+        operation(4 * CHUNK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= scratch + 12 * EVAL_BLOCK * 8 + 2**18, (peak, scratch)
 
 
 class TestCovarianceIdentity:
