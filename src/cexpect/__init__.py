@@ -14,8 +14,6 @@ from .copulas import (
     Gaussian,
     Independence,
     copula_from_config,
-    sup_distance,
-    sup_distance_swapped,
 )
 from .condexp import (
     BivariateModel,
@@ -24,7 +22,6 @@ from .condexp import (
     ar_vector,
     bivariate_from_config,
     equicorrelated_vector,
-    kernel_regress,
 )
 from .reports import ExperimentResult, PairedReport
 from .theorems import (
@@ -55,5 +52,4 @@ from .coalition import (
     MarketConfig,
     compare_strategies,
     market_from_config,
-    simulate_market,
 )

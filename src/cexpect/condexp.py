@@ -38,7 +38,7 @@ from .config import Fields
 from .copulas import Copula, Gaussian, copula_from_config
 from .errors import ConstructionError, DomainError, ExtrapolationError
 from .marginals import Marginal, Normal, marginal_from_config
-from .rng import CHUNK_SIZE, EVAL_BLOCK, check_row_width
+from .rng import EVAL_BLOCK, check_row_width, join_rows, row_slices
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -273,19 +273,15 @@ class BivariateModel:
     def sample(self, rng, n):
         """n joint draws via copula sampling + marginal quantiles: the blocks
         of `blocks`, joined."""
-        blocks = self.blocks(rng, n)
-        x, y = np.empty(n), np.empty(n)
-        for rows, x_rows, y_rows in blocks:
-            x[rows], y[rows] = x_rows, y_rows
-        return x, y
+        return join_rows(((x, y) for _, x, y in self.blocks(rng, n)), n)
 
-    def blocks(self, rng, n, first=None):
+    def blocks(self, rng, n):
         """An iterator of (rows, x, y): n joint draws in the row blocks of
-        copula.blocks (`first` as there), each pair of uniforms mapped
-        through the marginal quantiles."""
+        copula.blocks, each pair of uniforms mapped through the marginal
+        quantiles."""
         return (
             (rows, self.marginal_x._quantile(u), self.marginal_y._quantile(v))
-            for rows, u, v in self.copula.blocks(rng, n, first)
+            for rows, u, v in self.copula.blocks(rng, n)
         )
 
     def phi(self):
@@ -378,43 +374,15 @@ def kernel_regress(x, y, x0):
 # GEMM_MULTITHREAD_THRESHOLD (4) = GEMM_CELLS; a larger one may run on its
 # own threads, which compete with the chunk pool's workers.  A block of
 # rows x d draws times the d x d Cholesky factor stays within it at
-# rows = GEMM_CELLS // d**2.  The MIN_BLOCK_ROWS floor binds only at
-# d = 129, a copies model at the MAX_ROW_WIDTH size bound of rng.py (128
-# copies) with its target: 16 rows there are 266,256 multiply-adds, past
-# GEMM_CELLS, and still run on one thread, because OpenBLAS gives a gemm
-# one thread per GEMM_CELLS multiply-adds.  Blocks of 8 rows at d = 128
-# differ from the whole product in the last bit.
+# rows = GEMM_CELLS // d**2: 15 rows at d = 129, the widest vector a copies
+# model draws (rng.MAX_ROW_WIDTH copies and their target).
 GEMM_CELLS = 2**18
-MIN_BLOCK_ROWS = 16
-# A matrix-vector product (gemv), as theorems' linear predictors take of a
-# block of draws, runs each row through one of three OpenBLAS kernel paths:
-# rows in groups of ROW_ALIGN from the start of the call, the last
-# n % ROW_ALIGN rows of a call of n >= ROW_ALIGN rows, or every row of a
-# shorter call.  The paths differ in the last bit, so GaussianVector.blocks
-# cuts its blocks where one call over all the rows would take each row down
-# the same path.
-ROW_ALIGN = 4
 
 
-def _row_blocks(n, d):
-    """Slices of max(MIN_BLOCK_ROWS, GEMM_CELLS // d**2) rows covering
-    range(n).  The last one ends at n and may overlap the one before it, so
-    that no block is shorter unless n itself is: a short tail block (one
-    row goes to gemv) differs from the whole product in the last bit."""
-    rows = _block_rows(d)
-    return [slice(s, s + rows) for s in [*range(0, n - rows, rows), max(n - rows, 0)]]
-
-
-def _block_rows(d):
-    return max(MIN_BLOCK_ROWS, GEMM_CELLS // (d * d))
-
-
-def _aligned_cut(drawn, n):
-    """Where a block of the rows drawn so far ends, short of n: the last
-    multiple of ROW_ALIGN, moved one group down if fewer than ROW_ALIGN
-    rows would follow it."""
-    cut = drawn - drawn % ROW_ALIGN
-    return cut - ROW_ALIGN if n - cut < ROW_ALIGN else cut
+def gemm_rows(d):
+    """Rows of a GaussianVector block of dimension d: its product with the
+    Cholesky factor stays on the calling thread."""
+    return max(1, GEMM_CELLS // (d * d))
 
 
 class GaussianVector:
@@ -444,56 +412,28 @@ class GaussianVector:
 
     def sample(self, rng, n):
         """n draws mean + L z, one per row, from n rows of standard normals z:
-        the rows of `blocks`, copied into one (n, dim) array."""
-        x = np.empty((n, self.dim))
-        for rows, block in self.blocks(rng, n):
-            x[rows] = block
-        return x
+        the blocks of `blocks`, joined into one (n, dim) array."""
+        return join_rows(((x,) for _, x in self.blocks(rng, n)), n)[0]
 
-    def scratch(self, n=CHUNK_SIZE):
-        """Scratch arrays of `blocks` over at most n rows: the normals of one
-        gemm block, and its draws with room for the rows held back."""
-        rows = min(n, _block_rows(self.dim))
-        return np.empty((rows, self.dim)), np.empty((rows + 2 * ROW_ALIGN, self.dim))
+    def blocks(self, rng, n):
+        """Yield (rows, x): n draws mean + L z in consecutive row blocks of
+        gemm_rows(dim) rows, the last one ragged, x the draws of the slice
+        `rows` of range(n).
 
-    def blocks(self, rng, n, work=None):
-        """Yield (rows, x): n draws mean + L z in consecutive row blocks, x
-        the draws of the slice `rows` of range(n).
-
-        The normals are drawn a gemm block at a time with
-        standard_normal(out=), which fills rows in the order of one (n, dim)
-        draw, and each gemm block is one of `_row_blocks`: small enough for
-        OpenBLAS to keep on the calling thread (see the rng module
-        docstring), and of the same number of rows, so each row comes out as
-        in the whole product computed on one thread, bit for bit.  The
-        last block of a ragged n multiplies again the rows it shares with
-        the block before it and yields only its new rows.  A block starts at
-        a multiple of ROW_ALIGN and, unless it ends at n, spans a multiple
-        of it; the last spans at least ROW_ALIGN rows, or all n.  x is a
-        view of `work` (from `scratch(n)`, made when not given), overwritten
-        by the next block.
+        Each block draws its rows' normals z with standard_normal(out=),
+        which fills rows in the order of one (n, dim) draw, and takes one
+        product z @ L.T small enough for OpenBLAS to keep on the calling
+        thread (see the rng module docstring).  x is a view of a block array
+        that the next block overwrites.
         """
-        z, x = self.scratch(n) if work is None else work
+        slices = row_slices(n, gemm_rows(self.dim))
+        z, x = np.empty((2, slices[0].stop, self.dim))
         chol_t = self._chol.T
-        start = held = drawn = 0  # x[:held] holds rows start .. drawn - 1
-        for block in _row_blocks(n, self.dim):
-            size = len(range(n)[block])
-            keep = drawn - block.start  # rows drawn with the block before
-            z[:keep] = z[size - keep : size]
-            rng.standard_normal(out=z[keep:size])
-            product = x[held : held + size]
-            np.matmul(z[:size], chol_t, out=product)
-            new = product[: size - keep]
-            if keep:
-                new[:] = product[keep:]
-            new += self.mean
-            held += size - keep
-            drawn += size - keep
-            cut = n if drawn == n else _aligned_cut(drawn, n)
-            yield slice(start, cut), x[: cut - start]
-            held -= cut - start
-            x[:held] = x[cut - start : cut - start + held]
-            start = cut
+        for rows in slices:
+            size = rows.stop - rows.start
+            np.matmul(rng.standard_normal(out=z[:size]), chol_t, out=x[:size])
+            x[:size] += self.mean
+            yield rows, x[:size]
 
     def conditional_coefficients(self, target, given):
         """(intercept, coefs) with E(X_t | X_g = v) = intercept + coefs @ v."""

@@ -2,8 +2,11 @@
 
 Four families: independence, Gaussian, Farlie-Gumbel-Morgenstern, Clayton.
 All are exchangeable (C(u,v) = C(v,u)).  Sampling uses the conditional
-distribution method (draw u uniform, invert v from dC/du) except for the
-Gaussian family, which maps a correlated normal pair through the normal cdf.
+distribution method (draw u and w uniform, invert v from dC/du at (u, w))
+except for the Gaussian family, which maps a correlated normal pair through
+the normal cdf.  A sample is drawn in row blocks of EVAL_BLOCK, and each
+block draws both of its columns, u then w (or z1 then z2), before the next
+block starts.
 
 The empirical copula counts pairs whose margins are known, so no ranks are
 taken: each count on the lattice is binomial, and sup_distance reads the
@@ -22,7 +25,7 @@ from scipy.special import bdtr, bdtrc, ndtr, ndtri, owens_t
 
 from .config import Fields
 from .errors import DomainError
-from .rng import EVAL_BLOCK
+from .rng import EVAL_BLOCK, join_rows, row_slices
 
 
 def _bvn_cdf(h, k, rho):
@@ -76,29 +79,23 @@ class Copula:
     def sample(self, rng, n):
         """n dependent uniform pairs (u, v); deterministic given rng: the
         blocks of `blocks`, joined."""
-        blocks = self.blocks(rng, n)
-        u, v = np.empty(n), np.empty(n)
-        for rows, u_rows, v_rows in blocks:
-            u[rows], v[rows] = u_rows, v_rows
-        return u, v
+        return join_rows(((u, v) for _, u, v in self.blocks(rng, n)), n)
 
-    def blocks(self, rng, n, first=None):
+    def blocks(self, rng, n):
         """An iterator of (rows, u, v): n dependent uniform pairs in row
         blocks of EVAL_BLOCK, u and v those of the slice `rows` of range(n).
 
-        The first column's n uniforms are drawn whole, at this call and
-        into first[:n] when `first` is given: its draw count fixes where the
-        second column's draws start.  The second column is then drawn a
-        block at a time with random(out=), which fills as one draw of n
-        does, and inverted from dC/du.  u is a view of the first column, and
-        v may be a view of a block array that the next block overwrites.
+        Each block draws its rows' uniforms u and then their uniforms w,
+        both with random(out=), and inverts v from dC/du at (u, w).  u, and
+        v where it is w itself, are views of block arrays that the next
+        block overwrites.
         """
-        u = _first_column(rng.random, n, first)
-        w = np.empty(min(n, EVAL_BLOCK))
-        return (
-            (rows, u[rows], self._cond_quantile(u[rows], w_rows))
-            for rows, w_rows in _blocks(rng.random, n, w)
-        )
+        slices = row_slices(n)
+        u, w = np.empty((2, min(n, EVAL_BLOCK)))
+        for rows in slices:
+            size = rows.stop - rows.start
+            u_rows = rng.random(out=u[:size])
+            yield rows, u_rows, self._cond_quantile(u_rows, rng.random(out=w[:size]))
 
     @staticmethod
     def _clip_pair(u, v):
@@ -165,16 +162,17 @@ class Gaussian(Copula):
         z = ndtri(np.clip(w, 1e-300, 1 - 1e-16))
         return self.rho * x + math.sqrt(1.0 - self.rho**2) * z
 
-    def blocks(self, rng, n, first=None):
+    def blocks(self, rng, n):
         """A correlated normal pair mapped through the normal cdf (exact):
-        Copula.blocks with standard normals in place of uniforms."""
-        z1 = _first_column(rng.standard_normal, n, first)
-        z2 = np.empty(min(n, EVAL_BLOCK))
+        Copula.blocks with standard normals z1, z2 in place of u, w."""
+        slices = row_slices(n)
+        z1, z2 = np.empty((2, min(n, EVAL_BLOCK)))
         scale = math.sqrt(1.0 - self.rho**2)
-        return (
-            (rows, ndtr(z1[rows]), ndtr(self.rho * z1[rows] + scale * z2_rows))
-            for rows, z2_rows in _blocks(rng.standard_normal, n, z2)
-        )
+        for rows in slices:
+            size = rows.stop - rows.start
+            z1_rows = rng.standard_normal(out=z1[:size])
+            z2_rows = rng.standard_normal(out=z2[:size])
+            yield rows, ndtr(z1_rows), ndtr(self.rho * z1_rows + scale * z2_rows)
 
     def to_config(self):
         return {"family": "gaussian", "rho": self.rho}
@@ -261,22 +259,6 @@ class Clayton(Copula):
 
     def to_config(self):
         return {"family": "clayton", "alpha": self.alpha}
-
-
-def _first_column(draw, n, first):
-    """n draws of `draw` (a Generator method) whole, into first[:n] when
-    `first` is given."""
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
-    return draw(n) if first is None else draw(out=first[:n])
-
-
-def _blocks(draw, n, block):
-    """Yield (rows, draws) over range(n) in slices of block.size rows, each
-    filled by draw(out=) into the head of `block`."""
-    for start in range(0, n, block.size):
-        rows = slice(start, min(start + block.size, n))
-        yield rows, draw(out=block[: rows.stop - start])
 
 
 def lattice_counts(u, v, grid):

@@ -33,10 +33,21 @@ and never on the number of workers.  Only the record chunks return rows,
 the hazards of their kept sequences, which ``ordered.simulate_records``
 keeps whole.  ``simulate_chunked`` assembles whole samples for callers
 outside the operations: ``ordered.order_stat_matrix`` and
-``coalition.simulate_market``.  It allocates each output array once, from
-the first chunk's shape and dtype, copies every chunk into its rows as the
-chunk arrives in that order, and drops the chunk, instead of keeping every
-chunk alive until one final concatenation.
+``coalition.simulate_market``.  It joins the chunks with ``join_rows``,
+as each model's ``sample`` joins the row blocks of its ``blocks``: each
+output array is allocated once, from the first part's shape and dtype, and
+every part is copied into its rows as it arrives and dropped, instead of
+kept alive until one final concatenation.
+
+A chunk worker draws its rows through its model's ``blocks(rng, n)``,
+which yields them in consecutive row blocks (``row_slices``): EVAL_BLOCK
+rows for a bivariate model and the conditional-iid copies, and
+``condexp.gemm_rows(dim)`` rows for a Gaussian vector (see below).  Each
+block draws all of its own columns before the next block starts, and a
+model's ``sample`` is its blocks joined, so the draws of a chunk depend on
+(seed, tag, chunk) and the model alone.  A ``blocks`` call holds one
+block of draws at a time, and the next block may overwrite the arrays it
+yielded.
 
 A worker may take scratch arrays: ``run_chunked(..., scratch=make)``
 calls it as ``worker(rng, count, work)``, where ``work`` is what ``make()``
@@ -45,10 +56,13 @@ chunk finds no free scratch, so there is at most one scratch a pool thread
 (one in a serial run), every later chunk reuses a free one, and all of them
 are dropped with the call.  A worker writes its per-row values into the
 scratch a block of rows at a time and returns statistics computed from it,
-never the scratch or a view of it: the next chunk overwrites it.  Since
-each pool thread holds a scratch of up to eight CHUNK_SIZE rows of float64
-(4 MiB, the covariance identity's), a run may start at most MAX_WORKERS
-threads.
+never the scratch or a view of it: the next chunk overwrites it.  A
+scratch holds at most eight CHUNK_SIZE rows of float64 (4 MiB, the
+covariance identity's), but for two operations whose rows grow with the
+config: a corollary chain holds a row per distinct index set beside three,
+up to MAX_ROW_WIDTH + 3 rows (65.5 MiB), and the martingale a
+narrow-integer row per predictor index.  So a run may start at most
+MAX_WORKERS threads.
 
 A chunk worker must not start threads of its own: the pool's workers
 already occupy the cores, and extra threads make them wait on each other.
@@ -138,6 +152,14 @@ def chunk_sizes(n_total, chunk_size=CHUNK_SIZE):
     return chunks, n_total - (chunks - 1) * chunk_size
 
 
+def row_slices(n, rows=EVAL_BLOCK):
+    """The slices of `rows` rows that cover range(n) in order, the last one
+    ragged: the row blocks in which a model's `blocks` draws n >= 1 rows."""
+    if n < 1:
+        raise DomainError(f"sample size must be >= 1, got {n}")
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
 def _chunk_results(worker, n_total, seed, tag, chunk_size, pool, scratch=None):
     """Iterator over `worker(rng, count)` per chunk, in ascending chunk order,
     or `worker(rng, count, work)` with a scratch from `scratch()`.
@@ -194,22 +216,29 @@ def simulate_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=N
     """Like run_chunked but assembles tuple-of-array chunk results.
 
     `worker(rng, count)` must return a tuple of 1-D/2-D arrays whose leading
-    dimension is `count`.  The chunks are copied in chunk order into arrays
-    allocated once (see the module docstring), so the assembled arrays equal
-    the concatenation of the chunks bit for bit regardless of parallelism.
+    dimension is `count`.  The chunks are joined in chunk order by
+    join_rows, so the assembled arrays equal the concatenation of the
+    chunks bit for bit regardless of parallelism.
     """
+    return join_rows(_chunk_results(worker, n_total, seed, tag, chunk_size, pool), n_total)
+
+
+def join_rows(parts, n_total):
+    """The tuples of arrays `parts`, consecutive row parts of n_total rows
+    in all, joined: each part is copied into arrays allocated once, from the
+    first part's shapes and dtypes, and dropped."""
     out = None
     row = 0
-    for part in _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
+    for part in parts:
         if not isinstance(part, tuple):
-            raise TypeError("worker must return a tuple of arrays")
+            raise TypeError("each row part must be a tuple of arrays")
         if out is None:
             out = tuple(np.empty((n_total,) + a.shape[1:], dtype=a.dtype) for a in part)
         count = part[0].shape[0]
-        for i, dst in enumerate(out):
-            dst[row : row + count] = part[i]
+        for dst, a in zip(out, part):
+            dst[row : row + count] = a
         row += count
         del part
     if row != n_total:
-        raise ValueError(f"workers returned {row} rows in all, expected {n_total}")
+        raise ValueError(f"row parts hold {row} rows in all, expected {n_total}")
     return out

@@ -11,14 +11,16 @@ rng.py).  Each chunk worker reduces its rows to the statistics its reports
 read: the reports.Moments of the paired squared errors (lhs, lhs - rhs)
 for an inequality, or of the raw per-row variables whose co-moments give
 the covariance and sequence-stats identities.  It draws its rows a block at
-a time (the models' `blocks`) and writes each block's per-row values into a
+a time through the model's `blocks`, each block drawing all of its columns
+before the next one starts, and writes each block's per-row values into a
 (k, count) block of the scratch its thread holds for the operation (see
 rng.run_chunked), which Moments.of_block centres in place; so a worker
-makes no whole-chunk array outside its scratch, only one block of
-temporaries.  The statistics are those of the whole-chunk columns, bit for
-bit.  The calling thread merges the chunks' Moments in chunk order, so
-the bytes of a report do not depend on the number of workers, and they
-differ from whole-column np.mean and np.std only in their last bits.
+makes no whole-chunk array outside its scratch, only one block of draws and
+temporaries.  The statistics are those of the chunk's per-row columns, as
+the model's `sample` joins them.  The calling thread merges the chunks'
+Moments in chunk order, so the bytes of a report do not depend on the
+number of workers, and they differ from whole-column np.mean and np.std
+only in their last bits.
 
 Copula-swap keeps no column either.  Each worker bins each block of its
 draws on a lattice at the known margins and returns the integer count of
@@ -51,7 +53,7 @@ from .reports import (
     merged,
     threshold_report,
 )
-from .rng import CHUNK_SIZE, EVAL_BLOCK, check_row_width, run_chunked
+from .rng import CHUNK_SIZE, check_row_width, join_rows, row_slices, run_chunked
 
 # Stream tags (part of the reproducibility contract).
 TAG_MAIN = 1
@@ -132,15 +134,11 @@ class GaussianCopies:
             x = np.repeat(x, self.n_copies, axis=1)
         return mat[:, 0], x
 
-    def scratch(self):
-        """Scratch arrays of `blocks` over a chunk."""
-        return self._joint.scratch()
-
-    def blocks(self, rng, n, work=None):
+    def blocks(self, rng, n):
         """An iterator of (rows, y, x): the draws of `sample` in the row
-        blocks of GaussianVector.blocks (`work` from `scratch()`), except
-        that a comonotone model's x is its one column, not repeated."""
-        return ((rows, mat[:, 0], mat[:, 1:]) for rows, mat in self._joint.blocks(rng, n, work))
+        blocks of GaussianVector.blocks, except that a comonotone model's x
+        is its one column, not repeated."""
+        return ((rows, mat[:, 0], mat[:, 1:]) for rows, mat in self._joint.blocks(rng, n))
 
     def predictor(self):
         """x -> E(Y | X_i = x); one shared affine rule for all copies."""
@@ -175,31 +173,16 @@ class ConditionalIidCopies:
     def sample(self, rng, n):
         """Returns (Y, X) with X of shape (n, n_copies): the blocks of
         `blocks`, joined."""
-        blocks = self.blocks(rng, n)
-        y, x = np.empty(n), np.empty((n, self.n_copies))
-        for rows, y_rows, x_rows in blocks:
-            y[rows], x[rows] = y_rows, x_rows
-        return y, x
+        return join_rows(((y, x) for _, y, x in self.blocks(rng, n)), n)
 
-    def scratch(self):
-        """Scratch of `blocks` over a chunk: the uniforms of Y."""
-        return np.empty(CHUNK_SIZE)
-
-    def blocks(self, rng, n, work=None):
+    def blocks(self, rng, n):
         """An iterator of (rows, y, x): n draws in row blocks of EVAL_BLOCK.
-        Y's n uniforms are drawn whole, at this call and into work[:n] when
-        given, since the noise of all n rows is drawn after them, row by
-        row; each block then draws its rows' noise."""
-        if n < 1:
-            raise DomainError(f"sample size must be >= 1, got {n}")
-        u = rng.random(n) if work is None else rng.random(out=work[:n])
-        blocks = range(0, n, EVAL_BLOCK)
-        return (self._draw_block(rng, u[start : start + EVAL_BLOCK], start) for start in blocks)
-
-    def _draw_block(self, rng, u, start):
-        y = self.y_marginal._quantile(u)
-        eps = self.noise._quantile(rng.random(u.size * self.n_copies)).reshape(-1, self.n_copies)
-        return slice(start, start + u.size), y, self.beta * y[:, None] + eps
+        Each block draws its rows' Y uniforms and then their noise, row by
+        row."""
+        for rows in row_slices(n):
+            y = self.y_marginal._quantile(rng.random(rows.stop - rows.start))
+            eps = self.noise._quantile(rng.random(y.size * self.n_copies))
+            yield rows, y, self.beta * y[:, None] + eps.reshape(-1, self.n_copies)
 
     def predictor(self):
         b = self.beta
@@ -311,12 +294,11 @@ def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
         columns = averaged(model)
 
         def scratch():
-            return _rows_scratch(2), model.scratch()
+            return _rows_scratch(2)
 
-        def worker(rng, count, work):
-            buffer, draws = work
+        def worker(rng, count, buffer):
             block, product = _block(buffer, 2, count)
-            for rows, y, x in model.blocks(rng, count, draws):
+            for rows, y, x in model.blocks(rng, count):
                 values = columns(x)
                 average = np.add.reduce(values, axis=1, out=block[0, rows])
                 average /= values.shape[1]
@@ -391,21 +373,19 @@ def _conditioning_errors(v: GaussianVector, target, index_sets, pairs, n_samples
 
     Each chunk worker writes the squared errors of each distinct set into a
     row of its scratch, a block of draws at a time: the predictor
-    intercept + X_s @ coefs is a gemv over the block's rows, which
-    GaussianVector.blocks cuts so that each row takes the kernel path of one
-    gemv over the chunk.  Each pair's (lhs, lhs - rhs) block is then filled
-    from those rows."""
+    intercept + X_s @ coefs is a gemv over the block's rows.  Each pair's
+    (lhs, lhs - rhs) block is then filled from those rows."""
     sets = list(dict.fromkeys(index_sets))
     row = {s: i for i, s in enumerate(sets)}
     rules = [(list(s), *v.conditional_coefficients(target, s)) if s else None for s in sets]
 
     def scratch():
-        return np.empty(len(sets) * CHUNK_SIZE), _rows_scratch(2), v.scratch()
+        return np.empty(len(sets) * CHUNK_SIZE), _rows_scratch(2)
 
     def worker(rng, count, work):
-        error_buffer, buffer, draws = work
+        error_buffer, buffer = work
         errors = error_buffer[: len(sets) * count].reshape(len(sets), count)
-        for rows, mat in v.blocks(rng, count, draws):
+        for rows, mat in v.blocks(rng, count):
             x = mat[:, target]
             for error, rule in zip(errors[:, rows], rules):
                 if rule is None:
@@ -500,8 +480,7 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
 
     def worker(rng, count, buffer):
         block, product = _block(buffer, 7, count)
-        # The draws' first column is spent before the products are formed.
-        for rows, x, y in model.blocks(rng, count, first=product):
+        for rows, x, y in model.blocks(rng, count):
             x_c, y_c, phi_y, psi_x, phi_y_y, psi_x_x, x_y = block[:, rows]
             np.subtract(phi(y), mid_x, out=phi_y)
             np.subtract(psi(x), mid_y, out=psi_x)
@@ -567,16 +546,13 @@ def copula_swap_z(model, n_samples, seed, pool=None):
     """
     grid = COPULA_SWAP_GRID
 
-    def worker(rng, count, first):
+    def worker(rng, count):
         return sum(
             lattice_counts(model.marginal_y.cdf(y), model.marginal_x.cdf(x), grid)
-            for _, x, y in model.blocks(rng, count, first)
+            for _, x, y in model.blocks(rng, count)
         )
 
-    def scratch():
-        return np.empty(CHUNK_SIZE)
-
-    counts = sum(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
+    counts = sum(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
     return sup_distance_swapped(EmpiricalCopula(counts, grid), model.copula)
 
 
@@ -630,8 +606,7 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
 
     def worker(rng, count, buffer):
         block, product = _block(buffer, 5, count)
-        # The draws' first column is spent before the products are formed.
-        for rows, x1, x2 in model.blocks(rng, count, first=product):
+        for rows, x1, x2 in model.blocks(rng, count):
             x1_c, x2_c, y2, x1_x2, x1_y2 = block[:, rows]
             np.subtract(psi(x1), mid_2, out=y2)
             np.subtract(x1, mid_1, out=x1_c)
@@ -726,12 +701,12 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
         # S_{n+1} - S_k is the sum of steps k+1..n+1, columns k..n of
         # `steps`: exact suffix sums, added column by column from the last,
         # a block of rows of one (count, n + 1) draw at a time.
-        for start in range(0, count, EVAL_BLOCK):
-            rows = slice(start, min(start + EVAL_BLOCK, count))
-            steps = rng.integers(0, 2, size=(rows.stop - start, n + 1)).astype(step_dtype)
+        for rows in row_slices(count):
+            size = rows.stop - rows.start
+            steps = rng.integers(0, 2, size=(size, n + 1)).astype(step_dtype)
             steps *= 2
             steps -= 1
-            error = np.zeros(rows.stop - start, dtype=step_dtype)
+            error = np.zeros(size, dtype=step_dtype)
             column = n + 1
             for k in reversed(predictors):
                 while column > k:

@@ -15,7 +15,7 @@ from cexpect.condexp import (
     EVAL_BLOCK,
     INCREASING,
     NON_MONOTONE,
-    ROW_ALIGN,
+    GEMM_CELLS,
     GRID_NODES,
     BivariateModel,
     GaussianVector,
@@ -23,8 +23,8 @@ from cexpect.condexp import (
     ar_vector,
     chebyshev_nodes,
     equicorrelated_vector,
-    _row_blocks,
     fill_massless,
+    gemm_rows,
     kernel_regress,
 )
 from cexpect.copulas import FGM, Clayton, Gaussian, Independence
@@ -34,7 +34,7 @@ from cexpect.errors import (
     ExtrapolationError,
 )
 from cexpect.marginals import Exponential, Normal, Uniform
-from cexpect.rng import CHUNK_SIZE, MAX_ROW_WIDTH, philox_stream
+from cexpect.rng import CHUNK_SIZE, MAX_ROW_WIDTH, philox_stream, row_slices
 
 GAUSS_MODEL = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
 
@@ -448,59 +448,40 @@ class TestGaussianVector:
             assert abs(float(prod.mean())) <= 4 * se
 
 
-def _block_rows(d):
-    return max(16, 2**18 // d**2)
-
-
 @pytest.mark.parametrize("d", [*range(2, 17), 32, 64, 128, MAX_ROW_WIDTH + 1])
 def test_blocked_sample_is_the_whole_product_bit_for_bit(d):
-    # The product runs in row blocks; each row must come out as in one
-    # whole-draw product, at sizes around the block height and the chunk.
-    # A copies model of MAX_ROW_WIDTH copies draws MAX_ROW_WIDTH + 1 columns.
+    # Each block of gemm_rows(d) rows, the last one ragged, draws its rows'
+    # normals z and comes out as z @ chol.T + mean, at sizes around the
+    # block height and the chunk; sample joins the blocks.  A copies model
+    # of MAX_ROW_WIDTH copies draws MAX_ROW_WIDTH + 1 columns.
     a = np.random.default_rng(d).standard_normal((d, d))
     v = GaussianVector(0.1 * np.arange(d), a @ a.T / d + np.eye(d))
     chol = np.linalg.cholesky(v.cov)
-    rows = _block_rows(d)
-    for n in sorted({1, 15, 16, 17, rows - 1, rows, rows + 1, 50_000, CHUNK_SIZE}):
-        expected = philox_stream(90 + d, n).standard_normal((n, d)) @ chol.T + v.mean
-        assert np.array_equal(v.sample(philox_stream(90 + d, n), n), expected), n
+    rows = gemm_rows(d)
+    for n in sorted({1, 15, 16, 17, rows - 1, rows, rows + 1, 50_000, CHUNK_SIZE} - {0}):
+        reference = philox_stream(90 + d, n)
+        expected = [
+            reference.standard_normal((min(rows, n - start), d)) @ chol.T + v.mean
+            for start in range(0, n, rows)
+        ]
+        blocks = v.blocks(philox_stream(90 + d, n), n)
+        for start, want, (block, x) in zip(range(0, n, rows), expected, blocks, strict=True):
+            assert block == slice(start, start + want.shape[0]), (n, block)
+            assert x.tobytes() == want.tobytes(), (n, block)
+        assert v.sample(philox_stream(90 + d, n), n).tobytes() == np.concatenate(expected).tobytes()
 
 
-@pytest.mark.parametrize("d", [2, 3, 6, MAX_ROW_WIDTH + 1])
-def test_blocks_cut_where_one_gemv_takes_each_row_down_its_path(d):
-    # A gemv over a block takes each row down the OpenBLAS kernel path of
-    # one gemv over all n rows when the block starts at a multiple of
-    # ROW_ALIGN, spans a multiple of it unless it ends at n, and the last
-    # spans at least ROW_ALIGN rows (or all n).
-    a = np.random.default_rng(d).standard_normal((d, d))
-    v = GaussianVector(np.zeros(d), a @ a.T / d + np.eye(d))
-    rows = _block_rows(d)
-    work = v.scratch()
-    for n in sorted({1, 3, 5, rows - 1, rows + 1, rows + 2, 2 * rows + 3, 33_920, CHUNK_SIZE}):
-        expected = v.sample(philox_stream(91, n), n)
-        edges = []
-        for block, x in v.blocks(philox_stream(91, n), n, work):
-            edges.append((block.start, block.stop))
-            assert x.tobytes() == expected[block].tobytes(), (d, n, block)
-        assert edges[0][0] == 0 and edges[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-        assert all(a % ROW_ALIGN == 0 for a, _ in edges)
-        assert all((b - a) % ROW_ALIGN == 0 for a, b in edges[:-1])
-        assert n < ROW_ALIGN or edges[-1][1] - edges[-1][0] >= ROW_ALIGN
-
-
-def test_row_blocks_stay_on_the_calling_thread():
-    # OpenBLAS keeps a gemm of at most 2**18 multiply-adds on the calling
-    # thread; a block of fewer than 16 rows may differ in the last bit.
-    for d in range(1, MAX_ROW_WIDTH + 1):
-        rows = _block_rows(d)
-        assert rows >= 16 and rows * d * d <= 2**18
-        for n in {1, 15, 16, 17, rows - 1, rows, rows + 1, 2 * rows + 3, CHUNK_SIZE}:
+def test_gemm_blocks_stay_on_the_calling_thread():
+    # OpenBLAS keeps a gemm of at most GEMM_CELLS multiply-adds on the
+    # calling thread, and the blocks of n rows cover each row once.
+    for d in range(1, MAX_ROW_WIDTH + 2):
+        rows = gemm_rows(d)
+        assert rows >= 1 and rows * d * d <= GEMM_CELLS, d
+        for n in {1, rows - 1, rows, rows + 1, 2 * rows + 3, CHUNK_SIZE} - {0}:
             covered = np.zeros(n, dtype=int)
-            for block in _row_blocks(n, d):
-                assert len(range(n)[block]) == min(n, rows), (d, n)
+            for block in row_slices(n, rows):
                 covered[block] += 1
-            assert covered.min() >= 1, (d, n)
+            assert np.all(covered == 1), (d, n)
 
 
 class TestModuleInvariants:

@@ -26,7 +26,7 @@ from cexpect.copulas import (
 )
 from cexpect.errors import DomainError
 from cexpect.marginals import Exponential, Normal
-from cexpect.rng import CHUNK_SIZE, EVAL_BLOCK, philox_stream
+from cexpect.rng import EVAL_BLOCK, philox_stream
 from cexpect.theorems import COPULA_SWAP_Z, copula_swap_z
 
 ALL_FAMILIES = [
@@ -129,13 +129,19 @@ class TestValidation:
             Clayton(alpha=0.0)
 
 
-def _whole_draw(copula, rng, n):
-    """The pairs of one whole-column draw of each column."""
-    if isinstance(copula, Gaussian):
-        z1, z2 = rng.standard_normal(n), rng.standard_normal(n)
-        return ndtr(z1), ndtr(copula.rho * z1 + math.sqrt(1.0 - copula.rho**2) * z2)
-    u, w = rng.random(n), rng.random(n)
-    return u, copula._cond_quantile(u, w)
+def _block_draw(copula, rng, n):
+    """The pairs of n draws whose EVAL_BLOCK blocks, the last one ragged,
+    each draw their first column and then their second."""
+    parts = []
+    for start in range(0, n, EVAL_BLOCK):
+        size = min(EVAL_BLOCK, n - start)
+        if isinstance(copula, Gaussian):
+            z1, z2 = rng.standard_normal(size), rng.standard_normal(size)
+            parts.append((ndtr(z1), ndtr(copula.rho * z1 + math.sqrt(1.0 - copula.rho**2) * z2)))
+        else:
+            u, w = rng.random(size), rng.random(size)
+            parts.append((u, copula._cond_quantile(u, w)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 class TestSampling:
@@ -145,15 +151,14 @@ class TestSampling:
         ids=str,
     )
     def test_blocks_are_the_whole_column_draw(self, c):
-        # sample joins the blocks; the second column is drawn a block at a
-        # time, after the whole first column, into a caller's buffer or not.
-        first = np.empty(CHUNK_SIZE)
+        # sample joins the blocks; each block of EVAL_BLOCK rows draws its
+        # two columns in turn before the next block starts.
         for n in (1, EVAL_BLOCK - 1, EVAL_BLOCK + 1, 33_920):
-            expected = _whole_draw(c, philox_stream(39, n), n)
+            expected = _block_draw(c, philox_stream(39, n), n)
             u, v = c.sample(philox_stream(39, n), n)
             assert u.tobytes() == expected[0].tobytes() and v.tobytes() == expected[1].tobytes()
             rows = []
-            for block, u_rows, v_rows in c.blocks(philox_stream(39, n), n, first):
+            for block, u_rows, v_rows in c.blocks(philox_stream(39, n), n):
                 rows.append((block.start, block.stop))
                 assert u_rows.tobytes() == expected[0][block].tobytes()
                 assert v_rows.tobytes() == expected[1][block].tobytes()

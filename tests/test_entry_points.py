@@ -5,8 +5,9 @@ it cannot resolve as absent, so a renamed or moved entry point would
 silently drop out of the per-layer metrics; `perfbench/workloads.py` holds
 configs that the benchmark runs through `cli.run_experiment(cfg,
 workers=)`, so a config the package stopped accepting would fail every
-operation of a workload.  These tests load both files by path and write
-nothing under `perfbench/`.
+operation of a workload, and a report it no longer satisfies would count
+as a wrong answer.  These tests load both files by path and write nothing
+under `perfbench/`.
 """
 
 import importlib.util
@@ -41,6 +42,17 @@ def test_every_workload_and_defect_config_validates(monkeypatch, workload):
     workloads = _load(monkeypatch, "workloads")
     configs = workloads.workload_configs(workload, 1) + workloads.defect_configs(workload, 1)
     assert configs and [cli.validate_config(cfg) for cfg in configs] == [[]] * len(configs)
+
+
+@pytest.mark.parametrize("workload", ["tabulation", "records", "sampling"])
+def test_every_workload_config_is_satisfied_at_seed_1(monkeypatch, workload):
+    # The benchmark counts a failed verdict as a wrong answer, so a change of
+    # draws that trips one fails here before it fails the benchmark.
+    workloads = _load(monkeypatch, "workloads")
+    workers = workloads.WORKLOADS[workload]["workers"]
+    for cfg in workloads.workload_configs(workload, 1):
+        result = cli.run_experiment(cfg, workers=workers)
+        assert result.all_satisfied, (cfg, [r for r in result.reports if not r.satisfied])
 
 
 def test_run_experiment_takes_workers():

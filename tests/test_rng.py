@@ -14,7 +14,9 @@ from cexpect.rng import (
     check_workers,
     chunk_sizes,
     chunk_stream,
+    join_rows,
     philox_stream,
+    row_slices,
     run_chunked,
     simulate_chunked,
 )
@@ -125,6 +127,18 @@ def test_simulate_chunked_requires_tuple_results(workers):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             with pytest.raises(TypeError):
                 simulate_chunked(worker, 3 * CHUNK_SIZE, seed=1, pool=pool)
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (3, 4, 5)])
+def test_join_rows_rejects_parts_that_do_not_hold_n_total_rows(sizes):
+    parts = ((np.zeros(k), np.ones((k, 2))) for k in sizes)
+    with pytest.raises(ValueError):
+        join_rows(parts, 8)
+
+
+def test_row_slices_reject_an_empty_sample():
+    with pytest.raises(DomainError):
+        row_slices(0)
 
 
 def test_simulate_chunked_rejects_short_chunks():

@@ -9,7 +9,13 @@ import pytest
 from scipy.special import bdtr, bdtrc, ndtri
 from scipy.stats import norm
 
-from cexpect.condexp import BivariateModel, GaussianVector, ar_vector, equicorrelated_vector
+from cexpect.condexp import (
+    BivariateModel,
+    GaussianVector,
+    ar_vector,
+    equicorrelated_vector,
+    gemm_rows,
+)
 from cexpect import theorems
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence, lattice_counts
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
@@ -251,7 +257,7 @@ class _Replay:
         self.columns = columns
         self.rows = slice(0, 0)
 
-    def blocks(self, rng, count, first=None):
+    def blocks(self, rng, count):
         start = self.rows.stop
         for head in range(0, count, EVAL_BLOCK):
             self.rows = slice(start + head, start + min(head + EVAL_BLOCK, count))
@@ -406,11 +412,16 @@ def test_peak_memory_does_not_grow_with_n_samples(operation):
 
 
 def _whole_copies(model, rng, n):
-    """(Y, X) of n rows of a copies model, each column drawn whole."""
+    """(Y, X) of n rows of a copies model, joined from blocks of EVAL_BLOCK
+    rows, each drawing Y and then its noise."""
     if isinstance(model, ConditionalIidCopies):
-        y = model.y_marginal.sample(rng, n)
-        eps = model.noise.sample(rng, n * model.n_copies).reshape(n, model.n_copies)
-        return y, model.beta * y[:, None] + eps
+        parts = []
+        for start in range(0, n, EVAL_BLOCK):
+            size = min(EVAL_BLOCK, n - start)
+            y = model.y_marginal.sample(rng, size)
+            eps = model.noise.sample(rng, size * model.n_copies).reshape(size, model.n_copies)
+            parts.append((y, model.beta * y[:, None] + eps))
+        return tuple(np.concatenate(column) for column in zip(*parts))
     return model.sample(rng, n)  # GaussianVector.sample is checked in test_condexp.py
 
 
@@ -598,23 +609,20 @@ def test_blocked_workers_return_the_whole_chunk_statistics(case, monkeypatch):
 ROW = CHUNK_SIZE * 8  # bytes of one float64 row of a chunk
 
 
-def _nbytes(arrays):
-    return sum(a.nbytes for a in arrays)
+def _gemm_block(dim):
+    """Bytes of the normals and draws of one GaussianVector block."""
+    return 2 * gemm_rows(dim) * dim * 8
 
 
 @pytest.mark.parametrize(
     "operation, scratch",
     [
         # (lhs, lhs - rhs) and the products' row; the normals and draws of
-        # one gemm block.
-        (lambda n: verify_theorem1([COPIES_5], n, 76), 3 * ROW + _nbytes(COPIES_5.scratch())),
+        # one gemm block of the 6-dimensional (Y, X_1..X_5).
+        (lambda n: verify_theorem1([COPIES_5], n, 76), 3 * ROW + _gemm_block(6)),
         # Three sets' errors, a pair's two rows and the products' row.
-        (
-            lambda n: verify_corollary_chain(AR4, CHAIN, n, 76),
-            6 * ROW + _nbytes(AR4.scratch()),
-        ),
-        # Seven variables and the products' row, which holds the draws'
-        # first column until the products are formed.
+        (lambda n: verify_corollary_chain(AR4, CHAIN, n, 76), 6 * ROW + _gemm_block(4)),
+        # Seven variables and the products' row.
         (lambda n: verify_covariance_identity(GAUSS_NN, n, 76), 8 * ROW),
         # (lhs, lhs - rhs), the products' row and four predictors' int8
         # errors.
@@ -622,8 +630,8 @@ def _nbytes(arrays):
             lambda n: martingale_checks(5, n, 76, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
             3 * ROW + 4 * CHUNK_SIZE,
         ),
-        # The draws' first column.
-        (lambda n: theorems.copula_swap_z(GAUSS_NN, n, 76), ROW),
+        # No scratch: each block's draws and lattice bins.
+        (lambda n: theorems.copula_swap_z(GAUSS_NN, n, 76), 0),
     ],
     ids=["theorem1", "corollary-chain", "covariance", "martingale", "copula-swap"],
 )
