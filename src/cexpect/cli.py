@@ -47,7 +47,7 @@ from .config import Diagnostic, Fields
 from .errors import CexpectError, ConfigError
 from .marginals import marginal_from_config
 from .reports import canonical_config_hash, check_sample_size, render_csv, render_json
-from .rng import MAX_WORKERS, check_workers
+from .rng import MAX_WORKERS, check_seed, check_workers
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,7 @@ def _read(cfg):
     f = Fields(cfg)
     f.read.add("experiment")
     seed = f.integer("seed")
+    f.build(check_seed, seed=seed)
     n_samples = f.integer("n_samples")
     call, width = EXPERIMENTS[name](f)
     f.build(check_sample_size, n_samples=n_samples, width=width)

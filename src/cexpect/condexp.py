@@ -420,20 +420,16 @@ class GaussianVector:
         gemm_rows(dim) rows, the last one ragged, x the draws of the slice
         `rows` of range(n).
 
-        Each block draws its rows' normals z with standard_normal(out=),
-        which fills rows in the order of one (n, dim) draw, and takes one
-        product z @ L.T small enough for OpenBLAS to keep on the calling
-        thread (see the rng module docstring).  x is a view of a block array
-        that the next block overwrites.
+        Each block draws its rows' normals z, which fill rows in the order of
+        one (n, dim) draw, and takes one product z @ L.T small enough for
+        OpenBLAS to keep on the calling thread (see the rng module
+        docstring).
         """
-        slices = row_slices(n, gemm_rows(self.dim))
-        z, x = np.empty((2, slices[0].stop, self.dim))
         chol_t = self._chol.T
-        for rows in slices:
-            size = rows.stop - rows.start
-            np.matmul(rng.standard_normal(out=z[:size]), chol_t, out=x[:size])
-            x[:size] += self.mean
-            yield rows, x[:size]
+        for rows in row_slices(n, gemm_rows(self.dim)):
+            x = rng.standard_normal((rows.stop - rows.start, self.dim)) @ chol_t
+            x += self.mean
+            yield rows, x
 
     def conditional_coefficients(self, target, given):
         """(intercept, coefs) with E(X_t | X_g = v) = intercept + coefs @ v."""

@@ -25,7 +25,7 @@ from scipy.special import bdtr, bdtrc, ndtr, ndtri, owens_t
 
 from .config import Fields
 from .errors import DomainError
-from .rng import EVAL_BLOCK, join_rows, row_slices
+from .rng import join_rows, row_slices
 
 
 def _bvn_cdf(h, k, rho):
@@ -86,16 +86,11 @@ class Copula:
         blocks of EVAL_BLOCK, u and v those of the slice `rows` of range(n).
 
         Each block draws its rows' uniforms u and then their uniforms w,
-        both with random(out=), and inverts v from dC/du at (u, w).  u, and
-        v where it is w itself, are views of block arrays that the next
-        block overwrites.
+        and inverts v from dC/du at (u, w).
         """
-        slices = row_slices(n)
-        u, w = np.empty((2, min(n, EVAL_BLOCK)))
-        for rows in slices:
-            size = rows.stop - rows.start
-            u_rows = rng.random(out=u[:size])
-            yield rows, u_rows, self._cond_quantile(u_rows, rng.random(out=w[:size]))
+        for rows in row_slices(n):
+            u = rng.random(rows.stop - rows.start)
+            yield rows, u, self._cond_quantile(u, rng.random(u.size))
 
     @staticmethod
     def _clip_pair(u, v):
@@ -165,14 +160,11 @@ class Gaussian(Copula):
     def blocks(self, rng, n):
         """A correlated normal pair mapped through the normal cdf (exact):
         Copula.blocks with standard normals z1, z2 in place of u, w."""
-        slices = row_slices(n)
-        z1, z2 = np.empty((2, min(n, EVAL_BLOCK)))
         scale = math.sqrt(1.0 - self.rho**2)
-        for rows in slices:
-            size = rows.stop - rows.start
-            z1_rows = rng.standard_normal(out=z1[:size])
-            z2_rows = rng.standard_normal(out=z2[:size])
-            yield rows, ndtr(z1_rows), ndtr(self.rho * z1_rows + scale * z2_rows)
+        for rows in row_slices(n):
+            z1 = rng.standard_normal(rows.stop - rows.start)
+            z2 = rng.standard_normal(z1.size)
+            yield rows, ndtr(z1), ndtr(self.rho * z1 + scale * z2)
 
     def to_config(self):
         return {"family": "gaussian", "rho": self.rho}

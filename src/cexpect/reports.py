@@ -145,11 +145,10 @@ class Moments:
         return cls.of_block(np.array(rows, dtype=np.float64))
 
     @classmethod
-    def of_block(cls, block, product=None):
+    def of_block(cls, block):
         """The Moments of the k rows of a (k, n) float64 block, one per
         variable, which a chunk worker filled for this call: the block is
-        centred in place, so its values are lost.  `product` is an n-float
-        scratch for the co-moments' products, made when not given.
+        centred in place, so its values are lost.
 
         Each row is shifted by its first value before it is summed, so a
         constant row sums to exactly 0.  Each co-moment is the pairwise
@@ -167,7 +166,7 @@ class Moments:
         for row, value in zip(block, offset):
             row -= value
         m2 = np.empty((k, k))
-        product = np.empty(n) if product is None else product[:n]
+        product = np.empty(n)
         for i in range(k):
             for j in range(i, k):
                 np.multiply(block[i], block[j], out=product)

@@ -7,7 +7,7 @@ of by jumping state.  The key layout is pinned here and frozen by test
 vectors in tests/test_rng.py so ports to other runtimes can match the byte
 stream:
 
-    key word 0 = seed mod 2**64
+    key word 0 = seed, in 0..2**64 - 1
     key word 1 = (stream_tag << 32) | chunk_index
 
 ``stream_tag`` separates independent draw streams inside one experiment
@@ -46,23 +46,19 @@ rows for a bivariate model and the conditional-iid copies, and
 block draws all of its own columns before the next block starts, and a
 model's ``sample`` is its blocks joined, so the draws of a chunk depend on
 (seed, tag, chunk) and the model alone.  A ``blocks`` call holds one
-block of draws at a time, and the next block may overwrite the arrays it
-yielded.
+block of draws at a time, and each block's arrays are new: the caller may
+keep them.
 
-A worker may take scratch arrays: ``run_chunked(..., scratch=make)``
-calls it as ``worker(rng, count, work)``, where ``work`` is what ``make()``
-returned.  The scratch is the operation's: ``make`` runs the first time a
-chunk finds no free scratch, so there is at most one scratch a pool thread
-(one in a serial run), every later chunk reuses a free one, and all of them
-are dropped with the call.  A worker writes its per-row values into the
-scratch a block of rows at a time and returns statistics computed from it,
-never the scratch or a view of it: the next chunk overwrites it.  A
-scratch holds at most eight CHUNK_SIZE rows of float64 (4 MiB, the
+A worker allocates the arrays it fills when its chunk starts, writes its
+per-row values into them a block of rows at a time, and returns
+statistics computed from them.  They are dropped when it returns, and the
+next chunk its thread runs reuses their memory through the allocator.  A
+chunk's arrays are at most eight CHUNK_SIZE rows of float64 (4 MiB, the
 covariance identity's), but for two operations whose rows grow with the
 config: a corollary chain holds a row per distinct index set beside three,
 up to MAX_ROW_WIDTH + 3 rows (65.5 MiB), and the martingale a
-narrow-integer row per predictor index.  So a run may start at most
-MAX_WORKERS threads.
+narrow-integer row per predictor index.  Each running chunk holds its
+arrays, so a run may start at most MAX_WORKERS threads.
 
 A chunk worker must not start threads of its own: the pool's workers
 already occupy the cores, and extra threads make them wait on each other.
@@ -116,16 +112,23 @@ MAX_WORKERS = 64
 
 
 def check_workers(workers):
-    """A worker-thread count in 1..MAX_WORKERS, checked before any pool
-    starts."""
-    if not 1 <= workers <= MAX_WORKERS:
-        raise DomainError(f"workers must be in 1..{MAX_WORKERS}, got {workers}", "workers")
+    """A worker-thread count, an int in 1..MAX_WORKERS, checked before any
+    pool starts."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or not 1 <= workers <= MAX_WORKERS:
+        message = f"workers must be an integer in 1..{MAX_WORKERS}, got {workers!r}"
+        raise DomainError(message, "workers")
 
 
 def check_row_width(width, param):
     """A size field of at most MAX_ROW_WIDTH, checked before any allocation."""
     if width > MAX_ROW_WIDTH:
         raise DomainError(f"{param} must be <= {MAX_ROW_WIDTH}, got {width}", param)
+
+
+def check_seed(seed):
+    """A seed in 0..2**64 - 1, so that no two seeds key the same stream."""
+    if not 0 <= seed <= MASK64:
+        raise DomainError(f"seed must be in 0..2**64 - 1, got {seed}", "seed")
 
 
 def philox_stream(seed, stream):
@@ -136,6 +139,7 @@ def philox_stream(seed, stream):
 
 def chunk_stream(seed, tag, chunk_index):
     """Generator for replication chunk `chunk_index` of draw stream `tag`."""
+    check_seed(seed)
     if not 0 <= tag <= MASK32:
         raise ValueError(f"stream tag must fit in 32 bits, got {tag}")
     if not 0 <= chunk_index <= MASK32:
@@ -160,29 +164,17 @@ def row_slices(n, rows=EVAL_BLOCK):
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _chunk_results(worker, n_total, seed, tag, chunk_size, pool, scratch=None):
-    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order,
-    or `worker(rng, count, work)` with a scratch from `scratch()`.
+def _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
+    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order.
 
     With a pool, at most 2 x pool._max_workers chunks are in flight (see the
     module docstring); the queued ones are cancelled if a worker raises or
     the iterator is dropped.
     """
     chunks, last = chunk_sizes(n_total, chunk_size)
-    free = []  # the scratches no running chunk holds
 
     def call(c):
-        rng, count = chunk_stream(seed, tag, c), chunk_size if c < chunks - 1 else last
-        if scratch is None:
-            return worker(rng, count)
-        try:
-            work = free.pop()
-        except IndexError:
-            work = scratch()
-        try:
-            return worker(rng, count, work)
-        finally:
-            free.append(work)
+        return worker(chunk_stream(seed, tag, c), chunk_size if c < chunks - 1 else last)
 
     indices = iter(range(chunks))
     if pool is None:
@@ -199,17 +191,14 @@ def _chunk_results(worker, n_total, seed, tag, chunk_size, pool, scratch=None):
             future.cancel()
 
 
-def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None, scratch=None):
+def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
     """Run `worker(rng, count)` over deterministic chunks, in chunk order.
 
     Returns the list of per-chunk results ordered by chunk index.  `pool`
     may be a concurrent.futures executor owned by the caller; workers must
     not mutate shared state.  Results are identical for any pool size.
-    With `scratch`, a function of no arguments, the worker is called as
-    worker(rng, count, work) on a scratch that `scratch()` made (see the
-    module docstring).
     """
-    return list(_chunk_results(worker, n_total, seed, tag, chunk_size, pool, scratch))
+    return list(_chunk_results(worker, n_total, seed, tag, chunk_size, pool))
 
 
 def simulate_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):

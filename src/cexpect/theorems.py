@@ -13,14 +13,13 @@ for an inequality, or of the raw per-row variables whose co-moments give
 the covariance and sequence-stats identities.  It draws its rows a block at
 a time through the model's `blocks`, each block drawing all of its columns
 before the next one starts, and writes each block's per-row values into a
-(k, count) block of the scratch its thread holds for the operation (see
-rng.run_chunked), which Moments.of_block centres in place; so a worker
-makes no whole-chunk array outside its scratch, only one block of draws and
-temporaries.  The statistics are those of the chunk's per-row columns, as
-the model's `sample` joins them.  The calling thread merges the chunks'
-Moments in chunk order, so the bytes of a report do not depend on the
-number of workers, and they differ from whole-column np.mean and np.std
-only in their last bits.
+(k, count) array it allocates when its chunk starts (see rng.py), which
+Moments.of_block centres in place; beside those chunk arrays it holds one
+block of draws and temporaries.  The statistics are those of the chunk's
+per-row columns, as the model's `sample` joins them.  The calling thread
+merges the chunks' Moments in chunk order, so the bytes of a report do not
+depend on the number of workers, and they differ from whole-column np.mean
+and np.std only in their last bits.
 
 Copula-swap keeps no column either.  Each worker bins each block of its
 draws on a lattice at the known margins and returns the integer count of
@@ -53,7 +52,7 @@ from .reports import (
     merged,
     threshold_report,
 )
-from .rng import CHUNK_SIZE, check_row_width, join_rows, row_slices, run_chunked
+from .rng import check_row_width, join_rows, row_slices, run_chunked
 
 # Stream tags (part of the reproducibility contract).
 TAG_MAIN = 1
@@ -268,18 +267,6 @@ def default_copies_battery():
     return models
 
 
-def _rows_scratch(k):
-    """A flat scratch buffer for a (k, count) block of per-row values and
-    the products of Moments.of_block over it (see `_block`)."""
-    return np.empty((k + 1) * CHUNK_SIZE)
-
-
-def _block(buffer, k, count):
-    """(block, product): the head of a `_rows_scratch(k)` buffer as a
-    C-contiguous (k, count) block, and the count floats after it."""
-    return buffer[: k * count].reshape(k, count), buffer[k * count : (k + 1) * count]
-
-
 def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
     """One inequality report per copies model, each on `seed`: the squared
     error of the row average of the columns `averaged(model)` makes of the
@@ -288,16 +275,13 @@ def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
     column exactly.
 
     Each chunk worker writes the paired squared errors (lhs, lhs - rhs) of
-    each block of draws into its scratch block and returns its Moments."""
+    each block of draws into a (2, count) array and returns their Moments."""
     reports = []
     for model in models:
         columns = averaged(model)
 
-        def scratch():
-            return _rows_scratch(2)
-
-        def worker(rng, count, buffer):
-            block, product = _block(buffer, 2, count)
+        def worker(rng, count):
+            block = np.empty((2, count))
             for rows, y, x in model.blocks(rng, count):
                 values = columns(x)
                 average = np.add.reduce(values, axis=1, out=block[0, rows])
@@ -305,9 +289,9 @@ def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
                 np.square(np.subtract(y, average, out=average), out=average)
                 error = np.subtract(y, values[:, 0], out=block[1, rows])
                 np.subtract(average, np.square(error, out=error), out=error)
-            return Moments.of_block(block, product)
+            return Moments.of_block(block)
 
-        stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
+        stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
         reports.append(inequality_report(f"{experiment}/{model.label()}", stats, seed))
     return ExperimentResult(experiment, reports, {"battery_size": len(models)})
 
@@ -372,19 +356,15 @@ def _conditioning_errors(v: GaussianVector, target, index_sets, pairs, n_samples
     errors, so its pairs read an identically 0 difference.
 
     Each chunk worker writes the squared errors of each distinct set into a
-    row of its scratch, a block of draws at a time: the predictor
+    row of its own array, a block of draws at a time: the predictor
     intercept + X_s @ coefs is a gemv over the block's rows.  Each pair's
     (lhs, lhs - rhs) block is then filled from those rows."""
     sets = list(dict.fromkeys(index_sets))
     row = {s: i for i, s in enumerate(sets)}
     rules = [(list(s), *v.conditional_coefficients(target, s)) if s else None for s in sets]
 
-    def scratch():
-        return np.empty(len(sets) * CHUNK_SIZE), _rows_scratch(2)
-
-    def worker(rng, count, work):
-        error_buffer, buffer = work
-        errors = error_buffer[: len(sets) * count].reshape(len(sets), count)
+    def worker(rng, count):
+        errors = np.empty((len(sets), count))
         for rows, mat in v.blocks(rng, count):
             x = mat[:, target]
             for error, rule in zip(errors[:, rows], rules):
@@ -395,16 +375,16 @@ def _conditioning_errors(v: GaussianVector, target, index_sets, pairs, n_samples
                     np.matmul(mat[:, given], coefs, out=error)
                     error += intercept
                 np.square(np.subtract(x, error, out=error), out=error)
-        block, product = _block(buffer, 2, count)
+        block = np.empty((2, count))
         stats = []
         for a, b in pairs:
             lhs, rhs = errors[row[index_sets[a]]], errors[row[index_sets[b]]]
             block[0] = lhs
             np.subtract(lhs, rhs, out=block[1])
-            stats.append(Moments.of_block(block, product))
+            stats.append(Moments.of_block(block))
         return stats
 
-    return merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
+    return merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
 
 
 def _chain_name(shorter, longer):
@@ -478,8 +458,8 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
     psi = model.psi()
     mid_x, mid_y = _medians(model)
 
-    def worker(rng, count, buffer):
-        block, product = _block(buffer, 7, count)
+    def worker(rng, count):
+        block = np.empty((7, count))
         for rows, x, y in model.blocks(rng, count):
             x_c, y_c, phi_y, psi_x, phi_y_y, psi_x_x, x_y = block[:, rows]
             np.subtract(phi(y), mid_x, out=phi_y)
@@ -489,12 +469,9 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
             np.multiply(phi_y, y_c, out=phi_y_y)
             np.multiply(psi_x, x_c, out=psi_x_x)
             np.multiply(x_c, y_c, out=x_y)
-        return Moments.of_block(block, product)
+        return Moments.of_block(block)
 
-    def scratch():
-        return _rows_scratch(7)
-
-    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
     cov = stats.m2 / (n_samples - 1)
     cov_xy, cov_phi, cov_psi = cov[0, 1], cov[2, 1], cov[3, 0]
     # (phi(Y) - m)(Y - m), (psi(X) - m)(X - m) and (X - m)(Y - m) as c . w.
@@ -604,8 +581,8 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
     psi = model.psi()  # x1 -> E(X2 | X1 = x1)
     mid_1, mid_2 = _medians(model)
 
-    def worker(rng, count, buffer):
-        block, product = _block(buffer, 5, count)
+    def worker(rng, count):
+        block = np.empty((5, count))
         for rows, x1, x2 in model.blocks(rng, count):
             x1_c, x2_c, y2, x1_x2, x1_y2 = block[:, rows]
             np.subtract(psi(x1), mid_2, out=y2)
@@ -613,12 +590,9 @@ def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
             np.subtract(x2, mid_2, out=x2_c)
             np.multiply(x1_c, x2_c, out=x1_x2)
             np.multiply(x1_c, y2, out=x1_y2)
-        return Moments.of_block(block, product)
+        return Moments.of_block(block)
 
-    def scratch():
-        return _rows_scratch(5)
-
-    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
     cov = stats.m2 / (n_samples - 1)
     m1 = stats.mean[0]
     # Y2 - X2, and (X1 - m1)(Y2 - X2) = X1 Y2 - X1 X2 - m1 Y2 + m1 X2.
@@ -692,12 +666,8 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     step_dtype = np.min_scalar_type(-(n + 2))
     column_of = {k: i for i, k in enumerate(predictors)}
 
-    def scratch():
-        return np.empty((len(predictors), CHUNK_SIZE), dtype=step_dtype), _rows_scratch(2)
-
-    def worker(rng, count, work):
-        error_buffer, buffer = work
-        errors = error_buffer[:, :count]
+    def worker(rng, count):
+        errors = np.empty((len(predictors), count), dtype=step_dtype)
         # S_{n+1} - S_k is the sum of steps k+1..n+1, columns k..n of
         # `steps`: exact suffix sums, added column by column from the last,
         # a block of rows of one (count, n + 1) draw at a time.
@@ -713,7 +683,7 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
                     column -= 1
                     error += steps[:, column]
                 errors[column_of[k], rows] = error
-        block, product = _block(buffer, 2, count)
+        block = np.empty((2, count))
         lhs, diff = block
         # The paired Moments of each predictor but S_n, or of lhs alone
         # when there is none; every square is an exact integer.
@@ -722,10 +692,10 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
             np.square(errors[column_of[n]], dtype=np.float64, out=lhs)
             np.square(errors[column_of[k]], dtype=np.float64, out=diff)
             np.subtract(lhs, diff, out=diff)
-            stats.append(Moments.of_block(block if others else block[:1], product))
+            stats.append(Moments.of_block(block if others else block[:1]))
         return stats
 
-    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool, scratch=scratch))
+    stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
     by_predictor = dict(zip(others, stats))
     # S_n's difference from lhs is identically 0, so its statistics are
     # exactly 0; lhs's are entry 0 of any of the Moments, since `of` and

@@ -85,8 +85,9 @@ def test_usage_and_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_workers_beyond_the_bound_start_no_pool(tmp_path, monkeypatch, capsys):
-    # Each pool thread holds a chunk scratch, so a worker count above
-    # rng.MAX_WORKERS is refused before any pool is built.
+    # Each running chunk holds the arrays its worker allocates, so a worker
+    # count above rng.MAX_WORKERS, or one that is not an int, is refused
+    # before any pool is built.
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was built")
 
@@ -100,6 +101,23 @@ def test_workers_beyond_the_bound_start_no_pool(tmp_path, monkeypatch, capsys):
         assert exc.value.param == "workers"
         assert _verify("records", "--config", config, "--workers", str(workers), "--out", str(out)) == 2
         assert "workers" in capsys.readouterr().err
+    for workers in (1.5, True):
+        with pytest.raises(DomainError) as exc:
+            cli.run_experiment(records, workers=workers)
+        assert exc.value.param == "workers"
+    assert not out.exists()
+
+
+def test_seeds_outside_64_bits_are_config_errors(tmp_path, capsys):
+    # Seeds that agree mod 2**64 would draw the same stream under
+    # different report seeds.
+    records = cli.default_suite()["records"]
+    config = _write_config(tmp_path, records)
+    out = tmp_path / "out"
+    for seed in (-1, 2**64):
+        assert [d.field for d in validate_config({**records, "seed": seed})] == ["seed"]
+        assert _verify("records", "--config", config, "--seed", str(seed), "--out", str(out)) == 2
+        assert "seed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,5 @@
 """Random-stream contract: pinned Philox key layout and chunked determinism."""
 
-import sys
-import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
 import numpy as np
@@ -10,7 +8,9 @@ import pytest
 from cexpect.errors import DomainError
 from cexpect.rng import (
     CHUNK_SIZE,
+    MASK64,
     MAX_WORKERS,
+    check_seed,
     check_workers,
     chunk_sizes,
     chunk_stream,
@@ -56,6 +56,19 @@ def test_chunk_stream_rejects_oversized_ids():
         chunk_stream(1, 1 << 32, 0)
     with pytest.raises(ValueError):
         chunk_stream(1, 0, 1 << 32)
+
+
+def test_seeds_outside_64_bits_are_refused():
+    # Seeds that agree mod 2**64 would key the same stream.
+    for seed in (0, MASK64):
+        check_seed(seed)
+        chunk_stream(seed, 0, 0)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(DomainError) as exc:
+            check_seed(seed)
+        assert exc.value.param == "seed"
+        with pytest.raises(ValueError):
+            chunk_stream(seed, 0, 0)
 
 
 def test_chunk_sizes_cover_total():
@@ -233,68 +246,23 @@ def test_same_seed_same_vectors():
 )
 def test_row_block_fills_draw_the_whole_stream(method, shape, block):
     # The blocked draws of condexp, copulas and theorems rest on this, for
-    # the installed numpy: rows filled a block at a time with out= are the
-    # whole-shape draw, bit for bit, and leave the stream where it does.
+    # the installed numpy: rows drawn a block at a time are the whole-shape
+    # draw, bit for bit, and leave the stream where it does.
     whole_rng, blocked_rng = chunk_stream(3, 1, 2), chunk_stream(3, 1, 2)
     whole = getattr(whole_rng, method)(shape)
-    blocked = np.empty(shape)
-    for start in range(0, shape[0], block):
-        getattr(blocked_rng, method)(out=blocked[start : start + block])
-    assert blocked.tobytes() == whole.tobytes()
+    blocked = [
+        getattr(blocked_rng, method)((min(block, shape[0] - start),) + shape[1:])
+        for start in range(0, shape[0], block)
+    ]
+    assert np.concatenate(blocked).tobytes() == whole.tobytes()
     assert getattr(blocked_rng, method)(3).tobytes() == getattr(whole_rng, method)(3).tobytes()
-
-
-@pytest.mark.parametrize("workers", [None, 3])
-def test_scratch_is_made_once_a_running_chunk_and_reused(workers):
-    made = []
-
-    def scratch():
-        made.append(np.zeros(1))
-        return made[-1]
-
-    def worker(rng, count, work):
-        work += 1  # the chunks this scratch served
-        return count
-
-    def run(pool):
-        return run_chunked(worker, 55, 1, chunk_size=10, pool=pool, scratch=scratch)
-
-    if workers is None:
-        assert run(None) == [10] * 5 + [5]
-        assert len(made) == 1
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            assert run(pool) == [10] * 5 + [5]
-        assert 1 <= len(made) <= workers
-    assert sum(float(m[0]) for m in made) == 6
-
-
-def test_no_two_running_chunks_share_a_scratch():
-    # Eight threads on fewer cores, switching every microsecond: each chunk
-    # fills its scratch with a mark of its own, lets the others run, and
-    # reads the mark back, which a scratch handed to two running chunks at
-    # once would fail.
-    def worker(rng, count, work):
-        mark = rng.random()
-        work[:] = mark
-        for _ in range(20):
-            time.sleep(0)
-        return bool(np.all(work == mark))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            kept = run_chunked(worker, 400, 7, chunk_size=2, pool=pool, scratch=lambda: np.empty(256))
-    finally:
-        sys.setswitchinterval(interval)
-    assert kept == [True] * 200
 
 
 def test_check_workers_bounds_the_pool():
     for workers in (1, MAX_WORKERS):
         check_workers(workers)
-    for workers in (0, -1, MAX_WORKERS + 1, 4096):
+    # A count that is not an int, a bool among them, would reach the pool.
+    for workers in (0, -1, MAX_WORKERS + 1, 4096, 1.5, 2.0, True, "2", None):
         with pytest.raises(DomainError) as exc:
             check_workers(workers)
         assert exc.value.param == "workers"

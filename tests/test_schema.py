@@ -156,7 +156,7 @@ def schema(edge):
         "common": _dicts(
             {
                 "n_samples": pick([N_SAMPLES], [999, 20_000.0, -1, True, "a", math.inf]),
-                "seed": pick([1, 7, 2**40], [True, "a", 1.5, None]),
+                "seed": pick([1, 7, 2**40], [True, "a", 1.5, None, -1, 2**64]),
             }
         ),
     }

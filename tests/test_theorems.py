@@ -27,6 +27,7 @@ from cexpect.rng import (
     EVAL_BLOCK,
     chunk_sizes,
     chunk_stream,
+    join_rows,
     run_chunked,
     simulate_chunked,
 )
@@ -581,10 +582,11 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("case", BLOCKED_WORKERS)
 def test_blocked_workers_return_the_whole_chunk_statistics(case, monkeypatch):
     # Five chunks, the last the 33,920 rows of a 2M-row run, and one chunk
-    # below one block of draws, at one worker and three: every thread runs
-    # at least one chunk on a scratch another chunk used before.  Each
-    # chunk's statistics are compared after the last chunk ran, so a result
-    # that kept a view of the scratch would read a later chunk's rows.
+    # below one block of draws, at one worker and three: a thread's later
+    # chunks may reuse the memory of the arrays its earlier chunks dropped.
+    # Each chunk's statistics are compared after the last chunk ran, so a
+    # result that kept a view of a chunk's arrays would read a later chunk's
+    # rows.
     from concurrent.futures import ThreadPoolExecutor
 
     operation, oracle = BLOCKED_WORKERS[case]
@@ -615,7 +617,7 @@ def _gemm_block(dim):
 
 
 @pytest.mark.parametrize(
-    "operation, scratch",
+    "operation, chunk_arrays",
     [
         # (lhs, lhs - rhs) and the products' row; the normals and draws of
         # one gemm block of the 6-dimensional (Y, X_1..X_5).
@@ -630,16 +632,17 @@ def _gemm_block(dim):
             lambda n: martingale_checks(5, n, 76, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
             3 * ROW + 4 * CHUNK_SIZE,
         ),
-        # No scratch: each block's draws and lattice bins.
+        # No chunk arrays: each block's draws and lattice bins.
         (lambda n: theorems.copula_swap_z(GAUSS_NN, n, 76), 0),
     ],
     ids=["theorem1", "corollary-chain", "covariance", "martingale", "copula-swap"],
 )
-def test_peak_memory_stays_within_the_scratch_and_one_block(operation, scratch):
-    # One worker, four chunks: the scratch is made once, and each block of
-    # rows adds at most a dozen float64 values a row of EVAL_BLOCK rows,
-    # with 256 KiB for everything else.  Whole-chunk draws and columns
-    # exceed this in every case.
+def test_peak_memory_stays_within_a_chunks_arrays_and_one_block(operation, chunk_arrays):
+    # One worker, four chunks: each chunk's arrays are dropped before the
+    # next chunk allocates its own, and each block of rows adds at most a
+    # dozen float64 values a row of EVAL_BLOCK rows, with 256 KiB for
+    # everything else.  Whole-chunk draws and columns exceed this in every
+    # case.
     operation(1000)
     tracemalloc.start()
     try:
@@ -647,7 +650,38 @@ def test_peak_memory_stays_within_the_scratch_and_one_block(operation, scratch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= scratch + 12 * EVAL_BLOCK * 8 + 2**18, (peak, scratch)
+    assert peak <= chunk_arrays + 12 * EVAL_BLOCK * 8 + 2**18, (peak, chunk_arrays)
+
+
+def _gaussian_vector(d):
+    a = np.random.default_rng(d).standard_normal((d, d))
+    return GaussianVector(0.1 * np.arange(d), a @ a.T / d + np.eye(d))
+
+
+BLOCK_MODELS = {
+    **{
+        str(c): c
+        for c in (Independence(), Gaussian(rho=-0.7), FGM(theta=0.6), Clayton(alpha=2.0))
+    },
+    "bivariate": BivariateModel(Clayton(alpha=2.0), Uniform(2, 4), Exponential(1.0)),
+    **{f"vector-d{d}": _gaussian_vector(d) for d in (2, 6, 129)},
+    "gaussian-copies": COPIES_5,
+    "conditional-iid": ConditionalIidCopies(3, 0.8, Normal(), Uniform(-1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_MODELS)
+def test_blocks_yield_arrays_the_caller_keeps(name):
+    # Every block's arrays are kept until the iterator is exhausted, and
+    # joined they are still `sample`'s draws: no block writes into the
+    # arrays of an earlier one.
+    model = BLOCK_MODELS[name]
+    n = 3 * EVAL_BLOCK + 17
+    kept = [block[1:] for block in model.blocks(chunk_stream(17, TAG_MAIN, 0), n)]
+    expected = model.sample(chunk_stream(17, TAG_MAIN, 0), n)
+    expected = expected if isinstance(expected, tuple) else (expected,)
+    joined = join_rows(kept, n)
+    assert [a.tobytes() for a in joined] == [a.tobytes() for a in expected]
 
 
 class TestCovarianceIdentity:
