@@ -371,7 +371,7 @@ def main(argv=None):
 
     p_verify = sub.add_parser("verify", help="run one experiment or the whole suite")
     p_verify.add_argument("experiment", help="experiment name, or 'all' for the default suite")
-    p_verify.add_argument("--config", help="JSON config path (required unless 'all')")
+    p_verify.add_argument("--config", help="JSON config path (for a single experiment, not 'all')")
     p_verify.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_verify.add_argument("--workers", type=int, default=1, help=f"worker threads (1..{MAX_WORKERS})")
     p_verify.add_argument("--out", default="reports", help="output directory")
@@ -408,6 +408,9 @@ def main(argv=None):
     try:
         check_workers(args.workers)
         if args.experiment == "all":
+            if args.config:
+                print("--config is not read by 'all', the default suite", file=sys.stderr)
+                return 2
             configs = list(default_suite().values())
         else:
             if args.experiment not in EXPERIMENT_NAMES:

@@ -61,7 +61,7 @@ from .reports import (
     paired_moments,
     threshold_report,
 )
-from .rng import CHUNK_SIZE, check_row_width, run_chunked, simulate_chunked
+from .rng import CHUNK_SIZE, check_row_width, row_slices, run_chunked, simulate_chunked
 
 TAG_ORDER = 3
 TAG_RECORDS = 4
@@ -123,11 +123,6 @@ def order_stat_matrix(m: Marginal, n, n_samples, seed, pool=None):
     return simulate_chunked(worker, n_samples, seed, TAG_ORDER, pool=pool)[0]
 
 
-def _chunks(matrix):
-    """The CHUNK_SIZE-row blocks of an `order_stat_matrix`: its chunks."""
-    return (matrix[start : start + CHUNK_SIZE] for start in range(0, matrix.shape[0], CHUNK_SIZE))
-
-
 def check_markov_order(n):
     """The Markov check conditions on two order statistics below the maximum."""
     if n < 3:
@@ -180,7 +175,8 @@ def markov_property_check(m: Marginal, matrix, seed, table=None):
     cuts = _markov_cuts(m, n)
     if table is None:
         table = max_regression(m, n, n - 1)
-    bin_sums = merged(_markov_sums(rows, table, cuts) for rows in _chunks(matrix))
+    chunks = (matrix[rows] for rows in row_slices(n_samples, CHUNK_SIZE))
+    bin_sums = merged(_markov_sums(rows, table, cuts) for rows in chunks)
     return _markov_report(m, n, cuts, bin_sums, n_samples, seed)
 
 
@@ -213,11 +209,12 @@ def mse_order_inequality(m: Marginal, k, l, matrix, seed, tables=None):
     and l; they are built here when not given.  The statistics are made per
     chunk and merged in chunk order, as in `order_stats`.
     """
-    n = matrix.shape[1]
+    n_samples, n = matrix.shape
     check_order_indices(n, k, l)
     if tables is None:
         tables = _max_regressions(m, n, (k, l))
-    stats = merged(_order_moments(rows, tables, k, l) for rows in _chunks(matrix))
+    chunks = (matrix[rows] for rows in row_slices(n_samples, CHUNK_SIZE))
+    stats = merged(_order_moments(rows, tables, k, l) for rows in chunks)
     return inequality_report(_order_name(m, n, k, l), stats, seed)
 
 
@@ -321,8 +318,8 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
     at most `cap`; the batch keeps the hazards R of its last three records,
     whose values isf(exp(-R)) are exact far into the right tail.  A wait whose
     success probability underflows to 0 is infinite, so its sequence is
-    discarded.  Everything is chunked and deterministic per (seed, chunk),
-    independent of worker count.
+    discarded.  A chunk draws its sequences in `row_slices` blocks (see
+    rng), so the batch depends on (seed, chunk) and never on the workers.
     """
     if depth < 3:
         raise DomainError(f"record depth must be >= 3, got {depth}", "depth")
@@ -331,7 +328,7 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
     # Record times are float64, so a cap beyond its range means no cap.
     limit = float(min(cap, sys.float_info.max))
 
-    def worker(rng, count):
+    def kept_hazards(rng, count):
         # The cumulative sums of the increments, added a column at a time
         # in place, in np.cumsum's order.
         hazards = rng.standard_exponential((count, depth))
@@ -345,7 +342,10 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
         kept = 1.0 + np.maximum(waits, 1.0).sum(axis=1) <= limit
         return np.take(hazards[:, :-4:-1], np.flatnonzero(kept), axis=0)  # depths n, n-1, n-2
 
-    parts = run_chunked(worker, n_sequences, seed, TAG_RECORDS, chunk_size=8192, pool=pool)
+    def worker(rng, count):
+        return np.concatenate([kept_hazards(rng, b.stop - b.start) for b in row_slices(count)])
+
+    parts = run_chunked(worker, n_sequences, seed, TAG_RECORDS, pool=pool)
     hazards = np.concatenate(parts, axis=0)
     return RecordBatch(
         marginal=m,

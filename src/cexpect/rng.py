@@ -17,16 +17,14 @@ fully determined by (seed, tag, chunk) and is independent of how many worker
 threads execute the chunks.  Chunk outputs are always merged in ascending
 chunk order, which makes every reduction bit-identical for any worker count.
 
-A pool runs the chunks through an in-order window: at most 2 x workers
-chunks are submitted and not yet taken, and the next chunk is submitted
-when the oldest one is taken.  So finished chunks cannot pile up while the
-caller works through the earlier ones, and a worker's exception cancels
-the chunks still queued.
-
-A worker does its experiment's per-row work itself and returns statistics
-of its rows, not the rows: the ``reports.Moments`` (count, means and
-centred co-moments) of the per-row values its reports read, or integer
-counts (the copula-swap lattice cells, the coalition's wins).
+A pool runs the chunks through ``Executor.map``: every chunk is submitted
+at once and the results are taken in chunk order.  A worker's exception is
+raised at its chunk and cancels the chunks still queued.  Every chunk
+result is kept until the caller merges it, so a worker does its
+experiment's per-row work itself and returns statistics of its rows, not
+the rows: the ``reports.Moments`` (count, means and centred co-moments) of
+the per-row values its reports read, or integer counts (the copula-swap
+lattice cells, the coalition's wins).
 ``run_chunked``'s caller merges them left to right in ascending chunk
 order, so the merged statistics depend on the chunking, which is fixed,
 and never on the number of workers.  Only the record chunks return rows,
@@ -71,14 +69,11 @@ keeps on the calling thread, the theorems' linear predictors take a gemv
 over one such block at a time, and ``reports.Moments.of_block`` forms
 co-moments from elementwise products, with no BLAS call.
 
-The record stream (tag 4, ``ordered.simulate_records``) uses chunks of 8192
-sequences.  Each chunk draws a (count, depth) block of standard exponentials,
-the hazard increments of the records, and then a (count, depth - 1) block of
-standard exponentials, inverted into the geometric waits between records.
+The record stream (tag 4, ``ordered.simulate_records``) draws a chunk's
+sequences in its ``row_slices`` blocks.  A block of b sequences draws a
+(b, depth) array of standard exponentials, the hazard increments of its
+records, and then a (b, depth - 1) one, inverted into the geometric waits.
 """
-
-from collections import deque
-from itertools import islice
 
 import numpy as np
 
@@ -147,13 +142,13 @@ def chunk_stream(seed, tag, chunk_index):
     return philox_stream(seed, (tag << 32) | chunk_index)
 
 
-def chunk_sizes(n_total, chunk_size=CHUNK_SIZE):
-    """(chunks, last): n_total replications split into `chunks` fixed-size
-    chunks, the last of which holds `last` rows (ragged)."""
+def chunk_sizes(n_total):
+    """(chunks, last): n_total replications split into `chunks` chunks of
+    CHUNK_SIZE rows, the last of which holds `last` rows (ragged)."""
     if n_total < 1:
         raise ValueError(f"n_total must be >= 1, got {n_total}")
-    chunks = -(-n_total // chunk_size)
-    return chunks, n_total - (chunks - 1) * chunk_size
+    chunks = -(-n_total // CHUNK_SIZE)
+    return chunks, n_total - (chunks - 1) * CHUNK_SIZE
 
 
 def row_slices(n, rows=EVAL_BLOCK):
@@ -164,44 +159,29 @@ def row_slices(n, rows=EVAL_BLOCK):
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _chunk_results(worker, n_total, seed, tag, chunk_size, pool):
-    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order.
-
-    With a pool, at most 2 x pool._max_workers chunks are in flight (see the
-    module docstring); the queued ones are cancelled if a worker raises or
-    the iterator is dropped.
-    """
-    chunks, last = chunk_sizes(n_total, chunk_size)
+def _chunk_results(worker, n_total, seed, tag, pool):
+    """Iterator over `worker(rng, count)` per chunk, in ascending chunk order:
+    `pool.map`'s, or the builtin map's without a pool (see the module
+    docstring)."""
+    chunks, last = chunk_sizes(n_total)
 
     def call(c):
-        return worker(chunk_stream(seed, tag, c), chunk_size if c < chunks - 1 else last)
+        return worker(chunk_stream(seed, tag, c), CHUNK_SIZE if c < chunks - 1 else last)
 
-    indices = iter(range(chunks))
-    if pool is None:
-        yield from map(call, indices)
-        return
-    window = deque(pool.submit(call, c) for c in islice(indices, 2 * pool._max_workers))
-    try:
-        while window:
-            result = window.popleft().result()
-            window.extend(pool.submit(call, c) for c in islice(indices, 1))
-            yield result
-    finally:
-        for future in window:
-            future.cancel()
+    return (map if pool is None else pool.map)(call, range(chunks))
 
 
-def run_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
+def run_chunked(worker, n_total, seed, tag=0, pool=None):
     """Run `worker(rng, count)` over deterministic chunks, in chunk order.
 
     Returns the list of per-chunk results ordered by chunk index.  `pool`
     may be a concurrent.futures executor owned by the caller; workers must
     not mutate shared state.  Results are identical for any pool size.
     """
-    return list(_chunk_results(worker, n_total, seed, tag, chunk_size, pool))
+    return list(_chunk_results(worker, n_total, seed, tag, pool))
 
 
-def simulate_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=None):
+def simulate_chunked(worker, n_total, seed, tag=0, pool=None):
     """Like run_chunked but assembles tuple-of-array chunk results.
 
     `worker(rng, count)` must return a tuple of 1-D/2-D arrays whose leading
@@ -209,7 +189,7 @@ def simulate_chunked(worker, n_total, seed, tag=0, chunk_size=CHUNK_SIZE, pool=N
     join_rows, so the assembled arrays equal the concatenation of the
     chunks bit for bit regardless of parallelism.
     """
-    return join_rows(_chunk_results(worker, n_total, seed, tag, chunk_size, pool), n_total)
+    return join_rows(_chunk_results(worker, n_total, seed, tag, pool), n_total)
 
 
 def join_rows(parts, n_total):

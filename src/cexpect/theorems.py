@@ -498,13 +498,24 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
 def copula_swap_tables(model):
     """(phi, psi) of a copula-swap model, tabulated and checked before any
     draw: both must be strictly increasing, as the inversion chain behind
-    the theorem needs; raises UnsupportedModelError otherwise."""
+    the theorem needs; raises UnsupportedModelError otherwise.
+
+    A tabulated table passes only if every step between its nodes is
+    positive.  condexp's INCREASING tolerance admits flat and slightly
+    falling steps, which a table takes where the regression saturates in a
+    tail; such a model is rejected, not tabulated more finely."""
     phi, psi = model.phi(), model.psi()
     for label, f in (("phi", phi), ("psi", psi)):
         if f.monotonicity != INCREASING:
             raise UnsupportedModelError(
                 f"copula-swap verification needs strictly increasing {label}; "
                 f"got {f.monotonicity}",
+                "model",
+            )
+        if f.affine is None and (step := _min_relative_step(f)) <= 0:
+            raise UnsupportedModelError(
+                f"copula-swap verification needs strictly increasing {label}; "
+                f"its table's smallest relative step is {step:.3g}",
                 "model",
             )
     return phi, psi
@@ -546,14 +557,12 @@ def verify_copula_theorem(models, tables, n_samples, seed, pool=None):
     `tables` holds copula_swap_tables(model) of each model.  If phi and psi
     are strictly increasing, (Z1, Z2) has the ranks of (Y, X) and its
     copula is C(t, s) (Nelsen 2006, Thm 2.4.3).  copula_swap_tables checks
-    that premise only to the INCREASING tolerance of condexp, which admits
-    flat and slightly falling steps, so the details record how near each
-    table comes to one.  The draws check only the sampler, and no worker
-    evaluates phi or psi: the report is copula_swap_z against
-    COPULA_SWAP_Z.  Model i
-    is named "copula-swap/{family}#i": its report is that name plus
-    "/swapped", and its details, keyed by it, hold the lattice size and each
-    table's smallest relative step.
+    that premise on each table's steps, and the details record how far
+    each table is from a flat step.  The draws check only the sampler, and
+    no worker evaluates phi or psi: the report is copula_swap_z against
+    COPULA_SWAP_Z.  Model i is named "copula-swap/{family}#i": its report
+    is that name plus "/swapped", and its details, keyed by it, hold the
+    lattice size and each table's smallest relative step.
     """
     reports = []
     details = {}

@@ -151,6 +151,23 @@ def test_verify_command_errors_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_all_rejects_a_config_before_any_run(tmp_path, monkeypatch, capsys):
+    # `all` runs the default suite and would not read the file, so a config
+    # given to it is refused rather than silently replaced.
+    def no_run(cfg, workers=1):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    theorem3 = cli.default_suite()["theorem3"]
+    config = _write_config(tmp_path, {**theorem3, "model": {**theorem3["model"], "rho": 2.0}})
+    out = tmp_path / "out"
+    assert _verify("all", "--config", config, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--config" in captured.err and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unsatisfied_verdict_exits_1(tmp_path, monkeypatch):
     def unsatisfied(cfg, workers=1):
         report = threshold_report("records", 5.0, 4.0, cfg["n_samples"], cfg["seed"])
@@ -316,6 +333,26 @@ _UNBOUNDED = {"family": "uniform", "lower": 0.0, "upper": math.inf}
 _UNIT = {"family": "uniform", "lower": 0.0, "upper": 1.0}
 _UNIT_UU = {"marginal_x": _UNIT, "marginal_y": _UNIT}
 
+# Models whose tables condexp's tolerance calls increasing, though a step
+# is flat or falling where a regression saturates in a tail.
+_FLAT_STEP_MODELS = {
+    "swap-fgm-weak-exponential": {
+        "copula": {"family": "fgm", "theta": 0.01},
+        "marginal_x": _EXP1,
+        "marginal_y": _EXP1,
+    },
+    "swap-clayton-weak-normal": {
+        "copula": {"family": "clayton", "alpha": 0.05},
+        "marginal_x": NORMAL,
+        "marginal_y": NORMAL,
+    },
+    "swap-fgm-uniform-exponential": {
+        "copula": {"family": "fgm", "theta": 1.0},
+        "marginal_x": _UNIT,
+        "marginal_y": _EXP1,
+    },
+}
+
 # (config, the field its diagnostic must name); each used to pass `validate`
 # and then fail or run anyway, or crashed `validate` itself.
 REJECTED = {
@@ -378,6 +415,10 @@ REJECTED = {
         _suite_with("copula-swap", models=[{**_UNIT_UU, "copula": {"family": "fgm", "theta": 0.0}}]),
         "models[0]",
     ),
+    **{
+        case: (_suite_with("copula-swap", models=[model]), "models[0]")
+        for case, model in _FLAT_STEP_MODELS.items()
+    },
     # The lattice size and the bound are constants, not keys: grid 2 made
     # every sup distance 0, a huge threshold passed any sample, and a huge
     # grid ran out of memory.
@@ -422,6 +463,15 @@ REJECTED = {
         "brokers.rho",
     ),
 }
+
+
+@pytest.mark.parametrize("case", sorted(_FLAT_STEP_MODELS))
+def test_copula_swap_flat_step_names_its_table_and_step(case):
+    (diagnostic,) = validate_config(REJECTED[case][0])
+    assert diagnostic.field == "models[0]"
+    assert "increasing phi" in diagnostic.message or "increasing psi" in diagnostic.message
+    step = float(diagnostic.message.rsplit("smallest relative step is ", 1)[1])
+    assert step <= 0.0
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))

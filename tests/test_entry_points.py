@@ -19,6 +19,7 @@ import pytest
 
 import cexpect.ordered
 import cexpect.quadrature
+import cexpect.rng
 from cexpect import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,6 +58,14 @@ def test_every_workload_config_is_satisfied_at_seed_1(monkeypatch, workload):
 
 def test_run_experiment_takes_workers():
     assert "workers" in inspect.signature(cli.run_experiment).parameters
+
+
+@pytest.mark.parametrize("scheduler", [cexpect.rng.run_chunked, cexpect.rng.simulate_chunked])
+def test_schedulers_take_the_worker_and_row_count_first(scheduler):
+    # The tracer reads a traced scheduler call's positional arguments: the
+    # worker, args[0], to name the code it runs, and n_total, args[1], to
+    # count its rows.
+    assert list(inspect.signature(scheduler).parameters)[:2] == ["worker", "n_total"]
 
 
 def test_ordered_integrates_through_the_traced_engine():

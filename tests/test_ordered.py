@@ -1,6 +1,9 @@
 """Order statistics and record values: closed forms, simulation, reports."""
 
+import hashlib
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from cexpect.ordered import (
     MARKOV_LEVELS,
     MARKOV_Z,
     TAG_ORDER,
+    TAG_RECORDS,
     binned_regression,
     markov_property_check,
     max_regression,
@@ -28,7 +32,7 @@ from cexpect.ordered import (
     simulate_records,
 )
 from cexpect.quadrature import integrate
-from cexpect.rng import CHUNK_SIZE, philox_stream
+from cexpect.rng import CHUNK_SIZE, EVAL_BLOCK, chunk_stream, philox_stream
 
 
 def _cond_pdf_max(m, z, x, lag):
@@ -361,7 +365,66 @@ class TestRecordExtraction:
             assert seq[t - 1] <= max(seq[: t - 1])
 
 
+def _reference_record_hazards(depth, n, seed, cap):
+    """The kept hazards of n record sequences, drawn with whole-block numpy
+    calls: chunk c of CHUNK_SIZE sequences from chunk_stream(seed,
+    TAG_RECORDS, c), in blocks of EVAL_BLOCK, each block its (b, depth)
+    hazard increments and then its (b, depth - 1) waits."""
+    kept = []
+    for c, start in enumerate(range(0, n, CHUNK_SIZE)):
+        rng = chunk_stream(seed, TAG_RECORDS, c)
+        size = min(CHUNK_SIZE, n - start)
+        for head in range(0, size, EVAL_BLOCK):
+            b = min(EVAL_BLOCK, size - head)
+            hazards = np.cumsum(rng.standard_exponential((b, depth)), axis=1)
+            # A record of hazard h is beaten by a draw with probability e^-h.
+            success = np.exp(-hazards[:, :-1])
+            waits = np.ceil(rng.standard_exponential((b, depth - 1)) / -np.log1p(-success))
+            times = 1.0 + np.maximum(waits, 1.0).sum(axis=1)
+            kept.append(hazards[times <= cap][:, [depth - 1, depth - 2, depth - 3]])
+    return np.concatenate(kept)
+
+
 class TestRecordSimulation:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_blocked_chunks_match_a_numpy_reference(self, workers):
+        # Three chunks, the last ragged, each drawn in blocks, the last of
+        # each chunk ragged too.
+        n = 2 * CHUNK_SIZE + 12_345
+        if workers == 1:
+            batch = simulate_records(Exponential(1.0), 5, n, 41, cap=40)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                batch = simulate_records(Exponential(1.0), 5, n, 41, cap=40, pool=pool)
+        expect = _reference_record_hazards(5, n, 41, 40)
+        assert 0 < batch.n_discarded < n
+        assert batch.n_discarded == n - expect.shape[0]
+        np.testing.assert_array_equal(batch.hazards, expect)
+
+    def test_one_block_batch_keeps_its_recorded_bytes(self):
+        # A batch of at most EVAL_BLOCK sequences is the first block of
+        # chunk 0: its hazard increments, then its waits.
+        batch = simulate_records(Exponential(1.0), 5, 8192, 2024, cap=100)
+        assert batch.n_discarded == 3163
+        digest = hashlib.sha256(batch.hazards.tobytes()).hexdigest()
+        assert digest == "b5b098db51065d35e8a42664ebb2ff803663652214c4481f0ffe324373e749da"
+
+    def test_a_chunk_holds_one_block_of_draws_at_a_time(self):
+        # Depth 128 over one whole chunk, every sequence kept: a block's
+        # two draws are 16 MiB, and their transforms may double that.  A
+        # chunk drawn whole would need 64 MiB for each draw.
+        depth, n = 128, CHUNK_SIZE
+        simulate_records(Exponential(1.0), depth, 100, 1)
+        tracemalloc.start()
+        try:
+            batch = simulate_records(Exponential(1.0), depth, n, 1, cap=10**300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.n_discarded == 0
+        block_draws = EVAL_BLOCK * (2 * depth - 1) * 8
+        assert peak <= 2 * block_draws + 3 * batch.hazards.nbytes + 2**20, peak
+
     def test_depth4_exponential_matches_gamma(self):
         # X_U(n) for Exp(1) is a sum of n iid exponentials (memorylessness).
         batch = simulate_records(Exponential(1.0), 4, 50_000, 84)

@@ -1,6 +1,6 @@
 """Random-stream contract: pinned Philox key layout and chunked determinism."""
 
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -169,29 +169,58 @@ class _LazyFuture(Future):
         super().__init__()
         self._call = call
 
-    def result(self, timeout=None):
-        if not self.done() and self.set_running_or_notify_cancel():
+    def run(self):
+        if self.set_running_or_notify_cancel():
             try:
                 self.set_result(self._call())
             except Exception as exc:
                 self.set_exception(exc)
+
+    def result(self, timeout=None):
+        if not self.done():
+            self.run()
         return super().result(timeout)
 
 
-class _LazyPool:
-    """Executor stub: records every submitted future and the most that were
-    outstanding (submitted, not yet run) at once."""
+class _LazyPool(Executor):
+    """Executor whose submitted calls run when their results are read, so
+    the real Executor.map drives them; records every submitted future."""
 
-    def __init__(self, workers):
-        self._max_workers = workers
+    def __init__(self):
         self.futures = []
-        self.most_outstanding = 0
 
-    def submit(self, fn, *args):
-        future = _LazyFuture(lambda: fn(*args))
+    def submit(self, fn, /, *args, **kwargs):
+        future = _LazyFuture(lambda: fn(*args, **kwargs))
         self.futures.append(future)
-        outstanding = sum(not f.done() for f in self.futures)
-        self.most_outstanding = max(self.most_outstanding, outstanding)
+        return future
+
+
+class _ReversedFuture(_LazyFuture):
+    """A future of a _ReversedPool: reading any result first runs every
+    submitted call, the last submitted first."""
+
+    def __init__(self, call, pool):
+        super().__init__(call)
+        self._pool = pool
+
+    def result(self, timeout=None):
+        for future in reversed(self._pool.futures):
+            if not future.done():
+                future.run()
+                self._pool.completed.append(future)
+        return super().result(timeout)
+
+
+class _ReversedPool(_LazyPool):
+    """Executor that completes its futures in reverse submission order."""
+
+    def __init__(self):
+        super().__init__()
+        self.completed = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = _ReversedFuture(lambda: fn(*args, **kwargs), self)
+        self.futures.append(future)
         return future
 
 
@@ -199,14 +228,13 @@ def _first_draw(rng, count):
     return float(rng.random()), count
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_pool_window_bounds_outstanding_chunks_and_keeps_order(workers):
-    n_total = 10 * 1000 + 7
-    pool = _LazyPool(workers)
-    got = run_chunked(_first_draw, n_total, seed=3, tag=5, chunk_size=1000, pool=pool)
-    assert got == run_chunked(_first_draw, n_total, seed=3, tag=5, chunk_size=1000)
-    assert len(pool.futures) == 11
-    assert pool.most_outstanding == 2 * workers
+def test_pool_results_come_back_in_chunk_order_whatever_the_completion_order():
+    n_total = 4 * CHUNK_SIZE + 7
+    pool = _ReversedPool()
+    got = run_chunked(_first_draw, n_total, seed=3, tag=5, pool=pool)
+    assert pool.completed == pool.futures[::-1] and len(pool.futures) == 5
+    assert got == run_chunked(_first_draw, n_total, seed=3, tag=5)
+    assert [count for _, count in got] == [CHUNK_SIZE] * 4 + [7]
 
 
 def _chunk_index(rng):
@@ -219,12 +247,12 @@ def test_pool_window_propagates_worker_error_and_cancels_queued_chunks():
             raise RuntimeError("chunk 3 failed")
         return count
 
-    pool = _LazyPool(2)
+    pool = _LazyPool()
     with pytest.raises(RuntimeError, match="chunk 3 failed"):
-        run_chunked(worker, 80, seed=1, chunk_size=10, pool=pool)
-    # Chunks 0-3 were taken in order, 4-6 were queued behind them, and 7
-    # was never submitted.
-    assert len(pool.futures) == 7
+        run_chunked(worker, 8 * CHUNK_SIZE, seed=1, pool=pool)
+    # Every chunk was submitted; chunks 0-3 were taken in order, and the
+    # four queued behind them were cancelled.
+    assert len(pool.futures) == 8
     assert [f.done() and not f.cancelled() for f in pool.futures[:4]] == [True] * 4
     assert isinstance(pool.futures[3].exception(), RuntimeError)
     for future in pool.futures[4:]:
