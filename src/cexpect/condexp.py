@@ -22,7 +22,9 @@
   block reuses, so a call allocates its output and O(EVAL_BLOCK) more,
   whatever the number of keys.
   The Gaussian copula with normal marginals short-circuits to the exact
-  affine form.
+  affine form, and its draws are exact too: the copula's normal scores
+  map onto normal margins affinely, with no normal cdf and quantile in
+  between (the score path of `BivariateModel.blocks`).
 * GaussianVector with closed-form conditional means via the normal
   equations, for any dimension >= 2.
 """
@@ -277,12 +279,12 @@ class BivariateModel:
 
     def blocks(self, rng, n):
         """An iterator of (rows, x, y): n joint draws in the row blocks of
-        copula.blocks, each pair of uniforms mapped through the marginal
-        quantiles."""
-        return (
-            (rows, self.marginal_x._quantile(u), self.marginal_y._quantile(v))
-            for rows, u, v in self.copula.blocks(rng, n)
-        )
+        copula.blocks, each pair mapped onto the margins by
+        copula.marginal_blocks.  Most copulas' uniforms go through the
+        marginal quantiles; a Gaussian copula's normal scores go through
+        each margin's `_of_score`, so normal margins never leave score
+        space."""
+        return self.copula.marginal_blocks(rng, n, self.marginal_x, self.marginal_y)
 
     def phi(self):
         """y -> E(X | Y = y) as a RegressionFunction over the Y support."""

@@ -6,7 +6,10 @@ distribution method (draw u and w uniform, invert v from dC/du at (u, w))
 except for the Gaussian family, which maps a correlated normal pair through
 the normal cdf.  A sample is drawn in row blocks of EVAL_BLOCK, and each
 block draws both of its columns, u then w (or z1 then z2), before the next
-block starts.
+block starts.  `marginal_blocks` maps a copula's draws onto two margins:
+through their quantiles, or, for the Gaussian family, from the normal
+pair itself through each margin's `_of_score`, with no cdf and quantile
+in between.
 
 The empirical copula counts pairs whose margins are known, so no ranks are
 taken: each count on the lattice is binomial, and sup_distance reads the
@@ -92,6 +95,14 @@ class Copula:
             u = rng.random(rows.stop - rows.start)
             yield rows, u, self._cond_quantile(u, rng.random(u.size))
 
+    def marginal_blocks(self, rng, n, marginal_x, marginal_y):
+        """The blocks of `blocks` with u and v mapped through the quantiles
+        of marginal_x and marginal_y."""
+        return (
+            (rows, marginal_x._quantile(u), marginal_y._quantile(v))
+            for rows, u, v in self.blocks(rng, n)
+        )
+
     @staticmethod
     def _clip_pair(u, v):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
@@ -157,14 +168,31 @@ class Gaussian(Copula):
         z = ndtri(np.clip(w, 1e-300, 1 - 1e-16))
         return self.rho * x + math.sqrt(1.0 - self.rho**2) * z
 
-    def blocks(self, rng, n):
-        """A correlated normal pair mapped through the normal cdf (exact):
-        Copula.blocks with standard normals z1, z2 in place of u, w."""
+    def score_blocks(self, rng, n):
+        """An iterator of (rows, z1, z2): n standard normal pairs of
+        correlation rho, the normal scores of the pairs of `blocks`.
+
+        Each block draws its rows' standard normals z1 and then their
+        standard normals w, and yields z1 and rho z1 + sqrt(1 - rho^2) w:
+        Copula.blocks with normals in place of uniforms.
+        """
         scale = math.sqrt(1.0 - self.rho**2)
         for rows in row_slices(n):
             z1 = rng.standard_normal(rows.stop - rows.start)
             z2 = rng.standard_normal(z1.size)
-            yield rows, ndtr(z1), ndtr(self.rho * z1 + scale * z2)
+            yield rows, z1, self.rho * z1 + scale * z2
+
+    def blocks(self, rng, n):
+        """The pairs of `score_blocks` mapped through the normal cdf."""
+        return ((rows, ndtr(z1), ndtr(z2)) for rows, z1, z2 in self.score_blocks(rng, n))
+
+    def marginal_blocks(self, rng, n, marginal_x, marginal_y):
+        """The pairs of `score_blocks` mapped through each margin's
+        `_of_score`: a normal margin takes its scores affinely, exact."""
+        return (
+            (rows, marginal_x._of_score(z1), marginal_y._of_score(z2))
+            for rows, z1, z2 in self.score_blocks(rng, n)
+        )
 
     def to_config(self):
         return {"family": "gaussian", "rho": self.rho}

@@ -1,10 +1,14 @@
 """Univariate distribution primitives: uniform, exponential, normal.
 
 Each family exposes cdf/sf/pdf/quantile/mean/variance, the support, and
-inverse-transform sampling (the only sampler in the package, so every draw
-is reproducible from the quantile function and one uniform block).  Infinite
-supports are truncated at the 1e-12 and 1 - 1e-12 quantiles for quadrature;
-`truncated_support()` returns those endpoints.
+two maps onto its values: the quantile function of a uniform, by which
+`sample` and every copula but the Gaussian draw (inverse transform), and
+`_of_score`, the value at a standard normal score, by which a Gaussian
+copula's draws reach the margin without leaving normal-score space.  By
+default `_of_score(z)` is the quantile at ndtr(z); the normal family maps
+z affinely, which is exact.  Infinite supports are truncated at the 1e-12
+and 1 - 1e-12 quantiles for quadrature; `truncated_support()` returns
+those endpoints.
 """
 
 import math
@@ -48,6 +52,10 @@ class Marginal:
         """Inverse survival function, the quantile at 1 - s, exact in the far
         right tail where 1 - s rounds."""
         raise NotImplementedError
+
+    def _of_score(self, z):
+        """The value at standard normal score z: the quantile at ndtr(z)."""
+        return self._quantile(ndtr(z))
 
     # No experiment reads mean or variance; tests and the benchmark use them
     # as oracles.
@@ -191,6 +199,10 @@ class Normal(Marginal):
 
     def _isf(self, s):
         return self.mean_ - self.sd * ndtri(s)
+
+    def _of_score(self, z):
+        # Exact, where the quantile at ndtr(z) loses z's tail digits.
+        return self.mean_ + self.sd * z
 
     def mean(self):
         return self.mean_

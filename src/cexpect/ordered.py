@@ -328,22 +328,41 @@ def simulate_records(m: Marginal, depth, n_sequences, seed, cap=RECORD_CAP_DEFAU
     # Record times are float64, so a cap beyond its range means no cap.
     limit = float(min(cap, sys.float_info.max))
 
-    def kept_hazards(rng, count):
+    def keep_block(rng, b, out):
+        # Writes the last three hazards of the block's kept sequences to the
+        # head of `out` and returns how many it kept.  The block holds two
+        # block-sized arrays at a time: the hazards are dropped once those
+        # three columns are in `out` and the rates are made from them.
+        hazards = rng.standard_exponential((b, depth))
         # The cumulative sums of the increments, added a column at a time
         # in place, in np.cumsum's order.
-        hazards = rng.standard_exponential((count, depth))
         for j in range(1, depth):
             hazards[:, j] += hazards[:, j - 1]
-        rates = -np.log1p(-np.exp(-hazards[:, :-1]))
+        out[:b] = hazards[:, :-4:-1]  # depths n, n-1, n-2
+        # -log1p(-exp(-hazards)), in place in one contiguous array: ufuncs
+        # on the strided view hazards[:, :-1] run a row at a time, which
+        # is slow for the few columns of a shallow depth.
+        rates = np.negative(hazards[:, :-1])
+        del hazards
+        for ufunc in (np.exp, np.negative, np.log1p, np.negative):
+            ufunc(rates, out=rates)
+        waits = rng.standard_exponential((b, depth - 1))
         with np.errstate(all="ignore"):
-            waits = np.ceil(rng.standard_exponential((count, depth - 1)) / rates)
+            np.ceil(np.divide(waits, rates, out=waits), out=waits)
         # A row sum, not a column loop: numpy sums 8 or more columns
         # pairwise, and a loop would change its bits at depth 9 and above.
-        kept = 1.0 + np.maximum(waits, 1.0).sum(axis=1) <= limit
-        return np.take(hazards[:, :-4:-1], np.flatnonzero(kept), axis=0)  # depths n, n-1, n-2
+        kept = 1.0 + np.maximum(waits, 1.0, out=waits).sum(axis=1) <= limit
+        n_kept = int(np.count_nonzero(kept))
+        if n_kept < b:
+            out[:n_kept] = out[:b][kept]
+        return n_kept
 
     def worker(rng, count):
-        return np.concatenate([kept_hazards(rng, b.stop - b.start) for b in row_slices(count)])
+        out = np.empty((count, 3))
+        kept = 0
+        for rows in row_slices(count):
+            kept += keep_block(rng, rows.stop - rows.start, out[kept:])
+        return out[:kept]
 
     parts = run_chunked(worker, n_sequences, seed, TAG_RECORDS, pool=pool)
     hazards = np.concatenate(parts, axis=0)

@@ -43,9 +43,12 @@ rows for a bivariate model and the conditional-iid copies, and
 ``condexp.gemm_rows(dim)`` rows for a Gaussian vector (see below).  Each
 block draws all of its own columns before the next block starts, and a
 model's ``sample`` is its blocks joined, so the draws of a chunk depend on
-(seed, tag, chunk) and the model alone.  A ``blocks`` call holds one
-block of draws at a time, and each block's arrays are new: the caller may
-keep them.
+(seed, tag, chunk) and the model alone.  A bivariate model on a Gaussian
+copula draws its blocks through ``copulas.Gaussian.score_blocks``, whose
+blocks yield normal scores, the same draws in the same order as the
+copula's uniforms, and maps the scores onto its margins.  A ``blocks``
+call holds one block of draws at a time, and each block's arrays are new:
+the caller may keep them.
 
 A worker allocates the arrays it fills when its chunk starts, writes its
 per-row values into them a block of rows at a time, and returns

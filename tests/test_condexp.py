@@ -10,6 +10,7 @@ from scipy import integrate as sci_integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
+from cexpect import copulas, marginals
 from cexpect.condexp import (
     DECREASING,
     EVAL_BLOCK,
@@ -34,7 +35,7 @@ from cexpect.errors import (
     ExtrapolationError,
 )
 from cexpect.marginals import Exponential, Normal, Uniform
-from cexpect.rng import CHUNK_SIZE, MAX_ROW_WIDTH, philox_stream, row_slices
+from cexpect.rng import CHUNK_SIZE, MAX_ROW_WIDTH, join_rows, philox_stream, row_slices
 
 GAUSS_MODEL = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
 
@@ -482,6 +483,41 @@ def test_gemm_blocks_stay_on_the_calling_thread():
             for block in row_slices(n, rows):
                 covered[block] += 1
             assert np.all(covered == 1), (d, n)
+
+
+class TestBivariateDraws:
+    N = 2 * EVAL_BLOCK + 1
+
+    def test_normal_margins_of_a_gaussian_copula_are_its_scores(self):
+        model = BivariateModel(Gaussian(rho=0.5), Normal(1.0, 2.0), Normal(-1.0, 0.5))
+        x, y = model.sample(philox_stream(52, 0), self.N)
+        scores = model.copula.score_blocks(philox_stream(52, 0), self.N)
+        z1, z2 = join_rows(((z1, z2) for _, z1, z2 in scores), self.N)
+        assert x.tobytes() == (1.0 + 2.0 * z1).tobytes()
+        assert y.tobytes() == (-1.0 + 0.5 * z2).tobytes()
+
+    @pytest.mark.parametrize("copula", [Gaussian(rho=0.5), Clayton(alpha=2.0)], ids=str)
+    def test_other_margins_take_the_quantile_of_the_uniforms(self, copula):
+        model = BivariateModel(copula, Exponential(1.0), Uniform(-1.0, 1.0))
+        x, y = model.sample(philox_stream(53, 0), self.N)
+        u, v = copula.sample(philox_stream(53, 0), self.N)
+        assert x.tobytes() == model.marginal_x._quantile(u).tobytes()
+        assert y.tobytes() == model.marginal_y._quantile(v).tobytes()
+
+    def test_gaussian_normal_draws_take_no_cdf_and_quantile(self, monkeypatch):
+        # The normal cdf of the copula and the normal quantile of the
+        # margins both raise: a Gaussian x Normal draw needs neither, and a
+        # Clayton x Normal draw, which takes the quantile, shows that the
+        # patch bites.
+        def refuse(p):
+            raise AssertionError("the draw left normal-score space")
+
+        monkeypatch.setattr(copulas, "ndtr", refuse)
+        monkeypatch.setattr(marginals, "ndtri", refuse)
+        x, y = GAUSS_MODEL.sample(philox_stream(54, 0), self.N)
+        assert x.shape == y.shape == (self.N,)
+        with pytest.raises(AssertionError, match="normal-score space"):
+            BivariateModel(Clayton(alpha=2.0), Normal(), Normal()).sample(philox_stream(54, 0), 10)
 
 
 class TestModuleInvariants:

@@ -26,7 +26,7 @@ from cexpect.copulas import (
 )
 from cexpect.errors import DomainError
 from cexpect.marginals import Exponential, Normal
-from cexpect.rng import EVAL_BLOCK, philox_stream
+from cexpect.rng import EVAL_BLOCK, join_rows, philox_stream
 from cexpect.theorems import COPULA_SWAP_Z, copula_swap_z
 
 ALL_FAMILIES = [
@@ -164,6 +164,15 @@ class TestSampling:
                 assert v_rows.tobytes() == expected[1][block].tobytes()
             assert rows[0][0] == 0 and rows[-1][1] == n
             assert all(b - a == EVAL_BLOCK for a, b in rows[:-1])
+
+    @pytest.mark.parametrize("rho", [-0.7, 0.0, 0.5])
+    def test_gaussian_sample_is_the_cdf_of_its_scores(self, rho):
+        c = Gaussian(rho=rho)
+        for n in (1, EVAL_BLOCK + 1, 33_920):
+            u, v = c.sample(philox_stream(40, n), n)
+            scores = ((z1, z2) for _, z1, z2 in c.score_blocks(philox_stream(40, n), n))
+            z1, z2 = join_rows(scores, n)
+            assert u.tobytes() == ndtr(z1).tobytes() and v.tobytes() == ndtr(z2).tobytes()
 
     def test_gaussian_rho0_kendall_tau(self):
         u, v = Gaussian(rho=1e-12).sample(philox_stream(22, 0), 100_000)
@@ -399,6 +408,16 @@ class TestSamplerLattice:
     )
     def test_wrong_model_fails(self, draws, reference, n):
         assert copula_swap_z(_read_as(draws, reference), n, 42) > COPULA_SWAP_Z
+
+    @pytest.mark.parametrize("wrong", [False, True], ids=["true", "5%-wide"])
+    def test_wrong_score_map_fails(self, wrong, monkeypatch):
+        # The draws are binned at the model's known cdfs, so normal margins
+        # that map the copula's scores 5% too wide fail, though the copula
+        # of their draws is right.
+        if wrong:
+            monkeypatch.setattr(Normal, "_of_score", lambda m, z: m.mean_ + 1.05 * m.sd * z)
+        model = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
+        assert (copula_swap_z(model, 100_000, 7) > COPULA_SWAP_Z) == wrong
 
     def test_bound_is_bonferroni_over_the_inner_cells(self):
         # 2400 cells of the 50-point lattice have 0 < C < 1; the bound has
