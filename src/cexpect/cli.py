@@ -60,10 +60,6 @@ def _read_model(builder, verify):
     return lambda f: (partial(verify, f.model("model", builder)), 0)
 
 
-def _read_theorem3(f):
-    return partial(theorems.verify_theorem3, f.model("model", _theorem3_vector)), 0
-
-
 def _theorem3_vector(cfg):
     """(X, Y, Z), or (X, Y) with Z a duplicate of Y."""
     f = Fields(cfg, "a theorem3 model object")
@@ -167,7 +163,7 @@ def _read_coalition(f):
 EXPERIMENTS = {
     "theorem1": _read_model(theorems.copies_models_from_config, theorems.verify_theorem1),
     "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2),
-    "theorem3": _read_theorem3,
+    "theorem3": _read_model(_theorem3_vector, theorems.verify_theorem3),
     "corollary-chain": _read_corollary,
     "covariance": _read_model(bivariate_from_config, theorems.verify_covariance_identity),
     "copula-swap": _read_copula_swap,

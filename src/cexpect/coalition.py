@@ -8,9 +8,10 @@ individual predictor E(Z | X_i = x) serves them all.  It is exact
 one-dimensional quadrature, E(Z | x) = x + int_x (1 - P(max of the others
 <= w | x)) dw: in w for independent brokers, and in the other brokers'
 conditional normal score for dependent ones, whose maximum has the
-equicorrelated-normal distribution of Dunnett & Sobel (1955).
-compare_strategies pits the coalition-average predictor against each
-individual predictor on common draws.
+equicorrelated-normal distribution of Dunnett & Sobel (1955); scores map
+to prices by the broker's `_of_score`.  compare_strategies pits the
+coalition-average predictor against each individual predictor on common
+draws, which `MarketConfig.blocks` makes in row blocks (see rng).
 """
 
 import math
@@ -26,7 +27,7 @@ from .errors import ConstructionError, NumericalError
 from .marginals import TAIL_EPS, Marginal, MaxOfIid, marginal_from_config
 from .quadrature import tabulate
 from .reports import ExperimentResult, inequality_report, merged, paired_moments
-from .rng import check_row_width, run_chunked, simulate_chunked
+from .rng import check_row_width, join_rows, row_slices, run_chunked, simulate_chunked
 
 TAG_MARKET = 5
 PREDICTOR_NODES = 201
@@ -75,6 +76,27 @@ class MarketConfig:
     def iid_brokers(self):
         return self.rho_xx is None or self.n_brokers == 1
 
+    def sample(self, rng, n):
+        """(X, Y): n markets' broker prices and outsider prices (all -inf
+        without an outsider), the blocks of `blocks` joined."""
+        return join_rows(((x, y) for _, x, y in self.blocks(rng, n)), n)
+
+    def blocks(self, rng, n):
+        """An iterator of (rows, x, y): n markets in row blocks of
+        EVAL_BLOCK, each drawing its brokers and then its outsider.  iid
+        brokers are quantiles of uniforms, dependent ones the `_of_score` of
+        equicorrelated normals, so normal brokers stay in score space."""
+        k, broker = self.n_brokers, self.broker_marginal
+        normals = None if self.iid_brokers else equicorrelated_vector(k, self.rho_xx)
+        for rows in row_slices(n):
+            b = rows.stop - rows.start
+            if normals is None:
+                x = broker._quantile(rng.random((b, k)))
+            else:
+                x = broker._of_score(normals.sample(rng, b))
+            y = np.full(b, -np.inf) if self.outsider is None else self.outsider.sample(rng, b)
+            yield rows, x, y
+
 
 def market_from_config(cfg):
     """Build a MarketConfig from the scenario-config dict schema; raises
@@ -105,33 +127,16 @@ def _outsider_from_config(cfg):
     return f.close(base if count == 1 else f.build(MaxOfIid, base=base, count=count))
 
 
-def _market_draw(cfg: MarketConfig):
-    """draw(rng, count): one chunk of (X, Y, Z), brokers drawn before the
-    outsider; Y is all -inf when the outsider is disabled."""
-    k = cfg.n_brokers
-    normals = None if cfg.iid_brokers else equicorrelated_vector(k, cfg.rho_xx)
-
-    def draw(rng, count):
-        if normals is None:
-            u = rng.random((count, k))
-        else:
-            u = ndtr(normals.sample(rng, count))
-        x = cfg.broker_marginal._quantile(np.clip(u, 1e-15, 1.0 - 1e-16))
-        if cfg.outsider is not None:
-            y = cfg.outsider.sample(rng, count)
-        else:
-            y = np.full(count, -np.inf)
-        z_price = np.maximum(x.max(axis=1), y)
-        return x, y, z_price
-
-    return draw
-
-
 def simulate_market(cfg: MarketConfig, n_samples, seed, pool=None):
-    """n_samples simulated (X, Y, Z): broker prices, outsider price, rowwise
+    """n_samples markets (X, Y, Z): cfg.sample's prices and their rowwise
     max.  Deterministic given seed; these are the markets compare_strategies
     scores."""
-    return simulate_chunked(_market_draw(cfg), n_samples, seed, TAG_MARKET, pool=pool)
+
+    def worker(rng, count):
+        x, y = cfg.sample(rng, count)
+        return x, y, np.maximum(x.max(axis=1), y)
+
+    return simulate_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool)
 
 
 def competitor_max_cdf(cfg: MarketConfig, w):
@@ -199,14 +204,6 @@ def _score(m: Marginal, w):
     return np.where(p <= 0.5, ndtri(np.minimum(p, 0.5)), -ndtri(np.minimum(q, 0.5)))
 
 
-def _price(m: Marginal, s):
-    """The price F^-1(Phi(s)) of normal score s; above the median through
-    the upper tail, which keeps the digits Phi(s) loses as it rounds to 1."""
-    lower = m._quantile(ndtr(np.minimum(s, 0.0)))
-    upper = m._isf(ndtr(-np.maximum(s, 0.0)))
-    return np.where(s <= 0.0, lower, upper)
-
-
 def _others_below(u, m, r, nodes):
     """P(max of m standard normals with equicorrelation r <= u).
 
@@ -257,7 +254,7 @@ def _dependent_predictor(cfg: MarketConfig, xs):
     kinks = _finite_endpoints([out] if out is not None else [])
     values = xs.copy()
     if out is not None:
-        w_top = np.maximum(xs, _price(b, rho * z + sigma * U_TOP))
+        w_top = np.maximum(xs, b._of_score(rho * z + sigma * U_TOP))
         _, o_hi = out.truncated_support()
         values += _split_integrals(lambda _, w: out.sf(w), w_top, np.maximum(w_top, o_hi), kinks)
     u_lo = np.minimum((1.0 - rho) * z / sigma, U_TOP)
@@ -268,7 +265,7 @@ def _dependent_predictor(cfg: MarketConfig, xs):
 
         def integrand(pieces, u):
             s = rho * z_rows[pieces, None] + sigma * u
-            w = _price(b, s)
+            w = b._of_score(s)
             below = _others_below(u, m, r, nodes)
             if out is not None:
                 below *= out.cdf(w)
@@ -344,18 +341,22 @@ def compare_strategies(cfg: MarketConfig, table, n_samples, seed, pool=None):
     exchangeable columns p_i share one expected error, so any exchangeable
     predictor columns pass, a wrong table included.
     """
-    draw = _market_draw(cfg)
     k = cfg.n_brokers
 
     def worker(rng, count):
-        # The markets of simulate_market, reduced to what the reports read:
-        # the paired_moments of the coalition's squared error against each
-        # broker's, and the count of wins of each broker and the outsider.
-        x, y, z_price = draw(rng, count)
-        preds = table(x)
-        lhs_sq = (z_price - preds.mean(axis=1)) ** 2
-        stats = [paired_moments(lhs_sq, (z_price - preds[:, i]) ** 2) for i in range(k)]
-        return stats, np.bincount(_winner(x, y), minlength=k + 1)
+        # The markets of simulate_market, reduced a block at a time to what
+        # the reports read: the squared errors of the coalition (row 0) and
+        # of each broker, and the wins of each broker and the outsider.
+        errors = np.empty((k + 1, count))
+        wins = np.zeros(k + 1, dtype=np.intp)
+        for rows, x, y in cfg.blocks(rng, count):
+            z_price = np.maximum(x.max(axis=1), y)
+            wins += np.bincount(_winner(x, y), minlength=k + 1)
+            preds = table(x)
+            np.square(z_price - preds.mean(axis=1), out=errors[0, rows])
+            np.subtract(z_price[:, None], preds, out=preds)
+            errors[1:, rows] = np.square(preds, out=preds).T
+        return [paired_moments(errors[0], error) for error in errors[1:]], wins
 
     stats, wins = merged(run_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool))
     reports = [

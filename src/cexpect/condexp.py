@@ -23,8 +23,8 @@
   whatever the number of keys.
   The Gaussian copula with normal marginals short-circuits to the exact
   affine form, and its draws are exact too: the copula's normal scores
-  map onto normal margins affinely, with no normal cdf and quantile in
-  between (the score path of `BivariateModel.blocks`).
+  map onto each margin through its `_of_score`, affinely for normal
+  margins (the score path of `BivariateModel.blocks`).
 * GaussianVector with closed-form conditional means via the normal
   equations, for any dimension >= 2.
 """
@@ -315,9 +315,10 @@ def _regression(copula, target: Marginal, conditioner: Marginal):
     The conditional mean integral int x f_{target|cond}(x|t) dx is computed
     in conditional-probability space: with u_w the w-quantile of the
     copula's conditional law given F_cond(t), the integrand is Q_target(u_w),
-    w in (0, 1).  This importance form has no density spikes however extreme
-    the conditioning value, which direct x-space integration cannot avoid
-    for lower-tail-dependent families.  All supported copulas are
+    w in (0, 1), read from both tails of u_w by `target._of_tails`.  This
+    importance form has no density spikes however extreme the conditioning
+    value, which direct x-space integration cannot avoid for
+    lower-tail-dependent families.  All supported copulas are
     exchangeable, so one conditional-quantile orientation serves both phi
     and psi.
     """
@@ -334,13 +335,7 @@ def _regression(copula, target: Marginal, conditioner: Marginal):
     w_cut = 1e-13  # tail truncation; bias ~ |Q(tail)| * 1e-13, far below tol
 
     def cond_mean_integrand(rows, w):
-        u, u_sf = copula.cond_quantile_pair(v[rows, None], w)
-        # Each half from its own tail: above the median through 1 - u, which
-        # keeps the digits u loses as it rounds towards 1.
-        tiny = np.finfo(float).tiny
-        lower = target._quantile(np.clip(u, tiny, 0.5))
-        upper = target._isf(np.clip(u_sf, tiny, 0.5))
-        return np.where(u <= 0.5, lower, upper)
+        return target._of_tails(*copula.cond_quantile_pair(v[rows, None], w))
 
     values = quadrature.tabulate(
         cond_mean_integrand, np.full_like(grid, w_cut), np.full_like(grid, 1.0 - w_cut)

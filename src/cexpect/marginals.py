@@ -1,14 +1,13 @@
 """Univariate distribution primitives: uniform, exponential, normal.
 
 Each family exposes cdf/sf/pdf/quantile/mean/variance, the support, and
-two maps onto its values: the quantile function of a uniform, by which
-`sample` and every copula but the Gaussian draw (inverse transform), and
-`_of_score`, the value at a standard normal score, by which a Gaussian
-copula's draws reach the margin without leaving normal-score space.  By
-default `_of_score(z)` is the quantile at ndtr(z); the normal family maps
-z affinely, which is exact.  Infinite supports are truncated at the 1e-12
-and 1 - 1e-12 quantiles for quadrature; `truncated_support()` returns
-those endpoints.
+maps onto its values: the quantile of a uniform, by which `sample` and
+every copula but the Gaussian draw (inverse transform); `_of_tails(p, q)`,
+each half from its own tail; and `_of_score`, the value at a normal score,
+by which Gaussian-copula draws and dependent brokers stay in score space.
+By default `_of_score(z)` is `_of_tails(ndtr(z), ndtr(-z))`, exact in both
+tails; a normal maps z affinely.  Infinite supports are truncated at the
+1e-12 and 1 - 1e-12 quantiles for quadrature (`truncated_support()`).
 """
 
 import math
@@ -53,9 +52,17 @@ class Marginal:
         right tail where 1 - s rounds."""
         raise NotImplementedError
 
+    def _of_tails(self, p, q):
+        """The value of cdf p and survival q = 1 - p: the quantile at p below
+        the median, above it the inverse survival at q, exact as p rounds."""
+        tiny = np.finfo(float).tiny
+        lower = self._quantile(np.clip(p, tiny, 0.5))
+        upper = self._isf(np.clip(q, tiny, 0.5))
+        return np.where(p <= 0.5, lower, upper)
+
     def _of_score(self, z):
-        """The value at standard normal score z: the quantile at ndtr(z)."""
-        return self._quantile(ndtr(z))
+        """The value at standard normal score z, exact in both tails."""
+        return self._of_tails(ndtr(z), ndtr(-z))
 
     # No experiment reads mean or variance; tests and the benchmark use them
     # as oracles.

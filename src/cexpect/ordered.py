@@ -30,9 +30,9 @@ The Markov check tests the residual X_{n:n} - E(X_{n:n} | X_{n-1:n})
 against indicators of X_{n-2:n} at its known quantiles, the marked
 empirical process of Stute (1997, Ann. Statist. 25).
 
-The order-stats operation streams: its chunk workers reduce their sorted
-rows to the inequality's Moments and the Markov check's per-bin sums, so
-no (n_samples, n) matrix is kept.  `mse_order_inequality` and
+The order-stats operation streams: its chunk workers draw and sort their
+rows a `row_slices` block at a time, and reduce them to the inequality's
+Moments and the Markov check's per-bin sums.  `mse_order_inequality` and
 `markov_property_check` make the same per-chunk statistics from a whole
 `order_stat_matrix`, a CHUNK_SIZE block of rows at a time, and report the
 same bits.
@@ -61,7 +61,7 @@ from .reports import (
     paired_moments,
     threshold_report,
 )
-from .rng import CHUNK_SIZE, check_row_width, row_slices, run_chunked, simulate_chunked
+from .rng import CHUNK_SIZE, check_row_width, join_rows, row_slices, run_chunked, simulate_chunked
 
 TAG_ORDER = 3
 TAG_RECORDS = 4
@@ -99,15 +99,12 @@ def max_regression(m: Marginal, n, j):
     return RegressionFunction(grid, fill_massless(values, sf > 0.0))
 
 
-def _sorted_rows(m: Marginal, n):
-    """Chunk worker drawing a (count, n) block of sorted iid rows."""
-
-    def draw(rng, count):
-        x = m.sample(rng, count * n).reshape(count, n)
-        x.sort(axis=1)
-        return x
-
-    return draw
+def _sorted_rows(m: Marginal, n, rng, rows):
+    """The row block `rows` of sorted iid rows: a new array of n
+    inverse-transform draws a row, drawn row after row, each row sorted."""
+    x = m._quantile(rng.random((rows.stop - rows.start, n)))
+    x.sort(axis=1)
+    return x
 
 
 def order_stat_matrix(m: Marginal, n, n_samples, seed, pool=None):
@@ -115,10 +112,9 @@ def order_stat_matrix(m: Marginal, n, n_samples, seed, pool=None):
     Its CHUNK_SIZE-row blocks are the chunks `order_stats` draws."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    draw = _sorted_rows(m, n)
 
     def worker(rng, count):
-        return (draw(rng, count),)
+        return join_rows(((_sorted_rows(m, n, rng, r),) for r in row_slices(count)), count)
 
     return simulate_chunked(worker, n_samples, seed, TAG_ORDER, pool=pool)[0]
 
@@ -135,12 +131,14 @@ def _markov_cuts(m: Marginal, n):
     return m.quantile(betaincinv(n - 2, 3, MARKOV_LEVELS))
 
 
-def _markov_sums(rows, table, cuts):
-    """Per-bin sums of e and e^2 over a block of sorted rows: bin b holds
+def _markov_terms(rows, table, cuts):
+    """The residual e and the bin of X_{n-2:n} of each of a block of rows."""
+    return rows[:, -1] - table(rows[:, -2]), np.searchsorted(cuts, rows[:, -3])
+
+
+def _markov_sums(residual, ids, cuts):
+    """Per-bin sums of e and e^2 (in place) of `_markov_terms`: bin b holds
     the rows whose X_{n-2:n} is below the cuts from index b on."""
-    n = rows.shape[1]
-    residual = rows[:, n - 1] - table(rows[:, n - 2])
-    ids = np.searchsorted(cuts, rows[:, n - 3])
     bins = cuts.size + 1
     sums = np.bincount(ids, weights=residual, minlength=bins)
     return sums, np.bincount(ids, weights=np.square(residual, out=residual), minlength=bins)
@@ -176,7 +174,7 @@ def markov_property_check(m: Marginal, matrix, seed, table=None):
     if table is None:
         table = max_regression(m, n, n - 1)
     chunks = (matrix[rows] for rows in row_slices(n_samples, CHUNK_SIZE))
-    bin_sums = merged(_markov_sums(rows, table, cuts) for rows in chunks)
+    bin_sums = merged(_markov_sums(*_markov_terms(rows, table, cuts), cuts) for rows in chunks)
     return _markov_report(m, n, cuts, bin_sums, n_samples, seed)
 
 
@@ -187,9 +185,9 @@ def check_order_indices(n, k, l):
         raise DomainError(f"need 1 <= k <= l <= n-1, got k={k}, l={l}, n={n}")
 
 
-def _order_moments(rows, tables, k, l):
-    """paired_moments of the squared errors of predicting X_{n:n} from
-    X_{l:n} and from X_{k:n}, over a block of sorted rows."""
+def _order_errors(rows, tables, k, l):
+    """The squared errors of predicting X_{n:n} from X_{l:n} and from
+    X_{k:n}, over a block of sorted rows; one array twice when k == l."""
 
     def squared_error(j):
         error = tables[j](rows[:, j - 1])
@@ -197,7 +195,7 @@ def _order_moments(rows, tables, k, l):
         return np.square(error, out=error)
 
     lhs_sq = squared_error(l)
-    return paired_moments(lhs_sq, lhs_sq if k == l else squared_error(k))
+    return lhs_sq, lhs_sq if k == l else squared_error(k)
 
 
 def mse_order_inequality(m: Marginal, k, l, matrix, seed, tables=None):
@@ -214,7 +212,7 @@ def mse_order_inequality(m: Marginal, k, l, matrix, seed, tables=None):
     if tables is None:
         tables = _max_regressions(m, n, (k, l))
     chunks = (matrix[rows] for rows in row_slices(n_samples, CHUNK_SIZE))
-    stats = merged(_order_moments(rows, tables, k, l) for rows in chunks)
+    stats = merged(paired_moments(*_order_errors(rows, tables, k, l)) for rows in chunks)
     return inequality_report(_order_name(m, n, k, l), stats, seed)
 
 
@@ -254,12 +252,11 @@ def order_stats(cases, n_samples, seed, pool=None):
     details are keyed "markov/{family}#i" by the case's position i, on the
     rows of `order_stat_matrix`(m, n, n_samples, seed), and the same bits.
 
-    The rows are never kept: each chunk worker draws and sorts its chunk,
-    evaluates the case's tables on it and returns the inequality's Moments
-    and the Markov check's per-bin sums, which the calling thread merges in
-    chunk order.  A case tabulates each max_regression it reads once: the
-    Markov check reads the j = n - 1 table, which the inequality may read
-    too.
+    Each chunk worker draws and sorts its rows a block at a time, joins
+    each row's squared errors (and Markov terms) into chunk arrays, and
+    returns their Moments (and per-bin sums), merged in chunk order.  A
+    case tabulates each max_regression it reads once: the Markov check
+    reads the j = n - 1 table, which the inequality may read too.
     """
     check_order_cases(cases)
     reports = []
@@ -268,12 +265,16 @@ def order_stats(cases, n_samples, seed, pool=None):
         check_order_indices(n, k, l)
         tables = _max_regressions(m, n, (k, l, n - 1) if markov_check else (k, l))
         cuts = _markov_cuts(m, n) if markov_check else None
-        draw = _sorted_rows(m, n)
+
+        def row_values(rng, rows):
+            x = _sorted_rows(m, n, rng, rows)
+            errors = _order_errors(x, tables, k, l)
+            return errors + _markov_terms(x, tables[n - 1], cuts) if markov_check else errors
 
         def worker(rng, count):
-            rows = draw(rng, count)
-            stats = _order_moments(rows, tables, k, l)
-            return (stats, _markov_sums(rows, tables[n - 1], cuts)) if markov_check else (stats,)
+            values = join_rows((row_values(rng, rows) for rows in row_slices(count)), count)
+            stats = paired_moments(*values[:2])
+            return (stats, _markov_sums(*values[2:], cuts)) if markov_check else (stats,)
 
         parts = merged(run_chunked(worker, n_samples, seed, TAG_ORDER, pool=pool))
         reports.append(inequality_report(_order_name(m, n, k, l), parts[0], seed))

@@ -29,37 +29,37 @@ lattice cells, the coalition's wins).
 order, so the merged statistics depend on the chunking, which is fixed,
 and never on the number of workers.  Only the record chunks return rows,
 the hazards of their kept sequences, which ``ordered.simulate_records``
-keeps whole.  ``simulate_chunked`` assembles whole samples for callers
-outside the operations: ``ordered.order_stat_matrix`` and
-``coalition.simulate_market``.  It joins the chunks with ``join_rows``,
-as each model's ``sample`` joins the row blocks of its ``blocks``: each
-output array is allocated once, from the first part's shape and dtype, and
-every part is copied into its rows as it arrives and dropped, instead of
-kept alive until one final concatenation.
+keeps whole.  ``simulate_chunked`` assembles the whole samples of
+``ordered.order_stat_matrix`` and ``coalition.simulate_market``: the row
+blocks the order-stats and coalition workers reduce, joined by
+``join_rows`` as each model's ``sample`` joins its ``blocks``, into arrays
+allocated once, each part copied into its rows as it arrives and dropped.
 
 A chunk worker draws its rows through its model's ``blocks(rng, n)``,
 which yields them in consecutive row blocks (``row_slices``): EVAL_BLOCK
-rows for a bivariate model and the conditional-iid copies, and
-``condexp.gemm_rows(dim)`` rows for a Gaussian vector (see below).  Each
-block draws all of its own columns before the next block starts, and a
-model's ``sample`` is its blocks joined, so the draws of a chunk depend on
-(seed, tag, chunk) and the model alone.  A bivariate model on a Gaussian
-copula draws its blocks through ``copulas.Gaussian.score_blocks``, whose
-blocks yield normal scores, the same draws in the same order as the
-copula's uniforms, and maps the scores onto its margins.  A ``blocks``
-call holds one block of draws at a time, and each block's arrays are new:
-the caller may keep them.
+rows for a bivariate model, the conditional-iid copies, a market and the
+order-stats rows, and ``condexp.gemm_rows(dim)`` rows for a Gaussian
+vector (see below).  Each block draws all of its own columns before the
+next block starts, and a model's ``sample`` is its blocks joined, so the
+draws of a chunk depend on (seed, tag, chunk) and the model alone.  A
+bivariate model on a Gaussian copula draws its blocks through
+``copulas.Gaussian.score_blocks``, whose blocks yield normal scores, the
+same draws in the same order as the copula's uniforms, and maps the
+scores onto its margins.  A ``blocks`` call holds one block of draws at a
+time, and each block's arrays are new: the caller may keep them.
 
 A worker allocates the arrays it fills when its chunk starts, writes its
 per-row values into them a block of rows at a time, and returns
 statistics computed from them.  They are dropped when it returns, and the
 next chunk its thread runs reuses their memory through the allocator.  A
 chunk's arrays are at most eight CHUNK_SIZE rows of float64 (4 MiB, the
-covariance identity's), but for two operations whose rows grow with the
+covariance identity's), but for three operations whose rows grow with the
 config: a corollary chain holds a row per distinct index set beside three,
-up to MAX_ROW_WIDTH + 3 rows (65.5 MiB), and the martingale a
+up to MAX_ROW_WIDTH + 3 rows (65.5 MiB), the coalition k + 1 rows of
+squared errors for k brokers (up to 64.5 MiB), and the martingale a
 narrow-integer row per predictor index.  Each running chunk holds its
-arrays, so a run may start at most MAX_WORKERS threads.
+arrays and a block of draws (8 MiB at EVAL_BLOCK rows of MAX_ROW_WIDTH),
+so a run may start at most MAX_WORKERS threads.
 
 A chunk worker must not start threads of its own: the pool's workers
 already occupy the cores, and extra threads make them wait on each other.

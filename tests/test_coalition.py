@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from cexpect import cli, coalition
+from cexpect import cli, coalition, marginals
 from cexpect.coalition import (
     MarketConfig,
     compare_strategies,
@@ -22,6 +22,7 @@ from cexpect.coalition import (
 from cexpect.errors import NumericalError
 from cexpect.marginals import TAIL_EPS, Exponential, MaxOfIid, Normal, Uniform
 from cexpect.quadrature import tabulate
+from cexpect.rng import EVAL_BLOCK, philox_stream
 
 
 def _quad_predictor(cfg, x, hi, points):
@@ -222,6 +223,23 @@ def test_dependent_predictor_is_the_conditional_expectation(rho):
     terms = residual[:, None] * (x[:, :1] <= cuts)
     z_scores = terms.mean(axis=0) / (terms.std(axis=0, ddof=1) / math.sqrt(n))
     assert np.max(np.abs(z_scores)) <= 4.0
+
+
+def test_dependent_normal_brokers_take_no_cdf_and_quantile(monkeypatch):
+    # The normal cdf and quantile of the margins both raise: dependent
+    # normal brokers map their scores affinely and need neither, and
+    # dependent exponential brokers, whose scores go through ndtr, show
+    # that the patch bites.
+    def refuse(p):
+        raise AssertionError("the draw left normal-score space")
+
+    monkeypatch.setattr(marginals, "ndtr", refuse)
+    monkeypatch.setattr(marginals, "ndtri", refuse)
+    n = 2 * EVAL_BLOCK + 1
+    x, y = MarketConfig(3, Normal(1.0, 2.0), rho_xx=0.4).sample(philox_stream(54, 0), n)
+    assert x.shape == (n, 3) and np.all(y == -np.inf)
+    with pytest.raises(AssertionError, match="normal-score space"):
+        MarketConfig(3, Exponential(), rho_xx=0.4).sample(philox_stream(54, 0), 10)
 
 
 def test_one_broker_is_its_own_coalition():

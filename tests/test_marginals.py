@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import ndtr
 
 from cexpect.errors import DomainError
 from cexpect.marginals import (
@@ -130,6 +131,19 @@ class TestInversion:
             warnings.simplefilter("error")
             ends = m._isf(np.array([0.0, 1.0]))
         assert ends.tolist() == list(m.support())[::-1]
+
+    @pytest.mark.parametrize("m", [Exponential(), MaxOfIid(base=Exponential(), count=2)], ids=str)
+    def test_score_map_is_exact_and_silent_in_both_tails(self, m):
+        # The quantile at ndtr(z) reads 36.737 for 36.657 at z = 8.2, and
+        # inf with a warning from 8.3 on, where ndtr(z) rounds to 1.  The
+        # upper half comes from ndtr(-z) instead, the lower from ndtr(z).
+        z = np.array([8.2, 8.3, 9.0, 20.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            upper, lower = m._of_score(z), m._of_score(-z)
+        assert np.all(np.isfinite(upper))
+        assert upper.tobytes() == m._isf(ndtr(-z)).tobytes()
+        assert lower.tobytes() == m._quantile(ndtr(-z)).tobytes()
 
 
 class TestSampling:

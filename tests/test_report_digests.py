@@ -38,7 +38,7 @@ def configs():
     checks on uniform and exponential marginals; one coalition config has
     a single broker.  The 128-step martingale walks in int16, the default
     one in int8.  One covariance config has a Gaussian copula with
-    non-normal margins, which take the quantiles of its uniforms."""
+    non-normal margins, which take both tails of its normal scores."""
     dependent_brokers = {"count": 3, "marginal": NORMAL, "rho_xx": 0.4}
     order_cases = [
         {"marginal": UNIFORM, "n": 4, "k": 2, "l": 2, "markov_check": True},
@@ -107,9 +107,11 @@ DIGESTS = {
     "corollary-chain-empty": "2446624033b1e024d898fd011bc1d50c4b601a2cbf186c2b3f06e3fcd76da8c6",
     "covariance": "9b7c933627ce7751c9388472aad512d505b5268292f817333a572c5319d084f3",
     "covariance-clayton": "3f6cd47e710b7df0b2ddce7a746526adb97db3a9690d5dd146f282f2fcdc1cfa",
-    # Recorded before the score path: non-normal margins of a Gaussian
-    # copula take the quantile at ndtr(z), the bytes they had.
-    "covariance-gaussian-exp-uniform": "ab83f90fe323edc25c91ae1bfcaec38ce5305f6ffe180ec79768607baba38248",
+    # Recorded before the score path, when non-normal margins of a Gaussian
+    # copula took the quantile at ndtr(z); re-recorded when they began to
+    # take both tails of their scores, _of_tails(ndtr(z), ndtr(-z)), so that
+    # their upper halves are exact: the values moved in their last bits.
+    "covariance-gaussian-exp-uniform": "c3ee56ddd43cd36583ade0b0bb36c1ce7439fa48e1872b6413fc98c955173cd4",
     # Re-recorded when the report became the largest lattice |z| at the
     # known margins, with each table's smallest relative step in the details.
     "copula-swap": "4444637abcba7d362e3334e65f80b55b05e7fceb2b336fc9a40ec6dfa7e674c5",
@@ -129,9 +131,13 @@ DIGESTS = {
     # CHUNK_SIZE, each drawn in row blocks: its draws past the first 8192
     # sequences changed.
     "records": "a05221e286dcbfd9901ba3d7cd5c17aa820001d511d419924f5a49beff8ecced",
-    "coalition": "0629a31c2a5b7c792f753b0d874e531b6737365ea32ca8c2c80fe42a3d9c746e",
-    "coalition-one-broker": "741a4cb7be868bc5243338384b4453022013fac9ba5d53ba12cd5193a7e639de",
-    "coalition-dependent": "7dbde1fb8d4190c04e1d01a104b7d7021e951014d28a607d0fa0ea2acfb8c9d1",
+    # Re-recorded when a market chunk began to draw in row blocks, each
+    # block its brokers and then its outsider, and dependent brokers began
+    # to map their normal scores through the broker's _of_score: the draws
+    # changed.
+    "coalition": "17a638fb798495224f705c6cd1104091b1f589f48dee07e2503907a36e609c25",
+    "coalition-one-broker": "81c9f502bf0611cd880509af154954691c3ff6939b222eda8abb284fd80ff371",
+    "coalition-dependent": "c4dea8703ca79032f01bbd67a517a27065a22bce88a1bbf5fc09c9efb353d5e6",
 }
 
 
@@ -153,8 +159,9 @@ def test_report_bytes_pinned_for_any_worker_count(label, cfg):
 # in place of binned fits.  The rows of the bivariate models (covariance,
 # copula-swap, sequence-stats) and the cond-iid rows of theorem1 and
 # theorem2 were re-recorded when each row block began to draw all of its
-# columns before the next block, and the records row when the record
-# chunks grew to CHUNK_SIZE sequences, drawn in row blocks.
+# columns before the next block, the records row when the record chunks
+# grew to CHUNK_SIZE sequences, drawn in row blocks, and the coalition rows
+# when a market chunk began to draw in row blocks.
 PINNED = {
     'theorem1': [
         ('theorem1/gaussian-copies(n=1,rxx=0,rxy=0.2)',
@@ -346,21 +353,21 @@ PINNED = {
     ],
     'coalition': [
         ('coalition/broker1',
-         0.015537522295179535, 0.01741461518317848, 1.8203741631445334e-05, True),
+         0.015517810248157597, 0.017382121590827717, 1.820506750047972e-05, True),
         ('coalition/broker2',
-         0.015537522295179535, 0.017437022358124245, 1.808375774544374e-05, True),
+         0.015517810248157597, 0.01742494306887579, 1.810583395137533e-05, True),
         ('coalition/broker3',
-         0.015537522295179535, 0.01741335724400479, 1.8098135055107748e-05, True),
+         0.015517810248157597, 0.01739203477464859, 1.8116064958874414e-05, True),
         ('coalition/broker4',
-         0.015537522295179535, 0.017449112907083567, 1.8171856506872374e-05, True),
+         0.015517810248157597, 0.01743458268359707, 1.818450862879733e-05, True),
     ],
     'coalition-one-broker': [
-        ('coalition/broker1', 0.033442333980559596, 0.033442333980559596, 0.0, True),
+        ('coalition/broker1', 0.03309059014066176, 0.03309059014066176, 0.0, True),
     ],
     'coalition-dependent': [
-        ('coalition/broker1', 1.0328705341156492, 1.052943986096033, 0.0005854803881454759, True),
-        ('coalition/broker2', 1.0328705341156492, 1.052098889014948, 0.0005927913103776254, True),
-        ('coalition/broker3', 1.0328705341156492, 1.0508923115315814, 0.0005953526143017722, True),
+        ('coalition/broker1', 1.0275230697444102, 1.0465525734187369, 0.0006096235844255275, True),
+        ('coalition/broker2', 1.0275230697444102, 1.0468582493811218, 0.000610131478034184, True),
+        ('coalition/broker3', 1.0275230697444102, 1.0464054629312907, 0.000612264542144962, True),
     ],
 }
 

@@ -16,7 +16,8 @@ from cexpect.condexp import (
     equicorrelated_vector,
     gemm_rows,
 )
-from cexpect import theorems
+from cexpect import coalition, theorems
+from cexpect.coalition import MarketConfig, compare_strategies, predictor_table, simulate_market
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence, lattice_counts
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
 from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
@@ -28,6 +29,7 @@ from cexpect.rng import (
     chunk_sizes,
     chunk_stream,
     join_rows,
+    row_slices,
     run_chunked,
     simulate_chunked,
 )
@@ -409,7 +411,12 @@ def test_peak_memory_does_not_grow_with_n_samples(operation):
 # The chunk workers each operation ran before they drew and reduced in row
 # blocks: each draws its whole chunk with the model's sample and reduces
 # whole columns.  They are the oracles of the blocked workers, which must
-# return the same statistics, chunk by chunk and bit for bit.
+# return the same statistics, chunk by chunk and bit for bit.  An oracle
+# gives the statistics of every chunk of n rows.
+
+
+def _chunks(worker):
+    return lambda n: run_chunked(worker, n, 81, TAG_MAIN)
 
 
 def _whole_copies(model, rng, n):
@@ -512,18 +519,39 @@ def _whole_lattice(model):
 
 
 def _averaging_case(verify, model, columns):
-    return lambda n, pool: verify([model], n, 81, pool=pool), _whole_averaging(model, columns)
+    run = lambda n, pool: verify([model], n, 81, pool=pool)  # noqa: E731
+    return run, _chunks(_whole_averaging(model, columns))
 
 
 def _conditioning_case(verify, v, index_sets, pairs, *args):
     target = v.dim - 1 if verify is verify_corollary_chain else 0
-    oracle = _whole_conditioning(v, target, index_sets, pairs)
+    oracle = _chunks(_whole_conditioning(v, target, index_sets, pairs))
     return lambda n, pool: verify(v, *args, n, 81, pool=pool), oracle
 
 
 def _martingale_case(n, subsets):
     run = lambda rows, pool: martingale_checks(n, rows, 81, subsets, pool=pool)  # noqa: E731
-    return run, _whole_martingale(n, subsets)
+    return run, _chunks(_whole_martingale(n, subsets))
+
+
+def _market_case(market):
+    """compare_strategies, and the statistics of the rows of
+    simulate_market, reduced a CHUNK_SIZE chunk at a time."""
+    table = predictor_table(market)
+    k = market.n_brokers
+
+    def oracle(n):
+        x, y, z = simulate_market(market, n, 81)
+        chunks = []
+        for rows in row_slices(n, CHUNK_SIZE):
+            preds = table(x[rows])
+            lhs = (z[rows] - preds.mean(axis=1)) ** 2
+            stats = [paired_moments(lhs, (z[rows] - preds[:, i]) ** 2) for i in range(k)]
+            wins = np.bincount(coalition._winner(x[rows], y[rows]), minlength=k + 1)
+            chunks.append((stats, wins))
+        return chunks
+
+    return lambda n, pool: compare_strategies(market, table, n, 81, pool=pool), oracle
 
 
 CLAYTON_UNIFORM = BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())
@@ -535,6 +563,11 @@ AR4 = ar_vector(4, 0.6)
 CHAIN = [(0,), (0, 1), (0, 1, 2)]
 EQUI3 = equicorrelated_vector(3, 0.5)
 DUPLICATE = equicorrelated_vector(2, 0.4)
+IID_MARKET = MarketConfig(4, Uniform(), outsider=Exponential())
+# The coalition-dependent market of tests/test_report_digests.py.
+DEPENDENT_MARKET = MarketConfig(
+    3, Normal(), rho_xx=0.4, outsider=MaxOfIid(base=Exponential(), count=2)
+)
 
 BLOCKED_WORKERS = {
     "theorem1-copies5": _averaging_case(verify_theorem1, COPIES_5, COPIES_5.predictor()),
@@ -548,31 +581,33 @@ BLOCKED_WORKERS = {
     ),
     "covariance-gaussian": (
         lambda n, pool: verify_covariance_identity(GAUSS_NN, n, 81, pool=pool),
-        _whole_covariance(GAUSS_NN),
+        _chunks(_whole_covariance(GAUSS_NN)),
     ),
     "covariance-clayton": (
         lambda n, pool: verify_covariance_identity(CLAYTON_EXP, n, 81, pool=pool),
-        _whole_covariance(CLAYTON_EXP),
+        _chunks(_whole_covariance(CLAYTON_EXP)),
     ),
     "sequence-stats": (
         lambda n, pool: predicted_sequence_stats(CLAYTON_EXP, n, 81, pool=pool),
-        _whole_sequence(CLAYTON_EXP),
+        _chunks(_whole_sequence(CLAYTON_EXP)),
     ),
     "martingale5": _martingale_case(5, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
     "martingale-full-only": _martingale_case(7, [(7,)]),
     "copula-swap-gaussian": (
         lambda n, pool: theorems.copula_swap_z(GAUSS_NN, n, 81, pool=pool),
-        _whole_lattice(GAUSS_NN),
+        _chunks(_whole_lattice(GAUSS_NN)),
     ),
     "copula-swap-clayton": (
         lambda n, pool: theorems.copula_swap_z(CLAYTON_UNIFORM, n, 81, pool=pool),
-        _whole_lattice(CLAYTON_UNIFORM),
+        _chunks(_whole_lattice(CLAYTON_UNIFORM)),
     ),
+    "coalition-iid": _market_case(IID_MARKET),
+    "coalition-dependent": _market_case(DEPENDENT_MARKET),
 }
 
 
 def _same_bits(a, b):
-    if isinstance(a, list):
+    if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(map(_same_bits, a, b))
     if isinstance(a, Moments):
         return a.n == b.n and a.mean.tobytes() == b.mean.tobytes() and a.m2.tobytes() == b.m2.tobytes()
@@ -597,8 +632,9 @@ def test_blocked_workers_return_the_whole_chunk_statistics(case, monkeypatch):
         return captured[-1]
 
     monkeypatch.setattr(theorems, "run_chunked", capture)
+    monkeypatch.setattr(coalition, "run_chunked", capture)
     for n in (4 * CHUNK_SIZE + 33_920, 1000):
-        expected = run_chunked(oracle, n, 81, TAG_MAIN)
+        expected = oracle(n)
         for workers in (1, 3):
             captured.clear()
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -653,6 +689,41 @@ def test_peak_memory_stays_within_a_chunks_arrays_and_one_block(operation, chunk
     assert peak <= chunk_arrays + 12 * EVAL_BLOCK * 8 + 2**18, (peak, chunk_arrays)
 
 
+WIDE_MARKET = MarketConfig(128, Normal(), outsider=Normal())
+WIDE_TABLE = predictor_table(WIDE_MARKET)
+WIDE_BLOCK = EVAL_BLOCK * 128 * 8  # bytes of one block of 128 draws a row
+
+
+@pytest.mark.parametrize(
+    "operation, chunk_arrays, blocks",
+    [
+        # Two squared errors, the Markov residual and its intp bin; a block's
+        # uniforms and their quantiles.
+        (lambda n: order_stats([(Uniform(), 128, 64, 127, True)], n, 76), 4 * ROW, 2),
+        # The coalition's and 128 brokers' squared errors; the last block's
+        # prices and predictions, kept until the next block's uniforms and
+        # quantiles are drawn.
+        (lambda n: compare_strategies(WIDE_MARKET, WIDE_TABLE, n, 76), 129 * ROW, 4),
+    ],
+    ids=["order-stats-n128", "coalition-k128"],
+)
+def test_peak_memory_of_wide_rows_stays_within_a_chunks_arrays_and_a_few_blocks(
+    operation, chunk_arrays, blocks
+):
+    # One worker, two chunks, 128 draws a row: a chunk draws its rows a
+    # block at a time, so it holds its own arrays and a few blocks, with
+    # 1 MiB for the tables and everything else.  A whole-chunk draw holds
+    # 64 MiB of draws and as much of their quantiles.
+    operation(1000)
+    tracemalloc.start()
+    try:
+        operation(2 * CHUNK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= chunk_arrays + blocks * WIDE_BLOCK + 2**20, (peak, chunk_arrays)
+
+
 def _gaussian_vector(d):
     a = np.random.default_rng(d).standard_normal((d, d))
     return GaussianVector(0.1 * np.arange(d), a @ a.T / d + np.eye(d))
@@ -667,6 +738,8 @@ BLOCK_MODELS = {
     **{f"vector-d{d}": _gaussian_vector(d) for d in (2, 6, 129)},
     "gaussian-copies": COPIES_5,
     "conditional-iid": ConditionalIidCopies(3, 0.8, Normal(), Uniform(-1, 1)),
+    "market-iid-outsider": MarketConfig(3, Exponential(), outsider=Uniform()),
+    "market-dependent-normal": MarketConfig(5, Normal(1.0, 2.0), rho_xx=0.3),
 }
 
 
