@@ -96,6 +96,7 @@ class MarketConfig:
                 x = broker._of_score(normals.sample(rng, b))
             y = np.full(b, -np.inf) if self.outsider is None else self.outsider.sample(rng, b)
             yield rows, x, y
+            del x, y
 
 
 def market_from_config(cfg):
@@ -356,6 +357,7 @@ def compare_strategies(cfg: MarketConfig, table, n_samples, seed, pool=None):
             np.square(z_price - preds.mean(axis=1), out=errors[0, rows])
             np.subtract(z_price[:, None], preds, out=preds)
             errors[1:, rows] = np.square(preds, out=preds).T
+            del x, y, z_price, preds
         return [paired_moments(errors[0], error) for error in errors[1:]], wins
 
     stats, wins = merged(run_chunked(worker, n_samples, seed, TAG_MARKET, pool=pool))

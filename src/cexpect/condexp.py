@@ -427,6 +427,7 @@ class GaussianVector:
             x = rng.standard_normal((rows.stop - rows.start, self.dim)) @ chol_t
             x += self.mean
             yield rows, x
+            del x
 
     def conditional_coefficients(self, target, given):
         """(intercept, coefs) with E(X_t | X_g = v) = intercept + coefs @ v."""

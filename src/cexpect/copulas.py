@@ -94,14 +94,14 @@ class Copula:
         for rows in row_slices(n):
             u = rng.random(rows.stop - rows.start)
             yield rows, u, self._cond_quantile(u, rng.random(u.size))
+            del u
 
     def marginal_blocks(self, rng, n, marginal_x, marginal_y):
         """The blocks of `blocks` with u and v mapped through the quantiles
         of marginal_x and marginal_y."""
-        return (
-            (rows, marginal_x._quantile(u), marginal_y._quantile(v))
-            for rows, u, v in self.blocks(rng, n)
-        )
+        for rows, u, v in self.blocks(rng, n):
+            yield rows, marginal_x._quantile(u), marginal_y._quantile(v)
+            del u, v
 
     @staticmethod
     def _clip_pair(u, v):
@@ -181,18 +181,20 @@ class Gaussian(Copula):
             z1 = rng.standard_normal(rows.stop - rows.start)
             z2 = rng.standard_normal(z1.size)
             yield rows, z1, self.rho * z1 + scale * z2
+            del z1, z2
 
     def blocks(self, rng, n):
         """The pairs of `score_blocks` mapped through the normal cdf."""
-        return ((rows, ndtr(z1), ndtr(z2)) for rows, z1, z2 in self.score_blocks(rng, n))
+        for rows, z1, z2 in self.score_blocks(rng, n):
+            yield rows, ndtr(z1), ndtr(z2)
+            del z1, z2
 
     def marginal_blocks(self, rng, n, marginal_x, marginal_y):
         """The pairs of `score_blocks` mapped through each margin's
         `_of_score`: a normal margin takes its scores affinely, exact."""
-        return (
-            (rows, marginal_x._of_score(z1), marginal_y._of_score(z2))
-            for rows, z1, z2 in self.score_blocks(rng, n)
-        )
+        for rows, z1, z2 in self.score_blocks(rng, n):
+            yield rows, marginal_x._of_score(z1), marginal_y._of_score(z2)
+            del z1, z2
 
     def to_config(self):
         return {"family": "gaussian", "rho": self.rho}

@@ -5,8 +5,9 @@ maps onto its values: the quantile of a uniform, by which `sample` and
 every copula but the Gaussian draw (inverse transform); `_of_tails(p, q)`,
 each half from its own tail; and `_of_score`, the value at a normal score,
 by which Gaussian-copula draws and dependent brokers stay in score space.
-By default `_of_score(z)` is `_of_tails(ndtr(z), ndtr(-z))`, exact in both
-tails; a normal maps z affinely.  Infinite supports are truncated at the
+By default `_of_score(z)` reads one tail, s = ndtr(-|z|): the quantile at s
+for z <= 0 and the inverse survival at s above, exact in both tails; a
+normal maps z affinely.  Infinite supports are truncated at the
 1e-12 and 1 - 1e-12 quantiles for quadrature (`truncated_support()`).
 """
 
@@ -61,8 +62,11 @@ class Marginal:
         return np.where(p <= 0.5, lower, upper)
 
     def _of_score(self, z):
-        """The value at standard normal score z, exact in both tails."""
-        return self._of_tails(ndtr(z), ndtr(-z))
+        """The value at standard normal score z, exact in both tails: the
+        quantile at ndtr(z) for z <= 0, else the inverse survival at
+        ndtr(-z), both read from s = ndtr(-|z|)."""
+        s = np.maximum(ndtr(-np.abs(z)), np.finfo(float).tiny)
+        return np.where(z <= 0, self._quantile(s), self._isf(s))
 
     # No experiment reads mean or variance; tests and the benchmark use them
     # as oracles.

@@ -26,16 +26,15 @@ Record tables are tabulated over h, not over the marginal's truncated
 support: deep records lie beyond it, and in the right tail distinct
 hazards can round to one value.
 
-The Markov check tests the residual X_{n:n} - E(X_{n:n} | X_{n-1:n})
-against indicators of X_{n-2:n} at its known quantiles, the marked
-empirical process of Stute (1997, Ann. Statist. 25).
+The Markov check takes the indicator check of `reports` of the residual
+X_{n:n} - E(X_{n:n} | X_{n-1:n}) against X_{n-2:n} at its known quantiles.
 
 The order-stats operation streams: its chunk workers draw and sort their
 rows a `row_slices` block at a time, and reduce them to the inequality's
-Moments and the Markov check's per-bin sums.  `mse_order_inequality` and
-`markov_property_check` make the same per-chunk statistics from a whole
-`order_stat_matrix`, a CHUNK_SIZE block of rows at a time, and report the
-same bits.
+paired_moments and the Markov check's indicator_sums.
+`mse_order_inequality` and `markov_property_check` make the same per-chunk
+statistics from a whole `order_stat_matrix`, a CHUNK_SIZE block of rows at
+a time, and report the same bits.
 """
 
 import math
@@ -43,7 +42,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, gammainccinv, gammaincinv, ndtri
+from scipy.special import betaincinv, gammainccinv, gammaincinv
 
 from .condexp import RegressionFunction, chebyshev_nodes, fill_massless
 from .errors import DomainError, NumericalError, SampleSizeError
@@ -54,9 +53,11 @@ from .quadrature import integrate  # noqa: F401
 from .quadrature import tabulate
 from .reports import (
     ExperimentResult,
-    blocked_paired_moments,
     check_unique_names,
+    indicator_sums,
+    indicator_z,
     inequality_report,
+    max_z_bound,
     merged,
     paired_moments,
     threshold_report,
@@ -69,10 +70,9 @@ TAG_RECORDS = 4
 RECORD_CAP_DEFAULT = 10**6
 REGRESSION_BINS = 40
 REGRESSION_INTERIOR = (0.05, 0.95)
-# The Markov check's indicator levels q, and its critical value: a
-# Bonferroni bound on max_q |z_q| at size 1e-3.
+# The Markov check's indicator levels q, and its bound on max_q |z_q|.
 MARKOV_LEVELS = np.arange(1, 20) / 20
-MARKOV_Z = float(-ndtri(1e-3 / (2 * MARKOV_LEVELS.size)))
+MARKOV_Z = max_z_bound(MARKOV_LEVELS.size)
 
 
 def max_regression(m: Marginal, n, j):
@@ -131,23 +131,15 @@ def _markov_cuts(m: Marginal, n):
     return m.quantile(betaincinv(n - 2, 3, MARKOV_LEVELS))
 
 
-def _markov_terms(rows, table, cuts):
-    """The residual e and the bin of X_{n-2:n} of each of a block of rows."""
-    return rows[:, -1] - table(rows[:, -2]), np.searchsorted(cuts, rows[:, -3])
-
-
-def _markov_sums(residual, ids, cuts):
-    """Per-bin sums of e and e^2 (in place) of `_markov_terms`: bin b holds
-    the rows whose X_{n-2:n} is below the cuts from index b on."""
-    bins = cuts.size + 1
-    sums = np.bincount(ids, weights=residual, minlength=bins)
-    return sums, np.bincount(ids, weights=np.square(residual, out=residual), minlength=bins)
+def _markov_terms(rows, table):
+    """The residual e and the conditioning X_{n-2:n} of each of a block of
+    rows, which `indicator_sums` reads."""
+    return rows[:, -1] - table(rows[:, -2]), rows[:, -3]
 
 
 def _markov_report(m: Marginal, n, cuts, bin_sums, n_samples, seed):
-    """The Markov report and details from the merged `_markov_sums`."""
-    sums, squares = (np.cumsum(b)[:-1] for b in bin_sums)
-    z = np.divide(sums, np.sqrt(squares), out=np.zeros_like(sums), where=squares > 0.0)
+    """The Markov report and details from the merged `indicator_sums`."""
+    z = indicator_z(bin_sums)
     max_abs_z = float(np.max(np.abs(z)))
     report = threshold_report(_markov_name(m, n), max_abs_z, MARKOV_Z, n_samples, seed)
     details = {"levels": MARKOV_LEVELS.tolist(), "cuts": cuts.tolist(), "z": z.tolist()}
@@ -160,21 +152,19 @@ def markov_property_check(m: Marginal, matrix, seed, table=None):
     the conditional mean of X_{n:n} must not depend on X_{n-2:n}.
 
     The residual e = X_{n:n} - g(X_{n-1:n}), with g = `table` or
-    max_regression(m, n, n - 1), has E(e h(X_{n-2:n})) = 0 for every
-    bounded h exactly when the property holds and g is the regression.  It
-    is tested on h_q = 1{X_{n-2:n} <= c_q}, with c_q the known q-quantile
-    of X_{n-2:n}, F^-1 of the Beta(n - 2, 3) quantile, for each q in
-    MARKOV_LEVELS: z_q = sum(e h_q) / sqrt(sum(e^2 h_q)).  The report's lhs
-    is max_q |z_q| and its rhs MARKOV_Z, which it must not exceed.  Returns
-    (report, details); the details hold each level's cut and z.  The sums
-    are made per chunk and added in chunk order, as in `order_stats`.
+    max_regression(m, n, n - 1), takes the indicator check of `reports`
+    against X_{n-2:n} at its known q-quantiles, F^-1 of the Beta(n - 2, 3)
+    quantile, for each q in MARKOV_LEVELS.  The report's lhs is max_q |z_q|
+    and its rhs MARKOV_Z, which it must not exceed.  Returns (report,
+    details); the details hold each level's cut and z.  The sums are made
+    per chunk and added in chunk order, as in `order_stats`.
     """
     n_samples, n = matrix.shape
     cuts = _markov_cuts(m, n)
     if table is None:
         table = max_regression(m, n, n - 1)
     chunks = (matrix[rows] for rows in row_slices(n_samples, CHUNK_SIZE))
-    bin_sums = merged(_markov_sums(*_markov_terms(rows, table, cuts), cuts) for rows in chunks)
+    bin_sums = merged(indicator_sums(*_markov_terms(rows, table), cuts) for rows in chunks)
     return _markov_report(m, n, cuts, bin_sums, n_samples, seed)
 
 
@@ -254,7 +244,7 @@ def order_stats(cases, n_samples, seed, pool=None):
 
     Each chunk worker draws and sorts its rows a block at a time, joins
     each row's squared errors (and Markov terms) into chunk arrays, and
-    returns their Moments (and per-bin sums), merged in chunk order.  A
+    returns their paired_moments (and indicator_sums), merged in order.  A
     case tabulates each max_regression it reads once: the Markov check
     reads the j = n - 1 table, which the inequality may read too.
     """
@@ -269,12 +259,12 @@ def order_stats(cases, n_samples, seed, pool=None):
         def row_values(rng, rows):
             x = _sorted_rows(m, n, rng, rows)
             errors = _order_errors(x, tables, k, l)
-            return errors + _markov_terms(x, tables[n - 1], cuts) if markov_check else errors
+            return errors + _markov_terms(x, tables[n - 1]) if markov_check else errors
 
         def worker(rng, count):
             values = join_rows((row_values(rng, rows) for rows in row_slices(count)), count)
             stats = paired_moments(*values[:2])
-            return (stats, _markov_sums(*values[2:], cuts)) if markov_check else (stats,)
+            return (stats, indicator_sums(*values[2:], cuts)) if markov_check else (stats,)
 
         parts = merged(run_chunked(worker, n_samples, seed, TAG_ORDER, pool=pool))
         reports.append(inequality_report(_order_name(m, n, k, l), parts[0], seed))
@@ -483,7 +473,8 @@ def record_predictor_mse(
         lhs_sq = (target - table_1(hazards[rows, 1])) ** 2
         return lhs_sq, lhs_sq if lag == 1 else (target - table_lag(hazards[rows, lag])) ** 2
 
-    report = inequality_report("records", blocked_paired_moments(kept, squared_errors), seed)
+    stats = merged(paired_moments(*squared_errors(rows)) for rows in row_slices(kept, CHUNK_SIZE))
+    report = inequality_report("records", stats, seed)
     # n_kept is the report's n_samples; perfbench's count oracle reads it
     # beside n_discarded, which the manifest also reads.
     details = {

@@ -1,8 +1,14 @@
-"""The report type and deterministic JSON/CSV emission.
+"""The report type, the verdict statistics, and JSON/CSV emission.
 
 Every verdict is one PairedReport, written as one row of the CSV schema
 (name, lhs, rhs, se, n, seed, satisfied, margin_sigmas) and as one JSON
 object with the same fields, in report files of schema version 2.
+
+Per-row values become a verdict statistic here only: an MSE inequality of
+two predictors reads `paired_moments` of their squared errors, an
+indicator check of a residual reads `indicator_z` of its `indicator_sums`,
+and a largest |z| is checked against `max_z_bound` of its cell count.
+
 Serialization is byte-deterministic: floats use Python repr (shortest
 round-trip), JSON keys are sorted, and CSV uses LF endings.
 
@@ -26,9 +32,10 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import DomainError
-from .rng import CHUNK_SIZE
+from .rng import CHUNK_SIZE, row_slices
 
 SCHEMA_VERSION = 2
 CSV_HEADER = ["name", "lhs", "rhs", "se", "n", "seed", "satisfied", "margin_sigmas"]
@@ -215,24 +222,17 @@ def merged(parts):
 def paired_moments(lhs, rhs):
     """The Moments of (lhs, lhs - rhs) over two paired per-row columns,
     which `inequality_report` reads: the mean of lhs, and the mean and
-    variance of the difference, which set rhs and the verdict."""
-    return blocked_paired_moments(lhs.size, lambda rows: (lhs[rows], rhs[rows]))
-
-
-def blocked_paired_moments(n_rows, pair):
-    """paired_moments over n_rows rows whose columns are made a block at a
-    time: pair(rows) returns the (lhs, rhs) of a slice of rows.  Blocks are
-    CHUNK_SIZE rows, merged in order, so that whole columns reduce as the
+    variance of the difference, which set rhs and the verdict.  Columns
+    longer than a chunk reduce in CHUNK_SIZE blocks, merged in order, as the
     chunk workers' rows do, with no full-length temporary."""
 
-    def block(start):
-        left, right = pair(slice(start, start + CHUNK_SIZE))
-        rows = np.empty((2, left.size))
-        rows[0] = left
-        np.subtract(left, right, out=rows[1])
-        return Moments.of_block(rows)
+    def block(rows):
+        pair = np.empty((2, rows.stop - rows.start))
+        pair[0] = lhs[rows]
+        np.subtract(lhs[rows], rhs[rows], out=pair[1])
+        return Moments.of_block(pair)
 
-    return merged(map(block, range(0, n_rows, CHUNK_SIZE)))
+    return merged(map(block, row_slices(lhs.size, CHUNK_SIZE)))
 
 
 def inequality_report(name, stats, seed):
@@ -262,6 +262,38 @@ def threshold_report(name, statistic, threshold, n_samples, seed):
     """A statistic checked against a hard threshold, with no Monte Carlo
     slack: lhs is the statistic, rhs the threshold, se and margin 0."""
     return _paired_report(name, statistic, threshold, 0.0, n_samples, seed, statistic <= threshold)
+
+
+# Size of every max-|z| verdict: the chance that a true claim fails it.
+MAX_Z_SIZE = 1e-3
+
+
+def max_z_bound(cells):
+    """The bound on the largest |z| over `cells` two-sided z scores at size
+    MAX_Z_SIZE, by Bonferroni: -ndtri(MAX_Z_SIZE / (2 * cells))."""
+    return float(-ndtri(MAX_Z_SIZE / (2 * cells)))
+
+
+def indicator_sums(residual, values, cuts):
+    """One chunk's part of the indicator check of a residual e: the per-bin
+    sums of e and of e^2 (squared in place), where bin b holds the rows
+    whose conditioning value lies below the ascending `cuts` from index b
+    on.  The chunks' parts add by `merged`."""
+    bins = np.searchsorted(cuts, values)
+    sums = np.bincount(bins, weights=residual, minlength=cuts.size + 1)
+    squares = np.bincount(bins, weights=np.square(residual, out=residual), minlength=cuts.size + 1)
+    return sums, squares
+
+
+def indicator_z(bin_sums):
+    """The indicator check's z_q = sum(e h_q) / sqrt(sum(e^2 h_q)) from the
+    merged `indicator_sums`, for h_q = 1{value <= cuts[q]}, or 0 where that
+    sum of e^2 is 0: the marked empirical process of Stute (1997, Ann.
+    Statist. 25) at the cuts.  E(e h(value)) = 0 for every bounded h exactly
+    when E(e | value) = 0, so a large |z_q| refutes a predictor of which e
+    is the residual as the conditional expectation."""
+    sums, squares = (np.cumsum(b)[:-1] for b in bin_sums)
+    return np.divide(sums, np.sqrt(squares), out=np.zeros_like(sums), where=squares > 0.0)
 
 
 @dataclass

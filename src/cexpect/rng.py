@@ -46,7 +46,8 @@ bivariate model on a Gaussian copula draws its blocks through
 ``copulas.Gaussian.score_blocks``, whose blocks yield normal scores, the
 same draws in the same order as the copula's uniforms, and maps the
 scores onto its margins.  A ``blocks`` call holds one block of draws at a
-time, and each block's arrays are new: the caller may keep them.
+time: it drops its names of a block once the block is yielded, before the
+next block draws.  Each block's arrays are new: the caller may keep them.
 
 A worker allocates the arrays it fills when its chunk starts, writes its
 per-row values into them a block of rows at a time, and returns
@@ -68,9 +69,9 @@ more than 2**18 multiply-adds on its own threads, and runs a (65536, 6) @
 (6, 6) product on two.  Measured on 2 vCPUs, two pool workers drawing
 Gaussian vectors that way took longer than one.  So
 ``condexp.GaussianVector.blocks`` multiplies in row blocks that OpenBLAS
-keeps on the calling thread, the theorems' linear predictors take a gemv
-over one such block at a time, and ``reports.Moments.of_block`` forms
-co-moments from elementwise products, with no BLAS call.
+keeps on the calling thread, the theorems' linear predictors take one
+product over one such block at a time, and ``reports.Moments.of_block``
+forms co-moments from elementwise products, with no BLAS call.
 
 The record stream (tag 4, ``ordered.simulate_records``) draws a chunk's
 sequences in its ``row_slices`` blocks.  A block of b sequences draws a
@@ -210,7 +211,7 @@ def join_rows(parts, n_total):
         for dst, a in zip(out, part):
             dst[row : row + count] = a
         row += count
-        del part
+        del part, a
     if row != n_total:
         raise ValueError(f"row parts hold {row} rows in all, expected {n_total}")
     return out

@@ -7,19 +7,15 @@ inequalities, 4 for identities).  Degenerate cases where both sides are the
 same computation produce margin exactly 0.
 
 Replications run in fixed-size chunks with per-chunk Philox streams (see
-rng.py).  Each chunk worker reduces its rows to the statistics its reports
-read: the reports.Moments of the paired squared errors (lhs, lhs - rhs)
-for an inequality, or of the raw per-row variables whose co-moments give
-the covariance and sequence-stats identities.  It draws its rows a block at
-a time through the model's `blocks`, each block drawing all of its columns
-before the next one starts, and writes each block's per-row values into a
-(k, count) array it allocates when its chunk starts (see rng.py), which
-Moments.of_block centres in place; beside those chunk arrays it holds one
-block of draws and temporaries.  The statistics are those of the chunk's
-per-row columns, as the model's `sample` joins them.  The calling thread
-merges the chunks' Moments in chunk order, so the bytes of a report do not
-depend on the number of workers, and they differ from whole-column np.mean
-and np.std only in their last bits.
+rng.py).  Each chunk worker draws its rows a block at a time through the
+model's `blocks` and writes each block's per-row values into arrays it
+allocates when its chunk starts.  It returns the statistics its reports
+read: the reports.paired_moments of the squared errors of two predictors
+for an inequality, or the reports.Moments of the per-row variables whose
+co-moments give the covariance and sequence-stats identities.  The calling
+thread merges them in chunk order, so the bytes of a report do not depend
+on the number of workers, and they differ from whole-column np.mean and
+np.std only in their last bits.
 
 Copula-swap keeps no column either.  Each worker bins each block of its
 draws on a lattice at the known margins and returns the integer count of
@@ -27,8 +23,9 @@ each cell; the calling thread adds the counts in chunk order, so the report
 bytes are the same for any chunking or worker count.
 """
 
+import math
+
 import numpy as np
-from scipy.special import ndtri
 
 from .condexp import (
     INCREASING,
@@ -49,7 +46,9 @@ from .reports import (
     check_unique_names,
     equality_check,
     inequality_report,
+    max_z_bound,
     merged,
+    paired_moments,
     threshold_report,
 )
 from .rng import check_row_width, join_rows, row_slices, run_chunked
@@ -61,11 +60,10 @@ TAG_MAIN = 1
 # and passes a model whose largest |z| over the lattice is within
 # COPULA_SWAP_Z; neither is a config key, so no config can switch the check
 # off.  Each lattice count is binomial, and (49^2 - 1) = 2400 of them have
-# 0 < C < 1.  Each z reads an exact two-sided binomial tail, so a Bonferroni
-# bound over those cells at size 1e-3 a model is
-# z* = -ndtri(1e-3 / (2 * 2400)), about 5.061.
+# 0 < C < 1.  Each z reads an exact two-sided binomial tail, so the bound is
+# max_z_bound over those cells, about 5.061.
 COPULA_SWAP_GRID = 50
-COPULA_SWAP_Z = float(-ndtri(1e-3 / (2 * ((COPULA_SWAP_GRID - 1) ** 2 - 1))))
+COPULA_SWAP_Z = max_z_bound((COPULA_SWAP_GRID - 1) ** 2 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +85,6 @@ class GaussianCopies:
         for param, sd in (("sd_x", sd_x), ("sd_y", sd_y)):
             if not sd > 0:
                 raise ConstructionError(f"{param} must be > 0, got {sd}", param)
-        if not (-1.0 < rho_xy < 1.0):
-            raise ConstructionError(f"rho_xy must be in (-1, 1), got {rho_xy}", "rho_xy")
         if not -1.0 <= rho_xx <= 1.0:
             raise ConstructionError(f"rho_xx must be in [-1, 1], got {rho_xx}", "rho_xx")
         if n_copies > 1 and rho_xx <= -1.0 / (n_copies - 1):
@@ -96,6 +92,10 @@ class GaussianCopies:
                 f"rho_xx must be > -1/(n_copies-1) = {-1.0 / (n_copies - 1):.6g}, got {rho_xx}",
                 "rho_xx",
             )
+        if not self.definite(n_copies, rho_xx, rho_xy):
+            limit = math.sqrt((1.0 + (n_copies - 1) * rho_xx) / n_copies)
+            message = f"n_copies rho_xy^2 < 1 + (n_copies - 1) rho_xx needs |rho_xy| < {limit:.6g}"
+            raise ConstructionError(f"{message}, got {rho_xy}", "rho_xy")
         self.n_copies = int(n_copies)
         self.rho_xx = float(rho_xx)
         self.rho_xy = float(rho_xy)
@@ -113,13 +113,13 @@ class GaussianCopies:
         np.fill_diagonal(xx, sd_x**2)
         cov[1:, 1:] = xx
         mean = np.concatenate([[mean_y], np.full(k, mean_x)])
-        try:
-            self._joint = GaussianVector(mean, cov)
-        except ConstructionError as exc:
-            raise ConstructionError(
-                f"copies model (n={n_copies}, rho_xx={rho_xx}, rho_xy={rho_xy}) "
-                f"is not positive definite: {exc}"
-            ) from exc
+        self._joint = GaussianVector(mean, cov)
+
+    @staticmethod
+    def definite(n_copies, rho_xx, rho_xy):
+        """Whether Var(Y | X_1..X_n) > 0: with a valid rho_xx, this puts
+        |rho_xy| below 1 and makes the covariance of (Y, X) definite."""
+        return n_copies * rho_xy**2 < 1.0 + (n_copies - 1) * rho_xx
 
     def label(self):
         tag = "comono" if self.comonotone else f"rxx={self.rho_xx:g}"
@@ -137,7 +137,9 @@ class GaussianCopies:
         """An iterator of (rows, y, x): the draws of `sample` in the row
         blocks of GaussianVector.blocks, except that a comonotone model's x
         is its one column, not repeated."""
-        return ((rows, mat[:, 0], mat[:, 1:]) for rows, mat in self._joint.blocks(rng, n))
+        for rows, mat in self._joint.blocks(rng, n):
+            yield rows, mat[:, 0], mat[:, 1:]
+            del mat
 
     def predictor(self):
         """x -> E(Y | X_i = x); one shared affine rule for all copies."""
@@ -182,6 +184,7 @@ class ConditionalIidCopies:
             y = self.y_marginal._quantile(rng.random(rows.stop - rows.start))
             eps = self.noise._quantile(rng.random(y.size * self.n_copies))
             yield rows, y, self.beta * y[:, None] + eps.reshape(-1, self.n_copies)
+            del y, eps
 
     def predictor(self):
         b = self.beta
@@ -256,9 +259,8 @@ def default_copies_battery():
     for n in (2, 3, 5):
         for rho_xx in (0.0, 0.3, 0.9):
             for rho_xy in (0.2, 0.5):
-                if n * rho_xy**2 >= 1.0 + (n - 1) * rho_xx:
-                    continue
-                models.append(GaussianCopies(n, rho_xx, rho_xy))
+                if GaussianCopies.definite(n, rho_xx, rho_xy):
+                    models.append(GaussianCopies(n, rho_xx, rho_xy))
     models.append(GaussianCopies(3, 1.0, 0.5))
     models.append(GaussianCopies(5, 1.0, 0.2))
     models.append(
@@ -274,22 +276,22 @@ def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
     comonotone model's blocks hold its one column, so its average is that
     column exactly.
 
-    Each chunk worker writes the paired squared errors (lhs, lhs - rhs) of
-    each block of draws into a (2, count) array and returns their Moments."""
+    Each chunk worker writes the two squared errors of each block of draws
+    into a (2, count) array and returns their paired_moments."""
     reports = []
     for model in models:
         columns = averaged(model)
 
         def worker(rng, count):
-            block = np.empty((2, count))
+            errors = np.empty((2, count))
             for rows, y, x in model.blocks(rng, count):
                 values = columns(x)
-                average = np.add.reduce(values, axis=1, out=block[0, rows])
+                average, first = errors[:, rows]
+                np.add.reduce(values, axis=1, out=average)
                 average /= values.shape[1]
                 np.square(np.subtract(y, average, out=average), out=average)
-                error = np.subtract(y, values[:, 0], out=block[1, rows])
-                np.subtract(average, np.square(error, out=error), out=error)
-            return Moments.of_block(block)
+                np.square(np.subtract(y, values[:, 0], out=first), out=first)
+            return paired_moments(*errors)
 
         stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
         reports.append(inequality_report(f"{experiment}/{model.label()}", stats, seed))
@@ -356,35 +358,37 @@ def _conditioning_errors(v: GaussianVector, target, index_sets, pairs, n_samples
     errors, so its pairs read an identically 0 difference.
 
     Each chunk worker writes the squared errors of each distinct set into a
-    row of its own array, a block of draws at a time: the predictor
-    intercept + X_s @ coefs is a gemv over the block's rows.  Each pair's
-    (lhs, lhs - rhs) block is then filled from those rows."""
+    row of its own array, a block of draws at a time, by one product with
+    the `_linear_predictors` matrix.  Sets are nested or theorem3's three,
+    at most dim of them, so the product of a gemm_rows(dim) block stays on
+    the calling thread (see rng.py).  Each pair's two rows reduce by
+    paired_moments."""
     sets = list(dict.fromkeys(index_sets))
     row = {s: i for i, s in enumerate(sets)}
-    rules = [(list(s), *v.conditional_coefficients(target, s)) if s else None for s in sets]
+    pair_rows = [(row[index_sets[a]], row[index_sets[b]]) for a, b in pairs]
+    coefs, intercepts = _linear_predictors(v, target, sets)
 
     def worker(rng, count):
         errors = np.empty((len(sets), count))
         for rows, mat in v.blocks(rng, count):
-            x = mat[:, target]
-            for error, rule in zip(errors[:, rows], rules):
-                if rule is None:
-                    error[:] = v.mean[target]
-                else:
-                    given, intercept, coefs = rule
-                    np.matmul(mat[:, given], coefs, out=error)
-                    error += intercept
-                np.square(np.subtract(x, error, out=error), out=error)
-        block = np.empty((2, count))
-        stats = []
-        for a, b in pairs:
-            lhs, rhs = errors[row[index_sets[a]]], errors[row[index_sets[b]]]
-            block[0] = lhs
-            np.subtract(lhs, rhs, out=block[1])
-            stats.append(Moments.of_block(block))
-        return stats
+            error = np.matmul(coefs.T, mat.T, out=errors[:, rows])
+            error += intercepts
+            np.square(np.subtract(mat[:, target], error, out=error), out=error)
+        return [paired_moments(errors[a], errors[b]) for a, b in pair_rows]
 
     return merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
+
+
+def _linear_predictors(v: GaussianVector, target, sets):
+    """A (dim, sets) matrix and a (sets, 1) column with E(X_target | X_s)
+    = intercepts[i] + X @ coefs[:, i] for s = sets[i]: coefs is 0 off each
+    set, and the empty set's intercept is the target's mean."""
+    coefs = np.zeros((v.dim, len(sets)))
+    intercepts = np.full((len(sets), 1), v.mean[target])
+    for i, s in enumerate(sets):
+        if s:
+            intercepts[i], coefs[list(s), i] = v.conditional_coefficients(target, s)
+    return coefs, intercepts
 
 
 def _chain_name(shorter, longer):
@@ -669,10 +673,10 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
     subsets = martingale_subsets(n, given)
     latest = [subset[-1] if subset else 0 for subset in subsets]
     predictors = martingale_predictors(n, subsets)
-    others = [k for k in predictors if k != n]
     # |S_{n+1} - S_k| <= n + 1, so the narrowest signed type holding
-    # -(n + 2) holds each error.
-    step_dtype = np.min_scalar_type(-(n + 2))
+    # -(n + 1)**2 holds each error, its square and the difference of two
+    # squares.
+    step_dtype = np.min_scalar_type(-((n + 1) ** 2))
     column_of = {k: i for i, k in enumerate(predictors)}
 
     def worker(rng, count):
@@ -692,25 +696,13 @@ def martingale_checks(walk_length, n_samples, seed, subsets, pool=None):
                     column -= 1
                     error += steps[:, column]
                 errors[column_of[k], rows] = error
-        block = np.empty((2, count))
-        lhs, diff = block
-        # The paired Moments of each predictor but S_n, or of lhs alone
-        # when there is none; every square is an exact integer.
-        stats = []
-        for k in others or [n]:
-            np.square(errors[column_of[n]], dtype=np.float64, out=lhs)
-            np.square(errors[column_of[k]], dtype=np.float64, out=diff)
-            np.subtract(lhs, diff, out=diff)
-            stats.append(Moments.of_block(block if others else block[:1]))
-        return stats
+        # Each predictor's paired_moments against S_n, from the exact
+        # integer squares.
+        squares = np.square(errors, out=errors)
+        return [paired_moments(squares[column_of[n]], square) for square in squares]
 
     stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
-    by_predictor = dict(zip(others, stats))
-    # S_n's difference from lhs is identically 0, so its statistics are
-    # exactly 0; lhs's are entry 0 of any of the Moments, since `of` and
-    # `merge` act entry by entry.
-    lhs = stats[0]
-    by_predictor[n] = Moments(lhs.n, np.array([lhs.mean[0], 0.0]), np.diag([lhs.m2[0, 0], 0.0]))
+    by_predictor = dict(zip(predictors, stats))
     reports = []
     details = {}
     for k, indices in zip(latest, given):

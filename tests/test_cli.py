@@ -394,6 +394,12 @@ REJECTED = {
         _suite_with("covariance", model={**_BIV, "copula": {"family": "gaussian", "rho": math.nan}}),
         "model.copula.rho",
     ),
+    # Var(Y | copies) < 0: the covariance is not positive definite, and
+    # rho_xy is the field that bounds it.
+    "copies-not-definite": (
+        _suite_with("theorem1", model={**_COPIES, "n_copies": 5, "rho_xx": 0.0}),
+        "model.rho_xy",
+    ),
     "copies-float-count": (
         _suite_with("theorem1", model={**_COPIES, "n_copies": 1.5}),
         "model.n_copies",

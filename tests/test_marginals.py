@@ -144,6 +144,10 @@ class TestInversion:
         assert np.all(np.isfinite(upper))
         assert upper.tobytes() == m._isf(ndtr(-z)).tobytes()
         assert lower.tobytes() == m._quantile(ndtr(-z)).tobytes()
+        # Each score reads one tail, s = ndtr(-|z|): for 0 < z < 1.4e-16,
+        # where ndtr(z) rounds to 0.5, that is the upper one too.
+        small = np.array([1e-17])
+        assert m._of_score(small).tobytes() == m._isf(ndtr(-small)).tobytes()
 
 
 class TestSampling:

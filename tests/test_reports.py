@@ -9,22 +9,27 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from cexpect.reports import (
     CSV_HEADER,
     ExperimentResult,
     Moments,
-    blocked_paired_moments,
     canonical_config_hash,
     equality_check,
+    indicator_sums,
+    indicator_z,
     inequality_report,
+    max_z_bound,
     merged,
     paired_moments,
     render_csv,
     render_json,
     threshold_report,
 )
+from cexpect.ordered import MARKOV_Z
 from cexpect.rng import CHUNK_SIZE, run_chunked
+from cexpect.theorems import COPULA_SWAP_Z
 
 
 def _inequality(name, lhs, rhs, seed):
@@ -199,19 +204,14 @@ def test_merge_in_chunk_order_is_the_same_for_any_worker_count():
     assert serial.m2.tobytes() == parallel.m2.tobytes()
 
 
-def test_blocked_paired_moments_makes_each_block_once_in_order():
+def test_paired_moments_reduce_chunk_blocks_in_order():
+    # Columns longer than a chunk reduce a CHUNK_SIZE block at a time,
+    # merged in order, as the chunk workers' rows do.
     n = 2 * CHUNK_SIZE + 5
     rng = np.random.default_rng(9)
     lhs, rhs = rng.random(n) + 2.0, rng.random(n)
-    seen = []
-
-    def pair(rows):
-        seen.append((rows.start, rows.stop))
-        return lhs[rows], rhs[rows]
-
-    stats = blocked_paired_moments(n, pair)
+    stats = paired_moments(lhs, rhs)
     edges = range(0, 4 * CHUNK_SIZE, CHUNK_SIZE)
-    assert seen == list(zip(edges, edges[1:]))
     blocks = (slice(a, b) for a, b in zip(edges, edges[1:]))
     expected = merged(Moments.of((lhs[r], lhs[r] - rhs[r])) for r in blocks)
     assert stats.n == n
@@ -230,6 +230,31 @@ def test_inequality_report_makes_no_full_length_temporary():
     finally:
         tracemalloc.stop()
     assert peak < lhs.nbytes
+
+
+def test_indicator_check_reads_each_cuts_z():
+    # Cuts -1, 0.5, 1 and 2 put the rows into bins 1, 2, 2, 3 and 4: a value
+    # at a cut is at or below it.  No row lies at or below -1, so its z is 0;
+    # cut 1 has rows 0-2, with sum(e) = 2 and sum(e^2) = 14.
+    cuts = np.array([-1.0, 0.5, 1.0, 2.0])
+    values = np.array([0.5, 0.7, 1.0, 1.5, 3.0])
+    residual = np.array([1.0, -2.0, 3.0, 0.5, 4.0])
+    by_hand = [0.0, 1.0, 2.0 / math.sqrt(14.0), 2.5 / math.sqrt(14.25)]
+    whole = indicator_sums(residual.copy(), values, cuts)
+    assert [b.tolist() for b in whole] == [[0.0, 1.0, 1.0, 0.5, 4.0], [0.0, 1.0, 13.0, 0.25, 16.0]]
+    assert indicator_z(whole).tolist() == by_hand
+    # Chunks' sums add by `merged` to the whole sample's.
+    parts = [indicator_sums(residual[r].copy(), values[r], cuts) for r in (slice(0, 2), slice(2, 5))]
+    assert indicator_z(merged(parts)).tolist() == by_hand
+
+
+def test_max_z_bounds_are_the_two_sided_normal_quantiles():
+    # The Markov check's 19 levels and copula-swap's 2400 lattice cells,
+    # each at size 1e-3 by Bonferroni.
+    assert max_z_bound(19) == pytest.approx(stats.norm.isf(1e-3 / 38), rel=1e-12)
+    assert max_z_bound(2400) == pytest.approx(stats.norm.isf(1e-3 / 4800), rel=1e-12)
+    assert max_z_bound(19) == MARKOV_Z
+    assert max_z_bound(2400) == COPULA_SWAP_Z
 
 
 def test_threshold_report_rule():

@@ -229,6 +229,22 @@ class TestCorollaryChain:
         assert r.satisfied
         assert res.details["closed_form_mse"][0] == pytest.approx(1.0)
 
+    def test_one_product_predicts_as_each_sets_coefficients(self):
+        # The 127 nested sets of ar_vector(128, 0.6) share one product with
+        # a (dim, sets) coefficient matrix, 0 off each set; on one block of
+        # draws each set's predictions are those of its own
+        # conditional_coefficients, to rounding.
+        v = ar_vector(128, 0.6)
+        sets = [tuple(range(k)) for k in range(128)]
+        coefs, intercepts = theorems._linear_predictors(v, 127, sets)
+        _, mat = next(v.blocks(chunk_stream(57, TAG_MAIN, 0), 1000))
+        preds = coefs.T @ mat.T + intercepts
+        assert np.all(preds[0] == v.mean[127])
+        for s, got in zip(sets[1:], preds[1:]):
+            intercept, c = v.conditional_coefficients(127, s)
+            want = intercept + mat[:, list(s)] @ c
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), s
+
     def test_non_nested_rejected(self):
         with pytest.raises(DomainError):
             verify_corollary_chain(ar_vector(4, 0.5), [(0, 1), (1, 2)], N, 54)
@@ -445,16 +461,20 @@ def _whole_averaging(model, columns):
 
 
 def _whole_conditioning(v, target, index_sets, pairs):
-    def predictor(given, mat):
-        if not given:
-            return np.full(mat.shape[0], v.mean[target])
-        intercept, coefs = v.conditional_coefficients(target, given)
-        return intercept + mat[:, list(given)] @ coefs
+    # Every set's predictor is one product with a matrix of each set's
+    # coefficients, 0 off the set, plus its intercept; the empty set's
+    # intercept is the target's mean.
+    sets = list(dict.fromkeys(index_sets))
+    coefs = np.zeros((v.dim, len(sets)))
+    intercepts = np.full(len(sets), v.mean[target])
+    for i, given in enumerate(sets):
+        if given:
+            intercepts[i], coefs[list(given), i] = v.conditional_coefficients(target, given)
 
     def worker(rng, count):
         mat = v.sample(rng, count)
-        x = mat[:, target]
-        errors = {s: (x - predictor(s, mat)) ** 2 for s in dict.fromkeys(index_sets)}
+        preds = coefs.T @ mat.T + intercepts[:, None]
+        errors = dict(zip(sets, (mat[:, target] - preds) ** 2))
         pair_errors = [(errors[index_sets[a]], errors[index_sets[b]]) for a, b in pairs]
         return [Moments.of((lhs, lhs - rhs)) for lhs, rhs in pair_errors]
 
@@ -489,7 +509,6 @@ def _whole_sequence(model):
 
 def _whole_martingale(n, subsets):
     predictors = theorems.martingale_predictors(n, subsets)
-    others = [k for k in predictors if k != n]
     step_dtype = np.min_scalar_type(-(n + 2))
 
     def worker(rng, count):
@@ -505,7 +524,7 @@ def _whole_martingale(n, subsets):
                 error += steps[:, column]
             sq[k] = np.square(error, dtype=np.float64)
         lhs = sq[n]
-        return [Moments.of((lhs, lhs - sq[k])) for k in others] or [Moments.of((lhs,))]
+        return [Moments.of((lhs, lhs - sq[k])) for k in predictors]
 
     return worker
 
@@ -700,10 +719,10 @@ WIDE_BLOCK = EVAL_BLOCK * 128 * 8  # bytes of one block of 128 draws a row
         # Two squared errors, the Markov residual and its intp bin; a block's
         # uniforms and their quantiles.
         (lambda n: order_stats([(Uniform(), 128, 64, 127, True)], n, 76), 4 * ROW, 2),
-        # The coalition's and 128 brokers' squared errors; the last block's
-        # prices and predictions, kept until the next block's uniforms and
-        # quantiles are drawn.
-        (lambda n: compare_strategies(WIDE_MARKET, WIDE_TABLE, n, 76), 129 * ROW, 4),
+        # The coalition's and 128 brokers' squared errors; a block's normals
+        # and its prices or predictions.  The last block's arrays are
+        # dropped before the next block draws.
+        (lambda n: compare_strategies(WIDE_MARKET, WIDE_TABLE, n, 76), 129 * ROW, 2),
     ],
     ids=["order-stats-n128", "coalition-k128"],
 )
