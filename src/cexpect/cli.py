@@ -21,10 +21,11 @@ names every field at fault, and every key no reader reads, as `verify`
 does before it runs anything.  n_samples is bounded by
 reports.MAX_SAMPLE_CELLS rows, or cells for records, which hold the
 hazards of every kept sequence, so a run that could not hold its sample
-fails here, not at allocation.  Copula-swap models, the
-coalition predictor and the record tables are tabulated at read time, since
-a model whose regressions are not increasing, or whose predictor or tables
-do not converge, is at fault.
+fails here, not at allocation.  The regression tables of covariance,
+copula-swap and sequence-stats models, the coalition predictor and the
+record tables are tabulated at read time, since a model whose regressions
+are not increasing, or whose predictor or tables do not converge, is at
+fault.
 
 Exit status is 0 iff every verdict in the run is satisfied, 1 on any
 unsatisfied verdict, 2 on config or usage errors.  Reports are byte-identical
@@ -58,6 +59,20 @@ from .rng import MAX_WORKERS, check_seed, check_workers
 def _read_model(builder, verify):
     """The reader of an experiment whose "model" key describes what it runs."""
     return lambda f: (partial(verify, f.model("model", builder)), 0)
+
+
+def _read_bivariate(tables, verify):
+    """The reader of an experiment on one bivariate model, whose tables
+    `tables(model)` are built here, so that validate rejects a model whose
+    tables do not converge, and handed to the operation, which builds none
+    itself."""
+
+    def read(f):
+        model = f.model("model", bivariate_from_config)
+        built = None if model is None else f.build(tables, model=model)
+        return partial(verify, model, built), 0
+
+    return read
 
 
 def _theorem3_vector(cfg):
@@ -165,9 +180,9 @@ EXPERIMENTS = {
     "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2),
     "theorem3": _read_model(_theorem3_vector, theorems.verify_theorem3),
     "corollary-chain": _read_corollary,
-    "covariance": _read_model(bivariate_from_config, theorems.verify_covariance_identity),
+    "covariance": _read_bivariate(theorems.regression_tables, theorems.verify_covariance_identity),
     "copula-swap": _read_copula_swap,
-    "sequence-stats": _read_model(bivariate_from_config, theorems.predicted_sequence_stats),
+    "sequence-stats": _read_bivariate(theorems.sequence_table, theorems.predicted_sequence_stats),
     "martingale": _read_martingale,
     "order-stats": _read_order_stats,
     "records": _read_records,

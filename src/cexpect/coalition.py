@@ -8,10 +8,12 @@ individual predictor E(Z | X_i = x) serves them all.  It is exact
 one-dimensional quadrature, E(Z | x) = x + int_x (1 - P(max of the others
 <= w | x)) dw: in w for independent brokers, and in the other brokers'
 conditional normal score for dependent ones, whose maximum has the
-equicorrelated-normal distribution of Dunnett & Sobel (1955); scores map
-to prices by the broker's `_of_score`.  compare_strategies pits the
-coalition-average predictor against each individual predictor on common
-draws, which `MarketConfig.blocks` makes in row blocks (see rng).
+equicorrelated-normal distribution of Dunnett & Sobel (1955), by
+Gauss-Hermite nodes whose count refines row by row, as `tabulate` refines
+its levels; scores map to prices by the broker's `_of_score`.
+compare_strategies pits the coalition-average predictor against each
+individual predictor on common draws, which `MarketConfig.blocks` makes in
+row blocks (see rng).
 """
 
 import math
@@ -36,12 +38,10 @@ PREDICTOR_NODES = 201
 U_TOP = float(-ndtri(TAIL_EPS))
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Gauss-Hermite nodes of the equicorrelated maximum: the first count, the
-# largest, and the agreement of two successive tables that stops doubling.
+# largest, and the agreement of a row's two successive counts that accepts it.
 GH_START = 16
 GH_MAX = 256
 GH_TOL = 1e-10
-# Rows that probe a count after two tables disagree (see _dependent_predictor).
-GH_PROBE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -241,11 +241,11 @@ def _dependent_predictor(cfg: MarketConfig, xs):
     from u(x) up to U_TOP, split at the outsider's finite support endpoints.
     Above the price at U_TOP the other brokers are below w but for TAIL_EPS,
     and only 1 - F_out(w) remains, integrated in w.  The Gauss-Hermite
-    count of P(M <= w | x) doubles from GH_START until two successive
-    tables agree within GH_TOL; past GH_MAX, NumericalError names rho_xx.
-    After a disagreement, a count whose GH_PROBE_ROWS probe rows already
-    disagree is skipped untabulated; the tables accepted and the counts
-    rejected are those of building every table.
+    count of P(M <= w | x) refines row by row, as `tabulate`'s level does:
+    every row is tabulated at GH_START, each doubled count tabulates only
+    the rows still open, and a row is accepted at the first count that
+    agrees with the previous one within GH_TOL.  A row still open at GH_MAX
+    raises NumericalError at rho_xx, its point (rho_xx, the row's price).
     """
     b, rho, out = cfg.broker_marginal, cfg.rho_xx, cfg.outsider
     m = cfg.n_brokers - 1
@@ -278,30 +278,20 @@ def _dependent_predictor(cfg: MarketConfig, xs):
     if m == 1:
         return values + tail(None)
     # A row's integral does not depend on which rows share its tabulation.
-    # So once two tables disagree, the rows that disagreed most probe the
-    # next count first: while they alone move by more than GH_TOL, so does
-    # the whole table, which is then not built (previous is None).
-    nodes, previous, probe = GH_START, tail(GH_START), None
+    nodes, tails, rows = GH_START, tail(GH_START), np.arange(xs.size)
     while nodes < GH_MAX:
         nodes *= 2
-        if probe is not None:
-            rows, before = probe
-            after = tail(nodes, rows)
-            if np.max(np.abs(after - before)) > GH_TOL:
-                previous, probe = None, (rows, after)
-                continue
-            if previous is None:
-                previous = tail(nodes // 2)
-        current = tail(nodes)
-        change = np.abs(current - previous)
-        if np.max(change) <= GH_TOL:
-            return values + current
-        rows = np.sort(np.argsort(change)[-GH_PROBE_ROWS:])
-        previous, probe = current, (rows, current[rows])
+        current = tail(nodes, rows)
+        agree = np.abs(current - tails[rows]) <= GH_TOL
+        tails[rows] = current
+        rows = rows[~agree]
+        if rows.size == 0:
+            return values + tails
+    price = float(xs[rows[0]])
     raise NumericalError(
         f"the predictor of {cfg.n_brokers} brokers at rho_xx={rho} did not converge "
-        f"within {GH_MAX} Gauss-Hermite nodes",
-        point=rho,
+        f"within {GH_MAX} Gauss-Hermite nodes on {rows.size} price(s); first is {price:.6g}",
+        point=(rho, price),
         param="rho_xx",
     )
 

@@ -37,7 +37,7 @@ from .condexp import (
 )
 from .config import Fields
 from .copulas import EmpiricalCopula, Gaussian, lattice_counts, sup_distance_swapped
-from .errors import ConstructionError, DomainError, UnsupportedModelError
+from .errors import ConstructionError, DomainError, NumericalError, UnsupportedModelError
 from .marginals import Marginal, Normal, Uniform, marginal_from_config
 from .quadrature import tabulate
 from .reports import (
@@ -398,7 +398,8 @@ def _chain_name(shorter, longer):
 def chain_index_sets(dim, index_sets):
     """The index sets of a corollary chain, each sorted, after checking that
     they are at least two, nested, inside 0..dim-1 without the target dim-1,
-    and that no adjacent pair repeats an earlier pair's report name."""
+    that no set repeats an index, and that no adjacent pair repeats an
+    earlier pair's report name."""
     target = dim - 1
     sets = [tuple(sorted(s)) for s in index_sets]
     if len(sets) < 2:
@@ -409,6 +410,8 @@ def chain_index_sets(dim, index_sets):
             raise DomainError("an index set must not contain the target index", param)
         if any(not 0 <= i < dim for i in s):
             raise DomainError(f"indices out of range for dimension {dim}", param)
+        if len(set(s)) < len(s):
+            raise DomainError("an index set must not repeat an index", param)
         if pos and not set(sets[pos - 1]).issubset(s):
             raise DomainError("index sets must be nested: this set misses an earlier index", param)
     names = [(pos + 1, _chain_name(*pair)) for pos, pair in enumerate(zip(sets, sets[1:]))]
@@ -449,8 +452,30 @@ def _medians(model: BivariateModel):
     return float(model.marginal_x._quantile(0.5)), float(model.marginal_y._quantile(0.5))
 
 
-def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None):
-    """Cov(E(X|Y), Y) = Cov(E(Y|X), X) = Cov(X, Y), all on common draws.
+def _converged(regression):
+    """regression(), a model's bound phi or psi, tabulated before any draw;
+    raises NumericalError at `model` when its table does not converge."""
+    try:
+        return regression()
+    except NumericalError as exc:
+        raise NumericalError(f"{regression.__name__} table: {exc}", exc.point, "model") from exc
+
+
+def regression_tables(model: BivariateModel):
+    """(phi, psi) of a bivariate model, as covariance and copula-swap read
+    them; raises NumericalError at `model` when a table does not converge."""
+    return _converged(model.phi), _converged(model.psi)
+
+
+def sequence_table(model: BivariateModel):
+    """psi of a bivariate model, as sequence-stats reads it; raises
+    NumericalError at `model` when its table does not converge."""
+    return _converged(model.psi)
+
+
+def verify_covariance_identity(model: BivariateModel, tables, n_samples, seed, pool=None):
+    """Cov(E(X|Y), Y) = Cov(E(Y|X), X) = Cov(X, Y), all on common draws,
+    where `tables` is regression_tables(model).
 
     The products are centred at the sample means, which no worker knows, so
     each returns the Moments of w = (X, Y, phi(Y), psi(X), phi(Y) Y,
@@ -458,8 +483,7 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
     paired difference of two, is then c . w plus a constant, with c set by
     the merged means: its variance is the quadratic form of the co-moments.
     """
-    phi = model.phi()
-    psi = model.psi()
+    phi, psi = tables
     mid_x, mid_y = _medians(model)
 
     def worker(rng, count):
@@ -500,7 +524,7 @@ def verify_covariance_identity(model: BivariateModel, n_samples, seed, pool=None
 
 
 def copula_swap_tables(model):
-    """(phi, psi) of a copula-swap model, tabulated and checked before any
+    """regression_tables(model) of a copula-swap model, checked before any
     draw: both must be strictly increasing, as the inversion chain behind
     the theorem needs; raises UnsupportedModelError otherwise.
 
@@ -508,7 +532,7 @@ def copula_swap_tables(model):
     positive.  condexp's INCREASING tolerance admits flat and slightly
     falling steps, which a table takes where the regression saturates in a
     tail; such a model is rejected, not tabulated more finely."""
-    phi, psi = model.phi(), model.psi()
+    phi, psi = regression_tables(model)
     for label, f in (("phi", phi), ("psi", psi)):
         if f.monotonicity != INCREASING:
             raise UnsupportedModelError(
@@ -582,16 +606,16 @@ def verify_copula_theorem(models, tables, n_samples, seed, pool=None):
     return ExperimentResult(experiment="copula-swap", reports=reports, details=details)
 
 
-def predicted_sequence_stats(model: BivariateModel, n_samples, seed, pool=None):
+def predicted_sequence_stats(model: BivariateModel, psi, n_samples, seed, pool=None):
     """Predicted-sequence identities for (X1, X2) with Y2 = E(X2 | X1):
-    E Y2 = E X2 and Cov(Y1, Y2) = Cov(X1, X2), where Y1 = X1.
+    E Y2 = E X2 and Cov(Y1, Y2) = Cov(X1, X2), where Y1 = X1 and `psi`,
+    x1 -> E(X2 | X1 = x1), is sequence_table(model).
 
     The paired differences are Y2 - X2 and (X1 - mean X1)(Y2 - X2).  As in
     verify_covariance_identity, each worker returns the Moments of
     (X1, X2, Y2, X1 X2, X1 Y2), shifted by the medians, and each difference
     is a combination of them with weights set by the merged means.
     """
-    psi = model.psi()  # x1 -> E(X2 | X1 = x1)
     mid_1, mid_2 = _medians(model)
 
     def worker(rng, count):

@@ -353,6 +353,14 @@ _FLAT_STEP_MODELS = {
     },
 }
 
+# Clayton(200) between Exp(1) and N(0, 1): a regression table that does not
+# converge within tanh-sinh's last level.
+_STEEP_CLAYTON = {
+    "copula": {"family": "clayton", "alpha": 200.0},
+    "marginal_x": _EXP1,
+    "marginal_y": NORMAL,
+}
+
 # (config, the field its diagnostic must name); each used to pass `validate`
 # and then fail or run anyway, or crashed `validate` itself.
 REJECTED = {
@@ -461,6 +469,13 @@ REJECTED = {
         "cases[1]",
     ),
     "chain-repeated-pair": (_suite_with("corollary-chain", index_sets=[[1], [1], [1]]), "index_sets[2]"),
+    # A repeated index made the conditioning covariance singular.
+    "chain-repeated-index": (_suite_with("corollary-chain", index_sets=[[1], [1, 1]]), "index_sets[1]"),
+    # Regression tables that do not converge, built at read time: covariance
+    # and sequence-stats named no field, copula-swap an empty one.
+    "covariance-unresolved-table": (_suite_with("covariance", model=_STEEP_CLAYTON), "model"),
+    "sequence-unresolved-table": (_suite_with("sequence-stats", model=_STEEP_CLAYTON), "model"),
+    "swap-unresolved-table": (_suite_with("copula-swap", models=[_STEEP_CLAYTON]), "models[0]"),
     # Misspelt keys, which used to leave the default in force.
     "records-misspelt-cap": (_suite_with("records", caap=4), "caap"),
     "swap-misspelt-threshold": (_suite_with("copula-swap", treshold=0.5), "treshold"),

@@ -2,7 +2,6 @@
 independent brokers, its kinks, and the exact dependent-broker predictor."""
 
 import inspect
-import itertools
 import math
 
 import numpy as np
@@ -139,8 +138,8 @@ def test_unresolved_predictor_names_rho_xx(monkeypatch):
 
 def _spy_tail_tables(monkeypatch):
     """Spy on _split_integrals; the returned list gets (lows, values) of
-    each table of the brokers' tail, which integrates up to U_TOP: full
-    tables and probes, not the outsider's table."""
+    each table of the brokers' tail, which integrates up to U_TOP, at every
+    count and on the rows it tabulates, not the outsider's table."""
     tables = []
     split = coalition._split_integrals
 
@@ -154,59 +153,109 @@ def _spy_tail_tables(monkeypatch):
     return tables
 
 
-FULL, PROBE = coalition.PREDICTOR_NODES, coalition.GH_PROBE_ROWS
+FULL = coalition.PREDICTOR_NODES
+COUNTS = [coalition.GH_START * 2**i for i in range(5)]
+assert COUNTS[-1] == coalition.GH_MAX
+# Converges at 128 nodes, with rows still open after 32 and after 64.
+STEEP = MarketConfig(5, Exponential(), rho_xx=0.99)
+
+
+def _full_tail_tables(market):
+    """{count: (lows, values)} of the brokers' tail on every row, at each
+    count: Gauss-Hermite forced to that count, the first table is full."""
+    tables = {}
+    below = coalition._others_below
+    for count in COUNTS:
+        with pytest.MonkeyPatch.context() as mp:
+            spied = _spy_tail_tables(mp)
+            mp.setattr(coalition, "_others_below", lambda u, m, r, _: below(u, m, r, count))
+            predictor_table(market)
+        tables[count] = spied[0]
+    return tables
+
+
+def _open_after(full, count):
+    """Rows still open after `count`: no count up to it agrees with the one
+    before within GH_TOL."""
+    open_rows = np.ones(FULL, dtype=bool)
+    for n in COUNTS[1 : COUNTS.index(count) + 1]:
+        open_rows &= np.abs(full[n][1] - full[n // 2][1]) > coalition.GH_TOL
+    return open_rows
+
+
+@pytest.mark.parametrize(
+    "market",
+    [
+        MarketConfig(4, Normal(), rho_xx=0.3, outsider=Normal()),
+        MarketConfig(3, Normal(), rho_xx=0.4, outsider=MaxOfIid(base=Exponential(), count=2)),
+    ],
+    ids=["tabulation-workload", "pinned-digest"],
+)
+def test_converging_market_builds_two_full_tables(monkeypatch, market):
+    # Every row agrees at 2 GH_START nodes: the work the benchmark times.
+    tables = _spy_tail_tables(monkeypatch)
+    counts = []
+    below = coalition._others_below
+
+    def spy(u, m, r, nodes):
+        counts.append(nodes)
+        return below(u, m, r, nodes)
+
+    monkeypatch.setattr(coalition, "_others_below", spy)
+    predictor_table(market)
+    assert [lows.size for lows, _ in tables] == [FULL, FULL]
+    assert sorted(set(counts)) == [coalition.GH_START, 2 * coalition.GH_START]
+
+
+def test_each_row_takes_its_tail_at_its_first_agreeing_count():
+    # Row i's value is x_i plus its tail at the first count N >= 2 GH_START
+    # whose table agrees with N / 2's within GH_TOL, bit for bit (STEEP has
+    # no outsider, whose table the value would add).
+    full = _full_tail_tables(STEEP)
+    tails = np.full(FULL, np.nan)
+    for count in COUNTS[1:]:
+        first = np.isnan(tails) & ~_open_after(full, count)
+        tails[first] = full[count][1][first]
+    assert not np.any(np.isnan(tails))
+    xs = predictor_table(STEEP).grid
+    assert np.array_equal(coalition._dependent_predictor(STEEP, xs), xs + tails)
+
+
+def test_doubled_count_tabulates_only_the_rows_still_open(monkeypatch):
+    full = _full_tail_tables(STEEP)
+    tables = _spy_tail_tables(monkeypatch)
+    predictor_table(STEEP)
+    assert len(tables) == 4  # 16, 32, 64 and 128 nodes
+    assert [lows.size for lows, _ in tables[:2]] == [FULL, FULL]
+    for count, (lows, values) in zip(COUNTS[2:4], tables[2:], strict=True):
+        open_rows = _open_after(full, count // 2)
+        assert 0 < open_rows.sum() < FULL
+        assert np.array_equal(lows, full[count][0][open_rows])
+        assert np.array_equal(values, full[count][1][open_rows])
 
 
 def test_non_converging_market_is_rejected_after_two_full_tables(monkeypatch):
-    # k = 3 at -0.48 fails at every count up to GH_MAX.  Building each full
-    # table made five; the probe rows skip every count after 32.
+    # k = 3 at -0.48 leaves rows open at every count up to GH_MAX; after
+    # the two full tables, each count tabulates only the rows still open.
     tables = _spy_tail_tables(monkeypatch)
     market = MarketConfig(3, Normal(), rho_xx=-0.48, outsider=Normal())
     with pytest.raises(NumericalError, match="rho_xx") as caught:
         predictor_table(market)
     assert caught.value.param == "rho_xx"
-    assert [lows.size for lows, _ in tables] == [FULL, FULL, PROBE, PROBE, PROBE]
-    tables.clear()
+    sizes = [lows.size for lows, _ in tables]
+    assert len(sizes) == len(COUNTS) and sizes[:2] == [FULL, FULL]
+    assert all(FULL > a >= b > 0 for a, b in zip(sizes[2:], sizes[3:]))
+    rho, price = caught.value.point
+    grid = coalition.chebyshev_nodes(
+        float(Normal()._quantile(TAIL_EPS)), float(Normal()._isf(TAIL_EPS)), FULL
+    )
+    assert rho == -0.48 and price in grid and f"{price:.6g}" in str(caught.value)
     cfg = {
         **cli.default_suite()["coalition"],
         "brokers": {"count": 3, "marginal": Normal().to_config(), "rho_xx": -0.48},
     }
     (diagnostic,) = cli.validate_config(cfg)
     assert diagnostic.field == "brokers.rho_xx"
-    assert sum(lows.size == FULL for lows, _ in tables) == 2
-
-
-@pytest.mark.parametrize(
-    "market, sizes",
-    [
-        # Agrees at 32 nodes, as the tabulation workload's market (k = 4).
-        (MarketConfig(3, Normal(), rho_xx=0.3, outsider=Normal()), [FULL, FULL]),
-        # Agrees at 64 nodes, after one failed comparison and a probe.
-        (
-            MarketConfig(3, Exponential(), rho_xx=0.95, outsider=Uniform(0.0, 1.0)),
-            [FULL, FULL, PROBE, FULL],
-        ),
-        # Agrees at 128: the probe skips 64, then passes, and 64 is filled in.
-        (MarketConfig(6, Exponential(), rho_xx=0.97), [FULL, FULL, PROBE, PROBE, FULL, FULL]),
-        # Agrees at 128: the probe passes at 64, the full comparison does not.
-        (MarketConfig(5, Exponential(), rho_xx=0.99), [FULL, FULL, PROBE, FULL, PROBE, FULL]),
-    ],
-)
-def test_converging_market_builds_as_many_full_tables_as_before(monkeypatch, market, sizes):
-    # Building every table from GH_START up to the count that agrees makes
-    # as many full tables.  A probe row has the value of its row in the full
-    # table of the same count, the last one built before the next probe,
-    # bit for bit: the skip rests on that.
-    tables = _spy_tail_tables(monkeypatch)
-    predictor_table(market)
-    assert [lows.size for lows, _ in tables] == sizes
-    for i, (lows, values) in enumerate(tables):
-        same_count = list(itertools.takewhile(lambda t: t[0].size == FULL, tables[i + 1 :]))
-        if lows.size == PROBE and same_count:
-            full_lows, full_values = same_count[-1]
-            rows = np.flatnonzero(np.isin(full_lows, lows))
-            assert np.array_equal(full_lows[rows], lows)
-            assert np.array_equal(full_values[rows], values)
 
 
 @pytest.mark.parametrize("rho", [0.4, -0.3])

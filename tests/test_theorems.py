@@ -43,6 +43,8 @@ from cexpect.theorems import (
     martingale_checks,
     martingale_exact_mse,
     predicted_sequence_stats,
+    regression_tables,
+    sequence_table,
     verify_copula_theorem,
     verify_corollary_chain,
     verify_covariance_identity,
@@ -52,6 +54,16 @@ from cexpect.theorems import (
 )
 
 N = 100_000
+
+
+def _covariance(model, n_samples, seed, pool=None):
+    """verify_covariance_identity on the tables its reader builds."""
+    return verify_covariance_identity(model, regression_tables(model), n_samples, seed, pool=pool)
+
+
+def _sequence(model, n_samples, seed, pool=None):
+    """predicted_sequence_stats on the table its reader builds."""
+    return predicted_sequence_stats(model, sequence_table(model), n_samples, seed, pool=pool)
 
 
 class TestCopiesModels:
@@ -349,8 +361,8 @@ FAR_FROM_ZERO = BivariateModel(Gaussian(rho=0.5), Normal(mean_=1e4), Normal(mean
 @pytest.mark.parametrize(
     "operation, width, reference",
     [
-        (verify_covariance_identity, 4, _covariance_reference),
-        (predicted_sequence_stats, 3, _sequence_reference),
+        (_covariance, 4, _covariance_reference),
+        (_sequence, 3, _sequence_reference),
     ],
     ids=["covariance", "sequence-stats"],
 )
@@ -378,8 +390,8 @@ GAUSS_NN = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
     "operation",
     [
         lambda: martingale_checks(5, 5000, 1, [(1,), ()]),
-        lambda: verify_covariance_identity(GAUSS_NN, 5000, 1),
-        lambda: predicted_sequence_stats(GAUSS_NN, 5000, 1),
+        lambda: _covariance(GAUSS_NN, 5000, 1),
+        lambda: _sequence(GAUSS_NN, 5000, 1),
         lambda: verify_theorem3(equicorrelated_vector(3, 0.5), 5000, 1),
     ],
     ids=["martingale", "covariance", "sequence-stats", "theorem3"],
@@ -402,7 +414,7 @@ def test_leaf_passes_leave_no_reference_cycle(operation):
     "operation",
     [
         lambda n: verify_theorem1([GaussianCopies(5, 0.3, 0.5)], n, 76),
-        lambda n: verify_covariance_identity(GAUSS_NN, n, 76),
+        lambda n: _covariance(GAUSS_NN, n, 76),
         lambda n: martingale_checks(5, n, 76, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
         lambda n: order_stats([(Uniform(), 5, 3, 4, True)], n, 76),
     ],
@@ -599,15 +611,15 @@ BLOCKED_WORKERS = {
         verify_corollary_chain, AR4, CHAIN, [(1, 0), (2, 1)], CHAIN
     ),
     "covariance-gaussian": (
-        lambda n, pool: verify_covariance_identity(GAUSS_NN, n, 81, pool=pool),
+        lambda n, pool: _covariance(GAUSS_NN, n, 81, pool=pool),
         _chunks(_whole_covariance(GAUSS_NN)),
     ),
     "covariance-clayton": (
-        lambda n, pool: verify_covariance_identity(CLAYTON_EXP, n, 81, pool=pool),
+        lambda n, pool: _covariance(CLAYTON_EXP, n, 81, pool=pool),
         _chunks(_whole_covariance(CLAYTON_EXP)),
     ),
     "sequence-stats": (
-        lambda n, pool: predicted_sequence_stats(CLAYTON_EXP, n, 81, pool=pool),
+        lambda n, pool: _sequence(CLAYTON_EXP, n, 81, pool=pool),
         _chunks(_whole_sequence(CLAYTON_EXP)),
     ),
     "martingale5": _martingale_case(5, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
@@ -680,7 +692,7 @@ def _gemm_block(dim):
         # Three sets' errors, a pair's two rows and the products' row.
         (lambda n: verify_corollary_chain(AR4, CHAIN, n, 76), 6 * ROW + _gemm_block(4)),
         # Seven variables and the products' row.
-        (lambda n: verify_covariance_identity(GAUSS_NN, n, 76), 8 * ROW),
+        (lambda n: _covariance(GAUSS_NN, n, 76), 8 * ROW),
         # (lhs, lhs - rhs), the products' row and four predictors' int8
         # errors.
         (
@@ -779,13 +791,13 @@ def test_blocks_yield_arrays_the_caller_keeps(name):
 class TestCovarianceIdentity:
     def test_independence_all_near_zero(self):
         m = BivariateModel(Independence(), Uniform(), Uniform())
-        res = verify_covariance_identity(m, N, 56)
+        res = _covariance(m, N, 56)
         for cov in _covariances(res):
             assert abs(cov) <= 0.01
         assert res.all_satisfied
 
     def test_gaussian_rho05_all_near_half(self):
-        res = verify_covariance_identity(
+        res = _covariance(
             BivariateModel(Gaussian(rho=0.5), Normal(), Normal()), N, 57
         )
         for cov in _covariances(res):
@@ -798,10 +810,10 @@ class TestCovarianceIdentity:
         # alone and returns their Moments, so no column outlives its chunk.
         n = 4 * CHUNK_SIZE
         model = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
-        verify_covariance_identity(model, 1000, 58)
+        _covariance(model, 1000, 58)
         tracemalloc.start()
         try:
-            verify_covariance_identity(model, n, 58)
+            _covariance(model, n, 58)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -812,10 +824,10 @@ class TestCovarianceIdentity:
         # product or difference is full length.
         n = 2**20
         model = BivariateModel(Gaussian(rho=0.5), Normal(), Normal())
-        verify_covariance_identity(model, 1000, 58)
+        _covariance(model, 1000, 58)
         tracemalloc.start()
         try:
-            verify_covariance_identity(model, n, 58)
+            _covariance(model, n, 58)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -823,7 +835,7 @@ class TestCovarianceIdentity:
 
     def test_fgm_mutual_consistency(self):
         m = BivariateModel(FGM(theta=1.0), Uniform(), Uniform())
-        res = verify_covariance_identity(m, N, 58)
+        res = _covariance(m, N, 58)
         assert res.all_satisfied
 
 
@@ -951,7 +963,7 @@ class TestCopulaSwap:
 class TestPredictedSequence:
     def test_bivariate_normal_rho06(self):
         m = BivariateModel(Gaussian(rho=0.6), Normal(), Normal())
-        res = predicted_sequence_stats(m, N, 63)
+        res = _sequence(m, N, 63)
         # Cov(Y1, Y2) = Cov(X1, rho X1) = 0.6 analytically.
         cov = res.reports[1]
         assert cov.lhs_estimate == pytest.approx(0.6, abs=0.02)
@@ -960,13 +972,13 @@ class TestPredictedSequence:
 
     def test_independence_constant_predictor(self):
         m = BivariateModel(Independence(), Uniform(), Uniform())
-        res = predicted_sequence_stats(m, N, 64)
+        res = _sequence(m, N, 64)
         assert abs(res.reports[1].lhs_estimate) <= 1e-6
         assert res.all_satisfied
 
     def test_fgm_negative_theta(self):
         m = BivariateModel(FGM(theta=-1.0), Uniform(), Uniform())
-        res = predicted_sequence_stats(m, N, 65)
+        res = _sequence(m, N, 65)
         assert res.all_satisfied
 
 
