@@ -371,8 +371,8 @@ def kernel_regress(x, y, x0):
 # GEMM_MULTITHREAD_THRESHOLD (4) = GEMM_CELLS; a larger one may run on its
 # own threads, which compete with the chunk pool's workers.  A block of
 # rows x d draws times the d x d Cholesky factor stays within it at
-# rows = GEMM_CELLS // d**2: 15 rows at d = 129, the widest vector a copies
-# model draws (rng.MAX_ROW_WIDTH copies and their target).
+# rows = GEMM_CELLS // d**2: 16 rows at d = rng.MAX_ROW_WIDTH, the widest
+# vector drawn, a corollary chain's or a dependent-broker market's.
 GEMM_CELLS = 2**18
 
 

@@ -37,7 +37,7 @@ allocated once, each part copied into its rows as it arrives and dropped.
 
 A chunk worker draws its rows through its model's ``blocks(rng, n)``,
 which yields them in consecutive row blocks (``row_slices``): EVAL_BLOCK
-rows for a bivariate model, the conditional-iid copies, a market and the
+rows for a bivariate model, either copies model, a market and the
 order-stats rows, and ``condexp.gemm_rows(dim)`` rows for a Gaussian
 vector (see below).  Each block draws all of its own columns before the
 next block starts, and a model's ``sample`` is its blocks joined, so the
@@ -99,10 +99,11 @@ EVAL_BLOCK = 8192
 
 # Largest size field a model may have (a vector dimension, a number of
 # copies, brokers or order statistics, a walk or record depth).  A model
-# may draw one column more than its size field: the copies' target, the
-# walk's next step, the outsider beside the brokers.  So a replication takes
-# at most MAX_ROW_WIDTH + 1 draws, and a chunk of CHUNK_SIZE rows that wide
-# is 64.5 MiB of float64.
+# may draw one column more than its size field: the conditional-iid copies'
+# target, the walk's next step, the outsider beside the brokers.  (Gaussian
+# copies draw three normals a row, whatever their count.)  So a replication
+# takes at most MAX_ROW_WIDTH + 1 draws, and a chunk of CHUNK_SIZE rows that
+# wide is 64.5 MiB of float64.
 MAX_ROW_WIDTH = 128
 
 

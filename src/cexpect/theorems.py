@@ -21,6 +21,12 @@ Copula-swap keeps no column either.  Each worker bins each block of its
 draws on a lattice at the known margins and returns the integer count of
 each cell; the calling thread adds the counts in chunk order, so the report
 bytes are the same for any chunking or worker count.
+
+Theorem1 and theorem2 read each copies model through its `averages`: a
+block's Y, a rule's value at the first copy and the mean of its values at
+all copies.  A Gaussian-copies model draws the exact law of (Y, X_1, X̄),
+three normals a row whatever the number of copies, and applies an affine
+rule to X_1 and X̄; a conditional-iid model draws all of its copies.
 """
 
 import math
@@ -69,13 +75,33 @@ COPULA_SWAP_Z = max_z_bound((COPULA_SWAP_GRID - 1) ** 2 - 1)
 # ---------------------------------------------------------------------------
 # Models of "copies" X_1..X_n sharing one marginal, jointly with Y.
 
+# The spread of scales a Gaussian-copies model admits: each sd lies in
+# [1/COPIES_SCALE, COPIES_SCALE], and each |mean| and each sd is at most
+# COPIES_SCALE times the smaller sd.  Every error of theorem1 and theorem2
+# is then below 2**70, so the squared errors and the fourth powers in their
+# co-moments stay finite over any admitted n_samples, and each draw
+# mean + sd z resolves z to about 2**-20.
+COPIES_SCALE = 2.0**32
+
 
 class GaussianCopies:
     """(Y, X_1..X_n) jointly Gaussian: equicorrelated copies, common cross-corr.
 
-    rho_xx = 1.0 requests the comonotone limit X_1 = ... = X_n, implemented
-    by sampling one X and replicating it, so degenerate-equality reports come
-    out exact.
+    Theorem1 and theorem2 read the copies only through X_1 and their average
+    X̄, so the model draws the exact law of (Y, X_1, X̄), three normals a
+    row whatever n.  In standard units, with v = (1 + (n - 1) rho_xx) / n:
+
+        X̄ = sqrt(v) Z0,
+        X_1 = X̄ + sqrt(1 - v) Z1,
+        Y = (rho_xy / v) X̄ + sqrt(1 - rho_xy^2 / v) Z2,
+
+    for iid standard normals Z0, Z1, Z2.  This is exact: the three are
+    jointly Gaussian, and Var X̄ = Cov(X_1, X̄) = v, Var X_1 = Var Y = 1 and
+    Cov(Y, X_1) = Cov(Y, X̄) = rho_xy, as the equicorrelated model has it
+    (X_1 - X̄ is uncorrelated with X̄ and, by exchangeability, with Y).  Each
+    statistic is then scaled by its own mean and sd.  v = 1 (n = 1, or the
+    comonotone limit rho_xx = 1) leaves X_1 the same values as X̄, so those
+    rows' differences are exactly 0.
     """
 
     def __init__(self, n_copies, rho_xx, rho_xy, mean_x=0.0, sd_x=1.0, mean_y=0.0, sd_y=1.0):
@@ -83,18 +109,24 @@ class GaussianCopies:
             raise ConstructionError(f"n_copies must be >= 1, got {n_copies}", "n_copies")
         check_row_width(n_copies, "n_copies")
         for param, sd in (("sd_x", sd_x), ("sd_y", sd_y)):
-            if not sd > 0:
-                raise ConstructionError(f"{param} must be > 0, got {sd}", param)
+            if not 1.0 / COPIES_SCALE <= sd <= COPIES_SCALE:
+                raise ConstructionError(f"{param} must be in [2**-32, 2**32], got {sd}", param)
+        unit = min(sd_x, sd_y)
+        scales = (("mean_x", mean_x), ("sd_x", sd_x), ("mean_y", mean_y), ("sd_y", sd_y))
+        for param, value in scales:
+            if not abs(value) <= COPIES_SCALE * unit:
+                message = f"|{param}| must be <= 2**32 times the smaller sd, {unit:g}"
+                raise ConstructionError(f"{message}, got {value}", param)
         if not -1.0 <= rho_xx <= 1.0:
             raise ConstructionError(f"rho_xx must be in [-1, 1], got {rho_xx}", "rho_xx")
-        if n_copies > 1 and rho_xx <= -1.0 / (n_copies - 1):
+        v = self.average_variance(n_copies, rho_xx)
+        if not v > 0.0:
             raise ConstructionError(
                 f"rho_xx must be > -1/(n_copies-1) = {-1.0 / (n_copies - 1):.6g}, got {rho_xx}",
                 "rho_xx",
             )
         if not self.definite(n_copies, rho_xx, rho_xy):
-            limit = math.sqrt((1.0 + (n_copies - 1) * rho_xx) / n_copies)
-            message = f"n_copies rho_xy^2 < 1 + (n_copies - 1) rho_xx needs |rho_xy| < {limit:.6g}"
+            message = f"Var(Y | copies) > 0 needs |rho_xy| < sqrt(v) = {math.sqrt(v):.6g}"
             raise ConstructionError(f"{message}, got {rho_xy}", "rho_xy")
         self.n_copies = int(n_copies)
         self.rho_xx = float(rho_xx)
@@ -103,43 +135,65 @@ class GaussianCopies:
         self.sd_x = float(sd_x)
         self.mean_y = float(mean_y)
         self.sd_y = float(sd_y)
-        self.comonotone = self.rho_xx == 1.0
-        # The comonotone covariance is singular: draw (Y, X) and repeat X.
-        k = 1 if self.comonotone else self.n_copies
-        cov = np.empty((k + 1, k + 1))
-        cov[0, 0] = sd_y**2
-        cov[0, 1:] = cov[1:, 0] = rho_xy * sd_x * sd_y
-        xx = np.full((k, k), rho_xx * sd_x**2)
-        np.fill_diagonal(xx, sd_x**2)
-        cov[1:, 1:] = xx
-        mean = np.concatenate([[mean_y], np.full(k, mean_x)])
-        self._joint = GaussianVector(mean, cov)
+        # The loadings of (Z0, Z1) in X̄ and X_1 - X̄, and of (Z0, Z2) in Y.
+        self._spread = self.sd_x * math.sqrt(v), self.sd_x * math.sqrt(1.0 - v)
+        self._load_y = (
+            self.sd_y * self.rho_xy / math.sqrt(v),
+            self.sd_y * math.sqrt(1.0 - self.rho_xy**2 / v),
+        )
+
+    @staticmethod
+    def average_variance(n_copies, rho_xx):
+        """v = Var X̄ in standard units, (1 + (n - 1) rho_xx) / n."""
+        return (1.0 + (n_copies - 1) * rho_xx) / n_copies
 
     @staticmethod
     def definite(n_copies, rho_xx, rho_xy):
-        """Whether Var(Y | X_1..X_n) > 0: with a valid rho_xx, this puts
-        |rho_xy| below 1 and makes the covariance of (Y, X) definite."""
-        return n_copies * rho_xy**2 < 1.0 + (n_copies - 1) * rho_xx
+        """Whether Var(Y | X_1..X_n) = 1 - rho_xy^2 / v > 0 in standard units,
+        for a valid rho_xx (v > 0): it puts |rho_xy| below 1 and makes the
+        covariance of (Y, X) definite."""
+        return 1.0 - rho_xy**2 / GaussianCopies.average_variance(n_copies, rho_xx) > 0.0
 
     def label(self):
-        tag = "comono" if self.comonotone else f"rxx={self.rho_xx:g}"
+        tag = "comono" if self.rho_xx == 1.0 else f"rxx={self.rho_xx:g}"
         return f"gaussian-copies(n={self.n_copies},{tag},rxy={self.rho_xy:g})"
 
     def sample(self, rng, n):
-        """Returns (Y, X) with X of shape (n, n_copies)."""
-        mat = self._joint.sample(rng, n)
-        x = mat[:, 1:]
-        if self.comonotone:
-            x = np.repeat(x, self.n_copies, axis=1)
-        return mat[:, 0], x
+        """(Y, X_1, X̄) of n rows: the blocks of `blocks`, joined."""
+        return join_rows((block[1:] for block in self.blocks(rng, n)), n)
 
     def blocks(self, rng, n):
-        """An iterator of (rows, y, x): the draws of `sample` in the row
-        blocks of GaussianVector.blocks, except that a comonotone model's x
-        is its one column, not repeated."""
-        for rows, mat in self._joint.blocks(rng, n):
-            yield rows, mat[:, 0], mat[:, 1:]
-            del mat
+        """An iterator of (rows, y, first, average): Y, X_1 and X̄ of n rows,
+        in row blocks of EVAL_BLOCK.  Each block draws its rows' Z0, then
+        their Z1, then their Z2."""
+        spread, within = self._spread
+        load, noise = self._load_y
+        for rows in row_slices(n):
+            z = rng.standard_normal((3, rows.stop - rows.start))
+            average, first, y = z
+            y *= noise
+            y += np.multiply(average, load)
+            y += self.mean_y
+            average *= spread
+            average += self.mean_x
+            first *= within
+            first += average
+            yield rows, y, first, average
+            del z, average, first, y
+
+    def averages(self, rng, n, rule=None):
+        """An iterator of (rows, y, rule(X_1), mean_i rule(X_i)) in the row
+        blocks of `blocks`; no rule means the copies themselves.  The mean of
+        an affine rule's values is its value at X̄, so a rule must be None or
+        carry its `affine` pair, as `predictor()` does; any other is an
+        UnsupportedModelError, raised before any draw."""
+        if rule is not None and getattr(rule, "affine", None) is None:
+            raise UnsupportedModelError("Gaussian copies average only an affine rule", "rule")
+        for rows, y, first, average in self.blocks(rng, n):
+            if rule is not None:
+                first, average = rule(first), rule(average)
+            yield rows, y, first, average
+            del y, first, average
 
     def predictor(self):
         """x -> E(Y | X_i = x); one shared affine rule for all copies."""
@@ -166,7 +220,6 @@ class ConditionalIidCopies:
         self.beta = float(beta)
         self.y_marginal = y_marginal
         self.noise = noise
-        self.comonotone = False
 
     def label(self):
         return f"cond-iid(n={self.n_copies},beta={self.beta:g})"
@@ -185,6 +238,16 @@ class ConditionalIidCopies:
             eps = self.noise._quantile(rng.random(y.size * self.n_copies))
             yield rows, y, self.beta * y[:, None] + eps.reshape(-1, self.n_copies)
             del y, eps
+
+    def averages(self, rng, n, rule=None):
+        """An iterator of (rows, y, rule(X_1), mean_i rule(X_i)) in the row
+        blocks of `blocks`; no rule means the copies themselves."""
+        for rows, y, x in self.blocks(rng, n):
+            values = x if rule is None else rule(x)
+            average = np.add.reduce(values, axis=1)
+            average /= self.n_copies
+            yield rows, y, values[:, 0], average
+            del y, x, values, average
 
     def predictor(self):
         b = self.beta
@@ -269,28 +332,25 @@ def default_copies_battery():
     return models
 
 
-def _verify_averaging(experiment, models, averaged, n_samples, seed, pool):
+def _verify_averaging(experiment, models, rule_of, n_samples, seed, pool):
     """One inequality report per copies model, each on `seed`: the squared
-    error of the row average of the columns `averaged(model)` makes of the
-    copies, as a predictor of Y, against that of its first column.  A
-    comonotone model's blocks hold its one column, so its average is that
-    column exactly.
+    error of the row average of the values of the rule `rule_of(model)` at
+    the copies (the copies themselves for None), as a predictor of Y,
+    against that of its value at the first copy.
 
-    Each chunk worker writes the two squared errors of each block of draws
-    into a (2, count) array and returns their paired_moments."""
+    Each chunk worker squares the two errors of each block of the model's
+    `averages` into a (2, count) array and returns their paired_moments."""
     reports = []
     for model in models:
-        columns = averaged(model)
+        rule = rule_of(model)
 
         def worker(rng, count):
             errors = np.empty((2, count))
-            for rows, y, x in model.blocks(rng, count):
-                values = columns(x)
-                average, first = errors[:, rows]
-                np.add.reduce(values, axis=1, out=average)
-                average /= values.shape[1]
-                np.square(np.subtract(y, average, out=average), out=average)
-                np.square(np.subtract(y, values[:, 0], out=first), out=first)
+            for rows, y, first, average in model.averages(rng, count, rule):
+                lhs, rhs = errors[:, rows]
+                np.square(np.subtract(y, average, out=lhs), out=lhs)
+                np.square(np.subtract(y, first, out=rhs), out=rhs)
+                del y, first, average
             return paired_moments(*errors)
 
         stats = merged(run_chunked(worker, n_samples, seed, TAG_MAIN, pool=pool))
@@ -317,7 +377,7 @@ def verify_theorem2(models, n_samples, seed, pool=None):
     As in verify_theorem1, the reports rest on the copies' exchangeability:
     by Jensen, any exchangeable columns pass, whatever their joint law with Y.
     """
-    return _verify_averaging("theorem2", models, lambda m: lambda x: x, n_samples, seed, pool)
+    return _verify_averaging("theorem2", models, lambda m: None, n_samples, seed, pool)
 
 
 def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None):

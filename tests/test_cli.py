@@ -408,6 +408,29 @@ REJECTED = {
         _suite_with("theorem1", model={**_COPIES, "n_copies": 5, "rho_xx": 0.0}),
         "model.rho_xy",
     ),
+    # Scales outside GaussianCopies' COPIES_SCALE: each validated and then
+    # reported NaN sides, or lhs == rhs with se 0 where the copies' noise
+    # was lost, or died on an OverflowError from sd**2.
+    "copies-mean-y-overflows": (
+        _suite_with("theorem2", model={**_COPIES, "mean_y": 1e200}),
+        "model.mean_y",
+    ),
+    "copies-mean-y-swamps-noise": (
+        _suite_with("theorem1", model={**_COPIES, "mean_y": 1e300}),
+        "model.mean_y",
+    ),
+    "copies-sd-y-swamps-copies": (
+        _suite_with("theorem2", model={**_COPIES, "sd_y": 1e150}),
+        "model.sd_y",
+    ),
+    "copies-sd-x-overflows": (
+        _suite_with("theorem1", model={**_COPIES, "sd_x": 1e200}),
+        "model.sd_x",
+    ),
+    "copies-sd-y-overflows": (
+        _suite_with("theorem2", model={**_COPIES, "sd_y": 1e160}),
+        "model.sd_y",
+    ),
     "copies-float-count": (
         _suite_with("theorem1", model={**_COPIES, "n_copies": 1.5}),
         "model.n_copies",

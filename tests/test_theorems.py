@@ -16,7 +16,7 @@ from cexpect.condexp import (
     equicorrelated_vector,
     gemm_rows,
 )
-from cexpect import coalition, theorems
+from cexpect import cli, coalition, theorems
 from cexpect.coalition import MarketConfig, compare_strategies, predictor_table, simulate_market
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence, lattice_counts
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
@@ -25,6 +25,7 @@ from cexpect.ordered import order_stats
 from cexpect.reports import Moments, inequality_report, paired_moments
 from cexpect.rng import (
     CHUNK_SIZE,
+    MAX_ROW_WIDTH,
     EVAL_BLOCK,
     chunk_sizes,
     chunk_stream,
@@ -35,6 +36,7 @@ from cexpect.rng import (
 )
 from cexpect.theorems import (
     COPULA_SWAP_GRID,
+    COPIES_SCALE,
     ConditionalIidCopies,
     TAG_MAIN,
     GaussianCopies,
@@ -163,6 +165,161 @@ class TestTheorem2:
         r = verify_theorem2([GaussianCopies(4, 1.0, 0.3)], N, 46).reports[0]
         assert r.lhs_estimate == r.rhs_estimate
         assert r.margin_sigmas == 0.0
+
+
+def _copies_covariance(m):
+    """The exact mean and covariance of (Y, X_1, X̄) of a Gaussian-copies
+    model: Var X̄ = Cov(X_1, X̄) = v sd_x^2, and Y has the same covariance
+    rho_xy sd_x sd_y with X_1 and X̄."""
+    v = (1.0 + (m.n_copies - 1) * m.rho_xx) / m.n_copies
+    cross = m.rho_xy * m.sd_x * m.sd_y
+    cov = np.array(
+        [
+            [m.sd_y**2, cross, cross],
+            [cross, m.sd_x**2, v * m.sd_x**2],
+            [cross, v * m.sd_x**2, v * m.sd_x**2],
+        ]
+    )
+    return np.array([m.mean_y, m.mean_x, m.mean_x]), cov
+
+
+class TestGaussianCopiesLaw:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GaussianCopies(5, 0.3, 0.5, mean_x=2.0, sd_x=3.0, mean_y=-1.0, sd_y=0.5),
+            GaussianCopies(MAX_ROW_WIDTH, 0.3, 0.05),
+            GaussianCopies(5, -0.2, 0.15, mean_x=-4.0, sd_x=0.25),
+            GaussianCopies(3, 1.0, 0.5, mean_y=10.0, sd_y=2.0),
+            GaussianCopies(1, 0.0, -0.6),
+        ],
+        ids=["scaled", "n128", "negative-rho-xx", "comonotone", "n1"],
+    )
+    def test_sample_moments_match_the_exact_law(self, model):
+        # Each sample mean and covariance within 4 of its SE: sd/sqrt(n) for
+        # a mean, and sqrt((c_ii c_jj + c_ij^2) / n) for a Gaussian
+        # covariance entry.
+        n = 200_000
+        y, first, average = model.sample(chunk_stream(31, TAG_MAIN, 0), n)
+        mean, cov = _copies_covariance(model)
+        draws = np.vstack([y, first, average])
+        mean_se = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(draws.mean(axis=1) - mean) <= 4 * mean_se)
+        cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
+        assert np.all(np.abs(np.cov(draws) - cov) <= 4 * cov_se)
+        if model.n_copies == 1 or model.rho_xx == 1.0:
+            assert first.tobytes() == average.tobytes()
+        else:
+            assert not np.any(first == average)
+
+    def test_draws_three_normals_a_row_whatever_the_copies(self):
+        # After one chunk, two copies and MAX_ROW_WIDTH copies leave the
+        # Philox stream in the same state: three normals a row each.
+        states = []
+        for n_copies in (2, MAX_ROW_WIDTH):
+            rng = chunk_stream(32, TAG_MAIN, 0)
+            for _ in GaussianCopies(n_copies, 0.3, 0.05).blocks(rng, CHUNK_SIZE):
+                pass
+            state = rng.bit_generator.state
+            states.append((state["state"]["counter"].tolist(), state["buffer_pos"]))
+        assert states[0] == states[1]
+
+    def test_averages_only_an_affine_rule(self):
+        model = GaussianCopies(3, 0.3, 0.5)
+        rng = chunk_stream(33, TAG_MAIN, 0)
+        with pytest.raises(UnsupportedModelError):
+            next(model.averages(rng, 100, np.square))
+        table = ConditionalIidCopies(3, 0.8, Normal(), Uniform(-1, 1)).predictor()
+        with pytest.raises(UnsupportedModelError):
+            next(model.averages(rng, 100, table))
+
+    @pytest.mark.parametrize(
+        "scales, param",
+        [
+            ({"sd_x": 2.0 * COPIES_SCALE}, "sd_x"),
+            ({"sd_y": 0.5 / COPIES_SCALE}, "sd_y"),
+            ({"mean_x": 2.0 * COPIES_SCALE}, "mean_x"),
+            ({"mean_y": -2.0 * COPIES_SCALE}, "mean_y"),
+            ({"mean_y": math.nan}, "mean_y"),
+            # Each sd within its range, but the larger one too far above the
+            # smaller.
+            ({"sd_x": 1e-5, "sd_y": 1e5}, "sd_y"),
+        ],
+    )
+    def test_scales_outside_the_bound_rejected_at_their_field(self, scales, param):
+        with pytest.raises(ConstructionError) as exc:
+            GaussianCopies(3, 0.3, 0.5, **scales)
+        assert exc.value.param == param
+
+    @pytest.mark.parametrize(
+        "scales",
+        [
+            {"sd_x": COPIES_SCALE, "sd_y": COPIES_SCALE, "mean_x": COPIES_SCALE**2},
+            {"sd_y": COPIES_SCALE, "mean_x": -COPIES_SCALE, "mean_y": COPIES_SCALE},
+            {"sd_x": COPIES_SCALE, "mean_y": -COPIES_SCALE},
+            {"sd_x": 1.0 / COPIES_SCALE, "sd_y": 1.0 / COPIES_SCALE, "mean_y": 1.0},
+        ],
+        ids=["widest", "y-wide", "x-wide", "narrowest"],
+    )
+    def test_scales_at_the_bound_resolve_their_noise(self, scales):
+        # At the corners of COPIES_SCALE, both sides are finite and the
+        # copies' noise still separates them: a positive SE, and theorem2's
+        # mean difference within 4 SE of its exact (1 - v) sd_x^2.
+        model = GaussianCopies(5, 0.3, 0.5, **scales)
+        for verify in (verify_theorem1, verify_theorem2):
+            r = verify([model], 20_000, 34).reports[0]
+            values = (r.lhs_estimate, r.rhs_estimate, r.paired_diff_se)
+            assert all(map(math.isfinite, values)) and r.paired_diff_se > 0, values
+            assert r.satisfied
+        gap = (1.0 - 0.44) * model.sd_x**2
+        assert abs(r.rhs_estimate - r.lhs_estimate - gap) <= 4 * r.paired_diff_se
+
+
+def _copies_closed_forms(experiment, n_copies, rho_xx, rho_xy):
+    """(lhs, rhs) of a standard Gaussian-copies report, exact.  With
+    v = Var X̄ = (1 + (n - 1) rho_xx) / n, theorem1's errors are
+    Y - rho_xy X̄ and Y - rho_xy X_1, theorem2's Y - X̄ and Y - X_1."""
+    v = (1.0 + (n_copies - 1) * rho_xx) / n_copies
+    if experiment == "theorem1":
+        return 1.0 - 2.0 * rho_xy**2 + rho_xy**2 * v, 1.0 - rho_xy**2
+    return 1.0 - 2.0 * rho_xy + v, 2.0 - 2.0 * rho_xy
+
+
+def _closed_form_z(report, n_copies, rho_xx, rho_xy):
+    """The z of each side of a copies report against its closed form, with
+    SE = sqrt(2) value / sqrt(n), exact for the square of a centred normal
+    error."""
+    experiment = report.name.split("/")[0]
+    exact = _copies_closed_forms(experiment, n_copies, rho_xx, rho_xy)
+    sides = (report.lhs_estimate, report.rhs_estimate)
+    n = report.n_samples
+    return [(side - value) / (math.sqrt(2.0 / n) * value) for side, value in zip(sides, exact)]
+
+
+class TestCopiesClosedForms:
+    @pytest.mark.parametrize("verify", [verify_theorem1, verify_theorem2])
+    def test_default_battery_sides_match_their_closed_forms(self, verify):
+        # The reports' Jensen verdicts pass for any exchangeable columns;
+        # this is what checks the Gaussian-copies sampler.
+        cfg = cli.default_suite()[verify.__name__.removeprefix("verify_")]
+        battery = default_copies_battery()
+        reports = verify(battery, cfg["n_samples"], cfg["seed"]).reports
+        checked = 0
+        for model, report in zip(battery, reports):
+            if isinstance(model, GaussianCopies):
+                z = _closed_form_z(report, model.n_copies, model.rho_xx, model.rho_xy)
+                assert max(map(abs, z)) <= 4, (report.name, z)
+                checked += 1
+        assert checked == 21
+
+    def test_closed_form_check_fails_on_the_wrong_rho_xx(self):
+        # rho_xx = 0.4 for 0.3 moves v from 0.44 to 0.52: at 100,000 rows
+        # theorem1's lhs moves by 0.02, about 7 SE, and theorem2's by 0.08,
+        # about 40 SE; neither rhs depends on v.
+        for verify in (verify_theorem1, verify_theorem2):
+            report = verify([GaussianCopies(5, 0.4, 0.5)], 100_000, 101).reports[0]
+            lhs_z, rhs_z = _closed_form_z(report, 5, 0.3, 0.5)
+            assert abs(lhs_z) > 4 and abs(rhs_z) <= 4, (report.name, lhs_z, rhs_z)
 
 
 class TestCopiesBattery:
@@ -448,26 +605,37 @@ def _chunks(worker):
 
 
 def _whole_copies(model, rng, n):
-    """(Y, X) of n rows of a copies model, joined from blocks of EVAL_BLOCK
-    rows, each drawing Y and then its noise."""
-    if isinstance(model, ConditionalIidCopies):
-        parts = []
-        for start in range(0, n, EVAL_BLOCK):
-            size = min(EVAL_BLOCK, n - start)
-            y = model.y_marginal.sample(rng, size)
-            eps = model.noise.sample(rng, size * model.n_copies).reshape(size, model.n_copies)
-            parts.append((y, model.beta * y[:, None] + eps))
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    return model.sample(rng, n)  # GaussianVector.sample is checked in test_condexp.py
+    """(Y, X_1, X̄) of n rows of a Gaussian-copies model, or (Y, X) of a
+    conditional-iid one, from the draws of blocks of EVAL_BLOCK rows joined:
+    each Gaussian block draws its Z0, Z1 and Z2, each conditional-iid block
+    its Y and then its noise."""
+    blocks = [(start, min(EVAL_BLOCK, n - start)) for start in range(0, n, EVAL_BLOCK)]
+    if isinstance(model, GaussianCopies):
+        z0, z1, z2 = np.concatenate([rng.standard_normal((3, size)) for _, size in blocks], axis=1)
+        v = (1.0 + (model.n_copies - 1) * model.rho_xx) / model.n_copies
+        rho, sd_x, sd_y = model.rho_xy, model.sd_x, model.sd_y
+        y = z2 * (sd_y * math.sqrt(1.0 - rho**2 / v)) + z0 * (sd_y * rho / math.sqrt(v))
+        average = z0 * (sd_x * math.sqrt(v)) + model.mean_x
+        return y + model.mean_y, z1 * (sd_x * math.sqrt(1.0 - v)) + average, average
+    parts = []
+    for _, size in blocks:
+        y = model.y_marginal.sample(rng, size)
+        eps = model.noise.sample(rng, size * model.n_copies).reshape(size, model.n_copies)
+        parts.append((y, model.beta * y[:, None] + eps))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _whole_averaging(model, columns):
     def worker(rng, count):
-        y, x = _whole_copies(model, rng, count)
-        values = columns(x)
-        average = values[:, 0] if model.comonotone else values.mean(axis=1)
+        if isinstance(model, GaussianCopies):
+            y, first, average = _whole_copies(model, rng, count)
+            first, average = columns(first), columns(average)
+        else:
+            y, x = _whole_copies(model, rng, count)
+            values = columns(x)
+            first, average = values[:, 0], values.mean(axis=1)
         lhs = (y - average) ** 2
-        return Moments.of((lhs, lhs - (y - values[:, 0]) ** 2))
+        return Moments.of((lhs, lhs - (y - first) ** 2))
 
     return worker
 
@@ -589,7 +757,7 @@ CLAYTON_UNIFORM = BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())
 COPIES_5 = GaussianCopies(5, 0.3, 0.5)
 COMONOTONE = GaussianCopies(3, 1.0, 0.5)
 COND_IID = ConditionalIidCopies(3, 0.8, Normal(), Uniform(lower=-1.0, upper=1.0))
-WIDEST = GaussianCopies(128, 0.3, 0.05)  # d = 129, MAX_ROW_WIDTH + 1 draws a row
+WIDEST = GaussianCopies(128, 0.3, 0.05)  # MAX_ROW_WIDTH copies, three normals a row
 AR4 = ar_vector(4, 0.6)
 CHAIN = [(0,), (0, 1), (0, 1, 2)]
 EQUI3 = equicorrelated_vector(3, 0.5)
@@ -686,9 +854,10 @@ def _gemm_block(dim):
 @pytest.mark.parametrize(
     "operation, chunk_arrays",
     [
-        # (lhs, lhs - rhs) and the products' row; the normals and draws of
-        # one gemm block of the 6-dimensional (Y, X_1..X_5).
-        (lambda n: verify_theorem1([COPIES_5], n, 76), 3 * ROW + _gemm_block(6)),
+        # The two squared errors, (lhs, lhs - rhs) and the products' row; a
+        # block's three normals a row and the predictor's two values are
+        # within its dozen a row.
+        (lambda n: verify_theorem1([COPIES_5], n, 76), 5 * ROW),
         # Three sets' errors, a pair's two rows and the products' row.
         (lambda n: verify_corollary_chain(AR4, CHAIN, n, 76), 6 * ROW + _gemm_block(4)),
         # Seven variables and the products' row.
@@ -1091,8 +1260,9 @@ class TestDeterminism:
         assert serial == parallel
 
     def test_wide_model_reports_bit_identical_across_pools(self):
-        # d = 128 draws multiply in 16-row blocks, and the last chunk
-        # (4464 rows) is ragged; eight workers run both chunks at once.
+        # 127 copies draw three normals a row in EVAL_BLOCK-row blocks, as
+        # any copies count does, and the last chunk (4464 rows) is ragged;
+        # eight workers run both chunks at once.
         from concurrent.futures import ThreadPoolExecutor
 
         m = GaussianCopies(127, 0.3, 0.05)
@@ -1104,8 +1274,8 @@ class TestDeterminism:
     def test_theorem1_memory_stays_near_its_report_columns(self):
         # Assembling the (n, 5) copies and then the (n, 5) predictions takes
         # at least 2 * 5 * n * 8 bytes.  Reduced in the workers, the peak is
-        # one chunk's (n/4, 6) normal draws and their Cholesky product, and
-        # no column of n rows.
+        # one chunk's two rows of squared errors and a block of draws, and no
+        # column of n rows.
         n = 4 * CHUNK_SIZE
         model = GaussianCopies(5, 0.3, 0.5)
         verify_theorem1([model], 1000, 72)
