@@ -21,11 +21,10 @@ names every field at fault, and every key no reader reads, as `verify`
 does before it runs anything.  n_samples is bounded by
 reports.MAX_SAMPLE_CELLS rows, or cells for records, which hold the
 hazards of every kept sequence, so a run that could not hold its sample
-fails here, not at allocation.  The regression tables of covariance,
-copula-swap and sequence-stats models, the coalition predictor and the
-record tables are tabulated at read time, since a model whose regressions
-are not increasing, or whose predictor or tables do not converge, is at
-fault.
+fails here, not at allocation.  Every table is built at read time (phi
+and psi, the copies predictors, the max_regression, record and coalition
+tables), and no operation tabulates: a model whose regressions are not
+increasing, or whose table does not converge, is at fault at its field.
 
 Exit status is 0 iff every verdict in the run is satisfied, 1 on any
 unsatisfied verdict, 2 on config or usage errors.  Reports are byte-identical
@@ -52,8 +51,8 @@ from .rng import MAX_WORKERS, check_seed, check_workers
 
 
 # ---------------------------------------------------------------------------
-# Experiments: each reads its config into built models and returns its
-# operation's call and the columns that operation keeps.
+# Experiments: each reads its config into built models and tables and
+# returns its operation's call and the columns that operation keeps.
 
 
 def _read_model(builder, verify):
@@ -61,18 +60,27 @@ def _read_model(builder, verify):
     return lambda f: (partial(verify, f.model("model", builder)), 0)
 
 
-def _read_bivariate(tables, verify):
-    """The reader of an experiment on one bivariate model, whose tables
-    `tables(model)` are built here, so that validate rejects a model whose
-    tables do not converge, and handed to the operation, which builds none
-    itself."""
+def _read_theorem1(f):
+    models = f.model("model", theorems.copies_models_from_config)
+    predictors = [f.table("model", "predictor", model.predictor) for model in models or []]
+    return partial(theorems.verify_theorem1, models, predictors), 0
 
-    def read(f):
-        model = f.model("model", bivariate_from_config)
-        built = None if model is None else f.build(tables, model=model)
-        return partial(verify, model, built), 0
 
-    return read
+def _regression_tables(f, key, model):
+    """(phi, psi) of the bivariate model read at `key`."""
+    return f.table(key, "phi", model.phi), f.table(key, "psi", model.psi)
+
+
+def _read_covariance(f):
+    model = f.model("model", bivariate_from_config)
+    tables = None if model is None else _regression_tables(f, "model", model)
+    return partial(theorems.verify_covariance_identity, model, tables), 0
+
+
+def _read_sequence_stats(f):
+    model = f.model("model", bivariate_from_config)
+    psi = None if model is None else f.table("model", "psi", model.psi)
+    return partial(theorems.predicted_sequence_stats, model, psi), 0
 
 
 def _theorem3_vector(cfg):
@@ -109,13 +117,12 @@ def _ar_vector(cfg):
 
 def _read_copula_swap(f):
     models = f.models("models", bivariate_from_config)
-    # Tabulated here, so that validate rejects a model whose regressions are
-    # not increasing, and handed to the operation, which builds none itself.
-    tables = [
-        f.build(theorems.copula_swap_tables, keys={"model": f"models[{pos}]"}, model=model)
-        for pos, model in enumerate(models or [])
-        if model is not None
-    ]
+    tables = []
+    for pos, model in enumerate(models or []):
+        if model is not None:
+            key = f"models[{pos}]"
+            phi, psi = _regression_tables(f, key, model)
+            tables.append(f.build(theorems.copula_swap_tables, keys={"model": key}, phi=phi, psi=psi))
     return partial(theorems.verify_copula_theorem, models, tables), 0
 
 
@@ -140,9 +147,19 @@ def _order_case(cfg):
 
 def _read_order_stats(f):
     cases = f.models("cases", _order_case)
+    tables = None
     if cases and None not in cases:
         f.build(ordered.check_order_cases, cases=cases)
-    return partial(ordered.order_stats, cases), 0
+        tables = [_max_regressions(f, f"cases[{pos}]", *case) for pos, case in enumerate(cases)]
+    return partial(ordered.order_stats, cases, tables), 0
+
+
+def _max_regressions(f, key, m, n, k, l, markov_check):
+    """{j: max_regression(m, n, j)} of each table the case read at `key` reads."""
+    return {
+        j: f.table(key, f"max_regression(n={n}, j={j})", ordered.max_regression, m, n, j)
+        for j in ordered.case_regressions(n, k, l, markov_check)
+    }
 
 
 def _read_records(f):
@@ -150,13 +167,10 @@ def _read_records(f):
     depth, lag = f.integer("depth"), f.integer("lag")
     cap = f.integer("cap", ordered.RECORD_CAP_DEFAULT)
     f.build(ordered.check_record_mse, keys={"n": "depth"}, n=depth, lag=lag, cap=cap)
-    # Tabulated here, so that validate rejects a marginal whose record
-    # tables do not converge, and handed to the operation, which builds none
-    # itself; a config already at fault is not tabulated.
+    # A config already at fault is not tabulated.
     tables = None
     if marginal is not None and not f.diags:
-        keys = {"m": "marginal"}
-        tables = f.build(ordered.record_tables, keys=keys, m=marginal, n=depth, lag=lag)
+        tables = f.table("marginal", "record", ordered.record_tables, marginal, depth, lag)
     # The hazards of the last three records.
     return partial(ordered.record_predictor_mse, marginal, depth, lag, tables, cap=cap), 3
 
@@ -165,24 +179,22 @@ def _read_coalition(f):
     market = f.merge(market_from_config)
     if market is None:  # its diagnostics are recorded
         return None, 0
-    # Tabulated here, so that validate rejects a market whose predictor does
-    # not converge, and handed to the operation, which builds none itself.
-    table = f.build(predictor_table, keys={"rho_xx": "brokers.rho_xx"}, cfg=market)
+    table = f.table("brokers", "predictor", predictor_table, market)
     return partial(compare_strategies, market, table), 0
 
 
 # experiment name -> reader(fields) -> (call(n_samples, seed, pool=), width),
-# where call runs the experiment's operation on the models the reader built
-# and width is the number of columns the operation keeps per row (0 for
-# none).
+# where call runs the experiment's operation on the models and tables the
+# reader built and width is the number of columns the operation keeps per
+# row (0 for none).
 EXPERIMENTS = {
-    "theorem1": _read_model(theorems.copies_models_from_config, theorems.verify_theorem1),
+    "theorem1": _read_theorem1,
     "theorem2": _read_model(theorems.copies_models_from_config, theorems.verify_theorem2),
     "theorem3": _read_model(_theorem3_vector, theorems.verify_theorem3),
     "corollary-chain": _read_corollary,
-    "covariance": _read_bivariate(theorems.regression_tables, theorems.verify_covariance_identity),
+    "covariance": _read_covariance,
     "copula-swap": _read_copula_swap,
-    "sequence-stats": _read_bivariate(theorems.sequence_table, theorems.predicted_sequence_stats),
+    "sequence-stats": _read_sequence_stats,
     "martingale": _read_martingale,
     "order-stats": _read_order_stats,
     "records": _read_records,
@@ -194,7 +206,8 @@ EXPERIMENT_NAMES = list(EXPERIMENTS)
 
 def _read(cfg):
     """run(pool) for a config dict, which runs the experiment on the models
-    built here; raises ConfigError naming every field at fault.  The reader
+    and tables built here, so that it draws and reduces but never
+    tabulates; raises ConfigError naming every field at fault.  The reader
     says how many columns its operation keeps, and n_samples is bounded by
     them here, before any draw."""
     name = cfg.get("experiment")

@@ -6,7 +6,9 @@ naming the parameter at fault.  `Fields` adds only the type checks that
 float() and int() cannot express (missing key, not a number, bool, not an
 integer, not finite) and the keys that no read took (a misspelt key would
 otherwise leave its default in force), and joins each error onto its config
-path, so one read reports every field at fault.  Reading never simulates.
+path, so one read reports every field at fault.  A regression table that
+does not converge is at fault in the model it belongs to: `table` reports
+its NumericalError at that model's field.  Reading never simulates.
 """
 
 import math
@@ -175,18 +177,28 @@ class Fields:
             return None
 
     def build(self, ctor, keys=None, **kwargs):
-        """ctor(**kwargs); on a DomainError, ConstructionError,
-        UnsupportedModelError or NumericalError, None and a Diagnostic at the
-        parameter it names (renamed to its config key by `keys`)."""
+        """ctor(**kwargs); on a DomainError, ConstructionError or
+        UnsupportedModelError, None and a Diagnostic at the parameter it
+        names (renamed to its config key by `keys`)."""
         if any(value is _INVALID for value in kwargs.values()):
             return None
         try:
             return ctor(**kwargs)
-        except (DomainError, ConstructionError, UnsupportedModelError, NumericalError) as exc:
+        except (DomainError, ConstructionError, UnsupportedModelError) as exc:
             if exc.param in kwargs and kwargs[exc.param] is None:
                 return None
             self.fail((keys or {}).get(exc.param, exc.param) or "", str(exc))
             return None
+
+    def table(self, key, name, tabulate, *args):
+        """tabulate(*args), the table `name` of the model read at `key`; on
+        a NumericalError, a Diagnostic at `key` (at its parameter, if the
+        error names one) that names the table, and a failed field, which
+        stops the `build` that takes it."""
+        try:
+            return tabulate(*args)
+        except NumericalError as exc:
+            return self.fail(_join(key, exc.param or ""), f"{name} table: {exc}")
 
     def close(self, value):
         """`value`, or a ConfigError with every diagnostic recorded."""

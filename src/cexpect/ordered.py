@@ -34,7 +34,9 @@ rows a `row_slices` block at a time, and reduce them to the inequality's
 paired_moments and the Markov check's indicator_sums.
 `mse_order_inequality` and `markov_property_check` make the same per-chunk
 statistics from a whole `order_stat_matrix`, a CHUNK_SIZE block of rows at
-a time, and report the same bits.
+a time, and report the same bits.  No operation here tabulates: each takes
+the max_regression or record tables it reads, which the caller builds
+(cli's reader, before any draw).
 """
 
 import math
@@ -45,7 +47,7 @@ import numpy as np
 from scipy.special import betaincinv, gammainccinv, gammaincinv
 
 from .condexp import RegressionFunction, chebyshev_nodes, fill_massless
-from .errors import DomainError, NumericalError, SampleSizeError
+from .errors import DomainError, SampleSizeError
 from .marginals import TAIL_EPS, Marginal
 # Unused here, but perfbench's test_tracer_reports_missing_names_and_restores_bindings
 # rebinds ordered.integrate; the binding goes when that test is retargeted.
@@ -146,23 +148,21 @@ def _markov_report(m: Marginal, n, cuts, bin_sums, n_samples, seed):
     return report, details
 
 
-def markov_property_check(m: Marginal, matrix, seed, table=None):
+def markov_property_check(m: Marginal, matrix, seed, table):
     """Markov check for order statistics on `matrix`, an (n_samples, n)
     `order_stat_matrix` of marginal `m` drawn from `seed`: given X_{n-1:n},
     the conditional mean of X_{n:n} must not depend on X_{n-2:n}.
 
-    The residual e = X_{n:n} - g(X_{n-1:n}), with g = `table` or
-    max_regression(m, n, n - 1), takes the indicator check of `reports`
-    against X_{n-2:n} at its known q-quantiles, F^-1 of the Beta(n - 2, 3)
-    quantile, for each q in MARKOV_LEVELS.  The report's lhs is max_q |z_q|
+    The residual e = X_{n:n} - g(X_{n-1:n}), with g = `table`,
+    max_regression(m, n, n - 1) for the check itself, takes the indicator
+    check of `reports` against X_{n-2:n} at its known q-quantiles, F^-1 of
+    the Beta(n - 2, 3) quantile, for each q in MARKOV_LEVELS.  The report's lhs is max_q |z_q|
     and its rhs MARKOV_Z, which it must not exceed.  Returns (report,
     details); the details hold each level's cut and z.  The sums are made
     per chunk and added in chunk order, as in `order_stats`.
     """
     n_samples, n = matrix.shape
     cuts = _markov_cuts(m, n)
-    if table is None:
-        table = max_regression(m, n, n - 1)
     chunks = (matrix[rows] for rows in row_slices(n_samples, CHUNK_SIZE))
     bin_sums = merged(indicator_sums(*_markov_terms(rows, table), cuts) for rows in chunks)
     return _markov_report(m, n, cuts, bin_sums, n_samples, seed)
@@ -188,27 +188,27 @@ def _order_errors(rows, tables, k, l):
     return lhs_sq, lhs_sq if k == l else squared_error(k)
 
 
-def mse_order_inequality(m: Marginal, k, l, matrix, seed, tables=None):
+def mse_order_inequality(m: Marginal, k, l, matrix, seed, tables):
     """Eq. between order statistics, on `matrix`, an (n_samples, n)
     `order_stat_matrix` of marginal `m` drawn from `seed`: conditioning on a
     higher order statistic predicts the maximum at least as well.  lhs
     conditions on X_{l:n}, rhs on X_{k:n}, k <= l; k = l degenerates to
     exact equality.  `tables` maps j to max_regression(m, n, j) for j = k
-    and l; they are built here when not given.  The statistics are made per
-    chunk and merged in chunk order, as in `order_stats`.
+    and l.  The statistics are made per chunk and merged in chunk order, as
+    in `order_stats`.
     """
     n_samples, n = matrix.shape
     check_order_indices(n, k, l)
-    if tables is None:
-        tables = _max_regressions(m, n, (k, l))
     chunks = (matrix[rows] for rows in row_slices(n_samples, CHUNK_SIZE))
     stats = merged(paired_moments(*_order_errors(rows, tables, k, l)) for rows in chunks)
     return inequality_report(_order_name(m, n, k, l), stats, seed)
 
 
-def _max_regressions(m: Marginal, n, indices):
-    """{j: max_regression(m, n, j)} for each distinct j in `indices`."""
-    return {j: max_regression(m, n, j) for j in sorted(set(indices))}
+def case_regressions(n, k, l, markov_check):
+    """The j of each max_regression(m, n, j) an order-stats case reads, each
+    once: k and l, and n - 1 for the Markov check, which the inequality may
+    read too."""
+    return sorted({k, l, n - 1} if markov_check else {k, l})
 
 
 def _family(m: Marginal):
@@ -235,31 +235,30 @@ def check_order_cases(cases):
     check_unique_names(names, "cases")
 
 
-def order_stats(cases, n_samples, seed, pool=None):
+def order_stats(cases, tables, n_samples, seed, pool=None):
     """The order-stats experiment over `cases`, each (marginal, n, k, l,
-    markov_check).  Each case makes its `mse_order_inequality` report and,
-    where markov_check is set, its `markov_property_check` report, whose
-    details are keyed "markov/{family}#i" by the case's position i, on the
-    rows of `order_stat_matrix`(m, n, n_samples, seed), and the same bits.
+    markov_check), where tables[i] maps each j of case_regressions of case
+    i to its max_regression(m, n, j), evaluated here, never built.  Each
+    case makes its `mse_order_inequality` report and, where markov_check is
+    set, its `markov_property_check` report, whose details are keyed
+    "markov/{family}#i" by the case's position i, on the rows of
+    `order_stat_matrix`(m, n, n_samples, seed), and the same bits.
 
     Each chunk worker draws and sorts its rows a block at a time, joins
     each row's squared errors (and Markov terms) into chunk arrays, and
-    returns their paired_moments (and indicator_sums), merged in order.  A
-    case tabulates each max_regression it reads once: the Markov check
-    reads the j = n - 1 table, which the inequality may read too.
+    returns their paired_moments (and indicator_sums), merged in order.
     """
     check_order_cases(cases)
     reports = []
     details = {}
-    for pos, (m, n, k, l, markov_check) in enumerate(cases):
+    for pos, ((m, n, k, l, markov_check), case_tables) in enumerate(zip(cases, tables)):
         check_order_indices(n, k, l)
-        tables = _max_regressions(m, n, (k, l, n - 1) if markov_check else (k, l))
         cuts = _markov_cuts(m, n) if markov_check else None
 
         def row_values(rng, rows):
             x = _sorted_rows(m, n, rng, rows)
-            errors = _order_errors(x, tables, k, l)
-            return errors + _markov_terms(x, tables[n - 1]) if markov_check else errors
+            errors = _order_errors(x, case_tables, k, l)
+            return errors + _markov_terms(x, case_tables[n - 1]) if markov_check else errors
 
         def worker(rng, count):
             values = join_rows((row_values(rng, rows) for rows in row_slices(count)), count)
@@ -389,13 +388,9 @@ def record_regression(m: Marginal, k, lag):
 def record_tables(m: Marginal, n, lag):
     """The two tables `record_predictor_mse` reads at depth n, each on the
     conditioning record's hazard: E(R_n | R_{n-1}) and E(R_n | R_{n-lag}),
-    one table when lag is 1.  Raises NumericalError at `m` when a table
-    does not converge."""
-    try:
-        lag_1 = record_regression(m, n - 1, 1)
-        return lag_1, lag_1 if lag == 1 else record_regression(m, n - lag, lag)
-    except NumericalError as exc:
-        raise NumericalError(f"record tables: {exc}", exc.point, "m") from exc
+    one table when lag is 1."""
+    lag_1 = record_regression(m, n - 1, 1)
+    return lag_1, lag_1 if lag == 1 else record_regression(m, n - lag, lag)
 
 
 def binned_regression(cond, target):

@@ -4,7 +4,8 @@ Each verify_* operation draws with common random numbers, evaluates both
 sides of an inequality (or identity) on the same draws, and emits a typed
 report whose verdict allows only Monte Carlo slack (3 paired SEs for
 inequalities, 4 for identities).  Degenerate cases where both sides are the
-same computation produce margin exactly 0.
+same computation produce margin exactly 0.  An operation takes every table
+it reads (phi, psi, the copies predictors) built, and tabulates none.
 
 Replications run in fixed-size chunks with per-chunk Philox streams (see
 rng.py).  Each chunk worker draws its rows a block at a time through the
@@ -43,7 +44,7 @@ from .condexp import (
 )
 from .config import Fields
 from .copulas import EmpiricalCopula, Gaussian, lattice_counts, sup_distance_swapped
-from .errors import ConstructionError, DomainError, NumericalError, UnsupportedModelError
+from .errors import ConstructionError, DomainError, UnsupportedModelError
 from .marginals import Marginal, Normal, Uniform, marginal_from_config
 from .quadrature import tabulate
 from .reports import (
@@ -314,7 +315,8 @@ def default_copies_battery():
     Grid n in {1,2,3,5} x rho_xx in {0, 0.3, 0.9} x rho_xy in {0.2, 0.5},
     dropping the one non-positive-definite cell (n=5, rho_xx=0, rho_xy=0.5)
     and collapsing rho_xx for n=1 (it has no effect with a single copy).
-    Adds two comonotone cells and one conditional-iid cell.
+    Adds one conditional-iid cell.  A comonotone cell (rho_xx = 1) would
+    repeat an n=1 cell: both have v = 1, so they draw one law.
     """
     models = []
     for rho_xy in (0.2, 0.5):
@@ -324,26 +326,22 @@ def default_copies_battery():
             for rho_xy in (0.2, 0.5):
                 if GaussianCopies.definite(n, rho_xx, rho_xy):
                     models.append(GaussianCopies(n, rho_xx, rho_xy))
-    models.append(GaussianCopies(3, 1.0, 0.5))
-    models.append(GaussianCopies(5, 1.0, 0.2))
     models.append(
         ConditionalIidCopies(3, 0.8, Normal(mean_=0.0, sd=1.0), Uniform(lower=-1.0, upper=1.0))
     )
     return models
 
 
-def _verify_averaging(experiment, models, rule_of, n_samples, seed, pool):
+def _verify_averaging(experiment, models, rules, n_samples, seed, pool):
     """One inequality report per copies model, each on `seed`: the squared
-    error of the row average of the values of the rule `rule_of(model)` at
-    the copies (the copies themselves for None), as a predictor of Y,
+    error of the row average of the values of the model's rule in `rules`
+    at the copies (the copies themselves for None), as a predictor of Y,
     against that of its value at the first copy.
 
     Each chunk worker squares the two errors of each block of the model's
     `averages` into a (2, count) array and returns their paired_moments."""
     reports = []
-    for model in models:
-        rule = rule_of(model)
-
+    for model, rule in zip(models, rules):
         def worker(rng, count):
             errors = np.empty((2, count))
             for rows, y, first, average in model.averages(rng, count, rule):
@@ -358,16 +356,17 @@ def _verify_averaging(experiment, models, rule_of, n_samples, seed, pool):
     return ExperimentResult(experiment, reports, {"battery_size": len(models)})
 
 
-def verify_theorem1(models, n_samples, seed, pool=None):
+def verify_theorem1(models, predictors, n_samples, seed, pool=None):
     """Averaged predictor beats any single predictor, for each copies model:
-    E(Y - mean_i E(Y|X_i))^2 <= E(Y - E(Y|X_1))^2, on common draws.
+    E(Y - mean_i E(Y|X_i))^2 <= E(Y - E(Y|X_1))^2, on common draws, where
+    `predictors` holds each model's predictor(), x -> E(Y | X_i = x).
 
     The reports rest on the copies' exchangeability: by Jensen,
     (y - mean_i v_i)^2 <= mean_i (y - v_i)^2 on every draw, and exchangeable
     columns v_i share one expected error, so any exchangeable predictor
     columns pass, a wrong predictor included.
     """
-    return _verify_averaging("theorem1", models, lambda m: m.predictor(), n_samples, seed, pool)
+    return _verify_averaging("theorem1", models, predictors, n_samples, seed, pool)
 
 
 def verify_theorem2(models, n_samples, seed, pool=None):
@@ -377,7 +376,7 @@ def verify_theorem2(models, n_samples, seed, pool=None):
     As in verify_theorem1, the reports rest on the copies' exchangeability:
     by Jensen, any exchangeable columns pass, whatever their joint law with Y.
     """
-    return _verify_averaging("theorem2", models, lambda m: None, n_samples, seed, pool)
+    return _verify_averaging("theorem2", models, [None] * len(models), n_samples, seed, pool)
 
 
 def verify_theorem3(v: GaussianVector, n_samples, seed, pool=None):
@@ -512,30 +511,9 @@ def _medians(model: BivariateModel):
     return float(model.marginal_x._quantile(0.5)), float(model.marginal_y._quantile(0.5))
 
 
-def _converged(regression):
-    """regression(), a model's bound phi or psi, tabulated before any draw;
-    raises NumericalError at `model` when its table does not converge."""
-    try:
-        return regression()
-    except NumericalError as exc:
-        raise NumericalError(f"{regression.__name__} table: {exc}", exc.point, "model") from exc
-
-
-def regression_tables(model: BivariateModel):
-    """(phi, psi) of a bivariate model, as covariance and copula-swap read
-    them; raises NumericalError at `model` when a table does not converge."""
-    return _converged(model.phi), _converged(model.psi)
-
-
-def sequence_table(model: BivariateModel):
-    """psi of a bivariate model, as sequence-stats reads it; raises
-    NumericalError at `model` when its table does not converge."""
-    return _converged(model.psi)
-
-
 def verify_covariance_identity(model: BivariateModel, tables, n_samples, seed, pool=None):
     """Cov(E(X|Y), Y) = Cov(E(Y|X), X) = Cov(X, Y), all on common draws,
-    where `tables` is regression_tables(model).
+    where `tables` is (model.phi(), model.psi()).
 
     The products are centred at the sample means, which no worker knows, so
     each returns the Moments of w = (X, Y, phi(Y), psi(X), phi(Y) Y,
@@ -583,16 +561,15 @@ def verify_covariance_identity(model: BivariateModel, tables, n_samples, seed, p
     return ExperimentResult(experiment="covariance", reports=checks)
 
 
-def copula_swap_tables(model):
-    """regression_tables(model) of a copula-swap model, checked before any
-    draw: both must be strictly increasing, as the inversion chain behind
-    the theorem needs; raises UnsupportedModelError otherwise.
+def copula_swap_tables(phi, psi):
+    """(phi, psi) of a copula-swap model, checked before any draw: both
+    must be strictly increasing, as the inversion chain behind the theorem
+    needs; raises UnsupportedModelError at `model` otherwise.
 
     A tabulated table passes only if every step between its nodes is
     positive.  condexp's INCREASING tolerance admits flat and slightly
     falling steps, which a table takes where the regression saturates in a
     tail; such a model is rejected, not tabulated more finely."""
-    phi, psi = regression_tables(model)
     for label, f in (("phi", phi), ("psi", psi)):
         if f.monotonicity != INCREASING:
             raise UnsupportedModelError(
@@ -642,11 +619,11 @@ def verify_copula_theorem(models, tables, n_samples, seed, pool=None):
     """The copula of (Z1, Z2) = (E(X|Y), E(Y|X)) is the argument-swapped C,
     for each BivariateModel of `models`, each on the same seed.
 
-    `tables` holds copula_swap_tables(model) of each model.  If phi and psi
-    are strictly increasing, (Z1, Z2) has the ranks of (Y, X) and its
-    copula is C(t, s) (Nelsen 2006, Thm 2.4.3).  copula_swap_tables checks
-    that premise on each table's steps, and the details record how far
-    each table is from a flat step.  The draws check only the sampler, and
+    `tables` holds copula_swap_tables(model.phi(), model.psi()) of each
+    model.  If phi and psi are strictly increasing, (Z1, Z2) has the ranks
+    of (Y, X) and its copula is C(t, s) (Nelsen 2006, Thm 2.4.3).
+    copula_swap_tables checks that premise on each table's steps, and the
+    details record how far each table is from a flat step.  The draws check only the sampler, and
     no worker evaluates phi or psi: the report is copula_swap_z against
     COPULA_SWAP_Z.  Model i is named "copula-swap/{family}#i": its report
     is that name plus "/swapped", and its details, keyed by it, hold the
@@ -669,7 +646,7 @@ def verify_copula_theorem(models, tables, n_samples, seed, pool=None):
 def predicted_sequence_stats(model: BivariateModel, psi, n_samples, seed, pool=None):
     """Predicted-sequence identities for (X1, X2) with Y2 = E(X2 | X1):
     E Y2 = E X2 and Cov(Y1, Y2) = Cov(X1, X2), where Y1 = X1 and `psi`,
-    x1 -> E(X2 | X1 = x1), is sequence_table(model).
+    x1 -> E(X2 | X1 = x1), is model.psi().
 
     The paired differences are Y2 - X2 and (X1 - mean X1)(Y2 - X2).  As in
     verify_covariance_identity, each worker returns the Moments of

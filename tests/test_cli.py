@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cexpect import cli, coalition, rng
+from cexpect import cli, coalition, ordered, rng
 from cexpect.cli import validate_config
 from cexpect.coalition import market_from_config
 from cexpect.config import Fields
-from cexpect.errors import DomainError
+from cexpect.errors import DomainError, NumericalError
 from cexpect.marginals import MaxOfIid
 from cexpect.reports import (
     CSV_HEADER,
@@ -216,7 +216,7 @@ def test_every_report_row_has_one_key_set_and_details_repeat_none(suite_out):
         rows += doc["reports"]
         assert doc["schema_version"] == 2
         assert not _keys(doc["details"]) & (REPEATED_DETAILS | set(doc["reports"][0]))
-    assert len(rows) == len((suite_out / "reports.csv").read_text().splitlines()) - 1 == 69
+    assert len(rows) == len((suite_out / "reports.csv").read_text().splitlines()) - 1 == 65
     assert {frozenset(row) for row in rows} == {frozenset(rows[0])}
     assert len(rows[0]) == len(CSV_HEADER)
 
@@ -361,6 +361,11 @@ _STEEP_CLAYTON = {
     "marginal_y": NORMAL,
 }
 
+# Conditional-iid copies whose Y and noise both lie in [0, 1e-9]: the
+# predictor's table does not converge within tanh-sinh's last level.
+_NARROW = {"family": "uniform", "lower": 0.0, "upper": 1e-9}
+_NARROW_COPIES = {"kind": "conditional-iid", "n_copies": 3, "beta": 0.8, "y": _NARROW, "noise": _NARROW}
+
 # (config, the field its diagnostic must name); each used to pass `validate`
 # and then fail or run anyway, or crashed `validate` itself.
 REJECTED = {
@@ -499,6 +504,18 @@ REJECTED = {
     "covariance-unresolved-table": (_suite_with("covariance", model=_STEEP_CLAYTON), "model"),
     "sequence-unresolved-table": (_suite_with("sequence-stats", model=_STEEP_CLAYTON), "model"),
     "swap-unresolved-table": (_suite_with("copula-swap", models=[_STEEP_CLAYTON]), "models[0]"),
+    # Tables that the operation built: theorem1 tabulated its copies'
+    # predictor after validate printed OK, and the iid coalition table
+    # named an empty field.
+    "copies-unresolved-predictor": (_suite_with("theorem1", model=_NARROW_COPIES), "model"),
+    "coalition-iid-unresolved-predictor": (
+        _suite_with(
+            "coalition",
+            brokers={"count": 4, "marginal": {"family": "normal", "mean": 0.0, "sd": 1e6}},
+            outsider={"marginal": NORMAL},
+        ),
+        "brokers",
+    ),
     # Misspelt keys, which used to leave the default in force.
     "records-misspelt-cap": (_suite_with("records", caap=4), "caap"),
     "swap-misspelt-threshold": (_suite_with("copula-swap", treshold=0.5), "treshold"),
@@ -530,6 +547,34 @@ def test_rejected_config_names_its_field(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{field}: " in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case, table",
+    [
+        ("covariance-unresolved-table", "phi"),
+        ("sequence-unresolved-table", "psi"),
+        ("swap-unresolved-table", "phi"),
+        ("copies-unresolved-predictor", "predictor"),
+        ("coalition-iid-unresolved-predictor", "predictor"),
+    ],
+)
+def test_unresolved_table_is_named_at_its_models_field(case, table):
+    cfg, field = REJECTED[case]
+    diagnostics = validate_config(cfg)
+    assert {d.field for d in diagnostics} == {field}
+    assert any(d.message.startswith(f"{table} table: ") for d in diagnostics), diagnostics
+
+
+def test_unresolved_max_regression_is_named_at_its_case(monkeypatch):
+    def diverging(f, a, b):
+        raise NumericalError("no convergence", point=(0, 0.0, 1.0))
+
+    monkeypatch.setattr(ordered, "tabulate", diverging)
+    diagnostics = validate_config(cli.default_suite()["order-stats"])
+    assert [(d.field, d.message.split(" table: ")[0]) for d in diagnostics] == [
+        (f"cases[{pos}]", f"max_regression(n=5, j={j})") for pos in (0, 1) for j in (3, 4)
+    ]
 
 
 def test_copula_swap_admits_the_n_samples_of_the_row_bound():

@@ -7,7 +7,9 @@ configs that the benchmark runs through `cli.run_experiment(cfg,
 workers=)`, so a config the package stopped accepting would fail every
 operation of a workload, and a report it no longer satisfies would count
 as a wrong answer.  These tests load both files by path and write nothing
-under `perfbench/`.
+under `perfbench/`.  The benchmark times a pass as one `run_experiment`
+call; `cli._read` builds every table within it, and the operation it
+returns only draws and reduces, which the tabulation guard pins.
 """
 
 import importlib.util
@@ -21,6 +23,9 @@ import cexpect.ordered
 import cexpect.quadrature
 import cexpect.rng
 from cexpect import cli
+from cexpect.condexp import BivariateModel
+from cexpect.copulas import Gaussian
+from cexpect.marginals import Exponential, Uniform
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,6 +59,42 @@ def test_every_workload_config_is_satisfied_at_seed_1(monkeypatch, workload):
     for cfg in workloads.workload_configs(workload, 1):
         result = cli.run_experiment(cfg, workers=workers)
         assert result.all_satisfied, (cfg, [r for r in result.reports if not r.satisfied])
+
+
+def _forbid_tabulation(patch):
+    """Rebind every binding of quadrature.tabulate in the package to raise."""
+    tabulate = cexpect.quadrature.tabulate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tabulated after the config was read")
+
+    for name, module in list(sys.modules.items()):
+        if name == "cexpect" or name.startswith("cexpect."):
+            for key, value in list(vars(module).items()):
+                if value is tabulate:
+                    patch.setattr(module, key, forbidden)
+
+
+def test_no_operation_tabulates(monkeypatch):
+    # Every default-suite and workload config runs to its verdict with
+    # tabulation forbidden once cli._read has returned.  A table does not
+    # depend on n_samples, so each runs at no more than 20,000 rows.
+    workloads = _load(monkeypatch, "workloads")
+    configs = list(cli.default_suite().values())
+    configs += [cfg for name in workloads.WORKLOADS for cfg in workloads.workload_configs(name, 1)]
+    with monkeypatch.context() as patch:
+        _forbid_tabulation(patch)
+        # The guard bites on both kinds of binding: condexp's module
+        # attribute and ordered's own name.
+        for build in (BivariateModel(Gaussian(0.5), Exponential(), Uniform()).phi,
+                      lambda: cexpect.ordered.max_regression(Uniform(), 5, 4)):
+            with pytest.raises(AssertionError, match="tabulated"):
+                build()
+    for cfg in configs:
+        run = cli._read({**cfg, "n_samples": min(cfg["n_samples"], 20_000)})
+        with monkeypatch.context() as patch:
+            _forbid_tabulation(patch)
+            assert run(None).reports, cfg["experiment"]
 
 
 def test_run_experiment_takes_workers():

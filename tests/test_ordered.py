@@ -21,6 +21,7 @@ from cexpect.ordered import (
     TAG_ORDER,
     TAG_RECORDS,
     binned_regression,
+    case_regressions,
     markov_property_check,
     max_regression,
     mse_order_inequality,
@@ -199,6 +200,18 @@ class TestClosedFormPredictors:
             assert float(reg2(x)) == pytest.approx((x + 2.0) / 3.0, abs=1e-7)
 
 
+def _tables(m, n, *indices):
+    """{j: max_regression(m, n, j)} for each j of `indices`."""
+    return {j: max_regression(m, n, j) for j in indices}
+
+
+def _markov(m, matrix, seed):
+    """markov_property_check on the j = n - 1 table the order-stats reader
+    builds."""
+    n = matrix.shape[1]
+    return markov_property_check(m, matrix, seed, max_regression(m, n, n - 1))
+
+
 class TestOrderStatSimulation:
     def test_rows_sorted(self):
         mat = order_stat_matrix(Uniform(), 5, 10_000, 72)
@@ -213,7 +226,7 @@ class TestOrderStatSimulation:
 
     def test_markov_property_uniform(self):
         matrix = order_stat_matrix(Uniform(), 5, 300_000, 74)
-        report, details = markov_property_check(Uniform(), matrix, 74)
+        report, details = _markov(Uniform(), matrix, 74)
         assert report.satisfied
         assert report.lhs_estimate == max(map(abs, details["z"]))
         assert report.rhs_estimate == MARKOV_Z
@@ -221,7 +234,7 @@ class TestOrderStatSimulation:
 
     def test_markov_property_smallest_case(self):
         matrix = order_stat_matrix(Uniform(), 3, 200_000, 75)
-        report, _ = markov_property_check(Uniform(), matrix, 75)
+        report, _ = _markov(Uniform(), matrix, 75)
         assert report.satisfied
 
     def test_markov_critical_value_is_bonferroni_at_size_1e3(self):
@@ -236,7 +249,7 @@ class TestOrderStatSimulation:
     )
     def test_markov_null_passes(self, m, n):
         for seed in (201, 202, 203):
-            report, _ = markov_property_check(m, order_stat_matrix(m, n, 100_000, seed), seed)
+            report, _ = _markov(m, order_stat_matrix(m, n, 100_000, seed), seed)
             assert report.satisfied, (seed, report.lhs_estimate)
 
     def test_markov_shifted_table_fails(self):
@@ -259,7 +272,7 @@ class TestOrderStatSimulation:
         # Binomial(rows, q).
         rows = 50_000
         matrix = order_stat_matrix(m, n, rows, 205)
-        _, details = markov_property_check(m, matrix, 205)
+        _, details = _markov(m, matrix, 205)
         below = np.array([np.count_nonzero(matrix[:, n - 3] <= c) for c in details["cuts"]])
         q = MARKOV_LEVELS
         z = (below - rows * q) / np.sqrt(rows * q * (1.0 - q))
@@ -267,32 +280,34 @@ class TestOrderStatSimulation:
 
     def test_markov_needs_three(self):
         with pytest.raises(DomainError):
-            markov_property_check(Uniform(), order_stat_matrix(Uniform(), 2, 10_000, 77), 77)
+            _markov(Uniform(), order_stat_matrix(Uniform(), 2, 10_000, 77), 77)
 
 
 class TestMseOrderInequality:
     def test_uniform_case_satisfied(self):
-        r = mse_order_inequality(Uniform(), 3, 4, order_stat_matrix(Uniform(), 5, 100_000, 78), 78)
+        matrix = order_stat_matrix(Uniform(), 5, 100_000, 78)
+        r = mse_order_inequality(Uniform(), 3, 4, matrix, 78, _tables(Uniform(), 5, 3, 4))
         assert r.satisfied
         assert r.margin_sigmas >= 3
 
     def test_exponential_case_satisfied(self):
         matrix = order_stat_matrix(Exponential(1.0), 5, 100_000, 79)
-        r = mse_order_inequality(Exponential(1.0), 3, 4, matrix, 79)
+        r = mse_order_inequality(Exponential(1.0), 3, 4, matrix, 79, _tables(Exponential(1.0), 5, 3, 4))
         assert r.satisfied
         assert r.margin_sigmas >= 3
 
     def test_k_equals_l_exact_equality(self):
-        r = mse_order_inequality(Uniform(), 3, 3, order_stat_matrix(Uniform(), 5, 100_000, 80), 80)
+        matrix = order_stat_matrix(Uniform(), 5, 100_000, 80)
+        r = mse_order_inequality(Uniform(), 3, 3, matrix, 80, _tables(Uniform(), 5, 3))
         assert r.lhs_estimate == r.rhs_estimate
         assert r.margin_sigmas == 0.0
 
     def test_bounds_validated(self):
         matrix = order_stat_matrix(Uniform(), 5, 10_000, 81)
         with pytest.raises(DomainError):
-            mse_order_inequality(Uniform(), 4, 3, matrix, 81)
+            mse_order_inequality(Uniform(), 4, 3, matrix, 81, _tables(Uniform(), 5, 3, 4))
         with pytest.raises(DomainError):
-            mse_order_inequality(Uniform(), 1, 5, matrix, 82)
+            mse_order_inequality(Uniform(), 1, 5, matrix, 82, _tables(Uniform(), 5, 1))
 
 
 class TestOrderStats:
@@ -315,17 +330,18 @@ class TestOrderStats:
         monkeypatch.setattr(cexpect.ordered, "order_stat_matrix", forbidden)
         uniform, exponential = Uniform(), Exponential(1.0)
         cases = [(uniform, 5, 3, 4, True), (exponential, 4, 2, 2, False)]
-        result = order_stats(cases, rows, 83)
+        tables = [_tables(m, n, *case_regressions(n, k, l, markov)) for m, n, k, l, markov in cases]
+        result = order_stats(cases, tables, rows, 83)
         assert passes == [(rows, 83, TAG_ORDER)] * 2
         monkeypatch.undo()
 
         uniform_matrix = order_stat_matrix(uniform, 5, rows, 83)
         exponential_matrix = order_stat_matrix(exponential, 4, rows, 83)
-        markov_report, markov_details = markov_property_check(uniform, uniform_matrix, 83)
+        markov_report, markov_details = _markov(uniform, uniform_matrix, 83)
         assert result.reports == [
-            mse_order_inequality(uniform, 3, 4, uniform_matrix, 83),
+            mse_order_inequality(uniform, 3, 4, uniform_matrix, 83, tables[0]),
             markov_report,
-            mse_order_inequality(exponential, 2, 2, exponential_matrix, 83),
+            mse_order_inequality(exponential, 2, 2, exponential_matrix, 83, tables[1]),
         ]
         assert result.details == {"markov/uniform#0": markov_details}
 

@@ -99,10 +99,13 @@ def report_digest(cfg, workers):
 # normal scores began to map onto normal margins exactly, not through
 # ndtri(ndtr(z)): their values moved in the last bits.  Re-recorded for
 # theorem1 and theorem2 when a Gaussian-copies model began to draw the exact
-# law of (Y, X_1, X̄) from three normals a row: its draws changed.
+# law of (Y, X_1, X̄) from three normals a row: its draws changed.  Re-recorded
+# for theorem1 and theorem2 when the default battery dropped its two
+# comonotone cells, which repeated its two n = 1 cells: two rows fewer
+# each, and battery_size 20.
 DIGESTS = {
-    "theorem1": "5388ca078ca177cec76149d4edc390d2d3ee978157189cc804c909a0d5dc7968",
-    "theorem2": "6a083a46f652027585b701efc08fd4a849e9a0a7e34b510f4cb798703fc56c8b",
+    "theorem1": "1926211481219d3396876d2fada83b6f040895c632f6022c84d22c7b82c144a5",
+    "theorem2": "5563c1544e0a74f6931c6274c7632f3cdebb83d4f734dfc171df273d3d5bcf5d",
     "theorem3": "ec3a44a965cf5f6cfffdcc9879b8163688aa1373a9ed849b17d41b1976c29c07",
     "theorem3-duplicate": "528b8c0fd4c65b4ee5d3640c6eb31d686fcf389f666d1335b6fe909add904e42",
     "corollary-chain": "361b3c89e3aa0b678e536db601a5b4adb1b655c314d6913b936e390411e32a4b",
@@ -165,7 +168,8 @@ def test_report_bytes_pinned_for_any_worker_count(label, cfg):
 # grew to CHUNK_SIZE sequences, drawn in row blocks, the coalition rows
 # when a market chunk began to draw in row blocks, and the Gaussian-copies
 # rows of theorem1 and theorem2 when each began to draw (Y, X_1, X̄) from
-# three normals a row; the cond-iid rows held.
+# three normals a row; the cond-iid rows held.  The four comonotone rows
+# went when the default battery dropped its comonotone cells.
 PINNED = {
     'theorem1': [
         ('theorem1/gaussian-copies(n=1,rxx=0,rxy=0.2)',
@@ -206,10 +210,6 @@ PINNED = {
          0.9578889439241937, 0.9619582804841508, 0.00029272873297834747, True),
         ('theorem1/gaussian-copies(n=5,rxx=0.9,rxy=0.5)',
          0.7311572514778429, 0.7530086824013239, 0.0006436442211411279, True),
-        ('theorem1/gaussian-copies(n=3,comono,rxy=0.5)',
-         0.7506735221041169, 0.7506735221041169, 0.0, True),
-        ('theorem1/gaussian-copies(n=5,comono,rxy=0.2)',
-         0.9608621082932695, 0.9608621082932695, 0.0, True),
         ('theorem1/cond-iid(n=3,beta=0.8)',
          0.1907517180289499, 0.3387207673107811, 0.0008964901026480497, True),
     ],
@@ -252,10 +252,6 @@ PINNED = {
          1.5202620474390411, 1.5981974410416564, 0.0018655029416029586, True),
         ('theorem2/gaussian-copies(n=5,rxx=0.9,rxy=0.5)',
          0.9199039696272052, 0.997805189168781, 0.001462563679786849, True),
-        ('theorem2/gaussian-copies(n=3,comono,rxy=0.5)',
-         0.9999663495397481, 0.9999663495397481, 0.0, True),
-        ('theorem2/gaussian-copies(n=5,comono,rxy=0.2)',
-         1.6003560634905534, 1.6003560634905534, 0.0, True),
         ('theorem2/cond-iid(n=3,beta=0.8)',
          0.15128002672854923, 0.3741248788760212, 0.0009345185332884497, True),
     ],

@@ -9,8 +9,9 @@ bools, strings, null, and floats where integers belong).  For each config,
 ExperimentResult; otherwise `run_experiment` raises a ConfigError with the
 same diagnostics.  No config may end in any other error.  Copula-swap
 models whose regressions are not increasing, which the check does not
-support yet, and bivariate models whose regression tables do not converge
-are among the invalid ones.
+support yet, are among the invalid ones, as is every model with a table
+that does not converge: the regression tables of bivariate models, copies
+predictors, order-statistic and record tables, and market predictors.
 """
 
 import math

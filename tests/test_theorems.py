@@ -21,7 +21,7 @@ from cexpect.coalition import MarketConfig, compare_strategies, predictor_table,
 from cexpect.copulas import Clayton, FGM, Gaussian, Independence, lattice_counts
 from cexpect.errors import ConstructionError, DomainError, UnsupportedModelError
 from cexpect.marginals import Exponential, MaxOfIid, Normal, Uniform
-from cexpect.ordered import order_stats
+from cexpect.ordered import case_regressions, max_regression, order_stats
 from cexpect.reports import Moments, inequality_report, paired_moments
 from cexpect.rng import (
     CHUNK_SIZE,
@@ -45,8 +45,6 @@ from cexpect.theorems import (
     martingale_checks,
     martingale_exact_mse,
     predicted_sequence_stats,
-    regression_tables,
-    sequence_table,
     verify_copula_theorem,
     verify_corollary_chain,
     verify_covariance_identity,
@@ -60,12 +58,37 @@ N = 100_000
 
 def _covariance(model, n_samples, seed, pool=None):
     """verify_covariance_identity on the tables its reader builds."""
-    return verify_covariance_identity(model, regression_tables(model), n_samples, seed, pool=pool)
+    tables = model.phi(), model.psi()
+    return verify_covariance_identity(model, tables, n_samples, seed, pool=pool)
 
 
 def _sequence(model, n_samples, seed, pool=None):
     """predicted_sequence_stats on the table its reader builds."""
-    return predicted_sequence_stats(model, sequence_table(model), n_samples, seed, pool=pool)
+    return predicted_sequence_stats(model, model.psi(), n_samples, seed, pool=pool)
+
+
+def _theorem1(models, n_samples, seed, pool=None):
+    """verify_theorem1 on the predictors its reader builds."""
+    return verify_theorem1(models, [m.predictor() for m in models], n_samples, seed, pool=pool)
+
+
+def _averaging(verify, *args, **kwargs):
+    """verify_theorem1, on its reader's predictors, or verify_theorem2."""
+    return (_theorem1 if verify is verify_theorem1 else verify)(*args, **kwargs)
+
+
+def _order_stats(cases, n_samples, seed):
+    """order_stats on the tables its reader builds."""
+    tables = [
+        {j: max_regression(m, n, j) for j in case_regressions(n, k, l, markov_check)}
+        for m, n, k, l, markov_check in cases
+    ]
+    return order_stats(cases, tables, n_samples, seed)
+
+
+def _swap_tables(model):
+    """copula_swap_tables on the tables its reader builds."""
+    return copula_swap_tables(model.phi(), model.psi())
 
 
 class TestCopiesModels:
@@ -79,7 +102,10 @@ class TestCopiesModels:
         assert len(battery) >= 8
         labels = [m.label() for m in battery]
         assert "gaussian-copies(n=5,rxx=0,rxy=0.5)" not in labels
-        assert any("comono" in s for s in labels)
+        # A comonotone cell has v = 1, as n = 1 has: it would repeat the
+        # n = 1 cell of its rho_xy byte for byte.
+        assert not any("comono" in s for s in labels)
+        assert len(battery) == 20
         assert any("cond-iid" in s for s in labels)
 
     def test_copies_share_marginal(self):
@@ -124,26 +150,26 @@ class TestCopiesModels:
 
 class TestTheorem1:
     def test_n1_exact_equality(self):
-        r = verify_theorem1([GaussianCopies(1, 0.0, 0.5)], N, 42).reports[0]
+        r = _theorem1([GaussianCopies(1, 0.0, 0.5)], N, 42).reports[0]
         assert r.lhs_estimate == r.rhs_estimate
         assert r.margin_sigmas == 0.0
         assert r.satisfied
 
     def test_comonotone_exact_equality(self):
-        r = verify_theorem1([GaussianCopies(3, 1.0, 0.5)], N, 42).reports[0]
+        r = _theorem1([GaussianCopies(3, 1.0, 0.5)], N, 42).reports[0]
         assert r.lhs_estimate == r.rhs_estimate
         assert r.margin_sigmas == 0.0
 
     def test_gaussian_cell_satisfied_with_margin(self):
         # Analytic oracle: all quantities affine in a Gaussian vector, so
         # lhs < rhs strictly when copies are not comonotone.
-        r = verify_theorem1([GaussianCopies(3, 0.3, 0.5)], N, 42).reports[0]
+        r = _theorem1([GaussianCopies(3, 0.3, 0.5)], N, 42).reports[0]
         assert r.satisfied
         assert r.margin_sigmas >= 3
 
     def test_conditional_iid_cell(self):
         m = ConditionalIidCopies(3, 0.8, Normal(), Uniform(-1, 1))
-        r = verify_theorem1([m], 50_000, 43).reports[0]
+        r = _theorem1([m], 50_000, 43).reports[0]
         assert r.satisfied
         assert r.margin_sigmas >= 3
 
@@ -267,7 +293,7 @@ class TestGaussianCopiesLaw:
         # mean difference within 4 SE of its exact (1 - v) sd_x^2.
         model = GaussianCopies(5, 0.3, 0.5, **scales)
         for verify in (verify_theorem1, verify_theorem2):
-            r = verify([model], 20_000, 34).reports[0]
+            r = _averaging(verify, [model], 20_000, 34).reports[0]
             values = (r.lhs_estimate, r.rhs_estimate, r.paired_diff_se)
             assert all(map(math.isfinite, values)) and r.paired_diff_se > 0, values
             assert r.satisfied
@@ -303,21 +329,21 @@ class TestCopiesClosedForms:
         # this is what checks the Gaussian-copies sampler.
         cfg = cli.default_suite()[verify.__name__.removeprefix("verify_")]
         battery = default_copies_battery()
-        reports = verify(battery, cfg["n_samples"], cfg["seed"]).reports
+        reports = _averaging(verify, battery, cfg["n_samples"], cfg["seed"]).reports
         checked = 0
         for model, report in zip(battery, reports):
             if isinstance(model, GaussianCopies):
                 z = _closed_form_z(report, model.n_copies, model.rho_xx, model.rho_xy)
                 assert max(map(abs, z)) <= 4, (report.name, z)
                 checked += 1
-        assert checked == 21
+        assert checked == 19
 
     def test_closed_form_check_fails_on_the_wrong_rho_xx(self):
         # rho_xx = 0.4 for 0.3 moves v from 0.44 to 0.52: at 100,000 rows
         # theorem1's lhs moves by 0.02, about 7 SE, and theorem2's by 0.08,
         # about 40 SE; neither rhs depends on v.
         for verify in (verify_theorem1, verify_theorem2):
-            report = verify([GaussianCopies(5, 0.4, 0.5)], 100_000, 101).reports[0]
+            report = _averaging(verify, [GaussianCopies(5, 0.4, 0.5)], 100_000, 101).reports[0]
             lhs_z, rhs_z = _closed_form_z(report, 5, 0.3, 0.5)
             assert abs(lhs_z) > 4 and abs(rhs_z) <= 4, (report.name, lhs_z, rhs_z)
 
@@ -331,8 +357,8 @@ class TestCopiesBattery:
             GaussianCopies(3, 1.0, 0.5),
             ConditionalIidCopies(3, 0.8, Normal(), Uniform(-1, 1)),
         ]
-        battery = verify(models, 20_000, 90)
-        singles = [verify([m], 20_000, 90) for m in models]
+        battery = _averaging(verify, models, 20_000, 90)
+        singles = [_averaging(verify, [m], 20_000, 90) for m in models]
         assert battery.experiment == verify.__name__.replace("verify_", "")
         assert battery.reports == [single.reports[0] for single in singles]
         assert battery.details == {"battery_size": 4}
@@ -570,10 +596,10 @@ def test_leaf_passes_leave_no_reference_cycle(operation):
 @pytest.mark.parametrize(
     "operation",
     [
-        lambda n: verify_theorem1([GaussianCopies(5, 0.3, 0.5)], n, 76),
+        lambda n: _theorem1([GaussianCopies(5, 0.3, 0.5)], n, 76),
         lambda n: _covariance(GAUSS_NN, n, 76),
         lambda n: martingale_checks(5, n, 76, [(1, 2, 3, 4, 5), (1,), (3,), (5,), ()]),
-        lambda n: order_stats([(Uniform(), 5, 3, 4, True)], n, 76),
+        lambda n: _order_stats([(Uniform(), 5, 3, 4, True)], n, 76),
     ],
     ids=["theorem1", "covariance", "martingale", "order-stats"],
 )
@@ -769,9 +795,9 @@ DEPENDENT_MARKET = MarketConfig(
 )
 
 BLOCKED_WORKERS = {
-    "theorem1-copies5": _averaging_case(verify_theorem1, COPIES_5, COPIES_5.predictor()),
-    "theorem1-comonotone": _averaging_case(verify_theorem1, COMONOTONE, COMONOTONE.predictor()),
-    "theorem1-cond-iid": _averaging_case(verify_theorem1, COND_IID, COND_IID.predictor()),
+    "theorem1-copies5": _averaging_case(_theorem1, COPIES_5, COPIES_5.predictor()),
+    "theorem1-comonotone": _averaging_case(_theorem1, COMONOTONE, COMONOTONE.predictor()),
+    "theorem1-cond-iid": _averaging_case(_theorem1, COND_IID, COND_IID.predictor()),
     "theorem2-d129": _averaging_case(verify_theorem2, WIDEST, lambda x: x),
     "theorem3-d3": _conditioning_case(verify_theorem3, EQUI3, [(1, 2), (1,), (2,)], [(0, 1), (0, 2)]),
     "theorem3-d2": _conditioning_case(verify_theorem3, DUPLICATE, [(1,)] * 3, [(0, 1), (0, 2)]),
@@ -857,7 +883,7 @@ def _gemm_block(dim):
         # The two squared errors, (lhs, lhs - rhs) and the products' row; a
         # block's three normals a row and the predictor's two values are
         # within its dozen a row.
-        (lambda n: verify_theorem1([COPIES_5], n, 76), 5 * ROW),
+        (lambda n: _theorem1([COPIES_5], n, 76), 5 * ROW),
         # Three sets' errors, a pair's two rows and the products' row.
         (lambda n: verify_corollary_chain(AR4, CHAIN, n, 76), 6 * ROW + _gemm_block(4)),
         # Seven variables and the products' row.
@@ -899,7 +925,7 @@ WIDE_BLOCK = EVAL_BLOCK * 128 * 8  # bytes of one block of 128 draws a row
     [
         # Two squared errors, the Markov residual and its intp bin; a block's
         # uniforms and their quantiles.
-        (lambda n: order_stats([(Uniform(), 128, 64, 127, True)], n, 76), 4 * ROW, 2),
+        (lambda n: _order_stats([(Uniform(), 128, 64, 127, True)], n, 76), 4 * ROW, 2),
         # The coalition's and 128 brokers' squared errors; a block's normals
         # and its prices or predictions.  The last block's arrays are
         # dropped before the next block draws.
@@ -1040,7 +1066,7 @@ class TestCovarianceCounterexample:
 
 
 def _verify_swap(models, n_samples, seed):
-    tables = [copula_swap_tables(m) for m in models]
+    tables = [_swap_tables(m) for m in models]
     return verify_copula_theorem(models, tables, n_samples, seed)
 
 
@@ -1056,7 +1082,7 @@ class TestCopulaSwap:
     def test_independence_rejected(self):
         m = BivariateModel(Independence(), Uniform(), Uniform())
         with pytest.raises(UnsupportedModelError):
-            copula_swap_tables(m)
+            _swap_tables(m)
 
     def test_clayton_uniform(self):
         res = _verify_swap([BivariateModel(Clayton(alpha=2.0), Uniform(), Uniform())], N, 62)
@@ -1084,7 +1110,7 @@ class TestCopulaSwap:
         # theta (2v - 1) / 6, linear, so its smallest relative step is the
         # smallest gap of the table's grid over the grid's span.
         model = BivariateModel(FGM(theta=0.5), Uniform(), Uniform())
-        phi, psi = copula_swap_tables(model)
+        phi, psi = _swap_tables(model)
         detail = _verify_swap([model], 20_000, 67).details["copula-swap/fgm#0"]
         for key, table in (("phi_min_relative_step", phi), ("psi_min_relative_step", psi)):
             gap = np.min(np.diff(table.grid)) / (table.grid[-1] - table.grid[0])
@@ -1125,7 +1151,7 @@ class TestCopulaSwap:
                 raise AssertionError("a table was evaluated on the draws")
 
         model = BivariateModel(Clayton(alpha=2.0), Exponential(1.0), Normal())
-        tables = [tuple(map(Unevaluated, copula_swap_tables(model)))]
+        tables = [tuple(map(Unevaluated, _swap_tables(model)))]
         assert verify_copula_theorem([model], tables, 20_000, 68).all_satisfied
 
 
@@ -1254,9 +1280,9 @@ class TestDeterminism:
         from concurrent.futures import ThreadPoolExecutor
 
         m = GaussianCopies(3, 0.3, 0.5)
-        serial = verify_theorem1([m], N, 71)
+        serial = _theorem1([m], N, 71)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = verify_theorem1([m], N, 71, pool=pool)
+            parallel = _theorem1([m], N, 71, pool=pool)
         assert serial == parallel
 
     def test_wide_model_reports_bit_identical_across_pools(self):
@@ -1266,9 +1292,9 @@ class TestDeterminism:
         from concurrent.futures import ThreadPoolExecutor
 
         m = GaussianCopies(127, 0.3, 0.05)
-        serial = verify_theorem1([m], 70_000, 73)
+        serial = _theorem1([m], 70_000, 73)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            parallel = verify_theorem1([m], 70_000, 73, pool=pool)
+            parallel = _theorem1([m], 70_000, 73, pool=pool)
         assert serial == parallel
 
     def test_theorem1_memory_stays_near_its_report_columns(self):
@@ -1278,10 +1304,10 @@ class TestDeterminism:
         # column of n rows.
         n = 4 * CHUNK_SIZE
         model = GaussianCopies(5, 0.3, 0.5)
-        verify_theorem1([model], 1000, 72)
+        _theorem1([model], 1000, 72)
         tracemalloc.start()
         try:
-            verify_theorem1([model], n, 72)
+            _theorem1([model], n, 72)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1289,4 +1315,4 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         m = GaussianCopies(3, 0.3, 0.5)
-        assert verify_theorem1([m], 10_000, 1) != verify_theorem1([m], 10_000, 2)
+        assert _theorem1([m], 10_000, 1) != _theorem1([m], 10_000, 2)
